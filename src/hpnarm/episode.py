@@ -6,7 +6,9 @@ wraps the same model with scaled gains, a gravity-sag surrogate, and
 observation noise, standing in for an imperfectly modeled physical arm.
 One episode drives the tip from a fixed initial pressurization toward a
 goal pose, one quasi-static action per step, optionally applying learning
-updates along the way.
+updates along the way. Training runs many episodes at once: train_lockstep
+steps one episode per goal bin together, bit-identical to run_episode
+called on each in turn.
 """
 
 from __future__ import annotations
@@ -15,18 +17,30 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .kinematics import (
     ArmParams,
+    N_CHAMBERS,
     N_SEGMENTS,
     actuation_to_config,
     segment_transform,
+    segment_transform_batch,
     validate_pressures,
 )
-from .qtable import ActionSpec, HyperParams, QTable, select_action
-from .state import BinningSpec, GoalPose, StateEncoder, rest_tip_origin
+from .qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, select_action
+from .state import (
+    N_TIP_STATES,
+    BinningSpec,
+    GoalPose,
+    StateEncoder,
+    encode_goal_prefix,
+    encode_tip_suffix_batch,
+    goal_frame,
+    rest_tip_origin,
+)
 
 CSV_COLUMNS = ("step", "time_s", "pos_error_mm", "rot_error_deg",
                "state_index", "action_id", "reward")
@@ -59,8 +73,9 @@ class RewardSpec:
         if self.success_pos_mm <= 0.0 or self.success_rot_deg <= 0.0:
             raise ValueError("success thresholds must be positive")
 
-    def is_success(self, pos_error_mm: float, rot_error_deg: float) -> bool:
-        return pos_error_mm < self.success_pos_mm and rot_error_deg < self.success_rot_deg
+    def is_success(self, pos_error_mm, rot_error_deg):
+        """Both errors inside their thresholds; elementwise for arrays."""
+        return (pos_error_mm < self.success_pos_mm) & (rot_error_deg < self.success_rot_deg)
 
 
 @dataclass(frozen=True)
@@ -307,3 +322,123 @@ def run_episode(
             return log
     log.outcome = "step-limit"
     return log
+
+
+def pose_errors_batch(pose: np.ndarray, goal_pos: np.ndarray, goal_dir: np.ndarray):
+    """pose_errors for an (n, 4, 4) pose stack against n goals, bit for bit."""
+    dx = pose[:, 0, 3] - goal_pos[:, 0]
+    dy = pose[:, 1, 3] - goal_pos[:, 1]
+    dz = pose[:, 2, 3] - goal_pos[:, 2]
+    pos = np.sqrt(dx * dx + dy * dy + dz * dz)
+    dot = (pose[:, 0, 2] * goal_dir[:, 0]
+           + pose[:, 1, 2] * goal_dir[:, 1]
+           + pose[:, 2, 2] * goal_dir[:, 2])
+    # math.acos, not np.arccos: the two differ in the last bit on some inputs.
+    acos = np.fromiter(map(math.acos, np.clip(dot, -1.0, 1.0).tolist()), float, len(dot))
+    return pos, np.degrees(acos)
+
+
+def train_lockstep(
+    goals_by_bin: Mapping[int, Sequence[GoalPose]],
+    seed: int,
+    hp: HyperParams,
+    *,
+    params: ArmParams,
+    action_spec: ActionSpec,
+    reward_spec: RewardSpec,
+    binning: BinningSpec,
+    max_steps: int = 200,
+) -> QTable:
+    """Train one episode per goal on the nominal plant, all goal bins in lockstep.
+
+    The result is bit-identical to calling run_episode(train=True) for every
+    bin in ascending order and every goal of the bin in order, each episode
+    drawing from a generator keyed (seed, 0, bin, goal index). That holds
+    because every state an episode visits carries its goal's bin prefix:
+    episodes in different bins read and write disjoint rows, so only a bin's
+    own episodes have to run in sequence.
+
+    The lanes are the bins. Round k runs each lane's k-th goal, one numpy step
+    across all lanes still running; a lane that reaches success idles until
+    the round ends. Each lane keeps its values and flags in a (1024, actions)
+    block of its own. No step log is kept.
+    """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    bins = sorted(goals_by_bin)
+    n_actions = action_spec.action_count
+    values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
+    flags = np.zeros(values.shape, dtype=np.uint16)
+    origin = rest_tip_origin(params.l0_mm)
+    start = np.full((N_SEGMENTS, N_CHAMBERS), params.p_max_kpa / 2.0)
+    start_segments = segment_transform_batch(start, params)
+    rs = reward_spec
+
+    for k in range(max((len(g) for g in goals_by_bin.values()), default=0)):
+        lanes = [i for i, b in enumerate(bins) if k < len(goals_by_bin[b])]
+        goals = [goals_by_bin[bins[i]][k] for i in lanes]
+        for i, goal in zip(lanes, goals):
+            prefix = encode_goal_prefix(goal.position, goal.direction, origin, binning)
+            if prefix != bins[i]:
+                raise ValueError(f"goal {k} of bin {bins[i]} encodes to goal bin {prefix}")
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, bins[i], k)))
+                for i in lanes]
+        block = np.asarray(lanes, dtype=np.int64)
+        goal_pos = np.array([g.position for g in goals])
+        goal_dir = np.array([g.direction for g in goals])
+        frames = np.array([goal_frame(g.direction).T for g in goals])
+        n = len(lanes)
+        pressures = np.broadcast_to(start, (n, N_SEGMENTS, N_CHAMBERS)).copy()
+        segments = np.broadcast_to(start_segments[:, None], (N_SEGMENTS, n, 4, 4)).copy()
+        pose = segments[0] @ segments[1] @ segments[2] @ segments[3]
+        pos, rot = pose_errors_batch(pose, goal_pos, goal_dir)
+        state = encode_tip_suffix_batch(pose[:, :3, 3], pose[:, :3, 2], goal_pos, frames, binning)
+        done = rs.is_success(pos, rot)
+
+        for _ in range(max_steps):
+            if done.any():
+                keep = ~done
+                block, goal_pos, goal_dir, frames, pressures, pos, rot, state = (
+                    a[keep] for a in (block, goal_pos, goal_dir, frames, pressures,
+                                      pos, rot, state)
+                )
+                segments = segments[:, keep]
+                rngs = [g for g, kept in zip(rngs, keep) if kept]
+            n = len(rngs)
+            if n == 0:
+                break
+            # Each lane's draws follow select_action: one uniform per step,
+            # then an action id on an exploring step.
+            explore = np.fromiter((g.random() for g in rngs), float, n) < hp.epsilon
+            action = values[block, state].argmax(axis=1)
+            for i in np.flatnonzero(explore).tolist():
+                action[i] = rngs[i].integers(n_actions)
+
+            seg = action_spec.apply_batch(pressures, action, params.p_max_kpa)
+            lane = np.arange(n)
+            segments[seg, lane] = segment_transform_batch(pressures[lane, seg], params)
+            pose = segments[0] @ segments[1] @ segments[2] @ segments[3]
+
+            new_pos, new_rot = pose_errors_batch(pose, goal_pos, goal_dir)
+            next_state = encode_tip_suffix_batch(
+                pose[:, :3, 3], pose[:, :3, 2], goal_pos, frames, binning
+            )
+            done = rs.is_success(new_pos, new_rot)
+            reward = (rs.w_p_per_mm * (pos - new_pos) + rs.w_r_per_deg * (rot - new_rot)
+                      - rs.step_penalty)
+            reward = np.where(done, reward + rs.goal_bonus, reward)
+            if not np.isfinite(reward).all():
+                raise ValueError("reward must be finite")
+
+            # QTable.update, lane by lane: float64 arithmetic, float32 storage.
+            target = reward + hp.gamma * values[block, next_state].max(axis=1).astype(np.float64)
+            old = values[block, state, action].astype(np.float64)
+            values[block, state, action] = old + hp.alpha * (target - old)
+            flags[block, state, action] |= FLAG_TRAINED
+            state, pos, rot = next_state, new_pos, new_rot
+
+    blk, suffix, act = np.nonzero((flags != 0) | (values != 0))
+    states = np.asarray(bins, dtype=np.int64)[blk] * N_TIP_STATES + suffix
+    return QTable.from_records(
+        states, act, flags[blk, suffix, act], values[blk, suffix, act], action_count=n_actions
+    )

@@ -133,6 +133,50 @@ def segment_transform(cfg: SegmentConfig, k_eps: float = 1e-9) -> np.ndarray:
     ])
 
 
+def segment_transform_batch(p_seg: np.ndarray, params: ArmParams) -> np.ndarray:
+    """Segment transforms for a stack of (n, 4) chamber pressures, shape (n, 4, 4).
+
+    Row for row bit-identical to ``segment_transform(actuation_to_config(p,
+    params), params.k_eps)``: the same formulas in the same operation order,
+    with ``hypot`` and ``atan2`` taken from ``math`` one row at a time, since
+    numpy's vectorized versions can differ from them in the last bit.
+    """
+    p1, p2, p3, p4 = p_seg[:, 0], p_seg[:, 1], p_seg[:, 2], p_seg[:, 3]
+    d13 = p1 - p3
+    d24 = p2 - p4
+    vx = d13 * E1[0] + d24 * E2[0]
+    vy = d13 * E1[1] + d24 * E2[1]
+    n = len(p_seg)
+    vx_list, vy_list = vx.tolist(), vy.tolist()
+    k = params.a_gain * np.fromiter(map(math.hypot, vx_list, vy_list), float, n)
+    l = params.b_gain * (p1 + p2 + p3 + p4) + params.l0_mm
+    straight = k < params.k_eps
+    phi = np.fromiter(map(math.atan2, vy_list, vx_list), float, n)
+    phi[phi >= math.pi] = -math.pi
+    k_safe = np.where(straight, 1.0, k)
+    th = k * l
+    c, s = np.cos(th), np.sin(th)
+    cp, sp = np.cos(phi), np.sin(phi)
+    t = np.zeros((n, 4, 4))
+    t[:, 0, 0] = cp * cp * (c - 1.0) + 1.0
+    t[:, 0, 1] = sp * cp * (c - 1.0)
+    t[:, 0, 2] = cp * s
+    t[:, 0, 3] = cp * (1.0 - c) / k_safe
+    t[:, 1, 0] = sp * cp * (c - 1.0)
+    t[:, 1, 1] = cp * cp * (1.0 - c) + c
+    t[:, 1, 2] = sp * s
+    t[:, 1, 3] = sp * (1.0 - c) / k_safe
+    t[:, 2, 0] = -cp * s
+    t[:, 2, 1] = -sp * s
+    t[:, 2, 2] = c
+    t[:, 2, 3] = s / k_safe
+    t[:, 3, 3] = 1.0
+    if straight.any():
+        t[straight] = np.eye(4)
+        t[straight, 2, 3] = l[straight]
+    return t
+
+
 def arm_forward_kinematics(pressures, params: ArmParams) -> np.ndarray:
     """Tip pose of the whole arm: product of the four segment transforms, base to tip."""
     p = validate_pressures(pressures, params)

@@ -6,10 +6,12 @@ into their goal bins until every bin holds `quota` goals or the sampling
 budget runs out. Bins that never fill are flagged unreachable and excluded,
 so every goal the controller trains on is known to be attainable.
 
-Training itself is sharded by goal bin. Episode randomness is keyed to
-(master seed, bin, goal index), never to the worker that happens to run the
-bin, so a run with W workers is bit-identical to the single-process run.
-Shards own disjoint bins, which makes the merge a plain disjoint union.
+Training itself is sharded by goal bin, and within a shard every bin's k-th
+episode runs in lockstep with the others (episode.train_lockstep). Episode
+randomness is keyed to (master seed, bin, goal index), never to the worker
+or lane that happens to run the bin, so a run with W workers is
+bit-identical to the single-process run. Shards own disjoint bins, which
+makes the merge a plain disjoint union.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .episode import NominalPlant, RewardSpec, run_episode
+from .episode import RewardSpec, train_lockstep
 from .kinematics import ArmParams, tip_batch
 from .qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, augment, save
 from .state import (
@@ -259,29 +261,6 @@ def plan_shards(bins: Sequence[int], workers: int, seed: int) -> ShardPlan:
     )
 
 
-def _train_bins(
-    goals_by_bin: Mapping[int, tuple[GoalPose, ...]],
-    seed: int,
-    hp: HyperParams,
-    params: ArmParams,
-    action_spec: ActionSpec,
-    reward_spec: RewardSpec,
-    binning: BinningSpec,
-    max_steps: int,
-) -> QTable:
-    q = QTable(action_spec.action_count)
-    plant = NominalPlant(params)
-    for bin_id in sorted(goals_by_bin):
-        for goal_idx, goal in enumerate(goals_by_bin[bin_id]):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 0, bin_id, goal_idx)))
-            run_episode(
-                plant, goal, q, hp,
-                params=params, action_spec=action_spec, reward_spec=reward_spec,
-                binning=binning, max_steps=max_steps, rng=rng, train=True,
-            )
-    return q
-
-
 def pretrain_shard(
     bin_ids: Sequence[int],
     seed: int,
@@ -294,19 +273,22 @@ def pretrain_shard(
     binning: BinningSpec,
     max_steps: int = 200,
 ) -> QTable:
-    """Train one episode per banked goal for every bin in the shard.
+    """Train one episode per banked goal for every bin in the shard, in lockstep.
 
     Episode randomness depends only on (seed, bin, goal index), so the same
     shard replayed with the same seed produces a bit-identical table.
     """
     subset = {int(b): bank.goals_for(int(b)) for b in bin_ids}
-    return _train_bins(subset, seed, hp, params, action_spec, reward_spec, binning, max_steps)
+    return train_lockstep(
+        subset, seed, hp, params=params, action_spec=action_spec,
+        reward_spec=reward_spec, binning=binning, max_steps=max_steps,
+    )
 
 
 def _shard_job(args):
     """Worker-process entry point: train a shard, return its entries as arrays."""
-    q = _train_bins(*args)
-    return q.record_arrays()
+    goals_by_bin, seed, hp, kwargs = args
+    return train_lockstep(goals_by_bin, seed, hp, **kwargs).record_arrays()
 
 
 def merge(partials: Sequence[QTable]) -> QTable:
@@ -350,6 +332,10 @@ class PretrainSummary:
     total_entries: int
     workers: int
     wall_time_s: float
+    bank_s: float        # goal bank: cache load or sampling (and cache write)
+    train_s: float       # training every shard
+    merge_augment_s: float
+    save_s: float
 
     def format(self) -> str:
         return "\n".join(
@@ -362,6 +348,8 @@ class PretrainSummary:
                 f"total entries: {self.total_entries}",
                 f"workers: {self.workers}",
                 f"wall time: {self.wall_time_s:.1f} s",
+                f"stage times: goal bank {self.bank_s:.2f} s, train {self.train_s:.2f} s, "
+                f"merge + augment {self.merge_augment_s:.2f} s, save {self.save_s:.2f} s",
             ]
         )
 
@@ -413,22 +401,18 @@ def pretrain(
         bank = build_goal_bank(params, quota, budget, rng, binning=binning)
         if bank_path is not None:
             save_goal_bank(bank, bank_path, seed=seed, budget=budget, fingerprint=fingerprint)
+    t_bank = time.perf_counter()
 
     plan = plan_shards(bank.reachable_bins(), workers, seed)
+    train_kwargs = dict(
+        params=params, action_spec=action_spec, reward_spec=reward_spec,
+        binning=binning, max_steps=max_steps,
+    )
     if workers == 1:
-        partials = [
-            pretrain_shard(
-                plan.assignments[0], seed, bank, hp,
-                params=params, action_spec=action_spec, reward_spec=reward_spec,
-                binning=binning, max_steps=max_steps,
-            )
-        ]
+        partials = [pretrain_shard(plan.assignments[0], seed, bank, hp, **train_kwargs)]
     else:
         jobs = [
-            (
-                {b: bank.goals_for(b) for b in shard},
-                seed, hp, params, action_spec, reward_spec, binning, max_steps,
-            )
+            ({b: bank.goals_for(b) for b in shard}, seed, hp, train_kwargs)
             for shard in plan.assignments
         ]
         ctx = multiprocessing.get_context("spawn")
@@ -437,11 +421,14 @@ def pretrain(
         partials = [
             QTable.from_records(*r, action_count=action_spec.action_count) for r in results
         ]
+    t_train = time.perf_counter()
 
     merged = merge(partials)
     table = augment(merged, radius=augment_radius)
+    t_merge = time.perf_counter()
     if out_path is not None:
         save(table, out_path)
+    t_save = time.perf_counter()
     n_reachable = len(bank.reachable_bins())
     summary = PretrainSummary(
         goals_run=bank.goal_count(),
@@ -452,5 +439,9 @@ def pretrain(
         total_entries=table.entry_count(),
         workers=workers,
         wall_time_s=time.perf_counter() - t0,
+        bank_s=t_bank - t0,
+        train_s=t_train - t_bank,
+        merge_augment_s=t_merge - t_train,
+        save_s=t_save - t_merge,
     )
     return table, summary

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .state import N_STATES
+
 N_ACTIONS = 32
 FLAG_TRAINED = 1
 FLAG_AUGMENTED = 2
@@ -39,7 +41,7 @@ _RECORD_DTYPE = np.dtype(
 # Promote to the dense backend above this entry count, provided every state
 # index fits the 4**10 address space of the arm's codec.
 _DENSE_THRESHOLD = 400_000
-_DENSE_CAPACITY = 4**10
+_DENSE_CAPACITY = N_STATES
 
 
 class QTableIOError(Exception):
@@ -121,6 +123,20 @@ class ActionSpec:
         p = out[segment, chamber] + direction * self.delta_p_kpa
         out[segment, chamber] = min(max(p, 0.0), p_max_kpa)
         return out
+
+    def apply_batch(self, pressures: np.ndarray, action_ids: np.ndarray,
+                    p_max_kpa: float) -> np.ndarray:
+        """apply() to an (n, 4, 4) pressure stack in place, one action per row.
+
+        Returns the segment each row's action moved.
+        """
+        segment, rest = np.divmod(action_ids, 8)
+        chamber, down = np.divmod(rest, 2)
+        row = np.arange(len(action_ids))
+        p = pressures[row, segment, chamber] + np.where(down == 1, -self.delta_p_kpa,
+                                                        self.delta_p_kpa)
+        pressures[row, segment, chamber] = np.minimum(np.maximum(p, 0.0), p_max_kpa)
+        return segment
 
 
 class QTable:
@@ -459,7 +475,11 @@ def save(q: QTable, path) -> None:
 
 
 def load(path) -> QTable:
-    """Read a table written by save(), verifying structure and checksum."""
+    """Read a table written by save(), verifying structure and checksum.
+
+    Also rejects state indices beyond the 4**10 codec and non-finite values,
+    which save() never writes for a trained table but a file could hold.
+    """
     data = Path(path).read_bytes()
     if len(data) < 4:
         raise TruncatedTableError(f"{path}: only {len(data)} bytes")
@@ -489,6 +509,11 @@ def load(path) -> QTable:
         key = records["state"].astype(np.int64) * action_count + records["action"]
         if not (np.diff(key) > 0).all():
             raise QTableIOError(f"{path}: records not strictly sorted by (state, action)")
+        if int(records["state"][-1]) >= N_STATES:
+            raise QTableIOError(
+                f"{path}: state {int(records['state'][-1])} outside [0, {N_STATES})")
+        if not np.isfinite(records["value"]).all():
+            raise QTableIOError(f"{path}: non-finite value")
     return QTable.from_records(
         records["state"], records["action"], records["flags"], records["value"],
         action_count=action_count,

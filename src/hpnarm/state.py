@@ -320,6 +320,45 @@ def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -
     return prefix
 
 
+def _spherical_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """spherical_of over coordinate arrays, element for element bit-identical.
+
+    ``atan2`` and ``acos`` come from ``math``, one element at a time, since
+    numpy's vectorized versions can differ from them in the last bit.
+    """
+    n = x.size
+    r = np.sqrt(x * x + y * y + z * z)
+    tiny = r < _TINY_RADIUS
+    theta = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, n)
+    theta[theta >= math.pi] = -math.pi
+    cos_phi = np.clip(z / np.where(tiny, 1.0, r), -1.0, 1.0)
+    phi = np.fromiter(map(math.acos, cos_phi.tolist()), float, n)
+    theta[tiny] = 0.0
+    phi[tiny] = 0.0
+    return r, theta, phi
+
+
+def encode_tip_suffix_batch(tip_pos, tip_dir, goal_pos, goal_frames, spec: BinningSpec) -> np.ndarray:
+    """Packed tip half of the state, in [0, 1024), for n tip/goal pairs at once.
+
+    ``tip_pos``, ``tip_dir`` and ``goal_pos`` are (n, 3); ``goal_frames`` is
+    (n, 3, 3), each the transpose of the goal's ``goal_frame``. Row i equals
+    ``StateEncoder(goal_i, ...).encode_tip_index(tip_pos[i], tip_dir[i])``
+    modulo N_TIP_STATES, bit for bit.
+    """
+    d = tip_pos - goal_pos
+    d_tip, theta_dtip, phi_dtip = _spherical_batch(d[:, 0], d[:, 1], d[:, 2])
+    rel = (goal_frames[:, :, 0] * tip_dir[:, 0, None]
+           + goal_frames[:, :, 1] * tip_dir[:, 1, None]
+           + goal_frames[:, :, 2] * tip_dir[:, 2, None])
+    _, theta_etip, phi_etip = _spherical_batch(rel[:, 0], rel[:, 1], rel[:, 2])
+    suffix = np.zeros(len(d), dtype=np.int64)
+    values = (d_tip, theta_dtip, phi_dtip, theta_etip, phi_etip)
+    for v, dim_edges in zip(values, spec.all_edges()[GOAL_DIMS:]):
+        suffix = suffix * N_BINS_PER_DIM + np.searchsorted(dim_edges, v, side="right")
+    return suffix
+
+
 class StateEncoder:
     """Per-goal encoder that caches the goal half of the state.
 

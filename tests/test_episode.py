@@ -13,6 +13,7 @@ from hpnarm.episode import (
     compute_reward,
     make_perturbed_plant,
     pose_errors,
+    pose_errors_batch,
     run_episode,
 )
 from hpnarm.qtable import ActionSpec, HyperParams, QTable, save
@@ -108,6 +109,20 @@ class TestPoseErrors:
         goal = GoalPose(position=np.zeros(3), direction=np.array([0.0, 0.0, -1.0]))
         _, rot = pose_errors(pose, goal)
         assert rot == pytest.approx(180.0)
+
+    def test_batch_is_bit_identical_to_scalar(self, setup):
+        rng = np.random.default_rng(8)
+        params = setup["params"]
+        poses = np.array([arm_forward_kinematics(rng.uniform(0.0, params.p_max_kpa, 16), params)
+                          for _ in range(300)])
+        goals = [GoalPose(position=p[:3, 3] + rng.normal(0.0, 50.0, 3), direction=d)
+                 for p, d in zip(poses, poses[rng.permutation(300), :3, 2])]
+        goals[0] = GoalPose(position=poses[0, :3, 3], direction=poses[0, :3, 2])
+        pos, rot = pose_errors_batch(
+            poses, np.array([g.position for g in goals]), np.array([g.direction for g in goals])
+        )
+        for pose, goal, p, r in zip(poses, goals, pos.tolist(), rot.tolist()):
+            assert (p, r) == pose_errors(pose, goal)
 
 
 class TestRunEpisode:

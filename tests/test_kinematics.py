@@ -17,6 +17,7 @@ from hpnarm import (
     tip_batch,
     validate_pressures,
 )
+from hpnarm.kinematics import segment_transform_batch
 from oracles import oracle_arm_pose
 
 configs = st.builds(
@@ -139,6 +140,18 @@ class TestSegmentTransform:
         conjugated = rot_z(delta) @ segment_transform(cfg) @ rot_z(-delta)
         assert np.max(np.abs(rotated - conjugated)) < 1e-9
 
+
+    def test_batch_is_bit_identical_to_scalar(self, params, rng):
+        p = rng.uniform(0.0, params.p_max_kpa, (3000, 4))
+        p[:100] = np.round(p[:100] / 5.0) * 5.0  # the pressure lattice training visits
+        p[100:110, 2:] = p[100:110, :2]  # equal antagonistic pairs: straight
+        p[110:120] = (10.0, 10.0, 20.0, 20.0)  # atan2 gives pi, folded to -pi
+        p[120] = 0.0
+        p[121] = params.p_max_kpa
+        batch = segment_transform_batch(p, params)
+        for row, t in zip(p, batch):
+            expected = segment_transform(actuation_to_config(row, params), params.k_eps)
+            assert t.tobytes() == expected.tobytes()
 
 class TestArmForwardKinematics:
     def test_rest_arm_stacks_four_segments(self, params):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpnarm import ArmParams, BinningSpec, GoalPose, rest_tip_origin
-from hpnarm.episode import RewardSpec
+from hpnarm import ArmParams, BinningSpec, GoalPose, StateEncoder, rest_tip_origin
+from hpnarm.episode import NominalPlant, RewardSpec, run_episode, train_lockstep
 from hpnarm.pretrain import (
     GoalBank,
     GoalBankError,
@@ -266,6 +266,71 @@ class TestPretrainShard:
         assert a != b
 
 
+def sequential_table(goals_by_bin, seed, specs, reward_spec, max_steps):
+    """The reference: run_episode(train=True) over sorted bins and goal indices."""
+    q = QTable(specs["actions"].action_count)
+    plant = NominalPlant(specs["params"])
+    steps = []
+    for b in sorted(goals_by_bin):
+        for k, goal in enumerate(goals_by_bin[b]):
+            log = run_episode(
+                plant, goal, q, specs["hp"],
+                params=specs["params"], action_spec=specs["actions"],
+                reward_spec=reward_spec, binning=specs["binning"], max_steps=max_steps,
+                rng=np.random.default_rng(np.random.SeedSequence((seed, 0, b, k))),
+                train=True,
+            )
+            steps.append(log.steps_taken)
+    return q, steps
+
+
+class TestLockstepMatchesSequentialEpisodes:
+    LOOSE = RewardSpec(success_pos_mm=150.0, success_rot_deg=60.0)
+
+    @pytest.fixture(scope="class")
+    def bank(self, specs, small_bank):
+        """small_bank with a goal at the start pose, which succeeds at step 0."""
+        params = specs["params"]
+        start = NominalPlant(params).apply(np.full((4, 4), params.p_max_kpa / 2.0))
+        at_start = GoalPose(position=start[:3, 3], direction=start[:3, 2])
+        origin = rest_tip_origin(params.l0_mm)
+        start_bin = StateEncoder(at_start, origin, specs["binning"]).goal_bin
+        nearby = GoalPose(position=start[:3, 3] + (0.0, 0.0, 10.0), direction=start[:3, 2])
+        assert StateEncoder(nearby, origin, specs["binning"]).goal_bin == start_bin
+        goals = dict(small_bank.goals)
+        goals[start_bin] = (nearby, at_start)
+        reachable = small_bank.reachable.copy()
+        reachable[start_bin] = True
+        return GoalBank(quota=2, goals=goals, reachable=reachable, samples_used=0)
+
+    @pytest.mark.parametrize("loose", [False, True], ids=["default-reward", "loose-reward"])
+    def test_shard_table_equals_sequential_episodes(self, specs, bank, loose):
+        rewards = self.LOOSE if loose else specs["rewards"]
+        kwargs = {**shard_kwargs(specs), "reward_spec": rewards}
+        bins = bank.reachable_bins()
+        lockstep = pretrain_shard(bins, 23, bank, specs["hp"], **kwargs)
+        reference, steps = sequential_table(bank.goals, 23, specs, rewards, kwargs["max_steps"])
+        assert lockstep == reference
+        assert 0 in steps  # the start-pose goal
+        if loose:
+            # lanes finish at different steps, some inside the step limit
+            assert len(set(steps) - {0, kwargs["max_steps"]}) > 1
+
+    def test_every_shard_of_a_plan_equals_its_sequential_episodes(self, specs, bank):
+        for shard in plan_shards(bank.reachable_bins(), 3, seed=4).assignments:
+            lockstep = pretrain_shard(shard, 4, bank, specs["hp"], **shard_kwargs(specs))
+            reference, _ = sequential_table(
+                {b: bank.goals_for(b) for b in shard}, 4, specs, specs["rewards"], 60
+            )
+            assert lockstep == reference
+
+    def test_goal_filed_under_another_bin_is_rejected(self, specs, small_bank):
+        b = small_bank.reachable_bins()[0]
+        with pytest.raises(ValueError, match="encodes to goal bin"):
+            train_lockstep({b + 1: small_bank.goals_for(b)}, 0, specs["hp"],
+                           **shard_kwargs(specs))
+
+
 class TestMerge:
     def test_merge_nothing_is_empty(self):
         assert merge([]).entry_count() == 0
@@ -318,6 +383,10 @@ class TestPretrainPipeline:
         assert load(out) == table
         text = summary.format()
         assert "goals run" in text and "wall time" in text
+        stages = (summary.bank_s, summary.train_s, summary.merge_augment_s, summary.save_s)
+        assert all(t >= 0.0 for t in stages)
+        assert sum(stages) <= summary.wall_time_s
+        assert "stage times: goal bank" in text
 
     def test_worker_count_does_not_change_the_file(self, specs, tmp_path):
         outs = []

@@ -452,5 +452,24 @@ class TestPersistence:
             load(path)
 
 
+    def test_state_beyond_codec_rejected(self, tmp_path):
+        path = tmp_path / "t.qt"
+        save(QTable.from_records([5, N_STATES + 3], [1, 2], [1, 1], [1.0, 2.0]), path)
+        with pytest.raises(QTableIOError, match="outside"):
+            load(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "t.qt"
+        save(QTable.from_records([5, 6], [1, 2], [1, 1], [bad, 2.0]), path)
+        with pytest.raises(QTableIOError, match="non-finite"):
+            load(path)
+
+    def test_last_codec_state_loads(self, tmp_path):
+        path = tmp_path / "t.qt"
+        q = QTable.from_records([0, N_STATES - 1], [0, 31], [1, 2], [-1.0, 2.0])
+        save(q, path)
+        assert load(path) == q
+
 def _record_offset():
     return 4 + struct.calcsize("<IIQ")

@@ -25,7 +25,10 @@ from hpnarm.state import (
     N_TIP_STATES,
     ContinuousState,
     DiscreteState,
+    _spherical_batch,
     encode_goal_prefix_batch,
+    encode_tip_suffix_batch,
+    goal_frame,
     pack_bins,
     pack_bins_array,
     unpack_index,
@@ -75,6 +78,16 @@ class TestSphericalOf:
     def test_negative_x_azimuth_folds_into_range(self):
         _, theta, _ = spherical_of((-1.0, 0.0, 0.0))
         assert theta == -math.pi
+
+    def test_batch_is_bit_identical_to_scalar(self, rng):
+        v = rng.normal(0.0, 200.0, (500, 3))
+        v[0] = 0.0
+        v[1] = (-1.0, 0.0, 0.0)  # azimuth pi, folded to -pi
+        v[2] = (0.0, 0.0, -3.0)
+        v[3] = (1e-13, 0.0, 0.0)  # below the zero-radius cutoff
+        batch = np.column_stack(_spherical_batch(v[:, 0], v[:, 1], v[:, 2]))
+        for row, got in zip(v, batch.tolist()):
+            assert tuple(got) == spherical_of(row)
 
     @given(
         v=st.tuples(
@@ -248,6 +261,24 @@ class TestStateEncoder:
             assert enc.encode_tip(tip[:3, 3], tip[:3, 2]) == direct
             assert enc.goal_bin == goal_bin(direct)
 
+
+    def test_suffix_batch_matches_per_goal_encoders(self, params, binning, rng):
+        pairs = [random_goal_tip(rng, params)[:2] for _ in range(300)]
+        # a tip sitting exactly on its goal takes the zero-radius branch
+        tip = pairs[0][1]
+        pairs.append((GoalPose(position=tip[:3, 3], direction=tip[:3, 2]), tip))
+        goals = [g for g, _ in pairs]
+        tips = np.array([t for _, t in pairs])
+        suffix = encode_tip_suffix_batch(
+            tips[:, :3, 3], tips[:, :3, 2],
+            np.array([g.position for g in goals]),
+            np.array([goal_frame(g.direction).T for g in goals]),
+            binning,
+        )
+        origin = rest_tip_origin(params.l0_mm)
+        for goal, tip, s in zip(goals, tips, suffix.tolist()):
+            index = StateEncoder(goal, origin, binning).encode_tip_index(tip[:3, 3], tip[:3, 2])
+            assert index % N_TIP_STATES == s
 
 class TestValidation:
     def test_goal_direction_must_be_unit(self):
