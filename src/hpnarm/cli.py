@@ -16,7 +16,7 @@ from .evalrun import evaluate, write_report_csvs
 from .kinematics import PressureRangeError, arm_forward_kinematics
 from .pretrain import GoalBankError, MergeConflictError
 from .pretrain import pretrain as pretrain_pipeline
-from .qtable import QTableIOError
+from .qtable import FLAG_TRAINED, QTableIOError
 from .qtable import augment as augment_table
 from .qtable import load, save
 from .state import N_TIP_STATES
@@ -170,7 +170,7 @@ def inspect(table_path):
         table = load(table_path)
     except (QTableIOError, OSError) as exc:
         _fail(exc, 1)
-    states, _, _, values = table.record_arrays()
+    states, _, flags, values = table.record_arrays()
     click.echo(f"file: {table_path}")
     click.echo(f"action count: {table.action_count}")
     click.echo(f"entries: {table.entry_count()}")
@@ -178,7 +178,9 @@ def inspect(table_path):
     click.echo(f"augmented entries: {table.augmented_count()}")
     click.echo(f"states touched: {table.state_count()}")
     if states.size:
-        click.echo(f"goal bins touched: {np.unique(states // N_TIP_STATES).size}")
+        bins = states // N_TIP_STATES
+        trained_bins = np.unique(bins[(flags & FLAG_TRAINED) != 0]).size
+        click.echo(f"goal bins touched: {np.unique(bins).size} ({trained_bins} trained)")
         click.echo(
             "value range: "
             f"{values.min():.6f} .. {values.max():.6f} (mean {values.mean():.6f})"

@@ -176,10 +176,6 @@ class PerturbedPlant:
         return pose
 
 
-def make_perturbed_plant(params: ArmParams, cfg: PerturbedPlantConfig, seed: int) -> PerturbedPlant:
-    return PerturbedPlant(params, cfg, seed)
-
-
 @dataclass(frozen=True)
 class StepRecord:
     step: int
@@ -361,7 +357,8 @@ def train_lockstep(
     The lanes are the bins. Round k runs each lane's k-th goal, one numpy step
     across all lanes still running; a lane that reaches success idles until
     the round ends. Each lane keeps its values and flags in a (1024, actions)
-    block of its own. No step log is kept.
+    block of its own, which becomes that bin's block in the returned table.
+    No step log is kept.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -437,8 +434,6 @@ def train_lockstep(
             flags[block, state, action] |= FLAG_TRAINED
             state, pos, rot = next_state, new_pos, new_rot
 
-    blk, suffix, act = np.nonzero((flags != 0) | (values != 0))
-    states = np.asarray(bins, dtype=np.int64)[blk] * N_TIP_STATES + suffix
-    return QTable.from_records(
-        states, act, flags[blk, suffix, act], values[blk, suffix, act], action_count=n_actions
+    return QTable.from_blocks(
+        {b: (values[i], flags[i]) for i, b in enumerate(bins)}, n_actions
     )

@@ -20,7 +20,6 @@ from .episode import (
     PerturbedPlant,
     PerturbedPlantConfig,
     RewardSpec,
-    make_perturbed_plant,
     run_episode,
 )
 from .kinematics import ArmParams, tip_batch
@@ -175,7 +174,7 @@ def evaluate(
 
     if plant_kind == "perturbed":
         cfg = perturbed_cfg if perturbed_cfg is not None else PerturbedPlantConfig()
-        plant: NominalPlant | PerturbedPlant = make_perturbed_plant(
+        plant: NominalPlant | PerturbedPlant = PerturbedPlant(
             params, cfg, seed=int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
         )
     else:

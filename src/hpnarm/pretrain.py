@@ -28,10 +28,9 @@ import numpy as np
 
 from .episode import RewardSpec, train_lockstep
 from .kinematics import ArmParams, tip_batch
-from .qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, augment, save
+from .qtable import ActionSpec, HyperParams, QTable, augment, save
 from .state import (
     N_GOAL_BINS,
-    N_TIP_STATES,
     BinningSpec,
     GoalPose,
     encode_goal_prefix_batch,
@@ -286,40 +285,31 @@ def pretrain_shard(
 
 
 def _shard_job(args):
-    """Worker-process entry point: train a shard, return its entries as arrays."""
+    """Worker-process entry point: train one shard and return its table."""
     goals_by_bin, seed, hp, kwargs = args
-    return train_lockstep(goals_by_bin, seed, hp, **kwargs).record_arrays()
+    return train_lockstep(goals_by_bin, seed, hp, **kwargs)
 
 
 def merge(partials: Sequence[QTable]) -> QTable:
-    """Disjoint union of partial tables from a shard plan.
+    """Disjoint union of partial tables' goal-bin blocks, from a shard plan.
 
-    Each goal bin must have been trained by at most one partial; overlap means
-    the shard plan handed one bin to two workers.
+    Each goal bin must be held by at most one partial; overlap means the
+    shard plan handed one bin to two workers.
     """
     if not partials:
         return QTable()
     action_count = partials[0].action_count
-    for p in partials[1:]:
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for p in partials:
         if p.action_count != action_count:
             raise MergeConflictError("partial tables disagree on action count")
-    recs = [p.record_arrays() for p in partials]
-    owner: dict[int, int] = {}
-    for i, (states, _, flags, _) in enumerate(recs):
-        trained = states[(flags & FLAG_TRAINED) != 0]
-        for prefix in np.unique(trained // N_TIP_STATES).tolist():
-            if prefix in owner and owner[prefix] != i:
+        for goal_bin, block in p.blocks.items():
+            if goal_bin in blocks:
                 raise MergeConflictError(
-                    f"goal bin {prefix} was trained by more than one partial table"
+                    f"goal bin {goal_bin} is held by more than one partial table"
                 )
-            owner[prefix] = i
-    states = np.concatenate([r[0] for r in recs]).astype(np.int64)
-    actions = np.concatenate([r[1] for r in recs]).astype(np.int64)
-    flags = np.concatenate([r[2] for r in recs])
-    values = np.concatenate([r[3] for r in recs])
-    if np.unique(states * action_count + actions).size != states.size:
-        raise MergeConflictError("duplicate state-action entries across partial tables")
-    return QTable.from_records(states, actions, flags, values, action_count=action_count)
+            blocks[goal_bin] = block
+    return QTable.from_blocks(blocks, action_count)
 
 
 @dataclass(frozen=True)
@@ -417,10 +407,7 @@ def pretrain(
         ]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=workers) as pool:
-            results = pool.map(_shard_job, jobs)
-        partials = [
-            QTable.from_records(*r, action_count=action_spec.action_count) for r in results
-        ]
+            partials = pool.map(_shard_job, jobs)
     t_train = time.perf_counter()
 
     merged = merge(partials)

@@ -3,15 +3,10 @@
 The table maps (state index, action id) to a float32 value plus a flag
 word recording how the entry came to be: bit 0 set by a learning update,
 bit 1 set by neighbor-mean augmentation. Entries never touched read as
-value 0 with flags 0 and occupy no memory.
-
-Storage is sparse (a dict of per-state rows) by default, since training
-visits a small corner of the state space. Augmentation and loading can
-promote a table to a dense array backend behind the same interface when
-the entry count makes per-row bookkeeping the bigger cost. The on-disk
-format is identical either way: little-endian, magic "HPNQ", version,
-action count, entry count, records sorted by (state, action), CRC32 over
-everything before the checksum itself.
+value 0 with flags 0. Storage is one block per goal bin written to (see
+QTable). The on-disk format is a flat record list: little-endian, magic
+"HPNQ", version, action count, entry count, records sorted by (state,
+action), CRC32 over everything before the checksum itself.
 """
 
 from __future__ import annotations
@@ -20,10 +15,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .state import N_STATES
+from .state import N_GOAL_BINS, N_STATES, N_TIP_STATES
 
 N_ACTIONS = 32
 FLAG_TRAINED = 1
@@ -37,11 +34,6 @@ _CRC = struct.Struct("<I")
 _RECORD_DTYPE = np.dtype(
     [("state", "<u4"), ("action", "<u2"), ("flags", "<u2"), ("value", "<f4")]
 )
-
-# Promote to the dense backend above this entry count, provided every state
-# index fits the 4**10 address space of the arm's codec.
-_DENSE_THRESHOLD = 400_000
-_DENSE_CAPACITY = N_STATES
 
 
 class QTableIOError(Exception):
@@ -140,15 +132,21 @@ class ActionSpec:
 
 
 class QTable:
-    """Sparse-by-default value table over (state index, action id)."""
+    """Value table over (state index, action id), stored per goal bin.
+
+    A state index divides by N_TIP_STATES into its goal bin and the tip-error
+    suffix within it. Each goal bin written to owns a block: an
+    (N_TIP_STATES, action_count) float32 value array and a uint16 flag array
+    of the same shape. Training episodes only ever touch their own goal's
+    bin, so a bin is also the unit the lockstep engine trains and the unit
+    pretraining shards merge by.
+    """
 
     def __init__(self, action_count: int = N_ACTIONS):
         if action_count <= 0 or action_count > 0xFFFF:
             raise ValueError(f"action_count must be in [1, 65535], got {action_count}")
         self.action_count = int(action_count)
-        self._rows: dict[int, list[np.ndarray]] | None = {}
-        self._dense_values: np.ndarray | None = None
-        self._dense_flags: np.ndarray | None = None
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         zero_v = np.zeros(action_count, dtype=np.float32)
         zero_f = np.zeros(action_count, dtype=np.uint16)
         zero_v.flags.writeable = False
@@ -156,29 +154,33 @@ class QTable:
         self._zero_values = zero_v
         self._zero_flags = zero_f
 
+    def __reduce__(self):
+        # Pickle only the blocks, so the shared zero rows come back read-only.
+        return QTable.from_blocks, (self._blocks, self.action_count)
+
     # -- read paths ---------------------------------------------------------
 
     @property
     def dense(self) -> bool:
-        return self._dense_values is not None
+        """Always False: the table has one storage layout."""
+        return False
+
+    @property
+    def blocks(self) -> Mapping[int, tuple[np.ndarray, np.ndarray]]:
+        """Goal bin -> (values, flags) block, read-only view. Do not mutate."""
+        return MappingProxyType(self._blocks)
 
     def values(self, state: int) -> np.ndarray:
         """Row of action values; a shared zero row for untouched states. Do not mutate."""
-        if self.dense:
-            if 0 <= state < _DENSE_CAPACITY:
-                return self._dense_values[state]
-            return self._zero_values
-        row = self._rows.get(state)
-        return row[0] if row is not None else self._zero_values
+        goal_bin, suffix = divmod(state, N_TIP_STATES)
+        block = self._blocks.get(goal_bin)
+        return self._zero_values if block is None else block[0][suffix]
 
     def flags(self, state: int) -> np.ndarray:
         """Row of flag words, analogous to values(). Do not mutate."""
-        if self.dense:
-            if 0 <= state < _DENSE_CAPACITY:
-                return self._dense_flags[state]
-            return self._zero_flags
-        row = self._rows.get(state)
-        return row[1] if row is not None else self._zero_flags
+        goal_bin, suffix = divmod(state, N_TIP_STATES)
+        block = self._blocks.get(goal_bin)
+        return self._zero_flags if block is None else block[1][suffix]
 
     def get(self, state: int, action: int) -> float:
         return float(self.values(state)[action])
@@ -193,61 +195,62 @@ class QTable:
         return self._count_flag(FLAG_AUGMENTED)
 
     def _count_flag(self, bit: int) -> int:
-        if self.dense:
-            return int(np.count_nonzero(self._dense_flags & bit))
-        return sum(int(np.count_nonzero(row[1] & bit)) for row in self._rows.values())
+        return sum(int(np.count_nonzero(f & bit)) for _, f in self._blocks.values())
+
+    def entry_count(self) -> int:
+        return sum(int(np.count_nonzero(_stored(v, f))) for v, f in self._blocks.values())
 
     def state_count(self) -> int:
         """Number of states holding at least one stored entry."""
-        if self.dense:
-            present = (self._dense_flags != 0) | (self._dense_values != 0)
-            return int(np.count_nonzero(present.any(axis=1)))
-        count = 0
-        for row in self._rows.values():
-            if (row[1] != 0).any() or (row[0] != 0).any():
-                count += 1
-        return count
+        return sum(
+            int(np.count_nonzero(_stored(v, f).any(axis=1))) for v, f in self._blocks.values()
+        )
 
     # -- write paths --------------------------------------------------------
 
-    def _writable_row(self, state: int) -> list[np.ndarray]:
-        if self.dense:
-            if not 0 <= state < _DENSE_CAPACITY:
-                raise ValueError(
-                    f"state {state} outside dense capacity {_DENSE_CAPACITY}")
-            return [self._dense_values[state], self._dense_flags[state]]
-        row = self._rows.get(state)
-        if row is None:
-            row = [
-                np.zeros(self.action_count, dtype=np.float32),
-                np.zeros(self.action_count, dtype=np.uint16),
-            ]
-            self._rows[state] = row
-        return row
+    def _check_entry(self, state: int, action: int) -> None:
+        _check_state(state)
+        if not 0 <= action < self.action_count:
+            raise ValueError(f"action {action} outside [0, {self.action_count})")
+
+    def _block(self, goal_bin: int) -> tuple[np.ndarray, np.ndarray]:
+        """The bin's block, allocated zeroed on first write."""
+        block = self._blocks.get(goal_bin)
+        if block is None:
+            shape = (N_TIP_STATES, self.action_count)
+            block = (np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.uint16))
+            self._blocks[goal_bin] = block
+        return block
 
     def update(self, state: int, action: int, reward: float,
                next_state: int, hp: HyperParams) -> float:
         """One temporal-difference backup; marks the entry trained.
 
+        Q(s,a) := Q(s,a) + alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)).
         Returns the new value. The arithmetic runs in float64 and the
         result is stored in float32.
         """
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"action {action} outside [0, {self.action_count})")
+        self._check_entry(state, action)
+        _check_state(next_state)
         target = reward + hp.gamma * self.max_value(next_state)
-        row = self._writable_row(state)
-        old = float(row[0][action])
-        row[0][action] = old + hp.alpha * (target - old)
-        row[1][action] |= FLAG_TRAINED
-        return float(row[0][action])
+        goal_bin, suffix = divmod(state, N_TIP_STATES)
+        values, flags = self._block(goal_bin)
+        old = float(values[suffix, action])
+        values[suffix, action] = old + hp.alpha * (target - old)
+        flags[suffix, action] |= FLAG_TRAINED
+        return float(values[suffix, action])
 
     def set_entry(self, state: int, action: int, value: float, flag_bits: int) -> None:
         """Directly store one entry; used by fixtures and bulk builders."""
-        row = self._writable_row(state)
-        row[0][action] = value
-        row[1][action] |= flag_bits
+        self._check_entry(state, action)
+        if not np.isfinite(value):
+            raise ValueError(f"value must be finite, got {value}")
+        goal_bin, suffix = divmod(state, N_TIP_STATES)
+        values, flags = self._block(goal_bin)
+        values[suffix, action] = value
+        flags[suffix, action] |= flag_bits
 
     # -- bulk views ---------------------------------------------------------
 
@@ -257,52 +260,24 @@ class QTable:
         An entry is stored when its flags or value are nonzero. Sorting is
         by (state, action), the canonical on-disk order.
         """
-        if self.dense:
-            mask = (self._dense_flags != 0) | (self._dense_values != 0)
-            si, ai = np.nonzero(mask)
-            return (
-                si.astype(np.uint32),
-                ai.astype(np.uint16),
-                self._dense_flags[si, ai],
-                self._dense_values[si, ai],
-            )
-        states, actions, flags, values = [], [], [], []
-        for s in sorted(self._rows):
-            v, f = self._rows[s]
-            (idx,) = np.nonzero((f != 0) | (v != 0))
-            if idx.size:
-                states.append(np.full(idx.size, s, dtype=np.uint32))
-                actions.append(idx.astype(np.uint16))
-                flags.append(f[idx])
-                values.append(v[idx])
-        if not states:
-            empty = (
-                np.empty(0, np.uint32), np.empty(0, np.uint16),
-                np.empty(0, np.uint16), np.empty(0, np.float32),
-            )
-            return empty
+        states = [np.empty(0, np.uint32)]
+        actions = [np.empty(0, np.uint16)]
+        flags = [np.empty(0, np.uint16)]
+        values = [np.empty(0, np.float32)]
+        for goal_bin in sorted(self._blocks):
+            v, f = self._blocks[goal_bin]
+            suffix, action = np.nonzero(_stored(v, f))
+            states.append((goal_bin * N_TIP_STATES + suffix).astype(np.uint32))
+            actions.append(action.astype(np.uint16))
+            flags.append(f[suffix, action])
+            values.append(v[suffix, action])
         return (
             np.concatenate(states), np.concatenate(actions),
             np.concatenate(flags), np.concatenate(values),
         )
 
-    def entry_count(self) -> int:
-        if self.dense:
-            return int(np.count_nonzero((self._dense_flags != 0) | (self._dense_values != 0)))
-        return sum(
-            int(np.count_nonzero((row[1] != 0) | (row[0] != 0)))
-            for row in self._rows.values()
-        )
-
     def copy(self) -> "QTable":
-        out = QTable(self.action_count)
-        if self.dense:
-            out._rows = None
-            out._dense_values = self._dense_values.copy()
-            out._dense_flags = self._dense_flags.copy()
-        else:
-            out._rows = {s: [row[0].copy(), row[1].copy()] for s, row in self._rows.items()}
-        return out
+        return QTable.from_blocks(self._blocks, self.action_count)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTable):
@@ -319,60 +294,57 @@ class QTable:
 
     # -- construction helpers ----------------------------------------------
 
-    def _promote_to_dense(self) -> None:
-        if self.dense:
-            return
-        values = np.zeros((_DENSE_CAPACITY, self.action_count), dtype=np.float32)
-        flags = np.zeros((_DENSE_CAPACITY, self.action_count), dtype=np.uint16)
-        for s, row in self._rows.items():
-            if not 0 <= s < _DENSE_CAPACITY:
-                raise ValueError(f"state {s} outside dense capacity {_DENSE_CAPACITY}")
-            values[s] = row[0]
-            flags[s] = row[1]
-        self._rows = None
-        self._dense_values = values
-        self._dense_flags = flags
+    @classmethod
+    def from_blocks(cls, blocks: Mapping[int, tuple[np.ndarray, np.ndarray]],
+                    action_count: int = N_ACTIONS) -> "QTable":
+        """A table holding copies of per-goal-bin (values, flags) blocks."""
+        out = cls(action_count)
+        shape = (N_TIP_STATES, out.action_count)
+        for goal_bin, (values, flags) in blocks.items():
+            if not 0 <= goal_bin < N_GOAL_BINS:
+                raise ValueError(f"goal bin {goal_bin} outside [0, {N_GOAL_BINS})")
+            values = np.array(values, dtype=np.float32)
+            flags = np.array(flags, dtype=np.uint16)
+            if values.shape != shape or flags.shape != shape:
+                raise ValueError(f"goal bin {goal_bin}: block shape is not {shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"goal bin {goal_bin}: non-finite value")
+            out._blocks[int(goal_bin)] = (values, flags)
+        return out
 
     @classmethod
     def from_records(cls, states, actions, flags, values,
-                     action_count: int = N_ACTIONS, dense: bool | None = None) -> "QTable":
+                     action_count: int = N_ACTIONS) -> "QTable":
         """Bulk-build a table from parallel entry arrays (any order, no duplicates)."""
         states = np.asarray(states, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
         flags_arr = np.asarray(flags, dtype=np.uint16)
         values_arr = np.asarray(values, dtype=np.float32)
+        if states.size and (states.min() < 0 or states.max() >= N_STATES):
+            raise ValueError(f"state index outside [0, {N_STATES})")
         if actions.size and (actions.min() < 0 or actions.max() >= action_count):
             raise ValueError("action id outside table's action range")
+        if not np.isfinite(values_arr).all():
+            raise ValueError("non-finite value")
         out = cls(action_count)
-        if dense is None:
-            dense = (
-                states.size > _DENSE_THRESHOLD
-                and (states.size == 0 or (states.min() >= 0 and states.max() < _DENSE_CAPACITY))
-            )
-        if dense:
-            out._promote_to_dense()
-            out._dense_values[states, actions] = values_arr
-            out._dense_flags[states, actions] = flags_arr
-            return out
-        order = np.argsort(states, kind="stable")
-        states = states[order]
-        actions = actions[order]
-        flags_arr = flags_arr[order]
-        values_arr = values_arr[order]
-        uniq, starts = np.unique(states, return_index=True)
-        bounds = np.append(starts, states.size)
-        for i, s in enumerate(uniq):
-            lo, hi = bounds[i], bounds[i + 1]
-            row = out._writable_row(int(s))
-            row[0][actions[lo:hi]] = values_arr[lo:hi]
-            row[1][actions[lo:hi]] = flags_arr[lo:hi]
+        goal_bins, suffix = np.divmod(states, N_TIP_STATES)
+        order = np.argsort(goal_bins, kind="stable")
+        uniq, starts = np.unique(goal_bins[order], return_index=True)
+        for goal_bin, idx in zip(uniq.tolist(), np.split(order, starts[1:])):
+            v, f = out._block(goal_bin)
+            v[suffix[idx], actions[idx]] = values_arr[idx]
+            f[suffix[idx], actions[idx]] = flags_arr[idx]
         return out
 
 
-def q_update(q: QTable, state: int, action: int, reward: float,
-             next_state: int, hp: HyperParams) -> float:
-    """Q(s,a) := Q(s,a) + alpha * (r + gamma * max_a' Q(s',a') - Q(s,a))."""
-    return q.update(state, action, reward, next_state, hp)
+def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Mask of entries that count as stored: nonzero flags or value."""
+    return (flags != 0) | (values != 0)
+
+
+def _check_state(state: int) -> None:
+    if not 0 <= state < N_STATES:
+        raise ValueError(f"state {state} outside [0, {N_STATES})")
 
 
 def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
@@ -407,9 +379,6 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     if src_s.size == 0:
         return out
 
-    if src_s.max() >= _DENSE_CAPACITY:
-        raise ValueError("augmentation requires state indices below 4**10")
-
     key_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
     ac = q.action_count
@@ -435,29 +404,17 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     counts = np.diff(np.append(starts, keys.size))
     means = (sums / counts).astype(np.float32)
 
-    tgt_s = uniq_keys // ac
+    tgt_bin, tgt_suffix = np.divmod(uniq_keys // ac, N_TIP_STATES)
     tgt_a = uniq_keys % ac
-
-    if not out.dense and (out.entry_count() + uniq_keys.size) > _DENSE_THRESHOLD:
-        out._promote_to_dense()
-
-    if out.dense:
-        eligible = (out._dense_flags[tgt_s, tgt_a] & FLAG_TRAINED) == 0
-        s_e, a_e = tgt_s[eligible], tgt_a[eligible]
-        out._dense_values[s_e, a_e] = means[eligible]
-        out._dense_flags[s_e, a_e] |= FLAG_AUGMENTED
-        return out
-
-    uniq_states, state_starts = np.unique(tgt_s, return_index=True)
-    bounds = np.append(state_starts, tgt_s.size)
-    for i, s in enumerate(uniq_states):
-        lo, hi = bounds[i], bounds[i + 1]
-        row = out._writable_row(int(s))
-        acts = tgt_a[lo:hi]
-        eligible = (row[1][acts] & FLAG_TRAINED) == 0
-        acts = acts[eligible]
-        row[0][acts] = means[lo:hi][eligible]
-        row[1][acts] |= FLAG_AUGMENTED
+    # Keys are sorted, so each goal bin's targets form one contiguous run.
+    bins, bin_starts = np.unique(tgt_bin, return_index=True)
+    runs = (np.split(a, bin_starts[1:]) for a in (tgt_suffix, tgt_a, means))
+    for goal_bin, suffix, act, mean in zip(bins.tolist(), *runs):
+        block_v, block_f = out._block(goal_bin)
+        eligible = (block_f[suffix, act] & FLAG_TRAINED) == 0
+        suffix, act = suffix[eligible], act[eligible]
+        block_v[suffix, act] = mean[eligible]
+        block_f[suffix, act] |= FLAG_AUGMENTED
     return out
 
 
@@ -478,7 +435,7 @@ def load(path) -> QTable:
     """Read a table written by save(), verifying structure and checksum.
 
     Also rejects state indices beyond the 4**10 codec and non-finite values,
-    which save() never writes for a trained table but a file could hold.
+    which no table can hold and so save() never writes, but a file could.
     """
     data = Path(path).read_bytes()
     if len(data) < 4:

@@ -28,7 +28,6 @@ from hpnarm.qtable import (
     QTable,
     augment,
     load,
-    q_update,
     save,
 )
 from hpnarm.state import GoalPose, N_STATES, pack_bins_array, unpack_index_array
@@ -154,7 +153,7 @@ def test_criterion_04_q_learning_oracle(capsys):
                 continue
             for a in range(GRID_ACTIONS):
                 ns, r = gridworld_step(s, a)
-                q_update(q, s, a, r, ns, hp)
+                q.update(s, a, r, ns, hp)
                 updates += 1
     v_ref = gridworld_value_iteration(hp.gamma).max(axis=1)
     v_q = np.array([q.max_value(s) for s in range(GRID_STATES)])

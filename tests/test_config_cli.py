@@ -16,7 +16,7 @@ from hpnarm.config import (
     default_eval_goals,
     load_config,
 )
-from hpnarm.qtable import FLAG_TRAINED, QTable, load, save
+from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, QTable, load, save
 
 MID = 30.0  # p_max/2, the pressure every episode starts from
 
@@ -329,7 +329,18 @@ class TestInspectCommand:
         assert result.exit_code == 0
         assert "entries: 2" in result.output
         assert "trained entries: 2" in result.output
-        assert "goal bins touched: 2" in result.output
+        assert "goal bins touched: 2 (2 trained)" in result.output
+
+    def test_counts_goal_bins_holding_trained_entries(self, runner, tmp_path):
+        q = QTable()
+        q.set_entry(5, 1, 2.5, FLAG_TRAINED)
+        q.set_entry(2048, 3, -1.0, FLAG_AUGMENTED)
+        q.set_entry(7 * 1024 + 9, 0, 0.5, FLAG_AUGMENTED)
+        path = tmp_path / "t.qt"
+        save(q, path)
+        result = runner.invoke(main, ["inspect", str(path)])
+        assert result.exit_code == 0
+        assert "goal bins touched: 3 (1 trained)" in result.output
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1

@@ -11,7 +11,6 @@ from hpnarm.episode import (
     PerturbedPlantConfig,
     RewardSpec,
     compute_reward,
-    make_perturbed_plant,
     pose_errors,
     pose_errors_batch,
     run_episode,
@@ -250,7 +249,7 @@ class TestNominalPlant:
 
 class TestPerturbedPlant:
     def test_neutral_config_equals_nominal(self, setup, rng):
-        plant = make_perturbed_plant(setup["params"], NEUTRAL_CFG, seed=5)
+        plant = PerturbedPlant(setup["params"], NEUTRAL_CFG, seed=5)
         nominal = NominalPlant(setup["params"])
         for _ in range(100):
             p = rng.uniform(0.0, 60.0, (4, 4))
@@ -258,7 +257,7 @@ class TestPerturbedPlant:
 
     def test_noise_scatter_std_matches_sigma(self, setup):
         cfg = PerturbedPlantConfig(a_scale=1.0, b_scale=1.0, tip_noise_sigma_mm=5.0, droop_gain=0.0)
-        plant = make_perturbed_plant(setup["params"], cfg, seed=11)
+        plant = PerturbedPlant(setup["params"], cfg, seed=11)
         p = np.full((4, 4), 30.0)
         tips = np.array([plant.apply(p)[:3, 3] for _ in range(10_000)])
         stds = tips.std(axis=0)
@@ -266,7 +265,7 @@ class TestPerturbedPlant:
 
     def test_droop_lowers_tip_by_horizontal_reach(self, setup):
         cfg = PerturbedPlantConfig(a_scale=1.0, b_scale=1.0, tip_noise_sigma_mm=0.0, droop_gain=0.02)
-        plant = make_perturbed_plant(setup["params"], cfg, seed=11)
+        plant = PerturbedPlant(setup["params"], cfg, seed=11)
         p = np.zeros((4, 4))
         p[0] = (60.0, 30.0, 0.0, 30.0)
         nominal_pose = NominalPlant(setup["params"]).apply(p)
@@ -277,7 +276,7 @@ class TestPerturbedPlant:
 
     def test_gain_scales_sampled_within_spread(self, setup):
         for seed in range(20):
-            plant = make_perturbed_plant(
+            plant = PerturbedPlant(
                 setup["params"], PerturbedPlantConfig(tip_noise_sigma_mm=0.0), seed=seed
             )
             assert 0.8 <= plant.a_scale <= 1.2
@@ -286,13 +285,13 @@ class TestPerturbedPlant:
     def test_same_seed_same_behavior(self, setup):
         cfg = PerturbedPlantConfig()
         p = np.full((4, 4), 22.0)
-        a = make_perturbed_plant(setup["params"], cfg, seed=123)
-        b = make_perturbed_plant(setup["params"], cfg, seed=123)
+        a = PerturbedPlant(setup["params"], cfg, seed=123)
+        b = PerturbedPlant(setup["params"], cfg, seed=123)
         for _ in range(10):
             assert np.array_equal(a.apply(p), b.apply(p))
 
     def test_reset_returns_rest_pose_without_noise(self, setup):
-        plant = make_perturbed_plant(setup["params"], PerturbedPlantConfig(), seed=9)
+        plant = PerturbedPlant(setup["params"], PerturbedPlantConfig(), seed=9)
         pose = plant.reset()
         assert np.allclose(pose[:3, 3], (0.0, 0.0, 4 * setup["params"].l0_mm))
 

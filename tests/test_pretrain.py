@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ from hpnarm.state import N_GOAL_BINS, N_TIP_STATES, encode_goal_prefix
 # Frozen reachable-bin count for default arm/binning at quota=10, budget=1e6.
 # Measured identically (64) over six disjoint seed streams before freezing.
 REACHABLE_BINS_AT_QUOTA_10 = 64
+
+# sha256 of the .hpnq file that pretrain writes at default specs with quota 1,
+# seed 13, budget 30,000 and max_steps 50. Frozen from the lockstep engine's
+# first release; any change to the bytes a pretrain writes must update it
+# on purpose.
+SMALL_PRETRAIN_SHA256 = "999f09bba45f809b4cf20a9e164fab7d64f4d4211315bbc2cc4dadcfbd0c85f6"
 
 
 def bank_rng(seed):
@@ -399,6 +407,15 @@ class TestPretrainPipeline:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_small_pretrain_file_matches_frozen_digest(self, specs, tmp_path):
+        out = tmp_path / "golden.qt"
+        pretrain(
+            specs["params"], specs["hp"], specs["actions"], specs["rewards"],
+            specs["binning"], quota=1, seed=13, budget=30_000, max_steps=50,
+            out_path=out,
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_PRETRAIN_SHA256
 
     def test_rerun_same_seed_byte_identical(self, specs, tmp_path):
         outs = []

@@ -20,11 +20,10 @@ from hpnarm.qtable import (
     UnsupportedVersionError,
     augment,
     load,
-    q_update,
     save,
     select_action,
 )
-from hpnarm.state import N_STATES, pack_bins, unpack_index
+from hpnarm.state import N_STATES, N_TIP_STATES, pack_bins, unpack_index
 
 HP = HyperParams(alpha=0.1, gamma=0.9, epsilon=0.0)
 
@@ -109,34 +108,34 @@ class TestActionSpec:
 class TestQUpdate:
     def test_first_update_from_zero(self):
         q = QTable()
-        assert q_update(q, 5, 3, 1.0, 6, HP) == pytest.approx(0.1)
+        assert q.update(5, 3, 1.0, 6, HP) == pytest.approx(0.1)
         assert q.flags(5)[3] == FLAG_TRAINED
 
     def test_update_with_bootstrap_target(self):
         q = QTable()
         q.set_entry(5, 3, 0.5, FLAG_TRAINED)
         q.set_entry(6, 0, 2.0, FLAG_TRAINED)
-        assert q_update(q, 5, 3, 1.0, 6, HP) == pytest.approx(0.73, rel=1e-6)
+        assert q.update(5, 3, 1.0, 6, HP) == pytest.approx(0.73, rel=1e-6)
 
     def test_zero_reward_shrinks_toward_zero(self):
         q = QTable()
         q.set_entry(9, 1, 0.8, FLAG_TRAINED)
-        new = q_update(q, 9, 1, 0.0, 777, HyperParams(alpha=0.25, gamma=0.9, epsilon=0.0))
+        new = q.update(9, 1, 0.0, 777, HyperParams(alpha=0.25, gamma=0.9, epsilon=0.0))
         assert new == pytest.approx(0.75 * 0.8, rel=1e-6)
 
     def test_nonfinite_reward_rejected(self):
         q = QTable()
         with pytest.raises(ValueError):
-            q_update(q, 0, 0, float("nan"), 1, HP)
+            q.update(0, 0, float("nan"), 1, HP)
         with pytest.raises(ValueError):
-            q_update(q, 0, 0, float("inf"), 1, HP)
+            q.update(0, 0, float("inf"), 1, HP)
 
     def test_touches_exactly_one_entry(self):
         q = QTable()
         q.set_entry(4, 7, 1.25, FLAG_TRAINED)
         q.set_entry(200, 2, -0.5, FLAG_TRAINED)
         before = q.copy()
-        q_update(q, 4, 9, 2.0, 200, HP)
+        q.update(4, 9, 2.0, 200, HP)
         bs, ba, bf, bv = before.record_arrays()
         as_, aa, af, av = q.record_arrays()
         assert as_.size == bs.size + 1
@@ -152,6 +151,45 @@ class TestQUpdate:
         assert q.get(123456, 31) == 0.0
         assert q.max_value(999) == 0.0
         assert not q.flags(42).any()
+        assert q.entry_count() == 0
+
+
+class TestBadWrites:
+    """Every write path refuses an entry that save() could not round-trip."""
+
+    def test_action_outside_range_rejected(self):
+        q = QTable()
+        for action in (-1, 32):
+            with pytest.raises(ValueError, match="action"):
+                q.set_entry(5, action, 1.0, FLAG_TRAINED)
+            with pytest.raises(ValueError, match="action"):
+                q.update(5, action, 1.0, 6, HP)
+            with pytest.raises(ValueError, match="action"):
+                QTable.from_records([5], [action], [FLAG_TRAINED], [1.0])
+        assert q.entry_count() == 0
+
+    def test_state_outside_codec_rejected(self):
+        q = QTable()
+        for state in (-5, N_STATES, 2**22):
+            with pytest.raises(ValueError, match="outside"):
+                q.set_entry(state, 0, 1.0, FLAG_TRAINED)
+            with pytest.raises(ValueError, match="outside"):
+                q.update(state, 0, 1.0, 6, HP)
+            with pytest.raises(ValueError, match="outside"):
+                q.update(6, 0, 1.0, state, HP)
+            with pytest.raises(ValueError, match="outside"):
+                QTable.from_records([5, state], [0, 1], [1, 1], [1.0, 2.0])
+        assert q.entry_count() == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, bad):
+        q = QTable()
+        with pytest.raises(ValueError, match="finite"):
+            q.set_entry(5, 1, bad, FLAG_TRAINED)
+        with pytest.raises(ValueError, match="finite"):
+            q.update(5, 1, bad, 6, HP)
+        with pytest.raises(ValueError, match="finite"):
+            QTable.from_records([5, 6], [1, 2], [1, 1], [bad, 2.0])
         assert q.entry_count() == 0
 
 
@@ -297,23 +335,6 @@ class TestAugment:
         got_aug = {int(s) for s, f in zip(os_, of) if f & FLAG_AUGMENTED}
         assert got_aug == expected - {lo, hi}
 
-    def test_dense_and_sparse_backends_agree(self, rng):
-        states = rng.integers(0, N_STATES, 500)
-        actions = rng.integers(0, 32, 500)
-        values = rng.normal(size=500).astype(np.float32)
-        keys = {}
-        for s, a, v in zip(states, actions, values):
-            keys[(int(s), int(a))] = float(v)
-        items = sorted(keys.items())
-        s_arr = np.array([k[0] for k, _ in items], dtype=np.uint32)
-        a_arr = np.array([k[1] for k, _ in items], dtype=np.uint16)
-        f_arr = np.full(len(items), FLAG_TRAINED, dtype=np.uint16)
-        v_arr = np.array([v for _, v in items], dtype=np.float32)
-        sparse = QTable.from_records(s_arr, a_arr, f_arr, v_arr, dense=False)
-        dense = QTable.from_records(s_arr, a_arr, f_arr, v_arr, dense=True)
-        assert sparse == dense
-        assert augment(sparse) == augment(dense)
-
     @given(
         entries=st.lists(
             st.tuples(
@@ -381,7 +402,6 @@ class TestPersistence:
         )
         values = rng.normal(size=keys.size).astype(np.float32)
         q = QTable.from_records(states, actions, flags, values)
-        assert q.dense
         path = tmp_path / "big.qt"
         save(q, path)
         back = load(path)
@@ -454,14 +474,14 @@ class TestPersistence:
 
     def test_state_beyond_codec_rejected(self, tmp_path):
         path = tmp_path / "t.qt"
-        save(QTable.from_records([5, N_STATES + 3], [1, 2], [1, 1], [1.0, 2.0]), path)
+        _write_records(path, [5, N_STATES + 3], [1, 2], [1, 1], [1.0, 2.0])
         with pytest.raises(QTableIOError, match="outside"):
             load(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, tmp_path, bad):
         path = tmp_path / "t.qt"
-        save(QTable.from_records([5, 6], [1, 2], [1, 1], [bad, 2.0]), path)
+        _write_records(path, [5, 6], [1, 2], [1, 1], [bad, 2.0])
         with pytest.raises(QTableIOError, match="non-finite"):
             load(path)
 
@@ -471,5 +491,79 @@ class TestPersistence:
         save(q, path)
         assert load(path) == q
 
+
+# States for the reference-model test: a few suffixes in a few goal bins,
+# including both ends of the codec, so operations collide and bootstrap.
+MODEL_STATES = [b * N_TIP_STATES + t for b in (0, 3, 1023) for t in (0, 1, 1023)]
+MODEL_ACTIONS = (0, 1, 31)
+
+set_entry_op = st.tuples(
+    st.just("set"), st.sampled_from(MODEL_STATES), st.sampled_from(MODEL_ACTIONS),
+    st.floats(-100.0, 100.0, width=32), st.sampled_from([0, 1, 2, 3]),
+)
+update_op = st.tuples(
+    st.just("update"), st.sampled_from(MODEL_STATES), st.sampled_from(MODEL_ACTIONS),
+    st.floats(-10.0, 10.0), st.sampled_from(MODEL_STATES),
+)
+
+
+class TestReferenceModel:
+    """QTable against a plain dict {(state, action): (float32 value, flags)}."""
+
+    @given(ops=st.lists(st.one_of(set_entry_op, update_op), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_model(self, ops, tmp_path_factory):
+        hp = HyperParams(alpha=0.3, gamma=0.9, epsilon=0.0)
+        q = QTable()
+        model = {}
+        for kind, state, action, x, y in ops:
+            old_value, old_flags = model.get((state, action), (np.float32(0.0), 0))
+            if kind == "set":
+                q.set_entry(state, action, x, y)
+                model[(state, action)] = (np.float32(x), old_flags | y)
+            else:
+                row = [model.get((y, a), (np.float32(0.0), 0))[0] for a in range(32)]
+                target = x + hp.gamma * float(max(row))
+                new = np.float32(float(old_value) + hp.alpha * (target - float(old_value)))
+                assert q.update(state, action, x, y, hp) == float(new)
+                model[(state, action)] = (new, old_flags | FLAG_TRAINED)
+
+        for state in MODEL_STATES:
+            for action in range(32):
+                value, flags = model.get((state, action), (np.float32(0.0), 0))
+                assert q.get(state, action) == float(value)
+                assert q.flags(state)[action] == flags
+        stored = sorted((k, vf) for k, vf in model.items() if vf[0] != 0 or vf[1] != 0)
+        expected = (
+            np.array([s for (s, _), _ in stored], dtype=np.uint32),
+            np.array([a for (_, a), _ in stored], dtype=np.uint16),
+            np.array([f for _, (_, f) in stored], dtype=np.uint16),
+            np.array([v for _, (v, _) in stored], dtype=np.float32),
+        )
+        got = q.record_arrays()
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            assert g.tobytes() == e.tobytes()
+        assert q.entry_count() == len(stored)
+        assert q.trained_count() == sum(1 for _, (_, f) in stored if f & FLAG_TRAINED)
+        assert q.augmented_count() == sum(1 for _, (_, f) in stored if f & FLAG_AUGMENTED)
+        assert q.state_count() == len({s for (s, _), _ in stored})
+
+        path = tmp_path_factory.mktemp("model") / "t.hpnq"
+        save(q, path)
+        back = load(path)
+        for g, e in zip(back.record_arrays(), expected):
+            assert g.tobytes() == e.tobytes()
+
+
 def _record_offset():
     return 4 + struct.calcsize("<IIQ")
+
+
+def _write_records(path, states, actions, flags, values):
+    """A version-1 table file holding exactly these records, with a valid CRC."""
+    rec = np.zeros(len(states), dtype=[("state", "<u4"), ("action", "<u2"),
+                                       ("flags", "<u2"), ("value", "<f4")])
+    rec["state"], rec["action"], rec["flags"], rec["value"] = states, actions, flags, values
+    body = MAGIC + struct.pack("<IIQ", 1, 32, len(states)) + rec.tobytes()
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
