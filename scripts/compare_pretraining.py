@@ -29,7 +29,6 @@ def main() -> int:
     ap.add_argument("--quota", type=int, default=10, help="goals per reachable bin")
     ap.add_argument("--goals", type=int, default=20, help="fresh evaluation goals")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--budget", type=int, default=1_000_000)
     ap.add_argument("--a-gain", type=float, default=None,
                     help="override the curvature gain (1/mm/kPa)")
@@ -50,7 +49,7 @@ def main() -> int:
     t0 = time.perf_counter()
     table, summary = pretrain(
         params, hp, cfg.action, cfg.reward, cfg.binning,
-        quota=args.quota, seed=args.seed, workers=args.workers, budget=args.budget,
+        quota=args.quota, seed=args.seed, budget=args.budget,
     )
     print(summary.format())
     print(f"pretraining took {time.perf_counter() - t0:.1f} s")

@@ -14,7 +14,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .evalrun import evaluate, write_report_csvs
 from .kinematics import PressureRangeError, arm_forward_kinematics
-from .pretrain import GoalBankError, MergeConflictError
+from .pretrain import GoalBankError
 from .pretrain import pretrain as pretrain_pipeline
 from .qtable import FLAG_TRAINED, QTableIOError
 from .qtable import augment as augment_table
@@ -62,12 +62,11 @@ def fk(pressures, config_path):
 @main.command()
 @_CONFIG_OPT
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--workers", type=int, default=None, help="Override the worker count.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Override the output table path.")
 @click.option("--allow-large-run", is_flag=True, default=False,
               help="Permit runs beyond the episode-count guard.")
-def pretrain(config_path, seed, workers, out_path, allow_large_run):
+def pretrain(config_path, seed, out_path, allow_large_run):
     """Pretrain a Q-table in simulation and write it to disk."""
     try:
         cfg = _load_cfg(config_path)
@@ -79,7 +78,6 @@ def pretrain(config_path, seed, workers, out_path, allow_large_run):
             cfg.arm, cfg.hyper, cfg.action, cfg.reward, cfg.binning,
             quota=pc.quota,
             seed=pc.seed if seed is None else seed,
-            workers=pc.workers if workers is None else workers,
             budget=pc.budget,
             max_steps=pc.max_steps,
             augment_radius=pc.augment_radius,
@@ -89,7 +87,7 @@ def pretrain(config_path, seed, workers, out_path, allow_large_run):
         )
     except ValueError as exc:
         _fail(exc, 2)
-    except (GoalBankError, MergeConflictError, QTableIOError, OSError) as exc:
+    except (GoalBankError, QTableIOError, OSError) as exc:
         _fail(exc, 1)
     click.echo(summary.format())
 

@@ -55,7 +55,6 @@ class GoalSpec:
 class PretrainConfig:
     quota: int = 10
     budget: int = 1_000_000
-    workers: int = 1
     seed: int = 0
     max_steps: int = 200
     augment_radius: int = 1
@@ -66,8 +65,6 @@ class PretrainConfig:
             raise ValueError("quota must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.max_steps < 1:

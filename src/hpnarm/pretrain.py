@@ -1,4 +1,4 @@
-"""Bin-balanced goal generation and shard-parallel Q-table pretraining.
+"""Bin-balanced goal generation and lockstep Q-table pretraining.
 
 Training goals are drawn by rejection sampling: random pressure vectors are
 pushed through the forward kinematics and the resulting tip poses deposited
@@ -6,17 +6,16 @@ into their goal bins until every bin holds `quota` goals or the sampling
 budget runs out. Bins that never fill are flagged unreachable and excluded,
 so every goal the controller trains on is known to be attainable.
 
-Training itself is sharded by goal bin, and within a shard every bin's k-th
-episode runs in lockstep with the others (episode.train_lockstep). Episode
-randomness is keyed to (master seed, bin, goal index), never to the worker
-or lane that happens to run the bin, so a run with W workers is
-bit-identical to the single-process run. Shards own disjoint bins, which
-makes the merge a plain disjoint union.
+Training runs in one process: every reachable bin's k-th episode runs in
+lockstep with the others (episode.train_lockstep). Episode randomness is
+keyed to (master seed, bin, goal index), never to the lane that happens to
+run the bin, and episodes in different bins touch disjoint rows. So training
+the bins in chunks and merging the chunk tables, a plain disjoint union,
+gives the same table bit for bit as training them all at once.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import zlib
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ class GoalBankError(RuntimeError):
 
 
 class MergeConflictError(ValueError):
-    """Two partial tables trained the same goal bin; the shard plan is broken."""
+    """Two partial tables hold the same goal bin, or disagree on action count."""
 
 
 @dataclass(frozen=True)
@@ -225,41 +224,6 @@ def load_goal_bank(path, *, seed: int, quota: int, budget: int, fingerprint: int
         raise GoalBankError(f"{path}: inconsistent goal bank contents: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """Disjoint assignment of goal bins to workers, all keyed to one master seed."""
-
-    seed: int
-    assignments: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.assignments:
-            raise ValueError("a shard plan needs at least one shard")
-        flat = [b for shard in self.assignments for b in shard]
-        if len(set(flat)) != len(flat):
-            raise ValueError("shards must own disjoint goal bins")
-
-    @property
-    def workers(self) -> int:
-        return len(self.assignments)
-
-    def covered_bins(self) -> list[int]:
-        return sorted(b for shard in self.assignments for b in shard)
-
-
-def plan_shards(bins: Sequence[int], workers: int, seed: int) -> ShardPlan:
-    """Deal the sorted bin list round-robin across `workers` shards."""
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    ordered = sorted(bins)
-    if len(set(ordered)) != len(ordered):
-        raise ValueError("bin list contains duplicates")
-    return ShardPlan(
-        seed=seed,
-        assignments=tuple(tuple(ordered[i::workers]) for i in range(workers)),
-    )
-
-
 def pretrain_shard(
     bin_ids: Sequence[int],
     seed: int,
@@ -272,10 +236,10 @@ def pretrain_shard(
     binning: BinningSpec,
     max_steps: int = 200,
 ) -> QTable:
-    """Train one episode per banked goal for every bin in the shard, in lockstep.
+    """Train one episode per banked goal for every bin in `bin_ids`, in lockstep.
 
     Episode randomness depends only on (seed, bin, goal index), so the same
-    shard replayed with the same seed produces a bit-identical table.
+    bins replayed with the same seed produce a bit-identical table.
     """
     subset = {int(b): bank.goals_for(int(b)) for b in bin_ids}
     return train_lockstep(
@@ -284,17 +248,11 @@ def pretrain_shard(
     )
 
 
-def _shard_job(args):
-    """Worker-process entry point: train one shard and return its table."""
-    goals_by_bin, seed, hp, kwargs = args
-    return train_lockstep(goals_by_bin, seed, hp, **kwargs)
-
-
 def merge(partials: Sequence[QTable]) -> QTable:
-    """Disjoint union of partial tables' goal-bin blocks, from a shard plan.
+    """Disjoint union of partial tables' goal-bin blocks.
 
-    Each goal bin must be held by at most one partial; overlap means the
-    shard plan handed one bin to two workers.
+    Assembles tables trained on disjoint sets of bins into one. Each goal
+    bin must be held by at most one partial.
     """
     if not partials:
         return QTable()
@@ -320,11 +278,10 @@ class PretrainSummary:
     trained_entries: int
     augmented_entries: int
     total_entries: int
-    workers: int
     wall_time_s: float
     bank_s: float        # goal bank: cache load or sampling (and cache write)
-    train_s: float       # training every shard
-    merge_augment_s: float
+    train_s: float       # lockstep training of every reachable bin
+    augment_s: float
     save_s: float
 
     def format(self) -> str:
@@ -336,10 +293,9 @@ class PretrainSummary:
                 f"trained entries: {self.trained_entries}",
                 f"augmented entries: {self.augmented_entries}",
                 f"total entries: {self.total_entries}",
-                f"workers: {self.workers}",
                 f"wall time: {self.wall_time_s:.1f} s",
                 f"stage times: goal bank {self.bank_s:.2f} s, train {self.train_s:.2f} s, "
-                f"merge + augment {self.merge_augment_s:.2f} s, save {self.save_s:.2f} s",
+                f"augment {self.augment_s:.2f} s, save {self.save_s:.2f} s",
             ]
         )
 
@@ -361,18 +317,29 @@ def pretrain(
     bank_path=None,
     allow_large_run: bool = False,
 ) -> tuple[QTable, PretrainSummary]:
-    """Full pipeline: goal bank, shard plan, parallel training, merge, augment.
+    """Full pipeline: goal bank, lockstep training of every reachable bin, augment.
 
-    The result is independent of `workers` bit for bit. When `bank_path` is
-    given, a matching cached goal bank is reused and a fresh one is written
-    there after sampling. Saves the augmented table to `out_path` if set.
+    Runs in the calling process. `workers` only accepts 1: callers written
+    for the removed process pool still pass it. Arguments are checked before
+    any sampling starts. When `bank_path` is given, a matching cached goal
+    bank is reused and a fresh one is written there after sampling. Saves
+    the augmented table to `out_path` if set.
     """
+    if workers != 1:
+        raise ValueError(
+            f"workers={workers}: the process pool is gone, pretraining runs in "
+            "one process and workers must be 1"
+        )
     if quota < 1:
         raise ValueError("quota must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if augment_radius < 1:
+        raise ValueError("augment_radius must be >= 1")
     planned = quota * N_GOAL_BINS
     if planned > LARGE_RUN_GOAL_LIMIT and not allow_large_run:
         raise ValueError(
@@ -393,26 +360,13 @@ def pretrain(
             save_goal_bank(bank, bank_path, seed=seed, budget=budget, fingerprint=fingerprint)
     t_bank = time.perf_counter()
 
-    plan = plan_shards(bank.reachable_bins(), workers, seed)
-    train_kwargs = dict(
-        params=params, action_spec=action_spec, reward_spec=reward_spec,
-        binning=binning, max_steps=max_steps,
+    trained = pretrain_shard(
+        bank.reachable_bins(), seed, bank, hp, params=params, action_spec=action_spec,
+        reward_spec=reward_spec, binning=binning, max_steps=max_steps,
     )
-    if workers == 1:
-        partials = [pretrain_shard(plan.assignments[0], seed, bank, hp, **train_kwargs)]
-    else:
-        jobs = [
-            ({b: bank.goals_for(b) for b in shard}, seed, hp, train_kwargs)
-            for shard in plan.assignments
-        ]
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=workers) as pool:
-            partials = pool.map(_shard_job, jobs)
     t_train = time.perf_counter()
-
-    merged = merge(partials)
-    table = augment(merged, radius=augment_radius)
-    t_merge = time.perf_counter()
+    table = augment(trained, radius=augment_radius)
+    t_augment = time.perf_counter()
     if out_path is not None:
         save(table, out_path)
     t_save = time.perf_counter()
@@ -424,11 +378,10 @@ def pretrain(
         trained_entries=table.trained_count(),
         augmented_entries=table.augmented_count(),
         total_entries=table.entry_count(),
-        workers=workers,
         wall_time_s=time.perf_counter() - t0,
         bank_s=t_bank - t0,
         train_s=t_train - t_bank,
-        merge_augment_s=t_merge - t_train,
-        save_s=t_save - t_merge,
+        augment_s=t_augment - t_train,
+        save_s=t_save - t_augment,
     )
     return table, summary

@@ -25,6 +25,7 @@ from .state import N_GOAL_BINS, N_STATES, N_TIP_STATES
 N_ACTIONS = 32
 FLAG_TRAINED = 1
 FLAG_AUGMENTED = 2
+_FLAGS_DEFINED = FLAG_TRAINED | FLAG_AUGMENTED
 
 MAGIC = b"HPNQ"
 FORMAT_VERSION = 1
@@ -138,8 +139,12 @@ class QTable:
     suffix within it. Each goal bin written to owns a block: an
     (N_TIP_STATES, action_count) float32 value array and a uint16 flag array
     of the same shape. Training episodes only ever touch their own goal's
-    bin, so a bin is also the unit the lockstep engine trains and the unit
-    pretraining shards merge by.
+    bin, so a bin is also the unit the lockstep engine trains in: each lane
+    owns one bin's block, and tables trained on disjoint bins join by a
+    plain union of blocks (pretrain.merge).
+
+    Flag words hold only the defined bits, FLAG_TRAINED and FLAG_AUGMENTED:
+    set_entry, from_records and load reject any other bit.
     """
 
     def __init__(self, action_count: int = N_ACTIONS):
@@ -153,10 +158,6 @@ class QTable:
         zero_f.flags.writeable = False
         self._zero_values = zero_v
         self._zero_flags = zero_f
-
-    def __reduce__(self):
-        # Pickle only the blocks, so the shared zero rows come back read-only.
-        return QTable.from_blocks, (self._blocks, self.action_count)
 
     # -- read paths ---------------------------------------------------------
 
@@ -247,6 +248,8 @@ class QTable:
         self._check_entry(state, action)
         if not np.isfinite(value):
             raise ValueError(f"value must be finite, got {value}")
+        if _undefined_flags(flag_bits):
+            raise ValueError(f"flag bits {flag_bits:#x} outside the defined {_FLAGS_DEFINED:#x}")
         goal_bin, suffix = divmod(state, N_TIP_STATES)
         values, flags = self._block(goal_bin)
         values[suffix, action] = value
@@ -318,6 +321,8 @@ class QTable:
         """Bulk-build a table from parallel entry arrays (any order, no duplicates)."""
         states = np.asarray(states, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
+        if _undefined_flags(flags):
+            raise ValueError(f"flag bits outside the defined {_FLAGS_DEFINED:#x}")
         flags_arr = np.asarray(flags, dtype=np.uint16)
         values_arr = np.asarray(values, dtype=np.float32)
         if states.size and (states.min() < 0 or states.max() >= N_STATES):
@@ -340,6 +345,16 @@ class QTable:
 def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Mask of entries that count as stored: nonzero flags or value."""
     return (flags != 0) | (values != 0)
+
+
+def _undefined_flags(flags) -> bool:
+    """Whether any flag word sets a bit other than FLAG_TRAINED and FLAG_AUGMENTED.
+
+    Checked on the caller's values, before a uint16 cast could wrap them.
+    The defined bits are the two lowest, so a word is valid iff it is 0..3.
+    """
+    flags = np.asarray(flags)
+    return flags.size > 0 and bool(flags.max() > _FLAGS_DEFINED or flags.min() < 0)
 
 
 def _check_state(state: int) -> None:
@@ -434,8 +449,9 @@ def save(q: QTable, path) -> None:
 def load(path) -> QTable:
     """Read a table written by save(), verifying structure and checksum.
 
-    Also rejects state indices beyond the 4**10 codec and non-finite values,
-    which no table can hold and so save() never writes, but a file could.
+    Also rejects state indices beyond the 4**10 codec, non-finite values and
+    undefined flag bits, which no table can hold and so save() never writes,
+    but a file could.
     """
     data = Path(path).read_bytes()
     if len(data) < 4:
@@ -471,6 +487,8 @@ def load(path) -> QTable:
                 f"{path}: state {int(records['state'][-1])} outside [0, {N_STATES})")
         if not np.isfinite(records["value"]).all():
             raise QTableIOError(f"{path}: non-finite value")
+        if _undefined_flags(records["flags"]):
+            raise QTableIOError(f"{path}: flag bits outside the defined {_FLAGS_DEFINED:#x}")
     return QTable.from_records(
         records["state"], records["action"], records["flags"], records["value"],
         action_count=action_count,

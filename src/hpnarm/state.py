@@ -7,7 +7,7 @@ continuous dimensions. Each dimension is quantized into four bins and the
 bin vector packs into one integer, so the table addresses 4**10 =
 1,048,576 states. The leading five dimensions depend on the goal alone;
 their packed prefix partitions the state space into 1024 goal bins used
-for balanced goal sampling and for sharding training work.
+for balanced goal sampling and as the lanes of lockstep training.
 """
 
 from __future__ import annotations

@@ -18,7 +18,14 @@ from hpnarm import (
 )
 from hpnarm.episode import NominalPlant, RewardSpec, run_episode
 from hpnarm.evalrun import evaluate, sample_goals
-from hpnarm.pretrain import pretrain
+from hpnarm.pretrain import (
+    DEFAULT_SAMPLE_BUDGET,
+    config_fingerprint,
+    load_goal_bank,
+    merge,
+    pretrain,
+    pretrain_shard,
+)
 from hpnarm.qtable import (
     FLAG_AUGMENTED,
     FLAG_TRAINED,
@@ -74,7 +81,7 @@ def pretrained_setup():
     hp, actions, rewards = HyperParams(), ActionSpec(), RewardSpec()
     t0 = time.perf_counter()
     table, summary = pretrain(
-        params, hp, actions, rewards, binning, quota=10, seed=0, workers=1
+        params, hp, actions, rewards, binning, quota=10, seed=0
     )
     pretrain_time = time.perf_counter() - t0
     goals = sample_goals(params, 20, np.random.default_rng(np.random.SeedSequence((0, 4))))
@@ -166,22 +173,31 @@ def test_criterion_04_q_learning_oracle(capsys):
 
 
 def test_criterion_05_parallel_determinism(capsys, tmp_path):
+    """All reachable bins in one lockstep call vs one call per bin, merged."""
     params, binning = ArmParams(), BinningSpec()
     hp, actions, rewards = HyperParams(), ActionSpec(), RewardSpec()
     t0 = time.perf_counter()
-    blobs = []
-    for workers in (1, 4):
-        out = tmp_path / f"w{workers}.qt"
-        pretrain(
-            params, hp, actions, rewards, binning,
-            quota=5, seed=2025, workers=workers, out_path=out,
-        )
-        blobs.append(out.read_bytes())
+    whole, per_bin, bank_path = tmp_path / "all.qt", tmp_path / "per_bin.qt", tmp_path / "bank"
+    pretrain(
+        params, hp, actions, rewards, binning,
+        quota=5, seed=2025, out_path=whole, bank_path=bank_path,
+    )
+    bank = load_goal_bank(
+        bank_path, seed=2025, quota=5, budget=DEFAULT_SAMPLE_BUDGET,
+        fingerprint=config_fingerprint(params, binning),
+    )
+    partials = [
+        pretrain_shard((b,), 2025, bank, hp, params=params, action_spec=actions,
+                       reward_spec=rewards, binning=binning)
+        for b in bank.reachable_bins()
+    ]
+    save(augment(merge(partials), radius=1), per_bin)
+    blobs = [whole.read_bytes(), per_bin.read_bytes()]
     elapsed = time.perf_counter() - t0
     ok = blobs[0] == blobs[1] and elapsed < 300.0
     report(capsys, 5, ok,
-           f"quota=5 pretrain W=1 vs W=4 files byte-identical "
-           f"({len(blobs[0])} bytes, {elapsed:.1f}s)")
+           f"quota=5 pretrain of {len(partials)} bins in one lockstep call vs one call "
+           f"per bin, files byte-identical ({len(blobs[0])} bytes, {elapsed:.1f}s)")
 
 
 def test_criterion_06_pretraining_benefit_nominal(capsys, pretrained_setup):

@@ -50,7 +50,6 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.pretrain.quota == 10
         assert cfg.pretrain.budget == 1_000_000
-        assert cfg.pretrain.workers == 1
         assert cfg.eval.repetitions == 3
         assert cfg.eval.max_steps == 200
         assert cfg.arm == ArmParams()
@@ -199,8 +198,9 @@ class TestPretrainCommand:
     def test_invalid_config_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", "pretrain:\n  quota: 0\n")
         assert runner.invoke(main, ["pretrain", "--config", cfg]).exit_code == 2
-        cfg2 = write_config(tmp_path / "c2.yaml", "pretrain:\n  turbo: 1\n")
-        assert runner.invoke(main, ["pretrain", "--config", cfg2]).exit_code == 2
+        for field in ("turbo: 1", "workers: 2"):
+            cfg2 = write_config(tmp_path / "c2.yaml", f"pretrain:\n  {field}\n")
+            assert runner.invoke(main, ["pretrain", "--config", cfg2]).exit_code == 2
 
 
 class TestEvalCommand:

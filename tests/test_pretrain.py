@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -9,17 +10,15 @@ from hpnarm.pretrain import (
     GoalBank,
     GoalBankError,
     MergeConflictError,
-    ShardPlan,
     build_goal_bank,
     config_fingerprint,
     load_goal_bank,
     merge,
-    plan_shards,
     pretrain,
     pretrain_shard,
     save_goal_bank,
 )
-from hpnarm.qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, load
+from hpnarm.qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, augment, load, save
 from hpnarm.state import N_GOAL_BINS, N_TIP_STATES, encode_goal_prefix
 
 # Frozen reachable-bin count for default arm/binning at quota=10, budget=1e6.
@@ -217,37 +216,6 @@ class TestBankCache:
             load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
 
 
-class TestPlanShards:
-    def test_round_robin_deal(self):
-        plan = plan_shards([6, 0, 3, 1, 4, 2, 5], 3, seed=0)
-        assert plan.assignments == ((0, 3, 6), (1, 4), (2, 5))
-
-    def test_disjoint_and_covering(self):
-        bins = list(range(0, 50, 3))
-        plan = plan_shards(bins, 4, seed=1)
-        assert plan.covered_bins() == sorted(bins)
-        seen = [b for shard in plan.assignments for b in shard]
-        assert len(seen) == len(set(seen))
-
-    def test_single_worker_owns_everything(self):
-        plan = plan_shards([5, 2, 9], 1, seed=0)
-        assert plan.assignments == ((2, 5, 9),)
-
-    def test_spare_workers_get_empty_shards(self):
-        plan = plan_shards([1, 2], 4, seed=0)
-        assert plan.workers == 4
-        assert plan.assignments[2] == ()
-        assert plan.assignments[3] == ()
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            plan_shards([1, 2], 0, seed=0)
-        with pytest.raises(ValueError):
-            plan_shards([1, 1], 2, seed=0)
-        with pytest.raises(ValueError):
-            ShardPlan(seed=0, assignments=((1, 2), (2, 3)))
-
-
 class TestPretrainShard:
     def test_empty_shard_gives_empty_table(self, specs, small_bank):
         q = pretrain_shard((), 5, small_bank, specs["hp"], **shard_kwargs(specs))
@@ -325,7 +293,8 @@ class TestLockstepMatchesSequentialEpisodes:
             assert len(set(steps) - {0, kwargs["max_steps"]}) > 1
 
     def test_every_shard_of_a_plan_equals_its_sequential_episodes(self, specs, bank):
-        for shard in plan_shards(bank.reachable_bins(), 3, seed=4).assignments:
+        bins = bank.reachable_bins()
+        for shard in (bins[i::3] for i in range(3)):
             lockstep = pretrain_shard(shard, 4, bank, specs["hp"], **shard_kwargs(specs))
             reference, _ = sequential_table(
                 {b: bank.goals_for(b) for b in shard}, 4, specs, specs["rewards"], 60
@@ -391,22 +360,33 @@ class TestPretrainPipeline:
         assert load(out) == table
         text = summary.format()
         assert "goals run" in text and "wall time" in text
-        stages = (summary.bank_s, summary.train_s, summary.merge_augment_s, summary.save_s)
+        stages = (summary.bank_s, summary.train_s, summary.augment_s, summary.save_s)
         assert all(t >= 0.0 for t in stages)
         assert sum(stages) <= summary.wall_time_s
         assert "stage times: goal bank" in text
 
-    def test_worker_count_does_not_change_the_file(self, specs, tmp_path):
-        outs = []
-        for w in (1, 2):
-            out = tmp_path / f"w{w}.qt"
-            pretrain(
-                specs["params"], specs["hp"], specs["actions"], specs["rewards"],
-                specs["binning"], quota=1, seed=13, budget=30_000, max_steps=50,
-                workers=w, out_path=out,
-            )
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_chunk_size_does_not_change_the_file(self, specs, tmp_path):
+        """Bins trained in chunks of 1 and 3, then merged, give pretrain()'s bytes."""
+        out, bank_path = tmp_path / "all.qt", tmp_path / "bank.hpnb"
+        pretrain(
+            specs["params"], specs["hp"], specs["actions"], specs["rewards"],
+            specs["binning"], quota=1, seed=13, budget=30_000, max_steps=50,
+            out_path=out, bank_path=bank_path,
+        )
+        bank = load_goal_bank(
+            bank_path, seed=13, quota=1, budget=30_000,
+            fingerprint=config_fingerprint(specs["params"], specs["binning"]),
+        )
+        bins = bank.reachable_bins()
+        for size in (1, 3):
+            partials = [
+                pretrain_shard(bins[i:i + size], 13, bank, specs["hp"],
+                               **shard_kwargs(specs, max_steps=50))
+                for i in range(0, len(bins), size)
+            ]
+            chunked = tmp_path / f"chunk{size}.qt"
+            save(augment(merge(partials), radius=1), chunked)
+            assert chunked.read_bytes() == out.read_bytes()
 
     def test_small_pretrain_file_matches_frozen_digest(self, specs, tmp_path):
         out = tmp_path / "golden.qt"
@@ -450,10 +430,18 @@ class TestPretrainPipeline:
             pretrain(*args, quota=489, seed=0, budget=1, allow_large_run=True)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"quota": 0}, {"workers": 0}, {"seed": -1}]
+        "kwargs",
+        [{"quota": 0}, {"workers": 0}, {"seed": -1}, {"max_steps": 0},
+         {"augment_radius": 0}, {"workers": 2}, {"budget": 0}],
     )
-    def test_invalid_arguments_rejected(self, specs, kwargs):
+    def test_invalid_arguments_rejected(self, specs, kwargs, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("arguments must be checked before sampling starts")
+
+        # hpnarm.pretrain as a package attribute is the function, not the module
+        module = importlib.import_module("hpnarm.pretrain")
+        monkeypatch.setattr(module, "build_goal_bank", no_sampling)
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
-        full = {"quota": 1, "seed": 0, "workers": 1, **kwargs}
+        full = {"quota": 1, "seed": 0, **kwargs}
         with pytest.raises(ValueError):
             pretrain(*args, **full)

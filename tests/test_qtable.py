@@ -192,6 +192,15 @@ class TestBadWrites:
             QTable.from_records([5, 6], [1, 2], [1, 1], [bad, 2.0])
         assert q.entry_count() == 0
 
+    @pytest.mark.parametrize("bad", [4, FLAG_TRAINED | 4, 0x8000, 0x10001, -1])
+    def test_undefined_flag_bits_rejected(self, bad):
+        q = QTable()
+        with pytest.raises(ValueError, match="flag bits"):
+            q.set_entry(5, 1, 1.0, bad)
+        with pytest.raises(ValueError, match="flag bits"):
+            QTable.from_records([5, 6], [1, 2], np.array([1, bad], dtype=np.int64), [1.0, 2.0])
+        assert q.entry_count() == 0
+
 
 class TestSelectAction:
     def test_greedy_picks_unique_max(self, rng):
@@ -483,6 +492,13 @@ class TestPersistence:
         path = tmp_path / "t.qt"
         _write_records(path, [5, 6], [1, 2], [1, 1], [bad, 2.0])
         with pytest.raises(QTableIOError, match="non-finite"):
+            load(path)
+
+    @pytest.mark.parametrize("bad", [4, 0x8000])
+    def test_undefined_flag_bits_rejected(self, tmp_path, bad):
+        path = tmp_path / "t.qt"
+        _write_records(path, [5, 6], [1, 2], [1, bad], [1.0, 2.0])
+        with pytest.raises(QTableIOError, match="flag bits"):
             load(path)
 
     def test_last_codec_state_loads(self, tmp_path):

@@ -1,0 +1,51 @@
+"""The experiment scripts run end to end on tiny arguments.
+
+Each script runs in its own interpreter, the way a user starts it, so a
+public name the scripts use and the package drops fails here.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args, cwd):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, cwd=cwd, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_compare_pretraining(tmp_path):
+    lines = run_script(
+        "compare_pretraining.py", "--quota", "1", "--goals", "2", "--budget", "20000",
+        "--plant", "nominal", cwd=tmp_path,
+    )
+    assert any(re.fullmatch(r"reachable bins: [1-9]\d* of 1024", line) for line in lines), lines
+    assert any(line.startswith("stage times: goal bank ") for line in lines), lines
+    assert "controller: pretrained" in lines and "controller: zero-init" in lines
+    assert any(
+        re.fullmatch(r"\[nominal\] goals within 30 mm: pretrained \d+ vs zero-init \d+ .*", line)
+        for line in lines
+    ), lines
+    assert any(
+        re.fullmatch(r"\[nominal\] median final error ratio: \d+\.\d{3} .*", line)
+        for line in lines
+    ), lines
+    assert not any(line.startswith("[perturbed]") for line in lines)
+
+
+def test_reachability_survey(tmp_path):
+    lines = run_script(
+        "reachability_survey.py", "--budget", "20000", "--quotas", "1", "--seeds", "1",
+        cwd=tmp_path,
+    )
+    assert lines[0] == "arm: a_gain=0.002, budget=20000, seeds=1"
+    assert lines[1].split() == ["seed", "q>=1", "top-10", "bin", "mass"]
+    assert len(lines) == 3
+    assert re.fullmatch(r"0\s+[1-9]\d*\s+\d+\.\d%\s+\(\d+\.\ds\)", lines[2]), lines
