@@ -1,18 +1,12 @@
-"""Simulator-pretrained tabular Q-learning control for a four-segment pneumatic arm."""
+"""Simulator-pretrained tabular Q-learning control for a four-segment pneumatic arm.
 
-from .config import ConfigError, RunConfig, default_eval_goals, load_config
-from .episode import (
-    EpisodeLog,
-    NominalPlant,
-    PerturbedPlant,
-    PerturbedPlantConfig,
-    RewardSpec,
-    StepRecord,
-    compute_reward,
-    pose_errors,
-    run_episode,
-)
-from .evalrun import EvalReport, GoalResult, evaluate, sample_goals, write_report_csvs
+The package root re-exports what a script needs to build an arm, pretrain a
+table, run episodes and evaluate. Everything else (config loading, goal
+banks, file-format errors, report types) is imported from its submodule.
+"""
+
+from .episode import NominalPlant, PerturbedPlant, PerturbedPlantConfig, RewardSpec, run_episode
+from .evalrun import evaluate
 from .kinematics import (
     ArmParams,
     PressureRangeError,
@@ -25,45 +19,9 @@ from .kinematics import (
     tip_batch,
     validate_pressures,
 )
-from .pretrain import (
-    GoalBank,
-    GoalBankError,
-    MergeConflictError,
-    PretrainSummary,
-    build_goal_bank,
-    load_goal_bank,
-    merge,
-    pretrain,
-    pretrain_shard,
-    save_goal_bank,
-)
-from .qtable import (
-    ActionSpec,
-    BadMagicError,
-    ChecksumError,
-    HyperParams,
-    QTable,
-    QTableIOError,
-    TruncatedTableError,
-    UnsupportedVersionError,
-    augment,
-    load,
-    save,
-    select_action,
-)
-from .state import (
-    BinningSpec,
-    ContinuousState,
-    DiscreteState,
-    GoalPose,
-    StateEncoder,
-    continuous_state,
-    encode,
-    encode_goal_prefix,
-    goal_bin,
-    rest_tip_origin,
-    spherical_of,
-)
+from .pretrain import pretrain
+from .qtable import ActionSpec, HyperParams, QTable, augment, load, save
+from .state import BinningSpec, GoalPose, StateEncoder, rest_tip_origin
 
 __all__ = [
     "ArmParams",
@@ -77,56 +35,22 @@ __all__ = [
     "tip_batch",
     "validate_pressures",
     "BinningSpec",
-    "ContinuousState",
-    "DiscreteState",
     "GoalPose",
     "StateEncoder",
-    "continuous_state",
-    "encode",
-    "encode_goal_prefix",
-    "goal_bin",
     "rest_tip_origin",
-    "spherical_of",
     "ActionSpec",
-    "BadMagicError",
-    "ChecksumError",
     "HyperParams",
     "QTable",
-    "QTableIOError",
-    "TruncatedTableError",
-    "UnsupportedVersionError",
     "augment",
     "load",
     "save",
-    "select_action",
-    "EpisodeLog",
     "NominalPlant",
     "PerturbedPlant",
     "PerturbedPlantConfig",
     "RewardSpec",
-    "StepRecord",
-    "compute_reward",
-    "pose_errors",
     "run_episode",
-    "GoalBank",
-    "GoalBankError",
-    "MergeConflictError",
-    "PretrainSummary",
-    "build_goal_bank",
-    "load_goal_bank",
-    "merge",
     "pretrain",
-    "pretrain_shard",
-    "save_goal_bank",
-    "ConfigError",
-    "RunConfig",
-    "default_eval_goals",
-    "load_config",
-    "EvalReport",
-    "GoalResult",
     "evaluate",
-    "sample_goals",
-    "write_report_csvs",
 ]
 
 __version__ = "0.1.0"

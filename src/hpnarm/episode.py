@@ -68,10 +68,13 @@ class RewardSpec:
 
     def __post_init__(self):
         for name in ("w_p_per_mm", "w_r_per_deg", "goal_bonus", "step_penalty"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.success_pos_mm <= 0.0 or self.success_rot_deg <= 0.0:
-            raise ValueError("success thresholds must be positive")
+            v = getattr(self, name)
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be non-negative and finite, got {v}")
+        for name in ("success_pos_mm", "success_rot_deg"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"success threshold {name} must be positive and finite, got {v}")
 
     def is_success(self, pos_error_mm, rot_error_deg):
         """Both errors inside their thresholds; elementwise for arrays."""
@@ -98,14 +101,14 @@ class PerturbedPlantConfig:
     def __post_init__(self):
         for name in ("a_scale", "b_scale"):
             v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if v is not None and not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         if not 0.0 <= self.scale_spread < 1.0:
-            raise ValueError(f"scale_spread must be in [0, 1), got {self.scale_spread}")
-        if self.tip_noise_sigma_mm < 0.0:
-            raise ValueError("tip_noise_sigma_mm must be non-negative")
-        if self.droop_gain < 0.0:
-            raise ValueError("droop_gain must be non-negative")
+            raise ValueError(f"scale_spread must be finite and in [0, 1), got {self.scale_spread}")
+        for name in ("tip_noise_sigma_mm", "droop_gain"):
+            v = getattr(self, name)
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be non-negative and finite, got {v}")
 
 
 class NominalPlant:

@@ -48,12 +48,10 @@ class ArmParams:
             raise ValueError(f"a_gain must be positive, got {self.a_gain}")
         if not (self.b_gain >= 0.0 and math.isfinite(self.b_gain)):
             raise ValueError(f"b_gain must be non-negative, got {self.b_gain}")
-        if not self.l0_mm > 0.0:
-            raise ValueError(f"l0_mm must be positive, got {self.l0_mm}")
-        if not self.p_max_kpa > 0.0:
-            raise ValueError(f"p_max_kpa must be positive, got {self.p_max_kpa}")
-        if not self.k_eps > 0.0:
-            raise ValueError(f"k_eps must be positive, got {self.k_eps}")
+        for name in ("l0_mm", "p_max_kpa", "k_eps"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)

@@ -210,15 +210,24 @@ def load_goal_bank(path, *, seed: int, quota: int, budget: int, fingerprint: int
     rows = np.frombuffer(
         raw, dtype="<f8", count=n_bins * f_quota * _GOAL_ROW, offset=header_end + 2 * n_bins
     ).reshape(-1, _GOAL_ROW)
+    if n_bins and bins.max() >= N_GOAL_BINS:
+        raise GoalBankError(f"{path}: goal bin {bins.max()} out of range")
+    if (np.diff(bins.astype(np.int64)) <= 0).any():
+        raise GoalBankError(f"{path}: goal bins are not strictly increasing")
+    if not np.isfinite(rows).all():
+        raise GoalBankError(f"{path}: goal rows hold non-finite values")
+    if (np.abs(np.linalg.norm(rows[:, 3:], axis=1) - 1.0) > 1e-9).any():
+        raise GoalBankError(f"{path}: goal directions are not unit vectors")
     goals: dict[int, tuple[GoalPose, ...]] = {}
     reachable = np.zeros(N_GOAL_BINS, dtype=bool)
-    for j, b in enumerate(bins.tolist()):
-        chunk = rows[j * f_quota:(j + 1) * f_quota]
-        goals[b] = tuple(
-            GoalPose(position=row[:3].copy(), direction=row[3:].copy()) for row in chunk
-        )
-        reachable[b] = True
+    # GoalPose repeats the unit check with a norm that can differ in the last bit.
     try:
+        for j, b in enumerate(bins.tolist()):
+            chunk = rows[j * f_quota:(j + 1) * f_quota]
+            goals[b] = tuple(
+                GoalPose(position=row[:3].copy(), direction=row[3:].copy()) for row in chunk
+            )
+            reachable[b] = True
         return GoalBank(quota=f_quota, goals=goals, reachable=reachable, samples_used=samples_used)
     except ValueError as exc:
         raise GoalBankError(f"{path}: inconsistent goal bank contents: {exc}") from exc

@@ -11,6 +11,7 @@ action), CRC32 over everything before the checksum itself.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -86,8 +87,8 @@ class ActionSpec:
     delta_p_kpa: float = 5.0
 
     def __post_init__(self):
-        if not self.delta_p_kpa > 0.0:
-            raise ValueError(f"delta_p_kpa must be positive, got {self.delta_p_kpa}")
+        if not (self.delta_p_kpa > 0.0 and math.isfinite(self.delta_p_kpa)):
+            raise ValueError(f"delta_p_kpa must be positive and finite, got {self.delta_p_kpa}")
 
     @property
     def action_count(self) -> int:

@@ -62,35 +62,6 @@ class GoalPose:
 
 
 @dataclass(frozen=True)
-class ContinuousState:
-    """The ten raw state coordinates before binning.
-
-    theta_* are azimuths in [-pi, pi), phi_* are polar angles from +z in
-    [0, pi]. The *goal dims locate the goal pose relative to the rest tip
-    origin; the *tip dims locate the current tip relative to the goal.
-    """
-
-    d_goal: float
-    theta_dgoal: float
-    phi_dgoal: float
-    theta_egoal: float
-    phi_egoal: float
-    d_tip: float
-    theta_dtip: float
-    phi_dtip: float
-    theta_etip: float
-    phi_etip: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.d_goal, self.theta_dgoal, self.phi_dgoal,
-            self.theta_egoal, self.phi_egoal,
-            self.d_tip, self.theta_dtip, self.phi_dtip,
-            self.theta_etip, self.phi_etip,
-        )
-
-
-@dataclass(frozen=True)
 class BinningSpec:
     """Quantization edges for the ten state dimensions.
 
@@ -117,10 +88,6 @@ class BinningSpec:
         if not (np.isfinite(self.d_max_mm) and self.d_max_mm > 0.0):
             raise ValueError(f"d_max_mm must be positive, got {self.d_max_mm}")
 
-    def edges_for_dim(self, dim: int) -> tuple[float, float, float]:
-        """Interior edges of one dimension, by position in DIM_NAMES order."""
-        return self.all_edges()[dim]
-
     def all_edges(self) -> tuple[tuple[float, float, float], ...]:
         d = self.d_max_mm
         d_goal_edges = (d / 4.0, d / 2.0, 3.0 * d / 4.0)
@@ -136,31 +103,6 @@ class BinningSpec:
             _AZIMUTH_EDGES,          # theta_etip
             _ELEVATION_EDGES,        # phi_etip
         )
-
-
-@dataclass(frozen=True)
-class DiscreteState:
-    """A bin per dimension plus the equivalent packed index."""
-
-    bins: tuple[int, ...]
-    index: int
-
-    def __post_init__(self):
-        if len(self.bins) != N_DIMS:
-            raise ValueError(f"need {N_DIMS} bins, got {len(self.bins)}")
-        if any(b < 0 or b >= N_BINS_PER_DIM for b in self.bins):
-            raise ValueError(f"bins out of range: {self.bins}")
-        if self.index != pack_bins(self.bins):
-            raise ValueError(f"index {self.index} does not match bins {self.bins}")
-
-    @classmethod
-    def from_bins(cls, bins) -> "DiscreteState":
-        bins = tuple(int(b) for b in bins)
-        return cls(bins=bins, index=pack_bins(bins))
-
-    @classmethod
-    def from_index(cls, index: int) -> "DiscreteState":
-        return cls(bins=unpack_index(index), index=int(index))
 
 
 def pack_bins(bins) -> int:
@@ -198,11 +140,6 @@ def unpack_index_array(indices: np.ndarray) -> np.ndarray:
         out[..., i] = rem // place
         rem %= place
     return out
-
-
-def goal_bin(ds: DiscreteState) -> int:
-    """Packed prefix of the five goal dims, in [0, 1024)."""
-    return ds.index // N_TIP_STATES
 
 
 def spherical_of(v) -> tuple[float, float, float]:
@@ -244,55 +181,41 @@ def goal_frame(direction) -> np.ndarray:
     return np.column_stack([x, y, z])
 
 
-def continuous_state(goal: GoalPose, tip: np.ndarray, origin) -> ContinuousState:
-    """The ten raw coordinates for one goal/tip pair.
+def bin_and_pack(values, edges, index: int = 0) -> int:
+    """Bin each value and append its digit to ``index``, most significant first.
 
-    ``tip`` is a 4x4 pose; ``origin`` is the rest tip position. Goal dims:
-    spherical coordinates of the goal position about the origin, plus the
-    direction angles of the goal pointing direction. Tip dims: spherical
-    coordinates of the tip position about the goal, plus the direction
-    angles of the tip pointing direction expressed in the goal frame.
+    ``edges`` holds the three interior edges of each value's dimension, in
+    the same order. Bins are half-open [lo, hi): a value exactly on an
+    interior edge lands in the upper bin, and values past the last edge
+    (d_goal beyond d_max_mm, an elevation of pi) clamp to bin 3. Packing is
+    Horner's rule, so continuing from a goal prefix with the five tip dims
+    gives the full state index.
     """
-    origin = np.asarray(origin, dtype=float).reshape(3)
-    tip_pos = tip[:3, 3]
-    tip_dir = tip[:3, 2]
-    d_goal, theta_dgoal, phi_dgoal = spherical_of(goal.position - origin)
-    _, theta_egoal, phi_egoal = spherical_of(goal.direction)
-    d_tip, theta_dtip, phi_dtip = spherical_of(tip_pos - goal.position)
-    rel_dir = goal_frame(goal.direction).T @ tip_dir
-    _, theta_etip, phi_etip = spherical_of(rel_dir)
-    return ContinuousState(
-        d_goal=d_goal, theta_dgoal=theta_dgoal, phi_dgoal=phi_dgoal,
-        theta_egoal=theta_egoal, phi_egoal=phi_egoal,
-        d_tip=d_tip, theta_dtip=theta_dtip, phi_dtip=phi_dtip,
-        theta_etip=theta_etip, phi_etip=phi_etip,
-    )
+    for value, dim_edges in zip(values, edges):
+        index = index * N_BINS_PER_DIM + bisect_right(dim_edges, value)
+    return index
 
 
-def encode(cs: ContinuousState, spec: BinningSpec) -> DiscreteState:
-    """Bin each coordinate with half-open [lo, hi) intervals.
-
-    A value exactly on an interior edge lands in the upper bin; values
-    past the last edge (including d_goal beyond d_max_mm) clamp to bin 3.
-    """
-    bins = tuple(
-        bisect_right(edges, value)
-        for value, edges in zip(cs.as_tuple(), spec.all_edges())
-    )
-    return DiscreteState(bins=bins, index=pack_bins(bins))
+def bin_and_pack_batch(columns, edges) -> np.ndarray:
+    """bin_and_pack from zero for n states at once; ``columns[d]`` holds dim d's n values."""
+    index = np.zeros(len(columns[0]), dtype=np.int64)
+    for values, dim_edges in zip(columns, edges):
+        index = index * N_BINS_PER_DIM + np.searchsorted(dim_edges, values, side="right")
+    return index
 
 
 def encode_goal_prefix(position, direction, origin, spec: BinningSpec) -> int:
-    """Goal-bin id of a goal pose: the packed first five dims."""
+    """Goal-bin id of a goal pose: the packed first five dims.
+
+    Goal dims are the spherical coordinates of the goal position about the
+    rest tip ``origin``, plus the direction angles of the goal pointing
+    direction.
+    """
     origin = np.asarray(origin, dtype=float).reshape(3)
     d_goal, theta_dgoal, phi_dgoal = spherical_of(np.asarray(position, dtype=float) - origin)
     _, theta_egoal, phi_egoal = spherical_of(direction)
-    edges = spec.all_edges()
     values = (d_goal, theta_dgoal, phi_dgoal, theta_egoal, phi_egoal)
-    prefix = 0
-    for value, dim_edges in zip(values, edges[:GOAL_DIMS]):
-        prefix = prefix * N_BINS_PER_DIM + bisect_right(dim_edges, value)
-    return prefix
+    return bin_and_pack(values, spec.all_edges()[:GOAL_DIMS])
 
 
 def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -> np.ndarray:
@@ -312,12 +235,8 @@ def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -
     theta_e = np.arctan2(dirn[:, 1], dirn[:, 0])
     theta_e = np.where(theta_e >= np.pi, -np.pi, theta_e)
     phi_e = np.arccos(np.clip(dirn[:, 2] / np.linalg.norm(dirn, axis=1), -1.0, 1.0))
-    edges = spec.all_edges()
-    prefix = np.zeros(pos.shape[0], dtype=np.int64)
-    for values, dim_edges in zip((r, theta_d, phi_d, theta_e, phi_e), edges[:GOAL_DIMS]):
-        bins = np.searchsorted(np.asarray(dim_edges), values, side="right")
-        prefix = prefix * N_BINS_PER_DIM + bins
-    return prefix
+    columns = (r, theta_d, phi_d, theta_e, phi_e)
+    return bin_and_pack_batch(columns, spec.all_edges()[:GOAL_DIMS])
 
 
 def _spherical_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -352,35 +271,23 @@ def encode_tip_suffix_batch(tip_pos, tip_dir, goal_pos, goal_frames, spec: Binni
            + goal_frames[:, :, 1] * tip_dir[:, 1, None]
            + goal_frames[:, :, 2] * tip_dir[:, 2, None])
     _, theta_etip, phi_etip = _spherical_batch(rel[:, 0], rel[:, 1], rel[:, 2])
-    suffix = np.zeros(len(d), dtype=np.int64)
-    values = (d_tip, theta_dtip, phi_dtip, theta_etip, phi_etip)
-    for v, dim_edges in zip(values, spec.all_edges()[GOAL_DIMS:]):
-        suffix = suffix * N_BINS_PER_DIM + np.searchsorted(dim_edges, v, side="right")
-    return suffix
+    columns = (d_tip, theta_dtip, phi_dtip, theta_etip, phi_etip)
+    return bin_and_pack_batch(columns, spec.all_edges()[GOAL_DIMS:])
 
 
 class StateEncoder:
     """Per-goal encoder that caches the goal half of the state.
 
     The five goal dims and the goal frame never change within an episode,
-    so an episode builds one encoder and feeds it tip observations.
+    so an episode builds one encoder and feeds it tip observations. The tip
+    dims are the spherical coordinates of the tip position about the goal,
+    plus the direction angles of the tip pointing direction expressed in
+    the goal frame.
     """
 
     def __init__(self, goal: GoalPose, origin, spec: BinningSpec):
-        self.goal = goal
-        self.spec = spec
-        cs0 = continuous_state(goal, np.eye(4), origin)
-        edges = spec.all_edges()
-        prefix_values = (cs0.d_goal, cs0.theta_dgoal, cs0.phi_dgoal,
-                         cs0.theta_egoal, cs0.phi_egoal)
-        self._prefix_bins = tuple(
-            bisect_right(dim_edges, v)
-            for v, dim_edges in zip(prefix_values, edges[:GOAL_DIMS])
-        )
-        self._prefix_index = 0
-        for b in self._prefix_bins:
-            self._prefix_index = self._prefix_index * N_BINS_PER_DIM + b
-        self._tip_edges = edges[GOAL_DIMS:]
+        self._prefix_index = encode_goal_prefix(goal.position, goal.direction, origin, spec)
+        self._tip_edges = spec.all_edges()[GOAL_DIMS:]
         self._gx = float(goal.position[0])
         self._gy = float(goal.position[1])
         self._gz = float(goal.position[2])
@@ -389,11 +296,8 @@ class StateEncoder:
 
     @property
     def goal_bin(self) -> int:
+        """Packed prefix of the five goal dims, in [0, 1024)."""
         return self._prefix_index
-
-    def encode_tip(self, tip_pos, tip_dir) -> DiscreteState:
-        """Full discrete state for one tip observation."""
-        return DiscreteState.from_index(self.encode_tip_index(tip_pos, tip_dir))
 
     def encode_tip_index(self, tip_pos, tip_dir) -> int:
         """Bare packed index for one tip observation; the episode-loop fast path."""
@@ -405,7 +309,4 @@ class StateEncoder:
         rel = tuple(r[0] * dx + r[1] * dy + r[2] * dz for r in self._frame_rows)
         _, theta_etip, phi_etip = spherical_of(rel)
         values = (d_tip, theta_dtip, phi_dtip, theta_etip, phi_etip)
-        index = self._prefix_index
-        for v, dim_edges in zip(values, self._tip_edges):
-            index = index * N_BINS_PER_DIM + bisect_right(dim_edges, v)
-        return index
+        return bin_and_pack(values, self._tip_edges, self._prefix_index)

@@ -5,12 +5,15 @@ route than the library code: the arm pose comes from numerical arc
 integration instead of the closed-form transform, the gridworld solution
 from value iteration instead of temporal-difference learning, and the
 state construction from a second spherical-coordinate derivation. None
-of these import from hpnarm.
+of these import from hpnarm. The goal-bank writer spells out the .hpnb
+layout field by field, so tests can write files the library never would.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -155,8 +158,13 @@ def oracle_continuous_dims(goal_pos, goal_dir, tip_pos, tip_dir, origin):
 
 def oracle_state_index(goal_pos, goal_dir, tip_pos, tip_dir, origin,
                        d_tip_edges, phi_egoal_edges, d_max):
-    """Packed state index computed with np.digitize and Horner packing."""
+    """Packed state index of a goal/tip pair, via oracle_bin_index."""
     values = oracle_continuous_dims(goal_pos, goal_dir, tip_pos, tip_dir, origin)
+    return oracle_bin_index(values, d_tip_edges, phi_egoal_edges, d_max)
+
+
+def oracle_bin_index(values, d_tip_edges, phi_egoal_edges, d_max):
+    """Ten raw state values binned with np.digitize and packed by Horner's rule."""
     az = np.array([-math.pi / 2, 0.0, math.pi / 2])
     el = np.array([math.pi / 4, math.pi / 2, 3 * math.pi / 4])
     per_dim_edges = [
@@ -168,3 +176,22 @@ def oracle_state_index(goal_pos, goal_dir, tip_pos, tip_dir, origin,
     for value, edges in zip(values, per_dim_edges):
         index = index * 4 + int(np.digitize(value, edges))
     return index
+
+
+# ---------------------------------------------------------------------------
+# Goal bank file writer
+# ---------------------------------------------------------------------------
+
+def write_goal_bank(path, bins, rows, *, seed, quota, budget, fingerprint, samples_used=1000):
+    """A version-1 .hpnb file holding exactly these bin ids and goal rows, with a valid CRC.
+
+    Each row is (x, y, z, dx, dy, dz); the file carries ``quota`` rows per bin.
+    """
+    body = (
+        b"HPNB"
+        + struct.pack("<IQIQQII", 1, seed, quota, budget, samples_used, fingerprint, len(bins))
+        + np.asarray(bins, dtype="<u2").tobytes()
+        + np.asarray(rows, dtype="<f8").tobytes()
+    )
+    with open(path, "wb") as fh:
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hpnarm import ArmParams, arm_forward_kinematics
+from hpnarm import ArmParams, BinningSpec, arm_forward_kinematics
 from hpnarm.cli import main
 from hpnarm.config import (
     ConfigError,
@@ -16,7 +16,10 @@ from hpnarm.config import (
     default_eval_goals,
     load_config,
 )
+from hpnarm.pretrain import config_fingerprint
 from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, QTable, load, save
+from hpnarm.state import N_GOAL_BINS
+from oracles import write_goal_bank
 
 MID = 30.0  # p_max/2, the pressure every episode starts from
 
@@ -43,6 +46,26 @@ eval:
   repetitions: 2
   max_steps: 25
 """
+
+
+# One non-finite value per case, as (section, field, YAML value); YAML reads .nan and .inf.
+NON_FINITE_VALUES = (
+    ("reward", "w_p_per_mm", ".nan"),
+    ("reward", "w_r_per_deg", ".inf"),
+    ("reward", "goal_bonus", ".inf"),
+    ("reward", "step_penalty", ".nan"),
+    ("reward", "success_pos_mm", ".nan"),
+    ("reward", "success_rot_deg", ".inf"),
+    ("arm", "l0_mm", ".inf"),
+    ("arm", "p_max_kpa", ".inf"),
+    ("arm", "k_eps", ".inf"),
+    ("action", "delta_p_kpa", ".inf"),
+    ("perturbed", "a_scale", ".inf"),
+    ("perturbed", "b_scale", ".inf"),
+    ("perturbed", "scale_spread", ".nan"),
+    ("perturbed", "tip_noise_sigma_mm", ".nan"),
+    ("perturbed", "droop_gain", ".nan"),
+)
 
 
 class TestRunConfig:
@@ -92,6 +115,13 @@ class TestRunConfig:
     def test_edge_tuples_parse_from_lists(self):
         cfg = config_from_mapping({"binning": {"d_tip_edges_mm": [4.0, 20.0, 50.0]}})
         assert cfg.binning.d_tip_edges_mm == (4.0, 20.0, 50.0)
+
+    @pytest.mark.parametrize("section, name, value", NON_FINITE_VALUES,
+                             ids=[f"{s}.{n}" for s, n, _ in NON_FINITE_VALUES])
+    def test_non_finite_value_rejected(self, tmp_path, section, name, value):
+        path = write_config(tmp_path / "c.yaml", f"{section}:\n  {name}: {value}\n")
+        with pytest.raises(ConfigError, match=f"{section}: .*{name}.*finite"):
+            load_config(path)
 
     def test_cannot_read_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -201,6 +231,25 @@ class TestPretrainCommand:
         for field in ("turbo: 1", "workers: 2"):
             cfg2 = write_config(tmp_path / "c2.yaml", f"pretrain:\n  {field}\n")
             assert runner.invoke(main, ["pretrain", "--config", cfg2]).exit_code == 2
+        for section, name, value in NON_FINITE_VALUES:
+            cfg3 = write_config(tmp_path / "c3.yaml", f"{section}:\n  {name}: {value}\n")
+            assert runner.invoke(main, ["pretrain", "--config", cfg3]).exit_code == 2, name
+
+    @pytest.mark.parametrize("bad", ["bin", "direction"])
+    def test_malformed_cached_goal_bank_exits_1(self, runner, tmp_path, bad):
+        table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
+        text = SMALL_PRETRAIN.format(table=f"{table}\n  goal_bank_path: {bank}")
+        cfg = write_config(tmp_path / "c.yaml", text)
+        fp = config_fingerprint(ArmParams(), BinningSpec())
+        row = [0.0, 0.0, 700.0, 0.0, 0.0, 1.0]
+        if bad == "bin":
+            bins, rows = [N_GOAL_BINS], [row]
+        else:
+            bins, rows = [5], [row[:3] + [0.0, 0.0, 2.0]]
+        write_goal_bank(bank, bins, rows, seed=3, quota=1, budget=20000, fingerprint=fp)
+        result = runner.invoke(main, ["pretrain", "--config", cfg])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output and not table.exists()
 
 
 class TestEvalCommand:

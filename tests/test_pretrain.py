@@ -20,6 +20,7 @@ from hpnarm.pretrain import (
 )
 from hpnarm.qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, augment, load, save
 from hpnarm.state import N_GOAL_BINS, N_TIP_STATES, encode_goal_prefix
+from oracles import write_goal_bank
 
 # Frozen reachable-bin count for default arm/binning at quota=10, budget=1e6.
 # Measured identically (64) over six disjoint seed streams before freezing.
@@ -150,6 +151,11 @@ class TestGoalBankValidation:
             GoalBank(quota=2, goals={3: (goal,)}, reachable=flags, samples_used=10)
 
 
+# A goal straight above the base pointing up, and the sampling setup of hand-written banks.
+_UP = [0.0, 0.0, 700.0, 0.0, 0.0, 1.0]
+_BANK_SETUP = dict(seed=5, quota=2, budget=60_000, fingerprint=0)
+
+
 class TestBankCache:
     @pytest.fixture()
     def saved(self, specs, small_bank, tmp_path):
@@ -214,6 +220,30 @@ class TestBankCache:
         path.write_bytes(bytes(raw))
         with pytest.raises(GoalBankError):
             load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
+
+    def test_hand_written_bank_loads(self, tmp_path):
+        path = tmp_path / "bank.hpnb"
+        write_goal_bank(path, [5, 7], [_UP, _UP, _UP, _UP], **_BANK_SETUP)
+        bank = load_goal_bank(path, **_BANK_SETUP)
+        assert bank.reachable_bins() == [5, 7]
+        assert np.array_equal(bank.goals_for(7)[1].direction, _UP[3:])
+
+    @pytest.mark.parametrize("bins, bad_row, match", [
+        pytest.param([N_GOAL_BINS], _UP, "out of range", id="bin-1024"),
+        pytest.param([5, 65535], _UP, "out of range", id="bin-65535"),
+        pytest.param([5, 5], _UP, "strictly increasing", id="duplicate-bins"),
+        pytest.param([7, 5], _UP, "strictly increasing", id="unsorted-bins"),
+        pytest.param([5], [np.nan, 0.0, 700.0, 0.0, 0.0, 1.0], "non-finite", id="nan-position"),
+        pytest.param([5], [0.0, 0.0, 700.0, np.inf, 0.0, 0.0], "non-finite", id="inf-direction"),
+        pytest.param([5], [0.0, 0.0, 700.0, 0.0, 0.0, 2.0], "unit", id="long-direction"),
+        pytest.param([5], [0.0, 0.0, 700.0, 0.0, 0.0, 0.0], "unit", id="zero-direction"),
+    ])
+    def test_malformed_contents_rejected(self, tmp_path, bins, bad_row, match):
+        path = tmp_path / "bank.hpnb"
+        rows = [_UP] * (2 * len(bins) - 1) + [bad_row]
+        write_goal_bank(path, bins, rows, **_BANK_SETUP)
+        with pytest.raises(GoalBankError, match=match):
+            load_goal_bank(path, **_BANK_SETUP)
 
 
 class TestPretrainShard:

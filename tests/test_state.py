@@ -2,50 +2,62 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hpnarm import (
-    ArmParams,
     BinningSpec,
     GoalPose,
     StateEncoder,
     arm_forward_kinematics,
-    continuous_state,
-    encode,
-    encode_goal_prefix,
-    goal_bin,
     rest_tip_origin,
-    spherical_of,
 )
 from hpnarm.state import (
     DIM_NAMES,
+    GOAL_DIMS,
     N_GOAL_BINS,
     N_STATES,
     N_TIP_STATES,
-    ContinuousState,
-    DiscreteState,
     _spherical_batch,
+    bin_and_pack,
+    bin_and_pack_batch,
+    encode_goal_prefix,
     encode_goal_prefix_batch,
     encode_tip_suffix_batch,
     goal_frame,
     pack_bins,
     pack_bins_array,
+    spherical_of,
     unpack_index,
     unpack_index_array,
 )
-from oracles import oracle_continuous_dims, oracle_state_index
+from oracles import oracle_bin_index, oracle_state_index
 
 bin_tuples = st.tuples(*[st.integers(0, 3) for _ in range(10)])
+goal_digits = st.tuples(*[st.integers(0, 3) for _ in range(GOAL_DIMS)])
 
 # Neutral mid-bin values, one per dimension; tests overwrite single dims.
 _NEUTRAL = (150.0, 0.3, 1.0, 0.3, 0.5, 10.0, 0.3, 1.0, 0.3, 1.0)
+_ELEVATION_DIMS = (2, 4, 7, 9)
 
 
-def state_with(dim, value):
+def values_with(dim, value):
     values = list(_NEUTRAL)
     values[dim] = value
-    return ContinuousState(*values)
+    return values
+
+
+def bins_of(values, binning):
+    """Bin digits of ten raw values from the scalar packer, which the batch packer must match."""
+    edges = binning.all_edges()
+    index = bin_and_pack(values, edges)
+    assert bin_and_pack_batch([np.array([v]) for v in values], edges).tolist() == [index]
+    return unpack_index(index)
+
+
+def values_for_digits(digits, edges):
+    """A raw value per dim that lands in the given bin: an edge, or just below the first."""
+    return [e[d - 1] if d else math.nextafter(e[0], -math.inf) for d, e in zip(digits, edges)]
 
 
 def random_goal_tip(rng, params):
@@ -55,6 +67,20 @@ def random_goal_tip(rng, params):
     goal_dir /= np.linalg.norm(goal_dir)
     tip = arm_forward_kinematics(rng.uniform(0.0, params.p_max_kpa, 16), params)
     return GoalPose(position=goal_pos, direction=goal_dir), tip, origin
+
+
+def check_against_oracle(goal, tip, origin, binning, enc=None):
+    """encode_tip_index, goal_bin and encode_goal_prefix agree with the scratch oracle."""
+    expected = oracle_state_index(
+        goal.position, goal.direction, tip[:3, 3], tip[:3, 2], origin,
+        binning.d_tip_edges_mm, binning.phi_egoal_edges_rad, binning.d_max_mm,
+    )
+    if enc is None:
+        enc = StateEncoder(goal, origin, binning)
+    assert enc.encode_tip_index(tip[:3, 3], tip[:3, 2]) == expected
+    assert enc.goal_bin == expected // N_TIP_STATES
+    assert encode_goal_prefix(goal.position, goal.direction, origin, binning) == enc.goal_bin
+    return expected
 
 
 class TestSphericalOf:
@@ -102,87 +128,90 @@ class TestSphericalOf:
 
 
 class TestContinuousState:
+    """The ten raw coordinates as the production encoders bin them, against the oracle."""
+
     def test_tip_on_goal_with_matching_direction(self, params, binning):
         origin = rest_tip_origin(params.l0_mm)
         tip = arm_forward_kinematics(np.full(16, 20.0), params)
         goal = GoalPose(position=tip[:3, 3].copy(), direction=tip[:3, 2].copy())
-        cs = continuous_state(goal, tip, origin)
-        assert cs.d_tip == pytest.approx(0.0, abs=1e-9)
-        assert cs.theta_etip == pytest.approx(0.0, abs=1e-9)
-        assert cs.phi_etip == pytest.approx(0.0, abs=1e-6)
+        bins = unpack_index(check_against_oracle(goal, tip, origin, binning))
+        # zero tip distance: innermost bin, canonical angles 0 (theta on an edge, so bin 2)
+        assert bins[5:8] == (0, 2, 0)
+        assert bins[9] == 0  # tip points along the goal direction
 
-    def test_goal_straight_above_origin(self, params):
+    def test_goal_straight_above_origin(self, params, binning):
         origin = rest_tip_origin(params.l0_mm)
         goal = GoalPose(position=origin + (0.0, 0.0, 100.0), direction=np.array([0.0, 0.0, 1.0]))
-        cs = continuous_state(goal, np.eye(4), origin)
-        assert cs.d_goal == pytest.approx(100.0)
-        assert cs.phi_dgoal == pytest.approx(0.0)
-        assert cs.phi_egoal == pytest.approx(0.0)
+        index = check_against_oracle(goal, np.eye(4), origin, binning)
+        # d_goal 100 sits on the first edge; both azimuths are the canonical 0, an edge too
+        assert unpack_index(index)[:GOAL_DIMS] == (1, 2, 0, 2, 0)
 
-    def test_matches_scratch_construction(self, params, rng):
+    def test_matches_scratch_construction(self, params, binning, rng):
         for _ in range(200):
-            goal, tip, origin = random_goal_tip(rng, params)
-            cs = continuous_state(goal, tip, origin)
-            expected = oracle_continuous_dims(
-                goal.position, goal.direction, tip[:3, 3], tip[:3, 2], origin
-            )
-            assert cs.as_tuple() == pytest.approx(expected, abs=1e-9)
+            check_against_oracle(*random_goal_tip(rng, params), binning)
 
-    def test_goal_direction_along_world_x_uses_fallback_frame(self, params):
+    def test_goal_direction_along_world_x_uses_fallback_frame(self, params, binning, rng):
         origin = rest_tip_origin(params.l0_mm)
         goal = GoalPose(position=origin + (50.0, 0.0, 0.0), direction=np.array([1.0, 0.0, 0.0]))
-        tip = np.eye(4)
-        cs = continuous_state(goal, tip, origin)
-        assert math.isfinite(cs.theta_etip)
-        assert math.isfinite(cs.phi_etip)
-        expected = oracle_continuous_dims(
-            goal.position, goal.direction, tip[:3, 3], tip[:3, 2], origin
-        )
-        assert cs.as_tuple() == pytest.approx(expected, abs=1e-9)
+        # the tip direction +z maps to +y of the world-y-seeded frame: theta pi/2, phi pi/2
+        assert unpack_index(check_against_oracle(goal, np.eye(4), origin, binning))[8:] == (3, 2)
+        for _ in range(20):
+            tip = random_goal_tip(rng, params)[1]
+            check_against_oracle(goal, tip, origin, binning)
 
 
 class TestEncode:
+    """Edge semantics of the shared scalar and batch bin-and-pack routines."""
+
     def test_zero_tip_distance_in_innermost_bin(self, binning):
-        assert encode(state_with(5, 0.0), binning).bins[5] == 0
+        assert bins_of(values_with(5, 0.0), binning)[5] == 0
 
     def test_mid_tip_distance_bin(self, binning):
-        assert encode(state_with(5, 45.0), binning).bins[5] == 2
+        assert bins_of(values_with(5, 45.0), binning)[5] == 2
 
     def test_all_minimum_values_give_index_zero(self, binning):
-        cs = ContinuousState(0.0, -math.pi, 0.0, -math.pi, 0.0, 0.0, -math.pi, 0.0, -math.pi, 0.0)
-        assert encode(cs, binning).index == 0
+        values = (0.0, -math.pi, 0.0, -math.pi, 0.0, 0.0, -math.pi, 0.0, -math.pi, 0.0)
+        assert bins_of(values, binning) == (0,) * 10
 
     @pytest.mark.parametrize("dim", range(10), ids=DIM_NAMES)
     def test_interior_edges_belong_to_upper_bin(self, binning, dim):
         for upper_bin, edge in enumerate(binning.all_edges()[dim], start=1):
-            assert encode(state_with(dim, edge), binning).bins[dim] == upper_bin
+            assert bins_of(values_with(dim, edge), binning)[dim] == upper_bin
             below = math.nextafter(edge, -math.inf)
-            assert encode(state_with(dim, below), binning).bins[dim] == upper_bin - 1
+            assert bins_of(values_with(dim, below), binning)[dim] == upper_bin - 1
+
+    @pytest.mark.parametrize("dim", range(10), ids=DIM_NAMES)
+    def test_values_past_the_last_edge_clamp_to_bin_3(self, binning, dim):
+        last = binning.all_edges()[dim][-1]
+        for value in (math.nextafter(last, math.inf), last + 1.0, 1e6):
+            assert bins_of(values_with(dim, value), binning)[dim] == 3
 
     def test_goal_distance_clamps_beyond_ceiling(self, binning):
-        assert encode(state_with(0, binning.d_max_mm + 50.0), binning).bins[0] == 3
-        assert encode(state_with(5, 1e6), binning).bins[5] == 3
+        assert bins_of(values_with(0, binning.d_max_mm + 50.0), binning)[0] == 3
+        assert bins_of(values_with(5, 1e6), binning)[5] == 3
 
     def test_elevation_endpoint_lands_in_last_bin(self, binning):
-        assert encode(state_with(2, math.pi), binning).bins[2] == 3
+        for dim in _ELEVATION_DIMS:
+            assert bins_of(values_with(dim, math.pi), binning)[dim] == 3
 
     @given(d1=st.floats(0.0, 500.0), d2=st.floats(0.0, 500.0))
     def test_tip_distance_binning_is_monotone(self, binning, d1, d2):
         lo, hi = sorted((d1, d2))
-        assert (
-            encode(state_with(5, lo), binning).bins[5]
-            <= encode(state_with(5, hi), binning).bins[5]
-        )
+        assert bins_of(values_with(5, lo), binning)[5] <= bins_of(values_with(5, hi), binning)[5]
 
-    def test_matches_digitize_oracle(self, params, binning, rng):
-        for _ in range(200):
-            goal, tip, origin = random_goal_tip(rng, params)
-            ds = encode(continuous_state(goal, tip, origin), binning)
-            expected = oracle_state_index(
-                goal.position, goal.direction, tip[:3, 3], tip[:3, 2], origin,
-                binning.d_tip_edges_mm, binning.phi_egoal_edges_rad, binning.d_max_mm,
-            )
-            assert ds.index == expected
+    def test_matches_digitize_oracle(self, binning, rng):
+        edges = binning.all_edges()
+        on_edges = [[e[i % 3] for e in edges] for i in range(3)]
+        spread = [rng.uniform(-0.5, 1.5, 10) * np.array([e[2] - e[0] for e in edges])
+                  + np.array([e[0] for e in edges]) for _ in range(300)]
+        for values in on_edges + [v.tolist() for v in spread]:
+            expected = oracle_bin_index(values, binning.d_tip_edges_mm,
+                                        binning.phi_egoal_edges_rad, binning.d_max_mm)
+            assert bin_and_pack(values, edges) == expected
+        columns = np.array(on_edges + spread).T
+        assert bin_and_pack_batch(list(columns[:GOAL_DIMS]), edges[:GOAL_DIMS]).tolist() == [
+            bin_and_pack(v[:GOAL_DIMS], edges[:GOAL_DIMS]) for v in columns.T.tolist()
+        ]
 
 
 class TestPacking:
@@ -207,40 +236,47 @@ class TestPacking:
         with pytest.raises(ValueError):
             unpack_index(-1)
 
-    def test_discrete_state_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            DiscreteState(bins=(0,) * 10, index=5)
-        with pytest.raises(ValueError):
-            DiscreteState.from_bins((4,) + (0,) * 9)
-
 
 class TestGoalBin:
-    def test_index_zero(self):
-        assert goal_bin(DiscreteState.from_index(0)) == 0
+    """The goal bin is the packed goal prefix, and the tip dims pack on below it."""
 
-    def test_leading_bin_weight(self):
-        ds = DiscreteState.from_bins((1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-        assert goal_bin(ds) == 256
+    def test_index_zero(self, binning):
+        edges = binning.all_edges()
+        values = values_for_digits((0,) * 10, edges)
+        assert bin_and_pack(values[:GOAL_DIMS], edges[:GOAL_DIMS]) == 0
+        assert bin_and_pack(values, edges) == 0
 
-    def test_max_prefix(self):
+    def test_leading_bin_weight(self, binning):
+        edges = binning.all_edges()[:GOAL_DIMS]
+        assert bin_and_pack(values_for_digits((1, 0, 0, 0, 0), edges), edges) == 256
+
+    def test_max_prefix(self, binning):
+        edges = binning.all_edges()
+        prefix = bin_and_pack(values_for_digits((3,) * GOAL_DIMS, edges), edges[:GOAL_DIMS])
+        assert prefix == N_GOAL_BINS - 1
         for suffix in (0, 1, N_TIP_STATES - 1):
-            ds = DiscreteState.from_index((N_GOAL_BINS - 1) * N_TIP_STATES + suffix)
-            assert goal_bin(ds) == N_GOAL_BINS - 1
+            tip_values = values_for_digits(unpack_index(suffix)[GOAL_DIMS:], edges[GOAL_DIMS:])
+            index = bin_and_pack(tip_values, edges[GOAL_DIMS:], prefix)
+            assert index == prefix * N_TIP_STATES + suffix
+            assert index // N_TIP_STATES == N_GOAL_BINS - 1
 
-    @given(prefix=st.tuples(*[st.integers(0, 3) for _ in range(5)]),
-           suffix_a=st.tuples(*[st.integers(0, 3) for _ in range(5)]),
-           suffix_b=st.tuples(*[st.integers(0, 3) for _ in range(5)]))
-    def test_invariant_under_tip_dims(self, prefix, suffix_a, suffix_b):
-        a = DiscreteState.from_bins(prefix + suffix_a)
-        b = DiscreteState.from_bins(prefix + suffix_b)
-        assert goal_bin(a) == goal_bin(b)
+    @given(prefix=goal_digits, suffix_a=goal_digits, suffix_b=goal_digits)
+    def test_invariant_under_tip_dims(self, binning, prefix, suffix_a, suffix_b):
+        edges = binning.all_edges()
+        goal = bin_and_pack(values_for_digits(prefix, edges), edges[:GOAL_DIMS])
+        for suffix in (suffix_a, suffix_b):
+            tip_values = values_for_digits(suffix, edges[GOAL_DIMS:])
+            index = bin_and_pack(tip_values, edges[GOAL_DIMS:], goal)
+            assert index // N_TIP_STATES == goal
+            assert index == pack_bins(prefix + suffix)
 
     def test_prefix_encoder_agrees_with_full_encode(self, params, binning, rng):
-        origin = rest_tip_origin(params.l0_mm)
         for _ in range(100):
             goal, tip, origin = random_goal_tip(rng, params)
-            ds = encode(continuous_state(goal, tip, origin), binning)
-            assert encode_goal_prefix(goal.position, goal.direction, origin, binning) == goal_bin(ds)
+            enc = StateEncoder(goal, origin, binning)
+            prefix = encode_goal_prefix(goal.position, goal.direction, origin, binning)
+            assert prefix == enc.goal_bin
+            assert enc.encode_tip_index(tip[:3, 3], tip[:3, 2]) // N_TIP_STATES == prefix
 
     def test_batch_prefix_encoder_agrees_with_scalar(self, params, binning, rng):
         origin = rest_tip_origin(params.l0_mm)
@@ -254,13 +290,13 @@ class TestGoalBin:
 
 class TestStateEncoder:
     def test_matches_direct_construction(self, params, binning, rng):
-        for _ in range(50):
-            goal, tip, origin = random_goal_tip(rng, params)
+        # one encoder per goal, fed a run of tips, as an episode uses it
+        for _ in range(10):
+            goal, _, origin = random_goal_tip(rng, params)
             enc = StateEncoder(goal, origin, binning)
-            direct = encode(continuous_state(goal, tip, origin), binning)
-            assert enc.encode_tip(tip[:3, 3], tip[:3, 2]) == direct
-            assert enc.goal_bin == goal_bin(direct)
-
+            for _ in range(20):
+                tip = arm_forward_kinematics(rng.uniform(0.0, params.p_max_kpa, 16), params)
+                check_against_oracle(goal, tip, origin, binning, enc)
 
     def test_suffix_batch_matches_per_goal_encoders(self, params, binning, rng):
         pairs = [random_goal_tip(rng, params)[:2] for _ in range(300)]
@@ -279,6 +315,7 @@ class TestStateEncoder:
         for goal, tip, s in zip(goals, tips, suffix.tolist()):
             index = StateEncoder(goal, origin, binning).encode_tip_index(tip[:3, 3], tip[:3, 2])
             assert index % N_TIP_STATES == s
+
 
 class TestValidation:
     def test_goal_direction_must_be_unit(self):
