@@ -2,8 +2,10 @@
 
 Pretrains a Q-table at the given quota, samples fresh evaluation goals, and
 runs both controllers greedily on the nominal and/or perturbed plant. Prints
-the per-controller summaries plus the two headline comparisons: how many goals
-each controller brings within 30 mm, and the ratio of median final errors.
+the per-controller summaries plus the headline comparisons: how many goals
+each controller brings within 30 mm, the ratio of median final errors, and
+both medians next to the hold baseline (the start error, which holding still
+would keep).
 
 Example:
     python3 scripts/compare_pretraining.py --quota 10 --goals 20 --seed 0
@@ -79,6 +81,9 @@ def main() -> int:
         print(f"[{plant_kind}] goals within {args.threshold_mm:g} mm: "
               f"pretrained {n_pre} vs zero-init {n_base} (need >= 2x)")
         print(f"[{plant_kind}] median final error ratio: {ratio:.3f} (need <= 0.5)")
+        print(f"[{plant_kind}] median final error: pretrained {pre.median_final_pos_mm():.1f} mm, "
+              f"zero-init {base.median_final_pos_mm():.1f} mm, "
+              f"hold baseline {pre.median_start_pos_mm():.1f} mm")
         print()
     return 0
 

@@ -143,14 +143,17 @@ def eval_cmd(config_path, table_path, zero_init, plant, seed, out_dir):
         except (QTableIOError, OSError) as exc:
             _fail(exc, 1)
         label = str(table_path)
-    report = evaluate(
-        table, cfg.eval_goals(),
-        params=cfg.arm, hp=cfg.hyper, action_spec=cfg.action,
-        reward_spec=cfg.reward, binning=cfg.binning,
-        plant_kind=plant, perturbed_cfg=cfg.perturbed,
-        repetitions=cfg.eval.repetitions, max_steps=cfg.eval.max_steps,
-        seed=cfg.eval.seed if seed is None else seed, label=label,
-    )
+    try:
+        report = evaluate(
+            table, cfg.eval_goals(),
+            params=cfg.arm, hp=cfg.hyper, action_spec=cfg.action,
+            reward_spec=cfg.reward, binning=cfg.binning,
+            plant_kind=plant, perturbed_cfg=cfg.perturbed,
+            repetitions=cfg.eval.repetitions, max_steps=cfg.eval.max_steps,
+            seed=cfg.eval.seed if seed is None else seed, label=label,
+        )
+    except ValueError as exc:  # a table that does not fit the config
+        _fail(exc, 1)
     target = out_dir if out_dir is not None else cfg.output.eval_dir
     try:
         paths = write_report_csvs(report, target)

@@ -6,9 +6,10 @@ wraps the same model with scaled gains, a gravity-sag surrogate, and
 observation noise, standing in for an imperfectly modeled physical arm.
 One episode drives the tip from a fixed initial pressurization toward a
 goal pose, one quasi-static action per step, optionally applying learning
-updates along the way. Training runs many episodes at once: train_lockstep
-steps one episode per goal bin together, bit-identical to run_episode
-called on each in turn.
+updates along the way. Training and evaluation run many episodes at once,
+each as one lane of a shared numpy step: train_lockstep steps one episode per
+goal bin, greedy_lockstep one per (goal, repetition). Both are bit-identical
+to run_episode called on each episode in turn.
 """
 
 from __future__ import annotations
@@ -141,32 +142,41 @@ class NominalPlant:
         return t0 @ t1 @ t2 @ t3
 
 
+def noise_generator(seed: int, episode: tuple[int, ...] = ()) -> np.random.Generator:
+    """The perturbed plant's observation-noise stream, keyed (seed, 1, *episode)."""
+    return np.random.default_rng(np.random.SeedSequence((seed, 1, *episode)))
+
+
 class PerturbedPlant:
     """Nominal kinematics with scaled gains, gravity droop, and tip noise.
 
-    Gain scales are fixed at construction (drawn from the config spread
-    when not pinned); the observation-noise stream advances across the
-    plant's whole life, so repeated episodes see fresh noise while the
-    sequence as a whole is reproducible from the seed.
+    Gain scales depend on the seed alone and are fixed at construction
+    (drawn from the config spread when not pinned). The observation noise
+    comes from noise_generator(seed, episode) and advances with every
+    apply(). Evaluation builds one plant per episode, keyed episode =
+    (goal index, repetition), so each episode's noise is its own stream and
+    does not depend on how long the other episodes ran; greedy_lockstep
+    draws those same streams for its lanes.
     """
 
-    def __init__(self, params: ArmParams, cfg: PerturbedPlantConfig, seed: int):
+    def __init__(self, params: ArmParams, cfg: PerturbedPlantConfig, seed: int,
+                 episode: tuple[int, ...] = ()):
         scale_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         lo, hi = 1.0 - cfg.scale_spread, 1.0 + cfg.scale_spread
         self.a_scale = cfg.a_scale if cfg.a_scale is not None else float(scale_rng.uniform(lo, hi))
         self.b_scale = cfg.b_scale if cfg.b_scale is not None else float(scale_rng.uniform(lo, hi))
         self.cfg = cfg
+        self.seed = seed
         self.nominal_params = params
-        self._true = NominalPlant(
-            ArmParams(
-                a_gain=params.a_gain * self.a_scale,
-                b_gain=params.b_gain * self.b_scale,
-                l0_mm=params.l0_mm,
-                p_max_kpa=params.p_max_kpa,
-                k_eps=params.k_eps,
-            )
+        self.true_params = ArmParams(
+            a_gain=params.a_gain * self.a_scale,
+            b_gain=params.b_gain * self.b_scale,
+            l0_mm=params.l0_mm,
+            p_max_kpa=params.p_max_kpa,
+            k_eps=params.k_eps,
         )
-        self._noise = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        self._true = NominalPlant(self.true_params)
+        self._noise = noise_generator(seed, episode)
 
     def reset(self) -> np.ndarray:
         return self._true.reset()
@@ -333,8 +343,79 @@ def pose_errors_batch(pose: np.ndarray, goal_pos: np.ndarray, goal_dir: np.ndarr
            + pose[:, 1, 2] * goal_dir[:, 1]
            + pose[:, 2, 2] * goal_dir[:, 2])
     # math.acos, not np.arccos: the two differ in the last bit on some inputs.
-    acos = np.fromiter(map(math.acos, np.clip(dot, -1.0, 1.0).tolist()), float, len(dot))
+    # minimum/maximum clip as np.clip does, without its per-call overhead.
+    cos = np.minimum(np.maximum(dot, -1.0), 1.0)
+    acos = np.fromiter(map(math.acos, cos.tolist()), float, len(dot))
     return pos, np.degrees(acos)
+
+
+class _Lanes:
+    """Episodes stepped together, one per lane: the step every lockstep loop runs.
+
+    Lanes g * repetitions .. (g + 1) * repetitions - 1 drive the tip toward
+    goal g from the fixed start pressurization, on the plant given by
+    ``params`` (the nominal model, or a perturbed plant's true_params). A step applies each lane's action, recomputes only
+    the segment it moved, rebuilds the tip pose as ((t0 @ t1) @ t2) @ t3 and
+    observes it: on a perturbed plant the tip first droops by ``droop_gain``
+    times its horizontal reach, then gets row ``t`` of the lane's (steps+1, 3)
+    ``noise`` block added. The observation sets pos, rot (pose_errors) and
+    state (the packed tip suffix). Per-lane arrays hold the lane on axis 0,
+    except ``segments`` (axis 1); ``ids`` holds each running lane's number.
+    """
+
+    def __init__(self, goals: Sequence[GoalPose], *, params: ArmParams,
+                 action_spec: ActionSpec, binning: BinningSpec, repetitions: int = 1,
+                 droop_gain: float | None = None, noise: np.ndarray | None = None):
+        n = len(goals) * repetitions
+        self.params, self.action_spec, self.binning = params, action_spec, binning
+        self.droop_gain, self.noise = droop_gain, noise
+        self.ids = np.arange(n)
+        self.goal_pos, self.goal_dir, self.frames = (
+            np.repeat(np.array(a).reshape(-1, *shape), repetitions, axis=0)
+            for a, shape in (([g.position for g in goals], (3,)),
+                             ([g.direction for g in goals], (3,)),
+                             ([goal_frame(g.direction).T for g in goals], (3, 3)))
+        )
+        start = np.full((N_SEGMENTS, N_CHAMBERS), params.p_max_kpa / 2.0)
+        self.pressures = np.broadcast_to(start, (n, N_SEGMENTS, N_CHAMBERS)).copy()
+        start_segments = segment_transform_batch(start, params)
+        self.segments = np.broadcast_to(start_segments[:, None], (N_SEGMENTS, n, 4, 4)).copy()
+        self.t = 0
+        self._observe()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _observe(self) -> None:
+        s = self.segments
+        pose = s[0] @ s[1] @ s[2] @ s[3]
+        if self.droop_gain is not None:
+            # math.hypot, not np.hypot: the two differ in the last bit on some inputs.
+            reach = map(math.hypot, pose[:, 0, 3].tolist(), pose[:, 1, 3].tolist())
+            pose[:, 2, 3] -= self.droop_gain * np.fromiter(reach, float, len(pose))
+        if self.noise is not None:
+            pose[:, :3, 3] += self.noise[:, self.t]
+        self.pos, self.rot = pose_errors_batch(pose, self.goal_pos, self.goal_dir)
+        self.state = encode_tip_suffix_batch(
+            pose[:, :3, 3], pose[:, :3, 2], self.goal_pos, self.frames, self.binning
+        )
+
+    def step(self, action: np.ndarray) -> None:
+        """Apply one action per lane and observe the new tip."""
+        seg = self.action_spec.apply_batch(self.pressures, action, self.params.p_max_kpa)
+        lane = np.arange(len(action))
+        self.segments[seg, lane] = segment_transform_batch(self.pressures[lane, seg], self.params)
+        self.t += 1
+        self._observe()
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the lanes where ``mask`` is False."""
+        for name in ("ids", "goal_pos", "goal_dir", "frames", "pressures", "pos", "rot",
+                     "state"):
+            setattr(self, name, getattr(self, name)[mask])
+        self.segments = self.segments[:, mask]
+        if self.noise is not None:
+            self.noise = self.noise[mask]
 
 
 def train_lockstep(
@@ -370,73 +451,158 @@ def train_lockstep(
     values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
     flags = np.zeros(values.shape, dtype=np.uint16)
     origin = rest_tip_origin(params.l0_mm)
-    start = np.full((N_SEGMENTS, N_CHAMBERS), params.p_max_kpa / 2.0)
-    start_segments = segment_transform_batch(start, params)
     rs = reward_spec
 
     for k in range(max((len(g) for g in goals_by_bin.values()), default=0)):
-        lanes = [i for i, b in enumerate(bins) if k < len(goals_by_bin[b])]
-        goals = [goals_by_bin[bins[i]][k] for i in lanes]
-        for i, goal in zip(lanes, goals):
+        blocks = [i for i, b in enumerate(bins) if k < len(goals_by_bin[b])]
+        goals = [goals_by_bin[bins[i]][k] for i in blocks]
+        for i, goal in zip(blocks, goals):
             prefix = encode_goal_prefix(goal.position, goal.direction, origin, binning)
             if prefix != bins[i]:
                 raise ValueError(f"goal {k} of bin {bins[i]} encodes to goal bin {prefix}")
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, bins[i], k)))
-                for i in lanes]
-        block = np.asarray(lanes, dtype=np.int64)
-        goal_pos = np.array([g.position for g in goals])
-        goal_dir = np.array([g.direction for g in goals])
-        frames = np.array([goal_frame(g.direction).T for g in goals])
-        n = len(lanes)
-        pressures = np.broadcast_to(start, (n, N_SEGMENTS, N_CHAMBERS)).copy()
-        segments = np.broadcast_to(start_segments[:, None], (N_SEGMENTS, n, 4, 4)).copy()
-        pose = segments[0] @ segments[1] @ segments[2] @ segments[3]
-        pos, rot = pose_errors_batch(pose, goal_pos, goal_dir)
-        state = encode_tip_suffix_batch(pose[:, :3, 3], pose[:, :3, 2], goal_pos, frames, binning)
-        done = rs.is_success(pos, rot)
+                for i in blocks]
+        block = np.asarray(blocks, dtype=np.int64)
+        lanes = _Lanes(goals, params=params, action_spec=action_spec, binning=binning)
+        done = rs.is_success(lanes.pos, lanes.rot)
 
         for _ in range(max_steps):
             if done.any():
                 keep = ~done
-                block, goal_pos, goal_dir, frames, pressures, pos, rot, state = (
-                    a[keep] for a in (block, goal_pos, goal_dir, frames, pressures,
-                                      pos, rot, state)
-                )
-                segments = segments[:, keep]
+                lanes.keep(keep)
+                block = block[keep]
                 rngs = [g for g, kept in zip(rngs, keep) if kept]
-            n = len(rngs)
+            n = len(lanes)
             if n == 0:
                 break
             # Each lane's draws follow select_action: one uniform per step,
             # then an action id on an exploring step.
             explore = np.fromiter((g.random() for g in rngs), float, n) < hp.epsilon
+            state = lanes.state
             action = values[block, state].argmax(axis=1)
             for i in np.flatnonzero(explore).tolist():
                 action[i] = rngs[i].integers(n_actions)
 
-            seg = action_spec.apply_batch(pressures, action, params.p_max_kpa)
-            lane = np.arange(n)
-            segments[seg, lane] = segment_transform_batch(pressures[lane, seg], params)
-            pose = segments[0] @ segments[1] @ segments[2] @ segments[3]
-
-            new_pos, new_rot = pose_errors_batch(pose, goal_pos, goal_dir)
-            next_state = encode_tip_suffix_batch(
-                pose[:, :3, 3], pose[:, :3, 2], goal_pos, frames, binning
-            )
-            done = rs.is_success(new_pos, new_rot)
-            reward = (rs.w_p_per_mm * (pos - new_pos) + rs.w_r_per_deg * (rot - new_rot)
+            pos, rot = lanes.pos, lanes.rot
+            lanes.step(action)
+            done = rs.is_success(lanes.pos, lanes.rot)
+            reward = (rs.w_p_per_mm * (pos - lanes.pos) + rs.w_r_per_deg * (rot - lanes.rot)
                       - rs.step_penalty)
             reward = np.where(done, reward + rs.goal_bonus, reward)
             if not np.isfinite(reward).all():
                 raise ValueError("reward must be finite")
 
             # QTable.update, lane by lane: float64 arithmetic, float32 storage.
-            target = reward + hp.gamma * values[block, next_state].max(axis=1).astype(np.float64)
+            target = reward + hp.gamma * values[block, lanes.state].max(axis=1).astype(np.float64)
             old = values[block, state, action].astype(np.float64)
             values[block, state, action] = old + hp.alpha * (target - old)
             flags[block, state, action] |= FLAG_TRAINED
-            state, pos, rot = next_state, new_pos, new_rot
 
     return QTable.from_blocks(
         {b: (values[i], flags[i]) for i, b in enumerate(bins)}, n_actions
+    )
+
+
+@dataclass(frozen=True)
+class GreedyRuns:
+    """Outcome of greedy_lockstep, indexed [goal, repetition] and, for series, step.
+
+    Series are padded to max_steps + 1 by holding an episode's last value.
+    ``selections[goal]`` counts the goal's action selections, over all its
+    repetitions, made on rows holding a trained entry, rows holding only
+    augmented entries, and empty rows (no flag set), in that order.
+    """
+
+    pos: np.ndarray          # (goals, repetitions, max_steps + 1)
+    rot: np.ndarray
+    success: np.ndarray      # (goals, repetitions)
+    selections: np.ndarray   # (goals, 3)
+
+
+def greedy_lockstep(
+    table: QTable,
+    goals: Sequence[GoalPose],
+    *,
+    repetitions: int,
+    params: ArmParams,
+    action_spec: ActionSpec,
+    reward_spec: RewardSpec,
+    binning: BinningSpec,
+    max_steps: int = 200,
+    plant: PerturbedPlant | None = None,
+) -> GreedyRuns:
+    """Run every (goal, repetition) episode greedily, all in lockstep; the table is read only.
+
+    Lane goal_i * repetitions + rep is the episode run_episode(train=False)
+    would run on NominalPlant(params) (plant None) or on
+    PerturbedPlant(params, plant.cfg, plant.seed, (goal_i, rep)), bit for
+    bit. Greedy selection takes the argmax of the lane's row, ties to the
+    lowest action id; rows come from the table's blocks for the goals' bins,
+    and read zero in a bin the table does not hold. A lane that reaches
+    success drops out.
+    """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if table.action_count != action_spec.action_count:
+        raise ValueError(f"table has {table.action_count} actions, "
+                         f"the action spec {action_spec.action_count}")
+    origin = rest_tip_origin(params.l0_mm)
+    goal_bins = [encode_goal_prefix(g.position, g.direction, origin, binning) for g in goals]
+    held = sorted(set(goal_bins) & table.blocks.keys())
+    # One block per held bin, then one zero block for the bins the table lacks.
+    values = np.zeros((len(held) + 1, N_TIP_STATES, table.action_count), dtype=np.float32)
+    flags = np.zeros(values.shape, dtype=np.uint16)
+    for i, b in enumerate(held):
+        values[i], flags[i] = table.blocks[b]
+    # Row kind: 0 holds a trained entry, 1 only augmented ones, 2 is empty.
+    kind = np.where((flags & FLAG_TRAINED).any(axis=2), 0, np.where(flags.any(axis=2), 1, 2))
+    block_of = {b: i for i, b in enumerate(held)}
+    lane_block = np.repeat([block_of.get(b, len(held)) for b in goal_bins], repetitions)
+
+    n = len(goals) * repetitions
+    length = max_steps + 1
+    fk_params, droop_gain, noise = params, None, None
+    if plant is not None:
+        fk_params, droop_gain = plant.true_params, plant.cfg.droop_gain
+        sigma = plant.cfg.tip_noise_sigma_mm
+        if sigma > 0.0:  # as in PerturbedPlant.apply, which then draws nothing
+            noise = np.array([
+                noise_generator(plant.seed, (g, rep)).normal(0.0, sigma, (length, 3))
+                for g in range(len(goals)) for rep in range(repetitions)
+            ])
+    lanes = _Lanes(goals, params=fk_params, action_spec=action_spec, binning=binning,
+                   repetitions=repetitions, droop_gain=droop_gain, noise=noise)
+
+    pos = np.empty((n, length))
+    rot = np.empty((n, length))
+    last = np.full(n, max_steps)
+    success = np.zeros(n, dtype=bool)
+    selections = np.zeros((n, 3), dtype=np.int64)
+    pos[:, 0], rot[:, 0] = lanes.pos, lanes.rot
+    done = reward_spec.is_success(lanes.pos, lanes.rot)
+    for step in range(1, length):
+        if done.any():
+            finished = lanes.ids[done]
+            success[finished] = True
+            last[finished] = step - 1
+            lanes.keep(~done)
+        if len(lanes) == 0:
+            break
+        block = lane_block[lanes.ids]
+        selections[lanes.ids, kind[block, lanes.state]] += 1
+        lanes.step(values[block, lanes.state].argmax(axis=1))
+        pos[lanes.ids, step], rot[lanes.ids, step] = lanes.pos, lanes.rot
+        done = reward_spec.is_success(lanes.pos, lanes.rot)
+    else:  # the lanes still running ended at the step limit
+        success[lanes.ids[done]] = True
+
+    held_last = np.arange(length) > last[:, None]
+    rows = np.arange(n)
+    pos = np.where(held_last, pos[rows, last][:, None], pos)
+    rot = np.where(held_last, rot[rows, last][:, None], rot)
+    shape = (len(goals), repetitions)
+    return GreedyRuns(
+        pos=pos.reshape(shape + (length,)), rot=rot.reshape(shape + (length,)),
+        success=success.reshape(shape),
+        selections=selections.reshape(shape + (3,)).sum(axis=1),
     )

@@ -1,9 +1,10 @@
 """Point-to-point evaluation runs: fixed goals, greedy policy, CSV curves.
 
 Each goal is attempted `repetitions` times with exploration off and the table
-frozen. Error curves are padded to a common length by holding the final value
-so early successes still average cleanly, then written as per-goal CSVs plus
-one aggregate CSV (mean curve over all goals).
+frozen; every (goal, repetition) episode is one lane of episode.greedy_lockstep.
+Error curves are padded to a common length by holding the final value so
+early successes still average cleanly, then written as per-goal CSVs plus one
+aggregate CSV (mean curve over all goals).
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import numpy as np
 
 from .episode import (
     SECONDS_PER_STEP,
-    NominalPlant,
     PerturbedPlant,
     PerturbedPlantConfig,
     RewardSpec,
-    run_episode,
+    greedy_lockstep,
 )
 from .kinematics import ArmParams, tip_batch
 from .qtable import ActionSpec, HyperParams, QTable
@@ -41,17 +41,15 @@ def sample_goals(params: ArmParams, n: int, rng: np.random.Generator) -> list[Go
     ]
 
 
-def _padded(series: Sequence[float], length: int) -> np.ndarray:
-    out = np.empty(length, dtype=float)
-    k = min(len(series), length)
-    out[:k] = series[:k]
-    out[k:] = series[k - 1]
-    return out
-
-
 @dataclass(frozen=True)
 class GoalResult:
-    """All repetitions of one goal: padded error curves plus per-rep outcomes."""
+    """All repetitions of one goal: padded error curves plus per-rep outcomes.
+
+    The three selection counts say on what kind of row the greedy policy
+    chose its actions, summed over the repetitions: a row holding a trained
+    entry, a row holding only augmented entries, or an empty row, where the
+    all-zero tie-break always picks action 0.
+    """
 
     goal: GoalPose
     pos_series: np.ndarray  # (repetitions, max_steps+1)
@@ -59,6 +57,13 @@ class GoalResult:
     final_pos_mm: np.ndarray  # (repetitions,)
     final_rot_deg: np.ndarray
     success: np.ndarray
+    trained_selections: int = 0
+    augmented_selections: int = 0
+    empty_selections: int = 0
+
+    def start_pos_mm(self) -> float:
+        """Positional error at step 0, averaged over repetitions: the hold-still baseline."""
+        return float(self.pos_series[:, 0].mean())
 
     def mean_pos_series(self) -> np.ndarray:
         return self.pos_series.mean(axis=0)
@@ -99,6 +104,16 @@ class EvalReport:
     def median_final_rot_deg(self) -> float:
         return float(np.median(self.final_rot_errors()))
 
+    def median_start_pos_mm(self) -> float:
+        """Median over goals of the step-0 error, which holding still would keep."""
+        return float(np.median([r.start_pos_mm() for r in self.results]))
+
+    def selection_counts(self) -> tuple[int, int, int]:
+        """Action selections on trained, augmented-only and empty rows, over all goals."""
+        return (sum(r.trained_selections for r in self.results),
+                sum(r.augmented_selections for r in self.results),
+                sum(r.empty_selections for r in self.results))
+
     def goals_reaching(self, threshold_mm: float) -> int:
         return sum(r.reaches(threshold_mm) for r in self.results)
 
@@ -120,11 +135,18 @@ class EvalReport:
             f"plant: {self.plant_kind}",
             f"goals: {len(self.results)}",
             f"repetitions per goal: {self.repetitions}",
+            f"median start (hold) positional error: {self.median_start_pos_mm():.2f} mm",
             f"median final positional error: {self.median_final_pos_mm():.2f} mm",
             f"mean final positional error: {self.mean_final_pos_mm():.2f} mm",
             f"median final rotational error: {self.median_final_rot_deg():.2f} deg",
             f"goals reaching {threshold_mm:g} mm: {reached} of {len(self.results)}",
         ]
+        counts = self.selection_counts()
+        total = sum(counts)
+        if total:
+            trained, augmented, empty = (100.0 * c / total for c in counts)
+            lines.append(f"rows selected on: {trained:.1f}% trained, {augmented:.1f}% "
+                         f"augmented only, {empty:.1f}% empty (of {total} selections)")
         steps = self.mean_steps_to(threshold_mm)
         if steps is not None:
             lines.append(
@@ -152,10 +174,14 @@ def evaluate(
 ) -> EvalReport:
     """Evaluate a table (or a zero-initialized one when None) on fixed goals.
 
-    Episodes run greedily with learning off; the table is never written. On
-    the perturbed plant a single plant instance serves the whole run, so its
-    sampled gain scales are shared and its noise stream keeps advancing,
-    which is what makes repetitions differ.
+    Episodes run greedily with learning off, as lanes of one
+    episode.greedy_lockstep call; the table is never written, and it must
+    have the action spec's action count (ValueError before any step
+    otherwise). On the perturbed plant the gain scales come from one seed,
+    derived from ``seed``, for the whole run, and each (goal, repetition)
+    episode draws observation noise from its own stream, keyed by that seed,
+    the goal index and the repetition: repetitions differ, and a goal's
+    result does not depend on the other goals evaluated with it.
     """
     if not goals:
         raise ValueError("need at least one goal")
@@ -172,42 +198,29 @@ def evaluate(
     elif label is None:
         label = "table"
 
+    plant = None
     if plant_kind == "perturbed":
         cfg = perturbed_cfg if perturbed_cfg is not None else PerturbedPlantConfig()
-        plant: NominalPlant | PerturbedPlant = PerturbedPlant(
+        plant = PerturbedPlant(
             params, cfg, seed=int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
         )
-    else:
-        plant = NominalPlant(params)
-
-    length = max_steps + 1
-    results = []
-    for goal_i, goal in enumerate(goals):
-        pos = np.empty((repetitions, length))
-        rot = np.empty((repetitions, length))
-        final_pos = np.empty(repetitions)
-        final_rot = np.empty(repetitions)
-        success = np.zeros(repetitions, dtype=bool)
-        for rep in range(repetitions):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 2, goal_i, rep)))
-            log = run_episode(
-                plant, goal, table, hp,
-                params=params, action_spec=action_spec, reward_spec=reward_spec,
-                binning=binning, max_steps=max_steps, rng=rng, train=False,
-            )
-            pos[rep] = _padded(log.pos_error_series(), length)
-            rot[rep] = _padded(log.rot_error_series(), length)
-            final_pos[rep] = log.final_pos_error_mm
-            final_rot[rep] = log.final_rot_error_deg
-            success[rep] = log.success
-        results.append(
-            GoalResult(
-                goal=goal, pos_series=pos, rot_series=rot,
-                final_pos_mm=final_pos, final_rot_deg=final_rot, success=success,
-            )
+    runs = greedy_lockstep(
+        table, goals, repetitions=repetitions, params=params, action_spec=action_spec,
+        reward_spec=reward_spec, binning=binning, max_steps=max_steps, plant=plant,
+    )
+    results = tuple(
+        GoalResult(
+            goal=goal, pos_series=runs.pos[i], rot_series=runs.rot[i],
+            final_pos_mm=runs.pos[i, :, -1], final_rot_deg=runs.rot[i, :, -1],
+            success=runs.success[i],
+            trained_selections=int(runs.selections[i, 0]),
+            augmented_selections=int(runs.selections[i, 1]),
+            empty_selections=int(runs.selections[i, 2]),
         )
+        for i, goal in enumerate(goals)
+    )
     return EvalReport(
-        label=label, plant_kind=plant_kind, results=tuple(results),
+        label=label, plant_kind=plant_kind, results=results,
         repetitions=repetitions, max_steps=max_steps,
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +104,14 @@ class BinningSpec:
             _AZIMUTH_EDGES,          # theta_etip
             _ELEVATION_EDGES,        # phi_etip
         )
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, ...]:
+        """all_edges() as read-only float arrays, built once: the batch encoders' input."""
+        arrays = tuple(np.array(e, dtype=float) for e in self.all_edges())
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def pack_bins(bins) -> int:
@@ -197,10 +206,15 @@ def bin_and_pack(values, edges, index: int = 0) -> int:
 
 
 def bin_and_pack_batch(columns, edges) -> np.ndarray:
-    """bin_and_pack from zero for n states at once; ``columns[d]`` holds dim d's n values."""
+    """bin_and_pack from zero for n states at once; ``columns[d]`` holds dim d's n values.
+
+    Pass edges as arrays (BinningSpec.edge_arrays) on hot paths: a tuple is
+    converted on every call.
+    """
     index = np.zeros(len(columns[0]), dtype=np.int64)
     for values, dim_edges in zip(columns, edges):
-        index = index * N_BINS_PER_DIM + np.searchsorted(dim_edges, values, side="right")
+        bins = np.asarray(dim_edges, dtype=float).searchsorted(values, side="right")
+        index = index * N_BINS_PER_DIM + bins
     return index
 
 
@@ -236,7 +250,7 @@ def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -
     theta_e = np.where(theta_e >= np.pi, -np.pi, theta_e)
     phi_e = np.arccos(np.clip(dirn[:, 2] / np.linalg.norm(dirn, axis=1), -1.0, 1.0))
     columns = (r, theta_d, phi_d, theta_e, phi_e)
-    return bin_and_pack_batch(columns, spec.all_edges()[:GOAL_DIMS])
+    return bin_and_pack_batch(columns, spec.edge_arrays[:GOAL_DIMS])
 
 
 def _spherical_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -250,7 +264,7 @@ def _spherical_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     tiny = r < _TINY_RADIUS
     theta = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, n)
     theta[theta >= math.pi] = -math.pi
-    cos_phi = np.clip(z / np.where(tiny, 1.0, r), -1.0, 1.0)
+    cos_phi = np.minimum(np.maximum(z / np.where(tiny, 1.0, r), -1.0), 1.0)
     phi = np.fromiter(map(math.acos, cos_phi.tolist()), float, n)
     theta[tiny] = 0.0
     phi[tiny] = 0.0
@@ -272,7 +286,7 @@ def encode_tip_suffix_batch(tip_pos, tip_dir, goal_pos, goal_frames, spec: Binni
            + goal_frames[:, :, 2] * tip_dir[:, 2, None])
     _, theta_etip, phi_etip = _spherical_batch(rel[:, 0], rel[:, 1], rel[:, 2])
     columns = (d_tip, theta_dtip, phi_dtip, theta_etip, phi_etip)
-    return bin_and_pack_batch(columns, spec.all_edges()[GOAL_DIMS:])
+    return bin_and_pack_batch(columns, spec.edge_arrays[GOAL_DIMS:])
 
 
 class StateEncoder:

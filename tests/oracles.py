@@ -7,6 +7,9 @@ from value iteration instead of temporal-difference learning, and the
 state construction from a second spherical-coordinate derivation. None
 of these import from hpnarm. The goal-bank writer spells out the .hpnb
 layout field by field, so tests can write files the library never would.
+The one exception is oracle_evaluate: it replays evaluation episode by
+episode through the library's scalar run_episode loop, the reference the
+lockstep evaluation must match bit for bit.
 """
 
 from __future__ import annotations
@@ -195,3 +198,58 @@ def write_goal_bank(path, bins, rows, *, seed, quota, budget, fingerprint, sampl
     )
     with open(path, "wb") as fh:
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
+
+
+# ---------------------------------------------------------------------------
+# Episode-by-episode evaluation
+# ---------------------------------------------------------------------------
+
+def oracle_evaluate(table, goals, *, params, action_spec, reward_spec, binning,
+                    plant_kind="nominal", perturbed_cfg=None, repetitions=3,
+                    max_steps=200, seed=0):
+    """evaluate() as one scalar run_episode(train=False) call per (goal, repetition).
+
+    Every episode gets a plant of its own: NominalPlant, or a PerturbedPlant on
+    the run's plant seed whose noise stream is keyed by (goal index,
+    repetition). Returns the GoalResults, selection counts included, read from
+    the episode logs: an action is selected on the state of the record before it.
+    """
+    from hpnarm.episode import NominalPlant, PerturbedPlant, PerturbedPlantConfig, run_episode
+    from hpnarm.evalrun import GoalResult
+    from hpnarm.qtable import FLAG_TRAINED, HyperParams, QTable
+
+    if table is None:
+        table = QTable(action_spec.action_count)
+    cfg = perturbed_cfg if perturbed_cfg is not None else PerturbedPlantConfig()
+    plant_seed = int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
+    length = max_steps + 1
+    results = []
+    for goal_i, goal in enumerate(goals):
+        pos = np.empty((repetitions, length))
+        rot = np.empty((repetitions, length))
+        success = np.zeros(repetitions, dtype=bool)
+        counts = [0, 0, 0]
+        for rep in range(repetitions):
+            if plant_kind == "perturbed":
+                plant = PerturbedPlant(params, cfg, plant_seed, (goal_i, rep))
+            else:
+                plant = NominalPlant(params)
+            log = run_episode(
+                plant, goal, table, HyperParams(), params=params, action_spec=action_spec,
+                reward_spec=reward_spec, binning=binning, max_steps=max_steps,
+                rng=np.random.default_rng(0), train=False,
+            )
+            series = [(r.pos_error_mm, r.rot_error_deg) for r in log.records]
+            series += [series[-1]] * (length - len(series))
+            pos[rep], rot[rep] = np.array(series).T
+            success[rep] = log.success
+            for record in log.records[:-1]:
+                flags = table.flags(record.state_index)
+                counts[0 if (flags & FLAG_TRAINED).any() else 1 if flags.any() else 2] += 1
+        results.append(GoalResult(
+            goal=goal, pos_series=pos, rot_series=rot,
+            final_pos_mm=pos[:, -1].copy(), final_rot_deg=rot[:, -1].copy(), success=success,
+            trained_selections=counts[0], augmented_selections=counts[1],
+            empty_selections=counts[2],
+        ))
+    return results

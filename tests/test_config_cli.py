@@ -320,6 +320,18 @@ class TestEvalCommand:
         assert both.exit_code == 2
         assert neither.exit_code == 2
 
+    @pytest.mark.parametrize("action_count", [16, 40])
+    def test_table_with_wrong_action_count_exits_1(self, runner, tmp_path, action_count):
+        q = QTable(action_count)
+        q.set_entry(5, action_count - 1, 1.0, FLAG_TRAINED)
+        path = tmp_path / "wrong.qt"
+        save(q, path)
+        out = tmp_path / "ev"
+        result = runner.invoke(main, ["eval", "--table", str(path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: table has {action_count} actions" in result.output
+        assert not out.exists()
+
     def test_unreadable_table_exits_1(self, runner, tmp_path):
         missing = runner.invoke(main, ["eval", "--table", str(tmp_path / "no.qt")])
         assert missing.exit_code == 1

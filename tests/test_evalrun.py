@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpnarm import ArmParams, BinningSpec, GoalPose, arm_forward_kinematics
-from hpnarm.episode import RewardSpec
+from hpnarm import ArmParams, BinningSpec, GoalPose, arm_forward_kinematics, episode
+from hpnarm.episode import PerturbedPlantConfig, RewardSpec
 from hpnarm.evalrun import (
     EVAL_CSV_COLUMNS,
     EvalReport,
@@ -11,7 +11,11 @@ from hpnarm.evalrun import (
     sample_goals,
     write_report_csvs,
 )
-from hpnarm.qtable import ActionSpec, FLAG_TRAINED, HyperParams, QTable
+from hpnarm.pretrain import build_goal_bank, pretrain_shard
+from hpnarm.qtable import FLAG_AUGMENTED, ActionSpec, FLAG_TRAINED, HyperParams, QTable, augment
+from hpnarm.state import StateEncoder, rest_tip_origin
+
+from oracles import oracle_evaluate
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +174,152 @@ class TestCsvOutput:
             step, t, pos, rot = lines[3].split(",")
             assert step == "2" and t == "4.0"
             float(pos), float(rot)  # plain dot-decimal numbers
+
+
+LOOSE_REWARD = RewardSpec(success_pos_mm=200.0, success_rot_deg=90.0)
+
+
+@pytest.fixture(scope="module")
+def trained(specs):
+    """A small augmented table, plus goals in its trained bins and elsewhere."""
+    rng = np.random.default_rng(np.random.SeedSequence((31, 1)))
+    bank = build_goal_bank(specs["params"], 2, 60_000, rng, binning=specs["binning"])
+    bins = bank.reachable_bins()
+    table = augment(pretrain_shard(
+        bins, 31, bank, specs["hp"], params=specs["params"], action_spec=specs["action_spec"],
+        reward_spec=specs["reward_spec"], binning=specs["binning"], max_steps=60,
+    ))
+    goals = [start_pose_goal(specs["params"])]
+    goals += [bank.goals_for(b)[0] for b in bins[:4]]
+    goals += sample_goals(specs["params"], 3, np.random.default_rng(8))
+    return table, goals
+
+
+def assert_matches_oracle(report, oracle_results, tmp_path):
+    assert len(report.results) == len(oracle_results)
+    for got, want in zip(report.results, oracle_results):
+        for name in ("pos_series", "rot_series", "final_pos_mm", "final_rot_deg", "success"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("trained_selections", "augmented_selections", "empty_selections"):
+            assert getattr(got, name) == getattr(want, name), name
+    oracle_report = EvalReport(label=report.label, plant_kind=report.plant_kind,
+                               results=tuple(oracle_results), repetitions=report.repetitions,
+                               max_steps=report.max_steps)
+    got_paths = write_report_csvs(report, tmp_path / "lockstep")
+    want_paths = write_report_csvs(oracle_report, tmp_path / "oracle")
+    assert [p.name for p in got_paths] == [p.name for p in want_paths]
+    for a, b in zip(got_paths, want_paths):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def run_both(specs, table, goals, **kwargs):
+    kwargs = {"seed": 5, **kwargs}
+    reward_spec = kwargs.pop("reward_spec", specs["reward_spec"])
+    common = {k: v for k, v in specs.items() if k not in ("hp", "reward_spec")}
+    report = evaluate(table, goals, hp=specs["hp"], reward_spec=reward_spec, **common, **kwargs)
+    return report, oracle_evaluate(table, goals, reward_spec=reward_spec, **common, **kwargs)
+
+
+class TestLockstepMatchesEpisodeOracle:
+    """evaluate() equals one scalar run_episode per (goal, repetition), bit for bit."""
+
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    @pytest.mark.parametrize("use_table", [True, False], ids=["table", "zero-init"])
+    @pytest.mark.parametrize("reward", ["default", "loose"])
+    def test_full_length_episodes(self, specs, trained, tmp_path, plant_kind, use_table, reward):
+        table, goals = trained
+        reward_spec = LOOSE_REWARD if reward == "loose" else specs["reward_spec"]
+        report, oracle = run_both(specs, table if use_table else None, goals,
+                                  plant_kind=plant_kind, reward_spec=reward_spec,
+                                  repetitions=3, max_steps=200)
+        assert_matches_oracle(report, oracle, tmp_path)
+        success = np.array([r.success for r in report.results])
+        if plant_kind == "nominal":
+            assert success[0].all()  # the start-pose goal succeeds at step 0
+        if reward == "loose" and use_table:
+            # Episodes end at different steps, so lanes drop out mid-run.
+            assert 0 < success[1:].sum() < success[1:].size
+
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    @pytest.mark.parametrize("max_steps", [1, 17])
+    def test_short_episodes(self, specs, trained, tmp_path, plant_kind, repetitions, max_steps):
+        table, goals = trained
+        report, oracle = run_both(specs, table, goals, plant_kind=plant_kind,
+                                  reward_spec=LOOSE_REWARD, repetitions=repetitions,
+                                  max_steps=max_steps)
+        assert_matches_oracle(report, oracle, tmp_path)
+
+    @pytest.mark.parametrize("use_table", [True, False], ids=["table", "zero-init"])
+    def test_noise_free_perturbed_plant(self, specs, trained, tmp_path, use_table):
+        table, goals = trained
+        cfg = PerturbedPlantConfig(tip_noise_sigma_mm=0.0)
+        report, oracle = run_both(specs, table if use_table else None, goals,
+                                  plant_kind="perturbed", perturbed_cfg=cfg,
+                                  repetitions=3, max_steps=200)
+        assert_matches_oracle(report, oracle, tmp_path)
+        for r in report.results:  # no noise: the repetitions agree
+            assert np.array_equal(r.pos_series[0], r.pos_series[2])
+
+    def test_goal_result_does_not_depend_on_the_other_goals(self, specs, trained):
+        table, goals = trained
+        kwargs = dict(plant_kind="perturbed", reward_spec=LOOSE_REWARD, repetitions=3,
+                      max_steps=60, seed=2, **{k: v for k, v in specs.items()
+                                               if k != "reward_spec"})
+        alone = evaluate(table, goals[1:2], **kwargs).results[0]
+        together = evaluate(table, goals[1:], **kwargs).results[0]
+        for name in ("pos_series", "rot_series", "success"):
+            assert np.array_equal(getattr(alone, name), getattr(together, name))
+
+
+class TestActionCount:
+    @pytest.mark.parametrize("action_count", [16, 40])
+    def test_mismatched_table_rejected_before_any_step(self, specs, monkeypatch, action_count):
+        table = QTable(action_count)
+        table.set_entry(5, action_count - 1, 1.0, FLAG_TRAINED)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(episode, "segment_transform_batch", no_step)
+        goal = sample_goals(specs["params"], 1, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=f"table has {action_count} actions"):
+            evaluate(table, goal, max_steps=5, repetitions=1, **specs)
+
+
+class TestRowCoverage:
+    def test_counts_follow_the_row_kind_at_the_start_state(self, specs):
+        params = specs["params"]
+        goals = sample_goals(params, 3, np.random.default_rng(1))
+        starts = []
+        for g in goals:
+            pose = arm_forward_kinematics(np.full(16, params.p_max_kpa / 2.0), params)
+            encoder = StateEncoder(g, rest_tip_origin(params.l0_mm), specs["binning"])
+            starts.append(encoder.encode_tip_index(pose[:3, 3], pose[:3, 2]))
+        assert len({s // 1024 for s in starts}) == 3
+        table = QTable()
+        table.set_entry(starts[0], 4, 1.0, FLAG_TRAINED)
+        table.set_entry(starts[1], 9, 1.0, FLAG_AUGMENTED)
+        report = evaluate(table, goals, max_steps=1, repetitions=2, **specs)
+        counts = [(r.trained_selections, r.augmented_selections, r.empty_selections)
+                  for r in report.results]
+        assert counts == [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+        assert report.selection_counts() == (2, 2, 2)
+        assert "33.3% trained, 33.3% augmented only, 33.3% empty (of 6 selections)" in (
+            report.summary())
+
+    def test_no_selection_when_the_start_succeeds(self, specs):
+        report = evaluate(None, [start_pose_goal(specs["params"])], max_steps=5,
+                          repetitions=2, **specs)
+        assert report.selection_counts() == (0, 0, 0)
+        assert "rows selected on" not in report.summary()
+
+    def test_summary_reports_the_hold_baseline(self):
+        results = tuple(synthetic_result([[s, 10.0]]) for s in (40.0, 50.0, 90.0))
+        report = EvalReport(label="x", plant_kind="nominal", results=results,
+                            repetitions=1, max_steps=1)
+        assert results[0].start_pos_mm() == 40.0
+        assert report.median_start_pos_mm() == 50.0
+        assert "median start (hold) positional error: 50.00 mm" in report.summary()

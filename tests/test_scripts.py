@@ -37,6 +37,11 @@ def test_compare_pretraining(tmp_path):
         re.fullmatch(r"\[nominal\] median final error ratio: \d+\.\d{3} .*", line)
         for line in lines
     ), lines
+    assert any(
+        re.fullmatch(r"\[nominal\] median final error: pretrained \d+\.\d mm, "
+                     r"zero-init \d+\.\d mm, hold baseline \d+\.\d mm", line)
+        for line in lines
+    ), lines
     assert not any(line.startswith("[perturbed]") for line in lines)
 
 
