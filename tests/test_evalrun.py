@@ -263,6 +263,41 @@ class TestLockstepMatchesEpisodeOracle:
         for r in report.results:  # no noise: the repetitions agree
             assert np.array_equal(r.pos_series[0], r.pos_series[2])
 
+    def test_strong_droop_on_varied_poses(self, specs, tmp_path):
+        # np.hypot and math.hypot disagree in the last bit on about 0.6% of
+        # inputs. A random table steers each goal along its own path, and a
+        # droop gain of 1 lets such a difference in the reach survive the
+        # subtraction from the tip height.
+        origin = rest_tip_origin(specs["params"].l0_mm)
+        goals = sample_goals(specs["params"], 40, np.random.default_rng(21))
+        rng = np.random.default_rng(22)
+        blocks = {}
+        for g in goals:
+            b = StateEncoder(g, origin, specs["binning"]).goal_bin
+            blocks[b] = (rng.normal(size=(1024, 32)), np.ones((1024, 32), dtype=np.uint16))
+        table = QTable.from_blocks(blocks)
+        cfg = PerturbedPlantConfig(tip_noise_sigma_mm=0.0, droop_gain=1.0)
+        report, oracle = run_both(specs, table, goals, plant_kind="perturbed",
+                                  perturbed_cfg=cfg, repetitions=1, max_steps=200)
+        assert_matches_oracle(report, oracle, tmp_path)
+
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    def test_success_on_the_last_step(self, specs, trained, tmp_path, plant_kind):
+        table, goals = trained
+        kwargs = dict(plant_kind=plant_kind, reward_spec=LOOSE_REWARD, repetitions=1)
+        report, _ = run_both(specs, table, goals[1:], max_steps=200, **kwargs)
+        ends = [
+            int(np.argmax((r.pos_series[0] < LOOSE_REWARD.success_pos_mm)
+                          & (r.rot_series[0] < LOOSE_REWARD.success_rot_deg)))
+            for r in report.results
+        ]
+        i, end = next((i, end) for i, end in enumerate(ends)
+                      if report.results[i].success[0] and end > 0)
+        # Stop every episode at the step where goal i succeeds.
+        report, oracle = run_both(specs, table, goals[1:], max_steps=end, **kwargs)
+        assert report.results[i].success[0]
+        assert_matches_oracle(report, oracle, tmp_path)
+
     def test_goal_result_does_not_depend_on_the_other_goals(self, specs, trained):
         table, goals = trained
         kwargs = dict(plant_kind="perturbed", reward_spec=LOOSE_REWARD, repetitions=3,
