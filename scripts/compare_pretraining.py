@@ -66,7 +66,7 @@ def main() -> int:
         for label, tbl in (("pretrained", table), ("zero-init", None)):
             reports[label] = evaluate(
                 tbl, goals,
-                params=params, hp=hp, action_spec=cfg.action,
+                params=params, action_spec=cfg.action,
                 reward_spec=cfg.reward, binning=cfg.binning,
                 plant_kind=plant_kind, perturbed_cfg=cfg.perturbed,
                 repetitions=cfg.eval.repetitions, max_steps=cfg.eval.max_steps,

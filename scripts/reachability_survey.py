@@ -29,22 +29,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hpnarm.kinematics import ArmParams, tip_batch
-from hpnarm.state import N_GOAL_BINS, BinningSpec, encode_goal_prefix_batch, rest_tip_origin
+from hpnarm.kinematics import ArmParams
+from hpnarm.pretrain import _binned_batches
+from hpnarm.state import N_GOAL_BINS, BinningSpec
 
 
 def bin_histogram(params, binning, budget, seed, batch=65536):
+    """Hits per goal bin over `budget` samples, drawn as pretrain draws its goal bank."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    origin = rest_tip_origin(params.l0_mm)
     hist = np.zeros(N_GOAL_BINS, dtype=np.int64)
-    remaining = budget
-    while remaining > 0:
-        n = min(batch, remaining)
-        pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
-        positions, directions = tip_batch(pressures, params)
-        bins = encode_goal_prefix_batch(positions, directions, origin, binning)
+    for _, _, bins in _binned_batches(params, binning, budget, rng, batch):
         hist += np.bincount(bins, minlength=N_GOAL_BINS)
-        remaining -= n
     return hist
 
 

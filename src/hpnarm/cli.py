@@ -146,7 +146,7 @@ def eval_cmd(config_path, table_path, zero_init, plant, seed, out_dir):
     try:
         report = evaluate(
             table, cfg.eval_goals(),
-            params=cfg.arm, hp=cfg.hyper, action_spec=cfg.action,
+            params=cfg.arm, action_spec=cfg.action,
             reward_spec=cfg.reward, binning=cfg.binning,
             plant_kind=plant, perturbed_cfg=cfg.perturbed,
             repetitions=cfg.eval.repetitions, max_steps=cfg.eval.max_steps,

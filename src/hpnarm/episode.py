@@ -8,8 +8,9 @@ One episode drives the tip from a fixed initial pressurization toward a
 goal pose, one quasi-static action per step, optionally applying learning
 updates along the way. Training and evaluation run many episodes at once,
 each as one lane of a shared numpy step: train_lockstep steps one episode per
-goal bin, greedy_lockstep one per (goal, repetition). Both are bit-identical
-to run_episode called on each episode in turn.
+goal bin, greedy_lockstep one per (goal, repetition), or one per goal on the
+nominal plant, where repetitions are identical. Both are bit-identical to
+run_episode called on each episode in turn.
 """
 
 from __future__ import annotations
@@ -533,13 +534,16 @@ def greedy_lockstep(
 ) -> GreedyRuns:
     """Run every (goal, repetition) episode greedily, all in lockstep; the table is read only.
 
-    Lane goal_i * repetitions + rep is the episode run_episode(train=False)
-    would run on NominalPlant(params) (plant None) or on
-    PerturbedPlant(params, plant.cfg, plant.seed, (goal_i, rep)), bit for
-    bit. Greedy selection takes the argmax of the lane's row, ties to the
-    lowest action id; rows come from the table's blocks for the goals' bins,
-    and read zero in a bin the table does not hold. A lane that reaches
-    success drops out.
+    Repetition rep of goal_i is the episode run_episode(train=False) would
+    run on NominalPlant(params) (plant None) or on PerturbedPlant(params,
+    plant.cfg, plant.seed, (goal_i, rep)), bit for bit. On a perturbed plant
+    each repetition is a lane of its own. The nominal plant is deterministic
+    and greedy selection draws nothing, so there all repetitions of a goal
+    are the same episode: it runs once, as one lane, and is copied.
+    Greedy selection takes the argmax of the lane's row, ties to the lowest
+    action id; rows come from the table's blocks for the goals' bins, and
+    read zero in a bin the table does not hold. A lane that reaches success
+    drops out.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -557,9 +561,11 @@ def greedy_lockstep(
     # Row kind: 0 holds a trained entry, 1 only augmented ones, 2 is empty.
     kind = np.where((flags & FLAG_TRAINED).any(axis=2), 0, np.where(flags.any(axis=2), 1, 2))
     block_of = {b: i for i, b in enumerate(held)}
-    lane_block = np.repeat([block_of.get(b, len(held)) for b in goal_bins], repetitions)
+    copies = repetitions if plant is None else 1
+    lane_reps = repetitions // copies  # lanes per goal
+    lane_block = np.repeat([block_of.get(b, len(held)) for b in goal_bins], lane_reps)
 
-    n = len(goals) * repetitions
+    n = len(goals) * lane_reps
     length = max_steps + 1
     fk_params, droop_gain, noise = params, None, None
     if plant is not None:
@@ -571,7 +577,7 @@ def greedy_lockstep(
                 for g in range(len(goals)) for rep in range(repetitions)
             ])
     lanes = _Lanes(goals, params=fk_params, action_spec=action_spec, binning=binning,
-                   repetitions=repetitions, droop_gain=droop_gain, noise=noise)
+                   repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
 
     pos = np.empty((n, length))
     rot = np.empty((n, length))
@@ -600,9 +606,10 @@ def greedy_lockstep(
     rows = np.arange(n)
     pos = np.where(held_last, pos[rows, last][:, None], pos)
     rot = np.where(held_last, rot[rows, last][:, None], rot)
-    shape = (len(goals), repetitions)
+    shape = (len(goals), lane_reps)
     return GreedyRuns(
-        pos=pos.reshape(shape + (length,)), rot=rot.reshape(shape + (length,)),
-        success=success.reshape(shape),
-        selections=selections.reshape(shape + (3,)).sum(axis=1),
+        pos=np.repeat(pos.reshape(shape + (length,)), copies, axis=1),
+        rot=np.repeat(rot.reshape(shape + (length,)), copies, axis=1),
+        success=np.repeat(success.reshape(shape), copies, axis=1),
+        selections=selections.reshape(shape + (3,)).sum(axis=1) * copies,
     )

@@ -1,7 +1,9 @@
 """Point-to-point evaluation runs: fixed goals, greedy policy, CSV curves.
 
 Each goal is attempted `repetitions` times with exploration off and the table
-frozen; every (goal, repetition) episode is one lane of episode.greedy_lockstep.
+frozen, as lanes of one episode.greedy_lockstep call: one lane per (goal,
+repetition) on the perturbed plant, one per goal on the deterministic nominal
+plant, whose repetitions are identical.
 Error curves are padded to a common length by holding the final value so
 early successes still average cleanly, then written as per-goal CSVs plus one
 aggregate CSV (mean curve over all goals).
@@ -161,7 +163,7 @@ def evaluate(
     goals: Sequence[GoalPose],
     *,
     params: ArmParams,
-    hp: HyperParams,
+    hp: HyperParams | None = None,
     action_spec: ActionSpec,
     reward_spec: RewardSpec,
     binning: BinningSpec,
@@ -182,6 +184,10 @@ def evaluate(
     episode draws observation noise from its own stream, keyed by that seed,
     the goal index and the repetition: repetitions differ, and a goal's
     result does not depend on the other goals evaluated with it.
+
+    ``hp`` is ignored, since greedy evaluation reads no hyperparameter; the
+    keyword stays only because the benchmark harness (perfbench/layers.py)
+    still passes it.
     """
     if not goals:
         raise ValueError("need at least one goal")

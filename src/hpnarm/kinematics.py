@@ -199,41 +199,55 @@ def tip_batch(pressures, params: ArmParams) -> tuple[np.ndarray, np.ndarray]:
 
     ``pressures`` has shape (n, 16) or (n, 4, 4). Returns (positions (n, 3),
     directions (n, 3)). Equivalent to calling arm_forward_kinematics per row;
-    used for bulk workspace sampling.
+    used for bulk workspace sampling. Only the columns the tip needs are
+    taken from the last segment product; each row's result does not depend
+    on the other rows of the batch.
     """
     p = np.asarray(pressures, dtype=float).reshape(-1, N_SEGMENTS, N_CHAMBERS)
-    if ((~np.isfinite(p)) | (p < 0.0) | (p > params.p_max_kpa)).any():
+    # NaN fails both comparisons, so this single check also catches non-finites.
+    if not ((p >= 0.0) & (p <= params.p_max_kpa)).all():
         raise PressureRangeError("batch contains a pressure outside range")
-    n = p.shape[0]
-    pose = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
+    t = np.zeros((p.shape[0], 4, 4))
+    t[:, 3, 3] = 1.0
     for seg in range(N_SEGMENTS):
-        d13 = p[:, seg, 0] - p[:, seg, 2]
-        d24 = p[:, seg, 1] - p[:, seg, 3]
+        p1, p2, p3, p4 = p[:, seg, 0], p[:, seg, 1], p[:, seg, 2], p[:, seg, 3]
+        d13 = p1 - p3
+        d24 = p2 - p4
         vx = d13 * E1[0] + d24 * E2[0]
         vy = d13 * E1[1] + d24 * E2[1]
         nv = np.hypot(vx, vy)
         k = params.a_gain * nv
-        l = params.b_gain * p[:, seg].sum(axis=1) + params.l0_mm
+        # Added left to right, the order in which sum(axis=1) adds four values.
+        l = params.b_gain * (p1 + p2 + p3 + p4) + params.l0_mm
         straight = k < params.k_eps
-        nv_safe = np.where(straight, 1.0, nv)
-        k_safe = np.where(straight, 1.0, k)
-        cp = np.where(straight, 1.0, vx / nv_safe)
-        sp = np.where(straight, 0.0, vy / nv_safe)
-        th = np.where(straight, 0.0, k * l)
+        any_straight = straight.any()
+        if any_straight:
+            nv_safe = np.where(straight, 1.0, nv)
+            cp = np.where(straight, 1.0, vx / nv_safe)
+            sp = np.where(straight, 0.0, vy / nv_safe)
+            th = np.where(straight, 0.0, k * l)
+            k = np.where(straight, 1.0, k)
+        else:
+            cp, sp, th = vx / nv, vy / nv, k * l
         c, s = np.cos(th), np.sin(th)
-        t = np.zeros((n, 4, 4))
-        t[:, 0, 0] = cp * cp * (c - 1.0) + 1.0
-        t[:, 0, 1] = sp * cp * (c - 1.0)
-        t[:, 0, 2] = cp * s
-        t[:, 0, 3] = np.where(straight, 0.0, cp * (1.0 - c) / k_safe)
-        t[:, 1, 0] = sp * cp * (c - 1.0)
-        t[:, 1, 1] = cp * cp * (1.0 - c) + c
-        t[:, 1, 2] = sp * s
-        t[:, 1, 3] = np.where(straight, 0.0, sp * (1.0 - c) / k_safe)
-        t[:, 2, 0] = -cp * s
-        t[:, 2, 1] = -sp * s
+        c_m1, one_mc = c - 1.0, 1.0 - c
+        cp_cp, cp_s, sp_s = cp * cp, cp * s, sp * s
+        t[:, 0, 0] = cp_cp * c_m1 + 1.0
+        t[:, 0, 1] = t[:, 1, 0] = sp * cp * c_m1
+        t[:, 0, 2] = cp_s
+        t[:, 0, 3] = cp * one_mc / k
+        t[:, 1, 1] = cp_cp * one_mc + c
+        t[:, 1, 2] = sp_s
+        t[:, 1, 3] = sp * one_mc / k
+        t[:, 2, 0] = -cp_s
+        t[:, 2, 1] = -sp_s
         t[:, 2, 2] = c
-        t[:, 2, 3] = np.where(straight, l, s / k_safe)
-        t[:, 3, 3] = 1.0
-        pose = pose @ t
-    return pose[:, :3, 3], pose[:, :3, 2]
+        t[:, 2, 3] = s / k
+        if any_straight:  # the rows above already read 0 for the other translations
+            t[straight, 2, 3] = l[straight]
+        if seg == 0:
+            pose = t.copy()
+        elif seg < N_SEGMENTS - 1:
+            pose = pose @ t
+    tip = pose[:, :3] @ t[:, :, 2:]
+    return tip[:, :, 1], tip[:, :, 0]

@@ -16,12 +16,14 @@ gives the same table bit for bit as training them all at once.
 
 from __future__ import annotations
 
+import os
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from struct import Struct
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +40,13 @@ from .state import (
 
 DEFAULT_SAMPLE_BUDGET = 1_000_000
 GOAL_SAMPLE_BATCH = 8192
+
+# The goal bank runs FK on at most this many threads, in tasks of at most
+# _ROWS_PER_TASK rows. Small tasks keep each thread's working set small: glibc
+# gives every thread its own malloc arena and keeps what a thread freed there,
+# so 8192-row tasks left about 10 MB more resident after a default pretrain.
+_MAX_BANK_WORKERS = 4
+_ROWS_PER_TASK = 2048
 
 # Runs past this many training episodes take hours, not minutes; they must be
 # requested explicitly so a mistyped quota cannot launch one by accident.
@@ -97,6 +106,74 @@ class GoalBank:
         return self.quota * len(self.goals)
 
 
+def _bank_workers() -> int:
+    """FK threads for the goal bank: the cores this process may run on, capped."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, _MAX_BANK_WORKERS))
+
+
+def _fk_and_bin(pressures, params: ArmParams, origin, binning: BinningSpec, out) -> None:
+    """FK and goal-bin encoding of a block of pressure rows, written into `out`."""
+    positions, directions = tip_batch(pressures, params)
+    out_pos, out_dir, out_bins = out
+    out_pos[:] = positions
+    out_dir[:] = directions
+    out_bins[:] = encode_goal_prefix_batch(positions, directions, origin, binning)
+
+
+def _binned_batches(
+    params: ArmParams,
+    binning: BinningSpec,
+    budget: int,
+    rng: np.random.Generator,
+    batch_size: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (positions, directions, goal bins) for each batch of random pressures.
+
+    The calling thread draws `budget` uniform pressure vectors from `rng` in
+    batches of `batch_size` (the last one shorter), in stream order, at most
+    one batch per pool thread ahead of the batch it yields. The pool runs FK
+    and goal-bin encoding on row blocks of each batch, and batches are
+    yielded in draw order, so what is yielded does not depend on the thread
+    count. Closing the generator early rewinds `rng` to its state right
+    after the last batch yielded: batches drawn ahead leave no trace.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _bank_workers()
+    origin = rest_tip_origin(params.l0_mm)
+    pending: deque = deque()  # (outputs, their futures, rng state after the draw)
+    last_state = rng.bit_generator.state
+    drawn = 0
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="goal-bank")
+    try:
+        while drawn < budget or pending:
+            while drawn < budget and len(pending) < workers:
+                n = min(batch_size, budget - drawn)
+                pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
+                drawn += n
+                # From this thread's malloc arena, not the pool threads' (see above).
+                out = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n, dtype=np.int64))
+                futures = [
+                    pool.submit(_fk_and_bin, pressures[r:r + _ROWS_PER_TASK], params,
+                                origin, binning, tuple(a[r:r + _ROWS_PER_TASK] for a in out))
+                    for r in range(0, n, _ROWS_PER_TASK)
+                ]
+                pending.append((out, futures, rng.bit_generator.state))
+            out, futures, state = pending.popleft()
+            for future in futures:
+                future.result()
+            last_state = state
+            yield out
+    finally:
+        if pending:
+            rng.bit_generator.state = last_state
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def build_goal_bank(
     params: ArmParams,
     quota: int,
@@ -111,6 +188,13 @@ def build_goal_bank(
     Consumes at most `budget` forward-kinematics evaluations. Bins still short
     of `quota` when the budget runs out are dropped as unreachable; their
     partial goal lists are discarded rather than padded.
+
+    FK and goal-bin encoding run on a pool of threads, one per core this
+    process may use (at most _MAX_BANK_WORKERS), while this thread draws the
+    pressure batches from `rng` in stream order and files the results into
+    bins strictly in draw order. The bank, `samples_used` and the state `rng`
+    is left in are therefore byte-identical to one thread doing it all: a
+    batch drawn ahead of an early stop is rewound out of `rng`.
     """
     if quota < 1:
         raise ValueError("quota must be >= 1")
@@ -122,24 +206,25 @@ def build_goal_bank(
         rng = np.random.default_rng()
     if binning is None:
         binning = BinningSpec()
-    origin = rest_tip_origin(params.l0_mm)
 
     needed = np.full(N_GOAL_BINS, quota, dtype=np.int64)
     stash: list[list[GoalPose]] = [[] for _ in range(N_GOAL_BINS)]
     used = 0
-    while used < budget and needed.any():
-        n = min(batch_size, budget - used)
-        pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
-        used += n
-        positions, directions = tip_batch(pressures, params)
-        bins = encode_goal_prefix_batch(positions, directions, origin, binning)
-        for i in np.nonzero(needed[bins] > 0)[0]:
-            b = int(bins[i])
-            if needed[b] > 0:  # the bin may have filled earlier in this batch
-                stash[b].append(
-                    GoalPose(position=positions[i].copy(), direction=directions[i].copy())
-                )
-                needed[b] -= 1
+    batches = _binned_batches(params, binning, budget, rng, batch_size)
+    try:
+        for positions, directions, bins in batches:
+            used += len(bins)
+            for i in np.nonzero(needed[bins] > 0)[0]:
+                b = int(bins[i])
+                if needed[b] > 0:  # the bin may have filled earlier in this batch
+                    stash[b].append(
+                        GoalPose(position=positions[i].copy(), direction=directions[i].copy())
+                    )
+                    needed[b] -= 1
+            if not needed.any():
+                break
+    finally:
+        batches.close()
 
     reachable = needed == 0
     if not reachable.any():

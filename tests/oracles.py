@@ -7,9 +7,12 @@ from value iteration instead of temporal-difference learning, and the
 state construction from a second spherical-coordinate derivation. None
 of these import from hpnarm. The goal-bank writer spells out the .hpnb
 layout field by field, so tests can write files the library never would.
-The one exception is oracle_evaluate: it replays evaluation episode by
-episode through the library's scalar run_episode loop, the reference the
-lockstep evaluation must match bit for bit.
+
+Three references are frozen copies instead, which the library must match bit
+for bit. oracle_evaluate replays evaluation episode by episode through the
+library's scalar run_episode loop. oracle_tip_batch is the batch FK formula
+as first written, and oracle_goal_bank the goal-bank loop that ran it on
+one thread, batch after batch; it bins goals with the library's encoder.
 """
 
 from __future__ import annotations
@@ -74,6 +77,85 @@ def oracle_arm_pose(pressures, a_gain, b_gain, l0_mm, n_points=10_000):
         pos = pos + rot @ local_pos
         rot = rot @ seg_rot
     return rot, pos
+
+
+# ---------------------------------------------------------------------------
+# Batch FK and the goal-bank loop, as first written
+# ---------------------------------------------------------------------------
+
+_HALF_SQRT2 = math.sqrt(2.0) / 2.0
+_E1 = np.array([_HALF_SQRT2, -_HALF_SQRT2])
+_E2 = np.array([_HALF_SQRT2, _HALF_SQRT2])
+
+
+def oracle_tip_batch(pressures, a_gain, b_gain, l0_mm, k_eps=1e-9):
+    """Tip positions and directions of (n, 16) pressures: the full product of
+    four 4x4 segment transforms, one masked formula for every row."""
+    p = np.asarray(pressures, dtype=float).reshape(-1, 4, 4)
+    n = p.shape[0]
+    pose = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
+    for seg in range(4):
+        d13 = p[:, seg, 0] - p[:, seg, 2]
+        d24 = p[:, seg, 1] - p[:, seg, 3]
+        vx = d13 * _E1[0] + d24 * _E2[0]
+        vy = d13 * _E1[1] + d24 * _E2[1]
+        nv = np.hypot(vx, vy)
+        k = a_gain * nv
+        l = b_gain * p[:, seg].sum(axis=1) + l0_mm
+        straight = k < k_eps
+        nv_safe = np.where(straight, 1.0, nv)
+        k_safe = np.where(straight, 1.0, k)
+        cp = np.where(straight, 1.0, vx / nv_safe)
+        sp = np.where(straight, 0.0, vy / nv_safe)
+        th = np.where(straight, 0.0, k * l)
+        c, s = np.cos(th), np.sin(th)
+        t = np.zeros((n, 4, 4))
+        t[:, 0, 0] = cp * cp * (c - 1.0) + 1.0
+        t[:, 0, 1] = sp * cp * (c - 1.0)
+        t[:, 0, 2] = cp * s
+        t[:, 0, 3] = np.where(straight, 0.0, cp * (1.0 - c) / k_safe)
+        t[:, 1, 0] = sp * cp * (c - 1.0)
+        t[:, 1, 1] = cp * cp * (1.0 - c) + c
+        t[:, 1, 2] = sp * s
+        t[:, 1, 3] = np.where(straight, 0.0, sp * (1.0 - c) / k_safe)
+        t[:, 2, 0] = -cp * s
+        t[:, 2, 1] = -sp * s
+        t[:, 2, 2] = c
+        t[:, 2, 3] = np.where(straight, l, s / k_safe)
+        t[:, 3, 3] = 1.0
+        pose = pose @ t
+    return pose[:, :3, 3], pose[:, :3, 2]
+
+
+def oracle_goal_bank(params, binning, quota, budget, rng, batch_size):
+    """The goal bank drawn, FK'd, binned and filed one batch at a time on one thread.
+
+    Returns ({bin: (quota, 6) goal rows}, reachable flags, samples used) and
+    leaves ``rng`` right after the last batch drawn. Bins are read through
+    ``hpnarm.state.encode_goal_prefix_batch`` at call time, so a test that
+    replaces it there replaces it here too.
+    """
+    from hpnarm import state
+
+    origin = state.rest_tip_origin(params.l0_mm)
+    needed = np.full(state.N_GOAL_BINS, quota, dtype=np.int64)
+    stash = [[] for _ in range(state.N_GOAL_BINS)]
+    used = 0
+    while used < budget and needed.any():
+        n = min(batch_size, budget - used)
+        pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
+        used += n
+        positions, directions = oracle_tip_batch(
+            pressures, params.a_gain, params.b_gain, params.l0_mm, params.k_eps)
+        bins = state.encode_goal_prefix_batch(positions, directions, origin, binning)
+        for i in np.nonzero(needed[bins] > 0)[0]:
+            b = int(bins[i])
+            if needed[b] > 0:
+                stash[b].append(np.concatenate([positions[i], directions[i]]))
+                needed[b] -= 1
+    reachable = needed == 0
+    goals = {int(b): np.array(stash[b]) for b in np.nonzero(reachable)[0]}
+    return goals, reachable, used
 
 
 # ---------------------------------------------------------------------------

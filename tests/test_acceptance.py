@@ -212,7 +212,8 @@ def test_criterion_06_pretraining_benefit_nominal(capsys, pretrained_setup):
     ok = n_pre >= 2 * n_base and m_pre <= 0.5 * m_base and wall < 600.0
     report(capsys, 6, ok,
            f"nominal plant: goals within 30mm {n_pre} vs {n_base} (need >=2x), "
-           f"median final {m_pre:.1f} vs {m_base:.1f} mm (need <=50%), "
+           f"median final {m_pre:.1f} vs {m_base:.1f} mm (need <=50%; "
+           f"start (hold) {pre.median_start_pos_mm():.1f} mm), "
            f"pretrain {wall:.0f}s of 600s")
 
 
@@ -220,10 +221,11 @@ def test_criterion_07_transfer_to_perturbed_plant(capsys, pretrained_setup):
     reports = pretrained_setup["reports"]
     m_pre = reports["perturbed", "pretrained"].median_final_pos_mm()
     m_base = reports["perturbed", "zero-init"].median_final_pos_mm()
+    m_start = reports["perturbed", "pretrained"].median_start_pos_mm()
     ok = m_pre < m_base
     report(capsys, 7, ok,
            f"perturbed plant: median final {m_pre:.1f} mm (pretrained) "
-           f"vs {m_base:.1f} mm (zero-init)")
+           f"vs {m_base:.1f} mm (zero-init), start (hold) {m_start:.1f} mm")
 
 
 def test_criterion_08_augmentation_contract(capsys):

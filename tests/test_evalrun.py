@@ -80,6 +80,36 @@ class TestEvaluate:
             assert np.array_equal(r.pos_series[0], r.pos_series[1])
             assert np.array_equal(r.pos_series[0], r.pos_series[2])
 
+    @pytest.mark.parametrize("plant_kind, lanes_per_goal", [("nominal", 1), ("perturbed", 3)])
+    def test_nominal_repetitions_share_one_lane(self, specs, monkeypatch, plant_kind,
+                                                lanes_per_goal):
+        widths = []
+        init = episode._Lanes.__init__
+
+        def counting_init(lanes, *args, **kwargs):
+            init(lanes, *args, **kwargs)
+            widths.append(len(lanes))
+
+        monkeypatch.setattr(episode._Lanes, "__init__", counting_init)
+        goals = sample_goals(specs["params"], 4, np.random.default_rng(1))
+        report = evaluate(None, goals, max_steps=5, repetitions=3, plant_kind=plant_kind,
+                          **specs)
+        assert widths == [4 * lanes_per_goal]
+        for r in report.results:
+            assert r.pos_series.shape == (3, 6) and r.success.shape == (3,)
+            # every repetition's 5 selections are counted
+            assert r.trained_selections + r.augmented_selections + r.empty_selections == 15
+
+    def test_hyperparameters_are_ignored(self, specs):
+        goals = sample_goals(specs["params"], 2, np.random.default_rng(1))
+        kwargs = {k: v for k, v in specs.items() if k != "hp"}
+        without = evaluate(None, goals, max_steps=10, repetitions=2, **kwargs)
+        odd = HyperParams(alpha=1.0, gamma=0.0, epsilon=1.0)
+        with_hp = evaluate(None, goals, max_steps=10, repetitions=2, hp=odd, **kwargs)
+        for a, b in zip(without.results, with_hp.results):
+            assert a.pos_series.tobytes() == b.pos_series.tobytes()
+            assert a.rot_series.tobytes() == b.rot_series.tobytes()
+
     def test_perturbed_repetitions_differ(self, specs):
         goals = sample_goals(specs["params"], 1, np.random.default_rng(1))
         report = evaluate(
@@ -218,7 +248,7 @@ def run_both(specs, table, goals, **kwargs):
     kwargs = {"seed": 5, **kwargs}
     reward_spec = kwargs.pop("reward_spec", specs["reward_spec"])
     common = {k: v for k, v in specs.items() if k not in ("hp", "reward_spec")}
-    report = evaluate(table, goals, hp=specs["hp"], reward_spec=reward_spec, **common, **kwargs)
+    report = evaluate(table, goals, reward_spec=reward_spec, **common, **kwargs)
     return report, oracle_evaluate(table, goals, reward_spec=reward_spec, **common, **kwargs)
 
 

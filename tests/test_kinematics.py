@@ -18,7 +18,7 @@ from hpnarm import (
     validate_pressures,
 )
 from hpnarm.kinematics import segment_transform_batch
-from oracles import oracle_arm_pose
+from oracles import oracle_arm_pose, oracle_tip_batch
 
 configs = st.builds(
     SegmentConfig,
@@ -197,6 +197,53 @@ class TestArmForwardKinematics:
             pose = arm_forward_kinematics(ps[i], params)
             assert np.allclose(positions[i], pose[:3, 3], atol=1e-9)
             assert np.allclose(directions[i], pose[:3, 2], atol=1e-12)
+
+
+def _pressure_rows(kind, rng, p_max, n=4096):
+    """(n, 16) pressures: uniform, with straight segments, or at 0 and p_max."""
+    p = rng.uniform(0.0, p_max, (n, 16))
+    if kind == "straight":  # equal antagonistic pairs in about half the segments
+        segs = p.reshape(n, 4, 4)
+        flat = rng.random((n, 4)) < 0.5
+        segs[flat, 2] = segs[flat, 0]
+        segs[flat, 3] = segs[flat, 1]
+        segs[:3] = 7.5  # whole arms straight, one at a uniform pressure
+    elif kind == "boundary":
+        p = rng.choice([0.0, p_max], size=(n, 16))
+        p[0], p[1] = 0.0, p_max
+    elif kind == "mixed":
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p[rng.random(p.shape) < 0.2] = p_max
+    return p
+
+
+class TestTipBatchMatchesFirstFormula:
+    """tip_batch is bit-identical to the full four-product formula it replaced."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "straight", "boundary", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical(self, params, kind, seed):
+        ps = _pressure_rows(kind, np.random.default_rng(seed), params.p_max_kpa)
+        got = tip_batch(ps, params)
+        want = oracle_tip_batch(ps, params.a_gain, params.b_gain, params.l0_mm, params.k_eps)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(ps), 3)
+            assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+
+    def test_rows_do_not_depend_on_the_batch(self, params):
+        ps = _pressure_rows("mixed", np.random.default_rng(2), params.p_max_kpa, n=3000)
+        whole = tip_batch(ps, params)
+        parts = [tip_batch(ps[i:i + 1024], params) for i in range(0, 3000, 1024)]
+        for k in range(2):
+            joined = np.concatenate([part[k] for part in parts])
+            assert joined.tobytes() == np.ascontiguousarray(whole[k]).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -1e-300, 60.000001])
+    def test_one_bad_value_rejects_the_batch(self, params, bad):
+        ps = np.full((5, 16), 30.0)
+        ps[3, 9] = bad
+        with pytest.raises(PressureRangeError):
+            tip_batch(ps, params)
 
 
 class TestValidation:

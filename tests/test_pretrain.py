@@ -1,5 +1,8 @@
 import hashlib
 import importlib
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hpnarm.pretrain import (
 )
 from hpnarm.qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, augment, load, save
 from hpnarm.state import N_GOAL_BINS, N_TIP_STATES, encode_goal_prefix
-from oracles import write_goal_bank
+from oracles import oracle_goal_bank, write_goal_bank
 
 # Frozen reachable-bin count for default arm/binning at quota=10, budget=1e6.
 # Measured identically (64) over six disjoint seed streams before freezing.
@@ -134,6 +137,124 @@ class TestBuildGoalBank:
         )
         count = len(bank.reachable_bins())
         assert abs(count - REACHABLE_BINS_AT_QUOTA_10) <= 0.05 * REACHABLE_BINS_AT_QUOTA_10
+
+
+# hpnarm.pretrain as a package attribute is the function, not the module.
+pretrain_module = importlib.import_module("hpnarm.pretrain")
+
+
+@pytest.fixture
+def bank_threads(monkeypatch):
+    """Set the goal bank's thread count exactly, whatever the host's core count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
+    def set_threads(count):
+        monkeypatch.setattr(pretrain_module, "_MAX_BANK_WORKERS", count)
+
+    return set_threads
+
+
+def assert_bank_matches_oracle(bank, oracle):
+    goals, reachable, used = oracle
+    assert bank.samples_used == used
+    assert bank.reachable.tobytes() == reachable.tobytes()
+    assert bank.reachable_bins() == sorted(goals)
+    for b, rows in goals.items():
+        got = np.array([np.concatenate([g.position, g.direction]) for g in bank.goals_for(b)])
+        assert got.tobytes() == rows.tobytes(), b
+
+
+class TestGoalBankThreads:
+    """The threaded goal bank equals the one-thread loop bit for bit."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("batch_size", [1000, 3000, 8192])
+    @pytest.mark.parametrize("seed", [0, 7, 401])
+    def test_bank_and_rng_state_match_the_sequential_loop(self, specs, bank_threads, seed,
+                                                          batch_size, threads):
+        bank_threads(threads)
+        rng, oracle_rng = bank_rng(seed), bank_rng(seed)
+        bank = build_goal_bank(specs["params"], 2, 25_000, rng, binning=specs["binning"],
+                               batch_size=batch_size)
+        oracle = oracle_goal_bank(specs["params"], specs["binning"], 2, 25_000, oracle_rng,
+                                  batch_size)
+        assert_bank_matches_oracle(bank, oracle)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("batch_size", [1000, 3000])
+    def test_batches_drawn_ahead_of_an_early_stop_are_rewound(
+            self, specs, bank_threads, monkeypatch, batch_size, threads):
+        # Bins spread by the tip position's low digits, so all 1024 fill and the
+        # bank stops long before its budget, with batches already drawn ahead.
+        def scattered_bins(positions, directions, origin, binning):
+            return (np.abs(positions[:, 0]) * 1e6).astype(np.int64) % N_GOAL_BINS
+
+        monkeypatch.setattr(pretrain_module, "encode_goal_prefix_batch", scattered_bins)
+        monkeypatch.setattr(importlib.import_module("hpnarm.state"),
+                            "encode_goal_prefix_batch", scattered_bins)
+        rows_drawn = []
+
+        class CountingGenerator(np.random.Generator):
+            def uniform(self, low, high, size):
+                rows_drawn.append(size[0])
+                return super().uniform(low, high, size)
+
+        bank_threads(threads)
+        rng = CountingGenerator(np.random.PCG64(np.random.SeedSequence((3, 1))))
+        oracle_rng = bank_rng(3)
+        bank = build_goal_bank(specs["params"], 1, 500_000, rng, binning=specs["binning"],
+                               batch_size=batch_size)
+        oracle = oracle_goal_bank(specs["params"], specs["binning"], 1, 500_000, oracle_rng,
+                                  batch_size)
+        assert bank.reachable.all()
+        assert bank.samples_used < 500_000
+        # Each of the other threads had a batch drawn when the bank filled.
+        assert sum(rows_drawn) == bank.samples_used + (threads - 1) * batch_size
+        assert_bank_matches_oracle(bank, oracle)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert rng.random() == oracle_rng.random()
+
+    def test_many_small_tasks_on_more_threads_than_cores(self, specs, bank_threads,
+                                                         monkeypatch):
+        # Tasks of 97 rows, so a batch spans several threads and they finish out
+        # of order; a short switch interval interleaves them as much as it can.
+        monkeypatch.setattr(pretrain_module, "_ROWS_PER_TASK", 97)
+        bank_threads(2 * len(os.sched_getaffinity(0)) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rng, oracle_rng = bank_rng(11), bank_rng(11)
+            bank = build_goal_bank(specs["params"], 2, 12_000, rng,
+                                   binning=specs["binning"], batch_size=1500)
+        finally:
+            sys.setswitchinterval(interval)
+        oracle = oracle_goal_bank(specs["params"], specs["binning"], 2, 12_000, oracle_rng, 1500)
+        assert_bank_matches_oracle(bank, oracle)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_a_failing_task_raises_and_leaves_no_thread(self, specs, bank_threads,
+                                                        monkeypatch):
+        calls = []
+
+        def failing(pressures, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("task failed")
+            return fk_and_bin(pressures, *args)
+
+        fk_and_bin = pretrain_module._fk_and_bin
+        monkeypatch.setattr(pretrain_module, "_fk_and_bin", failing)
+        bank_threads(2)
+        with pytest.raises(FloatingPointError, match="task failed"):
+            build_goal_bank(specs["params"], 1, 60_000, bank_rng(0),
+                            binning=specs["binning"], batch_size=1000)
+        assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
+
+    def test_threads_end_with_the_call(self, specs, bank_threads):
+        bank_threads(3)
+        build_goal_bank(specs["params"], 1, 20_000, bank_rng(0), binning=specs["binning"])
+        assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
 
 
 class TestGoalBankValidation:
@@ -468,9 +589,7 @@ class TestPretrainPipeline:
         def no_sampling(*args, **kwargs):
             raise AssertionError("arguments must be checked before sampling starts")
 
-        # hpnarm.pretrain as a package attribute is the function, not the module
-        module = importlib.import_module("hpnarm.pretrain")
-        monkeypatch.setattr(module, "build_goal_bank", no_sampling)
+        monkeypatch.setattr(pretrain_module, "build_goal_bank", no_sampling)
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
         full = {"quota": 1, "seed": 0, **kwargs}
         with pytest.raises(ValueError):
