@@ -220,7 +220,7 @@ class TestGoalBankThreads:
         # Tasks of 97 rows, so a batch spans several threads and they finish out
         # of order; a short switch interval interleaves them as much as it can.
         monkeypatch.setattr(pretrain_module, "_ROWS_PER_TASK", 97)
-        bank_threads(2 * len(os.sched_getaffinity(0)) + 1)
+        bank_threads((os.cpu_count() or 1) + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -236,6 +236,7 @@ class TestGoalBankThreads:
     def test_a_failing_task_raises_and_leaves_no_thread(self, specs, bank_threads,
                                                         monkeypatch):
         calls = []
+        fk_and_bin = pretrain_module._fk_and_bin
 
         def failing(pressures, *args):
             calls.append(1)
@@ -243,7 +244,6 @@ class TestGoalBankThreads:
                 raise FloatingPointError("task failed")
             return fk_and_bin(pressures, *args)
 
-        fk_and_bin = pretrain_module._fk_and_bin
         monkeypatch.setattr(pretrain_module, "_fk_and_bin", failing)
         bank_threads(2)
         with pytest.raises(FloatingPointError, match="task failed"):
