@@ -10,6 +10,7 @@ import pytest
 from hpnarm import ArmParams, BinningSpec, GoalPose, StateEncoder, rest_tip_origin
 from hpnarm.episode import NominalPlant, RewardSpec, run_episode, train_lockstep
 from hpnarm.pretrain import (
+    DEFAULT_SAMPLE_BUDGET,
     GoalBank,
     GoalBankError,
     MergeConflictError,
@@ -34,6 +35,13 @@ REACHABLE_BINS_AT_QUOTA_10 = 64
 # first release; any change to the bytes a pretrain writes must update it
 # on purpose.
 SMALL_PRETRAIN_SHA256 = "999f09bba45f809b4cf20a9e164fab7d64f4d4211315bbc2cc4dadcfbd0c85f6"
+
+# sha256 of the .hpnb files save_goal_bank writes, with the default config's
+# fingerprint, for the small_bank setup (seed 5, quota 2, budget 60,000) and for
+# seed 0 at the default quota 10 and budget 1e6. Frozen while the bank was still
+# held as GoalPose tuples; the file bytes must not move with its representation.
+SMALL_BANK_SHA256 = "cbe4cb04b116c95d22bdb101e12db5d5ed54fa639f5bb5e449b01b79f8e557c8"
+DEFAULT_BANK_SHA256 = "72cd96b4083deeea75178a51de7aa8fc601aa0ca49abdbd12e29350bf03e25c7"
 
 
 def bank_rng(seed):
@@ -278,6 +286,21 @@ _BANK_SETUP = dict(seed=5, quota=2, budget=60_000, fingerprint=0)
 
 
 class TestBankCache:
+    def test_small_bank_file_matches_frozen_digest(self, specs, small_bank, tmp_path):
+        path = tmp_path / "small.hpnb"
+        save_goal_bank(small_bank, path, seed=5, budget=60_000,
+                       fingerprint=config_fingerprint(specs["params"], specs["binning"]))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_BANK_SHA256
+
+    def test_default_bank_file_matches_frozen_digest(self, specs, tmp_path):
+        bank = build_goal_bank(specs["params"], 10, DEFAULT_SAMPLE_BUDGET, bank_rng(0),
+                               binning=specs["binning"])
+        assert len(bank.reachable_bins()) == REACHABLE_BINS_AT_QUOTA_10
+        path = tmp_path / "default.hpnb"
+        save_goal_bank(bank, path, seed=0, budget=DEFAULT_SAMPLE_BUDGET,
+                       fingerprint=config_fingerprint(specs["params"], specs["binning"]))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_BANK_SHA256
+
     @pytest.fixture()
     def saved(self, specs, small_bank, tmp_path):
         fp = config_fingerprint(specs["params"], specs["binning"])
