@@ -38,7 +38,7 @@ def bin_histogram(params, binning, budget, seed, batch=65536):
     """Hits per goal bin over `budget` samples, drawn as pretrain draws its goal bank."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     hist = np.zeros(N_GOAL_BINS, dtype=np.int64)
-    for _, _, bins in _binned_batches(params, binning, budget, rng, batch):
+    for _, bins in _binned_batches(params, binning, budget, rng, batch):
         hist += np.bincount(bins, minlength=N_GOAL_BINS)
     return hist
 

@@ -13,8 +13,6 @@ from .kinematics import (
     SegmentConfig,
     actuation_to_config,
     arm_forward_kinematics,
-    pose_position,
-    pose_to_direction,
     segment_transform,
     tip_batch,
     validate_pressures,
@@ -29,8 +27,6 @@ __all__ = [
     "SegmentConfig",
     "actuation_to_config",
     "arm_forward_kinematics",
-    "pose_position",
-    "pose_to_direction",
     "segment_transform",
     "tip_batch",
     "validate_pressures",

@@ -15,11 +15,9 @@ run_episode called on each episode in turn.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,14 +36,12 @@ from .state import (
     BinningSpec,
     GoalPose,
     StateEncoder,
+    check_goal_bins,
     encode_goal_prefix,
     encode_tip_suffix_batch,
     goal_frame,
     rest_tip_origin,
 )
-
-CSV_COLUMNS = ("step", "time_s", "pos_error_mm", "rot_error_deg",
-               "state_index", "action_id", "reward")
 
 # Label-only conversion between controller steps and wall seconds in CSVs.
 SECONDS_PER_STEP = 2.0
@@ -154,10 +150,11 @@ class PerturbedPlant:
     Gain scales depend on the seed alone and are fixed at construction
     (drawn from the config spread when not pinned). The observation noise
     comes from noise_generator(seed, episode) and advances with every
-    apply(). Evaluation builds one plant per episode, keyed episode =
-    (goal index, repetition), so each episode's noise is its own stream and
-    does not depend on how long the other episodes ran; greedy_lockstep
-    draws those same streams for its lanes.
+    apply(). Evaluation builds one plant for the whole run, which fixes the
+    gain scales; greedy_lockstep then draws each (goal index, repetition)
+    episode's noise from noise_generator(seed, (goal index, repetition)),
+    the stream a plant keyed by that episode would use. So an episode's
+    noise is its own and does not depend on how long the other episodes ran.
     """
 
     def __init__(self, params: ArmParams, cfg: PerturbedPlantConfig, seed: int,
@@ -223,29 +220,11 @@ class EpisodeLog:
     def final_rot_error_deg(self) -> float:
         return self.records[-1].rot_error_deg
 
-    def total_reward(self) -> float:
-        return sum(r.reward for r in self.records)
-
     def pos_error_series(self) -> list[float]:
         return [r.pos_error_mm for r in self.records]
 
     def rot_error_series(self) -> list[float]:
         return [r.rot_error_deg for r in self.records]
-
-    def write_csv(self, path, seconds_per_step: float = SECONDS_PER_STEP) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.records:
-                writer.writerow([
-                    r.step,
-                    f"{r.step * seconds_per_step:.1f}",
-                    f"{r.pos_error_mm:.6f}",
-                    f"{r.rot_error_deg:.6f}",
-                    r.state_index,
-                    r.action_id,
-                    f"{r.reward:.6f}",
-                ])
 
 
 def pose_errors(pose: np.ndarray, goal: GoalPose) -> tuple[float, float]:
@@ -354,29 +333,28 @@ class _Lanes:
     """Episodes stepped together, one per lane: the step every lockstep loop runs.
 
     Lanes g * repetitions .. (g + 1) * repetitions - 1 drive the tip toward
-    goal g from the fixed start pressurization, on the plant given by
-    ``params`` (the nominal model, or a perturbed plant's true_params). A step applies each lane's action, recomputes only
-    the segment it moved, rebuilds the tip pose as ((t0 @ t1) @ t2) @ t3 and
-    observes it: on a perturbed plant the tip first droops by ``droop_gain``
-    times its horizontal reach, then gets row ``t`` of the lane's (steps+1, 3)
-    ``noise`` block added. The observation sets pos, rot (pose_errors) and
-    state (the packed tip suffix). Per-lane arrays hold the lane on axis 0,
-    except ``segments`` (axis 1); ``ids`` holds each running lane's number.
+    goal g, row g of the (goals, 6) ``goals`` (position, then direction), from
+    the fixed start pressurization, on the plant given by ``params`` (the
+    nominal model, or a perturbed plant's true_params). A step applies each
+    lane's action, recomputes only the segment it moved, rebuilds the tip
+    pose as ((t0 @ t1) @ t2) @ t3 and observes it: on a perturbed plant the
+    tip first droops by ``droop_gain`` times its horizontal reach, then gets
+    row ``t`` of the lane's (steps+1, 3) ``noise`` block added. The
+    observation sets pos, rot (pose_errors) and state (the packed tip
+    suffix). Per-lane arrays hold the lane on axis 0, except ``segments``
+    (axis 1); ``ids`` holds each running lane's number.
     """
 
-    def __init__(self, goals: Sequence[GoalPose], *, params: ArmParams,
+    def __init__(self, goals: np.ndarray, *, params: ArmParams,
                  action_spec: ActionSpec, binning: BinningSpec, repetitions: int = 1,
                  droop_gain: float | None = None, noise: np.ndarray | None = None):
         n = len(goals) * repetitions
         self.params, self.action_spec, self.binning = params, action_spec, binning
         self.droop_gain, self.noise = droop_gain, noise
         self.ids = np.arange(n)
-        self.goal_pos, self.goal_dir, self.frames = (
-            np.repeat(np.array(a).reshape(-1, *shape), repetitions, axis=0)
-            for a, shape in (([g.position for g in goals], (3,)),
-                             ([g.direction for g in goals], (3,)),
-                             ([goal_frame(g.direction).T for g in goals], (3, 3)))
-        )
+        self.goals = np.repeat(goals, repetitions, axis=0)
+        frames = np.array([goal_frame(d).T for d in goals[:, 3:]]).reshape(-1, 3, 3)
+        self.frames = np.repeat(frames, repetitions, axis=0)
         start = np.full((N_SEGMENTS, N_CHAMBERS), params.p_max_kpa / 2.0)
         self.pressures = np.broadcast_to(start, (n, N_SEGMENTS, N_CHAMBERS)).copy()
         start_segments = segment_transform_batch(start, params)
@@ -396,9 +374,10 @@ class _Lanes:
             pose[:, 2, 3] -= self.droop_gain * np.fromiter(reach, float, len(pose))
         if self.noise is not None:
             pose[:, :3, 3] += self.noise[:, self.t]
-        self.pos, self.rot = pose_errors_batch(pose, self.goal_pos, self.goal_dir)
+        goal_pos = self.goals[:, :3]
+        self.pos, self.rot = pose_errors_batch(pose, goal_pos, self.goals[:, 3:])
         self.state = encode_tip_suffix_batch(
-            pose[:, :3, 3], pose[:, :3, 2], self.goal_pos, self.frames, self.binning
+            pose[:, :3, 3], pose[:, :3, 2], goal_pos, self.frames, self.binning
         )
 
     def step(self, action: np.ndarray) -> None:
@@ -411,8 +390,7 @@ class _Lanes:
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the lanes where ``mask`` is False."""
-        for name in ("ids", "goal_pos", "goal_dir", "frames", "pressures", "pos", "rot",
-                     "state"):
+        for name in ("ids", "goals", "frames", "pressures", "pos", "rot", "state"):
             setattr(self, name, getattr(self, name)[mask])
         self.segments = self.segments[:, mask]
         if self.noise is not None:
@@ -420,7 +398,8 @@ class _Lanes:
 
 
 def train_lockstep(
-    goals_by_bin: Mapping[int, Sequence[GoalPose]],
+    bins: np.ndarray,
+    goals: np.ndarray,
     seed: int,
     hp: HyperParams,
     *,
@@ -432,6 +411,11 @@ def train_lockstep(
 ) -> QTable:
     """Train one episode per goal on the nominal plant, all goal bins in lockstep.
 
+    ``bins`` (m,) holds strictly increasing goal bins and ``goals`` (m, quota, 6)
+    each bin's goal rows, position then direction (a GoalBank's two arrays).
+    Every goal must encode to its bin, or ValueError is raised before any
+    episode runs.
+
     The result is bit-identical to calling run_episode(train=True) for every
     bin in ascending order and every goal of the bin in order, each episode
     drawing from a generator keyed (seed, 0, bin, goal index). That holds
@@ -439,32 +423,27 @@ def train_lockstep(
     episodes in different bins read and write disjoint rows, so only a bin's
     own episodes have to run in sequence.
 
-    The lanes are the bins. Round k runs each lane's k-th goal, one numpy step
-    across all lanes still running; a lane that reaches success idles until
-    the round ends. Each lane keeps its values and flags in a (1024, actions)
+    The lanes are the bins. Round k runs goals[:, k], one numpy step across
+    all lanes still running; a lane that reaches success idles until the
+    round ends. Each lane keeps its values and flags in a (1024, actions)
     block of its own, which becomes that bin's block in the returned table.
     No step log is kept.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    bins = sorted(goals_by_bin)
+    bins = np.asarray(bins, dtype=np.int64).tolist()
+    if any(a >= b for a, b in zip(bins, bins[1:])):
+        raise ValueError("goal bins must be strictly increasing")
+    check_goal_bins(bins, goals, rest_tip_origin(params.l0_mm), binning)
     n_actions = action_spec.action_count
     values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
     flags = np.zeros(values.shape, dtype=np.uint16)
-    origin = rest_tip_origin(params.l0_mm)
     rs = reward_spec
 
-    for k in range(max((len(g) for g in goals_by_bin.values()), default=0)):
-        blocks = [i for i, b in enumerate(bins) if k < len(goals_by_bin[b])]
-        goals = [goals_by_bin[bins[i]][k] for i in blocks]
-        for i, goal in zip(blocks, goals):
-            prefix = encode_goal_prefix(goal.position, goal.direction, origin, binning)
-            if prefix != bins[i]:
-                raise ValueError(f"goal {k} of bin {bins[i]} encodes to goal bin {prefix}")
-        rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, bins[i], k)))
-                for i in blocks]
-        block = np.asarray(blocks, dtype=np.int64)
-        lanes = _Lanes(goals, params=params, action_spec=action_spec, binning=binning)
+    for k in range(goals.shape[1] if bins else 0):
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, b, k))) for b in bins]
+        block = np.arange(len(bins))
+        lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
         done = rs.is_success(lanes.pos, lanes.rot)
 
         for _ in range(max_steps):
@@ -576,7 +555,8 @@ def greedy_lockstep(
                 noise_generator(plant.seed, (g, rep)).normal(0.0, sigma, (length, 3))
                 for g in range(len(goals)) for rep in range(repetitions)
             ])
-    lanes = _Lanes(goals, params=fk_params, action_spec=action_spec, binning=binning,
+    goal_rows = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+    lanes = _Lanes(goal_rows, params=fk_params, action_spec=action_spec, binning=binning,
                    repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
 
     pos = np.empty((n, length))

@@ -184,16 +184,6 @@ def arm_forward_kinematics(pressures, params: ArmParams) -> np.ndarray:
     return pose
 
 
-def pose_position(pose: np.ndarray) -> np.ndarray:
-    """Translation part of a pose, mm."""
-    return pose[:3, 3].copy()
-
-
-def pose_to_direction(pose: np.ndarray) -> np.ndarray:
-    """Pointing direction of a pose: the z column of its rotation block (unit norm)."""
-    return pose[:3, 2].copy()
-
-
 def tip_batch(pressures, params: ArmParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized tip positions and directions for a stack of pressure vectors.
 

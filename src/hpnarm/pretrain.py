@@ -3,8 +3,11 @@
 Training goals are drawn by rejection sampling: random pressure vectors are
 pushed through the forward kinematics and the resulting tip poses deposited
 into their goal bins until every bin holds `quota` goals or the sampling
-budget runs out. Bins that never fill are flagged unreachable and excluded,
-so every goal the controller trains on is known to be attainable.
+budget runs out. Bins that never fill are unreachable and left out, so every
+goal the controller trains on is known to be attainable. The bank is two
+arrays, the layout of its .hpnb cache file: the reachable bins, and per bin
+`quota` goal rows of position then direction. Round k of training runs goal
+k of every bin.
 
 Training runs in one process: every reachable bin's k-th episode runs in
 lockstep with the others (episode.train_lockstep). Episode randomness is
@@ -23,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from struct import Struct
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .qtable import ActionSpec, HyperParams, QTable, augment, save
 from .state import (
     N_GOAL_BINS,
     BinningSpec,
-    GoalPose,
+    check_goal_bins,
     encode_goal_prefix_batch,
     rest_tip_origin,
 )
@@ -68,42 +71,46 @@ class MergeConflictError(ValueError):
     """Two partial tables hold the same goal bin, or disagree on action count."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoalBank:
-    """Per-bin training goals: `quota` goals in every reachable bin, none elsewhere."""
+    """Per-bin training goals: `quota` goals in every reachable bin, none elsewhere.
 
-    quota: int
-    goals: Mapping[int, tuple[GoalPose, ...]]
-    reachable: np.ndarray  # (N_GOAL_BINS,) bool
+    ``bins`` (m,) holds the reachable goal bins, strictly increasing;
+    ``goals`` (m, quota, 6) holds each bin's goals in draw order, as float64
+    rows of position (mm) then unit direction. Both are read-only copies.
+    """
+
+    bins: np.ndarray
+    goals: np.ndarray
     samples_used: int
 
     def __post_init__(self):
-        if self.quota < 1:
+        bins = np.array(self.bins, dtype=np.int64).reshape(-1)
+        goals = np.array(self.goals, dtype=np.float64)
+        if goals.ndim != 3 or goals.shape[0] != len(bins) or goals.shape[2] != _GOAL_ROW:
+            raise ValueError(f"goals of shape {goals.shape} do not fit {len(bins)} bins")
+        if goals.shape[1] < 1:
             raise ValueError("quota must be >= 1")
         if self.samples_used < 0:
             raise ValueError("samples_used must be >= 0")
-        reachable = np.asarray(self.reachable, dtype=bool).reshape(N_GOAL_BINS)
-        reachable.flags.writeable = False
-        object.__setattr__(self, "reachable", reachable)
-        flagged = set(np.nonzero(reachable)[0].tolist())
-        if set(self.goals) != flagged:
-            raise ValueError("reachability flags disagree with stored goal bins")
-        for bin_id, bin_goals in self.goals.items():
-            if not 0 <= bin_id < N_GOAL_BINS:
-                raise ValueError(f"goal bin {bin_id} out of range")
-            if len(bin_goals) != self.quota:
-                raise ValueError(
-                    f"bin {bin_id} holds {len(bin_goals)} goals, quota is {self.quota}"
-                )
+        outside = bins[(bins < 0) | (bins >= N_GOAL_BINS)]
+        if len(outside):
+            raise ValueError(f"goal bin {outside[0]} out of range")
+        if (np.diff(bins) <= 0).any():
+            raise ValueError("goal bins are not strictly increasing")
+        for name, a in (("bins", bins), ("goals", goals)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @property
+    def quota(self) -> int:
+        return self.goals.shape[1]
 
     def reachable_bins(self) -> list[int]:
-        return sorted(self.goals)
-
-    def goals_for(self, bin_id: int) -> tuple[GoalPose, ...]:
-        return self.goals[bin_id]
+        return self.bins.tolist()
 
     def goal_count(self) -> int:
-        return self.quota * len(self.goals)
+        return self.goals.shape[0] * self.goals.shape[1]
 
 
 def _bank_workers() -> int:
@@ -118,9 +125,9 @@ def _bank_workers() -> int:
 def _fk_and_bin(pressures, params: ArmParams, origin, binning: BinningSpec, out) -> None:
     """FK and goal-bin encoding of a block of pressure rows, written into `out`."""
     positions, directions = tip_batch(pressures, params)
-    out_pos, out_dir, out_bins = out
-    out_pos[:] = positions
-    out_dir[:] = directions
+    out_rows, out_bins = out
+    out_rows[:, :3] = positions
+    out_rows[:, 3:] = directions
     out_bins[:] = encode_goal_prefix_batch(positions, directions, origin, binning)
 
 
@@ -130,8 +137,10 @@ def _binned_batches(
     budget: int,
     rng: np.random.Generator,
     batch_size: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (positions, directions, goal bins) for each batch of random pressures.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (goal rows, goal bins) for each batch of random pressures.
+
+    A goal row is the tip position then its direction, six float64 values.
 
     The calling thread draws `budget` uniform pressure vectors from `rng` in
     batches of `batch_size` (the last one shorter), in stream order, at most
@@ -156,7 +165,7 @@ def _binned_batches(
                 pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
                 drawn += n
                 # From this thread's malloc arena, not the pool threads' (see above).
-                out = (np.empty((n, 3)), np.empty((n, 3)), np.empty(n, dtype=np.int64))
+                out = (np.empty((n, _GOAL_ROW)), np.empty(n, dtype=np.int64))
                 futures = [
                     pool.submit(_fk_and_bin, pressures[r:r + _ROWS_PER_TASK], params,
                                 origin, binning, tuple(a[r:r + _ROWS_PER_TASK] for a in out))
@@ -185,9 +194,10 @@ def build_goal_bank(
 ) -> GoalBank:
     """Fill goal bins by rejection sampling random pressure vectors through FK.
 
-    Consumes at most `budget` forward-kinematics evaluations. Bins still short
-    of `quota` when the budget runs out are dropped as unreachable; their
-    partial goal lists are discarded rather than padded.
+    Consumes at most `budget` forward-kinematics evaluations. Each bin keeps
+    its first `quota` hits in draw order. Bins still short of `quota` when the
+    budget runs out are dropped as unreachable; their partial goal lists are
+    discarded rather than padded.
 
     FK and goal-bin encoding run on a pool of threads, one per core this
     process may use (at most _MAX_BANK_WORKERS), while this thread draws the
@@ -208,32 +218,29 @@ def build_goal_bank(
         binning = BinningSpec()
 
     needed = np.full(N_GOAL_BINS, quota, dtype=np.int64)
-    stash: list[list[GoalPose]] = [[] for _ in range(N_GOAL_BINS)]
+    stash = np.empty((N_GOAL_BINS, quota, _GOAL_ROW))
     used = 0
     batches = _binned_batches(params, binning, budget, rng, batch_size)
     try:
-        for positions, directions, bins in batches:
+        for rows, bins in batches:
             used += len(bins)
             for i in np.nonzero(needed[bins] > 0)[0]:
-                b = int(bins[i])
+                b = bins[i]
                 if needed[b] > 0:  # the bin may have filled earlier in this batch
-                    stash[b].append(
-                        GoalPose(position=positions[i].copy(), direction=directions[i].copy())
-                    )
+                    stash[b, quota - needed[b]] = rows[i]
                     needed[b] -= 1
             if not needed.any():
                 break
     finally:
         batches.close()
 
-    reachable = needed == 0
-    if not reachable.any():
+    reachable = np.flatnonzero(needed == 0)
+    if not len(reachable):
         raise GoalBankError(
             f"no goal bin reached quota {quota} within {budget} samples; "
             "the arm parameters give a degenerate workspace"
         )
-    goals = {int(b): tuple(stash[b]) for b in np.nonzero(reachable)[0]}
-    return GoalBank(quota=quota, goals=goals, reachable=reachable, samples_used=used)
+    return GoalBank(bins=reachable, goals=stash[reachable], samples_used=used)
 
 
 def config_fingerprint(params: ArmParams, binning: BinningSpec) -> int:
@@ -242,29 +249,28 @@ def config_fingerprint(params: ArmParams, binning: BinningSpec) -> int:
 
 
 def save_goal_bank(bank: GoalBank, path, *, seed: int, budget: int, fingerprint: int) -> None:
-    """Write a goal bank cache: magic, header, sorted per-bin goal rows, CRC32."""
-    bins = bank.reachable_bins()
-    rows = np.empty((len(bins) * bank.quota, _GOAL_ROW), dtype="<f8")
-    r = 0
-    for b in bins:
-        for goal in bank.goals_for(b):
-            rows[r, :3] = goal.position
-            rows[r, 3:] = goal.direction
-            r += 1
+    """Write a goal bank cache: magic, header, bin ids, per-bin goal rows, CRC32."""
     payload = (
         BANK_MAGIC
         + _BANK_HEADER.pack(
             BANK_VERSION, seed, bank.quota, budget, bank.samples_used,
-            fingerprint, len(bins),
+            fingerprint, len(bank.bins),
         )
-        + np.asarray(bins, dtype="<u2").tobytes()
-        + rows.tobytes()
+        + bank.bins.astype("<u2").tobytes()
+        + bank.goals.astype("<f8").tobytes()
     )
     Path(path).write_bytes(payload + _BANK_CRC.pack(zlib.crc32(payload)))
 
 
-def load_goal_bank(path, *, seed: int, quota: int, budget: int, fingerprint: int) -> GoalBank:
-    """Read a goal bank cache, rejecting files from a different sampling setup."""
+def load_goal_bank(path, *, seed: int, quota: int, budget: int, params: ArmParams,
+                   binning: BinningSpec) -> GoalBank:
+    """Read a goal bank cache, rejecting files from a different sampling setup.
+
+    The file must carry the seed, quota, budget and config fingerprint asked
+    for, and every goal must encode to the bin it is filed under; anything
+    else raises GoalBankError.
+    """
+    fingerprint = config_fingerprint(params, binning)
     raw = Path(path).read_bytes()
     if len(raw) < len(BANK_MAGIC) or raw[: len(BANK_MAGIC)] != BANK_MAGIC:
         raise GoalBankError(f"{path}: not a goal bank file")
@@ -292,30 +298,19 @@ def load_goal_bank(path, *, seed: int, quota: int, budget: int, fingerprint: int
                 f"this run wants {want}"
             )
     bins = np.frombuffer(raw, dtype="<u2", count=n_bins, offset=header_end)
-    rows = np.frombuffer(
+    goals = np.frombuffer(
         raw, dtype="<f8", count=n_bins * f_quota * _GOAL_ROW, offset=header_end + 2 * n_bins
-    ).reshape(-1, _GOAL_ROW)
-    if n_bins and bins.max() >= N_GOAL_BINS:
-        raise GoalBankError(f"{path}: goal bin {bins.max()} out of range")
-    if (np.diff(bins.astype(np.int64)) <= 0).any():
-        raise GoalBankError(f"{path}: goal bins are not strictly increasing")
-    if not np.isfinite(rows).all():
+    ).reshape(n_bins, f_quota, _GOAL_ROW)
+    if not np.isfinite(goals).all():
         raise GoalBankError(f"{path}: goal rows hold non-finite values")
-    if (np.abs(np.linalg.norm(rows[:, 3:], axis=1) - 1.0) > 1e-9).any():
+    if (np.abs(np.linalg.norm(goals[..., 3:], axis=-1) - 1.0) > 1e-9).any():
         raise GoalBankError(f"{path}: goal directions are not unit vectors")
-    goals: dict[int, tuple[GoalPose, ...]] = {}
-    reachable = np.zeros(N_GOAL_BINS, dtype=bool)
-    # GoalPose repeats the unit check with a norm that can differ in the last bit.
     try:
-        for j, b in enumerate(bins.tolist()):
-            chunk = rows[j * f_quota:(j + 1) * f_quota]
-            goals[b] = tuple(
-                GoalPose(position=row[:3].copy(), direction=row[3:].copy()) for row in chunk
-            )
-            reachable[b] = True
-        return GoalBank(quota=f_quota, goals=goals, reachable=reachable, samples_used=samples_used)
+        bank = GoalBank(bins=bins, goals=goals, samples_used=samples_used)
+        check_goal_bins(bank.bins, bank.goals, rest_tip_origin(params.l0_mm), binning)
     except ValueError as exc:
-        raise GoalBankError(f"{path}: inconsistent goal bank contents: {exc}") from exc
+        raise GoalBankError(f"{path}: {exc}") from exc
+    return bank
 
 
 def pretrain_shard(
@@ -333,11 +328,16 @@ def pretrain_shard(
     """Train one episode per banked goal for every bin in `bin_ids`, in lockstep.
 
     Episode randomness depends only on (seed, bin, goal index), so the same
-    bins replayed with the same seed produce a bit-identical table.
+    bins replayed with the same seed produce a bit-identical table. A bin the
+    bank does not hold raises KeyError.
     """
-    subset = {int(b): bank.goals_for(int(b)) for b in bin_ids}
+    bin_ids = np.unique(np.asarray(bin_ids, dtype=np.int64))
+    missing = np.setdiff1d(bin_ids, bank.bins)
+    if len(missing):
+        raise KeyError(f"goal bin {missing[0]} is not in the goal bank")
+    rows = np.searchsorted(bank.bins, bin_ids)
     return train_lockstep(
-        subset, seed, hp, params=params, action_spec=action_spec,
+        bank.bins[rows], bank.goals[rows], seed, hp, params=params, action_spec=action_spec,
         reward_spec=reward_spec, binning=binning, max_steps=max_steps,
     )
 
@@ -441,21 +441,21 @@ def pretrain(
             f"{LARGE_RUN_GOAL_LIMIT} need allow_large_run=True"
         )
     t0 = time.perf_counter()
-    fingerprint = config_fingerprint(params, binning)
     bank = None
     if bank_path is not None and Path(bank_path).exists():
         bank = load_goal_bank(
-            bank_path, seed=seed, quota=quota, budget=budget, fingerprint=fingerprint
+            bank_path, seed=seed, quota=quota, budget=budget, params=params, binning=binning
         )
     if bank is None:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
         bank = build_goal_bank(params, quota, budget, rng, binning=binning)
         if bank_path is not None:
-            save_goal_bank(bank, bank_path, seed=seed, budget=budget, fingerprint=fingerprint)
+            save_goal_bank(bank, bank_path, seed=seed, budget=budget,
+                           fingerprint=config_fingerprint(params, binning))
     t_bank = time.perf_counter()
 
     trained = pretrain_shard(
-        bank.reachable_bins(), seed, bank, hp, params=params, action_spec=action_spec,
+        bank.bins, seed, bank, hp, params=params, action_spec=action_spec,
         reward_spec=reward_spec, binning=binning, max_steps=max_steps,
     )
     t_train = time.perf_counter()
@@ -464,7 +464,7 @@ def pretrain(
     if out_path is not None:
         save(table, out_path)
     t_save = time.perf_counter()
-    n_reachable = len(bank.reachable_bins())
+    n_reachable = len(bank.bins)
     summary = PretrainSummary(
         goals_run=bank.goal_count(),
         reachable_bins=n_reachable,

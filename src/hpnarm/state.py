@@ -232,6 +232,20 @@ def encode_goal_prefix(position, direction, origin, spec: BinningSpec) -> int:
     return bin_and_pack(values, spec.all_edges()[:GOAL_DIMS])
 
 
+def check_goal_bins(bins, goals, origin, spec: BinningSpec) -> None:
+    """Raise ValueError unless goal row ``goals[i, k]`` encodes to goal bin ``bins[i]``.
+
+    ``goals`` is (len(bins), quota, 6), rows of position then direction. The
+    rows are encoded by encode_goal_prefix, the encoder every episode's states
+    carry the goal bin of.
+    """
+    for b, rows in zip(np.asarray(bins).tolist(), goals):
+        for k, row in enumerate(rows):
+            prefix = encode_goal_prefix(row[:3], row[3:], origin, spec)
+            if prefix != b:
+                raise ValueError(f"goal {k} of bin {b} encodes to goal bin {prefix}")
+
+
 def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -> np.ndarray:
     """Vectorized encode_goal_prefix over (n, 3) position/direction stacks."""
     pos = np.asarray(positions, dtype=float).reshape(-1, 3)

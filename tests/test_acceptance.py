@@ -20,7 +20,6 @@ from hpnarm.episode import NominalPlant, RewardSpec, run_episode
 from hpnarm.evalrun import evaluate, sample_goals
 from hpnarm.pretrain import (
     DEFAULT_SAMPLE_BUDGET,
-    config_fingerprint,
     load_goal_bank,
     merge,
     pretrain,
@@ -184,7 +183,7 @@ def test_criterion_05_parallel_determinism(capsys, tmp_path):
     )
     bank = load_goal_bank(
         bank_path, seed=2025, quota=5, budget=DEFAULT_SAMPLE_BUDGET,
-        fingerprint=config_fingerprint(params, binning),
+        params=params, binning=binning,
     )
     partials = [
         pretrain_shard((b,), 2025, bank, hp, params=params, action_spec=actions,
@@ -287,7 +286,7 @@ def test_criterion_09_episode_return_telescopes(capsys):
             * (log.records[0].rot_error_deg - log.records[-1].rot_error_deg)
             - log.steps_taken * rewards.step_penalty
         )
-        worst = max(worst, abs(log.total_reward() - expected))
+        worst = max(worst, abs(sum(r.reward for r in log.records) - expected))
     ok = worst < 1e-9
     report(capsys, 9, ok,
            f"summed reward telescopes over 5 random episodes (max residual {worst:.1e})")

@@ -235,7 +235,7 @@ class TestPretrainCommand:
             cfg3 = write_config(tmp_path / "c3.yaml", f"{section}:\n  {name}: {value}\n")
             assert runner.invoke(main, ["pretrain", "--config", cfg3]).exit_code == 2, name
 
-    @pytest.mark.parametrize("bad", ["bin", "direction"])
+    @pytest.mark.parametrize("bad", ["bin", "direction", "goal-outside-its-bin"])
     def test_malformed_cached_goal_bank_exits_1(self, runner, tmp_path, bad):
         table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
         text = SMALL_PRETRAIN.format(table=f"{table}\n  goal_bank_path: {bank}")
@@ -244,12 +244,16 @@ class TestPretrainCommand:
         row = [0.0, 0.0, 700.0, 0.0, 0.0, 1.0]
         if bad == "bin":
             bins, rows = [N_GOAL_BINS], [row]
-        else:
+        elif bad == "direction":
             bins, rows = [5], [row[:3] + [0.0, 0.0, 2.0]]
+        else:  # a valid goal filed under bin 5, which it does not encode to
+            bins, rows = [5], [row]
         write_goal_bank(bank, bins, rows, seed=3, quota=1, budget=20000, fingerprint=fp)
         result = runner.invoke(main, ["pretrain", "--config", cfg])
         assert result.exit_code == 1, result.output
         assert "error:" in result.output and not table.exists()
+        if bad == "goal-outside-its-bin":
+            assert "goal 0 of bin 5 encodes to goal bin" in result.output
 
 
 class TestEvalCommand:

@@ -5,7 +5,6 @@ import pytest
 
 from hpnarm import ArmParams, BinningSpec, GoalPose, arm_forward_kinematics
 from hpnarm.episode import (
-    CSV_COLUMNS,
     NominalPlant,
     PerturbedPlant,
     PerturbedPlantConfig,
@@ -201,7 +200,7 @@ class TestRunEpisode:
                 + rewards.w_r_per_deg * (log.records[0].rot_error_deg - log.records[-1].rot_error_deg)
                 - t * rewards.step_penalty
             )
-            assert log.total_reward() == pytest.approx(expected, abs=1e-9)
+            assert sum(r.reward for r in log.records) == pytest.approx(expected, abs=1e-9)
 
     def test_length_capped_and_success_flag_matches_final_errors(self, setup):
         goal = goal_from_pressures(setup["params"], np.full(16, 20.0))
@@ -209,21 +208,6 @@ class TestRunEpisode:
         assert log.steps_taken <= 25
         rs = setup["rewards"]
         assert log.success == rs.is_success(log.final_pos_error_mm, log.final_rot_error_deg)
-
-    def test_csv_serialization_layout(self, setup, tmp_path):
-        goal = goal_from_pressures(setup["params"], np.full(16, 20.0))
-        log = run(setup, NominalPlant(setup["params"]), goal, QTable(), train=False, max_steps=5)
-        out = tmp_path / "episode.csv"
-        log.write_csv(out)
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == len(log.records) + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert first[1] == "0.0"
-        assert first[5] == "-1"
-        second = lines[2].split(",")
-        assert second[1] == "2.0"  # one step is labeled as two seconds
 
 
 class TestNominalPlant:

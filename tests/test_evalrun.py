@@ -220,7 +220,7 @@ def trained(specs):
         reward_spec=specs["reward_spec"], binning=specs["binning"], max_steps=60,
     ))
     goals = [start_pose_goal(specs["params"])]
-    goals += [bank.goals_for(b)[0] for b in bins[:4]]
+    goals += [GoalPose(position=row[:3], direction=row[3:]) for row in bank.goals[:4, 0]]
     goals += sample_goals(specs["params"], 3, np.random.default_rng(8))
     return table, goals
 

@@ -11,8 +11,6 @@ from hpnarm import (
     SegmentConfig,
     actuation_to_config,
     arm_forward_kinematics,
-    pose_position,
-    pose_to_direction,
     segment_transform,
     tip_batch,
     validate_pressures,
@@ -287,27 +285,25 @@ class TestValidation:
             ArmParams(**kwargs)
 
 
-class TestPoseHelpers:
+class TestPoseDirection:
+    """The tip's pointing direction is the z column of a pose's rotation block."""
+
     def test_identity_pose_points_up(self):
-        assert np.allclose(pose_to_direction(np.eye(4)), (0.0, 0.0, 1.0))
+        assert np.allclose(np.eye(4)[:3, 2], (0.0, 0.0, 1.0))
 
     def test_quarter_bend_points_along_x(self):
         k = 0.02
         pose = segment_transform(SegmentConfig(k=k, phi=0.0, l=(math.pi / 2) / k))
-        assert np.allclose(pose_to_direction(pose), (1.0, 0.0, 0.0), atol=1e-9)
+        assert np.allclose(pose[:3, 2], (1.0, 0.0, 0.0), atol=1e-9)
 
     def test_direction_matches_oracle_frame(self, params, rng):
         p = rng.uniform(0.0, params.p_max_kpa, 16)
         pose = arm_forward_kinematics(p, params)
         rot, _ = oracle_arm_pose(p, params.a_gain, params.b_gain, params.l0_mm)
-        assert np.allclose(pose_to_direction(pose), rot[:, 2], atol=1e-6)
-
-    def test_position_is_translation_column(self, params):
-        pose = arm_forward_kinematics(np.full(16, 30.0), params)
-        assert np.allclose(pose_position(pose), pose[:3, 3])
+        assert np.allclose(pose[:3, 2], rot[:, 2], atol=1e-6)
 
     @given(cfg=configs)
     @settings(max_examples=50)
     def test_direction_is_unit(self, cfg):
-        d = pose_to_direction(segment_transform(cfg))
+        d = segment_transform(cfg)[:3, 2]
         assert abs(np.linalg.norm(d) - 1.0) < 1e-9

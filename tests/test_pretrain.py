@@ -87,32 +87,30 @@ class TestBuildGoalBank:
     def test_quota_one_fills_every_reachable_bin_exactly_once(self, specs):
         bank = build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
         assert bank.reachable_bins()
-        for b in bank.reachable_bins():
-            assert len(bank.goals_for(b)) == 1
+        assert bank.goals.shape == (len(bank.bins), 1, 6)
 
     def test_exact_balance_at_quota(self, small_bank):
-        sizes = {len(small_bank.goals_for(b)) for b in small_bank.reachable_bins()}
-        assert sizes == {2}
+        assert small_bank.quota == 2
+        assert small_bank.goals.shape == (len(small_bank.bins), 2, 6)
+        assert small_bank.goal_count() == 2 * len(small_bank.bins)
 
     def test_stored_goals_reencode_to_their_bin(self, specs, small_bank):
         origin = rest_tip_origin(specs["params"].l0_mm)
-        for b in small_bank.reachable_bins():
-            for goal in small_bank.goals_for(b):
-                assert encode_goal_prefix(goal.position, goal.direction, origin,
-                                          specs["binning"]) == b
+        for b, rows in zip(small_bank.reachable_bins(), small_bank.goals):
+            for row in rows:
+                assert encode_goal_prefix(row[:3], row[3:], origin, specs["binning"]) == b
 
-    def test_reachability_flags_match_stored_bins(self, small_bank):
-        assert small_bank.reachable.shape == (N_GOAL_BINS,)
-        assert set(np.nonzero(small_bank.reachable)[0].tolist()) == set(
-            small_bank.reachable_bins()
-        )
+    def test_bins_increase_and_arrays_are_read_only(self, small_bank):
+        assert (np.diff(small_bank.bins) > 0).all()
+        for a in (small_bank.bins, small_bank.goals):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_partial_bins_are_dropped_when_budget_runs_out(self, specs):
         bank = build_goal_bank(specs["params"], 3, 2_000, bank_rng(1), binning=specs["binning"])
         assert bank.samples_used == 2_000
         assert len(bank.reachable_bins()) < N_GOAL_BINS
-        for b in bank.reachable_bins():
-            assert len(bank.goals_for(b)) == 3
+        assert bank.goals.shape == (len(bank.bins), 3, 6)
 
     def test_raises_when_no_bin_reaches_quota(self, specs):
         with pytest.raises(GoalBankError):
@@ -165,11 +163,9 @@ def bank_threads(monkeypatch):
 def assert_bank_matches_oracle(bank, oracle):
     goals, reachable, used = oracle
     assert bank.samples_used == used
-    assert bank.reachable.tobytes() == reachable.tobytes()
-    assert bank.reachable_bins() == sorted(goals)
-    for b, rows in goals.items():
-        got = np.array([np.concatenate([g.position, g.direction]) for g in bank.goals_for(b)])
-        assert got.tobytes() == rows.tobytes(), b
+    assert bank.reachable_bins() == np.flatnonzero(reachable).tolist() == sorted(goals)
+    for b, got in zip(bank.reachable_bins(), bank.goals):
+        assert got.tobytes() == goals[b].tobytes(), b
 
 
 class TestGoalBankThreads:
@@ -215,7 +211,7 @@ class TestGoalBankThreads:
                                batch_size=batch_size)
         oracle = oracle_goal_bank(specs["params"], specs["binning"], 1, 500_000, oracle_rng,
                                   batch_size)
-        assert bank.reachable.all()
+        assert len(bank.bins) == N_GOAL_BINS
         assert bank.samples_used < 500_000
         # Each of the other threads had a batch drawn when the bank filled.
         assert sum(rows_drawn) == bank.samples_used + (threads - 1) * batch_size
@@ -265,24 +261,45 @@ class TestGoalBankThreads:
         assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
 
 
-class TestGoalBankValidation:
-    def test_flag_bin_mismatch_rejected(self):
-        goal = GoalPose(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        flags = np.zeros(N_GOAL_BINS, dtype=bool)
-        with pytest.raises(ValueError):
-            GoalBank(quota=1, goals={3: (goal,)}, reachable=flags, samples_used=10)
+_ROW = [0.0, 0.0, 300.0, 0.0, 0.0, 1.0]
 
-    def test_quota_shortfall_rejected(self):
-        goal = GoalPose(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        flags = np.zeros(N_GOAL_BINS, dtype=bool)
-        flags[3] = True
-        with pytest.raises(ValueError):
-            GoalBank(quota=2, goals={3: (goal,)}, reachable=flags, samples_used=10)
+
+class TestGoalBankValidation:
+    @pytest.mark.parametrize("bins, goals, used, match", [
+        pytest.param([3], [[_ROW], [_ROW]], 10, "do not fit", id="more-rows-than-bins"),
+        pytest.param([3, 4], [[_ROW]], 10, "do not fit", id="fewer-rows-than-bins"),
+        pytest.param([3], [[_ROW[:3]]], 10, "do not fit", id="short-row"),
+        pytest.param([3], np.zeros((1, 0, 6)), 10, "quota", id="quota-0"),
+        pytest.param([N_GOAL_BINS], [[_ROW]], 10, "out of range", id="bin-1024"),
+        pytest.param([-1], [[_ROW]], 10, "out of range", id="bin-negative"),
+        pytest.param([4, 3], [[_ROW], [_ROW]], 10, "strictly increasing", id="unsorted-bins"),
+        pytest.param([3], [[_ROW]], -1, "samples_used", id="negative-samples"),
+    ])
+    def test_inconsistent_arrays_rejected(self, bins, goals, used, match):
+        with pytest.raises(ValueError, match=match):
+            GoalBank(bins=bins, goals=goals, samples_used=used)
+
+    def test_arrays_are_copied(self):
+        bins, goals = np.array([3]), np.array([[_ROW]])
+        bank = GoalBank(bins=bins, goals=goals, samples_used=0)
+        goals[0, 0, 0] = 1.0
+        assert bins.flags.writeable and bank.goals[0, 0, 0] == 0.0
+        assert bank.quota == 1 and bank.goal_count() == 1
 
 
 # A goal straight above the base pointing up, and the sampling setup of hand-written banks.
 _UP = [0.0, 0.0, 700.0, 0.0, 0.0, 1.0]
-_BANK_SETUP = dict(seed=5, quota=2, budget=60_000, fingerprint=0)
+_BANK_SETUP = dict(seed=5, quota=2, budget=60_000)
+_DEFAULT_FINGERPRINT = config_fingerprint(ArmParams(), BinningSpec())
+
+
+def write_bank(path, bins, rows):
+    write_goal_bank(path, bins, rows, fingerprint=_DEFAULT_FINGERPRINT, **_BANK_SETUP)
+
+
+def load_bank(path, **overrides):
+    return load_goal_bank(path, **{**_BANK_SETUP, "params": ArmParams(),
+                                   "binning": BinningSpec(), **overrides})
 
 
 class TestBankCache:
@@ -302,75 +319,66 @@ class TestBankCache:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_BANK_SHA256
 
     @pytest.fixture()
-    def saved(self, specs, small_bank, tmp_path):
-        fp = config_fingerprint(specs["params"], specs["binning"])
+    def saved(self, small_bank, tmp_path):
         path = tmp_path / "bank.hpnb"
-        save_goal_bank(small_bank, path, seed=5, budget=60_000, fingerprint=fp)
-        return path, fp
+        save_goal_bank(small_bank, path, seed=5, budget=60_000, fingerprint=_DEFAULT_FINGERPRINT)
+        return path
 
     def test_round_trip_preserves_every_goal(self, small_bank, saved):
-        path, fp = saved
-        loaded = load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
+        loaded = load_bank(saved)
         assert loaded.reachable_bins() == small_bank.reachable_bins()
         assert loaded.samples_used == small_bank.samples_used
-        for b in small_bank.reachable_bins():
-            for a, c in zip(small_bank.goals_for(b), loaded.goals_for(b)):
-                assert np.array_equal(a.position, c.position)
-                assert np.array_equal(a.direction, c.direction)
+        assert loaded.goals.tobytes() == small_bank.goals.tobytes()
 
-    def test_resave_is_byte_identical(self, small_bank, saved, tmp_path):
-        path, fp = saved
-        loaded = load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
+    def test_resave_is_byte_identical(self, saved, tmp_path):
         again = tmp_path / "again.hpnb"
-        save_goal_bank(loaded, again, seed=5, budget=60_000, fingerprint=fp)
-        assert again.read_bytes() == path.read_bytes()
+        save_goal_bank(load_bank(saved), again, seed=5, budget=60_000,
+                       fingerprint=_DEFAULT_FINGERPRINT)
+        assert again.read_bytes() == saved.read_bytes()
 
     @pytest.mark.parametrize(
         "override",
-        [{"seed": 6}, {"quota": 3}, {"budget": 1}, {"fingerprint": 123}],
+        [{"seed": 6}, {"quota": 3}, {"budget": 1}, {"params": ArmParams(a_gain=0.003)},
+         {"binning": BinningSpec(d_max_mm=300.0)}],
     )
     def test_mismatched_sampling_setup_rejected(self, saved, override):
-        path, fp = saved
-        kwargs = {"seed": 5, "quota": 2, "budget": 60_000, "fingerprint": fp, **override}
         with pytest.raises(GoalBankError):
-            load_goal_bank(path, **kwargs)
+            load_bank(saved, **override)
 
     def test_corrupted_byte_rejected(self, saved):
-        path, fp = saved
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(saved.read_bytes())
         raw[60] ^= 0xFF
-        path.write_bytes(bytes(raw))
+        saved.write_bytes(bytes(raw))
         with pytest.raises(GoalBankError):
-            load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
+            load_bank(saved)
 
     def test_truncated_file_rejected(self, saved):
-        path, fp = saved
-        path.write_bytes(path.read_bytes()[:-9])
+        saved.write_bytes(saved.read_bytes()[:-9])
         with pytest.raises(GoalBankError):
-            load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
+            load_bank(saved)
 
     def test_wrong_magic_rejected(self, saved):
-        path, fp = saved
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(saved.read_bytes())
         raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
+        saved.write_bytes(bytes(raw))
         with pytest.raises(GoalBankError):
-            load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
+            load_bank(saved)
 
     def test_unsupported_version_rejected(self, saved):
-        path, fp = saved
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(saved.read_bytes())
         raw[4] = 99
-        path.write_bytes(bytes(raw))
+        saved.write_bytes(bytes(raw))
         with pytest.raises(GoalBankError):
-            load_goal_bank(path, seed=5, quota=2, budget=60_000, fingerprint=fp)
+            load_bank(saved)
 
     def test_hand_written_bank_loads(self, tmp_path):
+        up_bin = encode_goal_prefix(_UP[:3], _UP[3:], rest_tip_origin(ArmParams().l0_mm),
+                                    BinningSpec())
         path = tmp_path / "bank.hpnb"
-        write_goal_bank(path, [5, 7], [_UP, _UP, _UP, _UP], **_BANK_SETUP)
-        bank = load_goal_bank(path, **_BANK_SETUP)
-        assert bank.reachable_bins() == [5, 7]
-        assert np.array_equal(bank.goals_for(7)[1].direction, _UP[3:])
+        write_bank(path, [up_bin], [_UP, _UP])
+        bank = load_bank(path)
+        assert bank.reachable_bins() == [up_bin]
+        assert bank.goals.tolist() == [[_UP, _UP]]
 
     @pytest.mark.parametrize("bins, bad_row, match", [
         pytest.param([N_GOAL_BINS], _UP, "out of range", id="bin-1024"),
@@ -381,13 +389,14 @@ class TestBankCache:
         pytest.param([5], [0.0, 0.0, 700.0, np.inf, 0.0, 0.0], "non-finite", id="inf-direction"),
         pytest.param([5], [0.0, 0.0, 700.0, 0.0, 0.0, 2.0], "unit", id="long-direction"),
         pytest.param([5], [0.0, 0.0, 700.0, 0.0, 0.0, 0.0], "unit", id="zero-direction"),
+        pytest.param([5], _UP, "goal 0 of bin 5 encodes to goal bin", id="goal-outside-its-bin"),
     ])
     def test_malformed_contents_rejected(self, tmp_path, bins, bad_row, match):
         path = tmp_path / "bank.hpnb"
         rows = [_UP] * (2 * len(bins) - 1) + [bad_row]
-        write_goal_bank(path, bins, rows, **_BANK_SETUP)
+        write_bank(path, bins, rows)
         with pytest.raises(GoalBankError, match=match):
-            load_goal_bank(path, **_BANK_SETUP)
+            load_bank(path)
 
 
 class TestPretrainShard:
@@ -409,6 +418,19 @@ class TestPretrainShard:
         b = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
         assert a == b
 
+    def test_bins_are_taken_in_order_once(self, specs, small_bank):
+        bins = small_bank.reachable_bins()[:3]
+        a = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
+        b = pretrain_shard(bins[::-1] + bins[:1], 17, small_bank, specs["hp"],
+                           **shard_kwargs(specs))
+        assert a == b
+
+    def test_unknown_bin_raises(self, specs, small_bank):
+        missing = sorted(set(range(N_GOAL_BINS)) - set(small_bank.reachable_bins()))[0]
+        with pytest.raises(KeyError, match=f"goal bin {missing} "):
+            pretrain_shard((small_bank.reachable_bins()[0], missing), 5, small_bank,
+                           specs["hp"], **shard_kwargs(specs))
+
     def test_different_seeds_differ(self, specs, small_bank):
         bins = small_bank.reachable_bins()[:3]
         a = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
@@ -416,15 +438,15 @@ class TestPretrainShard:
         assert a != b
 
 
-def sequential_table(goals_by_bin, seed, specs, reward_spec, max_steps):
+def sequential_table(bins, goals, seed, specs, reward_spec, max_steps):
     """The reference: run_episode(train=True) over sorted bins and goal indices."""
     q = QTable(specs["actions"].action_count)
     plant = NominalPlant(specs["params"])
     steps = []
-    for b in sorted(goals_by_bin):
-        for k, goal in enumerate(goals_by_bin[b]):
+    for b, rows in sorted(zip(bins, goals), key=lambda item: item[0]):
+        for k, row in enumerate(rows):
             log = run_episode(
-                plant, goal, q, specs["hp"],
+                plant, GoalPose(position=row[:3], direction=row[3:]), q, specs["hp"],
                 params=specs["params"], action_spec=specs["actions"],
                 reward_spec=reward_spec, binning=specs["binning"], max_steps=max_steps,
                 rng=np.random.default_rng(np.random.SeedSequence((seed, 0, b, k))),
@@ -442,16 +464,16 @@ class TestLockstepMatchesSequentialEpisodes:
         """small_bank with a goal at the start pose, which succeeds at step 0."""
         params = specs["params"]
         start = NominalPlant(params).apply(np.full((4, 4), params.p_max_kpa / 2.0))
-        at_start = GoalPose(position=start[:3, 3], direction=start[:3, 2])
+        at_start = np.concatenate([start[:3, 3], start[:3, 2]])
+        nearby = at_start + (0.0, 0.0, 10.0, 0.0, 0.0, 0.0)
         origin = rest_tip_origin(params.l0_mm)
-        start_bin = StateEncoder(at_start, origin, specs["binning"]).goal_bin
-        nearby = GoalPose(position=start[:3, 3] + (0.0, 0.0, 10.0), direction=start[:3, 2])
-        assert StateEncoder(nearby, origin, specs["binning"]).goal_bin == start_bin
-        goals = dict(small_bank.goals)
-        goals[start_bin] = (nearby, at_start)
-        reachable = small_bank.reachable.copy()
-        reachable[start_bin] = True
-        return GoalBank(quota=2, goals=goals, reachable=reachable, samples_used=0)
+        start_bin = encode_goal_prefix(at_start[:3], at_start[3:], origin, specs["binning"])
+        assert encode_goal_prefix(nearby[:3], nearby[3:], origin, specs["binning"]) == start_bin
+        others = small_bank.bins != start_bin
+        bins = np.append(small_bank.bins[others], start_bin)
+        goals = np.concatenate([small_bank.goals[others], [[nearby, at_start]]])
+        order = np.argsort(bins)
+        return GoalBank(bins=bins[order], goals=goals[order], samples_used=0)
 
     @pytest.mark.parametrize("loose", [False, True], ids=["default-reward", "loose-reward"])
     def test_shard_table_equals_sequential_episodes(self, specs, bank, loose):
@@ -459,7 +481,8 @@ class TestLockstepMatchesSequentialEpisodes:
         kwargs = {**shard_kwargs(specs), "reward_spec": rewards}
         bins = bank.reachable_bins()
         lockstep = pretrain_shard(bins, 23, bank, specs["hp"], **kwargs)
-        reference, steps = sequential_table(bank.goals, 23, specs, rewards, kwargs["max_steps"])
+        reference, steps = sequential_table(bank.bins, bank.goals, 23, specs, rewards,
+                                            kwargs["max_steps"])
         assert lockstep == reference
         assert 0 in steps  # the start-pose goal
         if loose:
@@ -467,18 +490,24 @@ class TestLockstepMatchesSequentialEpisodes:
             assert len(set(steps) - {0, kwargs["max_steps"]}) > 1
 
     def test_every_shard_of_a_plan_equals_its_sequential_episodes(self, specs, bank):
-        bins = bank.reachable_bins()
-        for shard in (bins[i::3] for i in range(3)):
+        for i in range(3):
+            shard = bank.bins[i::3]
             lockstep = pretrain_shard(shard, 4, bank, specs["hp"], **shard_kwargs(specs))
             reference, _ = sequential_table(
-                {b: bank.goals_for(b) for b in shard}, 4, specs, specs["rewards"], 60
+                shard, bank.goals[i::3], 4, specs, specs["rewards"], 60
             )
             assert lockstep == reference
 
     def test_goal_filed_under_another_bin_is_rejected(self, specs, small_bank):
-        b = small_bank.reachable_bins()[0]
-        with pytest.raises(ValueError, match="encodes to goal bin"):
-            train_lockstep({b + 1: small_bank.goals_for(b)}, 0, specs["hp"],
+        b = small_bank.bins[0]
+        with pytest.raises(ValueError, match=f"goal 0 of bin {b + 1} encodes to goal bin {b}"):
+            train_lockstep([b + 1], small_bank.goals[:1], 0, specs["hp"],
+                           **shard_kwargs(specs))
+
+    def test_repeated_bins_are_rejected(self, specs, small_bank):
+        bins = small_bank.bins[[0, 0]]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            train_lockstep(bins, small_bank.goals[[0, 0]], 0, specs["hp"],
                            **shard_kwargs(specs))
 
 
@@ -549,7 +578,7 @@ class TestPretrainPipeline:
         )
         bank = load_goal_bank(
             bank_path, seed=13, quota=1, budget=30_000,
-            fingerprint=config_fingerprint(specs["params"], specs["binning"]),
+            params=specs["params"], binning=specs["binning"],
         )
         bins = bank.reachable_bins()
         for size in (1, 3):
