@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from hpnarm import ArmParams, BinningSpec, GoalPose, StateEncoder, rest_tip_origin
+from hpnarm import ArmParams, BinningSpec, GoalPose, rest_tip_origin
 from hpnarm.episode import NominalPlant, RewardSpec, run_episode, train_lockstep
 from hpnarm.pretrain import (
     DEFAULT_SAMPLE_BUDGET,
@@ -623,6 +623,19 @@ class TestPretrainPipeline:
         assert table1 == table2
         with pytest.raises(GoalBankError):
             pretrain(*args, **{**kwargs, "quota": 2})
+
+    def test_no_goal_pose_is_built(self, specs, tmp_path, monkeypatch):
+        """Sampling, saving, loading and training all work on goal rows."""
+        def refuse(self):
+            raise AssertionError("GoalPose built on the pretrain path")
+
+        monkeypatch.setattr(GoalPose, "__post_init__", refuse)
+        args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
+        kwargs = dict(quota=1, seed=31, budget=30_000, max_steps=20,
+                      bank_path=tmp_path / "bank.hpnb")
+        built, _ = pretrain(*args, **kwargs)
+        loaded, _ = pretrain(*args, **kwargs)
+        assert built == loaded and built.trained_count() > 0
 
     def test_large_runs_need_explicit_opt_in(self, specs):
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
