@@ -220,12 +220,6 @@ class EpisodeLog:
     def final_rot_error_deg(self) -> float:
         return self.records[-1].rot_error_deg
 
-    def pos_error_series(self) -> list[float]:
-        return [r.pos_error_mm for r in self.records]
-
-    def rot_error_series(self) -> list[float]:
-        return [r.rot_error_deg for r in self.records]
-
 
 def pose_errors(pose: np.ndarray, goal: GoalPose) -> tuple[float, float]:
     """(positional error mm, orientation error deg) of a tip pose against a goal."""
@@ -423,11 +417,11 @@ def train_lockstep(
     episodes in different bins read and write disjoint rows, so only a bin's
     own episodes have to run in sequence.
 
-    The lanes are the bins. Round k runs goals[:, k], one numpy step across
-    all lanes still running; a lane that reaches success idles until the
-    round ends. Each lane keeps its values and flags in a (1024, actions)
-    block of its own, which becomes that bin's block in the returned table.
-    No step log is kept.
+    The lanes are the bins: lane i trains row i of the stacked (bins, 1024,
+    actions) value and flag arrays, which become the returned table as they
+    are. Round k runs goals[:, k], one numpy step across all lanes still
+    running; a lane that reaches success idles until the round ends. No step
+    log is kept.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -442,26 +436,23 @@ def train_lockstep(
 
     for k in range(goals.shape[1] if bins else 0):
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, b, k))) for b in bins]
-        block = np.arange(len(bins))
         lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
         done = rs.is_success(lanes.pos, lanes.rot)
 
         for _ in range(max_steps):
             if done.any():
-                keep = ~done
-                lanes.keep(keep)
-                block = block[keep]
-                rngs = [g for g, kept in zip(rngs, keep) if kept]
+                lanes.keep(~done)
             n = len(lanes)
             if n == 0:
                 break
             # Each lane's draws follow select_action: one uniform per step,
             # then an action id on an exploring step.
-            explore = np.fromiter((g.random() for g in rngs), float, n) < hp.epsilon
+            row = lanes.ids
+            explore = np.fromiter((rngs[i].random() for i in row.tolist()), float, n) < hp.epsilon
             state = lanes.state
-            action = values[block, state].argmax(axis=1)
+            action = values[row, state].argmax(axis=1)
             for i in np.flatnonzero(explore).tolist():
-                action[i] = rngs[i].integers(n_actions)
+                action[i] = rngs[row[i]].integers(n_actions)
 
             pos, rot = lanes.pos, lanes.rot
             lanes.step(action)
@@ -473,14 +464,12 @@ def train_lockstep(
                 raise ValueError("reward must be finite")
 
             # QTable.update, lane by lane: float64 arithmetic, float32 storage.
-            target = reward + hp.gamma * values[block, lanes.state].max(axis=1).astype(np.float64)
-            old = values[block, state, action].astype(np.float64)
-            values[block, state, action] = old + hp.alpha * (target - old)
-            flags[block, state, action] |= FLAG_TRAINED
+            target = reward + hp.gamma * values[row, lanes.state].max(axis=1).astype(np.float64)
+            old = values[row, state, action].astype(np.float64)
+            values[row, state, action] = old + hp.alpha * (target - old)
+            flags[row, state, action] |= FLAG_TRAINED
 
-    return QTable.from_blocks(
-        {b: (values[i], flags[i]) for i, b in enumerate(bins)}, n_actions
-    )
+    return QTable.from_arrays(bins, values, flags)
 
 
 @dataclass(frozen=True)
@@ -520,9 +509,10 @@ def greedy_lockstep(
     and greedy selection draws nothing, so there all repetitions of a goal
     are the same episode: it runs once, as one lane, and is copied.
     Greedy selection takes the argmax of the lane's row, ties to the lowest
-    action id; rows come from the table's blocks for the goals' bins, and
-    read zero in a bin the table does not hold. A lane that reaches success
-    drops out.
+    action id. Rows are read in place from the table's stacked arrays, at
+    the goal bin's index in table.bins, and never written; in a bin the
+    table does not hold they read zero and count as empty. A lane that
+    reaches success drops out.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -530,19 +520,24 @@ def greedy_lockstep(
         raise ValueError(f"table has {table.action_count} actions, "
                          f"the action spec {action_spec.action_count}")
     origin = rest_tip_origin(params.l0_mm)
-    goal_bins = [encode_goal_prefix(g.position, g.direction, origin, binning) for g in goals]
-    held = sorted(set(goal_bins) & table.blocks.keys())
-    # One block per held bin, then one zero block for the bins the table lacks.
-    values = np.zeros((len(held) + 1, N_TIP_STATES, table.action_count), dtype=np.float32)
-    flags = np.zeros(values.shape, dtype=np.uint16)
-    for i, b in enumerate(held):
-        values[i], flags[i] = table.blocks[b]
-    # Row kind: 0 holds a trained entry, 1 only augmented ones, 2 is empty.
-    kind = np.where((flags & FLAG_TRAINED).any(axis=2), 0, np.where(flags.any(axis=2), 1, 2))
-    block_of = {b: i for i, b in enumerate(held)}
+    goal_bins = np.array(
+        [encode_goal_prefix(g.position, g.direction, origin, binning) for g in goals])
+    goal_rows = table.bins.searchsorted(goal_bins)
+    held = goal_rows < len(table.bins)
+    held[held] = table.bins[goal_rows[held]] == goal_bins[held]
+    # Each goal's greedy action and row kind at every tip state of its bin,
+    # read from the table in place. Row kind: 0 holds a trained entry, 1 only
+    # augmented ones, 2 is empty. A bin the table lacks reads zero: action 0,
+    # kind empty.
+    policy = np.zeros((len(goals), N_TIP_STATES), dtype=np.int64)
+    kind = np.full(policy.shape, 2)
+    for g in np.flatnonzero(held).tolist():
+        flags = table.bin_flags[goal_rows[g]]
+        policy[g] = table.bin_values[goal_rows[g]].argmax(axis=1)
+        kind[g] = np.where((flags & FLAG_TRAINED).any(axis=1), 0,
+                           np.where(flags.any(axis=1), 1, 2))
     copies = repetitions if plant is None else 1
     lane_reps = repetitions // copies  # lanes per goal
-    lane_block = np.repeat([block_of.get(b, len(held)) for b in goal_bins], lane_reps)
 
     n = len(goals) * lane_reps
     length = max_steps + 1
@@ -555,8 +550,8 @@ def greedy_lockstep(
                 noise_generator(plant.seed, (g, rep)).normal(0.0, sigma, (length, 3))
                 for g in range(len(goals)) for rep in range(repetitions)
             ])
-    goal_rows = np.array([np.concatenate([g.position, g.direction]) for g in goals])
-    lanes = _Lanes(goal_rows, params=fk_params, action_spec=action_spec, binning=binning,
+    goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+    lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
                    repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
 
     pos = np.empty((n, length))
@@ -574,9 +569,9 @@ def greedy_lockstep(
             lanes.keep(~done)
         if len(lanes) == 0:
             break
-        block = lane_block[lanes.ids]
-        selections[lanes.ids, kind[block, lanes.state]] += 1
-        lanes.step(values[block, lanes.state].argmax(axis=1))
+        goal = lanes.ids // lane_reps
+        selections[lanes.ids, kind[goal, lanes.state]] += 1
+        lanes.step(policy[goal, lanes.state])
         pos[lanes.ids, step], rot[lanes.ids, step] = lanes.pos, lanes.rot
         done = reward_spec.is_success(lanes.pos, lanes.rot)
     else:  # the lanes still running ended at the step limit

@@ -13,8 +13,9 @@ Training runs in one process: every reachable bin's k-th episode runs in
 lockstep with the others (episode.train_lockstep). Episode randomness is
 keyed to (master seed, bin, goal index), never to the lane that happens to
 run the bin, and episodes in different bins touch disjoint rows. So training
-the bins in chunks and merging the chunk tables, a plain disjoint union,
-gives the same table bit for bit as training them all at once.
+the bins in chunks and merging the chunk tables, whose per-bin value and
+flag rows are simply concatenated in bin order, gives the same table bit for
+bit as training them all at once.
 """
 
 from __future__ import annotations
@@ -186,11 +187,10 @@ def _binned_batches(
 def build_goal_bank(
     params: ArmParams,
     quota: int,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
-    rng: np.random.Generator | None = None,
+    budget: int,
+    rng: np.random.Generator,
     *,
-    binning: BinningSpec | None = None,
-    batch_size: int = GOAL_SAMPLE_BATCH,
+    binning: BinningSpec,
 ) -> GoalBank:
     """Fill goal bins by rejection sampling random pressure vectors through FK.
 
@@ -200,27 +200,22 @@ def build_goal_bank(
     discarded rather than padded.
 
     FK and goal-bin encoding run on a pool of threads, one per core this
-    process may use (at most _MAX_BANK_WORKERS), while this thread draws the
-    pressure batches from `rng` in stream order and files the results into
-    bins strictly in draw order. The bank, `samples_used` and the state `rng`
-    is left in are therefore byte-identical to one thread doing it all: a
-    batch drawn ahead of an early stop is rewound out of `rng`.
+    process may use (at most _MAX_BANK_WORKERS), while this thread draws
+    pressure batches of GOAL_SAMPLE_BATCH rows from `rng` in stream order and
+    files the results into bins strictly in draw order. The bank,
+    `samples_used` and the state `rng` is left in are therefore byte-identical
+    to one thread doing it all: a batch drawn ahead of an early stop is
+    rewound out of `rng`.
     """
     if quota < 1:
         raise ValueError("quota must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    if binning is None:
-        binning = BinningSpec()
 
     needed = np.full(N_GOAL_BINS, quota, dtype=np.int64)
     stash = np.empty((N_GOAL_BINS, quota, _GOAL_ROW))
     used = 0
-    batches = _binned_batches(params, binning, budget, rng, batch_size)
+    batches = _binned_batches(params, binning, budget, rng, GOAL_SAMPLE_BATCH)
     try:
         for rows, bins in batches:
             used += len(bins)
@@ -343,25 +338,30 @@ def pretrain_shard(
 
 
 def merge(partials: Sequence[QTable]) -> QTable:
-    """Disjoint union of partial tables' goal-bin blocks.
+    """Disjoint union of partial tables' goal-bin rows.
 
-    Assembles tables trained on disjoint sets of bins into one. Each goal
-    bin must be held by at most one partial.
+    Assembles tables trained on disjoint sets of bins into one: their rows,
+    concatenated and put in bin order. Each goal bin must be held by at most
+    one partial.
     """
     if not partials:
         return QTable()
     action_count = partials[0].action_count
-    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for p in partials:
-        if p.action_count != action_count:
-            raise MergeConflictError("partial tables disagree on action count")
-        for goal_bin, block in p.blocks.items():
-            if goal_bin in blocks:
-                raise MergeConflictError(
-                    f"goal bin {goal_bin} is held by more than one partial table"
-                )
-            blocks[goal_bin] = block
-    return QTable.from_blocks(blocks, action_count)
+    if any(p.action_count != action_count for p in partials):
+        raise MergeConflictError("partial tables disagree on action count")
+    bins = np.concatenate([p.bins for p in partials])
+    order = np.argsort(bins)
+    bins = bins[order]
+    repeated = bins[1:][bins[1:] == bins[:-1]]
+    if len(repeated):
+        raise MergeConflictError(
+            f"goal bin {repeated[0]} is held by more than one partial table"
+        )
+    return QTable.from_arrays(
+        bins,
+        np.concatenate([p.bin_values for p in partials])[order],
+        np.concatenate([p.bin_flags for p in partials])[order],
+    )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 The table maps (state index, action id) to a float32 value plus a flag
 word recording how the entry came to be: bit 0 set by a learning update,
 bit 1 set by neighbor-mean augmentation. Entries never touched read as
-value 0 with flags 0. Storage is one block per goal bin written to (see
+value 0 with flags 0. Storage is one layout from training to disk: the
+goal bins held, and per bin a stacked row of values and one of flags (see
 QTable). The on-disk format is a flat record list: little-endian, magic
 "HPNQ", version, action count, entry count, records sorted by (state,
 action), CRC32 over everything before the checksum itself.
@@ -16,8 +17,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -102,11 +101,6 @@ class ActionSpec:
         chamber, down = divmod(rest, 2)
         return segment, chamber, -1 if down else 1
 
-    def compose(self, segment: int, chamber: int, direction: int) -> int:
-        if segment not in range(4) or chamber not in range(4) or direction not in (-1, 1):
-            raise ValueError(f"bad action triple ({segment}, {chamber}, {direction})")
-        return segment * 8 + chamber * 2 + (1 if direction < 0 else 0)
-
     def apply(self, pressures: np.ndarray, action_id: int, p_max_kpa: float) -> np.ndarray:
         """New (4, 4) pressure matrix after one action, clipped to [0, p_max]."""
         segment, chamber, direction = self.decompose(action_id)
@@ -134,25 +128,33 @@ class ActionSpec:
 
 
 class QTable:
-    """Value table over (state index, action id), stored per goal bin.
+    """Value table over (state index, action id), stored as stacked goal-bin rows.
 
     A state index divides by N_TIP_STATES into its goal bin and the tip-error
-    suffix within it. Each goal bin written to owns a block: an
-    (N_TIP_STATES, action_count) float32 value array and a uint16 flag array
-    of the same shape. Training episodes only ever touch their own goal's
-    bin, so a bin is also the unit the lockstep engine trains in: each lane
-    owns one bin's block, and tables trained on disjoint bins join by a
-    plain union of blocks (pretrain.merge).
+    suffix within it. The table holds three arrays: ``bins`` (m,), the goal
+    bins it holds as strictly increasing int64; ``bin_values`` (m,
+    N_TIP_STATES, action_count) float32; and ``bin_flags`` of the same shape,
+    uint16. Row i of the stacked arrays belongs to goal bin ``bins[i]``; a bin
+    the table does not hold reads as zeros. Training episodes only ever touch
+    their own goal's bin, so a bin is also the unit the lockstep engine trains
+    in: lane i trains row i, and tables trained on disjoint bins join by
+    concatenating their rows in bin order (pretrain.merge).
+
+    Read the three arrays, but write only through update and set_entry: a
+    write to a bin the table does not hold inserts a zeroed row at its sorted
+    place, which replaces the arrays.
 
     Flag words hold only the defined bits, FLAG_TRAINED and FLAG_AUGMENTED:
-    set_entry, from_records and load reject any other bit.
+    from_arrays, set_entry, from_records and load reject any other bit.
     """
 
     def __init__(self, action_count: int = N_ACTIONS):
         if action_count <= 0 or action_count > 0xFFFF:
             raise ValueError(f"action_count must be in [1, 65535], got {action_count}")
         self.action_count = int(action_count)
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.bins = np.empty(0, dtype=np.int64)
+        self.bin_values = np.zeros((0, N_TIP_STATES, self.action_count), dtype=np.float32)
+        self.bin_flags = np.zeros(self.bin_values.shape, dtype=np.uint16)
         zero_v = np.zeros(action_count, dtype=np.float32)
         zero_f = np.zeros(action_count, dtype=np.uint16)
         zero_v.flags.writeable = False
@@ -167,22 +169,22 @@ class QTable:
         """Always False: the table has one storage layout."""
         return False
 
-    @property
-    def blocks(self) -> Mapping[int, tuple[np.ndarray, np.ndarray]]:
-        """Goal bin -> (values, flags) block, read-only view. Do not mutate."""
-        return MappingProxyType(self._blocks)
+    def _row(self, goal_bin: int) -> int | None:
+        """Index of the goal bin's row, or None when the table does not hold it."""
+        i = int(self.bins.searchsorted(goal_bin))
+        return i if i < len(self.bins) and self.bins[i] == goal_bin else None
 
     def values(self, state: int) -> np.ndarray:
         """Row of action values; a shared zero row for untouched states. Do not mutate."""
         goal_bin, suffix = divmod(state, N_TIP_STATES)
-        block = self._blocks.get(goal_bin)
-        return self._zero_values if block is None else block[0][suffix]
+        i = self._row(goal_bin)
+        return self._zero_values if i is None else self.bin_values[i, suffix]
 
     def flags(self, state: int) -> np.ndarray:
         """Row of flag words, analogous to values(). Do not mutate."""
         goal_bin, suffix = divmod(state, N_TIP_STATES)
-        block = self._blocks.get(goal_bin)
-        return self._zero_flags if block is None else block[1][suffix]
+        i = self._row(goal_bin)
+        return self._zero_flags if i is None else self.bin_flags[i, suffix]
 
     def get(self, state: int, action: int) -> float:
         return float(self.values(state)[action])
@@ -196,17 +198,19 @@ class QTable:
     def augmented_count(self) -> int:
         return self._count_flag(FLAG_AUGMENTED)
 
+    # The counts and record_arrays go one goal bin at a time, so no
+    # temporary spans the whole table.
     def _count_flag(self, bit: int) -> int:
-        return sum(int(np.count_nonzero(f & bit)) for _, f in self._blocks.values())
+        return sum(int(np.count_nonzero(f & bit)) for f in self.bin_flags)
 
     def entry_count(self) -> int:
-        return sum(int(np.count_nonzero(_stored(v, f))) for v, f in self._blocks.values())
+        return sum(int(np.count_nonzero(_stored(v, f)))
+                   for v, f in zip(self.bin_values, self.bin_flags))
 
     def state_count(self) -> int:
         """Number of states holding at least one stored entry."""
-        return sum(
-            int(np.count_nonzero(_stored(v, f).any(axis=1))) for v, f in self._blocks.values()
-        )
+        return sum(int(np.count_nonzero(_stored(v, f).any(axis=1)))
+                   for v, f in zip(self.bin_values, self.bin_flags))
 
     # -- write paths --------------------------------------------------------
 
@@ -215,14 +219,14 @@ class QTable:
         if not 0 <= action < self.action_count:
             raise ValueError(f"action {action} outside [0, {self.action_count})")
 
-    def _block(self, goal_bin: int) -> tuple[np.ndarray, np.ndarray]:
-        """The bin's block, allocated zeroed on first write."""
-        block = self._blocks.get(goal_bin)
-        if block is None:
-            shape = (N_TIP_STATES, self.action_count)
-            block = (np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.uint16))
-            self._blocks[goal_bin] = block
-        return block
+    def _write_row(self, goal_bin: int) -> int:
+        """Index of the goal bin's row, inserting a zeroed row first if it is absent."""
+        i = int(self.bins.searchsorted(goal_bin))
+        if i == len(self.bins) or self.bins[i] != goal_bin:
+            self.bins = np.insert(self.bins, i, goal_bin)
+            self.bin_values = np.insert(self.bin_values, i, 0, axis=0)
+            self.bin_flags = np.insert(self.bin_flags, i, 0, axis=0)
+        return i
 
     def update(self, state: int, action: int, reward: float,
                next_state: int, hp: HyperParams) -> float:
@@ -238,11 +242,11 @@ class QTable:
         _check_state(next_state)
         target = reward + hp.gamma * self.max_value(next_state)
         goal_bin, suffix = divmod(state, N_TIP_STATES)
-        values, flags = self._block(goal_bin)
-        old = float(values[suffix, action])
-        values[suffix, action] = old + hp.alpha * (target - old)
-        flags[suffix, action] |= FLAG_TRAINED
-        return float(values[suffix, action])
+        i = self._write_row(goal_bin)
+        old = float(self.bin_values[i, suffix, action])
+        self.bin_values[i, suffix, action] = old + hp.alpha * (target - old)
+        self.bin_flags[i, suffix, action] |= FLAG_TRAINED
+        return float(self.bin_values[i, suffix, action])
 
     def set_entry(self, state: int, action: int, value: float, flag_bits: int) -> None:
         """Directly store one entry; used by fixtures and bulk builders."""
@@ -252,9 +256,9 @@ class QTable:
         if _undefined_flags(flag_bits):
             raise ValueError(f"flag bits {flag_bits:#x} outside the defined {_FLAGS_DEFINED:#x}")
         goal_bin, suffix = divmod(state, N_TIP_STATES)
-        values, flags = self._block(goal_bin)
-        values[suffix, action] = value
-        flags[suffix, action] |= flag_bits
+        i = self._write_row(goal_bin)
+        self.bin_values[i, suffix, action] = value
+        self.bin_flags[i, suffix, action] |= flag_bits
 
     # -- bulk views ---------------------------------------------------------
 
@@ -268,8 +272,7 @@ class QTable:
         actions = [np.empty(0, np.uint16)]
         flags = [np.empty(0, np.uint16)]
         values = [np.empty(0, np.float32)]
-        for goal_bin in sorted(self._blocks):
-            v, f = self._blocks[goal_bin]
+        for goal_bin, v, f in zip(self.bins.tolist(), self.bin_values, self.bin_flags):
             suffix, action = np.nonzero(_stored(v, f))
             states.append((goal_bin * N_TIP_STATES + suffix).astype(np.uint32))
             actions.append(action.astype(np.uint16))
@@ -281,7 +284,7 @@ class QTable:
         )
 
     def copy(self) -> "QTable":
-        return QTable.from_blocks(self._blocks, self.action_count)
+        return QTable.from_arrays(self.bins.copy(), self.bin_values.copy(), self.bin_flags.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTable):
@@ -299,21 +302,34 @@ class QTable:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def from_blocks(cls, blocks: Mapping[int, tuple[np.ndarray, np.ndarray]],
-                    action_count: int = N_ACTIONS) -> "QTable":
-        """A table holding copies of per-goal-bin (values, flags) blocks."""
-        out = cls(action_count)
-        shape = (N_TIP_STATES, out.action_count)
-        for goal_bin, (values, flags) in blocks.items():
-            if not 0 <= goal_bin < N_GOAL_BINS:
-                raise ValueError(f"goal bin {goal_bin} outside [0, {N_GOAL_BINS})")
-            values = np.array(values, dtype=np.float32)
-            flags = np.array(flags, dtype=np.uint16)
-            if values.shape != shape or flags.shape != shape:
-                raise ValueError(f"goal bin {goal_bin}: block shape is not {shape}")
-            if not np.isfinite(values).all():
-                raise ValueError(f"goal bin {goal_bin}: non-finite value")
-            out._blocks[int(goal_bin)] = (values, flags)
+    def from_arrays(cls, bins, values, flags) -> "QTable":
+        """A table holding the three stacked arrays, checked but not copied.
+
+        ``bins`` (m,) must be strictly increasing goal bins in [0, N_GOAL_BINS),
+        ``values`` and ``flags`` (m, N_TIP_STATES, action_count) must agree in
+        shape; values must be finite and flags hold only defined bits, else
+        ValueError. Arrays already of dtype int64, float32 and uint16 become
+        the table's own, so the caller must not write to them afterwards.
+        """
+        if _undefined_flags(flags):
+            raise ValueError(f"flag bits outside the defined {_FLAGS_DEFINED:#x}")
+        bins = np.asarray(bins, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float32)
+        flags = np.asarray(flags, dtype=np.uint16)
+        if bins.ndim != 1 or values.ndim != 3 or values.shape[:2] != (len(bins), N_TIP_STATES):
+            raise ValueError(f"bins {bins.shape} and values {values.shape} do not stack as "
+                             f"(m,) and (m, {N_TIP_STATES}, action_count)")
+        if flags.shape != values.shape:
+            raise ValueError(f"flags {flags.shape} and values {values.shape} differ in shape")
+        if len(bins) and (bins[0] < 0 or bins[-1] >= N_GOAL_BINS):
+            raise ValueError(f"goal bin outside [0, {N_GOAL_BINS})")
+        if (np.diff(bins) <= 0).any():
+            raise ValueError("goal bins must be strictly increasing")
+        # One bin at a time: no whole-table temporary.
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValueError("non-finite value")
+        out = cls(values.shape[2])
+        out.bins, out.bin_values, out.bin_flags = bins, values, flags
         return out
 
     @classmethod
@@ -333,14 +349,33 @@ class QTable:
         if not np.isfinite(values_arr).all():
             raise ValueError("non-finite value")
         out = cls(action_count)
-        goal_bins, suffix = np.divmod(states, N_TIP_STATES)
-        order = np.argsort(goal_bins, kind="stable")
-        uniq, starts = np.unique(goal_bins[order], return_index=True)
-        for goal_bin, idx in zip(uniq.tolist(), np.split(order, starts[1:])):
-            v, f = out._block(goal_bin)
-            v[suffix[idx], actions[idx]] = values_arr[idx]
-            f[suffix[idx], actions[idx]] = flags_arr[idx]
+        keys = states * out.action_count
+        keys += actions
+        out.bins, flat, out.bin_values, out.bin_flags = _stacked_for(keys, out.action_count)
+        out.bin_values.reshape(-1)[flat] = values_arr
+        out.bin_flags.reshape(-1)[flat] = flags_arr
         return out
+
+
+def _stacked_for(keys: np.ndarray, action_count: int, held=()):
+    """Zeroed stacked arrays for entry keys state * action_count + action.
+
+    Returns (bins, flat, values, flags): the goal bins of the keys and of
+    ``held``, in increasing order; each key's index into the flattened
+    arrays; and zeroed (bins, N_TIP_STATES, action_count) value and flag
+    arrays.
+    """
+    per_bin = N_TIP_STATES * action_count
+    present = np.zeros(N_GOAL_BINS, dtype=bool)
+    present[keys // per_bin] = True
+    present[np.asarray(held, dtype=np.int64)] = True
+    bins = np.flatnonzero(present)
+    # In place, so that at most one key-sized temporary lives beside `flat`.
+    flat = (np.cumsum(present) - 1)[keys // per_bin]
+    flat *= per_bin
+    flat += keys % per_bin
+    shape = (len(bins), N_TIP_STATES, action_count)
+    return bins, flat, np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.uint16)
 
 
 def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -386,17 +421,32 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
+    keys, means = _neighbor_means(q, radius)
+    bins, flat, values, flags = _stacked_for(keys, q.action_count, q.bins)
+    held = np.searchsorted(bins, q.bins)
+    values[held] = q.bin_values
+    flags[held] = q.bin_flags
+    flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
+    eligible = (flat_flags[flat] & FLAG_TRAINED) == 0
+    flat = flat[eligible]
+    flat_values[flat] = means[eligible]
+    flat_flags[flat] |= FLAG_AUGMENTED
+    return QTable.from_arrays(bins, values, flags)
+
+
+def _neighbor_means(q: QTable, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries with a trained neighbor (augment's), and their neighbors' mean values.
+
+    Returns sorted keys state * action_count + action and float32 means.
+    """
     states, actions, flags, values = q.record_arrays()
     trained = (flags & FLAG_TRAINED) != 0
     src_s = states[trained].astype(np.int64)
     src_a = actions[trained].astype(np.int64)
     src_v = values[trained].astype(np.float64)
-    out = q.copy()
-    if src_s.size == 0:
-        return out
 
-    key_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
+    key_parts = [np.empty(0, np.int64)]
+    val_parts = [np.empty(0)]
     ac = q.action_count
     for dim in range(10):
         place = 4 ** (9 - dim)
@@ -418,20 +468,7 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     uniq_keys, starts = np.unique(keys, return_index=True)
     sums = np.add.reduceat(vals, starts)
     counts = np.diff(np.append(starts, keys.size))
-    means = (sums / counts).astype(np.float32)
-
-    tgt_bin, tgt_suffix = np.divmod(uniq_keys // ac, N_TIP_STATES)
-    tgt_a = uniq_keys % ac
-    # Keys are sorted, so each goal bin's targets form one contiguous run.
-    bins, bin_starts = np.unique(tgt_bin, return_index=True)
-    runs = (np.split(a, bin_starts[1:]) for a in (tgt_suffix, tgt_a, means))
-    for goal_bin, suffix, act, mean in zip(bins.tolist(), *runs):
-        block_v, block_f = out._block(goal_bin)
-        eligible = (block_f[suffix, act] & FLAG_TRAINED) == 0
-        suffix, act = suffix[eligible], act[eligible]
-        block_v[suffix, act] = mean[eligible]
-        block_f[suffix, act] |= FLAG_AUGMENTED
-    return out
+    return uniq_keys, (sums / counts).astype(np.float32)
 
 
 def save(q: QTable, path) -> None:

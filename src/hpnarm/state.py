@@ -26,14 +26,6 @@ GOAL_DIMS = 5
 N_GOAL_BINS = N_BINS_PER_DIM**GOAL_DIMS    # 1024
 N_TIP_STATES = N_STATES // N_GOAL_BINS     # 1024 suffix combinations per goal bin
 
-DIM_NAMES = (
-    "d_goal", "theta_dgoal", "phi_dgoal", "theta_egoal", "phi_egoal",
-    "d_tip", "theta_dtip", "phi_dtip", "theta_etip", "phi_etip",
-)
-
-# Place value of each dimension in the packed index, most significant first.
-_PLACE = tuple(N_BINS_PER_DIM ** (N_DIMS - 1 - i) for i in range(N_DIMS))
-
 _TINY_RADIUS = 1e-12
 
 # Interior edges shared by every azimuth dim ([-pi, pi) split in four) and
@@ -112,43 +104,6 @@ class BinningSpec:
         for a in arrays:
             a.flags.writeable = False
         return arrays
-
-
-def pack_bins(bins) -> int:
-    """Pack ten bin digits (most significant first) into one index."""
-    total = 0
-    for b, place in zip(bins, _PLACE):
-        total += b * place
-    return total
-
-
-def unpack_index(index: int) -> tuple[int, ...]:
-    """Inverse of pack_bins."""
-    index = int(index)
-    if index < 0 or index >= N_STATES:
-        raise ValueError(f"state index {index} outside [0, {N_STATES})")
-    out = []
-    for place in _PLACE:
-        out.append(index // place)
-        index %= place
-    return tuple(out)
-
-
-def pack_bins_array(bins: np.ndarray) -> np.ndarray:
-    """Vectorized pack_bins for an (n, 10) bin matrix."""
-    bins = np.asarray(bins, dtype=np.int64)
-    return bins @ np.asarray(_PLACE, dtype=np.int64)
-
-
-def unpack_index_array(indices: np.ndarray) -> np.ndarray:
-    """Vectorized unpack_index, returning an (n, 10) bin matrix."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = np.empty(idx.shape + (N_DIMS,), dtype=np.int64)
-    rem = idx.copy()
-    for i, place in enumerate(_PLACE):
-        out[..., i] = rem // place
-        rem %= place
-    return out
 
 
 def spherical_of(v) -> tuple[float, float, float]:

@@ -7,6 +7,8 @@ from value iteration instead of temporal-difference learning, and the
 state construction from a second spherical-coordinate derivation. None
 of these import from hpnarm. The goal-bank writer spells out the .hpnb
 layout field by field, so tests can write files the library never would.
+The state-index digit packers and the action-triple composer name states and
+actions by their parts, which only tests need.
 
 Three references are frozen copies instead, which the library must match bit
 for bit. oracle_evaluate replays evaluation episode by episode through the
@@ -196,6 +198,58 @@ def gridworld_value_iteration(gamma, tol=1e-13, max_iters=10_000):
             break
         v = v_new
     return q
+
+
+# ---------------------------------------------------------------------------
+# State index digits and action triples
+# ---------------------------------------------------------------------------
+
+DIM_NAMES = (
+    "d_goal", "theta_dgoal", "phi_dgoal", "theta_egoal", "phi_egoal",
+    "d_tip", "theta_dtip", "phi_dtip", "theta_etip", "phi_etip",
+)
+_N_STATES = 4 ** 10
+# Place value of each dimension in the packed index, most significant first.
+_PLACE = tuple(4 ** (9 - i) for i in range(10))
+
+
+def pack_bins(bins) -> int:
+    """Pack ten bin digits (most significant first) into one index."""
+    return sum(b * place for b, place in zip(bins, _PLACE))
+
+
+def unpack_index(index: int) -> tuple[int, ...]:
+    """Inverse of pack_bins."""
+    index = int(index)
+    if index < 0 or index >= _N_STATES:
+        raise ValueError(f"state index {index} outside [0, {_N_STATES})")
+    out = []
+    for place in _PLACE:
+        out.append(index // place)
+        index %= place
+    return tuple(out)
+
+
+def pack_bins_array(bins: np.ndarray) -> np.ndarray:
+    """Vectorized pack_bins for an (n, 10) bin matrix."""
+    return np.asarray(bins, dtype=np.int64) @ np.asarray(_PLACE, dtype=np.int64)
+
+
+def unpack_index_array(indices: np.ndarray) -> np.ndarray:
+    """Vectorized unpack_index, returning an (n, 10) bin matrix."""
+    rem = np.array(indices, dtype=np.int64)
+    out = np.empty(rem.shape + (10,), dtype=np.int64)
+    for i, place in enumerate(_PLACE):
+        out[..., i] = rem // place
+        rem %= place
+    return out
+
+
+def compose_action(segment: int, chamber: int, direction: int) -> int:
+    """Action id of (segment, chamber, direction), the inverse of ActionSpec.decompose."""
+    if segment not in range(4) or chamber not in range(4) or direction not in (-1, 1):
+        raise ValueError(f"bad action triple ({segment}, {chamber}, {direction})")
+    return segment * 8 + chamber * 2 + (1 if direction < 0 else 0)
 
 
 # ---------------------------------------------------------------------------

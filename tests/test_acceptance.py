@@ -36,7 +36,7 @@ from hpnarm.qtable import (
     load,
     save,
 )
-from hpnarm.state import GoalPose, N_STATES, pack_bins_array, unpack_index_array
+from hpnarm.state import GoalPose, N_STATES
 
 from oracles import (
     GRID_ACTIONS,
@@ -45,6 +45,8 @@ from oracles import (
     gridworld_step,
     gridworld_value_iteration,
     oracle_arm_pose,
+    pack_bins_array,
+    unpack_index_array,
 )
 
 

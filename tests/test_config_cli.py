@@ -8,9 +8,6 @@ from hpnarm import ArmParams, BinningSpec, arm_forward_kinematics
 from hpnarm.cli import main
 from hpnarm.config import (
     ConfigError,
-    EvalConfig,
-    GoalSpec,
-    PretrainConfig,
     RunConfig,
     config_from_mapping,
     default_eval_goals,

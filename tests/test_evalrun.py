@@ -301,11 +301,13 @@ class TestLockstepMatchesEpisodeOracle:
         origin = rest_tip_origin(specs["params"].l0_mm)
         goals = sample_goals(specs["params"], 40, np.random.default_rng(21))
         rng = np.random.default_rng(22)
-        blocks = {}
+        values = {}
         for g in goals:
-            b = StateEncoder(g, origin, specs["binning"]).goal_bin
-            blocks[b] = (rng.normal(size=(1024, 32)), np.ones((1024, 32), dtype=np.uint16))
-        table = QTable.from_blocks(blocks)
+            goal_bin = StateEncoder(g, origin, specs["binning"]).goal_bin
+            values[goal_bin] = rng.normal(size=(1024, 32))
+        bins = sorted(values)
+        table = QTable.from_arrays(bins, [values[b] for b in bins],
+                                   np.ones((len(bins), 1024, 32), dtype=np.uint16))
         cfg = PerturbedPlantConfig(tip_noise_sigma_mm=0.0, droop_gain=1.0)
         report, oracle = run_both(specs, table, goals, plant_kind="perturbed",
                                   perturbed_cfg=cfg, repetitions=1, max_steps=200)

@@ -128,13 +128,13 @@ class TestBuildGoalBank:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("kwargs", [{"quota": 0}, {"budget": 0}, {"batch_size": 0}])
+    @pytest.mark.parametrize("kwargs", [{"quota": 0}, {"budget": 0}])
     def test_bad_arguments_rejected(self, specs, kwargs):
-        full = {"quota": 1, "budget": 100, "batch_size": 64, **kwargs}
+        full = {"quota": 1, "budget": 100, **kwargs}
         with pytest.raises(ValueError):
             build_goal_bank(
                 specs["params"], full["quota"], full["budget"], bank_rng(0),
-                binning=specs["binning"], batch_size=full["batch_size"],
+                binning=specs["binning"],
             )
 
     def test_reachable_bin_count_regression(self, specs):
@@ -174,12 +174,13 @@ class TestGoalBankThreads:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("batch_size", [1000, 3000, 8192])
     @pytest.mark.parametrize("seed", [0, 7, 401])
-    def test_bank_and_rng_state_match_the_sequential_loop(self, specs, bank_threads, seed,
-                                                          batch_size, threads):
+    def test_bank_and_rng_state_match_the_sequential_loop(self, specs, bank_threads,
+                                                          monkeypatch, seed, batch_size,
+                                                          threads):
         bank_threads(threads)
+        monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", batch_size)
         rng, oracle_rng = bank_rng(seed), bank_rng(seed)
-        bank = build_goal_bank(specs["params"], 2, 25_000, rng, binning=specs["binning"],
-                               batch_size=batch_size)
+        bank = build_goal_bank(specs["params"], 2, 25_000, rng, binning=specs["binning"])
         oracle = oracle_goal_bank(specs["params"], specs["binning"], 2, 25_000, oracle_rng,
                                   batch_size)
         assert_bank_matches_oracle(bank, oracle)
@@ -205,10 +206,10 @@ class TestGoalBankThreads:
                 return super().uniform(low, high, size)
 
         bank_threads(threads)
+        monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", batch_size)
         rng = CountingGenerator(np.random.PCG64(np.random.SeedSequence((3, 1))))
         oracle_rng = bank_rng(3)
-        bank = build_goal_bank(specs["params"], 1, 500_000, rng, binning=specs["binning"],
-                               batch_size=batch_size)
+        bank = build_goal_bank(specs["params"], 1, 500_000, rng, binning=specs["binning"])
         oracle = oracle_goal_bank(specs["params"], specs["binning"], 1, 500_000, oracle_rng,
                                   batch_size)
         assert len(bank.bins) == N_GOAL_BINS
@@ -224,13 +225,13 @@ class TestGoalBankThreads:
         # Tasks of 97 rows, so a batch spans several threads and they finish out
         # of order; a short switch interval interleaves them as much as it can.
         monkeypatch.setattr(pretrain_module, "_ROWS_PER_TASK", 97)
+        monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", 1500)
         bank_threads((os.cpu_count() or 1) + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             rng, oracle_rng = bank_rng(11), bank_rng(11)
-            bank = build_goal_bank(specs["params"], 2, 12_000, rng,
-                                   binning=specs["binning"], batch_size=1500)
+            bank = build_goal_bank(specs["params"], 2, 12_000, rng, binning=specs["binning"])
         finally:
             sys.setswitchinterval(interval)
         oracle = oracle_goal_bank(specs["params"], specs["binning"], 2, 12_000, oracle_rng, 1500)
@@ -249,10 +250,10 @@ class TestGoalBankThreads:
             return fk_and_bin(pressures, *args)
 
         monkeypatch.setattr(pretrain_module, "_fk_and_bin", failing)
+        monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", 1000)
         bank_threads(2)
         with pytest.raises(FloatingPointError, match="task failed"):
-            build_goal_bank(specs["params"], 1, 60_000, bank_rng(0),
-                            binning=specs["binning"], batch_size=1000)
+            build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
         assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
 
     def test_threads_end_with_the_call(self, specs, bank_threads):

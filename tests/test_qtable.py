@@ -23,7 +23,8 @@ from hpnarm.qtable import (
     save,
     select_action,
 )
-from hpnarm.state import N_STATES, N_TIP_STATES, pack_bins, unpack_index
+from hpnarm.state import N_STATES, N_TIP_STATES
+from oracles import compose_action, pack_bins, unpack_index
 
 HP = HyperParams(alpha=0.1, gamma=0.9, epsilon=0.0)
 
@@ -71,7 +72,7 @@ class TestActionSpec:
         for aid in range(32):
             triple = spec.decompose(aid)
             seen.add(triple)
-            assert spec.compose(*triple) == aid
+            assert compose_action(*triple) == aid
         assert len(seen) == 32
 
     def test_structure_of_packing(self):
@@ -84,7 +85,7 @@ class TestActionSpec:
     def test_apply_moves_one_chamber(self):
         spec = ActionSpec(delta_p_kpa=5.0)
         p = np.full((4, 4), 30.0)
-        out = spec.apply(p, spec.compose(2, 1, 1), p_max_kpa=60.0)
+        out = spec.apply(p, compose_action(2, 1, 1), p_max_kpa=60.0)
         assert out[2, 1] == 35.0
         assert np.count_nonzero(out != 30.0) == 1
         assert p[2, 1] == 30.0  # input untouched
@@ -93,9 +94,9 @@ class TestActionSpec:
         spec = ActionSpec(delta_p_kpa=5.0)
         p = np.zeros((4, 4))
         p[1, 3] = 58.0
-        up = spec.apply(p, spec.compose(1, 3, 1), p_max_kpa=60.0)
+        up = spec.apply(p, compose_action(1, 3, 1), p_max_kpa=60.0)
         assert up[1, 3] == 60.0
-        down = spec.apply(p, spec.compose(0, 0, -1), p_max_kpa=60.0)
+        down = spec.apply(p, compose_action(0, 0, -1), p_max_kpa=60.0)
         assert down[0, 0] == 0.0
 
     def test_bad_inputs_rejected(self):
@@ -200,6 +201,76 @@ class TestBadWrites:
         with pytest.raises(ValueError, match="flag bits"):
             QTable.from_records([5, 6], [1, 2], np.array([1, bad], dtype=np.int64), [1.0, 2.0])
         assert q.entry_count() == 0
+
+
+def stacked(bins, fill=1.0):
+    """(bins, values, flags) holding one trained entry per bin, valued fill + bin."""
+    values = np.zeros((len(bins), N_TIP_STATES, 32), dtype=np.float32)
+    flags = np.zeros(values.shape, dtype=np.uint16)
+    values[:, 7, 3] = fill + np.asarray(bins, dtype=np.float32)
+    flags[:, 7, 3] = FLAG_TRAINED
+    return bins, values, flags
+
+
+def poked(arrays, which, word):
+    """``arrays`` with one word of its values (which=1) or flags (which=2) overwritten."""
+    arrays[which][-1, 0, 0] = word
+    return arrays
+
+
+class TestStackedLayout:
+    def test_from_arrays_holds_the_arrays_given(self):
+        bins, values, flags = stacked([2, 5, 1023])
+        q = QTable.from_arrays(np.array(bins), values, flags)
+        assert q.bin_values is values and q.bin_flags is flags
+        assert q.bins.tolist() == [2, 5, 1023]
+        assert q.get(5 * N_TIP_STATES + 7, 3) == 6.0
+        assert q.get(4 * N_TIP_STATES + 7, 3) == 0.0
+        assert q.trained_count() == 3
+
+    def test_bulk_builds_hold_only_the_bins_they_write(self, tmp_path):
+        q = QTable.from_records([3 * N_TIP_STATES + 1, 700 * N_TIP_STATES], [0, 5], [1, 2],
+                                [1.0, 2.0])
+        assert q.bins.tolist() == [3, 700]
+        save(q, tmp_path / "t.hpnq")
+        assert load(tmp_path / "t.hpnq").bins.tolist() == [3, 700]
+        near = {n // N_TIP_STATES for n in scratch_neighbors(3 * N_TIP_STATES + 1)}
+        assert augment(q).bins.tolist() == sorted(near | {3, 700})
+
+    @pytest.mark.parametrize("arrays", [
+        pytest.param(stacked([5, 2]), id="unsorted-bins"),
+        pytest.param(stacked([2, 2]), id="repeated-bins"),
+        pytest.param(stacked([-1, 3]), id="bin-below-0"),
+        pytest.param(stacked([3, 1024]), id="bin-past-1023"),
+        pytest.param(stacked([1, 2])[:2] + (np.zeros((1, N_TIP_STATES, 32), np.uint16),),
+                     id="flags-shape"),
+        pytest.param(([1, 2],) + stacked([1, 2, 3])[1:], id="bins-shape"),
+        pytest.param(([1],) + tuple(a[:, :5] for a in stacked([1])[1:]), id="rows-shape"),
+        pytest.param(poked(stacked([1, 2]), 1, np.nan), id="nan-value"),
+        pytest.param(poked(stacked([1, 2]), 1, -np.inf), id="inf-value"),
+        pytest.param(poked(stacked([1, 2]), 2, 4), id="undefined-flag-bit"),
+    ])
+    def test_from_arrays_rejects(self, arrays):
+        with pytest.raises(ValueError):
+            QTable.from_arrays(*arrays)
+
+    @pytest.mark.parametrize("write", ["set_entry", "update"])
+    def test_write_between_held_bins_inserts_a_sorted_zeroed_row(self, write):
+        q = QTable.from_arrays(*stacked([2, 9]))
+        before = q.copy()
+        state = 5 * N_TIP_STATES + 11
+        if write == "set_entry":
+            q.set_entry(state, 4, 2.5, FLAG_AUGMENTED)
+        else:
+            q.update(state, 4, 1.0, 2 * N_TIP_STATES + 7, HP)
+        assert q.bins.tolist() == [2, 5, 9]
+        for old, new in ((0, 0), (1, 2)):
+            assert q.bin_values[new].tobytes() == before.bin_values[old].tobytes()
+            assert q.bin_flags[new].tobytes() == before.bin_flags[old].tobytes()
+        written = np.zeros((N_TIP_STATES, 32), dtype=bool)
+        written[11, 4] = True
+        assert not q.bin_values[1][~written].any() and not q.bin_flags[1][~written].any()
+        assert q.flags(state)[4] == (FLAG_AUGMENTED if write == "set_entry" else FLAG_TRAINED)
 
 
 class TestSelectAction:
@@ -309,6 +380,16 @@ class TestAugment:
         augment(q)
         assert q.entry_count() == 1
         assert q.augmented_count() == 0
+
+    @pytest.mark.parametrize("flag", [0, FLAG_AUGMENTED])
+    def test_nothing_trained_gives_an_equal_copy(self, flag):
+        q = QTable()
+        if flag:
+            q.set_entry(77, 3, 1.5, flag)
+        out = augment(q)
+        assert out == q and out.bins.tolist() == q.bins.tolist()
+        out.set_entry(77, 3, 9.0, FLAG_TRAINED)
+        assert q.get(77, 3) == (1.5 if flag else 0.0)
 
     def test_second_pass_adds_nothing_new(self):
         q = QTable()

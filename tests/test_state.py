@@ -13,7 +13,6 @@ from hpnarm import (
     rest_tip_origin,
 )
 from hpnarm.state import (
-    DIM_NAMES,
     GOAL_DIMS,
     N_GOAL_BINS,
     N_STATES,
@@ -25,13 +24,17 @@ from hpnarm.state import (
     encode_goal_prefix_batch,
     encode_tip_suffix_batch,
     goal_frame,
+    spherical_of,
+)
+from oracles import (
+    DIM_NAMES,
+    oracle_bin_index,
+    oracle_state_index,
     pack_bins,
     pack_bins_array,
-    spherical_of,
     unpack_index,
     unpack_index_array,
 )
-from oracles import oracle_bin_index, oracle_state_index
 
 bin_tuples = st.tuples(*[st.integers(0, 3) for _ in range(10)])
 goal_digits = st.tuples(*[st.integers(0, 3) for _ in range(GOAL_DIMS)])

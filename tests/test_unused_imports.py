@@ -1,4 +1,4 @@
-"""Every module-level import in the package modules and scripts is used.
+"""Every module-level import in the package modules, scripts and tests is used.
 
 The package root (__init__.py) is left out: its imports are its exports.
 """
@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     [p for p in (ROOT / "src" / "hpnarm").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py"))
+    + list((ROOT / "tests").glob("*.py"))
 )
 
 
