@@ -11,10 +11,21 @@ each as one lane of a shared numpy step: train_lockstep steps one episode per
 goal bin, greedy_lockstep one per (goal, repetition), or one per goal on the
 nominal plant, where repetitions are identical. Both are bit-identical to
 run_episode called on each episode in turn.
+
+The shared step keeps its fixed cost low in three ways, none of which changes
+a bit. Segment transforms come from a lattice built once per process: every
+segment state the chamber-pressure closure allows (13 pressures, so 13**4
+states, at the default 60 kPa ceiling and 5 kPa step), up to
+LATTICE_MAX_PRESSURES pressures, beyond which the step computes them.
+Training's exploration draws come from each episode's raw PCG64 words, read
+once per round as select_action would (exploration_draws). And the tip state
+is binned from numpy's angles, recomputed with math only near a bin edge
+(state.encode_tip_suffix_batch).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -30,7 +41,14 @@ from .kinematics import (
     segment_transform_batch,
     validate_pressures,
 )
-from .qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, select_action
+from .qtable import (
+    FLAG_TRAINED,
+    N_ACTIONS,
+    ActionSpec,
+    HyperParams,
+    QTable,
+    select_action,
+)
 from .state import (
     N_TIP_STATES,
     BinningSpec,
@@ -309,18 +327,86 @@ def run_episode(
 
 def pose_errors_batch(pose: np.ndarray, goal_pos: np.ndarray, goal_dir: np.ndarray):
     """pose_errors for an (n, 4, 4) pose stack against n goals, bit for bit."""
-    dx = pose[:, 0, 3] - goal_pos[:, 0]
-    dy = pose[:, 1, 3] - goal_pos[:, 1]
-    dz = pose[:, 2, 3] - goal_pos[:, 2]
-    pos = np.sqrt(dx * dx + dy * dy + dz * dz)
-    dot = (pose[:, 0, 2] * goal_dir[:, 0]
-           + pose[:, 1, 2] * goal_dir[:, 1]
-           + pose[:, 2, 2] * goal_dir[:, 2])
+    d = pose[:, :3, 3] - goal_pos
+    d *= d
+    pos = np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
+    terms = pose[:, :3, 2] * goal_dir
+    dot = terms[:, 0] + terms[:, 1] + terms[:, 2]
     # math.acos, not np.arccos: the two differ in the last bit on some inputs.
     # minimum/maximum clip as np.clip does, without its per-call overhead.
     cos = np.minimum(np.maximum(dot, -1.0), 1.0)
     acos = np.fromiter(map(math.acos, cos.tolist()), float, len(dot))
     return pos, np.degrees(acos)
+
+
+# Largest chamber-pressure closure _Lanes precomputes segment transforms for:
+# 16 pressures give 16**4 = 65,536 segment states, an 8 MB transform table.
+LATTICE_MAX_PRESSURES = 16
+
+
+def pressure_closure(action_spec: ActionSpec, p_max_kpa: float, limit: int):
+    """Every pressure a chamber can hold, sorted, or None when there are more than ``limit``.
+
+    A chamber starts at p_max / 2 and each action moves it by +-delta_p,
+    clipped to [0, p_max], in exactly the float operations of
+    ActionSpec.apply_batch, so the closure is the set of values those
+    operations reach.
+    """
+    step = np.array([action_spec.delta_p_kpa, -action_spec.delta_p_kpa])
+    values = frontier = np.array([p_max_kpa / 2.0])
+    while frontier.size:
+        reached = np.minimum(np.maximum(frontier[:, None] + step, 0.0), p_max_kpa)
+        frontier = np.setdiff1d(reached, values)
+        values = np.union1d(values, frontier)
+        if values.size > limit:
+            return None
+    return values
+
+
+@dataclass(frozen=True)
+class _SegmentLattice:
+    """Every segment state one chamber-pressure closure allows, with its transform.
+
+    A segment state packs its four chamber pressures' closure indices in base
+    len(closure), chamber 0 first. ``transforms`` (states, 4, 4) holds each
+    state's segment_transform_batch row; ``moves`` (states, 8) the state an
+    action leaves it in, by chamber * 2 + down (the action id modulo 8);
+    ``start`` is the state with every chamber at p_max / 2.
+    """
+
+    transforms: np.ndarray
+    moves: np.ndarray
+    start: int
+
+
+# Two entries hold an evaluation's nominal and perturbed plants.
+@functools.lru_cache(maxsize=2)
+def _segment_lattice(params: ArmParams, action_spec: ActionSpec) -> _SegmentLattice | None:
+    """The segment lattice of an arm and action step, or None past LATTICE_MAX_PRESSURES.
+
+    Cached: the first call for a (params, action_spec) pair builds it in one
+    segment_transform_batch pass over every state, about 30 ms at the default.
+    """
+    values = pressure_closure(action_spec, params.p_max_kpa, LATTICE_MAX_PRESSURES)
+    if values is None:
+        return None
+    v = len(values)
+    digits = np.indices((v,) * N_CHAMBERS).reshape(N_CHAMBERS, -1).T
+    place = v ** np.arange(N_CHAMBERS - 1, -1, -1)
+    states = digits @ place
+    transforms = np.empty((len(states), 4, 4))
+    for rows in np.split(np.arange(len(states)), v):  # v blocks bound the temporaries
+        transforms[rows] = segment_transform_batch(values[digits[rows]], params)
+    moves = np.empty((len(states), 2 * N_CHAMBERS), dtype=np.int32)
+    for down, delta in enumerate((action_spec.delta_p_kpa, -action_spec.delta_p_kpa)):
+        moved = np.minimum(np.maximum(values + delta, 0.0), params.p_max_kpa)
+        to = values.searchsorted(moved)
+        for chamber in range(N_CHAMBERS):
+            d = digits[:, chamber]
+            moves[:, 2 * chamber + down] = states + (to[d] - d) * place[chamber]
+    transforms.flags.writeable = moves.flags.writeable = False
+    start = int(values.searchsorted(params.p_max_kpa / 2.0) * place.sum())
+    return _SegmentLattice(transforms, moves, start)
 
 
 class _Lanes:
@@ -337,6 +423,18 @@ class _Lanes:
     observation sets pos, rot (pose_errors) and state (the packed tip
     suffix). Per-lane arrays hold the lane on axis 0, except ``segments``
     (axis 1); ``ids`` holds each running lane's number.
+
+    A segment's transform is looked up, not computed, when the chamber
+    pressures can take at most LATTICE_MAX_PRESSURES values (13 at the
+    default 60 kPa ceiling and 5 kPa step): the lanes then carry each
+    segment's lattice state in ``codes`` (lanes, 4) and a step is two
+    gathers from the cached _SegmentLattice. Past that bound they carry
+    ``pressures`` (lanes, 4, 4) and call segment_transform_batch on the
+    moved segments. Both give the same bits: a lattice row is the
+    segment_transform_batch row of its pressures. The tip state is binned
+    from numpy's angles; state.encode_tip_suffix_batch recomputes with math
+    only an angle within 1e-9 rad of a bin edge or of the azimuth fold at pi,
+    where the two could bin apart.
     """
 
     def __init__(self, goals: np.ndarray, *, params: ArmParams,
@@ -349,10 +447,15 @@ class _Lanes:
         self.goals = np.repeat(goals, repetitions, axis=0)
         frames = np.array([goal_frame(d).T for d in goals[:, 3:]]).reshape(-1, 3, 3)
         self.frames = np.repeat(frames, repetitions, axis=0)
-        start = np.full((N_SEGMENTS, N_CHAMBERS), params.p_max_kpa / 2.0)
-        self.pressures = np.broadcast_to(start, (n, N_SEGMENTS, N_CHAMBERS)).copy()
-        start_segments = segment_transform_batch(start, params)
-        self.segments = np.broadcast_to(start_segments[:, None], (N_SEGMENTS, n, 4, 4)).copy()
+        self.lattice = _segment_lattice(params, action_spec)
+        if self.lattice is None:
+            start = np.full((N_SEGMENTS, N_CHAMBERS), params.p_max_kpa / 2.0)
+            self.pressures = np.broadcast_to(start, (n, N_SEGMENTS, N_CHAMBERS)).copy()
+            start_segment = segment_transform_batch(start[:1], params)[0]
+        else:
+            self.codes = np.full((n, N_SEGMENTS), self.lattice.start)
+            start_segment = self.lattice.transforms[self.lattice.start]
+        self.segments = np.broadcast_to(start_segment, (N_SEGMENTS, n, 4, 4)).copy()
         self.t = 0
         self._observe()
 
@@ -376,19 +479,66 @@ class _Lanes:
 
     def step(self, action: np.ndarray) -> None:
         """Apply one action per lane and observe the new tip."""
-        seg = self.action_spec.apply_batch(self.pressures, action, self.params.p_max_kpa)
         lane = np.arange(len(action))
-        self.segments[seg, lane] = segment_transform_batch(self.pressures[lane, seg], self.params)
+        if self.lattice is None:
+            seg = self.action_spec.apply_batch(self.pressures, action, self.params.p_max_kpa)
+            moved = segment_transform_batch(self.pressures[lane, seg], self.params)
+        else:
+            seg, move = np.divmod(action, 2 * N_CHAMBERS)
+            code = self.lattice.moves[self.codes[lane, seg], move]
+            self.codes[lane, seg] = code
+            moved = self.lattice.transforms[code]
+        self.segments[seg, lane] = moved
         self.t += 1
         self._observe()
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the lanes where ``mask`` is False."""
-        for name in ("ids", "goals", "frames", "pressures", "pos", "rot", "state"):
+        chambers = "pressures" if self.lattice is None else "codes"
+        for name in ("ids", "goals", "frames", chambers, "pos", "rot", "state"):
             setattr(self, name, getattr(self, name)[mask])
         self.segments = self.segments[:, mask]
         if self.noise is not None:
             self.noise = self.noise[mask]
+
+
+# integers(N_ACTIONS) keeps the top log2(N_ACTIONS) bits of a 32-bit draw: for a
+# power of two, Lemire's method never rejects.
+assert N_ACTIONS & (N_ACTIONS - 1) == 0
+_ACTION_SHIFT = 33 - N_ACTIONS.bit_length()
+
+
+def exploration_draws(raw: np.ndarray, epsilon: float, steps: int) -> np.ndarray:
+    """(lanes, steps) action that select_action draws at each step, or -1 where it is greedy.
+
+    Row i of ``raw`` holds the first words of lane i's PCG64 stream
+    (bit_generator.random_raw), at least two per step. Each step takes one
+    word as Generator.random(), (word >> 11) * 2**-53, and explores when that
+    is below ``epsilon``. An exploring step's integers(32) reads 32 bits: the
+    low half of a fresh word, or the high half the previous such read left
+    buffered; the action is those bits >> 27, integers(32) by Lemire's method.
+    """
+    explore = (raw >> 11) * 2.0**-53 < epsilon
+    low = ((raw & 0xFFFFFFFF) >> _ACTION_SHIFT).tolist()
+    high = (raw >> 32 + _ACTION_SHIFT).tolist()
+    out = np.full((len(raw), steps), -1)
+    for lane, candidates in enumerate(explore):
+        # Word w is step w - shift's random(), where shift counts the words
+        # read whole by integers() before it; only exploring words need a look.
+        shift, half, fresh = 0, None, -1
+        for word in candidates.nonzero()[0].tolist():
+            if word == fresh:  # read by integers(), not by random()
+                continue
+            step = word - shift
+            if step >= steps:
+                break
+            if half is None:
+                fresh = word + 1
+                shift += 1
+                out[lane, step], half = low[lane][fresh], high[lane][fresh]
+            else:
+                out[lane, step], half = half, None
+    return out
 
 
 def train_lockstep(
@@ -421,7 +571,10 @@ def train_lockstep(
     actions) value and flag arrays, which become the returned table as they
     are. Round k runs goals[:, k], one numpy step across all lanes still
     running; a lane that reaches success idles until the round ends. No step
-    log is kept.
+    log is kept. A round starts by reading 2 * max_steps raw words of each
+    lane's stream and turning them into the lane's exploring actions
+    (exploration_draws); a step takes a lane's drawn action where there is
+    one and its row's argmax elsewhere, the choice select_action makes.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -432,27 +585,27 @@ def train_lockstep(
     n_actions = action_spec.action_count
     values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
     flags = np.zeros(values.shape, dtype=np.uint16)
+    flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
     rs = reward_spec
 
     for k in range(goals.shape[1] if bins else 0):
-        rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0, b, k))) for b in bins]
+        raw = np.array([
+            np.random.PCG64(np.random.SeedSequence((seed, 0, b, k))).random_raw(2 * max_steps)
+            for b in bins
+        ])
+        draws = exploration_draws(raw, hp.epsilon, max_steps)
         lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
         done = rs.is_success(lanes.pos, lanes.rot)
 
-        for _ in range(max_steps):
+        for t in range(max_steps):
             if done.any():
                 lanes.keep(~done)
-            n = len(lanes)
-            if n == 0:
+            if len(lanes) == 0:
                 break
-            # Each lane's draws follow select_action: one uniform per step,
-            # then an action id on an exploring step.
             row = lanes.ids
-            explore = np.fromiter((rngs[i].random() for i in row.tolist()), float, n) < hp.epsilon
             state = lanes.state
-            action = values[row, state].argmax(axis=1)
-            for i in np.flatnonzero(explore).tolist():
-                action[i] = rngs[row[i]].integers(n_actions)
+            drawn = draws[row, t]
+            action = np.where(drawn < 0, values[row, state].argmax(axis=1), drawn)
 
             pos, rot = lanes.pos, lanes.rot
             lanes.step(action)
@@ -465,9 +618,10 @@ def train_lockstep(
 
             # QTable.update, lane by lane: float64 arithmetic, float32 storage.
             target = reward + hp.gamma * values[row, lanes.state].max(axis=1).astype(np.float64)
-            old = values[row, state, action].astype(np.float64)
-            values[row, state, action] = old + hp.alpha * (target - old)
-            flags[row, state, action] |= FLAG_TRAINED
+            entry = (row * N_TIP_STATES + state) * n_actions + action
+            old = flat_values[entry].astype(np.float64)
+            flat_values[entry] = old + hp.alpha * (target - old)
+            flat_flags[entry] = FLAG_TRAINED  # the only flag training sets
 
     return QTable.from_arrays(bins, values, flags)
 
@@ -512,7 +666,9 @@ def greedy_lockstep(
     action id. Rows are read in place from the table's stacked arrays, at
     the goal bin's index in table.bins, and never written; in a bin the
     table does not hold they read zero and count as empty. A lane that
-    reaches success drops out.
+    reaches success drops out. The lanes step as train_lockstep's do (see
+    _Lanes): on the nominal plant's lattice and, for a perturbed plant, on a
+    second lattice of its true_params, both cached for the next call.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")

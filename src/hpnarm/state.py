@@ -141,8 +141,9 @@ def goal_frame(direction) -> np.ndarray:
         ref = np.array([0.0, 1.0, 0.0])
     x = ref - np.dot(ref, z) * z
     x /= np.linalg.norm(x)
-    y = np.cross(z, x)
-    return np.column_stack([x, y, z])
+    # np.cross(z, x) term for term, without its per-call set-up.
+    y = z[[1, 2, 0]] * x[[2, 0, 1]] - z[[2, 0, 1]] * x[[1, 2, 0]]
+    return np.array([x, y, z]).T
 
 
 def bin_and_pack(values, edges, index: int = 0) -> int:
@@ -222,21 +223,43 @@ def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -
     return bin_and_pack_batch(columns, spec.edge_arrays[:GOAL_DIMS])
 
 
-def _spherical_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """spherical_of over coordinate arrays, element for element bit-identical.
+# np.arctan2 and np.arccos can differ from math.atan2 and math.acos in the last
+# bit, which moves a bin only for an angle on an edge. The batch tip encoder
+# takes numpy's angles and recomputes with math only those within this distance
+# of an edge or of the azimuth fold at pi; the two differ by a few 1e-16 rad.
+_ANGLE_GUARD_RAD = 1e-9
 
-    ``atan2`` and ``acos`` come from ``math``, one element at a time, since
-    numpy's vectorized versions can differ from them in the last bit.
+
+def _guard_edges(edges) -> np.ndarray:
+    """Each edge e widened to e -+ _ANGLE_GUARD_RAD: an odd searchsorted index is near one."""
+    return np.array([e + s * _ANGLE_GUARD_RAD for e in edges for s in (-1.0, 1.0)])
+
+
+# The azimuth's last guard opens before pi, which spherical_of folds to -pi.
+_AZIMUTH_GUARDS = _guard_edges(_AZIMUTH_EDGES + (math.pi,))[:-1]
+_ELEVATION_GUARDS = _guard_edges(_ELEVATION_EDGES)
+
+
+def _direction_bins(v: np.ndarray):
+    """Radius, azimuth bin and elevation bin of (n, 3) vectors, as binned from spherical_of.
+
+    The radius is spherical_of's bit for bit. Angles come from numpy; an angle
+    within _ANGLE_GUARD_RAD of an edge, or of the fold at pi, and every vector
+    below the zero-radius cutoff is recomputed with spherical_of itself.
     """
-    n = x.size
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
     r = np.sqrt(x * x + y * y + z * z)
-    tiny = r < _TINY_RADIUS
-    theta = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, n)
-    theta[theta >= math.pi] = -math.pi
-    cos_phi = np.minimum(np.maximum(z / np.where(tiny, 1.0, r), -1.0), 1.0)
-    phi = np.fromiter(map(math.acos, cos_phi.tolist()), float, n)
-    theta[tiny] = 0.0
-    phi[tiny] = 0.0
+    # Rows below the cutoff divide by it instead of by r and are recomputed.
+    cos_phi = np.minimum(np.maximum(z / np.maximum(r, _TINY_RADIUS), -1.0), 1.0)
+    theta = _AZIMUTH_GUARDS.searchsorted(np.arctan2(y, x), side="right")
+    phi = _ELEVATION_GUARDS.searchsorted(np.arccos(cos_phi), side="right")
+    unsure = ((theta | phi) & 1 | (r < _TINY_RADIUS)).nonzero()[0]
+    theta >>= 1
+    phi >>= 1
+    for i in unsure.tolist():
+        _, theta_i, phi_i = spherical_of(v[i])
+        theta[i] = bisect_right(_AZIMUTH_EDGES, theta_i)
+        phi[i] = bisect_right(_ELEVATION_EDGES, phi_i)
     return r, theta, phi
 
 
@@ -246,16 +269,17 @@ def encode_tip_suffix_batch(tip_pos, tip_dir, goal_pos, goal_frames, spec: Binni
     ``tip_pos``, ``tip_dir`` and ``goal_pos`` are (n, 3); ``goal_frames`` is
     (n, 3, 3), each the transpose of the goal's ``goal_frame``. Row i equals
     ``StateEncoder(goal_i, ...).encode_tip_index(tip_pos[i], tip_dir[i])``
-    modulo N_TIP_STATES, bit for bit.
+    modulo N_TIP_STATES, bit for bit. Only bins leave this function, so the
+    angles need not match math's to the bit (see _direction_bins).
     """
-    d = tip_pos - goal_pos
-    d_tip, theta_dtip, phi_dtip = _spherical_batch(d[:, 0], d[:, 1], d[:, 2])
-    rel = (goal_frames[:, :, 0] * tip_dir[:, 0, None]
-           + goal_frames[:, :, 1] * tip_dir[:, 1, None]
-           + goal_frames[:, :, 2] * tip_dir[:, 2, None])
-    _, theta_etip, phi_etip = _spherical_batch(rel[:, 0], rel[:, 1], rel[:, 2])
-    columns = (d_tip, theta_dtip, phi_dtip, theta_etip, phi_etip)
-    return bin_and_pack_batch(columns, spec.edge_arrays[GOAL_DIMS:])
+    n = len(tip_pos)
+    terms = goal_frames * tip_dir[:, None, :]
+    # The tip offset from the goal, then the tip direction in the goal frame.
+    v = np.concatenate([tip_pos - goal_pos, terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]])
+    r, theta, phi = _direction_bins(v)
+    angles = theta * N_BINS_PER_DIM + phi
+    d_tip = spec.edge_arrays[GOAL_DIMS].searchsorted(r[:n], side="right")
+    return (d_tip * N_BINS_PER_DIM**2 + angles[:n]) * N_BINS_PER_DIM**2 + angles[n:]
 
 
 class StateEncoder:

@@ -296,12 +296,13 @@ def test_criterion_09_episode_return_telescopes(capsys):
 
 def test_criterion_10_persistence_round_trip(capsys, tmp_path):
     rng = np.random.default_rng(77)
-    q = QTable()
+    entries = {}  # (state, action) -> (value, flags); a repeated key keeps its last draw
     for _ in range(500):
-        q.set_entry(
-            int(rng.integers(N_STATES)), int(rng.integers(32)),
-            float(rng.normal()), int(rng.integers(1, 4)),
-        )
+        key = (int(rng.integers(N_STATES)), int(rng.integers(32)))
+        entries[key] = (float(rng.normal()), int(rng.integers(1, 4)))
+    states, actions = zip(*entries)
+    values, flags = zip(*entries.values())
+    q = QTable.from_records(states, actions, flags, values)
     path = tmp_path / "t.qt"
     save(q, path)
     round_trip = load(path) == q

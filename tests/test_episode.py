@@ -5,15 +5,21 @@ import pytest
 
 from hpnarm import ArmParams, BinningSpec, GoalPose, arm_forward_kinematics
 from hpnarm.episode import (
+    LATTICE_MAX_PRESSURES,
     NominalPlant,
     PerturbedPlant,
     PerturbedPlantConfig,
     RewardSpec,
+    _Lanes,
+    _segment_lattice,
     compute_reward,
+    exploration_draws,
     pose_errors,
     pose_errors_batch,
+    pressure_closure,
     run_episode,
 )
+from hpnarm.kinematics import actuation_to_config, segment_transform
 from hpnarm.qtable import ActionSpec, HyperParams, QTable, save
 
 NEUTRAL_CFG = PerturbedPlantConfig(
@@ -139,11 +145,12 @@ class TestRunEpisode:
         assert log.steps_taken == 40
 
     def test_evaluation_mode_leaves_table_bit_identical(self, setup, tmp_path):
-        q = QTable()
         rng = np.random.default_rng(3)
+        entries = {}  # a repeated (state, action) keeps its last value
         for _ in range(500):
-            q.set_entry(int(rng.integers(0, 4**10)), int(rng.integers(32)),
-                        float(rng.normal()), 1)
+            entries[int(rng.integers(0, 4**10)), int(rng.integers(32))] = float(rng.normal())
+        states, actions = zip(*entries)
+        q = QTable.from_records(states, actions, [1] * len(entries), list(entries.values()))
         before = tmp_path / "before.qt"
         after = tmp_path / "after.qt"
         save(q, before)
@@ -208,6 +215,55 @@ class TestRunEpisode:
         assert log.steps_taken <= 25
         rs = setup["rewards"]
         assert log.success == rs.is_success(log.final_pos_error_mm, log.final_rot_error_deg)
+
+
+class TestLockstepStep:
+    def test_default_pressure_closure_is_every_step_of_5_kpa(self, setup):
+        closure = pressure_closure(setup["actions"], 60.0, LATTICE_MAX_PRESSURES)
+        assert closure.tolist() == [5.0 * i for i in range(13)]
+
+    @pytest.mark.parametrize("delta_p, size", [(7.0, 27), (0.3, 857), (10.0, 7)])
+    def test_closure_size_and_bound(self, delta_p, size):
+        closure = pressure_closure(ActionSpec(delta_p_kpa=delta_p), 60.0, 10_000)
+        assert len(closure) == size and closure[0] == 0.0 and closure[-1] == 60.0
+        bounded = pressure_closure(ActionSpec(delta_p_kpa=delta_p), 60.0, LATTICE_MAX_PRESSURES)
+        assert (bounded is None) == (size > LATTICE_MAX_PRESSURES)
+
+    @pytest.mark.parametrize("delta_p", [5.0, 10.0])
+    def test_lattice_follows_the_actions_and_the_scalar_transform(self, setup, delta_p, rng):
+        params, actions = setup["params"], ActionSpec(delta_p_kpa=delta_p)
+        lattice = _segment_lattice(params, actions)
+        pressures = np.full((4, 4), params.p_max_kpa / 2.0)
+        codes = [lattice.start] * 4
+        for action in rng.integers(32, size=400).tolist():
+            pressures = actions.apply(pressures, action, params.p_max_kpa)
+            seg, move = divmod(action, 8)
+            codes[seg] = int(lattice.moves[codes[seg], move])
+            want = segment_transform(actuation_to_config(pressures[seg], params), params.k_eps)
+            assert lattice.transforms[codes[seg]].tobytes() == want.tobytes()
+
+    def test_lanes_step_on_the_cached_lattice_up_to_the_bound(self, setup):
+        params, goal = setup["params"], np.array([[0.0, 0.0, 500.0, 0.0, 0.0, 1.0]])
+        for delta_p, on_lattice in [(5.0, True), (0.3, False)]:
+            actions = ActionSpec(delta_p_kpa=delta_p)
+            lanes = _Lanes(goal, params=params, action_spec=actions, binning=setup["binning"])
+            assert lanes.lattice is _segment_lattice(params, actions)
+            assert (lanes.lattice is not None) == on_lattice
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    def test_draws_are_select_actions(self, epsilon):
+        # select_action draws random() every step and integers(32) on an
+        # exploring one; at epsilon 1 every second integers() call reads the
+        # high half of a word the call before it drew.
+        steps = 40
+        keys = [(seed, 0, b, k) for seed in (0, 9) for b in range(0, 1024, 41) for k in range(4)]
+        raw = np.array([np.random.PCG64(np.random.SeedSequence(key)).random_raw(2 * steps)
+                        for key in keys])
+        got = exploration_draws(raw, epsilon, steps)
+        for key, row in zip(keys, got.tolist()):
+            rng = np.random.default_rng(np.random.SeedSequence(key))
+            want = [int(rng.integers(32)) if rng.random() < epsilon else -1 for _ in range(steps)]
+            assert row == want
 
 
 class TestNominalPlant:

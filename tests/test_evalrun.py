@@ -119,11 +119,13 @@ class TestEvaluate:
         assert not np.array_equal(r.pos_series[0], r.pos_series[1])
 
     def test_table_unchanged_by_evaluation(self, specs):
-        q = QTable()
         rng = np.random.default_rng(4)
+        entries = {}  # a repeated (state, action) keeps its last value
         for _ in range(200):
-            q.set_entry(int(rng.integers(4**10)), int(rng.integers(32)),
-                        float(rng.normal()), FLAG_TRAINED)
+            entries[int(rng.integers(4**10)), int(rng.integers(32))] = float(rng.normal())
+        states, actions = zip(*entries)
+        q = QTable.from_records(states, actions, [FLAG_TRAINED] * len(entries),
+                                list(entries.values()))
         snapshot = q.copy()
         goals = sample_goals(specs["params"], 2, np.random.default_rng(2))
         evaluate(q, goals, max_steps=15, repetitions=1, **specs)
@@ -245,11 +247,8 @@ def assert_matches_oracle(report, oracle_results, tmp_path):
 
 
 def run_both(specs, table, goals, **kwargs):
-    kwargs = {"seed": 5, **kwargs}
-    reward_spec = kwargs.pop("reward_spec", specs["reward_spec"])
-    common = {k: v for k, v in specs.items() if k not in ("hp", "reward_spec")}
-    report = evaluate(table, goals, reward_spec=reward_spec, **common, **kwargs)
-    return report, oracle_evaluate(table, goals, reward_spec=reward_spec, **common, **kwargs)
+    kwargs = {**{k: v for k, v in specs.items() if k != "hp"}, "seed": 5, **kwargs}
+    return evaluate(table, goals, **kwargs), oracle_evaluate(table, goals, **kwargs)
 
 
 class TestLockstepMatchesEpisodeOracle:
@@ -292,6 +291,17 @@ class TestLockstepMatchesEpisodeOracle:
         assert_matches_oracle(report, oracle, tmp_path)
         for r in report.results:  # no noise: the repetitions agree
             assert np.array_equal(r.pos_series[0], r.pos_series[2])
+
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    def test_pressure_closure_past_the_lattice_bound(self, specs, trained, tmp_path, plant_kind):
+        # 0.3 kPa steps reach 857 chamber pressures: the lanes skip the lattice.
+        table, goals = trained
+        actions = ActionSpec(delta_p_kpa=0.3)
+        assert episode._segment_lattice(specs["params"], actions) is None
+        report, oracle = run_both(specs, table, goals, plant_kind=plant_kind,
+                                  action_spec=actions, reward_spec=LOOSE_REWARD,
+                                  repetitions=2, max_steps=120)
+        assert_matches_oracle(report, oracle, tmp_path)
 
     def test_strong_droop_on_varied_poses(self, specs, tmp_path):
         # np.hypot and math.hypot disagree in the last bit on about 0.6% of

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hpnarm import ArmParams, BinningSpec, GoalPose, rest_tip_origin
-from hpnarm.episode import NominalPlant, RewardSpec, run_episode, train_lockstep
+from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
 from hpnarm.pretrain import (
     DEFAULT_SAMPLE_BUDGET,
     GoalBank,
@@ -489,6 +489,25 @@ class TestLockstepMatchesSequentialEpisodes:
         if loose:
             # lanes finish at different steps, some inside the step limit
             assert len(set(steps) - {0, kwargs["max_steps"]}) > 1
+
+    @pytest.mark.parametrize("override", [
+        # 0.3 kPa steps reach 857 chamber pressures: the lanes skip the lattice.
+        # They move the tip slowly, so only a looser reward ends episodes early.
+        {"actions": ActionSpec(delta_p_kpa=0.3),
+         "rewards": RewardSpec(success_pos_mm=400.0, success_rot_deg=180.0)},
+        {"hp": HyperParams(epsilon=1.0)},
+        {"hp": HyperParams(epsilon=0.5), "actions": ActionSpec(delta_p_kpa=10.0)},
+    ], ids=["closure-past-the-bound", "explore-every-step", "closure-of-7"])
+    def test_both_step_paths_equal_sequential_episodes(self, specs, bank, override):
+        specs = {**specs, "rewards": self.LOOSE, **override}
+        lattice = _segment_lattice(specs["params"], specs["actions"])
+        assert (lattice is None) == (specs["actions"].delta_p_kpa == 0.3)
+        kwargs = {**shard_kwargs(specs), "reward_spec": specs["rewards"]}
+        lockstep = pretrain_shard(bank.bins, 29, bank, specs["hp"], **kwargs)
+        reference, steps = sequential_table(bank.bins, bank.goals, 29, specs, specs["rewards"],
+                                            kwargs["max_steps"])
+        assert lockstep == reference
+        assert len(set(steps) - {0, kwargs["max_steps"]}) > 1
 
     def test_every_shard_of_a_plan_equals_its_sequential_episodes(self, specs, bank):
         for i in range(3):

@@ -17,7 +17,7 @@ from hpnarm.state import (
     N_GOAL_BINS,
     N_STATES,
     N_TIP_STATES,
-    _spherical_batch,
+    _direction_bins,
     bin_and_pack,
     bin_and_pack_batch,
     encode_goal_prefix,
@@ -108,15 +108,28 @@ class TestSphericalOf:
         _, theta, _ = spherical_of((-1.0, 0.0, 0.0))
         assert theta == -math.pi
 
-    def test_batch_is_bit_identical_to_scalar(self, rng):
-        v = rng.normal(0.0, 200.0, (500, 3))
-        v[0] = 0.0
-        v[1] = (-1.0, 0.0, 0.0)  # azimuth pi, folded to -pi
-        v[2] = (0.0, 0.0, -3.0)
-        v[3] = (1e-13, 0.0, 0.0)  # below the zero-radius cutoff
-        batch = np.column_stack(_spherical_batch(v[:, 0], v[:, 1], v[:, 2]))
-        for row, got in zip(v, batch.tolist()):
-            assert tuple(got) == spherical_of(row)
+    def test_batch_bins_match_the_scalar_angles(self, binning, rng):
+        # Angles on and one ulp either side of every edge and the pi fold,
+        # where a last-bit difference between numpy and math changes a bin.
+        angles = np.array([-math.pi, -math.pi / 2, 0.0, math.pi / 4, math.pi / 2,
+                           3 * math.pi / 4, math.pi])
+        angles = np.concatenate([angles, np.nextafter(angles, 4.0), np.nextafter(angles, -4.0)])
+        c, s = np.cos(angles), np.sin(angles)
+        zeros = np.zeros_like(angles)
+        v = np.concatenate([
+            rng.normal(0.0, 200.0, (500, 3)),
+            np.column_stack([c, s, zeros]),   # azimuth near an edge
+            np.column_stack([s, zeros, c]),   # elevation near an edge
+            np.column_stack([-s, -zeros, c]),
+            [(0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0), (0.0, 0.0, -3.0),
+             (1e-13, 0.0, 0.0)],              # zero radius, the fold, the elevation pi
+        ])
+        edges = binning.all_edges()
+        r, theta, phi = _direction_bins(v)
+        for row, got in zip(v, zip(r.tolist(), theta.tolist(), phi.tolist())):
+            r_s, theta_s, phi_s = spherical_of(row)
+            assert got == (r_s, bin_and_pack([theta_s], edges[6:7]),
+                           bin_and_pack([phi_s], edges[7:8]))
 
     @given(
         v=st.tuples(
