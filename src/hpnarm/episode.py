@@ -384,8 +384,8 @@ class _SegmentLattice:
 def _segment_lattice(params: ArmParams, action_spec: ActionSpec) -> _SegmentLattice | None:
     """The segment lattice of an arm and action step, or None past LATTICE_MAX_PRESSURES.
 
-    Cached: the first call for a (params, action_spec) pair builds it in one
-    segment_transform_batch pass over every state, about 30 ms at the default.
+    Cached: the first call for a (params, action_spec) pair runs
+    segment_transform_batch over every state, about 30-40 ms at the default.
     """
     values = pressure_closure(action_spec, params.p_max_kpa, LATTICE_MAX_PRESSURES)
     if values is None:
