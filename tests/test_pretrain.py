@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hpnarm import ArmParams, BinningSpec, GoalPose, rest_tip_origin
+from hpnarm.config import RunConfig
 from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
 from hpnarm.pretrain import (
     DEFAULT_SAMPLE_BUDGET,
@@ -35,6 +36,15 @@ REACHABLE_BINS_AT_QUOTA_10 = 64
 # first release; any change to the bytes a pretrain writes must update it
 # on purpose.
 SMALL_PRETRAIN_SHA256 = "999f09bba45f809b4cf20a9e164fab7d64f4d4211315bbc2cc4dadcfbd0c85f6"
+
+# sha256 of the .hpnq file that pretrain() writes at RunConfig defaults, by seed.
+# These are the product tables; a change to the default budget, the goal bank or
+# training that moves any of them must update it on purpose.
+DEFAULT_TABLE_SHA256 = {
+    0: "de8b990a375d77872e4fd65859a2effadd53e79c4c019a2271c6deb22cc3ae40",
+    1: "3a1e04b433cd7e65e0b581016f3438c9b9768ccb24c0b2b6e27a2c3643d43374",
+    401: "9d4895c6040563f55d22c9cab225a7762a6bff23c8faba63668cd6921c30d4da",
+}
 
 # sha256 of the .hpnb files save_goal_bank writes, with the default config's
 # fingerprint, for the small_bank setup (seed 5, quota 2, budget 60,000) and for
@@ -619,6 +629,18 @@ class TestPretrainPipeline:
             out_path=out,
         )
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_PRETRAIN_SHA256
+
+    @pytest.mark.parametrize("seed", sorted(DEFAULT_TABLE_SHA256))
+    def test_default_table_file_matches_frozen_digest(self, seed, tmp_path):
+        cfg = RunConfig()
+        p = cfg.pretrain
+        out = tmp_path / "default.hpnq"
+        pretrain(
+            cfg.arm, cfg.hyper, cfg.action, cfg.reward, cfg.binning,
+            quota=p.quota, seed=seed, budget=p.budget, max_steps=p.max_steps,
+            augment_radius=p.augment_radius, out_path=out,
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_TABLE_SHA256[seed]
 
     def test_rerun_same_seed_byte_identical(self, specs, tmp_path):
         outs = []
