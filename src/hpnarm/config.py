@@ -16,6 +16,7 @@ import yaml
 
 from .episode import PerturbedPlantConfig, RewardSpec
 from .kinematics import ArmParams, arm_forward_kinematics
+from .pretrain import DEFAULT_SAMPLE_BUDGET
 from .qtable import ActionSpec, HyperParams
 from .state import BinningSpec, GoalPose
 
@@ -54,7 +55,7 @@ class GoalSpec:
 @dataclass(frozen=True)
 class PretrainConfig:
     quota: int = 10
-    budget: int = 1_000_000
+    budget: int = DEFAULT_SAMPLE_BUDGET
     seed: int = 0
     max_steps: int = 200
     augment_radius: int = 1

@@ -42,7 +42,11 @@ from .state import (
     rest_tip_origin,
 )
 
-DEFAULT_SAMPLE_BUDGET = 1_000_000
+# Twice the measured plateau (scripts/reachability_survey.py): with the default
+# arm and binning the last bin to reach quota 10 fills within 200k samples on 39
+# of 40 seeds, and later draws file no goal. Seed 33 fills a 65th, rare bin only
+# at 788k. Larger quotas fill later (quota 30: up to 443k), so ask for more.
+DEFAULT_SAMPLE_BUDGET = 400_000
 GOAL_SAMPLE_BATCH = 8192
 
 # The goal bank runs FK on at most this many threads, in tasks of at most
@@ -367,6 +371,7 @@ def merge(partials: Sequence[QTable]) -> QTable:
 @dataclass(frozen=True)
 class PretrainSummary:
     goals_run: int
+    samples_used: int    # FK samples the goal bank drew, built or loaded from cache
     reachable_bins: int
     unreachable_bins: int
     trained_entries: int
@@ -382,6 +387,7 @@ class PretrainSummary:
         return "\n".join(
             [
                 f"goals run: {self.goals_run}",
+                f"goal bank samples: {self.samples_used}",
                 f"reachable bins: {self.reachable_bins} of {N_GOAL_BINS}",
                 f"unreachable bins: {self.unreachable_bins}",
                 f"trained entries: {self.trained_entries}",
@@ -467,6 +473,7 @@ def pretrain(
     n_reachable = len(bank.bins)
     summary = PretrainSummary(
         goals_run=bank.goal_count(),
+        samples_used=bank.samples_used,
         reachable_bins=n_reachable,
         unreachable_bins=N_GOAL_BINS - n_reachable,
         trained_entries=table.trained_count(),

@@ -13,7 +13,7 @@ from hpnarm.config import (
     default_eval_goals,
     load_config,
 )
-from hpnarm.pretrain import config_fingerprint
+from hpnarm.pretrain import DEFAULT_SAMPLE_BUDGET, config_fingerprint
 from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, QTable, load, save
 from hpnarm.state import N_GOAL_BINS
 from oracles import write_goal_bank
@@ -69,7 +69,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.pretrain.quota == 10
-        assert cfg.pretrain.budget == 1_000_000
+        assert cfg.pretrain.budget == DEFAULT_SAMPLE_BUDGET
         assert cfg.eval.repetitions == 3
         assert cfg.eval.max_steps == 200
         assert cfg.arm == ArmParams()
@@ -200,6 +200,7 @@ class TestPretrainCommand:
         first = runner.invoke(main, ["pretrain", "--config", cfg])
         assert first.exit_code == 0, first.output
         assert "trained entries" in first.output
+        assert "goal bank samples: 20000" in first.output.splitlines()
         blob = table.read_bytes()
         assert load(table).trained_count() > 0
         second = runner.invoke(main, ["pretrain", "--config", cfg])
@@ -251,6 +252,24 @@ class TestPretrainCommand:
         assert "error:" in result.output and not table.exists()
         if bad == "goal-outside-its-bin":
             assert "goal 0 of bin 5 encodes to goal bin" in result.output
+
+
+    def test_cached_bank_from_another_budget_exits_1(self, runner, tmp_path):
+        # A bank cached under the old 1e6 default is refused, never silently reused.
+        table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            f"pretrain:\n  quota: 1\n  seed: 3\noutput:\n  table_path: {table}\n"
+            f"  goal_bank_path: {bank}\n",
+        )
+        fp = config_fingerprint(ArmParams(), BinningSpec())
+        write_goal_bank(bank, [5], [[0.0, 0.0, 700.0, 0.0, 0.0, 1.0]], seed=3, quota=1,
+                        budget=1_000_000, fingerprint=fp)
+        result = runner.invoke(main, ["pretrain", "--config", cfg])
+        assert result.exit_code == 1, result.output
+        assert (f"sampled with budget=1000000, this run wants {DEFAULT_SAMPLE_BUDGET}"
+                in result.output)
+        assert not table.exists()
 
 
 class TestEvalCommand:

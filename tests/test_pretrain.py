@@ -27,8 +27,9 @@ from hpnarm.qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, augment
 from hpnarm.state import N_GOAL_BINS, N_TIP_STATES, encode_goal_prefix
 from oracles import oracle_goal_bank, write_goal_bank
 
-# Frozen reachable-bin count for default arm/binning at quota=10, budget=1e6.
-# Measured identically (64) over six disjoint seed streams before freezing.
+# Frozen reachable-bin count for default arm/binning at quota=10, budget=1e6
+# (an explicit budget, not the default). Measured identically (64) over six
+# disjoint seed streams before freezing.
 REACHABLE_BINS_AT_QUOTA_10 = 64
 
 # sha256 of the .hpnq file that pretrain writes at default specs with quota 1,
@@ -48,10 +49,14 @@ DEFAULT_TABLE_SHA256 = {
 
 # sha256 of the .hpnb files save_goal_bank writes, with the default config's
 # fingerprint, for the small_bank setup (seed 5, quota 2, budget 60,000) and for
-# seed 0 at the default quota 10 and budget 1e6. Frozen while the bank was still
-# held as GoalPose tuples; the file bytes must not move with its representation.
+# seed 0 at the default quota 10 and the default budget. SMALL_BANK_SHA256 was
+# frozen while the bank was still held as GoalPose tuples; the file bytes must
+# not move with its representation. DEFAULT_BANK_SHA256 was re-frozen when the
+# default budget went from 1e6 to 400k: the header records the budget and
+# samples_used, while the bins and goal rows stay those of the 1e6 bank
+# (test_default_bank_holds_the_goals_of_a_1e6_bank).
 SMALL_BANK_SHA256 = "cbe4cb04b116c95d22bdb101e12db5d5ed54fa639f5bb5e449b01b79f8e557c8"
-DEFAULT_BANK_SHA256 = "72cd96b4083deeea75178a51de7aa8fc601aa0ca49abdbd12e29350bf03e25c7"
+DEFAULT_BANK_SHA256 = "2532d401b8a6e920fec9d5e0edeb24724b4f7aa1942f9f73342c82852c577d90"
 
 
 def bank_rng(seed):
@@ -320,14 +325,27 @@ class TestBankCache:
                        fingerprint=config_fingerprint(specs["params"], specs["binning"]))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_BANK_SHA256
 
-    def test_default_bank_file_matches_frozen_digest(self, specs, tmp_path):
-        bank = build_goal_bank(specs["params"], 10, DEFAULT_SAMPLE_BUDGET, bank_rng(0),
+    @pytest.fixture(scope="class")
+    def default_bank(self, specs):
+        return build_goal_bank(specs["params"], 10, DEFAULT_SAMPLE_BUDGET, bank_rng(0),
                                binning=specs["binning"])
-        assert len(bank.reachable_bins()) == REACHABLE_BINS_AT_QUOTA_10
+
+    def test_default_bank_file_matches_frozen_digest(self, specs, default_bank, tmp_path):
+        assert len(default_bank.reachable_bins()) == REACHABLE_BINS_AT_QUOTA_10
         path = tmp_path / "default.hpnb"
-        save_goal_bank(bank, path, seed=0, budget=DEFAULT_SAMPLE_BUDGET,
+        save_goal_bank(default_bank, path, seed=0, budget=DEFAULT_SAMPLE_BUDGET,
                        fingerprint=config_fingerprint(specs["params"], specs["binning"]))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_BANK_SHA256
+
+    def test_default_bank_holds_the_goals_of_a_1e6_bank(self, specs, default_bank):
+        # The default budget sits past the plateau: every draw after it files
+        # no goal, so only samples_used (and the header's budget) differ.
+        bank_1e6 = build_goal_bank(specs["params"], 10, 1_000_000, bank_rng(0),
+                                   binning=specs["binning"])
+        assert default_bank.samples_used == DEFAULT_SAMPLE_BUDGET == 400_000
+        assert bank_1e6.samples_used == 1_000_000
+        assert default_bank.bins.tobytes() == bank_1e6.bins.tobytes()
+        assert default_bank.goals.tobytes() == bank_1e6.goals.tobytes()
 
     @pytest.fixture()
     def saved(self, small_bank, tmp_path):
@@ -593,6 +611,8 @@ class TestPretrainPipeline:
         assert load(out) == table
         text = summary.format()
         assert "goals run" in text and "wall time" in text
+        assert summary.samples_used == 40_000
+        assert "goal bank samples: 40000" in text.splitlines()
         stages = (summary.bank_s, summary.train_s, summary.augment_s, summary.save_s)
         assert all(t >= 0.0 for t in stages)
         assert sum(stages) <= summary.wall_time_s
@@ -658,11 +678,15 @@ class TestPretrainPipeline:
         bank_path = tmp_path / "bank.hpnb"
         kwargs = dict(quota=1, seed=31, budget=30_000, max_steps=40, bank_path=bank_path)
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
-        table1, _ = pretrain(*args, **kwargs)
+        table1, built = pretrain(*args, **kwargs)
         cached = bank_path.read_bytes()
-        table2, _ = pretrain(*args, **kwargs)
+        table2, loaded = pretrain(*args, **kwargs)
         assert bank_path.read_bytes() == cached
         assert table1 == table2
+        # samples_used comes from the bank, whether sampled or read from the cache
+        bank = load_goal_bank(bank_path, seed=31, quota=1, budget=30_000,
+                              params=specs["params"], binning=specs["binning"])
+        assert built.samples_used == loaded.samples_used == bank.samples_used
         with pytest.raises(GoalBankError):
             pretrain(*args, **{**kwargs, "quota": 2})
 

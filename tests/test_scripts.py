@@ -28,6 +28,7 @@ def test_compare_pretraining(tmp_path):
     )
     assert any(re.fullmatch(r"reachable bins: [1-9]\d* of 1024", line) for line in lines), lines
     assert any(line.startswith("stage times: goal bank ") for line in lines), lines
+    assert "goal bank samples: 20000" in lines, lines
     assert "controller: pretrained" in lines and "controller: zero-init" in lines
     assert any(
         re.fullmatch(r"\[nominal\] goals within 30 mm: pretrained \d+ vs zero-init \d+ .*", line)
@@ -47,10 +48,16 @@ def test_compare_pretraining(tmp_path):
 
 def test_reachability_survey(tmp_path):
     lines = run_script(
-        "reachability_survey.py", "--budget", "20000", "--quotas", "1", "--seeds", "1",
+        "reachability_survey.py", "--budget", "20000", "--quotas", "1,100000", "--seeds", "1",
         cwd=tmp_path,
     )
     assert lines[0] == "arm: a_gain=0.002, budget=20000, seeds=1"
-    assert lines[1].split() == ["seed", "q>=1", "top-10", "bin", "mass"]
+    assert lines[1].split() == ["seed", "q>=1", "last@1", "q>=100000", "last@100000",
+                                "top-10", "bin", "mass"]
     assert len(lines) == 3
-    assert re.fullmatch(r"0\s+[1-9]\d*\s+\d+\.\d%\s+\(\d+\.\ds\)", lines[2]), lines
+    # Per quota: bins at quota, then the sample index of the last bin's q-th hit
+    # ("-" when no bin gets there within the budget).
+    fields = lines[2].split()
+    assert fields[0] == "0" and fields[3:5] == ["0", "-"], lines
+    assert 1 <= int(fields[1]) and 0 <= int(fields[2]) < 20000, lines
+    assert re.fullmatch(r"\d+\.\d%", fields[5]) and re.fullmatch(r"\(\d+\.\ds\)", fields[6]), lines
