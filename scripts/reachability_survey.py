@@ -54,19 +54,14 @@ def survey(params, binning, budget, seed, quotas, batch=65536):
     last_fill = dict.fromkeys(quotas)
     offset = 0
     for _, bins in _binned_batches(params, binning, budget, rng, batch):
-        # Hit number of each sample within its bin: hits before this batch plus
-        # its 1-based rank among the batch's samples in that bin.
-        order = np.argsort(bins, kind="stable")
-        ranked = bins[order]
-        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        rank = np.empty(len(bins), dtype=np.int64)
-        rank[order] = np.arange(len(bins)) - np.repeat(starts, np.diff(np.r_[starts, len(bins)]))
-        hit = hist[bins] + rank + 1
+        counts = np.bincount(bins, minlength=N_GOAL_BINS)
         for q in quotas:
-            at = np.flatnonzero(hit == q)
-            if len(at):
-                last_fill[q] = offset + int(at[-1])
-        hist += np.bincount(bins, minlength=N_GOAL_BINS)
+            crossing = np.flatnonzero((hist < q) & (hist + counts >= q))
+            if len(crossing):
+                last_fill[q] = offset + max(
+                    int(np.flatnonzero(bins == b)[q - 1 - hist[b]]) for b in crossing
+                )
+        hist += counts
         offset += len(bins)
     return hist, last_fill
 

@@ -45,7 +45,7 @@ from .state import (
 # Twice the measured plateau (scripts/reachability_survey.py): with the default
 # arm and binning the last bin to reach quota 10 fills within 200k samples on 39
 # of 40 seeds, and later draws file no goal. Seed 33 fills a 65th, rare bin only
-# at 788k. Larger quotas fill later (quota 30: up to 443k), so ask for more.
+# at 788k. Larger quotas fill later (quota 30: up to 443k), so they need more.
 DEFAULT_SAMPLE_BUDGET = 400_000
 GOAL_SAMPLE_BATCH = 8192
 

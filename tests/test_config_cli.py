@@ -253,7 +253,6 @@ class TestPretrainCommand:
         if bad == "goal-outside-its-bin":
             assert "goal 0 of bin 5 encodes to goal bin" in result.output
 
-
     def test_cached_bank_from_another_budget_exits_1(self, runner, tmp_path):
         # A bank cached under the old 1e6 default is refused, never silently reused.
         table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
