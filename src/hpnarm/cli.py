@@ -35,6 +35,8 @@ _CONFIG_OPT = click.option(
     "--config", "config_path", type=click.Path(), default=None,
     help="YAML run config; defaults apply when omitted.",
 )
+_SEED_OPT = click.option("--seed", type=click.IntRange(min=0), default=None,
+                         help="Override the config seed.")
 
 
 @click.group()
@@ -61,7 +63,7 @@ def fk(pressures, config_path):
 
 @main.command()
 @_CONFIG_OPT
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@_SEED_OPT
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Override the output table path.")
 @click.option("--allow-large-run", is_flag=True, default=False,
@@ -124,7 +126,7 @@ def augment(src, dst, radius):
               help="Evaluate an untrained table instead of a file.")
 @click.option("--plant", type=click.Choice(["nominal", "perturbed"]),
               default="nominal", show_default=True)
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@_SEED_OPT
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Override the CSV output directory.")
 def eval_cmd(config_path, table_path, zero_init, plant, seed, out_dir):

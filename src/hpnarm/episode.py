@@ -55,7 +55,7 @@ from .state import (
     GoalPose,
     StateEncoder,
     check_goal_bins,
-    encode_goal_prefix,
+    encode_goal_prefix_batch,
     encode_tip_suffix_batch,
     goal_frame,
     rest_tip_origin,
@@ -557,8 +557,8 @@ def train_lockstep(
 
     ``bins`` (m,) holds strictly increasing goal bins and ``goals`` (m, quota, 6)
     each bin's goal rows, position then direction (a GoalBank's two arrays).
-    Every goal must encode to its bin, or ValueError is raised before any
-    episode runs.
+    ``goals`` must have that shape and every goal must encode to its bin, or
+    ValueError is raised before any episode runs (state.check_goal_bins).
 
     The result is bit-identical to calling run_episode(train=True) for every
     bin in ascending order and every goal of the bin in order, each episode
@@ -675,9 +675,9 @@ def greedy_lockstep(
     if table.action_count != action_spec.action_count:
         raise ValueError(f"table has {table.action_count} actions, "
                          f"the action spec {action_spec.action_count}")
-    origin = rest_tip_origin(params.l0_mm)
-    goal_bins = np.array(
-        [encode_goal_prefix(g.position, g.direction, origin, binning) for g in goals])
+    goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+    goal_bins = encode_goal_prefix_batch(goal_poses[:, :3], goal_poses[:, 3:],
+                                         rest_tip_origin(params.l0_mm), binning)
     goal_rows = table.bins.searchsorted(goal_bins)
     held = goal_rows < len(table.bins)
     held[held] = table.bins[goal_rows[held]] == goal_bins[held]
@@ -706,7 +706,6 @@ def greedy_lockstep(
                 noise_generator(plant.seed, (g, rep)).normal(0.0, sigma, (length, 3))
                 for g in range(len(goals)) for rep in range(repetitions)
             ])
-    goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
     lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
                    repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
 

@@ -195,6 +195,8 @@ def evaluate(
         raise ValueError("repetitions must be >= 1")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if plant_kind not in ("nominal", "perturbed"):
         raise ValueError(f"unknown plant kind {plant_kind!r}")
     if table is None:

@@ -56,8 +56,10 @@ GOAL_SAMPLE_BATCH = 8192
 _MAX_BANK_WORKERS = 4
 _ROWS_PER_TASK = 2048
 
-# Runs past this many training episodes take hours, not minutes; they must be
-# requested explicitly so a mistyped quota cannot launch one by accident.
+# A guard against a mistyped quota, not a measured cost: it counts quota x
+# N_GOAL_BINS planned episodes, while about 64 bins are reachable at the
+# defaults (quota 489, the first refused, runs about 31k). Training runs about
+# 1,200 episodes a second, so even 500k real episodes would take about 7 min.
 LARGE_RUN_GOAL_LIMIT = 500_000
 
 BANK_MAGIC = b"HPNB"

@@ -501,8 +501,8 @@ def load(path) -> QTable:
     version, action_count, n_entries = _HEADER.unpack_from(data, 4)
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: version {version}, expected {FORMAT_VERSION}")
-    if action_count == 0:
-        raise QTableIOError(f"{path}: zero action count")
+    if not 1 <= action_count <= 0xFFFF:
+        raise QTableIOError(f"{path}: action count {action_count} outside [1, 65535]")
     expected = _HEADER_SIZE + n_entries * _RECORD_DTYPE.itemsize + _CRC.size
     if len(data) < expected:
         raise TruncatedTableError(

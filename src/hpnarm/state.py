@@ -78,6 +78,8 @@ class BinningSpec:
             if not (0.0 < edges[0] < edges[1] < edges[2]):
                 raise ValueError(f"{name} must be strictly increasing and positive")
             object.__setattr__(self, name, edges)
+        if min(np.diff(self.phi_egoal_edges_rad)) <= 2.0 * _ANGLE_GUARD_RAD:
+            raise ValueError("phi_egoal_edges_rad must lie more than 2e-9 rad apart")
         if not (np.isfinite(self.d_max_mm) and self.d_max_mm > 0.0):
             raise ValueError(f"d_max_mm must be positive, got {self.d_max_mm}")
 
@@ -104,6 +106,11 @@ class BinningSpec:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def phi_egoal_guards(self) -> np.ndarray:
+        """_direction_bins' guards of phi_egoal_edges_rad, built once."""
+        return _guard_edges(self.phi_egoal_edges_rad)
 
 
 def spherical_of(v) -> tuple[float, float, float]:
@@ -161,19 +168,6 @@ def bin_and_pack(values, edges, index: int = 0) -> int:
     return index
 
 
-def bin_and_pack_batch(columns, edges) -> np.ndarray:
-    """bin_and_pack from zero for n states at once; ``columns[d]`` holds dim d's n values.
-
-    Pass edges as arrays (BinningSpec.edge_arrays) on hot paths: a tuple is
-    converted on every call.
-    """
-    index = np.zeros(len(columns[0]), dtype=np.int64)
-    for values, dim_edges in zip(columns, edges):
-        bins = np.asarray(dim_edges, dtype=float).searchsorted(values, side="right")
-        index = index * N_BINS_PER_DIM + bins
-    return index
-
-
 def encode_goal_prefix(position, direction, origin, spec: BinningSpec) -> int:
     """Goal-bin id of a goal pose: the packed first five dims.
 
@@ -188,45 +182,10 @@ def encode_goal_prefix(position, direction, origin, spec: BinningSpec) -> int:
     return bin_and_pack(values, spec.all_edges()[:GOAL_DIMS])
 
 
-def check_goal_bins(bins, goals, origin, spec: BinningSpec) -> None:
-    """Raise ValueError unless goal row ``goals[i, k]`` encodes to goal bin ``bins[i]``.
-
-    ``goals`` is (len(bins), quota, 6), rows of position then direction. The
-    rows are encoded by encode_goal_prefix, the encoder every episode's states
-    carry the goal bin of.
-    """
-    for b, rows in zip(np.asarray(bins).tolist(), goals):
-        for k, row in enumerate(rows):
-            prefix = encode_goal_prefix(row[:3], row[3:], origin, spec)
-            if prefix != b:
-                raise ValueError(f"goal {k} of bin {b} encodes to goal bin {prefix}")
-
-
-def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -> np.ndarray:
-    """Vectorized encode_goal_prefix over (n, 3) position/direction stacks."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    dirn = np.asarray(directions, dtype=float).reshape(-1, 3)
-    origin = np.asarray(origin, dtype=float).reshape(3)
-    rel = pos - origin
-    r = np.linalg.norm(rel, axis=1)
-    safe_r = np.where(r < _TINY_RADIUS, 1.0, r)
-    theta_d = np.arctan2(rel[:, 1], rel[:, 0])
-    theta_d = np.where(theta_d >= np.pi, -np.pi, theta_d)
-    phi_d = np.arccos(np.clip(rel[:, 2] / safe_r, -1.0, 1.0))
-    small = r < _TINY_RADIUS
-    theta_d[small] = 0.0
-    phi_d[small] = 0.0
-    theta_e = np.arctan2(dirn[:, 1], dirn[:, 0])
-    theta_e = np.where(theta_e >= np.pi, -np.pi, theta_e)
-    phi_e = np.arccos(np.clip(dirn[:, 2] / np.linalg.norm(dirn, axis=1), -1.0, 1.0))
-    columns = (r, theta_d, phi_d, theta_e, phi_e)
-    return bin_and_pack_batch(columns, spec.edge_arrays[:GOAL_DIMS])
-
-
 # np.arctan2 and np.arccos can differ from math.atan2 and math.acos in the last
-# bit, which moves a bin only for an angle on an edge. The batch tip encoder
-# takes numpy's angles and recomputes with math only those within this distance
-# of an edge or of the azimuth fold at pi; the two differ by a few 1e-16 rad.
+# bit, which moves a bin only for an angle on an edge. The batch encoders take
+# numpy's angles and recompute with math only those within this distance of an
+# edge or of the azimuth fold at pi; the two differ by a few 1e-16 rad.
 _ANGLE_GUARD_RAD = 1e-9
 
 
@@ -240,27 +199,60 @@ _AZIMUTH_GUARDS = _guard_edges(_AZIMUTH_EDGES + (math.pi,))[:-1]
 _ELEVATION_GUARDS = _guard_edges(_ELEVATION_EDGES)
 
 
-def _direction_bins(v: np.ndarray):
+def _direction_bins(v: np.ndarray, elevation_edges, elevation_guards):
     """Radius, azimuth bin and elevation bin of (n, 3) vectors, as binned from spherical_of.
 
-    The radius is spherical_of's bit for bit. Angles come from numpy; an angle
-    within _ANGLE_GUARD_RAD of an edge, or of the fold at pi, and every vector
-    below the zero-radius cutoff is recomputed with spherical_of itself.
+    The elevation is binned by ``elevation_edges``, whose _guard_edges are
+    ``elevation_guards``. The radius is spherical_of's bit for bit. Angles
+    come from numpy; an angle within _ANGLE_GUARD_RAD of an edge, or of the
+    fold at pi, and every vector below the zero-radius cutoff is recomputed
+    with spherical_of itself.
     """
     x, y, z = v[:, 0], v[:, 1], v[:, 2]
     r = np.sqrt(x * x + y * y + z * z)
     # Rows below the cutoff divide by it instead of by r and are recomputed.
     cos_phi = np.minimum(np.maximum(z / np.maximum(r, _TINY_RADIUS), -1.0), 1.0)
     theta = _AZIMUTH_GUARDS.searchsorted(np.arctan2(y, x), side="right")
-    phi = _ELEVATION_GUARDS.searchsorted(np.arccos(cos_phi), side="right")
+    phi = elevation_guards.searchsorted(np.arccos(cos_phi), side="right")
     unsure = ((theta | phi) & 1 | (r < _TINY_RADIUS)).nonzero()[0]
     theta >>= 1
     phi >>= 1
     for i in unsure.tolist():
         _, theta_i, phi_i = spherical_of(v[i])
         theta[i] = bisect_right(_AZIMUTH_EDGES, theta_i)
-        phi[i] = bisect_right(_ELEVATION_EDGES, phi_i)
+        phi[i] = bisect_right(elevation_edges, phi_i)
     return r, theta, phi
+
+
+def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -> np.ndarray:
+    """encode_goal_prefix over (n, 3) position/direction stacks, bin for bin."""
+    rel = np.asarray(positions, dtype=float).reshape(-1, 3) - np.asarray(origin, dtype=float)
+    dirn = np.asarray(directions, dtype=float).reshape(-1, 3)
+    r, theta_d, phi_d = _direction_bins(rel, _ELEVATION_EDGES, _ELEVATION_GUARDS)
+    _, theta_e, phi_e = _direction_bins(dirn, spec.phi_egoal_edges_rad, spec.phi_egoal_guards)
+    index = spec.edge_arrays[0].searchsorted(r, side="right")  # d_goal
+    for digits in (theta_d, phi_d, theta_e, phi_e):
+        index = index * N_BINS_PER_DIM + digits
+    return index
+
+
+def check_goal_bins(bins, goals, origin, spec: BinningSpec) -> None:
+    """Raise ValueError unless goal row ``goals[i, k]`` encodes to goal bin ``bins[i]``.
+
+    ``goals`` must be (len(bins), quota, 6), rows of position then direction.
+    Their bins are encode_goal_prefix's, which every episode's states carry.
+    The first mismatch in bin order, then goal order, is reported.
+    """
+    bins = np.asarray(bins, dtype=np.int64)
+    goals = np.asarray(goals, dtype=float)
+    if goals.ndim != 3 or goals.shape[0] != len(bins) or goals.shape[2] != 6:
+        raise ValueError(f"goals of shape {goals.shape} do not fit {len(bins)} bins")
+    rows = goals.reshape(-1, 6)
+    prefixes = encode_goal_prefix_batch(rows[:, :3], rows[:, 3:], origin, spec)
+    wrong = np.flatnonzero(prefixes != np.repeat(bins, goals.shape[1]))
+    if len(wrong):
+        i, k = divmod(int(wrong[0]), goals.shape[1])
+        raise ValueError(f"goal {k} of bin {bins[i]} encodes to goal bin {prefixes[wrong[0]]}")
 
 
 def encode_tip_suffix_batch(tip_pos, tip_dir, goal_pos, goal_frames, spec: BinningSpec) -> np.ndarray:
@@ -276,7 +268,7 @@ def encode_tip_suffix_batch(tip_pos, tip_dir, goal_pos, goal_frames, spec: Binni
     terms = goal_frames * tip_dir[:, None, :]
     # The tip offset from the goal, then the tip direction in the goal frame.
     v = np.concatenate([tip_pos - goal_pos, terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]])
-    r, theta, phi = _direction_bins(v)
+    r, theta, phi = _direction_bins(v, _ELEVATION_EDGES, _ELEVATION_GUARDS)
     angles = theta * N_BINS_PER_DIM + phi
     d_tip = spec.edge_arrays[GOAL_DIMS].searchsorted(r[:n], side="right")
     return (d_tip * N_BINS_PER_DIM**2 + angles[:n]) * N_BINS_PER_DIM**2 + angles[n:]

@@ -1,4 +1,6 @@
 import dataclasses
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hpnarm.config import (
     load_config,
 )
 from hpnarm.pretrain import DEFAULT_SAMPLE_BUDGET, config_fingerprint
-from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, QTable, load, save
+from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, MAGIC, QTable, load, save
 from hpnarm.state import N_GOAL_BINS
 from oracles import write_goal_bank
 
@@ -223,6 +225,14 @@ class TestPretrainCommand:
         assert result.exit_code == 0
         assert other.exists()
 
+    def test_negative_seed_flag_is_a_usage_error(self, runner, tmp_path):
+        table = tmp_path / "t.qt"
+        cfg = write_config(tmp_path / "c.yaml", SMALL_PRETRAIN.format(table=table))
+        result = runner.invoke(main, ["pretrain", "--config", cfg, "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert not table.exists()
+
     def test_invalid_config_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", "pretrain:\n  quota: 0\n")
         assert runner.invoke(main, ["pretrain", "--config", cfg]).exit_code == 2
@@ -351,6 +361,15 @@ class TestEvalCommand:
         assert f"error: table has {action_count} actions" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("plant", ["nominal", "perturbed"])
+    def test_negative_seed_flag_is_a_usage_error(self, runner, tmp_path, plant):
+        out = tmp_path / "ev"
+        result = runner.invoke(main, ["eval", "--zero-init", "--plant", plant,
+                                      "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert not out.exists()
+
     def test_unreadable_table_exits_1(self, runner, tmp_path):
         missing = runner.invoke(main, ["eval", "--table", str(tmp_path / "no.qt")])
         assert missing.exit_code == 1
@@ -424,3 +443,12 @@ class TestInspectCommand:
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1
+
+    def test_header_action_count_beyond_the_table_range_exits_1(self, runner, tmp_path):
+        body = MAGIC + struct.pack("<IIQ", 1, 70_000, 0)  # valid CRC, no records
+        path = tmp_path / "t.qt"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        result = runner.invoke(main, ["inspect", str(path)])
+        assert result.exit_code == 1
+        assert "error: " in result.output
+        assert "action count 70000 outside [1, 65535]" in result.output

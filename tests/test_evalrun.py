@@ -152,6 +152,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(None, [goal], plant_kind="lunar", **specs)
 
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    def test_negative_seed_rejected_on_either_plant(self, specs, plant_kind):
+        # The nominal plant never uses the seed, so it once ran anyway.
+        goal = start_pose_goal(specs["params"])
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            evaluate(None, [goal], plant_kind=plant_kind, seed=-1, **specs)
+
 
 class TestReportAggregation:
     def test_reaching_uses_the_whole_curve(self):

@@ -552,6 +552,22 @@ class TestLockstepMatchesSequentialEpisodes:
             train_lockstep([b + 1], small_bank.goals[:1], 0, specs["hp"],
                            **shard_kwargs(specs))
 
+    def test_first_mismatch_in_bin_then_goal_order_is_reported(self, specs, small_bank):
+        bins = small_bank.bins[:4]
+        goals = small_bank.goals[:4].copy()
+        goals[1, 1] = goals[2, 0] = small_bank.goals[0, 0]  # both encode to bins[0]
+        with pytest.raises(ValueError,
+                           match=f"goal 1 of bin {bins[1]} encodes to goal bin {bins[0]}$"):
+            train_lockstep(bins, goals, 0, specs["hp"], **shard_kwargs(specs))
+
+    @pytest.mark.parametrize("n_bins, n_rows", [(3, 2), (2, 3)])
+    def test_goals_that_do_not_fit_the_bins_are_rejected(self, specs, small_bank,
+                                                         n_bins, n_rows):
+        # Fewer goal rows than bins once trained a bin on nothing; more crashed mid-run.
+        with pytest.raises(ValueError, match=f"do not fit {n_bins} bins"):
+            train_lockstep(small_bank.bins[:n_bins], small_bank.goals[:n_rows], 0,
+                           specs["hp"], **shard_kwargs(specs))
+
     def test_repeated_bins_are_rejected(self, specs, small_bank):
         bins = small_bank.bins[[0, 0]]
         with pytest.raises(ValueError, match="strictly increasing"):

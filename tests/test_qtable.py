@@ -582,6 +582,14 @@ class TestPersistence:
         with pytest.raises(QTableIOError, match="flag bits"):
             load(path)
 
+    @pytest.mark.parametrize("action_count", [0, 0x10000, 70_000])
+    def test_header_action_count_outside_the_table_range_rejected(self, tmp_path, action_count):
+        path = tmp_path / "t.qt"
+        _write_header_only(path, action_count)
+        with pytest.raises(QTableIOError,
+                           match=rf"action count {action_count} outside \[1, 65535\]"):
+            load(path)
+
     def test_last_codec_state_loads(self, tmp_path):
         path = tmp_path / "t.qt"
         q = QTable.from_records([0, N_STATES - 1], [0, 31], [1, 2], [-1.0, 2.0])
@@ -655,6 +663,12 @@ class TestReferenceModel:
 
 def _record_offset():
     return 4 + struct.calcsize("<IIQ")
+
+
+def _write_header_only(path, action_count):
+    """A version-1 table file of no records declaring `action_count`, with a valid CRC."""
+    body = MAGIC + struct.pack("<IIQ", 1, action_count, 0)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _write_records(path, states, actions, flags, values):

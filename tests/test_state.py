@@ -17,9 +17,9 @@ from hpnarm.state import (
     N_GOAL_BINS,
     N_STATES,
     N_TIP_STATES,
+    _ELEVATION_GUARDS,
     _direction_bins,
     bin_and_pack,
-    bin_and_pack_batch,
     encode_goal_prefix,
     encode_goal_prefix_batch,
     encode_tip_suffix_batch,
@@ -51,11 +51,8 @@ def values_with(dim, value):
 
 
 def bins_of(values, binning):
-    """Bin digits of ten raw values from the scalar packer, which the batch packer must match."""
-    edges = binning.all_edges()
-    index = bin_and_pack(values, edges)
-    assert bin_and_pack_batch([np.array([v]) for v in values], edges).tolist() == [index]
-    return unpack_index(index)
+    """Bin digits of ten raw values from the scalar packer."""
+    return unpack_index(bin_and_pack(values, binning.all_edges()))
 
 
 def values_for_digits(digits, edges):
@@ -112,7 +109,7 @@ class TestSphericalOf:
         # Angles on and one ulp either side of every edge and the pi fold,
         # where a last-bit difference between numpy and math changes a bin.
         angles = np.array([-math.pi, -math.pi / 2, 0.0, math.pi / 4, math.pi / 2,
-                           3 * math.pi / 4, math.pi])
+                           3 * math.pi / 4, math.pi, *binning.phi_egoal_edges_rad])
         angles = np.concatenate([angles, np.nextafter(angles, 4.0), np.nextafter(angles, -4.0)])
         c, s = np.cos(angles), np.sin(angles)
         zeros = np.zeros_like(angles)
@@ -125,11 +122,13 @@ class TestSphericalOf:
              (1e-13, 0.0, 0.0)],              # zero radius, the fold, the elevation pi
         ])
         edges = binning.all_edges()
-        r, theta, phi = _direction_bins(v)
-        for row, got in zip(v, zip(r.tolist(), theta.tolist(), phi.tolist())):
-            r_s, theta_s, phi_s = spherical_of(row)
-            assert got == (r_s, bin_and_pack([theta_s], edges[6:7]),
-                           bin_and_pack([phi_s], edges[7:8]))
+        # The tip elevations' guards, then the goal direction's phi_egoal guards.
+        for phi_dim, guards in ((7, _ELEVATION_GUARDS), (4, binning.phi_egoal_guards)):
+            r, theta, phi = _direction_bins(v, edges[phi_dim], guards)
+            for row, got in zip(v, zip(r.tolist(), theta.tolist(), phi.tolist())):
+                r_s, theta_s, phi_s = spherical_of(row)
+                assert got == (r_s, bin_and_pack([theta_s], edges[6:7]),
+                               bin_and_pack([phi_s], edges[phi_dim:phi_dim + 1]))
 
     @given(
         v=st.tuples(
@@ -177,7 +176,7 @@ class TestContinuousState:
 
 
 class TestEncode:
-    """Edge semantics of the shared scalar and batch bin-and-pack routines."""
+    """Edge semantics of the scalar bin-and-pack routine."""
 
     def test_zero_tip_distance_in_innermost_bin(self, binning):
         assert bins_of(values_with(5, 0.0), binning)[5] == 0
@@ -224,10 +223,6 @@ class TestEncode:
             expected = oracle_bin_index(values, binning.d_tip_edges_mm,
                                         binning.phi_egoal_edges_rad, binning.d_max_mm)
             assert bin_and_pack(values, edges) == expected
-        columns = np.array(on_edges + spread).T
-        assert bin_and_pack_batch(list(columns[:GOAL_DIMS]), edges[:GOAL_DIMS]).tolist() == [
-            bin_and_pack(v[:GOAL_DIMS], edges[:GOAL_DIMS]) for v in columns.T.tolist()
-        ]
 
 
 class TestPacking:
@@ -303,6 +298,37 @@ class TestGoalBin:
         for i in range(256):
             assert batch[i] == encode_goal_prefix(pos[i], dirs[i], origin, binning)
 
+    @pytest.mark.parametrize("binning", [
+        BinningSpec(),
+        BinningSpec(phi_egoal_edges_rad=(0.3, 1.2, 2.5), d_max_mm=250.0),
+    ], ids=["default", "other-edges"])
+    def test_batch_prefix_encoder_matches_scalar_on_every_goal_edge(self, params, binning):
+        # Goal vectors on and one ulp either side of every goal-dim edge.
+        def around(values):
+            values = np.array(values, dtype=float)
+            return np.unique(np.concatenate(
+                [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]))
+
+        d = binning.d_max_mm
+        radii = around([0.0, d / 4, d / 2, 3 * d / 4])
+        azimuths = around([-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi])
+        elevations = around([math.pi / 4, math.pi / 2, 3 * math.pi / 4,
+                             *binning.phi_egoal_edges_rad, 0.0, math.pi])
+        theta, phi = (a.reshape(-1) for a in np.meshgrid(azimuths, elevations))
+        units = np.column_stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta),
+                                 np.cos(phi)])
+        # Axis-aligned offsets put the radius exactly on its edges.
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        offsets = radii[:, None, None] * np.concatenate([units, axes])[None]
+        offsets = offsets.reshape(-1, 3)
+        directions = units[np.arange(len(offsets)) % len(units)]
+        for origin in (np.zeros(3), rest_tip_origin(params.l0_mm)):
+            positions = origin + offsets
+            batch = encode_goal_prefix_batch(positions, directions, origin, binning)
+            scalar = [encode_goal_prefix(p, u, origin, binning)
+                      for p, u in zip(positions, directions)]
+            assert batch.tolist() == scalar
+
 
 class TestStateEncoder:
     def test_matches_direct_construction(self, params, binning, rng):
@@ -345,6 +371,10 @@ class TestValidation:
     def test_binning_edges_must_increase(self):
         with pytest.raises(ValueError):
             BinningSpec(d_tip_edges_mm=(30.0, 5.0, 60.0))
+
+    def test_goal_elevation_edges_must_clear_their_guards(self):
+        with pytest.raises(ValueError, match="2e-9 rad apart"):
+            BinningSpec(phi_egoal_edges_rad=(0.1, 0.1 + 1e-9, 1.0))
 
     def test_binning_ceiling_must_be_positive(self):
         with pytest.raises(ValueError):
