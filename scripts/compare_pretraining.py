@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hpnarm.config import RunConfig
 from hpnarm.evalrun import evaluate, sample_goals
-from hpnarm.pretrain import DEFAULT_SAMPLE_BUDGET, pretrain
+from hpnarm.pretrain import pretrain
 
 
 def main() -> int:
@@ -31,7 +31,8 @@ def main() -> int:
     ap.add_argument("--quota", type=int, default=10, help="goals per reachable bin")
     ap.add_argument("--goals", type=int, default=20, help="fresh evaluation goals")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget", type=int, default=DEFAULT_SAMPLE_BUDGET)
+    ap.add_argument("--budget", type=int, default=None,
+                    help="goal-bank samples (default: 40,000 x max(quota, 10))")
     ap.add_argument("--a-gain", type=float, default=None,
                     help="override the curvature gain (1/mm/kPa)")
     ap.add_argument("--epsilon", type=float, default=None,

@@ -19,7 +19,9 @@ budget 1e6, seeds 0..39, quotas 1,10,30):
               285,748..443,075 (above 400,000 on seeds 22 and 27)
     budget 1e7, quota 1:  182 bins (seed 0)
     budget 1e7, quota 10: 96 bins (seed 0)
-The default budget, 400,000 samples, is twice the quota-10 plateau. The ten
+The default budget, pretrain.default_sample_budget(quota) = 40,000 x
+max(quota, 10) samples, is twice the quota-10 plateau up to quota 10 (400,000)
+and 2.7 times the largest quota-30 plateau at quota 30 (1,200,000). The ten
 most popular bins absorb about 47% of all samples.
 
 Example:

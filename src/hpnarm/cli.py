@@ -35,7 +35,8 @@ _CONFIG_OPT = click.option(
     "--config", "config_path", type=click.Path(), default=None,
     help="YAML run config; defaults apply when omitted.",
 )
-_SEED_OPT = click.option("--seed", type=click.IntRange(min=0), default=None,
+# The .hpnb goal bank header stores the seed as a u64.
+_SEED_OPT = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
                          help="Override the config seed.")
 
 

@@ -16,7 +16,6 @@ import yaml
 
 from .episode import PerturbedPlantConfig, RewardSpec
 from .kinematics import ArmParams, arm_forward_kinematics
-from .pretrain import DEFAULT_SAMPLE_BUDGET
 from .qtable import ActionSpec, HyperParams
 from .state import BinningSpec, GoalPose
 
@@ -52,20 +51,30 @@ class GoalSpec:
         )
 
 
+def _check_integers(section, names) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     quota: int = 10
-    budget: int = DEFAULT_SAMPLE_BUDGET
+    budget: int | None = None  # None: pretrain.default_sample_budget(quota)
     seed: int = 0
     max_steps: int = 200
     augment_radius: int = 1
     allow_large_run: bool = False
 
     def __post_init__(self):
+        _check_integers(self, ("quota", "seed", "max_steps", "augment_radius"))
         if self.quota < 1:
             raise ValueError("quota must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        if self.budget is not None:
+            _check_integers(self, ("budget",))
+            if self.budget < 1:
+                raise ValueError("budget must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.max_steps < 1:
@@ -82,6 +91,7 @@ class EvalConfig:
     goals: tuple[GoalSpec, ...] | None = None  # None selects the default suite
 
     def __post_init__(self):
+        _check_integers(self, ("repetitions", "max_steps", "seed"))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.max_steps < 1:

@@ -1,13 +1,12 @@
 """Bin-balanced goal generation and lockstep Q-table pretraining.
 
-Training goals are drawn by rejection sampling: random pressure vectors are
-pushed through the forward kinematics and the resulting tip poses deposited
-into their goal bins until every bin holds `quota` goals or the sampling
-budget runs out. Bins that never fill are unreachable and left out, so every
-goal the controller trains on is known to be attainable. The bank is two
-arrays, the layout of its .hpnb cache file: the reachable bins, and per bin
-`quota` goal rows of position then direction. Round k of training runs goal
-k of every bin.
+Training goals are drawn by rejection sampling: the whole sampling budget of
+random pressure vectors is pushed through the forward kinematics, and each
+goal bin keeps the first `quota` tip poses that land in it. Bins that never
+fill are unreachable and left out, so every goal the controller trains on is
+known to be attainable. The bank is two arrays, the layout of its .hpnb cache
+file: the reachable bins, and per bin `quota` goal rows of position then
+direction. Round k of training runs goal k of every bin.
 
 Training runs in one process: every reachable bin's k-th episode runs in
 lockstep with the others (episode.train_lockstep). Episode randomness is
@@ -42,11 +41,6 @@ from .state import (
     rest_tip_origin,
 )
 
-# Twice the measured plateau (scripts/reachability_survey.py): with the default
-# arm and binning the last bin to reach quota 10 fills within 200k samples on 39
-# of 40 seeds, and later draws file no goal. Seed 33 fills a 65th, rare bin only
-# at 788k. Larger quotas fill later (quota 30: up to 443k), so they need more.
-DEFAULT_SAMPLE_BUDGET = 400_000
 GOAL_SAMPLE_BATCH = 8192
 
 # The goal bank runs FK on at most this many threads, in tasks of at most
@@ -68,6 +62,18 @@ BANK_VERSION = 1
 _BANK_HEADER = Struct("<IQIQQII")
 _BANK_CRC = Struct("<I")
 _GOAL_ROW = 6  # position xyz + direction xyz, float64
+
+
+def default_sample_budget(quota: int) -> int:
+    """Goal-bank budget when none is given: 40,000 samples per unit of quota, at least 400k.
+
+    At least twice the measured plateau, the sample at which the last bin
+    reaches the quota (scripts/reachability_survey.py, default arm and
+    binning): at quota 10 it lies within 200k samples on 39 of 40 seeds, at
+    quota 30 at 286k-443k. Seed 33 fills a 65th, rare bin at quota 10 only at
+    sample 788k.
+    """
+    return 40_000 * max(quota, 10)
 
 
 class GoalBankError(RuntimeError):
@@ -153,19 +159,16 @@ def _binned_batches(
     batches of `batch_size` (the last one shorter), in stream order, at most
     one batch per pool thread ahead of the batch it yields. The pool runs FK
     and goal-bin encoding on row blocks of each batch, and batches are
-    yielded in draw order, so what is yielded does not depend on the thread
-    count. Closing the generator early rewinds `rng` to its state right
-    after the last batch yielded: batches drawn ahead leave no trace.
+    yielded in draw order, so what is yielded, and the state `rng` is left in
+    once every batch is yielded, do not depend on the thread count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     workers = _bank_workers()
     origin = rest_tip_origin(params.l0_mm)
-    pending: deque = deque()  # (outputs, their futures, rng state after the draw)
-    last_state = rng.bit_generator.state
+    pending: deque = deque()  # (outputs, their futures)
     drawn = 0
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="goal-bank")
-    try:
+    with ThreadPoolExecutor(workers, thread_name_prefix="goal-bank") as pool:
         while drawn < budget or pending:
             while drawn < budget and len(pending) < workers:
                 n = min(batch_size, budget - drawn)
@@ -178,16 +181,11 @@ def _binned_batches(
                                 origin, binning, tuple(a[r:r + _ROWS_PER_TASK] for a in out))
                     for r in range(0, n, _ROWS_PER_TASK)
                 ]
-                pending.append((out, futures, rng.bit_generator.state))
-            out, futures, state = pending.popleft()
+                pending.append((out, futures))
+            out, futures = pending.popleft()
             for future in futures:
                 future.result()
-            last_state = state
             yield out
-    finally:
-        if pending:
-            rng.bit_generator.state = last_state
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def build_goal_bank(
@@ -200,18 +198,17 @@ def build_goal_bank(
 ) -> GoalBank:
     """Fill goal bins by rejection sampling random pressure vectors through FK.
 
-    Consumes at most `budget` forward-kinematics evaluations. Each bin keeps
-    its first `quota` hits in draw order. Bins still short of `quota` when the
-    budget runs out are dropped as unreachable; their partial goal lists are
-    discarded rather than padded.
+    Draws exactly `budget` forward-kinematics samples. Each bin keeps its
+    first `quota` hits in draw order; later hits are ignored. Bins still
+    short of `quota` when the budget runs out are dropped as unreachable;
+    their partial goal lists are discarded rather than padded.
 
     FK and goal-bin encoding run on a pool of threads, one per core this
     process may use (at most _MAX_BANK_WORKERS), while this thread draws
     pressure batches of GOAL_SAMPLE_BATCH rows from `rng` in stream order and
-    files the results into bins strictly in draw order. The bank,
-    `samples_used` and the state `rng` is left in are therefore byte-identical
-    to one thread doing it all: a batch drawn ahead of an early stop is
-    rewound out of `rng`.
+    files the results into bins strictly in draw order. The bank and the
+    state `rng` is left in are therefore byte-identical to one thread doing
+    it all.
     """
     if quota < 1:
         raise ValueError("quota must be >= 1")
@@ -220,20 +217,12 @@ def build_goal_bank(
 
     needed = np.full(N_GOAL_BINS, quota, dtype=np.int64)
     stash = np.empty((N_GOAL_BINS, quota, _GOAL_ROW))
-    used = 0
-    batches = _binned_batches(params, binning, budget, rng, GOAL_SAMPLE_BATCH)
-    try:
-        for rows, bins in batches:
-            used += len(bins)
-            for i in np.nonzero(needed[bins] > 0)[0]:
-                b = bins[i]
-                if needed[b] > 0:  # the bin may have filled earlier in this batch
-                    stash[b, quota - needed[b]] = rows[i]
-                    needed[b] -= 1
-            if not needed.any():
-                break
-    finally:
-        batches.close()
+    for rows, bins in _binned_batches(params, binning, budget, rng, GOAL_SAMPLE_BATCH):
+        for i in np.nonzero(needed[bins] > 0)[0]:
+            b = bins[i]
+            if needed[b] > 0:  # the bin may have filled earlier in this batch
+                stash[b, quota - needed[b]] = rows[i]
+                needed[b] -= 1
 
     reachable = np.flatnonzero(needed == 0)
     if not len(reachable):
@@ -241,7 +230,7 @@ def build_goal_bank(
             f"no goal bin reached quota {quota} within {budget} samples; "
             "the arm parameters give a degenerate workspace"
         )
-    return GoalBank(bins=reachable, goals=stash[reachable], samples_used=used)
+    return GoalBank(bins=reachable, goals=stash[reachable], samples_used=budget)
 
 
 def config_fingerprint(params: ArmParams, binning: BinningSpec) -> int:
@@ -412,7 +401,7 @@ def pretrain(
     quota: int,
     seed: int,
     workers: int = 1,
-    budget: int = DEFAULT_SAMPLE_BUDGET,
+    budget: int | None = None,
     max_steps: int = 200,
     augment_radius: int = 1,
     out_path=None,
@@ -423,9 +412,10 @@ def pretrain(
 
     Runs in the calling process. `workers` only accepts 1: callers written
     for the removed process pool still pass it. Arguments are checked before
-    any sampling starts. When `bank_path` is given, a matching cached goal
-    bank is reused and a fresh one is written there after sampling. Saves
-    the augmented table to `out_path` if set.
+    any sampling starts. `budget` defaults to default_sample_budget(quota).
+    When `bank_path` is given, a matching cached goal bank is reused and a
+    fresh one is written there after sampling. Saves the augmented table to
+    `out_path` if set.
     """
     if workers != 1:
         raise ValueError(
@@ -434,8 +424,10 @@ def pretrain(
         )
     if quota < 1:
         raise ValueError("quota must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in [0, 2**64), the range of the goal bank header")
+    if budget is None:
+        budget = default_sample_budget(quota)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if max_steps < 1:

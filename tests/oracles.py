@@ -133,7 +133,7 @@ def oracle_goal_bank(params, binning, quota, budget, rng, batch_size):
     """The goal bank drawn, FK'd, binned and filed one batch at a time on one thread.
 
     Returns ({bin: (quota, 6) goal rows}, reachable flags, samples used) and
-    leaves ``rng`` right after the last batch drawn. Bins are read through
+    leaves ``rng`` right after all ``budget`` rows. Bins are read through
     ``hpnarm.state.encode_goal_prefix_batch`` at call time, so a test that
     replaces it there replaces it here too.
     """
@@ -143,7 +143,7 @@ def oracle_goal_bank(params, binning, quota, budget, rng, batch_size):
     needed = np.full(state.N_GOAL_BINS, quota, dtype=np.int64)
     stash = [[] for _ in range(state.N_GOAL_BINS)]
     used = 0
-    while used < budget and needed.any():
+    while used < budget:
         n = min(batch_size, budget - used)
         pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
         used += n

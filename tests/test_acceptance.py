@@ -19,7 +19,7 @@ from hpnarm import (
 from hpnarm.episode import NominalPlant, RewardSpec, run_episode
 from hpnarm.evalrun import evaluate, sample_goals
 from hpnarm.pretrain import (
-    DEFAULT_SAMPLE_BUDGET,
+    default_sample_budget,
     load_goal_bank,
     merge,
     pretrain,
@@ -184,7 +184,7 @@ def test_criterion_05_parallel_determinism(capsys, tmp_path):
         quota=5, seed=2025, out_path=whole, bank_path=bank_path,
     )
     bank = load_goal_bank(
-        bank_path, seed=2025, quota=5, budget=DEFAULT_SAMPLE_BUDGET,
+        bank_path, seed=2025, quota=5, budget=default_sample_budget(5),
         params=params, binning=binning,
     )
     partials = [

@@ -15,7 +15,7 @@ from hpnarm.config import (
     default_eval_goals,
     load_config,
 )
-from hpnarm.pretrain import DEFAULT_SAMPLE_BUDGET, config_fingerprint
+from hpnarm.pretrain import config_fingerprint
 from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, MAGIC, QTable, load, save
 from hpnarm.state import N_GOAL_BINS
 from oracles import write_goal_bank
@@ -66,12 +66,25 @@ NON_FINITE_VALUES = (
     ("perturbed", "droop_gain", ".nan"),
 )
 
+# One integer setting per case given a float or a boolean, as (section, field, YAML value).
+NON_INTEGER_VALUES = (
+    ("pretrain", "quota", "2.5"),
+    ("pretrain", "quota", "true"),
+    ("pretrain", "budget", "20000.5"),
+    ("pretrain", "seed", "1.5"),
+    ("pretrain", "max_steps", "10.5"),
+    ("pretrain", "augment_radius", "1.5"),
+    ("eval", "repetitions", "1.5"),
+    ("eval", "max_steps", "2.5"),
+    ("eval", "seed", "0.5"),
+)
+
 
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.pretrain.quota == 10
-        assert cfg.pretrain.budget == DEFAULT_SAMPLE_BUDGET
+        assert cfg.pretrain.budget is None  # pretrain.default_sample_budget(quota)
         assert cfg.eval.repetitions == 3
         assert cfg.eval.max_steps == 200
         assert cfg.arm == ArmParams()
@@ -226,12 +239,15 @@ class TestPretrainCommand:
         assert other.exists()
 
     def test_negative_seed_flag_is_a_usage_error(self, runner, tmp_path):
-        table = tmp_path / "t.qt"
-        cfg = write_config(tmp_path / "c.yaml", SMALL_PRETRAIN.format(table=table))
-        result = runner.invoke(main, ["pretrain", "--config", cfg, "--seed", "-1"])
-        assert result.exit_code == 2
-        assert "--seed" in result.output
-        assert not table.exists()
+        table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
+        text = SMALL_PRETRAIN.format(table=f"{table}\n  goal_bank_path: {bank}")
+        cfg = write_config(tmp_path / "c.yaml", text)
+        # The .hpnb header holds the seed as a u64, so 2**64 is refused up front too.
+        for seed in ("-1", str(2**64)):
+            result = runner.invoke(main, ["pretrain", "--config", cfg, "--seed", seed])
+            assert result.exit_code == 2
+            assert "--seed" in result.output
+            assert not table.exists() and not bank.exists()
 
     def test_invalid_config_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", "pretrain:\n  quota: 0\n")
@@ -242,6 +258,15 @@ class TestPretrainCommand:
         for section, name, value in NON_FINITE_VALUES:
             cfg3 = write_config(tmp_path / "c3.yaml", f"{section}:\n  {name}: {value}\n")
             assert runner.invoke(main, ["pretrain", "--config", cfg3]).exit_code == 2, name
+        table, csv_dir = tmp_path / "t.qt", tmp_path / "ev"
+        for section, name, value in NON_INTEGER_VALUES:
+            cfg4 = write_config(tmp_path / "c4.yaml", f"{section}:\n  {name}: {value}\n"
+                                f"output:\n  table_path: {table}\n  eval_dir: {csv_dir}\n")
+            for command in (["pretrain"], ["eval", "--zero-init"]):
+                result = runner.invoke(main, command + ["--config", cfg4])
+                assert result.exit_code == 2, (command, name, value, result.output)
+                assert f"{section}: {name} must be an integer" in result.output
+            assert not table.exists() and not csv_dir.exists()
 
     @pytest.mark.parametrize("bad", ["bin", "direction", "goal-outside-its-bin"])
     def test_malformed_cached_goal_bank_exits_1(self, runner, tmp_path, bad):
@@ -276,8 +301,7 @@ class TestPretrainCommand:
                         budget=1_000_000, fingerprint=fp)
         result = runner.invoke(main, ["pretrain", "--config", cfg])
         assert result.exit_code == 1, result.output
-        assert (f"sampled with budget=1000000, this run wants {DEFAULT_SAMPLE_BUDGET}"
-                in result.output)
+        assert "sampled with budget=1000000, this run wants 400000" in result.output
         assert not table.exists()
 
 

@@ -3,6 +3,7 @@ import importlib
 import os
 import sys
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from hpnarm import ArmParams, BinningSpec, GoalPose, rest_tip_origin
 from hpnarm.config import RunConfig
 from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
 from hpnarm.pretrain import (
-    DEFAULT_SAMPLE_BUDGET,
     GoalBank,
     GoalBankError,
     MergeConflictError,
     build_goal_bank,
     config_fingerprint,
+    default_sample_budget,
     load_goal_bank,
     merge,
     pretrain,
@@ -175,6 +176,18 @@ def bank_threads(monkeypatch):
     return set_threads
 
 
+class CountingGenerator(np.random.Generator):
+    """The goal-bank stream of `seed`, recording the row count of each draw."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(np.random.SeedSequence((seed, 1))))
+        self.rows_drawn = []
+
+    def uniform(self, low, high, size):
+        self.rows_drawn.append(size[0])
+        return super().uniform(low, high, size)
+
+
 def assert_bank_matches_oracle(bank, oracle):
     goals, reachable, used = oracle
     assert bank.samples_used == used
@@ -186,54 +199,59 @@ def assert_bank_matches_oracle(bank, oracle):
 class TestGoalBankThreads:
     """The threaded goal bank equals the one-thread loop bit for bit."""
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("batch_size", [1000, 3000, 8192])
-    @pytest.mark.parametrize("seed", [0, 7, 401])
+    @pytest.mark.parametrize("seed, batch_size, threads, budget", [
+        *(pytest.param(seed, batch_size, threads, 25_000, id=f"{seed}-{batch_size}-{threads}")
+          for seed in (0, 7, 401) for batch_size in (1000, 3000, 8192) for threads in (1, 2, 3)),
+        # The first and last batch: one short batch, and one row past a whole batch.
+        *(pytest.param(0, 8192, threads, budget, id=f"budget-{budget}-{threads}")
+          for budget in (5_000, 8_193) for threads in (1, 3)),
+    ])
     def test_bank_and_rng_state_match_the_sequential_loop(self, specs, bank_threads,
                                                           monkeypatch, seed, batch_size,
-                                                          threads):
+                                                          threads, budget):
         bank_threads(threads)
         monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", batch_size)
         rng, oracle_rng = bank_rng(seed), bank_rng(seed)
-        bank = build_goal_bank(specs["params"], 2, 25_000, rng, binning=specs["binning"])
-        oracle = oracle_goal_bank(specs["params"], specs["binning"], 2, 25_000, oracle_rng,
+        bank = build_goal_bank(specs["params"], 2, budget, rng, binning=specs["binning"])
+        oracle = oracle_goal_bank(specs["params"], specs["binning"], 2, budget, oracle_rng,
                                   batch_size)
         assert_bank_matches_oracle(bank, oracle)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("batch_size", [1000, 3000])
-    def test_batches_drawn_ahead_of_an_early_stop_are_rewound(
+    def test_the_whole_budget_is_drawn_after_every_bin_fills(
             self, specs, bank_threads, monkeypatch, batch_size, threads):
-        # Bins spread by the tip position's low digits, so all 1024 fill and the
-        # bank stops long before its budget, with batches already drawn ahead.
+        # Bins spread by the tip position's low digits, so all 1024 fill long
+        # before the budget ends; the bank still draws every row of it.
         def scattered_bins(positions, directions, origin, binning):
             return (np.abs(positions[:, 0]) * 1e6).astype(np.int64) % N_GOAL_BINS
 
         monkeypatch.setattr(pretrain_module, "encode_goal_prefix_batch", scattered_bins)
         monkeypatch.setattr(importlib.import_module("hpnarm.state"),
                             "encode_goal_prefix_batch", scattered_bins)
-        rows_drawn = []
-
-        class CountingGenerator(np.random.Generator):
-            def uniform(self, low, high, size):
-                rows_drawn.append(size[0])
-                return super().uniform(low, high, size)
-
         bank_threads(threads)
         monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", batch_size)
-        rng = CountingGenerator(np.random.PCG64(np.random.SeedSequence((3, 1))))
-        oracle_rng = bank_rng(3)
-        bank = build_goal_bank(specs["params"], 1, 500_000, rng, binning=specs["binning"])
-        oracle = oracle_goal_bank(specs["params"], specs["binning"], 1, 500_000, oracle_rng,
+        rng, oracle_rng = CountingGenerator(3), bank_rng(3)
+        budget = 20_000  # the last bin fills at sample 6,522
+        bank = build_goal_bank(specs["params"], 1, budget, rng, binning=specs["binning"])
+        oracle = oracle_goal_bank(specs["params"], specs["binning"], 1, budget, oracle_rng,
                                   batch_size)
         assert len(bank.bins) == N_GOAL_BINS
-        assert bank.samples_used < 500_000
-        # Each of the other threads had a batch drawn when the bank filled.
-        assert sum(rows_drawn) == bank.samples_used + (threads - 1) * batch_size
+        assert sum(rng.rows_drawn) == budget == bank.samples_used
         assert_bank_matches_oracle(bank, oracle)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_one_batch_per_thread_is_drawn_ahead(self, specs, bank_threads, threads):
+        bank_threads(threads)
+        rng = CountingGenerator(0)
+        with closing(pretrain_module._binned_batches(specs["params"], specs["binning"],
+                                                     9_500, rng, 1000)) as batches:
+            for k, _ in enumerate(batches):
+                assert len(rng.rows_drawn) == min(k + threads, 10)
+        assert rng.rows_drawn == [1000] * 9 + [500]
 
     def test_many_small_tasks_on_more_threads_than_cores(self, specs, bank_threads,
                                                          monkeypatch):
@@ -327,13 +345,13 @@ class TestBankCache:
 
     @pytest.fixture(scope="class")
     def default_bank(self, specs):
-        return build_goal_bank(specs["params"], 10, DEFAULT_SAMPLE_BUDGET, bank_rng(0),
+        return build_goal_bank(specs["params"], 10, default_sample_budget(10), bank_rng(0),
                                binning=specs["binning"])
 
     def test_default_bank_file_matches_frozen_digest(self, specs, default_bank, tmp_path):
         assert len(default_bank.reachable_bins()) == REACHABLE_BINS_AT_QUOTA_10
         path = tmp_path / "default.hpnb"
-        save_goal_bank(default_bank, path, seed=0, budget=DEFAULT_SAMPLE_BUDGET,
+        save_goal_bank(default_bank, path, seed=0, budget=default_sample_budget(10),
                        fingerprint=config_fingerprint(specs["params"], specs["binning"]))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_BANK_SHA256
 
@@ -342,7 +360,7 @@ class TestBankCache:
         # no goal, so only samples_used (and the header's budget) differ.
         bank_1e6 = build_goal_bank(specs["params"], 10, 1_000_000, bank_rng(0),
                                    binning=specs["binning"])
-        assert default_bank.samples_used == DEFAULT_SAMPLE_BUDGET == 400_000
+        assert default_bank.samples_used == default_sample_budget(10) == 400_000
         assert bank_1e6.samples_used == 1_000_000
         assert default_bank.bins.tobytes() == bank_1e6.bins.tobytes()
         assert default_bank.goals.tobytes() == bank_1e6.goals.tobytes()
@@ -730,7 +748,7 @@ class TestPretrainPipeline:
     @pytest.mark.parametrize(
         "kwargs",
         [{"quota": 0}, {"workers": 0}, {"seed": -1}, {"max_steps": 0},
-         {"augment_radius": 0}, {"workers": 2}, {"budget": 0}],
+         {"augment_radius": 0}, {"workers": 2}, {"budget": 0}, {"seed": 2**64}],
     )
     def test_invalid_arguments_rejected(self, specs, kwargs, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -741,3 +759,20 @@ class TestPretrainPipeline:
         full = {"quota": 1, "seed": 0, **kwargs}
         with pytest.raises(ValueError):
             pretrain(*args, **full)
+
+    @pytest.mark.parametrize("quota, budget, expected", [
+        (1, None, 400_000), (10, None, 400_000), (30, None, 1_200_000), (30, 20_000, 20_000),
+    ])
+    def test_default_budget_follows_the_quota_above_10(self, specs, monkeypatch, quota,
+                                                        budget, expected):
+        budgets = []
+
+        def record_budget(params, quota, budget, rng, *, binning):
+            budgets.append(budget)
+            raise GoalBankError("no sampling")
+
+        monkeypatch.setattr(pretrain_module, "build_goal_bank", record_budget)
+        args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
+        with pytest.raises(GoalBankError, match="no sampling"):
+            pretrain(*args, quota=quota, seed=0, budget=budget)
+        assert budgets == [expected]
