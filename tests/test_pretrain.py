@@ -48,6 +48,16 @@ DEFAULT_TABLE_SHA256 = {
     401: "9d4895c6040563f55d22c9cab225a7762a6bff23c8faba63668cd6921c30d4da",
 }
 
+# sha256 of save(augment(load(seed-0 default table), radius)), by radius: the
+# benchmark's augment path. Radius 1 repeats the in-pipeline augment and so
+# reproduces the default file; radius >= 2 gives targets with 8 or more
+# contributors, where np.add.reduceat sums pairwise.
+AUGMENTED_DEFAULT_TABLE_SHA256 = {
+    1: "de8b990a375d77872e4fd65859a2effadd53e79c4c019a2271c6deb22cc3ae40",
+    2: "33a29f9106b07832587637d908552299526be1da03798eb7e365eeb969b6493c",
+    3: "1400e7c6728e94a0ede67a6266ba2ada6edf0b474fec482070ecbacf683f0eb1",
+}
+
 # sha256 of the .hpnb files save_goal_bank writes, with the default config's
 # fingerprint, for the small_bank setup (seed 5, quota 2, budget 60,000) and for
 # seed 0 at the default quota 10 and the default budget. SMALL_BANK_SHA256 was
@@ -80,6 +90,27 @@ def small_bank(specs):
     return build_goal_bank(
         specs["params"], 2, 60_000, bank_rng(5), binning=specs["binning"]
     )
+
+
+@pytest.fixture(scope="module")
+def default_table_file(tmp_path_factory):
+    """The .hpnq file pretrain() writes at RunConfig defaults, built once per seed."""
+    built = {}
+
+    def build(seed):
+        if seed not in built:
+            cfg = RunConfig()
+            p = cfg.pretrain
+            out = tmp_path_factory.mktemp("default") / f"default-{seed}.hpnq"
+            pretrain(
+                cfg.arm, cfg.hyper, cfg.action, cfg.reward, cfg.binning,
+                quota=p.quota, seed=seed, budget=p.budget, max_steps=p.max_steps,
+                augment_radius=p.augment_radius, out_path=out,
+            )
+            built[seed] = out
+        return built[seed]
+
+    return build
 
 
 def shard_kwargs(specs, max_steps=60):
@@ -685,16 +716,17 @@ class TestPretrainPipeline:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_PRETRAIN_SHA256
 
     @pytest.mark.parametrize("seed", sorted(DEFAULT_TABLE_SHA256))
-    def test_default_table_file_matches_frozen_digest(self, seed, tmp_path):
-        cfg = RunConfig()
-        p = cfg.pretrain
-        out = tmp_path / "default.hpnq"
-        pretrain(
-            cfg.arm, cfg.hyper, cfg.action, cfg.reward, cfg.binning,
-            quota=p.quota, seed=seed, budget=p.budget, max_steps=p.max_steps,
-            augment_radius=p.augment_radius, out_path=out,
-        )
+    def test_default_table_file_matches_frozen_digest(self, seed, default_table_file):
+        out = default_table_file(seed)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_TABLE_SHA256[seed]
+
+    @pytest.mark.parametrize("radius", sorted(AUGMENTED_DEFAULT_TABLE_SHA256))
+    def test_augmented_default_table_matches_frozen_digest(self, radius, default_table_file,
+                                                           tmp_path):
+        out = tmp_path / f"augmented-r{radius}.hpnq"
+        save(augment(load(default_table_file(0)), radius), out)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == AUGMENTED_DEFAULT_TABLE_SHA256[radius]
 
     def test_rerun_same_seed_byte_identical(self, specs, tmp_path):
         outs = []
