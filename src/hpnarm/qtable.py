@@ -272,16 +272,28 @@ class QTable:
         actions = [np.empty(0, np.uint16)]
         flags = [np.empty(0, np.uint16)]
         values = [np.empty(0, np.float32)]
-        for goal_bin, v, f in zip(self.bins.tolist(), self.bin_values, self.bin_flags):
-            suffix, action = np.nonzero(_stored(v, f))
-            states.append((goal_bin * N_TIP_STATES + suffix).astype(np.uint32))
+        for goal_bin, idx, v, f in self._bin_entries(_stored):
+            state, action = np.divmod(idx, self.action_count)
+            state += goal_bin * N_TIP_STATES
+            states.append(state.astype(np.uint32))
             actions.append(action.astype(np.uint16))
-            flags.append(f[suffix, action])
-            values.append(v[suffix, action])
+            flags.append(f[idx])
+            values.append(v[idx])
         return (
             np.concatenate(states), np.concatenate(actions),
             np.concatenate(flags), np.concatenate(values),
         )
+
+    def _bin_entries(self, select):
+        """Per held bin: (goal bin, flat indices, flat values, flat flags).
+
+        The indices, increasing, are those of the bin's entries for which
+        ``select(values, flags)`` is true; index i is suffix i // action_count,
+        action i % action_count.
+        """
+        for goal_bin, v, f in zip(self.bins.tolist(), self.bin_values, self.bin_flags):
+            v, f = v.reshape(-1), f.reshape(-1)
+            yield goal_bin, np.flatnonzero(select(v, f)), v, f
 
     def copy(self) -> "QTable":
         return QTable.from_arrays(self.bins.copy(), self.bin_values.copy(), self.bin_flags.copy())
@@ -335,26 +347,44 @@ class QTable:
     @classmethod
     def from_records(cls, states, actions, flags, values,
                      action_count: int = N_ACTIONS) -> "QTable":
-        """Bulk-build a table from parallel entry arrays (any order, no duplicates)."""
+        """Bulk-build a table from parallel entry arrays in any order.
+
+        The four arrays must be 1-D and of one length, with no (state, action)
+        pair twice, else ValueError.
+        """
         states = np.asarray(states, dtype=np.int64)
         actions = np.asarray(actions, dtype=np.int64)
         if _undefined_flags(flags):
             raise ValueError(f"flag bits outside the defined {_FLAGS_DEFINED:#x}")
         flags_arr = np.asarray(flags, dtype=np.uint16)
         values_arr = np.asarray(values, dtype=np.float32)
+        shapes = [a.shape for a in (states, actions, flags_arr, values_arr)]
+        if states.ndim != 1 or shapes.count(states.shape) != 4:
+            raise ValueError(f"entry arrays must be 1-D and of one length, got shapes {shapes}")
         if states.size and (states.min() < 0 or states.max() >= N_STATES):
             raise ValueError(f"state index outside [0, {N_STATES})")
         if actions.size and (actions.min() < 0 or actions.max() >= action_count):
             raise ValueError("action id outside table's action range")
         if not np.isfinite(values_arr).all():
             raise ValueError("non-finite value")
-        out = cls(action_count)
-        keys = states * out.action_count
+        keys = states * action_count
         keys += actions
-        out.bins, flat, out.bin_values, out.bin_flags = _stacked_for(keys, out.action_count)
-        out.bin_values.reshape(-1)[flat] = values_arr
-        out.bin_flags.reshape(-1)[flat] = flags_arr
-        return out
+        sorted_keys = np.sort(keys)
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            raise ValueError("repeated (state, action) entry")
+        return _from_keys(keys, flags_arr, values_arr, action_count)
+
+
+def _from_keys(keys, flags, values, action_count: int) -> QTable:
+    """A table of already checked entries, keyed state * action_count + action.
+
+    from_records and load each check their input once, then build here.
+    """
+    out = QTable(action_count)
+    out.bins, flat, out.bin_values, out.bin_flags = _stacked_for(keys, out.action_count)
+    out.bin_values.reshape(-1)[flat] = values
+    out.bin_flags.reshape(-1)[flat] = flags
+    return out
 
 
 def _stacked_for(keys: np.ndarray, action_count: int, held=()):
@@ -438,37 +468,46 @@ def _neighbor_means(q: QTable, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Entries with a trained neighbor (augment's), and their neighbors' mean values.
 
     Returns sorted keys state * action_count + action and float32 means.
+    Contributions to one key are summed in the order of the source entries'
+    keys, by np.add.reduceat, which fixes every mean's bits.
     """
-    states, actions, flags, values = q.record_arrays()
-    trained = (flags & FLAG_TRAINED) != 0
-    src_s = states[trained].astype(np.int64)
-    src_a = actions[trained].astype(np.int64)
-    src_v = values[trained].astype(np.float64)
+    ac = q.action_count
+    per_bin = N_TIP_STATES * ac
+    src_k = [np.empty(0, np.int64)]
+    src_v = [np.empty(0)]
+    for goal_bin, idx, v, _ in q._bin_entries(lambda v, f: f & FLAG_TRAINED):
+        src_k.append(idx + goal_bin * per_bin)
+        src_v.append(v[idx].astype(np.float64))
+    src_k = np.concatenate(src_k)
+    src_v = np.concatenate(src_v)
+    src_s = src_k // ac
 
     key_parts = [np.empty(0, np.int64)]
     val_parts = [np.empty(0)]
-    ac = q.action_count
     for dim in range(10):
         place = 4 ** (9 - dim)
         digit = (src_s // place) % 4
         for step in range(1, radius + 1):
             up = digit + step <= 3
             if up.any():
-                key_parts.append((src_s[up] + step * place) * ac + src_a[up])
+                key_parts.append(src_k[up] + step * place * ac)
                 val_parts.append(src_v[up])
             down = digit - step >= 0
             if down.any():
-                key_parts.append((src_s[down] - step * place) * ac + src_a[down])
+                key_parts.append(src_k[down] - step * place * ac)
                 val_parts.append(src_v[down])
     keys = np.concatenate(key_parts)
     vals = np.concatenate(val_parts)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     vals = vals[order]
-    uniq_keys, starts = np.unique(keys, return_index=True)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     sums = np.add.reduceat(vals, starts)
     counts = np.diff(np.append(starts, keys.size))
-    return uniq_keys, (sums / counts).astype(np.float32)
+    return keys[starts], (sums / counts).astype(np.float32)
 
 
 def save(q: QTable, path) -> None:
@@ -479,9 +518,12 @@ def save(q: QTable, path) -> None:
     records["action"] = actions
     records["flags"] = flags
     records["value"] = values
-    body = MAGIC + _HEADER.pack(FORMAT_VERSION, q.action_count, states.size) + records.tobytes()
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(body + _CRC.pack(crc))
+    header = MAGIC + _HEADER.pack(FORMAT_VERSION, q.action_count, states.size)
+    crc = zlib.crc32(records, zlib.crc32(header)) & 0xFFFFFFFF
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(records)
+        fh.write(_CRC.pack(crc))
 
 
 def load(path) -> QTable:
@@ -510,15 +552,17 @@ def load(path) -> QTable:
     if len(data) > expected:
         raise QTableIOError(f"{path}: {len(data) - expected} trailing bytes")
     (stored_crc,) = _CRC.unpack_from(data, expected - _CRC.size)
-    actual_crc = zlib.crc32(data[: expected - _CRC.size]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(data)[: expected - _CRC.size]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ChecksumError(f"{path}: CRC {actual_crc:#010x} != stored {stored_crc:#010x}")
     records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=n_entries, offset=_HEADER_SIZE)
+    key = records["state"].astype(np.int64)
+    key *= action_count
+    key += records["action"]
     if n_entries:
         if int(records["action"].max()) >= action_count:
             raise QTableIOError(f"{path}: action id beyond action count {action_count}")
-        key = records["state"].astype(np.int64) * action_count + records["action"]
-        if not (np.diff(key) > 0).all():
+        if not (key[1:] > key[:-1]).all():
             raise QTableIOError(f"{path}: records not strictly sorted by (state, action)")
         if int(records["state"][-1]) >= N_STATES:
             raise QTableIOError(
@@ -527,7 +571,4 @@ def load(path) -> QTable:
             raise QTableIOError(f"{path}: non-finite value")
         if _undefined_flags(records["flags"]):
             raise QTableIOError(f"{path}: flag bits outside the defined {_FLAGS_DEFINED:#x}")
-    return QTable.from_records(
-        records["state"], records["action"], records["flags"], records["value"],
-        action_count=action_count,
-    )
+    return _from_keys(key, records["flags"], records["value"], action_count)

@@ -202,6 +202,28 @@ class TestBadWrites:
             QTable.from_records([5, 6], [1, 2], np.array([1, bad], dtype=np.int64), [1.0, 2.0])
         assert q.entry_count() == 0
 
+    @pytest.mark.parametrize("arrays", [
+        pytest.param(([5, 6], [1, 2], [1], [3.0]), id="length-1-flags-and-values"),
+        pytest.param(([5, 6], [1, 2], [1, 1], [3.0]), id="length-1-values"),
+        pytest.param(([5, 6], [1], [1, 1], [1.0, 2.0]), id="length-1-actions"),
+        pytest.param(([5], [1, 2], [1, 1], [1.0, 2.0]), id="length-1-states"),
+        pytest.param(([5, 6, 7], [1, 2, 3], [1, 1, 1], [1.0, 2.0]), id="short-values"),
+        pytest.param((5, 1, 1, 1.0), id="scalars"),
+        pytest.param(([[5, 6]], [[1, 2]], [[1, 1]], [[1.0, 2.0]]), id="2-d"),
+    ])
+    def test_from_records_refuses_arrays_that_do_not_line_up(self, arrays):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            QTable.from_records(*arrays)
+
+    @pytest.mark.parametrize("states, actions", [
+        pytest.param([5, 5], [1, 1], id="adjacent"),
+        pytest.param([7 * N_TIP_STATES, 5, 6, 5], [0, 1, 1, 1], id="apart"),
+    ])
+    def test_from_records_refuses_a_repeated_entry(self, states, actions):
+        n = len(states)
+        with pytest.raises(ValueError, match="repeated"):
+            QTable.from_records(states, actions, [FLAG_TRAINED] * n, np.arange(1.0, n + 1))
+
 
 def stacked(bins, fill=1.0):
     """(bins, values, flags) holding one trained entry per bin, valued fill + bin."""
@@ -458,6 +480,72 @@ class TestAugment:
         assert n_aug == len(expected)
 
 
+def clustered_entries(action_count, seed, n=80):
+    """{(state, action): (float32 value, flags)}: states one or two digits from one base.
+
+    Actions are the first two and the last. Flags are drawn from 0..3, so
+    some entries hold a value only. Values are nonzero multiples of 1/64,
+    whose few-term sums are exact in float64, so a mean does not depend on
+    the order of its terms.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 4, 10)
+    entries = {}
+    while len(entries) < n:
+        digits = base.copy()
+        moved = rng.choice(10, rng.integers(1, 3), replace=False)
+        digits[moved] = rng.integers(0, 4, moved.size)
+        key = (pack_bins(digits), int(rng.choice([0, 1, action_count - 1])))
+        value = np.float32(rng.integers(1, 640) / 64 * rng.choice([-1, 1]))
+        entries[key] = (value, int(rng.integers(0, 4)))
+    return entries
+
+
+def reference_augment(entries, radius):
+    """augment() entry by entry over a dict {(state, action): (value, flags)}."""
+    trained = {k: v for k, (v, f) in entries.items() if f & FLAG_TRAINED}
+    contributions = {}
+    for (s, a), v in trained.items():
+        for n in scratch_neighbors(s, radius):
+            contributions.setdefault((n, a), []).append(float(v))
+    out = dict(entries)
+    for key, vals in contributions.items():
+        if key not in trained:
+            out[key] = (np.float32(sum(vals) / len(vals)),
+                        entries.get(key, (0, 0))[1] | FLAG_AUGMENTED)
+    return out
+
+
+def assert_records_equal(q, entries):
+    stored = sorted((k, vf) for k, vf in entries.items() if vf[0] != 0 or vf[1] != 0)
+    states, actions, flags, values = q.record_arrays()
+    assert (states.dtype, actions.dtype, flags.dtype, values.dtype) == (
+        np.uint32, np.uint16, np.uint16, np.float32)
+    assert states.tolist() == [s for (s, _), _ in stored]
+    assert actions.tolist() == [a for (_, a), _ in stored]
+    assert flags.tolist() == [f for _, (_, f) in stored]
+    assert values.tobytes() == np.array([v for _, (v, _) in stored], np.float32).tobytes()
+
+
+class TestFlatIndexing:
+    """record_arrays and augment against a per-entry reference, entry keys off the flat rows."""
+
+    @pytest.mark.parametrize("action_count", [4, 32])
+    def test_record_arrays_and_augment_match_the_reference(self, action_count):
+        entries = clustered_entries(action_count, seed=action_count)
+        q = QTable(action_count)
+        for (s, a), (v, f) in entries.items():
+            q.set_entry(s, a, v, f)
+        assert len(q.bins) > 1
+        assert_records_equal(q, entries)
+        for radius in (1, 2):
+            want = reference_augment(entries, radius)
+            # Both kinds of value-only entry occur: one kept, one overwritten by a mean.
+            value_only = [k for k, (_, f) in entries.items() if f == 0]
+            assert {want[k][1] for k in value_only} == {0, FLAG_AUGMENTED}
+            assert_records_equal(augment(q, radius), want)
+
+
 class TestPersistence:
     def test_empty_table_round_trip(self, tmp_path):
         path = tmp_path / "empty.qt"
@@ -496,6 +584,17 @@ class TestPersistence:
         save(q, path)
         back = load(path)
         assert back == q
+
+    def test_load_builds_without_from_records(self, tmp_path, monkeypatch):
+        """load checks a file's records itself, so from_records' checks do not run again."""
+        q = QTable.from_records([5, 6 * N_TIP_STATES], [1, 2], [1, 0], [1.0, -2.0])
+        save(q, tmp_path / "t.hpnq")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load called from_records")
+
+        monkeypatch.setattr(QTable, "from_records", refuse)
+        assert load(tmp_path / "t.hpnq") == q
 
     def test_small_action_count_round_trip(self, tmp_path):
         q = QTable(action_count=4)
