@@ -234,10 +234,15 @@ def evaluate(
 
 
 def _write_series_csv(path: Path, pos: np.ndarray, rot: np.ndarray) -> None:
-    lines = [",".join(EVAL_CSV_COLUMNS)]
-    for step, (p, r) in enumerate(zip(pos, rot)):
-        lines.append(f"{step},{step * SECONDS_PER_STEP:.1f},{p:.6f},{r:.6f}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # One %-template over Python floats renders the whole file at once.
+    n = len(pos)
+    cells = [0] * (4 * n)
+    cells[0::4] = range(n)
+    cells[1::4] = [step * SECONDS_PER_STEP for step in range(n)]
+    cells[2::4] = pos.tolist()
+    cells[3::4] = rot.tolist()
+    body = ("%d,%.1f,%.6f,%.6f\n" * n) % tuple(cells)
+    path.write_text(",".join(EVAL_CSV_COLUMNS) + "\n" + body, encoding="utf-8")
 
 
 def write_report_csvs(report: EvalReport, out_dir) -> list[Path]:

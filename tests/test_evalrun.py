@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,27 @@ class TestCsvOutput:
             step, t, pos, rot = lines[3].split(",")
             assert step == "2" and t == "4.0"
             float(pos), float(rot)  # plain dot-decimal numbers
+
+    def test_bytes_equal_the_per_line_format(self, tmp_path):
+        """Each file is what one f-string per row, over numpy scalars, writes."""
+        rng = np.random.default_rng(4)
+        special = [0.0, -0.0, 5e-7, -5e-7, 0.0000005, 1e-300, 123456789.1234565, 1e20,
+                   np.nan, np.inf, -np.inf, 2.5, 0.05]
+        pos = np.concatenate([special, rng.normal(0.0, 300.0, 240)])
+        rot = np.concatenate([rng.uniform(0.0, 180.0, 240), special[::-1]])
+        results = (replace(synthetic_result([pos, pos[::-1]]), rot_series=np.stack([rot, pos])),
+                   replace(synthetic_result([rot]), rot_series=pos[None]))
+        report = EvalReport(label="csv", plant_kind="nominal", results=results,
+                            repetitions=2, max_steps=len(pos) - 1)
+        paths = write_report_csvs(report, tmp_path)
+        seconds_per_step = episode.SECONDS_PER_STEP
+        series = [(r.mean_pos_series(), r.mean_rot_series()) for r in results]
+        series.append((report.aggregate_pos_series(), report.aggregate_rot_series()))
+        for path, (pos_s, rot_s) in zip(paths, series):
+            lines = [",".join(EVAL_CSV_COLUMNS)]
+            for step, (p, r) in enumerate(zip(pos_s, rot_s)):
+                lines.append(f"{step},{step * seconds_per_step:.1f},{p:.6f},{r:.6f}")
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), path.name
 
 
 LOOSE_REWARD = RewardSpec(success_pos_mm=200.0, success_rot_deg=90.0)
