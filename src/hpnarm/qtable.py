@@ -468,8 +468,9 @@ def _neighbor_means(q: QTable, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Entries with a trained neighbor (augment's), and their neighbors' mean values.
 
     Returns sorted keys state * action_count + action and float32 means.
-    Contributions to one key are summed in the order of the source entries'
-    keys, by np.add.reduceat, which fixes every mean's bits.
+    np.add.reduceat sums the contributions to one key in the order the loop
+    below makes them (digit, step, up before down), which the stable sort
+    keeps; that order fixes every mean's bits.
     """
     ac = q.action_count
     per_bin = N_TIP_STATES * ac
@@ -480,13 +481,12 @@ def _neighbor_means(q: QTable, radius: int) -> tuple[np.ndarray, np.ndarray]:
         src_v.append(v[idx].astype(np.float64))
     src_k = np.concatenate(src_k)
     src_v = np.concatenate(src_v)
-    src_s = src_k // ac
 
     key_parts = [np.empty(0, np.int64)]
     val_parts = [np.empty(0)]
     for dim in range(10):
         place = 4 ** (9 - dim)
-        digit = (src_s // place) % 4
+        digit = src_k // (place * ac) % 4
         for step in range(1, radius + 1):
             up = digit + step <= 3
             if up.any():
