@@ -1,0 +1,101 @@
+"""Microseconds per lockstep step of training and greedy evaluation, by lane count.
+
+Builds the default goal bank for --seed, then times train_lockstep on the
+first L reachable bins (one lane per bin, --rounds goals each) and
+greedy_lockstep on the first goal of each of those bins (nominal plant, one
+repetition, one lane per goal, reading a table trained on the whole bank).
+Each timed call is divided by the number of lockstep steps it runs, counted
+once beforehand; a step advances every running lane by one action. Prints the
+quartiles over --calls calls for each lane count.
+
+Example:
+    python3 scripts/step_cost.py --seed 1 --calls 15
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+from hpnarm import episode
+from hpnarm.config import RunConfig
+from hpnarm.pretrain import build_goal_bank, default_sample_budget
+from hpnarm.state import GoalPose
+
+
+def count_steps(run) -> int:
+    """Lockstep steps one call of ``run`` makes."""
+    steps = 0
+    step = episode._Lanes.step
+
+    def counted(lanes, action):
+        nonlocal steps
+        steps += 1
+        step(lanes, action)
+
+    episode._Lanes.step = counted
+    try:
+        run()
+    finally:
+        episode._Lanes.step = step
+    return steps
+
+
+def step_quartiles(run, calls: int) -> list[float]:
+    """Quartiles of µs per step over ``calls`` timed calls of ``run``."""
+    steps = count_steps(run)
+    costs = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        run()
+        costs.append((time.perf_counter() - t0) / steps * 1e6)
+    return statistics.quantiles(costs, n=4, method="inclusive") if calls > 1 else costs * 3
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--lanes", default="1,4,16,64", help="comma-separated lane counts")
+    ap.add_argument("--calls", type=int, default=15, help="timed calls per lane count")
+    ap.add_argument("--rounds", type=int, default=3, help="training goals per bin")
+    ap.add_argument("--max-steps", type=int, default=200)
+    ap.add_argument("--budget", type=int, default=None,
+                    help="goal-bank samples (default: the default for quota --rounds)")
+    args = ap.parse_args()
+    lane_counts = [int(x) for x in args.lanes.split(",")]
+    if args.calls < 1 or args.rounds < 1 or min(lane_counts) < 1:
+        ap.error("--calls, --rounds and every lane count must be >= 1")
+
+    cfg = RunConfig()
+    specs = dict(params=cfg.arm, action_spec=cfg.action, reward_spec=cfg.reward,
+                 binning=cfg.binning, max_steps=args.max_steps)
+    budget = args.budget or default_sample_budget(args.rounds)
+    bank = build_goal_bank(cfg.arm, args.rounds, budget, np.random.default_rng(args.seed),
+                           binning=cfg.binning)
+    table = episode.train_lockstep(bank.bins, bank.goals, args.seed, cfg.hyper, **specs)
+    print(f"seed {args.seed}: {len(bank.bins)} reachable bins, {args.rounds} goals per bin, "
+          f"{args.calls} calls per cell")
+    print("lanes  train_lockstep us/step (q1 median q3)  greedy_lockstep us/step (q1 median q3)")
+    for n in lane_counts:
+        if n > len(bank.bins):
+            print(f"{n:>5}  skipped: the bank holds {len(bank.bins)} bins")
+            continue
+        bins, goals = bank.bins[:n], bank.goals[:n, :args.rounds]
+        poses = [GoalPose(position=g[:3], direction=g[3:]) for g in bank.goals[:n, 0]]
+        train = step_quartiles(
+            lambda: episode.train_lockstep(bins, goals, args.seed, cfg.hyper, **specs),
+            args.calls)
+        greedy = step_quartiles(
+            lambda: episode.greedy_lockstep(table, poses, repetitions=1, **specs), args.calls)
+        print(f"{n:>5}  " + " ".join(f"{x:7.1f}" for x in train)
+              + "                  " + " ".join(f"{x:7.1f}" for x in greedy))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -56,7 +56,7 @@ from .state import (
     StateEncoder,
     check_goal_bins,
     encode_goal_prefix_batch,
-    encode_tip_suffix_batch,
+    encode_tip_stack,
     goal_frame,
     rest_tip_origin,
 )
@@ -325,18 +325,31 @@ def run_episode(
     return log
 
 
-def pose_errors_batch(pose: np.ndarray, goal_pos: np.ndarray, goal_dir: np.ndarray):
-    """pose_errors for an (n, 4, 4) pose stack against n goals, bit for bit."""
-    d = pose[:, :3, 3] - goal_pos
-    d *= d
-    pos = np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
-    terms = pose[:, :3, 2] * goal_dir
-    dot = terms[:, 0] + terms[:, 1] + terms[:, 2]
+def observe_batch(pose: np.ndarray, goals: np.ndarray, frames: np.ndarray,
+                  binning: BinningSpec):
+    """pose_errors and the packed tip suffix of an (n, 4, 4) pose stack, in one pass.
+
+    ``goals`` (n, 6) holds each goal's position then direction, ``frames``
+    (n, 3, 3) the transpose of its goal_frame. Returns (pos, rot, state):
+    row i is pose_errors(pose[i], goal_i) and StateEncoder(goal_i,
+    ...).encode_tip_index modulo N_TIP_STATES, bit for bit. The tip offset
+    and the tip direction in the goal frame are stacked and binned together;
+    pos is the offset's radius, and rot comes from the direction's goal-frame
+    z, since the frame's last row is the goal direction: the same products,
+    added in the same order, as pose_errors' dot product.
+    """
+    n = len(pose)
+    v = np.empty((2 * n, 3))
+    np.subtract(pose[:, :3, 3], goals[:, :3], out=v[:n])
+    terms = frames * pose[:, None, :3, 2]
+    np.add(terms[:, :, 0], terms[:, :, 1], out=v[n:])
+    v[n:] += terms[:, :, 2]
+    pos, state = encode_tip_stack(v, binning)
     # math.acos, not np.arccos: the two differ in the last bit on some inputs.
     # minimum/maximum clip as np.clip does, without its per-call overhead.
-    cos = np.minimum(np.maximum(dot, -1.0), 1.0)
-    acos = np.fromiter(map(math.acos, cos.tolist()), float, len(dot))
-    return pos, np.degrees(acos)
+    cos = np.minimum(np.maximum(v[n:, 2], -1.0), 1.0)
+    rot = np.degrees(np.fromiter(map(math.acos, cos.tolist()), float, n))
+    return pos, rot, state
 
 
 # Largest chamber-pressure closure _Lanes precomputes segment transforms for:
@@ -444,6 +457,7 @@ class _Lanes:
         self.params, self.action_spec, self.binning = params, action_spec, binning
         self.droop_gain, self.noise = droop_gain, noise
         self.ids = np.arange(n)
+        self.index = np.arange(n)
         self.goals = np.repeat(goals, repetitions, axis=0)
         frames = np.array([goal_frame(d).T for d in goals[:, 3:]]).reshape(-1, 3, 3)
         self.frames = np.repeat(frames, repetitions, axis=0)
@@ -471,15 +485,12 @@ class _Lanes:
             pose[:, 2, 3] -= self.droop_gain * np.fromiter(reach, float, len(pose))
         if self.noise is not None:
             pose[:, :3, 3] += self.noise[:, self.t]
-        goal_pos = self.goals[:, :3]
-        self.pos, self.rot = pose_errors_batch(pose, goal_pos, self.goals[:, 3:])
-        self.state = encode_tip_suffix_batch(
-            pose[:, :3, 3], pose[:, :3, 2], goal_pos, self.frames, self.binning
-        )
+        self.pos, self.rot, self.state = observe_batch(pose, self.goals, self.frames,
+                                                       self.binning)
 
     def step(self, action: np.ndarray) -> None:
         """Apply one action per lane and observe the new tip."""
-        lane = np.arange(len(action))
+        lane = self.index
         if self.lattice is None:
             seg = self.action_spec.apply_batch(self.pressures, action, self.params.p_max_kpa)
             moved = segment_transform_batch(self.pressures[lane, seg], self.params)
@@ -487,7 +498,7 @@ class _Lanes:
             seg, move = np.divmod(action, 2 * N_CHAMBERS)
             code = self.lattice.moves[self.codes[lane, seg], move]
             self.codes[lane, seg] = code
-            moved = self.lattice.transforms[code]
+            moved = self.lattice.transforms.take(code, axis=0)
         self.segments[seg, lane] = moved
         self.t += 1
         self._observe()
@@ -498,6 +509,7 @@ class _Lanes:
         for name in ("ids", "goals", "frames", chambers, "pos", "rot", "state"):
             setattr(self, name, getattr(self, name)[mask])
         self.segments = self.segments[:, mask]
+        self.index = np.arange(len(self.ids))
         if self.noise is not None:
             self.noise = self.noise[mask]
 
@@ -585,7 +597,8 @@ def train_lockstep(
     n_actions = action_spec.action_count
     values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
     flags = np.zeros(values.shape, dtype=np.uint16)
-    flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
+    # Lane i's row for a tip state is i * N_TIP_STATES + state of these views.
+    rows, flag_rows = values.reshape(-1, n_actions), flags.reshape(-1, n_actions)
     rs = reward_spec
 
     for k in range(goals.shape[1] if bins else 0):
@@ -596,16 +609,18 @@ def train_lockstep(
         draws = exploration_draws(raw, hp.epsilon, max_steps)
         lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
         done = rs.is_success(lanes.pos, lanes.rot)
+        base = lanes.ids * N_TIP_STATES
+        row = base + lanes.state
 
         for t in range(max_steps):
             if done.any():
-                lanes.keep(~done)
+                running = ~done
+                lanes.keep(running)
+                base, row = base[running], row[running]
             if len(lanes) == 0:
                 break
-            row = lanes.ids
-            state = lanes.state
-            drawn = draws[row, t]
-            action = np.where(drawn < 0, values[row, state].argmax(axis=1), drawn)
+            drawn = draws[:, t][lanes.ids]
+            action = np.where(drawn < 0, rows.take(row, axis=0).argmax(axis=1), drawn)
 
             pos, rot = lanes.pos, lanes.rot
             lanes.step(action)
@@ -617,11 +632,16 @@ def train_lockstep(
                 raise ValueError("reward must be finite")
 
             # QTable.update, lane by lane: float64 arithmetic, float32 storage.
-            target = reward + hp.gamma * values[row, lanes.state].max(axis=1).astype(np.float64)
-            entry = (row * N_TIP_STATES + state) * n_actions + action
-            old = flat_values[entry].astype(np.float64)
-            flat_values[entry] = old + hp.alpha * (target - old)
-            flat_flags[entry] = FLAG_TRAINED  # the only flag training sets
+            next_row = base + lanes.state
+            ahead = rows.take(next_row, axis=0)
+            # The row's max, read at its argmax: the same value, and the same
+            # bits, since a table trained from zero never holds -0.0.
+            best = ahead[lanes.index, ahead.argmax(axis=1)].astype(np.float64)
+            target = reward + hp.gamma * best
+            old = rows[row, action].astype(np.float64)
+            rows[row, action] = old + hp.alpha * (target - old)
+            flag_rows[row, action] = FLAG_TRAINED  # the only flag training sets
+            row = next_row
 
     return QTable.from_arrays(bins, values, flags)
 
@@ -663,9 +683,9 @@ def greedy_lockstep(
     and greedy selection draws nothing, so there all repetitions of a goal
     are the same episode: it runs once, as one lane, and is copied.
     Greedy selection takes the argmax of the lane's row, ties to the lowest
-    action id. Rows are read in place from the table's stacked arrays, at
-    the goal bin's index in table.bins, and never written; in a bin the
-    table does not hold they read zero and count as empty. A lane that
+    action id. Each distinct goal bin's actions and row kinds are read once
+    from the table's stacked arrays, which are never written; in a bin the
+    table does not hold rows read zero and count as empty. A lane that
     reaches success drops out. The lanes step as train_lockstep's do (see
     _Lanes): on the nominal plant's lattice and, for a perturbed plant, on a
     second lattice of its true_params, both cached for the next call.
@@ -681,19 +701,21 @@ def greedy_lockstep(
     goal_rows = table.bins.searchsorted(goal_bins)
     held = goal_rows < len(table.bins)
     held[held] = table.bins[goal_rows[held]] == goal_bins[held]
-    # Each goal's greedy action and row kind at every tip state of its bin,
-    # read from the table in place. Row kind: 0 holds a trained entry, 1 only
-    # augmented ones, 2 is empty. A bin the table lacks reads zero: action 0,
-    # kind empty.
-    policy = np.zeros((len(goals), N_TIP_STATES), dtype=np.int64)
+    # The greedy action and row kind at every tip state of each distinct held
+    # bin, in one pass over those table rows. Row kind: 0 holds a trained
+    # entry, 1 only augmented ones, 2 is empty. The last row stands for a bin
+    # the table lacks, which reads zero: action 0, kind empty.
+    used, slot = np.unique(goal_rows[held], return_inverse=True)
+    goal_slot = np.full(len(goals), len(used))
+    goal_slot[held] = slot
+    policy = np.zeros((len(used) + 1, N_TIP_STATES), dtype=np.int64)
     kind = np.full(policy.shape, 2)
-    for g in np.flatnonzero(held).tolist():
-        flags = table.bin_flags[goal_rows[g]]
-        policy[g] = table.bin_values[goal_rows[g]].argmax(axis=1)
-        kind[g] = np.where((flags & FLAG_TRAINED).any(axis=1), 0,
-                           np.where(flags.any(axis=1), 1, 2))
+    flags = table.bin_flags[used]
+    policy[:-1] = table.bin_values[used].argmax(axis=2)
+    kind[:-1] = np.where((flags & FLAG_TRAINED).any(axis=2), 0, np.where(flags.any(axis=2), 1, 2))
     copies = repetitions if plant is None else 1
     lane_reps = repetitions // copies  # lanes per goal
+    lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id
 
     n = len(goals) * lane_reps
     length = max_steps + 1
@@ -724,9 +746,9 @@ def greedy_lockstep(
             lanes.keep(~done)
         if len(lanes) == 0:
             break
-        goal = lanes.ids // lane_reps
-        selections[lanes.ids, kind[goal, lanes.state]] += 1
-        lanes.step(policy[goal, lanes.state])
+        at = lane_slot[lanes.ids], lanes.state
+        selections[lanes.ids, kind[at]] += 1
+        lanes.step(policy[at])
         pos[lanes.ids, step], rot[lanes.ids, step] = lanes.pos, lanes.rot
         done = reward_spec.is_success(lanes.pos, lanes.rot)
     else:  # the lanes still running ended at the step limit

@@ -184,60 +184,72 @@ def arm_forward_kinematics(pressures, params: ArmParams) -> np.ndarray:
     return pose
 
 
+def _segment_terms(p: np.ndarray, params: ArmParams):
+    """cos(th), sin(th), cos(phi), sin(phi), k and l of (n, 4, 4) pressures, each (n, 4).
+
+    A straight segment (k below k_eps) takes the limit the transform formulas
+    need: th 0, phi 0 and k 1. Its arc length is ``l``; the mask is returned
+    last.
+    """
+    # (n, 4) views: one chamber's pressure in every segment of every row.
+    p1, p2, p3, p4 = p[:, :, 0], p[:, :, 1], p[:, :, 2], p[:, :, 3]
+    d13 = p1 - p3
+    d24 = p2 - p4
+    vx = d13 * E1[0] + d24 * E2[0]
+    vy = d13 * E1[1] + d24 * E2[1]
+    nv = np.hypot(vx, vy)
+    k = params.a_gain * nv
+    # Added left to right, the order in which sum(axis=1) adds four values.
+    l = params.b_gain * (p1 + p2 + p3 + p4) + params.l0_mm
+    straight = k < params.k_eps
+    if straight.any():
+        nv_safe = np.where(straight, 1.0, nv)
+        cp = np.where(straight, 1.0, vx / nv_safe)
+        sp = np.where(straight, 0.0, vy / nv_safe)
+        th = np.where(straight, 0.0, k * l)
+        k = np.where(straight, 1.0, k)
+    else:
+        cp, sp, th = vx / nv, vy / nv, k * l
+    return np.cos(th), np.sin(th), cp, sp, k, l, straight
+
+
+def _segment_stack(p: np.ndarray, params: ArmParams) -> np.ndarray:
+    """Segment transforms of (n, 4, 4) pressures as one (n, 4, 4, 4) stack, segment on axis 1."""
+    c, s, cp, sp, k, l, straight = _segment_terms(p, params)
+    c_m1, one_mc = c - 1.0, 1.0 - c
+    cp_cp, cp_s, sp_s = cp * cp, cp * s, sp * s
+    t = np.empty((len(p), N_SEGMENTS, 4, 4))
+    t[..., 0, 0] = cp_cp * c_m1 + 1.0
+    t[..., 0, 1] = t[..., 1, 0] = sp * cp * c_m1
+    t[..., 0, 2] = cp_s
+    t[..., 0, 3] = cp * one_mc / k
+    t[..., 1, 1] = cp_cp * one_mc + c
+    t[..., 1, 2] = sp_s
+    t[..., 1, 3] = sp * one_mc / k
+    t[..., 2, 0] = -cp_s
+    t[..., 2, 1] = -sp_s
+    t[..., 2, 2] = c
+    t[..., 2, 3] = s / k
+    t[..., 3, :3] = 0.0
+    t[..., 3, 3] = 1.0
+    t[straight, 2, 3] = l[straight]  # the rows above already read 0 for the rest
+    return t
+
+
 def tip_batch(pressures, params: ArmParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized tip positions and directions for a stack of pressure vectors.
 
     ``pressures`` has shape (n, 16) or (n, 4, 4). Returns (positions (n, 3),
     directions (n, 3)). Equivalent to calling arm_forward_kinematics per row;
-    used for bulk workspace sampling. Only the columns the tip needs are
-    taken from the last segment product; each row's result does not depend
-    on the other rows of the batch.
+    used for bulk workspace sampling. Every segment's terms are computed at
+    once, as (n, 4) arrays, into one (n, 4, 4, 4) stack of segment
+    transforms; the tip is then (t0 @ t1) @ t2 times the two columns of t3 it
+    needs. Each row's result does not depend on the other rows of the batch.
     """
     p = np.asarray(pressures, dtype=float).reshape(-1, N_SEGMENTS, N_CHAMBERS)
     # NaN fails both comparisons, so this single check also catches non-finites.
     if not ((p >= 0.0) & (p <= params.p_max_kpa)).all():
         raise PressureRangeError("batch contains a pressure outside range")
-    t = np.zeros((p.shape[0], 4, 4))
-    t[:, 3, 3] = 1.0
-    for seg in range(N_SEGMENTS):
-        p1, p2, p3, p4 = p[:, seg, 0], p[:, seg, 1], p[:, seg, 2], p[:, seg, 3]
-        d13 = p1 - p3
-        d24 = p2 - p4
-        vx = d13 * E1[0] + d24 * E2[0]
-        vy = d13 * E1[1] + d24 * E2[1]
-        nv = np.hypot(vx, vy)
-        k = params.a_gain * nv
-        # Added left to right, the order in which sum(axis=1) adds four values.
-        l = params.b_gain * (p1 + p2 + p3 + p4) + params.l0_mm
-        straight = k < params.k_eps
-        any_straight = straight.any()
-        if any_straight:
-            nv_safe = np.where(straight, 1.0, nv)
-            cp = np.where(straight, 1.0, vx / nv_safe)
-            sp = np.where(straight, 0.0, vy / nv_safe)
-            th = np.where(straight, 0.0, k * l)
-            k = np.where(straight, 1.0, k)
-        else:
-            cp, sp, th = vx / nv, vy / nv, k * l
-        c, s = np.cos(th), np.sin(th)
-        c_m1, one_mc = c - 1.0, 1.0 - c
-        cp_cp, cp_s, sp_s = cp * cp, cp * s, sp * s
-        t[:, 0, 0] = cp_cp * c_m1 + 1.0
-        t[:, 0, 1] = t[:, 1, 0] = sp * cp * c_m1
-        t[:, 0, 2] = cp_s
-        t[:, 0, 3] = cp * one_mc / k
-        t[:, 1, 1] = cp_cp * one_mc + c
-        t[:, 1, 2] = sp_s
-        t[:, 1, 3] = sp * one_mc / k
-        t[:, 2, 0] = -cp_s
-        t[:, 2, 1] = -sp_s
-        t[:, 2, 2] = c
-        t[:, 2, 3] = s / k
-        if any_straight:  # the rows above already read 0 for the other translations
-            t[straight, 2, 3] = l[straight]
-        if seg == 0:
-            pose = t.copy()
-        elif seg < N_SEGMENTS - 1:
-            pose = pose @ t
-    tip = pose[:, :3] @ t[:, :, 2:]
+    t = _segment_stack(p, params)
+    tip = ((t[:, 0] @ t[:, 1]) @ t[:, 2])[:, :3] @ t[:, 3, :, 2:]
     return tip[:, :, 1], tip[:, :, 0]

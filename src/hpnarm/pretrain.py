@@ -23,6 +23,7 @@ import os
 import time
 import zlib
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from struct import Struct
@@ -217,12 +218,15 @@ def build_goal_bank(
 
     needed = np.full(N_GOAL_BINS, quota, dtype=np.int64)
     stash = np.empty((N_GOAL_BINS, quota, _GOAL_ROW))
-    for rows, bins in _binned_batches(params, binning, budget, rng, GOAL_SAMPLE_BATCH):
-        for i in np.nonzero(needed[bins] > 0)[0]:
-            b = bins[i]
-            if needed[b] > 0:  # the bin may have filled earlier in this batch
-                stash[b, quota - needed[b]] = rows[i]
-                needed[b] -= 1
+    # Closed on the way out: a raise in the filing loop ends the pool's threads
+    # at once, also where the suspended generator outlives the exception.
+    with closing(_binned_batches(params, binning, budget, rng, GOAL_SAMPLE_BATCH)) as batches:
+        for rows, bins in batches:
+            for i in np.nonzero(needed[bins] > 0)[0]:
+                b = bins[i]
+                if needed[b] > 0:  # the bin may have filled earlier in this batch
+                    stash[b, quota - needed[b]] = rows[i]
+                    needed[b] -= 1
 
     reachable = np.flatnonzero(needed == 0)
     if not len(reachable):

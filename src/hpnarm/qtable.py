@@ -234,19 +234,25 @@ class QTable:
 
         Q(s,a) := Q(s,a) + alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)).
         Returns the new value. The arithmetic runs in float64 and the
-        result is stored in float32.
+        result is stored in float32; a result float32 cannot hold finitely
+        raises ValueError and leaves the table as it was.
         """
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         self._check_entry(state, action)
         _check_state(next_state)
         target = reward + hp.gamma * self.max_value(next_state)
+        old = self.get(state, action)
+        with np.errstate(over="ignore"):
+            value = np.float32(old + hp.alpha * (target - old))
+        if not np.isfinite(value):
+            raise ValueError(f"updated value of state {state} action {action} "
+                             f"is not finite in float32: {value}")
         goal_bin, suffix = divmod(state, N_TIP_STATES)
         i = self._write_row(goal_bin)
-        old = float(self.bin_values[i, suffix, action])
-        self.bin_values[i, suffix, action] = old + hp.alpha * (target - old)
+        self.bin_values[i, suffix, action] = value
         self.bin_flags[i, suffix, action] |= FLAG_TRAINED
-        return float(self.bin_values[i, suffix, action])
+        return float(value)
 
     def set_entry(self, state: int, action: int, value: float, flag_bits: int) -> None:
         """Directly store one entry; used by fixtures and bulk builders."""

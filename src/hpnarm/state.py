@@ -199,41 +199,46 @@ _AZIMUTH_GUARDS = _guard_edges(_AZIMUTH_EDGES + (math.pi,))[:-1]
 _ELEVATION_GUARDS = _guard_edges(_ELEVATION_EDGES)
 
 
-def _direction_bins(v: np.ndarray, elevation_edges, elevation_guards):
-    """Radius, azimuth bin and elevation bin of (n, 3) vectors, as binned from spherical_of.
+# Packed (azimuth bin, elevation bin) digit of a vector by its guard indices:
+# azimuth guard index g (0-7) and elevation guard index h (0-6) at g * 8 + h.
+_ANGLE_DIGITS = np.array([(g >> 1) * N_BINS_PER_DIM + (h >> 1) for g in range(8) for h in range(8)])
 
-    The elevation is binned by ``elevation_edges``, whose _guard_edges are
-    ``elevation_guards``. The radius is spherical_of's bit for bit. Angles
-    come from numpy; an angle within _ANGLE_GUARD_RAD of an edge, or of the
-    fold at pi, and every vector below the zero-radius cutoff is recomputed
-    with spherical_of itself.
+
+def _direction_bins(v: np.ndarray, elevation_edges, elevation_guards):
+    """Radius and packed angle digit of (n, 3) vectors, as binned from spherical_of.
+
+    The digit is azimuth bin * 4 + elevation bin, the elevation binned by
+    ``elevation_edges``, whose _guard_edges are ``elevation_guards``. The
+    radius is spherical_of's bit for bit. Angles come from numpy; an angle
+    within _ANGLE_GUARD_RAD of an edge, or of the fold at pi, and every
+    vector below the zero-radius cutoff is recomputed with spherical_of
+    itself.
     """
     x, y, z = v[:, 0], v[:, 1], v[:, 2]
-    r = np.sqrt(x * x + y * y + z * z)
+    sq = v * v
+    r = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
     # Rows below the cutoff divide by it instead of by r and are recomputed.
     cos_phi = np.minimum(np.maximum(z / np.maximum(r, _TINY_RADIUS), -1.0), 1.0)
-    theta = _AZIMUTH_GUARDS.searchsorted(np.arctan2(y, x), side="right")
-    phi = elevation_guards.searchsorted(np.arccos(cos_phi), side="right")
-    unsure = ((theta | phi) & 1 | (r < _TINY_RADIUS)).nonzero()[0]
-    theta >>= 1
-    phi >>= 1
+    guards = _AZIMUTH_GUARDS.searchsorted(np.arctan2(y, x), side="right") * 8
+    guards += elevation_guards.searchsorted(np.arccos(cos_phi), side="right")
+    # Bit 3 holds the azimuth guard index's parity, bit 0 the elevation's.
+    unsure = (guards & 0b1001 | (r < _TINY_RADIUS)).nonzero()[0]
+    angles = _ANGLE_DIGITS.take(guards)
     for i in unsure.tolist():
         _, theta_i, phi_i = spherical_of(v[i])
-        theta[i] = bisect_right(_AZIMUTH_EDGES, theta_i)
-        phi[i] = bisect_right(elevation_edges, phi_i)
-    return r, theta, phi
+        angles[i] = (bisect_right(_AZIMUTH_EDGES, theta_i) * N_BINS_PER_DIM
+                     + bisect_right(elevation_edges, phi_i))
+    return r, angles
 
 
 def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -> np.ndarray:
     """encode_goal_prefix over (n, 3) position/direction stacks, bin for bin."""
     rel = np.asarray(positions, dtype=float).reshape(-1, 3) - np.asarray(origin, dtype=float)
     dirn = np.asarray(directions, dtype=float).reshape(-1, 3)
-    r, theta_d, phi_d = _direction_bins(rel, _ELEVATION_EDGES, _ELEVATION_GUARDS)
-    _, theta_e, phi_e = _direction_bins(dirn, spec.phi_egoal_edges_rad, spec.phi_egoal_guards)
-    index = spec.edge_arrays[0].searchsorted(r, side="right")  # d_goal
-    for digits in (theta_d, phi_d, theta_e, phi_e):
-        index = index * N_BINS_PER_DIM + digits
-    return index
+    r, offset_angles = _direction_bins(rel, _ELEVATION_EDGES, _ELEVATION_GUARDS)
+    _, direction_angles = _direction_bins(dirn, spec.phi_egoal_edges_rad, spec.phi_egoal_guards)
+    d_goal = spec.edge_arrays[0].searchsorted(r, side="right")
+    return (d_goal * N_BINS_PER_DIM**2 + offset_angles) * N_BINS_PER_DIM**2 + direction_angles
 
 
 def check_goal_bins(bins, goals, origin, spec: BinningSpec) -> None:
@@ -255,23 +260,20 @@ def check_goal_bins(bins, goals, origin, spec: BinningSpec) -> None:
         raise ValueError(f"goal {k} of bin {bins[i]} encodes to goal bin {prefixes[wrong[0]]}")
 
 
-def encode_tip_suffix_batch(tip_pos, tip_dir, goal_pos, goal_frames, spec: BinningSpec) -> np.ndarray:
-    """Packed tip half of the state, in [0, 1024), for n tip/goal pairs at once.
+def encode_tip_stack(v: np.ndarray, spec: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Offset radii and packed tip suffixes, in [0, 1024), of n tip observations at once.
 
-    ``tip_pos``, ``tip_dir`` and ``goal_pos`` are (n, 3); ``goal_frames`` is
-    (n, 3, 3), each the transpose of the goal's ``goal_frame``. Row i equals
-    ``StateEncoder(goal_i, ...).encode_tip_index(tip_pos[i], tip_dir[i])``
-    modulo N_TIP_STATES, bit for bit. Only bins leave this function, so the
-    angles need not match math's to the bit (see _direction_bins).
+    ``v`` (2n, 3) stacks the n tip offsets from their goals (tip position
+    minus goal position) over the n tip directions in their goal frames.
+    Suffix i equals ``StateEncoder(goal_i, ...).encode_tip_index(...)``
+    modulo N_TIP_STATES and radius i its d_tip, bit for bit. The angles only
+    bin, so they need not match math's to the bit (see _direction_bins).
     """
-    n = len(tip_pos)
-    terms = goal_frames * tip_dir[:, None, :]
-    # The tip offset from the goal, then the tip direction in the goal frame.
-    v = np.concatenate([tip_pos - goal_pos, terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]])
-    r, theta, phi = _direction_bins(v, _ELEVATION_EDGES, _ELEVATION_GUARDS)
-    angles = theta * N_BINS_PER_DIM + phi
-    d_tip = spec.edge_arrays[GOAL_DIMS].searchsorted(r[:n], side="right")
-    return (d_tip * N_BINS_PER_DIM**2 + angles[:n]) * N_BINS_PER_DIM**2 + angles[n:]
+    n = len(v) // 2
+    r, angles = _direction_bins(v, _ELEVATION_EDGES, _ELEVATION_GUARDS)
+    radius = r[:n]
+    d_tip = spec.edge_arrays[GOAL_DIMS].searchsorted(radius, side="right")
+    return radius, (d_tip * N_BINS_PER_DIM**2 + angles[:n]) * N_BINS_PER_DIM**2 + angles[n:]
 
 
 class StateEncoder:

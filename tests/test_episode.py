@@ -14,13 +14,15 @@ from hpnarm.episode import (
     _segment_lattice,
     compute_reward,
     exploration_draws,
+    noise_generator,
+    observe_batch,
     pose_errors,
-    pose_errors_batch,
     pressure_closure,
     run_episode,
 )
 from hpnarm.kinematics import actuation_to_config, segment_transform
 from hpnarm.qtable import ActionSpec, HyperParams, QTable, save
+from hpnarm.state import N_TIP_STATES, StateEncoder, goal_frame, rest_tip_origin
 
 NEUTRAL_CFG = PerturbedPlantConfig(
     a_scale=1.0, b_scale=1.0, tip_noise_sigma_mm=0.0, droop_gain=0.0
@@ -122,11 +124,79 @@ class TestPoseErrors:
         goals = [GoalPose(position=p[:3, 3] + rng.normal(0.0, 50.0, 3), direction=d)
                  for p, d in zip(poses, poses[rng.permutation(300), :3, 2])]
         goals[0] = GoalPose(position=poses[0, :3, 3], direction=poses[0, :3, 2])
-        pos, rot = pose_errors_batch(
-            poses, np.array([g.position for g in goals]), np.array([g.direction for g in goals])
-        )
-        for pose, goal, p, r in zip(poses, goals, pos.tolist(), rot.tolist()):
-            assert (p, r) == pose_errors(pose, goal)
+        assert_observed_as_scalar(setup, poses, goals)
+
+
+def assert_observed_as_scalar(setup, poses, goals):
+    """observe_batch row i is pose_errors and the encoder's tip suffix of pose i, goal i."""
+    rows = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+    frames = np.array([goal_frame(g.direction).T for g in goals])
+    pos, rot, state = observe_batch(poses, rows, frames, setup["binning"])
+    origin = rest_tip_origin(setup["params"].l0_mm)
+    for pose, goal, p, r, s in zip(poses, goals, pos.tolist(), rot.tolist(), state.tolist()):
+        assert (p, r) == pose_errors(pose, goal)
+        index = StateEncoder(goal, origin, setup["binning"]).encode_tip_index(
+            pose[:3, 3], pose[:3, 2])
+        assert index % N_TIP_STATES == s
+    return pos, rot, state
+
+
+class TestObserveBatch:
+    """The lockstep observation: pose errors and tip state from one stacked pass."""
+
+    def test_tip_at_goal_has_zero_radius(self, setup):
+        pose = arm_forward_kinematics(np.full(16, 20.0), setup["params"])
+        goal = GoalPose(position=pose[:3, 3], direction=pose[:3, 2])
+        shifted = GoalPose(position=pose[:3, 3] + 1e-13, direction=pose[:3, 2])
+        pos, rot, _ = assert_observed_as_scalar(setup, np.array([pose, pose]), [goal, shifted])
+        assert pos[0] == 0.0 and 0.0 < pos[1] < 1e-12
+
+    def test_cosine_is_clipped_along_and_against_the_goal(self, setup):
+        # A unit direction whose squared components add up past 1 in float64.
+        rng = np.random.default_rng(4)
+        while True:
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] > 1.0:
+                break
+        poses = np.array([np.eye(4), np.eye(4)])
+        poses[:, :3, 2] = d, -d
+        poses[:, :3, 3] = (10.0, -20.0, 600.0)
+        goal = GoalPose(position=np.array([0.0, 0.0, 600.0]), direction=d)
+        _, rot, _ = assert_observed_as_scalar(setup, poses, [goal, goal])
+        assert rot.tolist() == [0.0, 180.0]
+
+    def test_perturbed_lanes_observe_as_the_plant(self, setup):
+        # Lanes on a perturbed plant's true gains observe the tip after droop
+        # and noise, as PerturbedPlant.apply, pose_errors and the encoder do.
+        params, actions, binning = setup["params"], setup["actions"], setup["binning"]
+        cfg = PerturbedPlantConfig(tip_noise_sigma_mm=5.0, droop_gain=0.05)
+        rng = np.random.default_rng(6)
+        goals = [goal_from_pressures(params, rng.uniform(0.0, 60.0, 16)) for _ in range(5)]
+        steps = 30
+        seed = 3
+        noise = np.array([noise_generator(seed, (g,)).normal(0.0, 5.0, (steps + 1, 3))
+                          for g in range(len(goals))])
+        plant = PerturbedPlant(params, cfg, seed)
+        lanes = _Lanes(np.array([np.concatenate([g.position, g.direction]) for g in goals]),
+                       params=plant.true_params, action_spec=actions, binning=binning,
+                       droop_gain=cfg.droop_gain, noise=noise)
+        plants = [PerturbedPlant(params, cfg, seed, (g,)) for g in range(len(goals))]
+        pressures = [np.full((4, 4), params.p_max_kpa / 2.0) for _ in goals]
+        action = np.zeros(len(goals), dtype=np.int64)
+        origin = rest_tip_origin(params.l0_mm)
+        for t in range(steps + 1):
+            if t:
+                action = rng.integers(actions.action_count, size=len(goals))
+                lanes.step(action)
+            for g, goal in enumerate(goals):
+                if t:
+                    pressures[g] = actions.apply(pressures[g], int(action[g]), params.p_max_kpa)
+                pose = plants[g].apply(pressures[g])
+                assert (lanes.pos[g], lanes.rot[g]) == pose_errors(pose, goal)
+                index = StateEncoder(goal, origin, binning).encode_tip_index(
+                    pose[:3, 3], pose[:3, 2])
+                assert lanes.state[g] == index % N_TIP_STATES
 
 
 class TestRunEpisode:

@@ -228,6 +228,25 @@ class TestTipBatchMatchesFirstFormula:
             assert g.shape == w.shape == (len(ps), 3)
             assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
 
+    @pytest.mark.parametrize("straight", [(2,), (0, 1, 2, 3), ()])
+    def test_straight_segments_in_any_position(self, params, straight):
+        # The straight-segment branch runs once for the whole block, across all
+        # four segments; every second row here has the given segments straight.
+        ps = np.random.default_rng(5).uniform(0.0, params.p_max_kpa, (2048, 16))
+        segs = ps.reshape(-1, 4, 4)
+        for seg in straight:
+            segs[::2, seg, 2:] = segs[::2, seg, :2]
+        got = tip_batch(ps, params)
+        want = oracle_tip_batch(ps, params.a_gain, params.b_gain, params.l0_mm, params.k_eps)
+        for g, w in zip(got, want):
+            assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+        if len(straight) == 4:  # a straight arm points up, its length above the base
+            positions, directions = got
+            length = params.b_gain * segs[::2].sum(axis=2) + params.l0_mm
+            assert (positions[::2, :2] == 0.0).all()
+            assert np.allclose(positions[::2, 2], length.sum(axis=1))
+            assert (directions[::2] == (0.0, 0.0, 1.0)).all()
+
     def test_rows_do_not_depend_on_the_batch(self, params):
         ps = _pressure_rows("mixed", np.random.default_rng(2), params.p_max_kpa, n=3000)
         whole = tip_batch(ps, params)

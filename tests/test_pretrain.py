@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import os
 import sys
 import threading
@@ -304,12 +305,11 @@ class TestGoalBankThreads:
 
     def test_a_failing_task_raises_and_leaves_no_thread(self, specs, bank_threads,
                                                         monkeypatch):
-        calls = []
+        calls = itertools.count()  # numbers each call once, whichever thread makes it
         fk_and_bin = pretrain_module._fk_and_bin
 
         def failing(pressures, *args):
-            calls.append(1)
-            if len(calls) == 3:
+            if next(calls) == 2:
                 raise FloatingPointError("task failed")
             return fk_and_bin(pressures, *args)
 
@@ -318,6 +318,35 @@ class TestGoalBankThreads:
         bank_threads(2)
         with pytest.raises(FloatingPointError, match="task failed"):
             build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
+        assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
+
+    def test_a_failing_filing_loop_leaves_no_thread(self, specs, bank_threads, monkeypatch):
+        # The third task files its goals past the last goal bin, so the filing
+        # loop raises a few batches into the budget.
+        calls = itertools.count()  # numbers each call once, whichever thread makes it
+        encode = pretrain_module.encode_goal_prefix_batch
+
+        def out_of_range(*args):
+            bins = encode(*args)
+            return bins + N_GOAL_BINS if next(calls) == 2 else bins
+
+        # CPython frees the suspended generator as the exception unwinds; a
+        # runtime without reference counting keeps it until a collection,
+        # which this reference stands in for.
+        kept = []
+        binned_batches = pretrain_module._binned_batches
+
+        def kept_batches(*args):
+            kept.append(binned_batches(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(pretrain_module, "encode_goal_prefix_batch", out_of_range)
+        monkeypatch.setattr(pretrain_module, "_binned_batches", kept_batches)
+        monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", 1000)
+        bank_threads(2)
+        with pytest.raises(IndexError) as raised:
+            build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
+        assert raised.tb is not None and len(kept) == 1
         assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
 
     def test_threads_end_with_the_call(self, specs, bank_threads):

@@ -193,6 +193,24 @@ class TestBadWrites:
             QTable.from_records([5, 6], [1, 2], [1, 1], [bad, 2.0])
         assert q.entry_count() == 0
 
+    def test_update_past_float32_range_rejected(self, tmp_path):
+        # A finite reward whose backup overflows float32 is refused, and the
+        # table, bins included, stays as augment and save need it.
+        q = QTable()
+        with pytest.raises(ValueError, match="not finite in float32"):
+            q.update(5, 1, 1e300, 6, HyperParams())
+        assert len(q.bins) == 0 and q.entry_count() == 0
+        q.set_entry(7, 2, 1.5, FLAG_TRAINED)
+        before = q.copy()
+        with pytest.raises(ValueError, match="not finite in float32"):
+            q.update(7, 2, 1e300, 6, HyperParams())
+        with pytest.raises(ValueError, match="not finite in float32"):
+            q.update(N_TIP_STATES + 5, 1, -1e300, 6, HyperParams())
+        assert q == before and q.bins.tolist() == [0]
+        augment(q)
+        save(q, tmp_path / "q.hpnq")
+        assert load(tmp_path / "q.hpnq") == q
+
     @pytest.mark.parametrize("bad", [4, FLAG_TRAINED | 4, 0x8000, 0x10001, -1])
     def test_undefined_flag_bits_rejected(self, bad):
         q = QTable()

@@ -61,3 +61,18 @@ def test_reachability_survey(tmp_path):
     assert fields[0] == "0" and fields[3:5] == ["0", "-"], lines
     assert 1 <= int(fields[1]) and 0 <= int(fields[2]) < 20000, lines
     assert re.fullmatch(r"\d+\.\d%", fields[5]) and re.fullmatch(r"\(\d+\.\ds\)", fields[6]), lines
+
+
+def test_step_cost(tmp_path):
+    lines = run_script(
+        "step_cost.py", "--budget", "20000", "--rounds", "1", "--calls", "2",
+        "--max-steps", "5", "--lanes", "1,2,5000", cwd=tmp_path,
+    )
+    assert re.fullmatch(r"seed 1: [1-9]\d* reachable bins, 1 goals per bin, 2 calls per cell",
+                        lines[0]), lines
+    assert lines[1].startswith("lanes  train_lockstep"), lines
+    for lanes, line in zip((1, 2), lines[2:4]):
+        fields = line.split()
+        assert int(fields[0]) == lanes and len(fields) == 7, lines
+        assert all(float(x) > 0.0 for x in fields[1:]), lines
+    assert re.fullmatch(r" *5000  skipped: the bank holds \d+ bins", lines[4]), lines

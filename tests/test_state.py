@@ -22,7 +22,7 @@ from hpnarm.state import (
     bin_and_pack,
     encode_goal_prefix,
     encode_goal_prefix_batch,
-    encode_tip_suffix_batch,
+    encode_tip_stack,
     goal_frame,
     spherical_of,
 )
@@ -124,11 +124,11 @@ class TestSphericalOf:
         edges = binning.all_edges()
         # The tip elevations' guards, then the goal direction's phi_egoal guards.
         for phi_dim, guards in ((7, _ELEVATION_GUARDS), (4, binning.phi_egoal_guards)):
-            r, theta, phi = _direction_bins(v, edges[phi_dim], guards)
-            for row, got in zip(v, zip(r.tolist(), theta.tolist(), phi.tolist())):
+            r, angles = _direction_bins(v, edges[phi_dim], guards)
+            for row, got in zip(v, zip(r.tolist(), angles.tolist())):
                 r_s, theta_s, phi_s = spherical_of(row)
-                assert got == (r_s, bin_and_pack([theta_s], edges[6:7]),
-                               bin_and_pack([phi_s], edges[phi_dim:phi_dim + 1]))
+                assert got == (r_s, bin_and_pack([theta_s, phi_s],
+                                                 (edges[6], edges[phi_dim])))
 
     @given(
         v=st.tuples(
@@ -347,16 +347,16 @@ class TestStateEncoder:
         pairs.append((GoalPose(position=tip[:3, 3], direction=tip[:3, 2]), tip))
         goals = [g for g, _ in pairs]
         tips = np.array([t for _, t in pairs])
-        suffix = encode_tip_suffix_batch(
-            tips[:, :3, 3], tips[:, :3, 2],
-            np.array([g.position for g in goals]),
-            np.array([goal_frame(g.direction).T for g in goals]),
-            binning,
-        )
+        frames = np.array([goal_frame(g.direction).T for g in goals])
+        terms = frames * tips[:, None, :3, 2]  # summed in encode_tip_index's order
+        v = np.concatenate([tips[:, :3, 3] - np.array([g.position for g in goals]),
+                            terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]])
+        radius, suffix = encode_tip_stack(v, binning)
         origin = rest_tip_origin(params.l0_mm)
-        for goal, tip, s in zip(goals, tips, suffix.tolist()):
+        for goal, tip, r, s in zip(goals, tips, radius.tolist(), suffix.tolist()):
             index = StateEncoder(goal, origin, binning).encode_tip_index(tip[:3, 3], tip[:3, 2])
             assert index % N_TIP_STATES == s
+            assert r == spherical_of(tip[:3, 3] - goal.position)[0]
 
 
 class TestValidation:
