@@ -12,15 +12,17 @@ goal bin, greedy_lockstep one per (goal, repetition), or one per goal on the
 nominal plant, where repetitions are identical. Both are bit-identical to
 run_episode called on each episode in turn.
 
-The shared step keeps its fixed cost low in three ways, none of which changes
+The shared step keeps its fixed cost low in four ways, none of which changes
 a bit. Segment transforms come from a lattice built once per process: every
 segment state the chamber-pressure closure allows (13 pressures, so 13**4
 states, at the default 60 kPa ceiling and 5 kPa step), up to
 LATTICE_MAX_PRESSURES pressures, beyond which the step computes them.
 Training's exploration draws come from each episode's raw PCG64 words, read
-once per round as select_action would (exploration_draws). And the tip state
-is binned from numpy's angles, recomputed with math only near a bin edge
-(state.encode_tip_suffix_batch).
+once per round as select_action would (exploration_draws). The tip state is
+binned from numpy's angles, recomputed with math only near a bin edge
+(state.encode_tip_stack). And one pass observes the tip (observe_batch): the
+pose errors and the tip state share the tip offset and the goal-frame tip
+direction, which are built and binned together.
 """
 
 from __future__ import annotations
@@ -433,9 +435,10 @@ class _Lanes:
     pose as ((t0 @ t1) @ t2) @ t3 and observes it: on a perturbed plant the
     tip first droops by ``droop_gain`` times its horizontal reach, then gets
     row ``t`` of the lane's (steps+1, 3) ``noise`` block added. The
-    observation sets pos, rot (pose_errors) and state (the packed tip
-    suffix). Per-lane arrays hold the lane on axis 0, except ``segments``
-    (axis 1); ``ids`` holds each running lane's number.
+    observation, observe_batch, sets pos, rot (pose_errors) and state (the
+    packed tip suffix) in one pass. Per-lane arrays hold the lane on axis 0,
+    except ``segments`` (axis 1); ``ids`` holds each running lane's number
+    and ``index`` its position, 0 .. len - 1.
 
     A segment's transform is looked up, not computed, when the chamber
     pressures can take at most LATTICE_MAX_PRESSURES values (13 at the
@@ -445,9 +448,9 @@ class _Lanes:
     ``pressures`` (lanes, 4, 4) and call segment_transform_batch on the
     moved segments. Both give the same bits: a lattice row is the
     segment_transform_batch row of its pressures. The tip state is binned
-    from numpy's angles; state.encode_tip_suffix_batch recomputes with math
-    only an angle within 1e-9 rad of a bin edge or of the azimuth fold at pi,
-    where the two could bin apart.
+    from numpy's angles; state.encode_tip_stack recomputes with math only an
+    angle within 1e-9 rad of a bin edge or of the azimuth fold at pi, where
+    the two could bin apart.
     """
 
     def __init__(self, goals: np.ndarray, *, params: ArmParams,
@@ -712,7 +715,8 @@ def greedy_lockstep(
     kind = np.full(policy.shape, 2)
     flags = table.bin_flags[used]
     policy[:-1] = table.bin_values[used].argmax(axis=2)
-    kind[:-1] = np.where((flags & FLAG_TRAINED).any(axis=2), 0, np.where(flags.any(axis=2), 1, 2))
+    kind[:-1] = np.where((flags & FLAG_TRAINED).any(axis=2), 0,
+                         np.where(flags.any(axis=2), 1, 2))
     copies = repetitions if plant is None else 1
     lane_reps = repetitions // copies  # lanes per goal
     lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id

@@ -214,7 +214,14 @@ def _segment_terms(p: np.ndarray, params: ArmParams):
 
 
 def _segment_stack(p: np.ndarray, params: ArmParams) -> np.ndarray:
-    """Segment transforms of (n, 4, 4) pressures as one (n, 4, 4, 4) stack, segment on axis 1."""
+    """Segment transforms of (n, 4, 4) pressures as one (n, 4, 4, 4) stack, segment on axis 1.
+
+    The terms' temporaries end with _segment_terms and with this call, before
+    tip_batch multiplies, which keeps a goal-bank task's peak heap small: with
+    every temporary alive at once, glibc handed each 2048-row task's pages
+    back and faulted them in again, about 100k page faults per default bank
+    against about 800.
+    """
     c, s, cp, sp, k, l, straight = _segment_terms(p, params)
     c_m1, one_mc = c - 1.0, 1.0 - c
     cp_cp, cp_s, sp_s = cp * cp, cp * s, sp * s
@@ -241,10 +248,10 @@ def tip_batch(pressures, params: ArmParams) -> tuple[np.ndarray, np.ndarray]:
 
     ``pressures`` has shape (n, 16) or (n, 4, 4). Returns (positions (n, 3),
     directions (n, 3)). Equivalent to calling arm_forward_kinematics per row;
-    used for bulk workspace sampling. Every segment's terms are computed at
-    once, as (n, 4) arrays, into one (n, 4, 4, 4) stack of segment
-    transforms; the tip is then (t0 @ t1) @ t2 times the two columns of t3 it
-    needs. Each row's result does not depend on the other rows of the batch.
+    used for bulk workspace sampling. One pass computes every segment's terms,
+    as (n, 4) arrays, into one (n, 4, 4, 4) stack of segment transforms; the
+    tip is then (t0 @ t1) @ t2 times the two columns of t3 it needs. Each
+    row's result does not depend on the other rows of the batch.
     """
     p = np.asarray(pressures, dtype=float).reshape(-1, N_SEGMENTS, N_CHAMBERS)
     # NaN fails both comparisons, so this single check also catches non-finites.

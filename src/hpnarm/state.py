@@ -201,7 +201,8 @@ _ELEVATION_GUARDS = _guard_edges(_ELEVATION_EDGES)
 
 # Packed (azimuth bin, elevation bin) digit of a vector by its guard indices:
 # azimuth guard index g (0-7) and elevation guard index h (0-6) at g * 8 + h.
-_ANGLE_DIGITS = np.array([(g >> 1) * N_BINS_PER_DIM + (h >> 1) for g in range(8) for h in range(8)])
+_ANGLE_DIGITS = np.array([(g >> 1) * N_BINS_PER_DIM + (h >> 1)
+                          for g in range(8) for h in range(8)])
 
 
 def _direction_bins(v: np.ndarray, elevation_edges, elevation_guards):
