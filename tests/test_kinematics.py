@@ -15,6 +15,8 @@ from hpnarm import (
     tip_batch,
     validate_pressures,
 )
+from hpnarm import config
+from hpnarm.config import default_eval_goals
 from hpnarm.kinematics import segment_transform_batch
 from oracles import oracle_arm_pose, oracle_tip_batch
 
@@ -187,6 +189,21 @@ class TestArmForwardKinematics:
         assert abs(np.linalg.det(r) - 1.0) < 1e-9
         assert tuple(pose[3]) == (0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("family", ["uniform", "lattice", "near_planar", "equal_pairs",
+                                        "bounds"])
+    def test_bit_identical_to_the_scalar_chain(self, params, family):
+        for p in _chain_cases(family, np.random.default_rng(7), params.p_max_kpa):
+            pose = arm_forward_kinematics(p, params)
+            assert pose.tobytes() == _scalar_chain_pose(p, params).tobytes()
+
+    def test_default_eval_goals_are_scalar_chain_images(self, params, monkeypatch):
+        got = default_eval_goals(params)
+        monkeypatch.setattr(config, "arm_forward_kinematics", _scalar_chain_pose)
+        want = default_eval_goals(params)
+        for g, w in zip(got, want, strict=True):
+            assert g.position.tobytes() == w.position.tobytes()
+            assert g.direction.tobytes() == w.direction.tobytes()
+
     def test_batch_path_matches_scalar_path(self, params, rng):
         ps = rng.uniform(0.0, params.p_max_kpa, (64, 16))
         ps[7] = 12.0  # a fully symmetric, straight arm inside the batch
@@ -195,6 +212,35 @@ class TestArmForwardKinematics:
             pose = arm_forward_kinematics(ps[i], params)
             assert np.allclose(positions[i], pose[:3, 3], atol=1e-9)
             assert np.allclose(directions[i], pose[:3, 2], atol=1e-12)
+
+
+def _scalar_chain_pose(pressures, params):
+    """The arm pose as the product of the scalar reference segment transforms."""
+    pose = np.eye(4)
+    for p_seg in validate_pressures(pressures, params):
+        pose = pose @ segment_transform(actuation_to_config(p_seg, params), params.k_eps)
+    return pose
+
+
+def _chain_cases(family, rng, p_max):
+    """(4, 4) pressure arrays of one family of arm_forward_kinematics inputs."""
+    if family == "uniform":
+        return rng.uniform(0.0, p_max, (2000, 4, 4))
+    if family == "lattice":  # every 5 kPa value the training lattice visits
+        return np.round(rng.uniform(0.0, p_max, (2000, 4, 4)) / 5.0) * 5.0
+    if family == "near_planar":  # d24 - d13 at or near 0: bends near the x axis
+        p = rng.uniform(0.0, p_max / 2.0, (2000, 4, 4))
+        gap = rng.choice([0.0, 1e-12, -1e-12, 1e-6, -1e-9], size=(2000, 4))
+        p[..., 1] = p[..., 3] + (p[..., 0] - p[..., 2]) + gap
+        return np.clip(p, 0.0, p_max)
+    if family == "equal_pairs":  # straight segments, alone and mixed with bent ones
+        p = rng.uniform(0.0, p_max, (2000, 4, 4))
+        straight = rng.random((2000, 4)) < 0.5
+        p[straight, 2:] = p[straight, :2]
+        return p
+    values = [0.0, p_max, p_max / 2.0]  # "bounds": chambers at 0, p_max and between
+    p = rng.choice(values, size=(500, 4, 4))
+    return np.concatenate([p, np.zeros((1, 4, 4)), np.full((1, 4, 4), p_max)])
 
 
 def _pressure_rows(kind, rng, p_max, n=4096):

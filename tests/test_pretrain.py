@@ -12,6 +12,7 @@ import pytest
 from hpnarm import ArmParams, BinningSpec, GoalPose, rest_tip_origin
 from hpnarm.config import RunConfig
 from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
+from hpnarm.evalrun import evaluate, sample_goals
 from hpnarm.pretrain import (
     GoalBank,
     GoalBankError,
@@ -69,6 +70,29 @@ AUGMENTED_DEFAULT_TABLE_SHA256 = {
 # (test_default_bank_holds_the_goals_of_a_1e6_bank).
 SMALL_BANK_SHA256 = "cbe4cb04b116c95d22bdb101e12db5d5ed54fa639f5bb5e449b01b79f8e557c8"
 DEFAULT_BANK_SHA256 = "2532d401b8a6e920fec9d5e0edeb24724b4f7aa1942f9f73342c82852c577d90"
+
+
+# sha256 over the raw arrays evaluate() returns for the seed-0 default table on the
+# default suite plus 8 sample_goals goals (rng seed 3), nominal then perturbed plant:
+# per goal, pos_series, rot_series and success bytes and the three selection counts.
+# The CSVs round to %.6f; this pins every bit of the evaluation itself.
+DEFAULT_EVAL_SHA256 = "2f061a35a9b0f5e0f0b8102612da5a506dc03e0829eb80f66867835ac32049f3"
+
+
+def eval_digest(table, cfg):
+    goals = list(cfg.eval_goals()) + sample_goals(cfg.arm, 8, np.random.default_rng(3))
+    digest = hashlib.sha256()
+    for plant_kind in ("nominal", "perturbed"):
+        report = evaluate(
+            table, goals, params=cfg.arm, action_spec=cfg.action, reward_spec=cfg.reward,
+            binning=cfg.binning, plant_kind=plant_kind, perturbed_cfg=cfg.perturbed,
+        )
+        for r in report.results:
+            for a in (r.pos_series, r.rot_series, r.success):
+                digest.update(np.ascontiguousarray(a).tobytes())
+            counts = (r.trained_selections, r.augmented_selections, r.empty_selections)
+            digest.update(np.array(counts, dtype=np.int64).tobytes())
+    return digest.hexdigest()
 
 
 def bank_rng(seed):
@@ -756,6 +780,10 @@ class TestPretrainPipeline:
         save(augment(load(default_table_file(0)), radius), out)
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == AUGMENTED_DEFAULT_TABLE_SHA256[radius]
+
+    def test_default_table_evaluation_matches_frozen_digest(self, default_table_file):
+        table = load(default_table_file(0))
+        assert eval_digest(table, RunConfig()) == DEFAULT_EVAL_SHA256
 
     def test_rerun_same_seed_byte_identical(self, specs, tmp_path):
         outs = []
