@@ -41,6 +41,7 @@ from .kinematics import (
     actuation_to_config,
     segment_transform,
     segment_transform_batch,
+    tip_of,
     validate_pressures,
 )
 from .qtable import (
@@ -327,23 +328,24 @@ def run_episode(
     return log
 
 
-def observe_batch(pose: np.ndarray, goals: np.ndarray, frames: np.ndarray,
+def observe_batch(tip: np.ndarray, goals: np.ndarray, frames: np.ndarray,
                   binning: BinningSpec):
-    """pose_errors and the packed tip suffix of an (n, 4, 4) pose stack, in one pass.
+    """pose_errors and the packed tip suffix of an (n, 3, 2) tip_of stack, in one pass.
 
     ``goals`` (n, 6) holds each goal's position then direction, ``frames``
-    (n, 3, 3) the transpose of its goal_frame. Returns (pos, rot, state):
-    row i is pose_errors(pose[i], goal_i) and StateEncoder(goal_i,
-    ...).encode_tip_index modulo N_TIP_STATES, bit for bit. The tip offset
+    (n, 3, 3) the transpose of its goal_frame. Returns (pos, rot, state): row
+    i is pose_errors(pose_i, goal_i) and StateEncoder(goal_i, ...)
+    .encode_tip_index modulo N_TIP_STATES, bit for bit, where tip[i] is
+    pose_i[:3, 2:], the direction and position columns. The tip offset
     and the tip direction in the goal frame are stacked and binned together;
     pos is the offset's radius, and rot comes from the direction's goal-frame
     z, since the frame's last row is the goal direction: the same products,
     added in the same order, as pose_errors' dot product.
     """
-    n = len(pose)
+    n = len(tip)
     v = np.empty((2 * n, 3))
-    np.subtract(pose[:, :3, 3], goals[:, :3], out=v[:n])
-    terms = frames * pose[:, None, :3, 2]
+    np.subtract(tip[:, :, 1], goals[:, :3], out=v[:n])
+    terms = frames * tip[:, None, :, 0]
     np.add(terms[:, :, 0], terms[:, :, 1], out=v[n:])
     v[n:] += terms[:, :, 2]
     pos, state = encode_tip_stack(v, binning)
@@ -432,7 +434,7 @@ class _Lanes:
     the fixed start pressurization, on the plant given by ``params`` (the
     nominal model, or a perturbed plant's true_params). A step applies each
     lane's action, recomputes only the segment it moved, rebuilds the tip
-    pose as ((t0 @ t1) @ t2) @ t3 and observes it: on a perturbed plant the
+    with kinematics.tip_of and observes it: on a perturbed plant the
     tip first droops by ``droop_gain`` times its horizontal reach, then gets
     row ``t`` of the lane's (steps+1, 3) ``noise`` block added. The
     observation, observe_batch, sets pos, rot (pose_errors) and state (the
@@ -480,15 +482,14 @@ class _Lanes:
         return len(self.ids)
 
     def _observe(self) -> None:
-        s = self.segments
-        pose = s[0] @ s[1] @ s[2] @ s[3]
+        tip = tip_of(*self.segments)
         if self.droop_gain is not None:
             # math.hypot, not np.hypot: the two differ in the last bit on some inputs.
-            reach = map(math.hypot, pose[:, 0, 3].tolist(), pose[:, 1, 3].tolist())
-            pose[:, 2, 3] -= self.droop_gain * np.fromiter(reach, float, len(pose))
+            reach = map(math.hypot, tip[:, 0, 1].tolist(), tip[:, 1, 1].tolist())
+            tip[:, 2, 1] -= self.droop_gain * np.fromiter(reach, float, len(tip))
         if self.noise is not None:
-            pose[:, :3, 3] += self.noise[:, self.t]
-        self.pos, self.rot, self.state = observe_batch(pose, self.goals, self.frames,
+            tip[:, :, 1] += self.noise[:, self.t]
+        self.pos, self.rot, self.state = observe_batch(tip, self.goals, self.frames,
                                                        self.binning)
 
     def step(self, action: np.ndarray) -> None:

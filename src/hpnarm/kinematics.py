@@ -73,15 +73,21 @@ def validate_pressures(pressures, params: ArmParams) -> np.ndarray:
         p = pressures if pressures.dtype == np.float64 else pressures.astype(float)
     else:
         p = np.asarray(pressures, dtype=float).reshape(N_SEGMENTS, N_CHAMBERS)
+    _check_range(p, params)
+    return p
+
+
+def _check_range(p: np.ndarray, params: ArmParams) -> None:
+    """Raise PressureRangeError at the first out-of-range pressure of (4, 4) or (n, 4, 4) ``p``."""
     # NaN fails both comparisons, so this single check also catches non-finites.
-    if not ((p >= 0.0) & (p <= params.p_max_kpa)).all():
-        bad = ~np.isfinite(p) | (p < 0.0) | (p > params.p_max_kpa)
-        seg, cham = np.argwhere(bad)[0]
+    in_range = (p >= 0.0) & (p <= params.p_max_kpa)
+    if not in_range.all():
+        *row, seg, cham = np.argwhere(~in_range)[0]
+        where = f"row {row[0]} " if row else ""
         raise PressureRangeError(
-            f"pressure {float(p[seg, cham])} at segment {seg} chamber {cham} "
+            f"pressure {float(p[(*row, seg, cham)])} at {where}segment {seg} chamber {cham} "
             f"outside [0, {params.p_max_kpa}] kPa"
         )
-    return p
 
 
 def actuation_to_config(p_seg, params: ArmParams) -> SegmentConfig:
@@ -136,39 +142,19 @@ def segment_transform_batch(p_seg: np.ndarray, params: ArmParams) -> np.ndarray:
 
     Row for row bit-identical to ``segment_transform(actuation_to_config(p,
     params), params.k_eps)``: the same formulas in the same operation order,
-    with ``hypot`` and ``atan2`` taken from ``math`` one row at a time, since
-    numpy's vectorized versions can differ from them in the last bit.
+    with ``hypot`` and ``atan2`` from ``math`` one row at a time, as numpy's can
+    differ in the last bit. These bits pin the step's segment lattice.
     """
-    p1, p2, p3, p4 = p_seg[:, 0], p_seg[:, 1], p_seg[:, 2], p_seg[:, 3]
-    d13 = p1 - p3
-    d24 = p2 - p4
-    vx = d13 * E1[0] + d24 * E2[0]
-    vy = d13 * E1[1] + d24 * E2[1]
+    vx, vy, l = _bending_terms(p_seg, params)
     n = len(p_seg)
     vx_list, vy_list = vx.tolist(), vy.tolist()
     k = params.a_gain * np.fromiter(map(math.hypot, vx_list, vy_list), float, n)
-    l = params.b_gain * (p1 + p2 + p3 + p4) + params.l0_mm
     straight = k < params.k_eps
     phi = np.fromiter(map(math.atan2, vy_list, vx_list), float, n)
     phi[phi >= math.pi] = -math.pi
-    k_safe = np.where(straight, 1.0, k)
     th = k * l
-    c, s = np.cos(th), np.sin(th)
-    cp, sp = np.cos(phi), np.sin(phi)
-    t = np.zeros((n, 4, 4))
-    t[:, 0, 0] = cp * cp * (c - 1.0) + 1.0
-    t[:, 0, 1] = sp * cp * (c - 1.0)
-    t[:, 0, 2] = cp * s
-    t[:, 0, 3] = cp * (1.0 - c) / k_safe
-    t[:, 1, 0] = sp * cp * (c - 1.0)
-    t[:, 1, 1] = cp * cp * (1.0 - c) + c
-    t[:, 1, 2] = sp * s
-    t[:, 1, 3] = sp * (1.0 - c) / k_safe
-    t[:, 2, 0] = -cp * s
-    t[:, 2, 1] = -sp * s
-    t[:, 2, 2] = c
-    t[:, 2, 3] = s / k_safe
-    t[:, 3, 3] = 1.0
+    t = _arc_transforms(np.cos(th), np.sin(th), np.cos(phi), np.sin(phi),
+                        np.where(straight, 1.0, k))
     if straight.any():
         t[straight] = np.eye(4)
         t[straight, 2, 3] = l[straight]
@@ -177,30 +163,55 @@ def segment_transform_batch(p_seg: np.ndarray, params: ArmParams) -> np.ndarray:
 
 def arm_forward_kinematics(pressures, params: ArmParams) -> np.ndarray:
     """Tip pose of the whole arm: product of the four segment transforms, base to tip."""
-    p = validate_pressures(pressures, params)
     pose = np.eye(4)
-    for seg in range(N_SEGMENTS):
-        pose = pose @ segment_transform(actuation_to_config(p[seg], params), params.k_eps)
+    for t in segment_transform_batch(validate_pressures(pressures, params), params):
+        pose = pose @ t
     return pose
+
+
+def _bending_terms(p: np.ndarray, params: ArmParams):
+    """The bending vector (vx, vy) and arc length l of actuation_to_config, chambers last."""
+    p1, p2, p3, p4 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    d13 = p1 - p3
+    d24 = p2 - p4
+    vx = d13 * E1[0] + d24 * E2[0]
+    vy = d13 * E1[1] + d24 * E2[1]
+    # Added left to right, the order in which sum(axis=1) adds four values.
+    l = params.b_gain * (p1 + p2 + p3 + p4) + params.l0_mm
+    return vx, vy, l
+
+
+def _arc_transforms(c, s, cp, sp, k) -> np.ndarray:
+    """segment_transform's arcs from cos, sin of k * l and of phi, and k != 0: shape + (4, 4)."""
+    c_m1, one_mc = c - 1.0, 1.0 - c
+    cp_cp, cp_s, sp_s = cp * cp, cp * s, sp * s
+    t = np.empty(c.shape + (4, 4))
+    t[..., 0, 0] = cp_cp * c_m1 + 1.0
+    t[..., 0, 1] = t[..., 1, 0] = sp * cp * c_m1
+    t[..., 0, 2] = cp_s
+    t[..., 0, 3] = cp * one_mc / k
+    t[..., 1, 1] = cp_cp * one_mc + c
+    t[..., 1, 2] = sp_s
+    t[..., 1, 3] = sp * one_mc / k
+    t[..., 2, 0] = -cp_s
+    t[..., 2, 1] = -sp_s
+    t[..., 2, 2] = c
+    t[..., 2, 3] = s / k
+    t[..., 3, :3] = 0.0
+    t[..., 3, 3] = 1.0
+    return t
 
 
 def _segment_terms(p: np.ndarray, params: ArmParams):
     """cos(th), sin(th), cos(phi), sin(phi), k and l of (n, 4, 4) pressures, each (n, 4).
 
-    A straight segment (k below k_eps) takes the limit the transform formulas
-    need: th 0, phi 0 and k 1. Its arc length is ``l``; the mask is returned
-    last.
+    np.hypot and (vx, vy) / norm, whose bits the goal-bank digests pin. A
+    straight segment (k below k_eps) takes the limit the transform formulas
+    need: th 0, phi 0, k 1; its arc length is ``l``. The mask comes last.
     """
-    # (n, 4) views: one chamber's pressure in every segment of every row.
-    p1, p2, p3, p4 = p[:, :, 0], p[:, :, 1], p[:, :, 2], p[:, :, 3]
-    d13 = p1 - p3
-    d24 = p2 - p4
-    vx = d13 * E1[0] + d24 * E2[0]
-    vy = d13 * E1[1] + d24 * E2[1]
+    vx, vy, l = _bending_terms(p, params)
     nv = np.hypot(vx, vy)
     k = params.a_gain * nv
-    # Added left to right, the order in which sum(axis=1) adds four values.
-    l = params.b_gain * (p1 + p2 + p3 + p4) + params.l0_mm
     straight = k < params.k_eps
     if straight.any():
         nv_safe = np.where(straight, 1.0, nv)
@@ -223,40 +234,27 @@ def _segment_stack(p: np.ndarray, params: ArmParams) -> np.ndarray:
     against about 800.
     """
     c, s, cp, sp, k, l, straight = _segment_terms(p, params)
-    c_m1, one_mc = c - 1.0, 1.0 - c
-    cp_cp, cp_s, sp_s = cp * cp, cp * s, sp * s
-    t = np.empty((len(p), N_SEGMENTS, 4, 4))
-    t[..., 0, 0] = cp_cp * c_m1 + 1.0
-    t[..., 0, 1] = t[..., 1, 0] = sp * cp * c_m1
-    t[..., 0, 2] = cp_s
-    t[..., 0, 3] = cp * one_mc / k
-    t[..., 1, 1] = cp_cp * one_mc + c
-    t[..., 1, 2] = sp_s
-    t[..., 1, 3] = sp * one_mc / k
-    t[..., 2, 0] = -cp_s
-    t[..., 2, 1] = -sp_s
-    t[..., 2, 2] = c
-    t[..., 2, 3] = s / k
-    t[..., 3, :3] = 0.0
-    t[..., 3, 3] = 1.0
+    t = _arc_transforms(c, s, cp, sp, k)
     t[straight, 2, 3] = l[straight]  # the rows above already read 0 for the rest
     return t
+
+
+def tip_of(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
+    """Rows 0-2 of columns 2-3 (direction, position) of ((t0 @ t1) @ t2) @ t3: (n, 3, 2)."""
+    return ((t0 @ t1) @ t2)[:, :3] @ t3[:, :, 2:]
 
 
 def tip_batch(pressures, params: ArmParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized tip positions and directions for a stack of pressure vectors.
 
     ``pressures`` has shape (n, 16) or (n, 4, 4). Returns (positions (n, 3),
-    directions (n, 3)). Equivalent to calling arm_forward_kinematics per row;
-    used for bulk workspace sampling. One pass computes every segment's terms,
-    as (n, 4) arrays, into one (n, 4, 4, 4) stack of segment transforms; the
-    tip is then (t0 @ t1) @ t2 times the two columns of t3 it needs. Each
-    row's result does not depend on the other rows of the batch.
+    directions (n, 3)); used for bulk workspace sampling. Equal within rounding
+    to arm_forward_kinematics per row, by a recipe whose bits the goal-bank
+    digests pin: one pass computes every segment's terms into one (n, 4, 4, 4)
+    stack, and tip_of its segments is the tip. Rows do not depend on each other.
     """
     p = np.asarray(pressures, dtype=float).reshape(-1, N_SEGMENTS, N_CHAMBERS)
-    # NaN fails both comparisons, so this single check also catches non-finites.
-    if not ((p >= 0.0) & (p <= params.p_max_kpa)).all():
-        raise PressureRangeError("batch contains a pressure outside range")
+    _check_range(p, params)
     t = _segment_stack(p, params)
-    tip = ((t[:, 0] @ t[:, 1]) @ t[:, 2])[:, :3] @ t[:, 3, :, 2:]
+    tip = tip_of(t[:, 0], t[:, 1], t[:, 2], t[:, 3])
     return tip[:, :, 1], tip[:, :, 0]

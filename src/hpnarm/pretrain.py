@@ -8,13 +8,12 @@ known to be attainable. The bank is two arrays, the layout of its .hpnb cache
 file: the reachable bins, and per bin `quota` goal rows of position then
 direction. Round k of training runs goal k of every bin.
 
-Training runs in one process: every reachable bin's k-th episode runs in
-lockstep with the others (episode.train_lockstep). Episode randomness is
-keyed to (master seed, bin, goal index), never to the lane that happens to
-run the bin, and episodes in different bins touch disjoint rows. So training
-the bins in chunks and merging the chunk tables, whose per-bin value and
-flag rows are simply concatenated in bin order, gives the same table bit for
-bit as training them all at once.
+Training runs every reachable bin's k-th episode in lockstep with the others,
+in one call (episode.train_lockstep). Episode randomness is keyed to (master
+seed, bin, goal index), never to the lane that runs the bin, and episodes in
+different bins touch disjoint rows. The tests pin what follows, grouping
+invariance, through pretrain_shard and merge: bins trained in chunks, whose
+tables merge concatenates in bin order, give the one call's table bit for bit.
 """
 
 from __future__ import annotations

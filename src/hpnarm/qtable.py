@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .state import N_GOAL_BINS, N_STATES, N_TIP_STATES
+from .state import N_BINS_PER_DIM, N_GOAL_BINS, N_STATES, N_TIP_STATES
 
 N_ACTIONS = 32
 FLAG_TRAINED = 1
@@ -243,28 +243,26 @@ class QTable:
         _check_state(next_state)
         target = reward + hp.gamma * self.max_value(next_state)
         old = self.get(state, action)
-        with np.errstate(over="ignore"):
-            value = np.float32(old + hp.alpha * (target - old))
-        if not np.isfinite(value):
-            raise ValueError(f"updated value of state {state} action {action} "
-                             f"is not finite in float32: {value}")
-        goal_bin, suffix = divmod(state, N_TIP_STATES)
-        i = self._write_row(goal_bin)
-        self.bin_values[i, suffix, action] = value
-        self.bin_flags[i, suffix, action] |= FLAG_TRAINED
-        return float(value)
+        return float(self._store(state, action, old + hp.alpha * (target - old), FLAG_TRAINED))
 
     def set_entry(self, state: int, action: int, value: float, flag_bits: int) -> None:
         """Directly store one entry; used by fixtures and bulk builders."""
         self._check_entry(state, action)
-        if not np.isfinite(value):
-            raise ValueError(f"value must be finite, got {value}")
         if _undefined_flags(flag_bits):
             raise ValueError(f"flag bits {flag_bits:#x} outside the defined {_FLAGS_DEFINED:#x}")
+        self._store(state, action, value, flag_bits)
+
+    def _store(self, state: int, action: int, value: float, flag_bits: int) -> np.float32:
+        """Write float32(value) and OR in flag_bits; ValueError first if that is not finite."""
+        with np.errstate(over="ignore"):
+            stored = np.float32(value)
+        if not np.isfinite(stored):
+            raise ValueError(f"state {state} action {action}: {value} not finite in float32")
         goal_bin, suffix = divmod(state, N_TIP_STATES)
         i = self._write_row(goal_bin)
-        self.bin_values[i, suffix, action] = value
+        self.bin_values[i, suffix, action] = stored
         self.bin_flags[i, suffix, action] |= flag_bits
+        return stored
 
     # -- bulk views ---------------------------------------------------------
 
@@ -449,11 +447,12 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     """Fill untrained entries from trained entries at neighboring states.
 
     A neighbor differs in exactly one of the ten packed base-4 digits, by
-     1..radius steps. For each untrained (s, a) with at least one trained
-    (n, a) among its neighbors, the new value is the mean of those trained
-    values and the entry is flagged augmented; trained entries are never
-    modified. The pass reads only the input table, so filled values never
-    feed each other. Returns a new table.
+    1..radius steps (a digit spans 0..3, so radius 3 reaches them all). For
+    each untrained (s, a) with at least one trained (n, a) among its
+    neighbors, the new value is the mean of those trained values and the
+    entry is flagged augmented; trained entries are never modified. The pass
+    reads only the input table, so filled values never feed each other.
+    Returns a new table.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -467,7 +466,10 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     flat = flat[eligible]
     flat_values[flat] = means[eligible]
     flat_flags[flat] |= FLAG_AUGMENTED
-    return QTable.from_arrays(bins, values, flags)
+    # Means of finite float32 values, flags input | FLAG_AUGMENTED: nothing to rescan.
+    out = QTable(q.action_count)
+    out.bins, out.bin_values, out.bin_flags = bins, values, flags
+    return out
 
 
 def _neighbor_means(q: QTable, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -493,7 +495,7 @@ def _neighbor_means(q: QTable, radius: int) -> tuple[np.ndarray, np.ndarray]:
     for dim in range(10):
         place = 4 ** (9 - dim)
         digit = src_k // (place * ac) % 4
-        for step in range(1, radius + 1):
+        for step in range(1, min(radius, N_BINS_PER_DIM - 1) + 1):
             up = digit + step <= 3
             if up.any():
                 key_parts.append(src_k[up] + step * place * ac)

@@ -211,6 +211,22 @@ class TestBadWrites:
         save(q, tmp_path / "q.hpnq")
         assert load(tmp_path / "q.hpnq") == q
 
+    def test_set_entry_past_float32_range_rejected(self, tmp_path):
+        # A finite value float32 cannot hold is refused before any write, so
+        # the table, bins included, stays as save, load and augment need it.
+        q = QTable()
+        with pytest.raises(ValueError, match="not finite in float32"):
+            q.set_entry(5, 1, 1e300, FLAG_TRAINED)
+        assert len(q.bins) == 0 and q.entry_count() == 0
+        q.set_entry(7, 2, 1.5, FLAG_TRAINED)
+        before = q.copy()
+        with pytest.raises(ValueError, match="not finite in float32"):
+            q.set_entry(N_TIP_STATES + 5, 1, -1e300, FLAG_AUGMENTED)
+        assert q == before and q.bins.tolist() == [0]
+        save(q, tmp_path / "q.hpnq")
+        assert load(tmp_path / "q.hpnq") == q
+        assert augment(q).augmented_count() > 0
+
     @pytest.mark.parametrize("bad", [4, FLAG_TRAINED | 4, 0x8000, 0x10001, -1])
     def test_undefined_flag_bits_rejected(self, bad):
         q = QTable()
@@ -448,6 +464,34 @@ class TestAugment:
         assert augment(q, radius=2).get(two_away, 1) == 8.0
         with pytest.raises(ValueError):
             augment(q, radius=0)
+
+    def test_radius_past_three_reaches_no_further(self):
+        # A digit spans 0..3, so radius 3 already reaches every neighbor.
+        q = QTable()
+        for (s, a), (v, f) in clustered_entries(32, seed=3).items():
+            q.set_entry(s, a, v, f)
+        assert augment(q, 10**9) == augment(q, 3)
+
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, 4 * N_TIP_STATES - 1),
+                st.integers(0, 3),
+                st.integers(0, FLAG_TRAINED | FLAG_AUGMENTED),
+                st.floats(allow_nan=False, allow_infinity=False, width=32),
+            ),
+            max_size=30,
+            unique_by=lambda e: (e[0], e[1]),
+        ),
+        radius=st.integers(1, 3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_output_is_finite_with_defined_flags(self, entries, radius):
+        # augment hands its arrays to the table unchecked; this is why it may.
+        q = QTable.from_records(*(zip(*entries) if entries else ([],) * 4), action_count=4)
+        out = augment(q, radius)
+        assert np.isfinite(out.bin_values).all()
+        assert out.bin_flags.max(initial=0) <= FLAG_TRAINED | FLAG_AUGMENTED
 
     def test_digit_boundaries_do_not_wrap(self):
         # digit 0 in the last dim: the "down" neighbor does not exist and the
