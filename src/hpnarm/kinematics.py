@@ -143,7 +143,7 @@ def segment_transform_batch(p_seg: np.ndarray, params: ArmParams) -> np.ndarray:
     Row for row bit-identical to ``segment_transform(actuation_to_config(p,
     params), params.k_eps)``: the same formulas in the same operation order,
     with ``hypot`` and ``atan2`` from ``math`` one row at a time, as numpy's can
-    differ in the last bit. These bits pin the step's segment lattice.
+    differ in the last bit. Via the step's segment lattice the table digests pin them.
     """
     vx, vy, l = _bending_terms(p_seg, params)
     n = len(p_seg)
