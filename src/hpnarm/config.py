@@ -16,7 +16,7 @@ import yaml
 
 from .episode import PerturbedPlantConfig, RewardSpec
 from .kinematics import ArmParams, arm_forward_kinematics
-from .qtable import ActionSpec, HyperParams
+from .qtable import ActionSpec, HyperParams, check_integers
 from .state import BinningSpec, GoalPose
 
 
@@ -51,13 +51,6 @@ class GoalSpec:
         )
 
 
-def _check_integers(section, names) -> None:
-    for name in names:
-        value = getattr(section, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
 @dataclass(frozen=True)
 class PretrainConfig:
     quota: int = 10
@@ -68,11 +61,14 @@ class PretrainConfig:
     allow_large_run: bool = False
 
     def __post_init__(self):
-        _check_integers(self, ("quota", "seed", "max_steps", "augment_radius"))
+        check_integers(quota=self.quota, seed=self.seed, max_steps=self.max_steps,
+                       augment_radius=self.augment_radius)
+        if not isinstance(self.allow_large_run, bool):
+            raise ValueError(f"allow_large_run must be a boolean, not {self.allow_large_run!r}")
         if self.quota < 1:
             raise ValueError("quota must be >= 1")
         if self.budget is not None:
-            _check_integers(self, ("budget",))
+            check_integers(budget=self.budget)
             if self.budget < 1:
                 raise ValueError("budget must be >= 1")
         if self.seed < 0:
@@ -91,7 +87,7 @@ class EvalConfig:
     goals: tuple[GoalSpec, ...] | None = None  # None selects the default suite
 
     def __post_init__(self):
-        _check_integers(self, ("repetitions", "max_steps", "seed"))
+        check_integers(repetitions=self.repetitions, max_steps=self.max_steps, seed=self.seed)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.max_steps < 1:

@@ -53,6 +53,7 @@ from .qtable import (
     select_action,
 )
 from .state import (
+    N_GOAL_BINS,
     N_TIP_STATES,
     BinningSpec,
     GoalPose,
@@ -439,8 +440,7 @@ class _Lanes:
     row ``t`` of the lane's (steps+1, 3) ``noise`` block added. The
     observation, observe_batch, sets pos, rot (pose_errors) and state (the
     packed tip suffix) in one pass. Per-lane arrays hold the lane on axis 0,
-    except ``segments`` (axis 1); ``ids`` holds each running lane's number
-    and ``index`` its position, 0 .. len - 1.
+    except ``segments`` (axis 1); ``ids`` holds each running lane's number.
 
     A segment's transform is looked up, not computed, when the chamber
     pressures can take at most LATTICE_MAX_PRESSURES values (13 at the
@@ -462,7 +462,6 @@ class _Lanes:
         self.params, self.action_spec, self.binning = params, action_spec, binning
         self.droop_gain, self.noise = droop_gain, noise
         self.ids = np.arange(n)
-        self.index = np.arange(n)
         self.goals = np.repeat(goals, repetitions, axis=0)
         frames = np.array([goal_frame(d).T for d in goals[:, 3:]]).reshape(-1, 3, 3)
         self.frames = np.repeat(frames, repetitions, axis=0)
@@ -494,7 +493,7 @@ class _Lanes:
 
     def step(self, action: np.ndarray) -> None:
         """Apply one action per lane and observe the new tip."""
-        lane = self.index
+        lane = np.arange(len(self.ids))
         if self.lattice is None:
             seg = self.action_spec.apply_batch(self.pressures, action, self.params.p_max_kpa)
             moved = segment_transform_batch(self.pressures[lane, seg], self.params)
@@ -513,7 +512,6 @@ class _Lanes:
         for name in ("ids", "goals", "frames", chambers, "pos", "rot", "state"):
             setattr(self, name, getattr(self, name)[mask])
         self.segments = self.segments[:, mask]
-        self.index = np.arange(len(self.ids))
         if self.noise is not None:
             self.noise = self.noise[mask]
 
@@ -522,6 +520,10 @@ class _Lanes:
 # power of two, Lemire's method never rejects.
 assert N_ACTIONS & (N_ACTIONS - 1) == 0
 _ACTION_SHIFT = 33 - N_ACTIONS.bit_length()
+
+# The least float64 magnitude that float32 rounds to infinity: halfway from
+# float32's largest finite value, 2**128 - 2**104, to 2**128.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 def exploration_draws(raw: np.ndarray, epsilon: float, steps: int) -> np.ndarray:
@@ -585,18 +587,22 @@ def train_lockstep(
 
     The lanes are the bins: lane i trains row i of the stacked (bins, 1024,
     actions) value and flag arrays, which become the returned table as they
-    are. Round k runs goals[:, k], one numpy step across all lanes still
-    running; a lane that reaches success idles until the round ends. No step
-    log is kept. A round starts by reading 2 * max_steps raw words of each
-    lane's stream and turning them into the lane's exploring actions
-    (exploration_draws); a step takes a lane's drawn action where there is
-    one and its row's argmax elsewhere, the choice select_action makes.
+    are, unscanned: each step checks its TD results before writing them,
+    and the first that float32 cannot hold finitely, in lane order, raises
+    QTable.update's ValueError. Round k runs goals[:, k], one numpy step
+    across all lanes still running; a lane that reaches success idles until
+    the round ends. No step log is kept. A round starts by reading 2 *
+    max_steps raw words of each lane's stream and turning them into the
+    lane's exploring actions (exploration_draws); a step takes a lane's drawn
+    action where there is one and its row's argmax elsewhere, the choice
+    select_action makes.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     bins = np.asarray(bins, dtype=np.int64).tolist()
-    if any(a >= b for a, b in zip(bins, bins[1:])):
-        raise ValueError("goal bins must be strictly increasing")
+    in_range = not bins or 0 <= bins[0] and bins[-1] < N_GOAL_BINS
+    if not in_range or any(a >= b for a, b in zip(bins, bins[1:])):
+        raise ValueError(f"goal bins must be strictly increasing in [0, {N_GOAL_BINS})")
     check_goal_bins(bins, goals, rest_tip_origin(params.l0_mm), binning)
     n_actions = action_spec.action_count
     values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
@@ -613,16 +619,14 @@ def train_lockstep(
         draws = exploration_draws(raw, hp.epsilon, max_steps)
         lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
         done = rs.is_success(lanes.pos, lanes.rot)
-        base = lanes.ids * N_TIP_STATES
-        row = base + lanes.state
 
         for t in range(max_steps):
             if done.any():
-                running = ~done
-                lanes.keep(running)
-                base, row = base[running], row[running]
+                lanes.keep(~done)
             if len(lanes) == 0:
                 break
+            base = lanes.ids * N_TIP_STATES
+            row = base + lanes.state
             drawn = draws[:, t][lanes.ids]
             action = np.where(drawn < 0, rows.take(row, axis=0).argmax(axis=1), drawn)
 
@@ -637,17 +641,27 @@ def train_lockstep(
 
             # QTable.update, lane by lane: float64 arithmetic, float32 storage.
             next_row = base + lanes.state
-            ahead = rows.take(next_row, axis=0)
             # The row's max, read at its argmax: the same value, and the same
             # bits, since a table trained from zero never holds -0.0.
-            best = ahead[lanes.index, ahead.argmax(axis=1)].astype(np.float64)
+            best = rows[next_row, rows.take(next_row, axis=0).argmax(axis=1)].astype(np.float64)
             target = reward + hp.gamma * best
             old = rows[row, action].astype(np.float64)
-            rows[row, action] = old + hp.alpha * (target - old)
+            new = old + hp.alpha * (target - old)
+            # QTable._store's check without a cast: float32 rounds a magnitude
+            # from _FLOAT32_OVERFLOW up, and NaN, to non-finite.
+            fit = np.abs(new) < _FLOAT32_OVERFLOW
+            if not fit.all():
+                i = int(fit.argmin())
+                state = bins[lanes.ids[i]] * N_TIP_STATES + int(row[i] - base[i])
+                raise ValueError(f"state {state} action {action[i]}: {float(new[i])} "
+                                 "not finite in float32")
+            rows[row, action] = new
             flag_rows[row, action] = FLAG_TRAINED  # the only flag training sets
-            row = next_row
 
-    return QTable.from_arrays(bins, values, flags)
+    # Values finite in float32, flags FLAG_TRAINED or 0: nothing to rescan.
+    out = QTable(n_actions)
+    out.bins, out.bin_values, out.bin_flags = np.array(bins, dtype=np.int64), values, flags
+    return out
 
 
 @dataclass(frozen=True)
@@ -738,7 +752,6 @@ def greedy_lockstep(
 
     pos = np.empty((n, length))
     rot = np.empty((n, length))
-    last = np.full(n, max_steps)
     success = np.zeros(n, dtype=bool)
     selections = np.zeros((n, 3), dtype=np.int64)
     pos[:, 0], rot[:, 0] = lanes.pos, lanes.rot
@@ -747,7 +760,9 @@ def greedy_lockstep(
         if done.any():
             finished = lanes.ids[done]
             success[finished] = True
-            last[finished] = step - 1
+            # A finished episode holds its last value to the end of the series.
+            pos[finished, step:] = pos[finished, step - 1, None]
+            rot[finished, step:] = rot[finished, step - 1, None]
             lanes.keep(~done)
         if len(lanes) == 0:
             break
@@ -759,10 +774,6 @@ def greedy_lockstep(
     else:  # the lanes still running ended at the step limit
         success[lanes.ids[done]] = True
 
-    held_last = np.arange(length) > last[:, None]
-    rows = np.arange(n)
-    pos = np.where(held_last, pos[rows, last][:, None], pos)
-    rot = np.where(held_last, rot[rows, last][:, None], rot)
     shape = (len(goals), lane_reps)
     return GreedyRuns(
         pos=np.repeat(pos.reshape(shape + (length,)), copies, axis=1),

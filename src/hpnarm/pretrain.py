@@ -32,7 +32,7 @@ import numpy as np
 
 from .episode import RewardSpec, train_lockstep
 from .kinematics import ArmParams, tip_batch
-from .qtable import ActionSpec, HyperParams, QTable, augment, save
+from .qtable import ActionSpec, HyperParams, QTable, augment, check_integers, save
 from .state import (
     N_GOAL_BINS,
     BinningSpec,
@@ -415,11 +415,14 @@ def pretrain(
 
     Runs in the calling process. `workers` only accepts 1: callers written
     for the removed process pool still pass it. Arguments are checked before
-    any sampling starts. `budget` defaults to default_sample_budget(quota).
-    When `bank_path` is given, a matching cached goal bank is reused and a
-    fresh one is written there after sampling. Saves the augmented table to
-    `out_path` if set.
+    any sampling starts: workers, quota, seed, budget, max_steps and
+    augment_radius must be integers (int or numpy integer, not bool). `budget` defaults to
+    default_sample_budget(quota). When `bank_path` is given, a matching
+    cached goal bank is reused and a fresh one is written there after
+    sampling. Saves the augmented table to `out_path` if set.
     """
+    check_integers(workers=workers, quota=quota, seed=seed, max_steps=max_steps,
+                   augment_radius=augment_radius)
     if workers != 1:
         raise ValueError(
             f"workers={workers}: the process pool is gone, pretraining runs in "
@@ -431,6 +434,7 @@ def pretrain(
         raise ValueError("seed must be in [0, 2**64), the range of the goal bank header")
     if budget is None:
         budget = default_sample_budget(quota)
+    check_integers(budget=budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if max_steps < 1:

@@ -57,6 +57,13 @@ class ChecksumError(QTableIOError):
     """Stored CRC32 does not match the file contents."""
 
 
+def check_integers(**values) -> None:
+    """ValueError unless each value is an int or a numpy integer; bool is refused."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Constant learning rate, discount, and exploration probability."""

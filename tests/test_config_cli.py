@@ -267,6 +267,14 @@ class TestPretrainCommand:
                 assert result.exit_code == 2, (command, name, value, result.output)
                 assert f"{section}: {name} must be an integer" in result.output
             assert not table.exists() and not csv_dir.exists()
+        # "no" quoted is a string, and truthy: it must not lift the large-run guard.
+        # (The one-sample budget fails fast, with exit 1, if the guard is lifted.)
+        cfg5 = write_config(tmp_path / "c5.yaml", 'pretrain:\n  allow_large_run: "no"\n'
+                            f"  quota: 600\n  budget: 1\noutput:\n  table_path: {table}\n")
+        result = runner.invoke(main, ["pretrain", "--config", cfg5])
+        assert result.exit_code == 2, result.output
+        assert "pretrain: allow_large_run must be a boolean" in result.output
+        assert not table.exists()
 
     @pytest.mark.parametrize("bad", ["bin", "direction", "goal-outside-its-bin"])
     def test_malformed_cached_goal_bank_exits_1(self, runner, tmp_path, bad):

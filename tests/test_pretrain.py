@@ -4,6 +4,7 @@ import itertools
 import os
 import sys
 import threading
+import warnings
 from contextlib import closing
 
 import numpy as np
@@ -676,6 +677,39 @@ class TestLockstepMatchesSequentialEpisodes:
             train_lockstep(bins, small_bank.goals[[0, 0]], 0, specs["hp"],
                            **shard_kwargs(specs))
 
+    @pytest.mark.parametrize("bin_", [-1, N_GOAL_BINS])
+    def test_bins_outside_the_goal_range_are_rejected_with_no_goals(self, specs, bin_):
+        # No goal row to encode, so no check_goal_bins mismatch: the range check holds.
+        with pytest.raises(ValueError, match=rf"\[0, {N_GOAL_BINS}\)"):
+            train_lockstep([bin_], np.empty((1, 0, 6)), 0, specs["hp"], **shard_kwargs(specs))
+
+    def test_a_value_float32_cannot_hold_is_refused_at_its_write(self, specs):
+        """The first unfit TD result raises QTable.update's error, with no numpy warning."""
+        bank = build_goal_bank(specs["params"], 1, 20_000, np.random.default_rng(3),
+                               binning=specs["binning"])
+        rewards = RewardSpec(w_p_per_mm=1e300)
+        kwargs = {**shard_kwargs(specs, max_steps=20), "reward_spec": rewards}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite in float32") as lockstep:
+                train_lockstep(bank.bins[:2], bank.goals[:2], 0, specs["hp"], **kwargs)
+        i = bank.bins.tolist().index(int(str(lockstep.value).split()[1]) // N_TIP_STATES)
+        with pytest.raises(ValueError) as scalar:
+            sequential_table(bank.bins[i:i + 1], bank.goals[i:i + 1, :1], 0, specs, rewards, 20)
+        assert str(lockstep.value) == str(scalar.value)
+
+    def test_the_trained_table_is_handed_over_without_a_rescan(self, specs, small_bank,
+                                                              monkeypatch):
+        """train_lockstep refuses unfit values at the write, so from_arrays' checks do not run."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_lockstep called from_arrays")
+
+        monkeypatch.setattr(QTable, "from_arrays", refuse)
+        bins, goals = small_bank.bins[:3], small_bank.goals[:3]
+        table = train_lockstep(bins, goals, 0, specs["hp"], **shard_kwargs(specs))
+        reference, _ = sequential_table(bins, goals, 0, specs, specs["rewards"], 60)
+        assert table == reference and table.trained_count() > 0
+
 
 class TestMerge:
     def test_merge_nothing_is_empty(self):
@@ -837,7 +871,10 @@ class TestPretrainPipeline:
     @pytest.mark.parametrize(
         "kwargs",
         [{"quota": 0}, {"workers": 0}, {"seed": -1}, {"max_steps": 0},
-         {"augment_radius": 0}, {"workers": 2}, {"budget": 0}, {"seed": 2**64}],
+         {"augment_radius": 0}, {"workers": 2}, {"budget": 0}, {"seed": 2**64},
+         {"augment_radius": 1.5}, {"max_steps": 20.5}, {"quota": True}, {"seed": 0.5},
+         {"budget": 20_000.5}, {"max_steps": np.float64(20)}, {"workers": True},
+         {"workers": 1.0}],
     )
     def test_invalid_arguments_rejected(self, specs, kwargs, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -848,6 +885,16 @@ class TestPretrainPipeline:
         full = {"quota": 1, "seed": 0, **kwargs}
         with pytest.raises(ValueError):
             pretrain(*args, **full)
+
+    def test_numpy_integer_arguments_pass_the_checks(self, specs, monkeypatch):
+        def stop(*args, **kwargs):
+            raise GoalBankError("sampling reached")
+
+        monkeypatch.setattr(pretrain_module, "build_goal_bank", stop)
+        args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
+        with pytest.raises(GoalBankError, match="sampling reached"):
+            pretrain(*args, quota=np.int64(1), seed=np.uint64(2**64 - 1), budget=np.int32(1),
+                     max_steps=np.int16(20), augment_radius=np.uint8(1))
 
     @pytest.mark.parametrize("quota, budget, expected", [
         (1, None, 400_000), (10, None, 400_000), (30, None, 1_200_000), (30, 20_000, 20_000),
