@@ -585,17 +585,17 @@ def train_lockstep(
     episodes in different bins read and write disjoint rows, so only a bin's
     own episodes have to run in sequence.
 
-    The lanes are the bins: lane i trains row i of the stacked (bins, 1024,
-    actions) value and flag arrays, which become the returned table as they
-    are, unscanned: each step checks its TD results before writing them,
-    and the first that float32 cannot hold finitely, in lane order, raises
-    QTable.update's ValueError. Round k runs goals[:, k], one numpy step
-    across all lanes still running; a lane that reaches success idles until
-    the round ends. No step log is kept. A round starts by reading 2 *
-    max_steps raw words of each lane's stream and turning them into the
-    lane's exploring actions (exploration_draws); a step takes a lane's drawn
-    action where there is one and its row's argmax elsewhere, the choice
-    select_action makes.
+    The lanes are the bins: lane i trains row i of dense (bins, 1024,
+    actions) scratch value and flag arrays, whose occupied rows become the
+    returned table unscanned (QTable.from_checked_arrays): each step checks
+    its TD results before writing them, and the first that float32 cannot
+    hold finitely, in lane order, raises QTable.update's ValueError. Round k
+    runs goals[:, k], one numpy step across all lanes still running; a lane
+    that reaches success idles until the round ends. No step log is kept. A
+    round starts by reading 2 * max_steps raw words of each lane's stream and
+    turning them into the lane's exploring actions (exploration_draws); a
+    step takes a lane's drawn action where there is one and its row's argmax
+    elsewhere, the choice select_action makes.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -659,9 +659,7 @@ def train_lockstep(
             flag_rows[row, action] = FLAG_TRAINED  # the only flag training sets
 
     # Values finite in float32, flags FLAG_TRAINED or 0: nothing to rescan.
-    out = QTable(n_actions)
-    out.bins, out.bin_values, out.bin_flags = np.array(bins, dtype=np.int64), values, flags
-    return out
+    return QTable.from_checked_arrays(np.array(bins, dtype=np.int64), values, flags)
 
 
 @dataclass(frozen=True)
@@ -702,11 +700,11 @@ def greedy_lockstep(
     are the same episode: it runs once, as one lane, and is copied.
     Greedy selection takes the argmax of the lane's row, ties to the lowest
     action id. Each distinct goal bin's actions and row kinds are read once
-    from the table's stacked arrays, which are never written; in a bin the
-    table does not hold rows read zero and count as empty. A lane that
-    reaches success drops out. The lanes step as train_lockstep's do (see
-    _Lanes): on the nominal plant's lattice and, for a perturbed plant, on a
-    second lattice of its true_params, both cached for the next call.
+    (QTable.greedy_policy); a state without a row reads zero and counts as
+    empty. A lane that reaches success drops out. The lanes step as
+    train_lockstep's do (see _Lanes): on the nominal plant's lattice and, for
+    a perturbed plant, on a second lattice of its true_params, both cached
+    for the next call.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -716,22 +714,11 @@ def greedy_lockstep(
     goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
     goal_bins = encode_goal_prefix_batch(goal_poses[:, :3], goal_poses[:, 3:],
                                          rest_tip_origin(params.l0_mm), binning)
-    goal_rows = table.bins.searchsorted(goal_bins)
-    held = goal_rows < len(table.bins)
-    held[held] = table.bins[goal_rows[held]] == goal_bins[held]
-    # The greedy action and row kind at every tip state of each distinct held
-    # bin, in one pass over those table rows. Row kind: 0 holds a trained
-    # entry, 1 only augmented ones, 2 is empty. The last row stands for a bin
-    # the table lacks, which reads zero: action 0, kind empty.
-    used, slot = np.unique(goal_rows[held], return_inverse=True)
-    goal_slot = np.full(len(goals), len(used))
-    goal_slot[held] = slot
-    policy = np.zeros((len(used) + 1, N_TIP_STATES), dtype=np.int64)
-    kind = np.full(policy.shape, 2)
-    flags = table.bin_flags[used]
-    policy[:-1] = table.bin_values[used].argmax(axis=2)
-    kind[:-1] = np.where((flags & FLAG_TRAINED).any(axis=2), 0,
-                         np.where(flags.any(axis=2), 1, 2))
+    # The greedy action and row kind at every tip state of each distinct goal
+    # bin, read once. Row kind: 0 holds a trained entry, 1 only augmented
+    # ones, 2 is empty.
+    used, goal_slot = np.unique(goal_bins, return_inverse=True)
+    policy, kind = table.greedy_policy(used)
     copies = repetitions if plant is None else 1
     lane_reps = repetitions // copies  # lanes per goal
     lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id

@@ -25,14 +25,18 @@ from .episode import (
     greedy_lockstep,
 )
 from .kinematics import ArmParams, tip_batch
-from .qtable import ActionSpec, HyperParams, QTable
+from .qtable import ActionSpec, HyperParams, QTable, check_integers
 from .state import BinningSpec, GoalPose
 
 EVAL_CSV_COLUMNS = ("step", "time_s", "pos_error_mm", "rot_error_deg")
 
 
 def sample_goals(params: ArmParams, n: int, rng: np.random.Generator) -> list[GoalPose]:
-    """Draw n reachable goal poses: FK images of random pressure vectors."""
+    """Draw n reachable goal poses: FK images of random pressure vectors.
+
+    ``n`` must be an integer >= 1 (int or numpy integer, not bool), else ValueError.
+    """
+    check_integers(n=n)
     if n < 1:
         raise ValueError("need n >= 1 goals")
     pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
@@ -185,10 +189,14 @@ def evaluate(
     the goal index and the repetition: repetitions differ, and a goal's
     result does not depend on the other goals evaluated with it.
 
+    ``repetitions``, ``max_steps`` and ``seed`` must be integers (int or
+    numpy integer, not bool), else ValueError before any step.
+
     ``hp`` is ignored, since greedy evaluation reads no hyperparameter; the
     keyword stays only because the benchmark harness (perfbench/layers.py)
     still passes it.
     """
+    check_integers(repetitions=repetitions, max_steps=max_steps, seed=seed)
     if not goals:
         raise ValueError("need at least one goal")
     if repetitions < 1:

@@ -336,30 +336,16 @@ def pretrain_shard(
 
 
 def merge(partials: Sequence[QTable]) -> QTable:
-    """Disjoint union of partial tables' goal-bin rows.
+    """Disjoint union of partial tables' goal bins (QTable.concat).
 
-    Assembles tables trained on disjoint sets of bins into one: their rows,
-    concatenated and put in bin order. Each goal bin must be held by at most
-    one partial.
+    Assembles tables trained on disjoint sets of bins into one, their rows in
+    bin order. Each goal bin must be held by at most one partial, and the
+    partials must agree on action count, else MergeConflictError.
     """
-    if not partials:
-        return QTable()
-    action_count = partials[0].action_count
-    if any(p.action_count != action_count for p in partials):
-        raise MergeConflictError("partial tables disagree on action count")
-    bins = np.concatenate([p.bins for p in partials])
-    order = np.argsort(bins)
-    bins = bins[order]
-    repeated = bins[1:][bins[1:] == bins[:-1]]
-    if len(repeated):
-        raise MergeConflictError(
-            f"goal bin {repeated[0]} is held by more than one partial table"
-        )
-    return QTable.from_arrays(
-        bins,
-        np.concatenate([p.bin_values for p in partials])[order],
-        np.concatenate([p.bin_flags for p in partials])[order],
-    )
+    try:
+        return QTable.concat(partials)
+    except ValueError as exc:
+        raise MergeConflictError(f"partial tables: {exc}") from exc
 
 
 @dataclass(frozen=True)

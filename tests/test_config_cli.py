@@ -473,6 +473,19 @@ class TestInspectCommand:
         assert result.exit_code == 0
         assert "goal bins touched: 3 (1 trained)" in result.output
 
+    def test_prints_the_rows_held_and_their_bytes(self, runner, tmp_path):
+        q = QTable()
+        q.set_entry(5, 1, 2.5, FLAG_TRAINED)
+        q.set_entry(5, 4, 1.0, FLAG_AUGMENTED)
+        q.set_entry(2048, 3, -1.0, FLAG_TRAINED)
+        path = tmp_path / "t.qt"
+        save(q, path)
+        result = runner.invoke(main, ["inspect", str(path)])
+        assert result.exit_code == 0
+        # Two goal bins of 1024 int32 index words and 8 bin bytes each, two
+        # rows of 32 float32 values and 32 uint16 flag words.
+        assert f"rows held: 2 ({2 * (8 + 4096) + 2 * 32 * 6} bytes in memory)" in result.output
+
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1
 

@@ -65,6 +65,12 @@ class TestSampleGoals:
         with pytest.raises(ValueError):
             sample_goals(specs["params"], 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5])
+    def test_rejects_a_count_that_is_not_an_integer(self, specs, n):
+        # True once drew one goal.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_goals(specs["params"], n, np.random.default_rng(0))
+
 
 class TestEvaluate:
     def test_series_are_padded_to_full_length(self, specs):
@@ -153,6 +159,30 @@ class TestEvaluate:
             evaluate(None, [goal], max_steps=0, **specs)
         with pytest.raises(ValueError):
             evaluate(None, [goal], plant_kind="lunar", **specs)
+
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"seed": True}, id="seed-True"),
+        pytest.param({"seed": 1.0}, id="seed-float"),
+        pytest.param({"repetitions": True}, id="repetitions-True"),
+        pytest.param({"repetitions": 2.5}, id="repetitions-float"),
+        pytest.param({"max_steps": 5.5}, id="max_steps-float"),
+        pytest.param({"max_steps": True}, id="max_steps-True"),
+    ])
+    def test_integer_arguments_refuse_floats_and_bools(self, specs, plant_kind, kwargs):
+        # seed=True once ran as seed 1, repetitions=True reported True
+        # repetitions, and the floats died in the lockstep loop.
+        goal = start_pose_goal(specs["params"])
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            evaluate(None, [goal], plant_kind=plant_kind, **kwargs, **specs)
+
+    def test_numpy_integer_arguments_pass(self, specs):
+        goal = start_pose_goal(specs["params"])
+        report = evaluate(None, [goal], repetitions=np.int64(2), max_steps=np.int32(3),
+                          seed=np.uint8(4), plant_kind="perturbed", **specs)
+        assert report.results[0].pos_series.shape == (2, 4)
+        assert len(sample_goals(specs["params"], np.int16(2), np.random.default_rng(0))) == 2
 
     @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
     def test_negative_seed_rejected_on_either_plant(self, specs, plant_kind):

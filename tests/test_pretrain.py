@@ -815,6 +815,14 @@ class TestPretrainPipeline:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == AUGMENTED_DEFAULT_TABLE_SHA256[radius]
 
+    def test_loaded_default_table_holds_a_row_per_state(self, default_table_file):
+        table = load(default_table_file(0))
+        assert table.row_count() == table.state_count()
+        dense = len(table.bins) * N_TIP_STATES * table.action_count * (4 + 2)
+        assert table.nbytes == (len(table.bins) * (8 + 4 * N_TIP_STATES)
+                                + table.row_count() * table.action_count * (4 + 2))
+        assert table.nbytes < dense / 2
+
     def test_default_table_evaluation_matches_frozen_digest(self, default_table_file):
         table = load(default_table_file(0))
         assert eval_digest(table, RunConfig()) == DEFAULT_EVAL_SHA256

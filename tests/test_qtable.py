@@ -155,6 +155,9 @@ class TestQUpdate:
         assert q.entry_count() == 0
 
 
+LINE_UP = "1-D and of one length"
+
+
 class TestBadWrites:
     """Every write path refuses an entry that save() could not round-trip."""
 
@@ -236,17 +239,23 @@ class TestBadWrites:
             QTable.from_records([5, 6], [1, 2], np.array([1, bad], dtype=np.int64), [1.0, 2.0])
         assert q.entry_count() == 0
 
-    @pytest.mark.parametrize("arrays", [
-        pytest.param(([5, 6], [1, 2], [1], [3.0]), id="length-1-flags-and-values"),
-        pytest.param(([5, 6], [1, 2], [1, 1], [3.0]), id="length-1-values"),
-        pytest.param(([5, 6], [1], [1, 1], [1.0, 2.0]), id="length-1-actions"),
-        pytest.param(([5], [1, 2], [1, 1], [1.0, 2.0]), id="length-1-states"),
-        pytest.param(([5, 6, 7], [1, 2, 3], [1, 1, 1], [1.0, 2.0]), id="short-values"),
-        pytest.param((5, 1, 1, 1.0), id="scalars"),
-        pytest.param(([[5, 6]], [[1, 2]], [[1, 1]], [[1.0, 2.0]]), id="2-d"),
+    @pytest.mark.parametrize("arrays, match", [
+        pytest.param(([5, 6], [1, 2], [1], [3.0]), LINE_UP, id="length-1-flags-and-values"),
+        pytest.param(([5, 6], [1, 2], [1, 1], [3.0]), LINE_UP, id="length-1-values"),
+        pytest.param(([5, 6], [1], [1, 1], [1.0, 2.0]), LINE_UP, id="length-1-actions"),
+        pytest.param(([5], [1, 2], [1, 1], [1.0, 2.0]), LINE_UP, id="length-1-states"),
+        pytest.param(([5, 6, 7], [1, 2, 3], [1, 1, 1], [1.0, 2.0]), LINE_UP, id="short-values"),
+        pytest.param((5, 1, 1, 1.0), LINE_UP, id="scalars"),
+        pytest.param(([[5, 6]], [[1, 2]], [[1, 1]], [[1.0, 2.0]]), LINE_UP, id="2-d"),
+        # A cast to the storage dtypes would truncate these to state 5, action 1, flags 1.
+        pytest.param(([5.9], [1], [1], [2.0]), "states must be integers", id="float-state"),
+        pytest.param(([5], [1.7], [1], [2.0]), "actions must be integers", id="float-action"),
+        pytest.param(([5], [1], [1.5], [2.0]), "flag words must be integers", id="float-flags"),
+        pytest.param(([5.0], [1], [1], [2.0]), "states must be integers", id="integral-float"),
+        pytest.param(([True], [1], [1], [2.0]), "states must be integers", id="bool-state"),
     ])
-    def test_from_records_refuses_arrays_that_do_not_line_up(self, arrays):
-        with pytest.raises(ValueError, match="1-D and of one length"):
+    def test_from_records_refuses_arrays_that_do_not_line_up(self, arrays, match):
+        with pytest.raises(ValueError, match=match):
             QTable.from_records(*arrays)
 
     @pytest.mark.parametrize("states, actions", [
@@ -275,14 +284,18 @@ def poked(arrays, which, word):
 
 
 class TestStackedLayout:
-    def test_from_arrays_holds_the_arrays_given(self):
+    def test_from_arrays_copies_the_arrays_given(self):
         bins, values, flags = stacked([2, 5, 1023])
         q = QTable.from_arrays(np.array(bins), values, flags)
-        assert q.bin_values is values and q.bin_flags is flags
+        before = q.copy()
+        values[:] = 9.0
+        flags[:] = FLAG_AUGMENTED
+        assert q == before
         assert q.bins.tolist() == [2, 5, 1023]
         assert q.get(5 * N_TIP_STATES + 7, 3) == 6.0
         assert q.get(4 * N_TIP_STATES + 7, 3) == 0.0
         assert q.trained_count() == 3
+        assert q.row_count() == 3
 
     def test_bulk_builds_hold_only_the_bins_they_write(self, tmp_path):
         q = QTable.from_records([3 * N_TIP_STATES + 1, 700 * N_TIP_STATES], [0, 5], [1, 2],
@@ -305,6 +318,10 @@ class TestStackedLayout:
         pytest.param(poked(stacked([1, 2]), 1, np.nan), id="nan-value"),
         pytest.param(poked(stacked([1, 2]), 1, -np.inf), id="inf-value"),
         pytest.param(poked(stacked([1, 2]), 2, 4), id="undefined-flag-bit"),
+        pytest.param((np.array([3.7]),) + stacked([3])[1:], id="non-integer-bin"),
+        pytest.param(stacked([3])[:2] + (np.full((1, N_TIP_STATES, 32), 1.5),),
+                     id="non-integer-flags"),
+        pytest.param((np.array([True]),) + stacked([1])[1:], id="boolean-bin"),
     ])
     def test_from_arrays_rejects(self, arrays):
         with pytest.raises(ValueError):
@@ -320,13 +337,69 @@ class TestStackedLayout:
         else:
             q.update(state, 4, 1.0, 2 * N_TIP_STATES + 7, HP)
         assert q.bins.tolist() == [2, 5, 9]
-        for old, new in ((0, 0), (1, 2)):
-            assert q.bin_values[new].tobytes() == before.bin_values[old].tobytes()
-            assert q.bin_flags[new].tobytes() == before.bin_flags[old].tobytes()
-        written = np.zeros((N_TIP_STATES, 32), dtype=bool)
-        written[11, 4] = True
-        assert not q.bin_values[1][~written].any() and not q.bin_flags[1][~written].any()
+        for goal_bin in (2, 9):
+            for suffix in range(N_TIP_STATES):
+                s = goal_bin * N_TIP_STATES + suffix
+                assert q.values(s).tobytes() == before.values(s).tobytes()
+                assert q.flags(s).tobytes() == before.flags(s).tobytes()
+        states, actions, _, _ = q.record_arrays()
+        new = states // N_TIP_STATES == 5
+        assert states[new].tolist() == [state] and actions[new].tolist() == [4]
         assert q.flags(state)[4] == (FLAG_AUGMENTED if write == "set_entry" else FLAG_TRAINED)
+
+
+class TestRowStore:
+    """Rows only for the tip states written, reached through the row index."""
+
+    def test_one_entry_holds_one_row(self, tmp_path):
+        q = QTable()
+        q.set_entry(700 * N_TIP_STATES + 9, 3, 1.5, FLAG_TRAINED)
+        assert q.row_count() == 1
+        save(q, tmp_path / "t.hpnq")
+        for built in (q.copy(), load(tmp_path / "t.hpnq"), augment(QTable()),
+                      QTable.from_records([5], [1], [FLAG_TRAINED], [2.0])):
+            assert built.row_count() == (0 if built.entry_count() == 0 else 1)
+
+    def test_bytes_are_the_index_and_the_rows(self):
+        q = QTable.from_records([3 * N_TIP_STATES + 1, 3 * N_TIP_STATES + 2, 700 * N_TIP_STATES],
+                                [0, 5, 1], [1, 2, 1], [1.0, 2.0, 3.0])
+        assert q.row_count() == 3
+        assert q.nbytes == 2 * 8 + 2 * N_TIP_STATES * 4 + 3 * 32 * (4 + 2)
+        assert QTable(4).nbytes == 0
+
+    def test_scalar_writes_grow_past_the_first_capacity(self):
+        # States written in falling order, across bins: rows are appended out
+        # of state order and the row arrays are regrown several times.
+        states = [b * N_TIP_STATES + t for b in (900, 40, 3) for t in (1000, 600, 17, 0)] * 9
+        states = sorted({s - 3 * i for i, s in enumerate(states)}, reverse=True)
+        assert len(states) > 64
+        q = QTable()
+        for i, s in enumerate(states):
+            q.set_entry(s, i % 32, i + 0.5, FLAG_TRAINED)
+        assert q.row_count() == len(states) and q.nbytes > 0
+        built = QTable.from_records(states, [i % 32 for i in range(len(states))],
+                                    [FLAG_TRAINED] * len(states),
+                                    [i + 0.5 for i in range(len(states))])
+        assert q == built and q.bins.tolist() == built.bins.tolist()
+        assert q.copy() == built and augment(q) == augment(built)
+
+    def test_greedy_policy_reads_each_state_row(self):
+        q = QTable()
+        for (s, a), (v, f) in clustered_entries(32, seed=4).items():
+            q.set_entry(s, a, v, f)
+        q.set_entry(int(q.bins[0]) * N_TIP_STATES + 5, 2, 0.0, 0)  # a row with nothing stored
+        missing = next(b for b in range(1024) if b not in set(q.bins.tolist()))
+        goal_bins = q.bins.tolist() + [missing]
+        policy, kind = q.greedy_policy(goal_bins)
+        assert policy.shape == kind.shape == (len(goal_bins), N_TIP_STATES)
+        for i, goal_bin in enumerate(goal_bins):
+            for suffix in range(N_TIP_STATES):
+                state = goal_bin * N_TIP_STATES + suffix
+                flags = q.flags(state)
+                want = 0 if (flags & FLAG_TRAINED).any() else 1 if flags.any() else 2
+                assert policy[i, suffix] == q.values(state).argmax()
+                assert kind[i, suffix] == want
+        assert set(np.unique(kind).tolist()) == {0, 1, 2}
 
 
 class TestSelectAction:
@@ -465,6 +538,15 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment(q, radius=0)
 
+    @pytest.mark.parametrize("radius", [True, 2.0, 1.5])
+    def test_radius_must_be_an_integer(self, radius):
+        # True once ran as radius 1; 2.0 died after the source scan.
+        q = QTable()
+        q.set_entry(5, 1, 8.0, FLAG_TRAINED)
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            augment(q, radius)
+        assert augment(q, np.int64(2)) == augment(q, 2)
+
     def test_radius_past_three_reaches_no_further(self):
         # A digit spans 0..3, so radius 3 already reaches every neighbor.
         q = QTable()
@@ -490,8 +572,9 @@ class TestAugment:
         # augment hands its arrays to the table unchecked; this is why it may.
         q = QTable.from_records(*(zip(*entries) if entries else ([],) * 4), action_count=4)
         out = augment(q, radius)
-        assert np.isfinite(out.bin_values).all()
-        assert out.bin_flags.max(initial=0) <= FLAG_TRAINED | FLAG_AUGMENTED
+        _, _, flags, values = out.record_arrays()
+        assert np.isfinite(values).all()
+        assert flags.max(initial=0) <= FLAG_TRAINED | FLAG_AUGMENTED
 
     def test_digit_boundaries_do_not_wrap(self):
         # digit 0 in the last dim: the "down" neighbor does not exist and the
@@ -758,9 +841,11 @@ class TestPersistence:
         assert load(path) == q
 
 
-# States for the reference-model test: a few suffixes in a few goal bins,
-# including both ends of the codec, so operations collide and bootstrap.
-MODEL_STATES = [b * N_TIP_STATES + t for b in (0, 3, 1023) for t in (0, 1, 1023)]
+# States for the reference-model test: suffixes spread over goal bins,
+# including both ends of the codec, so operations collide and bootstrap, and
+# so a run writes more states than the row arrays' first capacity of 16.
+MODEL_STATES = [b * N_TIP_STATES + t
+                for b in (0, 1, 3, 200, 511, 1022, 1023) for t in (0, 1, 5, 77, 500, 1022, 1023)]
 MODEL_ACTIONS = (0, 1, 31)
 
 set_entry_op = st.tuples(
@@ -776,7 +861,7 @@ update_op = st.tuples(
 class TestReferenceModel:
     """QTable against a plain dict {(state, action): (float32 value, flags)}."""
 
-    @given(ops=st.lists(st.one_of(set_entry_op, update_op), max_size=40))
+    @given(ops=st.lists(st.one_of(set_entry_op, update_op), max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_matches_dict_model(self, ops, tmp_path_factory):
         hp = HyperParams(alpha=0.3, gamma=0.9, epsilon=0.0)
