@@ -530,13 +530,13 @@ def _from_entries(states, actions, flags, values, action_count: int) -> QTable:
 def _from_stacked(bins, values, flags) -> QTable:
     """The table of checked (bins, N_TIP_STATES, action_count) arrays.
 
-    Keeps the rows of the tip states holding a stored entry, copied in
-    state order; the arrays are not held.
+    Keeps copies of ``bins`` and of the rows of the tip states holding a
+    stored entry, in state order; the arrays given are not held.
     """
     occupied = np.empty(values.shape[:2], dtype=bool)
     for v, f, o in zip(values, flags, occupied):  # one bin at a time: no whole-table temporary
         _stored(v, f).any(axis=1, out=o)
-    return _table(values.shape[2], np.asarray(bins, dtype=np.int64), _numbered(occupied),
+    return _table(values.shape[2], np.array(bins, dtype=np.int64), _numbered(occupied),
                   values[occupied], flags[occupied])
 
 
