@@ -15,6 +15,9 @@ for bit. oracle_evaluate replays evaluation episode by episode through the
 library's scalar run_episode loop. oracle_tip_batch is the batch FK formula
 as first written, and oracle_goal_bank the goal-bank loop that ran it on
 one thread, batch after batch; it bins goals with the library's encoder.
+oracle_augment finds each entry's neighbours digit by digit, but sums them
+with np.add.reduceat in the order augment sums them, so its means match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -250,6 +253,70 @@ def compose_action(segment: int, chamber: int, direction: int) -> int:
     if segment not in range(4) or chamber not in range(4) or direction not in (-1, 1):
         raise ValueError(f"bad action triple ({segment}, {chamber}, {direction})")
     return segment * 8 + chamber * 2 + (1 if direction < 0 else 0)
+
+
+# ---------------------------------------------------------------------------
+# Neighbour-mean augmentation in its summation order
+# ---------------------------------------------------------------------------
+
+def oracle_neighbour_lists(trained: dict, radius: int):
+    """Each untrained (state, action) with a trained neighbour, and those neighbours' values.
+
+    ``trained`` maps (state, action) to a float value. A neighbour has the
+    same action and a state one digit away by 1..radius steps. Returns the
+    entries sorted, and per entry its neighbours' values in (dim, step, up,
+    down) order: digits most significant first, steps from 1, and at each
+    step first the neighbour the entry lies above (its digit minus the
+    step), then the one it lies below.
+    """
+    steps = range(1, min(radius, 3) + 1)
+    targets = set()
+    for s, a in trained:
+        digits = unpack_index(s)
+        for d, place in enumerate(_PLACE):
+            for step in steps:
+                for n in (digits[d] - step, digits[d] + step):
+                    if 0 <= n <= 3 and (s + (n - digits[d]) * place, a) not in trained:
+                        targets.add((s + (n - digits[d]) * place, a))
+    targets = sorted(targets)
+    lists = []
+    for t, a in targets:
+        digits = unpack_index(t)
+        values = []
+        for d, place in enumerate(_PLACE):
+            for step in steps:
+                for n in (digits[d] - step, digits[d] + step):
+                    key = (t + (n - digits[d]) * place, a)
+                    if 0 <= n <= 3 and key in trained:
+                        values.append(trained[key])
+        lists.append(values)
+    return targets, lists
+
+
+def oracle_augment(states, actions, flags, values, radius: int):
+    """augment()'s output as record arrays (states, actions, flags, values), bit for bit.
+
+    Takes a table's records. Each untrained entry with a trained neighbour
+    gets the float32 mean of its neighbours' values and flag bit 1; every
+    other record stays. One np.add.reduceat over the neighbour lists of
+    oracle_neighbour_lists, one segment per entry, sums the float64 values
+    in that order, which fixes each mean's bits. As in the table, a record
+    with no flag and a zero value is not kept.
+    """
+    records = {(int(s), int(a)): (int(f), np.float32(v))
+               for s, a, f, v in zip(states, actions, flags, values)}
+    trained = {k: float(v) for k, (f, v) in records.items() if f & 1}
+    targets, lists = oracle_neighbour_lists(trained, radius)
+    if targets:
+        starts = np.cumsum([0] + [len(x) for x in lists[:-1]])
+        sums = np.add.reduceat(np.array([v for x in lists for v in x]), starts)
+        for key, total, x in zip(targets, sums, lists):
+            records[key] = (records.get(key, (0, 0))[0] | 2, np.float32(total / len(x)))
+    keys = sorted(k for k, (f, v) in records.items() if f or v != 0)
+    return (np.array([s for s, _ in keys], dtype=np.uint32),
+            np.array([a for _, a in keys], dtype=np.uint16),
+            np.array([records[k][0] for k in keys], dtype=np.uint16),
+            np.array([records[k][1] for k in keys], dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from hpnarm.qtable import (
     select_action,
 )
 from hpnarm.state import N_STATES, N_TIP_STATES
-from oracles import compose_action, pack_bins, unpack_index
+from oracles import (
+    compose_action,
+    oracle_augment,
+    oracle_neighbour_lists,
+    pack_bins,
+    unpack_index,
+)
 
 HP = HyperParams(alpha=0.1, gamma=0.9, epsilon=0.0)
 
@@ -692,6 +698,82 @@ class TestFlatIndexing:
             value_only = [k for k, (_, f) in entries.items() if f == 0]
             assert {want[k][1] for k in value_only} == {0, FLAG_AUGMENTED}
             assert_records_equal(augment(q, radius), want)
+
+
+def order_sensitive_records(action_count, seed):
+    """Record arrays of a table whose neighbour means depend on their summation order.
+
+    Five centres, on digit edges 0 and 3 and in between. Around each, a
+    share of the 30 one-digit neighbours is stored: all of them, trained at
+    every action, around the first, so its centre has 20 (radius 2) or 30
+    trained neighbours. A share of the 64 states that vary the centre's last
+    three digits is stored too, where entries get several neighbours each.
+    Values have mixed signs, some -0.0, and magnitudes 2**60 or 2**61,
+    which cancel in some sums and swallow small terms in others, or 1e-3 to
+    1e3. Actions are the first, the last and one between. A fifth of the
+    other entries are value-only or augmented.
+    """
+    rng = np.random.default_rng(seed)
+    centres = [(0,) * 10, (3,) * 10, (0, 3) * 5, (1, 2, 0, 3, 1, 2, 3, 0, 2, 1),
+               tuple(rng.integers(0, 4, 10))]
+    actions = sorted({0, action_count // 2, action_count - 1})
+    entries = {}
+
+    def store(state, acts, trained):
+        for a in acts:
+            big = rng.random() < 0.3
+            value = rng.choice([-1.0, 1.0]) * (
+                rng.choice([2.0**60, 2.0**61]) if big else 10.0 ** rng.uniform(-3, 3))
+            value = -0.0 if rng.random() < 0.05 else value
+            flags = 1 if trained else int(rng.choice([1, 1, 1, 1, 1, 1, 1, 3, 0, 2]))
+            entries[(state, int(a))] = (np.float32(value), flags)
+
+    for i, centre in enumerate(centres):
+        share = (1.0, 0.9, 0.7, 0.5, 0.3)[i]
+        for d in range(10):
+            for digit in set(range(4)) - {centre[d]}:
+                if rng.random() < share:
+                    store(pack_bins(centre[:d] + (digit,) + centre[d + 1:]),
+                          actions if i == 0 else rng.choice(actions, rng.integers(1, 4)),
+                          i == 0)
+        for tail in np.ndindex(4, 4, 4):
+            if tail != centre[7:] and rng.random() < 0.4:
+                store(pack_bins(centre[:7] + tail), rng.choice(actions, rng.integers(1, 4)),
+                      False)
+    keys = sorted(entries)
+    return (np.array([s for s, _ in keys]), np.array([a for _, a in keys]),
+            np.array([entries[k][1] for k in keys]),
+            np.array([entries[k][0] for k in keys], dtype=np.float32))
+
+
+class TestAugmentOracle:
+    """augment against oracle_augment, byte for byte."""
+
+    @pytest.mark.parametrize("action_count", [1, 3, 32, 65535])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_means_match_the_oracle_bit_for_bit(self, action_count, radius):
+        records = order_sensitive_records(action_count, seed=action_count + radius)
+        q = QTable.from_records(*records, action_count=action_count)
+        got = augment(q, radius).record_arrays()
+        want = oracle_augment(*records, radius)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_the_cases_depend_on_the_summation_order(self):
+        # Keys from 1 to past 20 contributions, reduceat's pairwise branch
+        # (9 or more) included, and means whose bits a reversed order moves.
+        states, actions, flags, values = order_sensitive_records(32, seed=35)
+        trained = {(int(s), int(a)): float(v)
+                   for s, a, f, v in zip(states, actions, flags, values) if f & FLAG_TRAINED}
+        _, lists = oracle_neighbour_lists(trained, 3)
+        sizes = {len(x) for x in lists}
+        assert min(sizes) == 1 and max(sizes) >= 20 and len(sizes & set(range(9, 20))) >= 2
+
+        def mean(x):
+            return np.float32(np.add.reduce(np.array(x)) / len(x))
+
+        assert sum(mean(x) != mean(x[::-1]) for x in lists) >= 3
+        assert (values == 0).any() and np.signbit(values[values == 0]).any()
 
 
 class TestPersistence:
