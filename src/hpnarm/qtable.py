@@ -190,7 +190,8 @@ class QTable:
         return self.bins.nbytes + self._index.nbytes + self._values.nbytes + self._flags.nbytes
 
     def _row(self, state: int) -> int:
-        """The state's row, or -1 when it has none."""
+        """The state's row, or -1 when it has none; ValueError for a state outside the codec."""
+        _check_state(state)
         goal_bin, suffix = divmod(state, N_TIP_STATES)
         i = int(self.bins.searchsorted(goal_bin))
         if i < len(self.bins) and self.bins[i] == goal_bin:
@@ -208,6 +209,7 @@ class QTable:
         return self._zero_flags if row < 0 else self._flags[row]
 
     def get(self, state: int, action: int) -> float:
+        self._check_action(action)
         return float(self.values(state)[action])
 
     def max_value(self, state: int) -> float:
@@ -269,6 +271,9 @@ class QTable:
 
     def _check_entry(self, state: int, action: int) -> None:
         _check_state(state)
+        self._check_action(action)
+
+    def _check_action(self, action: int) -> None:
         if not 0 <= action < self.action_count:
             raise ValueError(f"action {action} outside [0, {self.action_count})")
 
@@ -302,7 +307,6 @@ class QTable:
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         self._check_entry(state, action)
-        _check_state(next_state)
         target = reward + hp.gamma * self.max_value(next_state)
         old = self.get(state, action)
         return float(self._store(state, action, old + hp.alpha * (target - old), FLAG_TRAINED))

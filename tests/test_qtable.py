@@ -164,6 +164,42 @@ class TestQUpdate:
 LINE_UP = "1-D and of one length"
 
 
+class TestBadReads:
+    """The read paths refuse the indices the write paths refuse."""
+
+    @pytest.fixture
+    def q(self):
+        q = QTable()
+        for state in (5, N_STATES - 1):
+            q.set_entry(state, 31, 2.5, FLAG_TRAINED)
+        return q
+
+    @pytest.mark.parametrize("state", [-5, -1, N_STATES, N_STATES + 5, 2**40])
+    def test_state_outside_codec_rejected(self, q, state):
+        # get(-5, 0) and get(4**10 + 5, 31) read 0.0 before.
+        for read in (q.values, q.flags, q.max_value, lambda s: q.get(s, 0)):
+            with pytest.raises(ValueError, match=f"state {state} outside"):
+                read(state)
+
+    @pytest.mark.parametrize("action", [-1, -32, 32, 10**6])
+    def test_action_outside_range_rejected(self, q, action):
+        # get(5, -1) read action 31's value before.
+        for state in (5, 6):
+            with pytest.raises(ValueError, match=f"action {action} outside"):
+                q.get(state, action)
+
+    def test_action_beyond_a_small_table_rejected(self):
+        q = QTable(action_count=3)
+        q.set_entry(0, 2, 1.0, FLAG_TRAINED)
+        assert q.get(0, 2) == 1.0
+        with pytest.raises(ValueError, match=r"action 3 outside \[0, 3\)"):
+            q.get(0, 3)
+
+    def test_edges_of_the_codec_read(self, q):
+        assert q.get(N_STATES - 1, 31) == 2.5 and q.max_value(0) == 0.0
+        assert q.values(N_STATES - 1)[31] == 2.5 and q.flags(0).tolist() == [0] * 32
+
+
 class TestBadWrites:
     """Every write path refuses an entry that save() could not round-trip."""
 
