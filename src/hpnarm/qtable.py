@@ -13,6 +13,7 @@ everything before the checksum itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -602,78 +603,129 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     ac = q.action_count
-    keys, means = _neighbor_means(q, radius)
-    held_states, held_values, held_flags = q._held_rows()
-    key_states = keys // ac
-    bins, index, row_of = _layout([held_states, key_states], q.bins)
+    states, held_values, held_flags = q._held_rows()
+    keys, means = _neighbor_means(ac, states, held_values, held_flags, radius)
+    actions = np.remainder(keys, ac, out=np.empty(len(keys), np.uint16), casting="unsafe")
+    keys //= ac  # now each mean's state
+    bins, index, row_of = _layout([states, keys], q.bins)
+    held = row_of[states]
+    # From here on keys holds each mean's flat index into the output rows.
+    np.multiply(row_of[keys], ac, out=keys, dtype=np.int64)
+    del row_of
+    keys += actions
+    del actions
     shape = (int(index.max(initial=-1)) + 1, ac)
     values = np.zeros(shape, dtype=np.float32)
     flags = np.zeros(shape, dtype=np.uint16)
-    held = row_of[held_states]
     values[held] = held_values
     flags[held] = held_flags
-    flat = row_of[key_states].astype(np.int64)
-    del key_states, row_of
-    flat *= ac
-    flat += keys % ac
-    del keys
+    del held, held_values, held_flags
     flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
-    eligible = (flat_flags[flat] & FLAG_TRAINED) == 0
-    flat = flat[eligible]
+    eligible = (flat_flags[keys] & FLAG_TRAINED) == 0
+    flat = keys[eligible]
+    del keys
     flat_values[flat] = means[eligible]
-    flat_flags[flat] |= FLAG_AUGMENTED
+    # An untrained entry's flags are 0 or FLAG_AUGMENTED, so OR-ing it in is setting it.
+    flat_flags[flat] = FLAG_AUGMENTED
     # Means of finite float32 values, flags input | FLAG_AUGMENTED: nothing to rescan.
     return _table(ac, bins, index, values, flags)
 
 
-def _neighbor_means(q: QTable, radius: int) -> tuple[np.ndarray, np.ndarray]:
+# Bits in one of _neighbor_means' sort words, and the words it decodes at a time.
+_WORD_BITS = 64
+_DECODE_CHUNK = 1 << 16
+
+
+def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Entries with a trained neighbor (augment's), and their neighbors' mean values.
 
-    Returns sorted keys state * action_count + action and float32 means.
-    np.add.reduceat sums the contributions to one key in the order the loop
-    below makes them (digit, step, up before down), which the stable sort
-    keeps; that order fixes every mean's bits. Each temporary is released
-    once it is consumed.
+    Takes a table's held rows (QTable._held_rows). Returns sorted int64 keys
+    state * ac + action and float32 means. A trained entry adds its value
+    to each neighbor's key, part by part: a part is one (digit, step, up or
+    down), numbered in that loop order. Each contribution is one uint64
+    word: the key, less the start of its key range, in the high bits, the
+    part in the middle, and the trained entry's index in the low bits. A
+    key and a part name one trained entry, so the words are distinct and a
+    plain in-place sort orders them by key, then by part. np.add.reduceat
+    sums each key's float64 values in that order, which fixes every mean's
+    bits. The field widths follow the table. When the keys do not fit the
+    bits the other fields leave, they are taken in ranges that do, one
+    range at a time; up to 256 actions, one range holds them all.
     """
-    ac = q.action_count
-    states, values, flags = q._held_rows()
-    idx = np.flatnonzero(flags & FLAG_TRAINED)
+    idx = np.flatnonzero((flags & FLAG_TRAINED) != 0)  # a bool mask: 3x faster than uint16
     src_k = states[idx // ac] * ac + idx % ac
     src_v = values.reshape(-1)[idx].astype(np.float64)
-    del states, values, flags, idx
-
-    key_parts = [np.empty(0, np.int64)]
-    val_parts = [np.empty(0)]
+    del idx
+    if not len(src_k):
+        return np.empty(0, np.int64), np.empty(0, np.float32)
+    # A move takes a digit up or down by a step; parts are (dim, move) in sum order.
+    moves = [m for step in range(1, min(radius, N_BINS_PER_DIM - 1) + 1) for m in (step, -step)]
+    src_bits = (len(src_k) - 1).bit_length()
+    low = (10 * len(moves) - 1).bit_length() + src_bits
+    span = 1 << (_WORD_BITS - low)
+    # Per dim, the trained entries ordered by their digit there, and where each digit starts.
+    src_s = src_k // ac
+    orders, edges = [], []
     for dim in range(10):
-        place = 4 ** (9 - dim)
-        digit = src_k // (place * ac) % 4
-        for step in range(1, min(radius, N_BINS_PER_DIM - 1) + 1):
-            up = digit + step <= 3
-            if up.any():
-                key_parts.append(src_k[up] + step * place * ac)
-                val_parts.append(src_v[up])
-            down = digit - step >= 0
-            if down.any():
-                key_parts.append(src_k[down] - step * place * ac)
-                val_parts.append(src_v[down])
-    del src_k, src_v, digit
-    keys = np.concatenate(key_parts)
-    del key_parts
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = np.concatenate(val_parts)
-    del val_parts
-    vals = vals[order]
-    del order
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    sums = np.add.reduceat(vals, starts)
-    del vals
-    counts = np.diff(np.append(starts, keys.size))
-    return keys[starts], (sums / counts).astype(np.float32)
+        digit = (src_s >> 2 * (9 - dim)) & 3
+        buckets = [np.flatnonzero(digit == g) for g in range(N_BINS_PER_DIM)]
+        orders.append(np.concatenate(buckets))
+        edges.append(np.cumsum([0] + [len(b) for b in buckets]))
+    del src_s, digit, buckets
+    src_i = np.arange(len(src_k), dtype=np.uint64)
+    base = np.empty(len(src_k), dtype=np.uint64)
+    key_out, mean_out = [], []
+    for lo in range(0, N_STATES * ac, span):
+        # Blocks (dim, a, b, add): entries a:b in the dim's order move by one part,
+        # whose words are (source key - lo + offset) << low | part << src_bits | source.
+        blocks = []
+        for dim, (order, edge) in enumerate(zip(orders, edges)):
+            for j, move in enumerate(moves):
+                offset = move * 4 ** (9 - dim) * ac
+                add = ((offset << low) + ((dim * len(moves) + j) << src_bits)) % 2**64
+                for g in range(max(0, -move), min(4, 4 - move)):
+                    a, b = edge[g], edge[g + 1]
+                    if span < N_STATES * ac:  # keep the entries whose neighbor is in range
+                        a, b = a + src_k[order[a:b]].searchsorted((lo - offset,
+                                                                   lo + span - offset))
+                    blocks.append((dim, a, b, add))
+        n = sum(b - a for _, a, b, _ in blocks)
+        if not n:
+            continue
+        np.subtract(src_k, lo, out=base, casting="unsafe")  # modulo 2**64, as is all below
+        base <<= low
+        base |= src_i
+        words, vals = np.empty(n, dtype=np.uint64), np.empty(n)
+        n = 0
+        for dim, group in itertools.groupby(blocks, key=lambda block: block[0]):
+            dim_base = base[orders[dim]]
+            for _, a, b, add in group:
+                np.add(dim_base[a:b], add, out=words[n:n + b - a])
+                n += b - a
+        del dim_base
+        words.sort()
+        index = np.empty(min(n, _DECODE_CHUNK), dtype=np.intp)
+        for i in range(0, n, _DECODE_CHUNK):
+            chunk = words[i:i + _DECODE_CHUNK]
+            np.bitwise_and(chunk, (1 << src_bits) - 1, out=index[:len(chunk)], casting="unsafe")
+            np.take(src_v, index[:len(chunk)], out=vals[i:i + len(chunk)])
+        del chunk, index
+        words >>= low
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(words[1:], words[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        keys = words[starts].astype(np.int64)
+        del words
+        keys += lo
+        key_out.append(keys)
+        sums = np.add.reduceat(vals, starts)
+        del vals
+        sums /= np.diff(starts, append=n)
+        del starts
+        mean_out.append(sums.astype(np.float32))
+    return np.concatenate(key_out), np.concatenate(mean_out)
 
 
 def save(q: QTable, path) -> None:

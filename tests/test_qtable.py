@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpnarm import qtable
 from hpnarm.qtable import (
     FLAG_AUGMENTED,
     FLAG_TRAINED,
@@ -794,6 +795,22 @@ class TestAugmentOracle:
         want = oracle_augment(*records, radius)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("action_count", [3, 32])
+    def test_key_ranges_match_the_oracle(self, action_count, monkeypatch):
+        # Words of low + 18 bits leave 2**18 keys per range: 12 ranges at 3
+        # actions, 128 at 32. Decoding 1000 words at a time crosses chunks.
+        records = order_sensitive_records(action_count, seed=7)
+        q = QTable.from_records(*records, action_count=action_count)
+        trained = int(np.count_nonzero(records[2] & FLAG_TRAINED))
+        monkeypatch.setattr(qtable, "_DECODE_CHUNK", 1000)
+        for radius in (1, 3):
+            low = (20 * radius - 1).bit_length() + (trained - 1).bit_length()
+            monkeypatch.setattr(qtable, "_WORD_BITS", low + 18)
+            got = augment(q, radius).record_arrays()
+            want = oracle_augment(*records, radius)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     def test_the_cases_depend_on_the_summation_order(self):
         # Keys from 1 to past 20 contributions, reduceat's pairwise branch
