@@ -1,0 +1,75 @@
+"""Milliseconds and traced memory per call of the Q-table's bulk paths.
+
+Builds the default table for --seed (pretrain at RunConfig defaults, written
+to a temporary .hpnq file), then times load of that file, augment of the
+loaded table at radius 1, 2 and 3, and save of the loaded table. Each
+operation runs --calls times untimed by tracemalloc, for the median, and once
+more under tracemalloc, for the peak of memory it allocated during the call.
+The bulk-path counterpart of step_cost.py.
+
+Example:
+    python3 scripts/bulk_cost.py --seed 1 --calls 15
+"""
+
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hpnarm import qtable
+from hpnarm.config import RunConfig
+from hpnarm.pretrain import pretrain
+
+
+def cost(run, calls: int) -> tuple[float, float]:
+    """Median ms over ``calls`` calls of ``run``, and one traced call's peak in MiB."""
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        run()
+        times.append((time.perf_counter() - t0) * 1e3)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return statistics.median(times), peak / 2**20
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--calls", type=int, default=15, help="timed calls per operation")
+    args = ap.parse_args()
+    if args.calls < 1:
+        ap.error("--calls must be >= 1")
+
+    cfg = RunConfig()
+    p = cfg.pretrain
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "default.hpnq"
+        pretrain(cfg.arm, cfg.hyper, cfg.action, cfg.reward, cfg.binning, quota=p.quota,
+                 seed=args.seed, budget=p.budget, max_steps=p.max_steps,
+                 augment_radius=p.augment_radius, out_path=path)
+        table = qtable.load(path)
+        print(f"seed {args.seed}: default table of {table.row_count()} rows in "
+              f"{len(table.bins)} goal bins, {path.stat().st_size} bytes on disk, "
+              f"{args.calls} calls per operation")
+        operations = [("load", lambda: qtable.load(path))]
+        operations += [(f"augment r{r}", lambda r=r: qtable.augment(table, r)) for r in (1, 2, 3)]
+        operations.append(("save", lambda: qtable.save(table, Path(tmp) / "saved.hpnq")))
+        print("operation     median ms  traced peak MiB")
+        for name, run in operations:
+            ms, peak = cost(run, args.calls)
+            print(f"{name:<12} {ms:10.1f} {peak:16.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
