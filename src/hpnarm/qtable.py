@@ -13,7 +13,6 @@ everything before the checksum itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 import zlib
@@ -676,9 +675,9 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
     base = np.empty(len(src_k), dtype=np.uint64)
     key_out, mean_out = [], []
     for lo in range(0, N_STATES * ac, span):
-        # Blocks (dim, a, b, add): entries a:b in the dim's order move by one part,
+        # Per dim, blocks (a, b, add): entries a:b in the dim's order move by one part,
         # whose words are (source key - lo + offset) << low | part << src_bits | source.
-        blocks = []
+        blocks = [[] for _ in range(10)]
         for dim, (order, edge) in enumerate(zip(orders, edges)):
             for j, move in enumerate(moves):
                 offset = move * 4 ** (9 - dim) * ac
@@ -688,8 +687,8 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
                     if span < N_STATES * ac:  # keep the entries whose neighbor is in range
                         a, b = a + src_k[order[a:b]].searchsorted((lo - offset,
                                                                    lo + span - offset))
-                    blocks.append((dim, a, b, add))
-        n = sum(b - a for _, a, b, _ in blocks)
+                    blocks[dim].append((a, b, add))
+        n = sum(b - a for dim_blocks in blocks for a, b, _ in dim_blocks)
         if not n:
             continue
         np.subtract(src_k, lo, out=base, casting="unsafe")  # modulo 2**64, as is all below
@@ -697,9 +696,9 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
         base |= src_i
         words, vals = np.empty(n, dtype=np.uint64), np.empty(n)
         n = 0
-        for dim, group in itertools.groupby(blocks, key=lambda block: block[0]):
-            dim_base = base[orders[dim]]
-            for _, a, b, add in group:
+        for order, dim_blocks in zip(orders, blocks):
+            dim_base = base[order]
+            for a, b, add in dim_blocks:
                 np.add(dim_base[a:b], add, out=words[n:n + b - a])
                 n += b - a
         del dim_base
