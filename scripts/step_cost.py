@@ -1,6 +1,7 @@
 """Microseconds per lockstep step of training and greedy evaluation, by lane count.
 
-Builds the default goal bank for --seed, then times train_lockstep on the
+Builds the goal bank pretrain() draws for --seed (its stream
+SeedSequence((seed, 1)), at quota --rounds), then times train_lockstep on the
 first L reachable bins (one lane per bin, --rounds goals each) and
 greedy_lockstep on the first goal of each of those bins (nominal plant, one
 repetition, one lane per goal, reading a table trained on the whole bank).
@@ -75,8 +76,8 @@ def main() -> int:
     specs = dict(params=cfg.arm, action_spec=cfg.action, reward_spec=cfg.reward,
                  binning=cfg.binning, max_steps=args.max_steps)
     budget = args.budget or default_sample_budget(args.rounds)
-    bank = build_goal_bank(cfg.arm, args.rounds, budget, np.random.default_rng(args.seed),
-                           binning=cfg.binning)
+    bank_rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
+    bank = build_goal_bank(cfg.arm, args.rounds, budget, bank_rng, binning=cfg.binning)
     table = episode.train_lockstep(bank.bins, bank.goals, args.seed, cfg.hyper, **specs)
     print(f"seed {args.seed}: {len(bank.bins)} reachable bins, {args.rounds} goals per bin, "
           f"{args.calls} calls per cell")

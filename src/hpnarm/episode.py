@@ -50,6 +50,7 @@ from .qtable import (
     ActionSpec,
     HyperParams,
     QTable,
+    check_integers,
     select_action,
 )
 from .state import (
@@ -595,8 +596,10 @@ def train_lockstep(
     round starts by reading 2 * max_steps raw words of each lane's stream and
     turning them into the lane's exploring actions (exploration_draws); a
     step takes a lane's drawn action where there is one and its row's argmax
-    elsewhere, the choice select_action makes.
+    elsewhere, the choice select_action makes. ``seed`` and ``max_steps``
+    must be integers, ``max_steps`` >= 1, else ValueError before any step.
     """
+    check_integers(seed=seed, max_steps=max_steps)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     bins = np.asarray(bins, dtype=np.int64).tolist()
@@ -647,7 +650,7 @@ def train_lockstep(
             target = reward + hp.gamma * best
             old = rows[row, action].astype(np.float64)
             new = old + hp.alpha * (target - old)
-            # QTable._store's check without a cast: float32 rounds a magnitude
+            # QTable.update's check without a cast: float32 rounds a magnitude
             # from _FLOAT32_OVERFLOW up, and NaN, to non-finite.
             fit = np.abs(new) < _FLOAT32_OVERFLOW
             if not fit.all():
@@ -704,8 +707,15 @@ def greedy_lockstep(
     empty. A lane that reaches success drops out. The lanes step as
     train_lockstep's do (see _Lanes): on the nominal plant's lattice and, for
     a perturbed plant, on a second lattice of its true_params, both cached
-    for the next call.
+    for the next call. ``goals`` must hold at least one goal, and
+    ``repetitions`` and ``max_steps`` must be integers >= 1, else ValueError
+    before any step.
     """
+    check_integers(repetitions=repetitions, max_steps=max_steps)
+    if not len(goals):
+        raise ValueError("need at least one goal")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if table.action_count != action_spec.action_count:

@@ -149,15 +149,18 @@ class QTable:
     lockstep engine trains in, and tables trained on disjoint bins join by
     taking their rows in bin order (concat, pretrain.merge).
 
-    Bulk builds lay the rows out in state order. A scalar write (update,
-    set_entry) to a state without a row appends one in amortized O(1), and
-    a write to a bin the table does not hold first inserts the bin at its
-    sorted place, which replaces ``bins``. Read ``bins``, but read the rows
-    only through the methods here: no code outside this module indexes the
-    storage.
+    A table is built in bulk, by load, from_records, augment, concat or
+    copy, or handed over by train_lockstep (from_checked_arrays), and only
+    update, the TD backup, writes an entry after that. Bulk builds lay the
+    rows out in state order. An update to a state without a row appends one
+    in amortized O(1), and an update to a bin the table does not hold first
+    inserts the bin at its sorted place, which replaces ``bins``. Read
+    ``bins``, but read the rows only through the methods here: no code
+    outside this module indexes the storage.
 
     Flag words hold only the defined bits, FLAG_TRAINED and FLAG_AUGMENTED:
-    from_arrays, set_entry, from_records and load reject any other bit.
+    from_records and load reject any other bit, and the other builders and
+    update set no other.
     """
 
     def __init__(self, action_count: int = N_ACTIONS):
@@ -189,8 +192,13 @@ class QTable:
         """Bytes the table's four arrays take in memory, spare row capacity included."""
         return self.bins.nbytes + self._index.nbytes + self._values.nbytes + self._flags.nbytes
 
+    def _check_action(self, action: int) -> None:
+        check_integers(action=action)
+        if not 0 <= action < self.action_count:
+            raise ValueError(f"action {action} outside [0, {self.action_count})")
+
     def _row(self, state: int) -> int:
-        """The state's row, or -1 when it has none; ValueError for a state outside the codec."""
+        """The state's row, or -1 when it has none; ValueError unless the state is in the codec."""
         _check_state(state)
         goal_bin, suffix = divmod(state, N_TIP_STATES)
         i = int(self.bins.searchsorted(goal_bin))
@@ -218,8 +226,9 @@ class QTable:
     def row_count(self) -> int:
         """Number of tip states holding a row.
 
-        A row may hold no stored entry: set_entry(s, a, 0.0, 0) gives state s
-        a row of zeros, which save() leaves out of the file.
+        A row may hold no stored entry: from_records given an entry of value
+        0.0 and flags 0 at state s gives s a row of zeros, which save() leaves
+        out of the file.
         """
         return self._rows
 
@@ -269,14 +278,6 @@ class QTable:
 
     # -- write paths --------------------------------------------------------
 
-    def _check_entry(self, state: int, action: int) -> None:
-        _check_state(state)
-        self._check_action(action)
-
-    def _check_action(self, action: int) -> None:
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"action {action} outside [0, {self.action_count})")
-
     def _write_row(self, state: int) -> int:
         """The state's row, adding a zeroed one first if it has none."""
         goal_bin, suffix = divmod(state, N_TIP_STATES)
@@ -306,28 +307,17 @@ class QTable:
         """
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        self._check_entry(state, action)
-        target = reward + hp.gamma * self.max_value(next_state)
         old = self.get(state, action)
-        return float(self._store(state, action, old + hp.alpha * (target - old), FLAG_TRAINED))
-
-    def set_entry(self, state: int, action: int, value: float, flag_bits: int) -> None:
-        """Directly store one entry; used by fixtures and bulk builders."""
-        self._check_entry(state, action)
-        if _undefined_flags(flag_bits):
-            raise ValueError(f"flag bits {flag_bits:#x} outside the defined {_FLAGS_DEFINED:#x}")
-        self._store(state, action, value, flag_bits)
-
-    def _store(self, state: int, action: int, value: float, flag_bits: int) -> np.float32:
-        """Write float32(value) and OR in flag_bits; ValueError first if that is not finite."""
+        target = reward + hp.gamma * self.max_value(next_state)
+        new = old + hp.alpha * (target - old)
         with np.errstate(over="ignore"):
-            stored = np.float32(value)
+            stored = np.float32(new)
         if not np.isfinite(stored):
-            raise ValueError(f"state {state} action {action}: {value} not finite in float32")
+            raise ValueError(f"state {state} action {action}: {new} not finite in float32")
         row = self._write_row(state)
         self._values[row, action] = stored
-        self._flags[row, action] |= flag_bits
-        return stored
+        self._flags[row, action] |= FLAG_TRAINED
+        return float(stored)
 
     # -- bulk views ---------------------------------------------------------
 
@@ -375,47 +365,22 @@ class QTable:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def from_arrays(cls, bins, values, flags) -> "QTable":
-        """A table of stacked per-bin arrays, checked and copied.
-
-        ``bins`` (m,) must be strictly increasing integer goal bins in
-        [0, N_GOAL_BINS), and ``values`` and ``flags`` (m, N_TIP_STATES,
-        action_count) must agree in shape, row i belonging to bins[i]; values
-        must be finite and flags integer words of defined bits only, else
-        ValueError. The table copies the rows of the tip states holding a
-        stored entry, so later writes to the arrays do not reach it.
-        """
-        bins = _integers("goal bins", bins)
-        flags = _integers("flag words", flags)
-        if _undefined_flags(flags):
-            raise ValueError(f"flag bits outside the defined {_FLAGS_DEFINED:#x}")
-        bins = bins.astype(np.int64, copy=False)
-        values = np.asarray(values, dtype=np.float32)
-        flags = flags.astype(np.uint16, copy=False)
-        if bins.ndim != 1 or values.ndim != 3 or values.shape[:2] != (len(bins), N_TIP_STATES):
-            raise ValueError(f"bins {bins.shape} and values {values.shape} do not stack as "
-                             f"(m,) and (m, {N_TIP_STATES}, action_count)")
-        if flags.shape != values.shape:
-            raise ValueError(f"flags {flags.shape} and values {values.shape} differ in shape")
-        if len(bins) and (bins[0] < 0 or bins[-1] >= N_GOAL_BINS):
-            raise ValueError(f"goal bin outside [0, {N_GOAL_BINS})")
-        if (np.diff(bins) <= 0).any():
-            raise ValueError("goal bins must be strictly increasing")
-        # One bin at a time: no whole-table temporary.
-        if not all(np.isfinite(v).all() for v in values):
-            raise ValueError("non-finite value")
-        return _from_stacked(bins, values, flags)
-
-    @classmethod
     def from_checked_arrays(cls, bins, values, flags) -> "QTable":
-        """from_arrays without its checks, for arrays their maker has checked as it wrote them.
+        """The table of stacked per-bin arrays that their maker checked as it wrote them.
 
         train_lockstep hands over its lane arrays this way: ``bins`` (m,)
         int64 strictly increasing in [0, N_GOAL_BINS), ``values`` float32
         and finite, ``flags`` uint16 of defined bits, both (m, N_TIP_STATES,
-        action_count). The table copies the rows holding a stored entry.
+        action_count), row i belonging to bins[i]. Nothing is checked again.
+        The table keeps copies of ``bins`` and of the rows of the tip states
+        holding a stored entry, in state order, so later writes to the arrays
+        do not reach it.
         """
-        return _from_stacked(bins, values, flags)
+        occupied = np.empty(values.shape[:2], dtype=bool)
+        for v, f, o in zip(values, flags, occupied):  # one bin at a time: no whole-table temporary
+            _stored(v, f).any(axis=1, out=o)
+        return _table(values.shape[2], np.array(bins, dtype=np.int64), _numbered(occupied),
+                      values[occupied], flags[occupied])
 
     @classmethod
     def concat(cls, tables: Sequence["QTable"]) -> "QTable":
@@ -451,8 +416,8 @@ class QTable:
         """Bulk-build a table from parallel entry arrays in any order.
 
         The four arrays must be 1-D and of one length, with integer states,
-        actions and flag words and no (state, action) pair twice, else
-        ValueError.
+        actions and flag words, values float32 holds finitely and no (state,
+        action) pair twice, else ValueError.
         """
         states = _integers("states", states).astype(np.int64)
         actions = _integers("actions", actions).astype(np.int64)
@@ -460,7 +425,8 @@ class QTable:
         if _undefined_flags(flags):
             raise ValueError(f"flag bits outside the defined {_FLAGS_DEFINED:#x}")
         flags_arr = flags.astype(np.uint16)
-        values_arr = np.asarray(values, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a value past float32's range is refused below
+            values_arr = np.asarray(values, dtype=np.float32)
         shapes = [a.shape for a in (states, actions, flags_arr, values_arr)]
         if states.ndim != 1 or shapes.count(states.shape) != 4:
             raise ValueError(f"entry arrays must be 1-D and of one length, got shapes {shapes}")
@@ -469,7 +435,7 @@ class QTable:
         if actions.size and (actions.min() < 0 or actions.max() >= action_count):
             raise ValueError("action id outside table's action range")
         if not np.isfinite(values_arr).all():
-            raise ValueError("non-finite value")
+            raise ValueError("value not finite in float32")
         keys = states * action_count
         keys += actions
         sorted_keys = np.sort(keys)
@@ -531,19 +497,6 @@ def _from_entries(states, actions, flags, values, action_count: int) -> QTable:
     return _table(action_count, bins, index, out_values, out_flags)
 
 
-def _from_stacked(bins, values, flags) -> QTable:
-    """The table of checked (bins, N_TIP_STATES, action_count) arrays.
-
-    Keeps copies of ``bins`` and of the rows of the tip states holding a
-    stored entry, in state order; the arrays given are not held.
-    """
-    occupied = np.empty(values.shape[:2], dtype=bool)
-    for v, f, o in zip(values, flags, occupied):  # one bin at a time: no whole-table temporary
-        _stored(v, f).any(axis=1, out=o)
-    return _table(values.shape[2], np.array(bins, dtype=np.int64), _numbered(occupied),
-                  values[occupied], flags[occupied])
-
-
 def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Mask of entries that count as stored: nonzero flags or value."""
     return (flags != 0) | (values != 0)
@@ -572,6 +525,7 @@ def _undefined_flags(flags) -> bool:
 
 
 def _check_state(state: int) -> None:
+    check_integers(state=state)
     if not 0 <= state < N_STATES:
         raise ValueError(f"state {state} outside [0, {N_STATES})")
 

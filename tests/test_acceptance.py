@@ -232,14 +232,13 @@ def test_criterion_07_transfer_to_perturbed_plant(capsys, pretrained_setup):
 def test_criterion_08_augmentation_contract(capsys):
     rng = np.random.default_rng(12)
     t0 = time.perf_counter()
-    q = QTable()
     trained = {}
     while len(trained) < 40:
         s = int(rng.integers(N_STATES))
         a = int(rng.integers(2))
         trained[s, a] = float(rng.integers(-8, 9))  # dyadic values, exact means
-    for (s, a), v in trained.items():
-        q.set_entry(s, a, v, FLAG_TRAINED)
+    q = QTable.from_records([s for s, _ in trained], [a for _, a in trained],
+                            [FLAG_TRAINED] * len(trained), list(trained.values()))
     aug = augment(q, radius=1)
 
     candidates = {

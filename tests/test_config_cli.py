@@ -383,8 +383,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("action_count", [16, 40])
     def test_table_with_wrong_action_count_exits_1(self, runner, tmp_path, action_count):
-        q = QTable(action_count)
-        q.set_entry(5, action_count - 1, 1.0, FLAG_TRAINED)
+        q = QTable.from_records([5], [action_count - 1], [FLAG_TRAINED], [1.0],
+                               action_count=action_count)
         path = tmp_path / "wrong.qt"
         save(q, path)
         out = tmp_path / "ev"
@@ -413,9 +413,7 @@ class TestEvalCommand:
 class TestAugmentCommand:
     @pytest.fixture()
     def table_file(self, tmp_path):
-        q = QTable()
-        q.set_entry(0, 0, 4.0, FLAG_TRAINED)
-        q.set_entry(2, 0, 8.0, FLAG_TRAINED)
+        q = QTable.from_records([0, 2], [0, 0], [FLAG_TRAINED] * 2, [4.0, 8.0])
         path = tmp_path / "in.qt"
         save(q, path)
         return path
@@ -451,9 +449,7 @@ class TestAugmentCommand:
 
 class TestInspectCommand:
     def test_reports_table_statistics(self, runner, tmp_path):
-        q = QTable()
-        q.set_entry(5, 1, 2.5, FLAG_TRAINED)
-        q.set_entry(2048, 3, -1.0, FLAG_TRAINED)
+        q = QTable.from_records([5, 2048], [1, 3], [FLAG_TRAINED] * 2, [2.5, -1.0])
         path = tmp_path / "t.qt"
         save(q, path)
         result = runner.invoke(main, ["inspect", str(path)])
@@ -463,10 +459,8 @@ class TestInspectCommand:
         assert "goal bins touched: 2 (2 trained)" in result.output
 
     def test_counts_goal_bins_holding_trained_entries(self, runner, tmp_path):
-        q = QTable()
-        q.set_entry(5, 1, 2.5, FLAG_TRAINED)
-        q.set_entry(2048, 3, -1.0, FLAG_AUGMENTED)
-        q.set_entry(7 * 1024 + 9, 0, 0.5, FLAG_AUGMENTED)
+        q = QTable.from_records([5, 2048, 7 * 1024 + 9], [1, 3, 0],
+                                [FLAG_TRAINED, FLAG_AUGMENTED, FLAG_AUGMENTED], [2.5, -1.0, 0.5])
         path = tmp_path / "t.qt"
         save(q, path)
         result = runner.invoke(main, ["inspect", str(path)])
@@ -474,10 +468,8 @@ class TestInspectCommand:
         assert "goal bins touched: 3 (1 trained)" in result.output
 
     def test_prints_the_rows_held_and_their_bytes(self, runner, tmp_path):
-        q = QTable()
-        q.set_entry(5, 1, 2.5, FLAG_TRAINED)
-        q.set_entry(5, 4, 1.0, FLAG_AUGMENTED)
-        q.set_entry(2048, 3, -1.0, FLAG_TRAINED)
+        q = QTable.from_records([5, 5, 2048], [1, 4, 3],
+                                [FLAG_TRAINED, FLAG_AUGMENTED, FLAG_TRAINED], [2.5, 1.0, -1.0])
         path = tmp_path / "t.qt"
         save(q, path)
         result = runner.invoke(main, ["inspect", str(path)])

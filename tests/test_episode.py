@@ -14,11 +14,13 @@ from hpnarm.episode import (
     _segment_lattice,
     compute_reward,
     exploration_draws,
+    greedy_lockstep,
     noise_generator,
     observe_batch,
     pose_errors,
     pressure_closure,
     run_episode,
+    train_lockstep,
 )
 from hpnarm.kinematics import actuation_to_config, segment_transform
 from hpnarm.qtable import ActionSpec, HyperParams, QTable, save
@@ -334,6 +336,57 @@ class TestLockstepStep:
             rng = np.random.default_rng(np.random.SeedSequence(key))
             want = [int(rng.integers(32)) if rng.random() < epsilon else -1 for _ in range(steps)]
             assert row == want
+
+
+class TestLockstepInputs:
+    """Both lockstep engines refuse bad counts and goal lists before building a lane."""
+
+    @pytest.fixture
+    def goal(self, setup):
+        return goal_from_pressures(setup["params"], np.full(16, 20.0))
+
+    @pytest.fixture
+    def specs(self, setup, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lane was built")
+
+        monkeypatch.setattr(_Lanes, "__init__", refuse)
+        return dict(params=setup["params"], action_spec=setup["actions"],
+                    reward_spec=setup["rewards"], binning=setup["binning"])
+
+    @pytest.mark.parametrize("counts, match", [
+        # repetitions=0 raised ZeroDivisionError, 2.5 TypeError; True ran as 1.
+        pytest.param({"repetitions": 0}, "repetitions must be >= 1", id="repetitions-0"),
+        pytest.param({"repetitions": -3}, "repetitions must be >= 1", id="repetitions-negative"),
+        pytest.param({"repetitions": 2.5}, "repetitions must be an integer", id="repetitions-2.5"),
+        pytest.param({"repetitions": True}, "repetitions must be an integer",
+                     id="repetitions-bool"),
+        pytest.param({"max_steps": 2.5}, "max_steps must be an integer", id="max-steps-2.5"),
+        pytest.param({"max_steps": 0}, "max_steps must be >= 1", id="max-steps-0"),
+    ])
+    def test_greedy_refuses_bad_counts(self, specs, goal, counts, match):
+        with pytest.raises(ValueError, match=match):
+            greedy_lockstep(QTable(), [goal], **{"repetitions": 1, **counts}, **specs)
+
+    def test_greedy_refuses_an_empty_goal_list(self, specs):
+        # It raised IndexError.
+        with pytest.raises(ValueError, match="need at least one goal"):
+            greedy_lockstep(QTable(), [], repetitions=1, **specs)
+
+    @pytest.mark.parametrize("counts, match", [
+        # max_steps=2.5 raised TypeError inside numpy.
+        pytest.param({"max_steps": 2.5}, "max_steps must be an integer", id="max-steps-2.5"),
+        pytest.param({"max_steps": np.float64(3.0)}, "max_steps must be an integer",
+                     id="max-steps-float64"),
+        pytest.param({"max_steps": True}, "max_steps must be an integer", id="max-steps-bool"),
+        pytest.param({"seed": 1.5}, "seed must be an integer", id="seed-1.5"),
+    ])
+    def test_train_refuses_bad_counts(self, setup, specs, goal, counts, match):
+        goal_bin = StateEncoder(goal, rest_tip_origin(setup["params"].l0_mm),
+                                setup["binning"]).goal_bin
+        goals = np.concatenate([goal.position, goal.direction])[None, None]
+        with pytest.raises(ValueError, match=match):
+            train_lockstep([goal_bin], goals, hp=setup["hp"], **{"seed": 0, **counts}, **specs)
 
 
 class TestNominalPlant:

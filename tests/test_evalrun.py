@@ -376,8 +376,12 @@ class TestLockstepMatchesEpisodeOracle:
             goal_bin = StateEncoder(g, origin, specs["binning"]).goal_bin
             values[goal_bin] = rng.normal(size=(1024, 32))
         bins = sorted(values)
-        table = QTable.from_arrays(bins, [values[b] for b in bins],
-                                   np.ones((len(bins), 1024, 32), dtype=np.uint16))
+        # Every entry of each goal bin, trained, in state order.
+        cells = np.arange(1024 * 32)
+        states = np.concatenate([b * 1024 + cells // 32 for b in bins])
+        table = QTable.from_records(states, np.tile(cells % 32, len(bins)),
+                                    np.ones(len(states), dtype=np.uint16),
+                                    np.concatenate([values[b].reshape(-1) for b in bins]))
         cfg = PerturbedPlantConfig(tip_noise_sigma_mm=0.0, droop_gain=1.0)
         report, oracle = run_both(specs, table, goals, plant_kind="perturbed",
                                   perturbed_cfg=cfg, repetitions=1, max_steps=200)
@@ -414,8 +418,8 @@ class TestLockstepMatchesEpisodeOracle:
 class TestActionCount:
     @pytest.mark.parametrize("action_count", [16, 40])
     def test_mismatched_table_rejected_before_any_step(self, specs, monkeypatch, action_count):
-        table = QTable(action_count)
-        table.set_entry(5, action_count - 1, 1.0, FLAG_TRAINED)
+        table = QTable.from_records([5], [action_count - 1], [FLAG_TRAINED], [1.0],
+                                    action_count=action_count)
 
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran")
@@ -436,9 +440,8 @@ class TestRowCoverage:
             encoder = StateEncoder(g, rest_tip_origin(params.l0_mm), specs["binning"])
             starts.append(encoder.encode_tip_index(pose[:3, 3], pose[:3, 2]))
         assert len({s // 1024 for s in starts}) == 3
-        table = QTable()
-        table.set_entry(starts[0], 4, 1.0, FLAG_TRAINED)
-        table.set_entry(starts[1], 9, 1.0, FLAG_AUGMENTED)
+        table = QTable.from_records(starts[:2], [4, 9], [FLAG_TRAINED, FLAG_AUGMENTED],
+                                    [1.0, 1.0])
         report = evaluate(table, goals, max_steps=1, repetitions=2, **specs)
         counts = [(r.trained_selections, r.augmented_selections, r.empty_selections)
                   for r in report.results]

@@ -10,7 +10,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 
-from hpnarm import ArmParams, BinningSpec, GoalPose, rest_tip_origin
+from hpnarm import ArmParams, BinningSpec, GoalPose, qtable, rest_tip_origin
 from hpnarm.config import RunConfig
 from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
 from hpnarm.evalrun import evaluate, sample_goals
@@ -149,11 +149,10 @@ def shard_kwargs(specs, max_steps=60):
     )
 
 
-def trained_table(entries, action_count=32):
-    q = QTable(action_count)
-    for state, action, value in entries:
-        q.set_entry(state, action, value, FLAG_TRAINED)
-    return q
+def trained_table(entries):
+    """The table from_records builds of (state, action, value) entries, each trained."""
+    states, actions, values = zip(*entries)
+    return QTable.from_records(states, actions, [FLAG_TRAINED] * len(entries), values)
 
 
 class TestBuildGoalBank:
@@ -700,11 +699,14 @@ class TestLockstepMatchesSequentialEpisodes:
 
     def test_the_trained_table_is_handed_over_without_a_rescan(self, specs, small_bank,
                                                               monkeypatch):
-        """train_lockstep refuses unfit values at the write, so from_arrays' checks do not run."""
+        """train_lockstep refuses unfit values at the write, so no builder checks them again."""
         def refuse(*args, **kwargs):
-            raise AssertionError("train_lockstep called from_arrays")
+            raise AssertionError("train_lockstep checked its table again")
 
-        monkeypatch.setattr(QTable, "from_arrays", refuse)
+        # from_records and load run these checks, and from_checked_arrays none.
+        for name in ("_integers", "_undefined_flags"):
+            monkeypatch.setattr(qtable, name, refuse)
+        monkeypatch.setattr(QTable, "from_records", refuse)
         bins, goals = small_bank.bins[:3], small_bank.goals[:3]
         table = train_lockstep(bins, goals, 0, specs["hp"], **shard_kwargs(specs))
         reference, _ = sequential_table(bins, goals, 0, specs, specs["rewards"], 60)
@@ -735,10 +737,8 @@ class TestMerge:
             merge([a, b])
 
     def test_duplicate_untrained_entries_raise(self):
-        a = QTable()
-        a.set_entry(40, 2, 1.0, 0)
-        b = QTable()
-        b.set_entry(40, 2, 2.0, 0)
+        a = QTable.from_records([40], [2], [0], [1.0])
+        b = QTable.from_records([40], [2], [0], [2.0])
         with pytest.raises(MergeConflictError):
             merge([a, b])
 

@@ -35,7 +35,6 @@ SCALAR_ENGINE = (
     ("state", "StateEncoder.__init__"),
     ("state", "StateEncoder.encode_tip_index"),
     ("qtable", "QTable.update"),
-    ("qtable", "QTable.set_entry"),
     ("qtable", "ActionSpec.apply"),
 )
 

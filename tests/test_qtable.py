@@ -36,6 +36,14 @@ from oracles import (
 HP = HyperParams(alpha=0.1, gamma=0.9, epsilon=0.0)
 
 
+def table_of(entries, action_count=32):
+    """The table from_records builds of {(state, action): (value, flags)}."""
+    keys = list(entries)
+    return QTable.from_records([s for s, _ in keys], [a for _, a in keys],
+                               [entries[k][1] for k in keys], [entries[k][0] for k in keys],
+                               action_count=action_count)
+
+
 def scratch_neighbors(state, radius=1):
     """All states one digit away by up to `radius` steps, via unpack/pack."""
     bins = list(unpack_index(state))
@@ -120,14 +128,11 @@ class TestQUpdate:
         assert q.flags(5)[3] == FLAG_TRAINED
 
     def test_update_with_bootstrap_target(self):
-        q = QTable()
-        q.set_entry(5, 3, 0.5, FLAG_TRAINED)
-        q.set_entry(6, 0, 2.0, FLAG_TRAINED)
+        q = table_of({(5, 3): (0.5, FLAG_TRAINED), (6, 0): (2.0, FLAG_TRAINED)})
         assert q.update(5, 3, 1.0, 6, HP) == pytest.approx(0.73, rel=1e-6)
 
     def test_zero_reward_shrinks_toward_zero(self):
-        q = QTable()
-        q.set_entry(9, 1, 0.8, FLAG_TRAINED)
+        q = table_of({(9, 1): (0.8, FLAG_TRAINED)})
         new = q.update(9, 1, 0.0, 777, HyperParams(alpha=0.25, gamma=0.9, epsilon=0.0))
         assert new == pytest.approx(0.75 * 0.8, rel=1e-6)
 
@@ -139,9 +144,7 @@ class TestQUpdate:
             q.update(0, 0, float("inf"), 1, HP)
 
     def test_touches_exactly_one_entry(self):
-        q = QTable()
-        q.set_entry(4, 7, 1.25, FLAG_TRAINED)
-        q.set_entry(200, 2, -0.5, FLAG_TRAINED)
+        q = table_of({(4, 7): (1.25, FLAG_TRAINED), (200, 2): (-0.5, FLAG_TRAINED)})
         before = q.copy()
         q.update(4, 9, 2.0, 200, HP)
         bs, ba, bf, bv = before.record_arrays()
@@ -170,10 +173,7 @@ class TestBadReads:
 
     @pytest.fixture
     def q(self):
-        q = QTable()
-        for state in (5, N_STATES - 1):
-            q.set_entry(state, 31, 2.5, FLAG_TRAINED)
-        return q
+        return table_of({(5, 31): (2.5, FLAG_TRAINED), (N_STATES - 1, 31): (2.5, FLAG_TRAINED)})
 
     @pytest.mark.parametrize("state", [-5, -1, N_STATES, N_STATES + 5, 2**40])
     def test_state_outside_codec_rejected(self, q, state):
@@ -189,9 +189,27 @@ class TestBadReads:
             with pytest.raises(ValueError, match=f"action {action} outside"):
                 q.get(state, action)
 
+    @pytest.mark.parametrize("state", [True, False, 5.0, 2.5, np.float64(5.0)])
+    def test_state_that_is_not_an_integer_rejected(self, q, state):
+        # get(True, 0) read state 1; get(5.0, 1) and values(5.0) raised IndexError.
+        for read in (q.values, q.flags, q.max_value, lambda s: q.get(s, 31)):
+            with pytest.raises(ValueError, match="state must be an integer"):
+                read(state)
+
+    @pytest.mark.parametrize("action", [True, False, 31.0, 2.5, np.float32(1.0)])
+    def test_action_that_is_not_an_integer_rejected(self, q, action):
+        # get(5, True) raised TypeError.
+        for state in (5, 6):
+            with pytest.raises(ValueError, match="action must be an integer"):
+                q.get(state, action)
+
+    def test_numpy_integer_indices_read(self, q):
+        assert q.get(np.int64(5), np.uint16(31)) == 2.5
+        assert q.values(np.int32(5))[31] == 2.5 and q.flags(np.uint32(5))[31] == FLAG_TRAINED
+        assert q.max_value(np.int64(N_STATES - 1)) == 2.5
+
     def test_action_beyond_a_small_table_rejected(self):
-        q = QTable(action_count=3)
-        q.set_entry(0, 2, 1.0, FLAG_TRAINED)
+        q = QTable.from_records([0], [2], [FLAG_TRAINED], [1.0], action_count=3)
         assert q.get(0, 2) == 1.0
         with pytest.raises(ValueError, match=r"action 3 outside \[0, 3\)"):
             q.get(0, 3)
@@ -202,13 +220,11 @@ class TestBadReads:
 
 
 class TestBadWrites:
-    """Every write path refuses an entry that save() could not round-trip."""
+    """update and from_records refuse an entry that save() could not round-trip."""
 
     def test_action_outside_range_rejected(self):
         q = QTable()
         for action in (-1, 32):
-            with pytest.raises(ValueError, match="action"):
-                q.set_entry(5, action, 1.0, FLAG_TRAINED)
             with pytest.raises(ValueError, match="action"):
                 q.update(5, action, 1.0, 6, HP)
             with pytest.raises(ValueError, match="action"):
@@ -218,8 +234,6 @@ class TestBadWrites:
     def test_state_outside_codec_rejected(self):
         q = QTable()
         for state in (-5, N_STATES, 2**22):
-            with pytest.raises(ValueError, match="outside"):
-                q.set_entry(state, 0, 1.0, FLAG_TRAINED)
             with pytest.raises(ValueError, match="outside"):
                 q.update(state, 0, 1.0, 6, HP)
             with pytest.raises(ValueError, match="outside"):
@@ -231,8 +245,6 @@ class TestBadWrites:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, bad):
         q = QTable()
-        with pytest.raises(ValueError, match="finite"):
-            q.set_entry(5, 1, bad, FLAG_TRAINED)
         with pytest.raises(ValueError, match="finite"):
             q.update(5, 1, bad, 6, HP)
         with pytest.raises(ValueError, match="finite"):
@@ -246,7 +258,7 @@ class TestBadWrites:
         with pytest.raises(ValueError, match="not finite in float32"):
             q.update(5, 1, 1e300, 6, HyperParams())
         assert len(q.bins) == 0 and q.entry_count() == 0
-        q.set_entry(7, 2, 1.5, FLAG_TRAINED)
+        q = QTable.from_records([7], [2], [FLAG_TRAINED], [1.5])
         before = q.copy()
         with pytest.raises(ValueError, match="not finite in float32"):
             q.update(7, 2, 1e300, 6, HyperParams())
@@ -257,30 +269,31 @@ class TestBadWrites:
         save(q, tmp_path / "q.hpnq")
         assert load(tmp_path / "q.hpnq") == q
 
-    def test_set_entry_past_float32_range_rejected(self, tmp_path):
-        # A finite value float32 cannot hold is refused before any write, so
-        # the table, bins included, stays as save, load and augment need it.
+    @pytest.mark.parametrize("big", [1e300, -1e300, 3.5e38])
+    def test_from_records_past_float32_range_rejected(self, big):
+        # A finite value float32 cannot hold is refused with a ValueError, not
+        # with numpy's overflow warning from the cast.
+        with pytest.raises(ValueError, match="not finite in float32"):
+            QTable.from_records([5, N_TIP_STATES + 5], [1, 1], [FLAG_TRAINED, FLAG_AUGMENTED],
+                                [1.5, big])
+
+    @pytest.mark.parametrize("state, action, next_state", [
+        (2.5, 1, 6), (5.0, 1, 6), (True, 1, 6), (5, True, 6), (5, 1.0, 6), (5, 1, 6.0),
+        (5, 1, True),
+    ])
+    def test_index_that_is_not_an_integer_rejected(self, state, action, next_state):
+        # update(2.5, 1, ...) raised IndexError, update(True, 1, ...) wrote
+        # state 1 and update(5, 1, r, 6.0) read state 6.
         q = QTable()
-        with pytest.raises(ValueError, match="not finite in float32"):
-            q.set_entry(5, 1, 1e300, FLAG_TRAINED)
+        with pytest.raises(ValueError, match="must be an integer"):
+            q.update(state, action, 1.0, next_state, HP)
         assert len(q.bins) == 0 and q.entry_count() == 0
-        q.set_entry(7, 2, 1.5, FLAG_TRAINED)
-        before = q.copy()
-        with pytest.raises(ValueError, match="not finite in float32"):
-            q.set_entry(N_TIP_STATES + 5, 1, -1e300, FLAG_AUGMENTED)
-        assert q == before and q.bins.tolist() == [0]
-        save(q, tmp_path / "q.hpnq")
-        assert load(tmp_path / "q.hpnq") == q
-        assert augment(q).augmented_count() > 0
+        assert q.update(np.int64(5), np.int32(1), 1.0, np.uint32(6), HP) == pytest.approx(0.1)
 
     @pytest.mark.parametrize("bad", [4, FLAG_TRAINED | 4, 0x8000, 0x10001, -1])
     def test_undefined_flag_bits_rejected(self, bad):
-        q = QTable()
-        with pytest.raises(ValueError, match="flag bits"):
-            q.set_entry(5, 1, 1.0, bad)
         with pytest.raises(ValueError, match="flag bits"):
             QTable.from_records([5, 6], [1, 2], np.array([1, bad], dtype=np.int64), [1.0, 2.0])
-        assert q.entry_count() == 0
 
     @pytest.mark.parametrize("arrays, match", [
         pytest.param(([5, 6], [1, 2], [1], [3.0]), LINE_UP, id="length-1-flags-and-values"),
@@ -320,17 +333,11 @@ def stacked(bins, fill=1.0):
     return bins, values, flags
 
 
-def poked(arrays, which, word):
-    """``arrays`` with one word of its values (which=1) or flags (which=2) overwritten."""
-    arrays[which][-1, 0, 0] = word
-    return arrays
-
-
 class TestStackedLayout:
-    def test_from_arrays_copies_the_arrays_given(self):
+    def test_from_checked_arrays_copies_the_arrays_given(self):
         bins, values, flags = stacked([2, 5, 1023])
         bins = np.array(bins)
-        q = QTable.from_arrays(bins, values, flags)
+        q = QTable.from_checked_arrays(bins, values, flags)
         before = q.copy()
         bins[:] = [0, 1, 2]
         values[:] = 9.0
@@ -351,36 +358,12 @@ class TestStackedLayout:
         near = {n // N_TIP_STATES for n in scratch_neighbors(3 * N_TIP_STATES + 1)}
         assert augment(q).bins.tolist() == sorted(near | {3, 700})
 
-    @pytest.mark.parametrize("arrays", [
-        pytest.param(stacked([5, 2]), id="unsorted-bins"),
-        pytest.param(stacked([2, 2]), id="repeated-bins"),
-        pytest.param(stacked([-1, 3]), id="bin-below-0"),
-        pytest.param(stacked([3, 1024]), id="bin-past-1023"),
-        pytest.param(stacked([1, 2])[:2] + (np.zeros((1, N_TIP_STATES, 32), np.uint16),),
-                     id="flags-shape"),
-        pytest.param(([1, 2],) + stacked([1, 2, 3])[1:], id="bins-shape"),
-        pytest.param(([1],) + tuple(a[:, :5] for a in stacked([1])[1:]), id="rows-shape"),
-        pytest.param(poked(stacked([1, 2]), 1, np.nan), id="nan-value"),
-        pytest.param(poked(stacked([1, 2]), 1, -np.inf), id="inf-value"),
-        pytest.param(poked(stacked([1, 2]), 2, 4), id="undefined-flag-bit"),
-        pytest.param((np.array([3.7]),) + stacked([3])[1:], id="non-integer-bin"),
-        pytest.param(stacked([3])[:2] + (np.full((1, N_TIP_STATES, 32), 1.5),),
-                     id="non-integer-flags"),
-        pytest.param((np.array([True]),) + stacked([1])[1:], id="boolean-bin"),
-    ])
-    def test_from_arrays_rejects(self, arrays):
-        with pytest.raises(ValueError):
-            QTable.from_arrays(*arrays)
-
-    @pytest.mark.parametrize("write", ["set_entry", "update"])
-    def test_write_between_held_bins_inserts_a_sorted_zeroed_row(self, write):
-        q = QTable.from_arrays(*stacked([2, 9]))
+    def test_update_between_held_bins_inserts_a_sorted_zeroed_row(self):
+        q = QTable.from_records([2 * N_TIP_STATES + 7, 9 * N_TIP_STATES + 7], [3, 3],
+                                [FLAG_TRAINED] * 2, [3.0, 10.0])
         before = q.copy()
         state = 5 * N_TIP_STATES + 11
-        if write == "set_entry":
-            q.set_entry(state, 4, 2.5, FLAG_AUGMENTED)
-        else:
-            q.update(state, 4, 1.0, 2 * N_TIP_STATES + 7, HP)
+        q.update(state, 4, 1.0, 2 * N_TIP_STATES + 7, HP)
         assert q.bins.tolist() == [2, 5, 9]
         for goal_bin in (2, 9):
             for suffix in range(N_TIP_STATES):
@@ -390,19 +373,19 @@ class TestStackedLayout:
         states, actions, _, _ = q.record_arrays()
         new = states // N_TIP_STATES == 5
         assert states[new].tolist() == [state] and actions[new].tolist() == [4]
-        assert q.flags(state)[4] == (FLAG_AUGMENTED if write == "set_entry" else FLAG_TRAINED)
+        assert q.flags(state)[4] == FLAG_TRAINED
 
 
 class TestRowStore:
     """Rows only for the tip states written, reached through the row index."""
 
     def test_one_entry_holds_one_row(self, tmp_path):
-        q = QTable()
-        q.set_entry(700 * N_TIP_STATES + 9, 3, 1.5, FLAG_TRAINED)
+        q = QTable.from_records([700 * N_TIP_STATES + 9], [3], [FLAG_TRAINED], [1.5])
         assert q.row_count() == 1
         save(q, tmp_path / "t.hpnq")
-        for built in (q.copy(), load(tmp_path / "t.hpnq"),
-                      QTable.from_records([5], [1], [FLAG_TRAINED], [2.0])):
+        updated = QTable()
+        updated.update(5, 1, 2.0, 6, HP)
+        for built in (q.copy(), load(tmp_path / "t.hpnq"), updated):
             assert built.row_count() == 1
         assert QTable().row_count() == augment(QTable()).row_count() == 0
 
@@ -413,27 +396,31 @@ class TestRowStore:
         assert q.nbytes == 2 * 8 + 2 * N_TIP_STATES * 4 + 3 * 32 * (4 + 2)
         assert QTable(4).nbytes == 0
 
-    def test_scalar_writes_grow_past_the_first_capacity(self):
-        # States written in falling order, across bins: rows are appended out
-        # of state order and the row arrays are regrown several times.
+    def test_updates_grow_past_the_first_capacity(self):
+        # States updated in falling order, across bins: rows are appended out
+        # of state order and the row arrays are regrown several times. Every
+        # backup bootstraps from a state never written, so its value is
+        # alpha * reward.
         states = [b * N_TIP_STATES + t for b in (900, 40, 3) for t in (1000, 600, 17, 0)] * 9
         states = sorted({s - 3 * i for i, s in enumerate(states)}, reverse=True)
         assert len(states) > 64
         q = QTable()
         for i, s in enumerate(states):
-            q.set_entry(s, i % 32, i + 0.5, FLAG_TRAINED)
+            q.update(s, i % 32, i + 0.5, N_STATES - 1, HP)
         assert q.row_count() == len(states) and q.nbytes > 0
         built = QTable.from_records(states, [i % 32 for i in range(len(states))],
                                     [FLAG_TRAINED] * len(states),
-                                    [i + 0.5 for i in range(len(states))])
+                                    [HP.alpha * (i + 0.5) for i in range(len(states))])
         assert q == built and q.bins.tolist() == built.bins.tolist()
         assert q.copy() == built and augment(q) == augment(built)
 
     def test_greedy_policy_reads_each_state_row(self):
-        q = QTable()
-        for (s, a), (v, f) in clustered_entries(32, seed=4).items():
-            q.set_entry(s, a, v, f)
-        q.set_entry(int(q.bins[0]) * N_TIP_STATES + 5, 2, 0.0, 0)  # a row with nothing stored
+        entries = clustered_entries(32, seed=4)
+        empty = min(entries)[0] // N_TIP_STATES * N_TIP_STATES + 5
+        assert all(s != empty for s, _ in entries)
+        entries[(empty, 2)] = (0.0, 0)  # a row with nothing stored
+        q = table_of(entries)
+        assert q.row_count() == q.state_count() + 1
         missing = next(b for b in range(1024) if b not in set(q.bins.tolist()))
         goal_bins = q.bins.tolist() + [missing]
         policy, kind = q.greedy_policy(goal_bins)
@@ -450,9 +437,7 @@ class TestRowStore:
 
 class TestSelectAction:
     def test_greedy_picks_unique_max(self, rng):
-        q = QTable()
-        q.set_entry(3, 7, 5.0, FLAG_TRAINED)
-        q.set_entry(3, 12, 4.0, FLAG_TRAINED)
+        q = table_of({(3, 7): (5.0, FLAG_TRAINED), (3, 12): (4.0, FLAG_TRAINED)})
         assert select_action(q, 3, 0.0, rng) == 7
 
     def test_all_equal_row_breaks_tie_to_action_zero(self, rng):
@@ -460,9 +445,7 @@ class TestSelectAction:
         assert select_action(q, 11, 0.0, rng) == 0
 
     def test_tie_between_two_entries_takes_lower_id(self, rng):
-        q = QTable()
-        q.set_entry(1, 4, 2.0, FLAG_TRAINED)
-        q.set_entry(1, 9, 2.0, FLAG_TRAINED)
+        q = table_of({(1, 4): (2.0, FLAG_TRAINED), (1, 9): (2.0, FLAG_TRAINED)})
         assert select_action(q, 1, 0.0, rng) == 4
 
     def test_full_exploration_is_uniform(self):
@@ -478,12 +461,9 @@ class TestSelectAction:
 
     def test_greedy_invariant_under_row_shift_and_scale(self, rng):
         base = np.linspace(-1.0, 2.0, 32).astype(np.float32)
-        q1, q2, q3 = QTable(), QTable(), QTable()
-        for a in range(32):
-            q1.set_entry(0, a, float(base[a]), FLAG_TRAINED)
-            q2.set_entry(0, a, float(base[a] + 7.5), FLAG_TRAINED)
-            q3.set_entry(0, a, float(base[a] * 3.0), FLAG_TRAINED)
-        picks = {select_action(t, 0, 0.0, rng) for t in (q1, q2, q3)}
+        picks = {select_action(QTable.from_records([0] * 32, range(32), [FLAG_TRAINED] * 32, row),
+                               0, 0.0, rng)
+                 for row in (base, base + 7.5, base * 3.0)}
         assert len(picks) == 1
 
 
@@ -492,9 +472,7 @@ class TestAugment:
         center = pack_bins((1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
         up = pack_bins((1, 1, 1, 1, 1, 1, 1, 1, 1, 2))
         down = pack_bins((1, 1, 1, 1, 1, 1, 1, 1, 1, 0))
-        q = QTable()
-        q.set_entry(up, 4, 1.0, FLAG_TRAINED)
-        q.set_entry(down, 4, 3.0, FLAG_TRAINED)
+        q = table_of({(up, 4): (1.0, FLAG_TRAINED), (down, 4): (3.0, FLAG_TRAINED)})
         out = augment(q)
         assert out.get(center, 4) == 2.0
         assert out.flags(center)[4] == FLAG_AUGMENTED
@@ -502,8 +480,7 @@ class TestAugment:
     def test_no_trained_neighbors_leaves_zero(self):
         far_a = pack_bins((0,) * 10)
         far_b = pack_bins((3,) * 10)
-        q = QTable()
-        q.set_entry(far_a, 0, 5.0, FLAG_TRAINED)
+        q = table_of({(far_a, 0): (5.0, FLAG_TRAINED)})
         out = augment(q)
         assert out.get(far_b, 0) == 0.0
         assert out.flags(far_b)[0] == 0
@@ -511,17 +488,17 @@ class TestAugment:
     def test_different_actions_do_not_mix(self):
         s1 = pack_bins((2, 0, 0, 0, 0, 0, 0, 0, 0, 0))
         s2 = pack_bins((1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-        q = QTable()
-        q.set_entry(s1, 3, 9.0, FLAG_TRAINED)
+        q = table_of({(s1, 3): (9.0, FLAG_TRAINED)})
         out = augment(q)
         assert out.get(s2, 3) == 9.0
         assert out.get(s2, 4) == 0.0
 
     def test_trained_entries_bit_unchanged(self, rng):
-        q = QTable()
-        states = rng.integers(0, N_STATES, 200)
-        for s in states:
-            q.set_entry(int(s), int(rng.integers(32)), float(rng.normal()), FLAG_TRAINED)
+        entries = {}
+        for s in rng.integers(0, N_STATES, 200):
+            key = int(s), int(rng.integers(32))
+            entries[key] = (float(rng.normal()), FLAG_TRAINED)
+        q = table_of(entries)
         before = {
             (int(s), int(a)): (int(f), v.tobytes())
             for s, a, f, v in zip(*q.record_arrays())
@@ -537,11 +514,9 @@ class TestAugment:
 
     def test_fully_trained_table_keeps_values(self):
         # fully trained on a tiny sub-lattice: every state's every action trained
-        q = QTable(action_count=4)
         lattice = [pack_bins((b,) + (0,) * 9) for b in range(4)]
-        for s in lattice:
-            for a in range(4):
-                q.set_entry(s, a, float(s % 7) + a, FLAG_TRAINED)
+        q = table_of({(s, a): (float(s % 7) + a, FLAG_TRAINED)
+                      for s in lattice for a in range(4)}, action_count=4)
         out = augment(q)
         for s in lattice:
             for a in range(4):
@@ -550,25 +525,21 @@ class TestAugment:
 
     def test_input_table_is_not_mutated(self):
         s1 = pack_bins((0, 0, 0, 0, 0, 0, 0, 0, 0, 1))
-        q = QTable()
-        q.set_entry(s1, 0, 4.0, FLAG_TRAINED)
+        q = table_of({(s1, 0): (4.0, FLAG_TRAINED)})
         augment(q)
         assert q.entry_count() == 1
         assert q.augmented_count() == 0
 
     @pytest.mark.parametrize("flag", [0, FLAG_AUGMENTED])
     def test_nothing_trained_gives_an_equal_copy(self, flag):
-        q = QTable()
-        if flag:
-            q.set_entry(77, 3, 1.5, flag)
+        q = table_of({(77, 3): (1.5, flag)} if flag else {})
         out = augment(q)
         assert out == q and out.bins.tolist() == q.bins.tolist()
-        out.set_entry(77, 3, 9.0, FLAG_TRAINED)
+        out.update(77, 3, 9.0, 78, HP)
         assert q.get(77, 3) == (1.5 if flag else 0.0)
 
     def test_second_pass_adds_nothing_new(self):
-        q = QTable()
-        q.set_entry(pack_bins((1,) * 10), 2, 6.0, FLAG_TRAINED)
+        q = table_of({(pack_bins((1,) * 10), 2): (6.0, FLAG_TRAINED)})
         once = augment(q)
         twice = augment(once)
         assert twice == once
@@ -577,8 +548,7 @@ class TestAugment:
     def test_radius_two_reaches_two_step_neighbors(self):
         src = pack_bins((0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
         two_away = pack_bins((0, 0, 0, 0, 0, 0, 0, 0, 0, 2))
-        q = QTable()
-        q.set_entry(src, 1, 8.0, FLAG_TRAINED)
+        q = table_of({(src, 1): (8.0, FLAG_TRAINED)})
         assert augment(q, radius=1).get(two_away, 1) == 0.0
         assert augment(q, radius=2).get(two_away, 1) == 8.0
         with pytest.raises(ValueError):
@@ -587,17 +557,14 @@ class TestAugment:
     @pytest.mark.parametrize("radius", [True, 2.0, 1.5])
     def test_radius_must_be_an_integer(self, radius):
         # True once ran as radius 1; 2.0 died after the source scan.
-        q = QTable()
-        q.set_entry(5, 1, 8.0, FLAG_TRAINED)
+        q = table_of({(5, 1): (8.0, FLAG_TRAINED)})
         with pytest.raises(ValueError, match="radius must be an integer"):
             augment(q, radius)
         assert augment(q, np.int64(2)) == augment(q, 2)
 
     def test_radius_past_three_reaches_no_further(self):
         # A digit spans 0..3, so radius 3 already reaches every neighbor.
-        q = QTable()
-        for (s, a), (v, f) in clustered_entries(32, seed=3).items():
-            q.set_entry(s, a, v, f)
+        q = table_of(clustered_entries(32, seed=3))
         assert augment(q, 10**9) == augment(q, 3)
 
     @given(
@@ -627,9 +594,7 @@ class TestAugment:
         # "up" neighbor from digit 3 must not carry into the next dim
         lo = pack_bins((0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
         hi = pack_bins((0, 0, 0, 0, 0, 0, 0, 0, 0, 3))
-        q = QTable()
-        q.set_entry(lo, 0, 1.0, FLAG_TRAINED)
-        q.set_entry(hi, 0, 1.0, FLAG_TRAINED)
+        q = table_of({(lo, 0): (1.0, FLAG_TRAINED), (hi, 0): (1.0, FLAG_TRAINED)})
         out = augment(q)
         os_, oa, of, ov = out.record_arrays()
         expected = set()
@@ -652,11 +617,8 @@ class TestAugment:
     )
     @settings(max_examples=50, deadline=None)
     def test_matches_scratch_neighbor_means(self, entries):
-        q = QTable()
-        trained = {}
-        for s, a, v in entries:
-            q.set_entry(s, a, v, FLAG_TRAINED)
-            trained[(s, a)] = q.get(s, a)
+        trained = {(s, a): float(np.float32(v)) for s, a, v in entries}
+        q = table_of({k: (v, FLAG_TRAINED) for k, v in trained.items()})
         out = augment(q)
         expected = {}
         for (s, a), v in trained.items():
@@ -724,9 +686,7 @@ class TestFlatIndexing:
     @pytest.mark.parametrize("action_count", [4, 32])
     def test_record_arrays_and_augment_match_the_reference(self, action_count):
         entries = clustered_entries(action_count, seed=action_count)
-        q = QTable(action_count)
-        for (s, a), (v, f) in entries.items():
-            q.set_entry(s, a, v, f)
+        q = table_of(entries, action_count)
         assert len(q.bins) > 1
         assert_records_equal(q, entries)
         for radius in (1, 2):
@@ -837,14 +797,12 @@ class TestPersistence:
         assert load(path) == q
 
     def test_small_table_round_trip_bit_exact(self, tmp_path, rng):
-        q = QTable()
+        entries = {}
         for _ in range(300):
-            q.set_entry(
-                int(rng.integers(0, N_STATES)),
-                int(rng.integers(32)),
-                float(rng.normal()),
-                int(rng.choice([FLAG_TRAINED, FLAG_AUGMENTED, FLAG_TRAINED | FLAG_AUGMENTED])),
-            )
+            key = int(rng.integers(0, N_STATES)), int(rng.integers(32))
+            entries[key] = (float(rng.normal()), int(rng.choice(
+                [FLAG_TRAINED, FLAG_AUGMENTED, FLAG_TRAINED | FLAG_AUGMENTED])))
+        q = table_of(entries)
         path = tmp_path / "small.qt"
         save(q, path)
         back = load(path)
@@ -880,8 +838,7 @@ class TestPersistence:
         assert load(tmp_path / "t.hpnq") == q
 
     def test_small_action_count_round_trip(self, tmp_path):
-        q = QTable(action_count=4)
-        q.set_entry(12, 3, -1.5, FLAG_TRAINED)
+        q = QTable.from_records([12], [3], [FLAG_TRAINED], [-1.5], action_count=4)
         path = tmp_path / "grid.qt"
         save(q, path)
         back = load(path)
@@ -906,8 +863,7 @@ class TestPersistence:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "t.qt"
-        q = QTable()
-        q.set_entry(1, 1, 1.0, FLAG_TRAINED)
+        q = QTable.from_records([1], [1], [FLAG_TRAINED], [1.0])
         save(q, path)
         raw = path.read_bytes()
         for cut in (2, 10, len(raw) - 3):
@@ -917,8 +873,7 @@ class TestPersistence:
 
     def test_flipped_record_byte_fails_checksum(self, tmp_path):
         path = tmp_path / "t.qt"
-        q = QTable()
-        q.set_entry(77, 5, 2.5, FLAG_TRAINED)
+        q = QTable.from_records([77], [5], [FLAG_TRAINED], [2.5])
         save(q, path)
         raw = bytearray(path.read_bytes())
         raw[_record_offset() + 2] ^= 0x01
@@ -981,36 +936,47 @@ class TestPersistence:
 
 # States for the reference-model test: suffixes spread over goal bins,
 # including both ends of the codec, so operations collide and bootstrap, and
-# so a run writes more states than the row arrays' first capacity of 16.
+# so updates add rows past the spare capacity a build or a regrowth leaves.
 MODEL_STATES = [b * N_TIP_STATES + t
                 for b in (0, 1, 3, 200, 511, 1022, 1023) for t in (0, 1, 5, 77, 500, 1022, 1023)]
 MODEL_ACTIONS = (0, 1, 31)
 
-set_entry_op = st.tuples(
-    st.just("set"), st.sampled_from(MODEL_STATES), st.sampled_from(MODEL_ACTIONS),
+# Sets one model entry (value, flags), then rebuilds the table from the model.
+edit_op = st.tuples(
+    st.just("edit"), st.sampled_from(MODEL_STATES), st.sampled_from(MODEL_ACTIONS),
     st.floats(-100.0, 100.0, width=32), st.sampled_from([0, 1, 2, 3]),
 )
 update_op = st.tuples(
     st.just("update"), st.sampled_from(MODEL_STATES), st.sampled_from(MODEL_ACTIONS),
     st.floats(-10.0, 10.0), st.sampled_from(MODEL_STATES),
 )
+# Rebuilds the table from its own record arrays.
+rebuild_op = st.just(("rebuild", None, None, None, None))
 
 
 class TestReferenceModel:
-    """QTable against a plain dict {(state, action): (float32 value, flags)}."""
+    """QTable against a plain dict {(state, action): (float32 value, flags)}.
 
-    @given(ops=st.lists(st.one_of(set_entry_op, update_op), max_size=80))
+    Bulk builds from the model and from the table's own records interleave
+    with TD updates, which write the table in place.
+    """
+
+    @given(ops=st.lists(st.one_of(edit_op, update_op, rebuild_op), max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_matches_dict_model(self, ops, tmp_path_factory):
         hp = HyperParams(alpha=0.3, gamma=0.9, epsilon=0.0)
         q = QTable()
         model = {}
         for kind, state, action, x, y in ops:
-            old_value, old_flags = model.get((state, action), (np.float32(0.0), 0))
-            if kind == "set":
-                q.set_entry(state, action, x, y)
-                model[(state, action)] = (np.float32(x), old_flags | y)
+            if kind == "edit":
+                model[(state, action)] = (np.float32(x), y)
+                q = table_of(model)
+            elif kind == "rebuild":
+                rebuilt = QTable.from_records(*q.record_arrays())
+                assert rebuilt == q
+                q = rebuilt
             else:
+                old_value, old_flags = model.get((state, action), (np.float32(0.0), 0))
                 row = [model.get((y, a), (np.float32(0.0), 0))[0] for a in range(32)]
                 target = x + hp.gamma * float(max(row))
                 new = np.float32(float(old_value) + hp.alpha * (target - float(old_value)))

@@ -9,6 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from hpnarm.config import RunConfig
+from hpnarm.pretrain import build_goal_bank
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -68,8 +73,14 @@ def test_step_cost(tmp_path):
         "step_cost.py", "--budget", "20000", "--rounds", "1", "--calls", "2",
         "--max-steps", "5", "--lanes", "1,2,5000", cwd=tmp_path,
     )
-    assert re.fullmatch(r"seed 1: [1-9]\d* reachable bins, 1 goals per bin, 2 calls per cell",
-                        lines[0]), lines
+    header = re.fullmatch(r"seed 1: (\d+) reachable bins, 1 goals per bin, 2 calls per cell",
+                          lines[0])
+    assert header, lines
+    # The bank pretrain(seed=1) draws: its stream, at the same budget and quota.
+    cfg = RunConfig()
+    rng = np.random.default_rng(np.random.SeedSequence((1, 1)))
+    bank = build_goal_bank(cfg.arm, 1, 20000, rng, binning=cfg.binning)
+    assert int(header.group(1)) == len(bank.bins) > 0, lines
     assert lines[1].startswith("lanes  train_lockstep"), lines
     for lanes, line in zip((1, 2), lines[2:4]):
         fields = line.split()
