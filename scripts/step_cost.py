@@ -71,11 +71,13 @@ def main() -> int:
     lane_counts = [int(x) for x in args.lanes.split(",")]
     if args.calls < 1 or args.rounds < 1 or min(lane_counts) < 1:
         ap.error("--calls, --rounds and every lane count must be >= 1")
+    if args.max_steps < 1 or args.budget is not None and args.budget < 1:
+        ap.error("--max-steps and --budget must be >= 1")
 
     cfg = RunConfig()
     specs = dict(params=cfg.arm, action_spec=cfg.action, reward_spec=cfg.reward,
                  binning=cfg.binning, max_steps=args.max_steps)
-    budget = args.budget or default_sample_budget(args.rounds)
+    budget = default_sample_budget(args.rounds) if args.budget is None else args.budget
     bank_rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     bank = build_goal_bank(cfg.arm, args.rounds, budget, bank_rng, binning=cfg.binning)
     table = episode.train_lockstep(bank.bins, bank.goals, args.seed, cfg.hyper, **specs)

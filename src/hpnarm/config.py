@@ -162,11 +162,18 @@ def _build_section(cls, raw: Any, where: str):
         raise ConfigError(f"{where}: unknown field(s) {unknown}")
     kwargs = {k: _convert_value(k, v, where) for k, v in raw.items()}
     try:
-        return cls(**kwargs)
+        section = cls(**kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{where}: {exc}") from exc
+    # YAML reads yes/true as a bool, which passes for 1 wherever a number is checked.
+    flags = {f.name for f in dataclasses.fields(cls) if f.type in (bool, "bool")}
+    for name, value in raw.items():
+        items = value if isinstance(value, list) else [value]
+        if name not in flags and any(isinstance(v, bool) for v in items):
+            raise ConfigError(f"{where}: {name} must not be a boolean, got {value!r}")
+    return section
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:

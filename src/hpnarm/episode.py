@@ -50,6 +50,7 @@ from .qtable import (
     ActionSpec,
     HyperParams,
     QTable,
+    _integers,
     check_integers,
     select_action,
 )
@@ -597,12 +598,14 @@ def train_lockstep(
     turning them into the lane's exploring actions (exploration_draws); a
     step takes a lane's drawn action where there is one and its row's argmax
     elsewhere, the choice select_action makes. ``seed`` and ``max_steps``
-    must be integers, ``max_steps`` >= 1, else ValueError before any step.
+    must be integers, ``max_steps`` >= 1, and ``bins`` integers (bool
+    refused), else ValueError before any step.
     """
     check_integers(seed=seed, max_steps=max_steps)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    bins = np.asarray(bins, dtype=np.int64).tolist()
+    bins = _integers("goal bins", bins).astype(np.int64).tolist()
+    goals = np.asarray(goals, dtype=float)
     in_range = not bins or 0 <= bins[0] and bins[-1] < N_GOAL_BINS
     if not in_range or any(a >= b for a, b in zip(bins, bins[1:])):
         raise ValueError(f"goal bins must be strictly increasing in [0, {N_GOAL_BINS})")

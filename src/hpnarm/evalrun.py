@@ -189,20 +189,16 @@ def evaluate(
     the goal index and the repetition: repetitions differ, and a goal's
     result does not depend on the other goals evaluated with it.
 
-    ``repetitions``, ``max_steps`` and ``seed`` must be integers (int or
-    numpy integer, not bool), else ValueError before any step.
+    ``seed`` must be an integer (int or numpy integer, not bool) >= 0 and
+    ``plant_kind`` "nominal" or "perturbed", else ValueError here;
+    greedy_lockstep refuses an empty goal list and ``repetitions`` or
+    ``max_steps`` that are not integers >= 1, before any step.
 
     ``hp`` is ignored, since greedy evaluation reads no hyperparameter; the
     keyword stays only because the benchmark harness (perfbench/layers.py)
     still passes it.
     """
-    check_integers(repetitions=repetitions, max_steps=max_steps, seed=seed)
-    if not goals:
-        raise ValueError("need at least one goal")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    check_integers(seed=seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if plant_kind not in ("nominal", "perturbed"):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .episode import RewardSpec, train_lockstep
 from .kinematics import ArmParams, tip_batch
-from .qtable import ActionSpec, HyperParams, QTable, augment, check_integers, save
+from .qtable import ActionSpec, HyperParams, QTable, _integers, augment, check_integers, save
 from .state import (
     N_GOAL_BINS,
     BinningSpec,
@@ -98,12 +98,13 @@ class GoalBank:
     samples_used: int
 
     def __post_init__(self):
-        bins = np.array(self.bins, dtype=np.int64).reshape(-1)
+        bins = _integers("goal bins", self.bins).astype(np.int64).reshape(-1)
         goals = np.array(self.goals, dtype=np.float64)
         if goals.ndim != 3 or goals.shape[0] != len(bins) or goals.shape[2] != _GOAL_ROW:
             raise ValueError(f"goals of shape {goals.shape} do not fit {len(bins)} bins")
         if goals.shape[1] < 1:
             raise ValueError("quota must be >= 1")
+        check_integers(samples_used=self.samples_used)
         if self.samples_used < 0:
             raise ValueError("samples_used must be >= 0")
         outside = bins[(bins < 0) | (bins >= N_GOAL_BINS)]
@@ -324,7 +325,7 @@ def pretrain_shard(
     bins replayed with the same seed produce a bit-identical table. A bin the
     bank does not hold raises KeyError.
     """
-    bin_ids = np.unique(np.asarray(bin_ids, dtype=np.int64))
+    bin_ids = np.unique(_integers("goal bins", bin_ids).astype(np.int64))
     missing = np.setdiff1d(bin_ids, bank.bins)
     if len(missing):
         raise KeyError(f"goal bin {missing[0]} is not in the goal bank")

@@ -151,12 +151,14 @@ class QTable:
 
     A table is built in bulk, by load, from_records, augment, concat or
     copy, or handed over by train_lockstep (from_checked_arrays), and only
-    update, the TD backup, writes an entry after that. Bulk builds lay the
-    rows out in state order. An update to a state without a row appends one
-    in amortized O(1), and an update to a bin the table does not hold first
-    inserts the bin at its sorted place, which replaces ``bins``. Read
-    ``bins``, but read the rows only through the methods here: no code
-    outside this module indexes the storage.
+    update, the TD backup, writes an entry after that. Every table holds one
+    row per indexed state, in state order: the row index numbers its cells
+    0, 1, 2, ... in C order. An update to a state without a row inserts a
+    zeroed row at the state's place, renumbering the rows after it, and an
+    update to a bin the table does not hold first inserts the bin at its
+    sorted place; each insert replaces the arrays it grows. Read ``bins``,
+    but read the rows only through the methods here: no code outside this
+    module indexes the storage.
 
     Flag words hold only the defined bits, FLAG_TRAINED and FLAG_AUGMENTED:
     from_records and load reject any other bit, and the other builders and
@@ -169,10 +171,8 @@ class QTable:
         self.action_count = int(action_count)
         self.bins = np.empty(0, dtype=np.int64)
         self._index = np.empty((0, N_TIP_STATES), dtype=np.int32)
-        # Rows past _rows are zeroed spare capacity for scalar writes.
         self._values = np.zeros((0, self.action_count), dtype=np.float32)
         self._flags = np.zeros((0, self.action_count), dtype=np.uint16)
-        self._rows = 0
         zero_v = np.zeros(action_count, dtype=np.float32)
         zero_f = np.zeros(action_count, dtype=np.uint16)
         zero_v.flags.writeable = False
@@ -189,7 +189,7 @@ class QTable:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the table's four arrays take in memory, spare row capacity included."""
+        """Bytes the table's four arrays take in memory."""
         return self.bins.nbytes + self._index.nbytes + self._values.nbytes + self._flags.nbytes
 
     def _check_action(self, action: int) -> None:
@@ -230,7 +230,7 @@ class QTable:
         0.0 and flags 0 at state s gives s a row of zeros, which save() leaves
         out of the file.
         """
-        return self._rows
+        return len(self._values)
 
     def trained_count(self) -> int:
         return self._count_flag(FLAG_TRAINED)
@@ -239,7 +239,7 @@ class QTable:
         return self._count_flag(FLAG_AUGMENTED)
 
     def _count_flag(self, bit: int) -> int:
-        return int(np.count_nonzero(self._flags[:self._rows] & bit))
+        return int(np.count_nonzero(self._flags & bit))
 
     def entry_count(self) -> int:
         return int(np.count_nonzero(self._stored_rows()))
@@ -249,7 +249,7 @@ class QTable:
         return int(np.count_nonzero(self._stored_rows().any(axis=1)))
 
     def _stored_rows(self) -> np.ndarray:
-        return _stored(self._values[:self._rows], self._flags[:self._rows])
+        return _stored(self._values, self._flags)
 
     def greedy_policy(self, goal_bins) -> tuple[np.ndarray, np.ndarray]:
         """Greedy action and row kind at every tip state of each goal bin given.
@@ -278,24 +278,6 @@ class QTable:
 
     # -- write paths --------------------------------------------------------
 
-    def _write_row(self, state: int) -> int:
-        """The state's row, adding a zeroed one first if it has none."""
-        goal_bin, suffix = divmod(state, N_TIP_STATES)
-        i = int(self.bins.searchsorted(goal_bin))
-        if i == len(self.bins) or self.bins[i] != goal_bin:
-            self.bins = np.insert(self.bins, i, goal_bin)
-            self._index = np.insert(self._index, i, -1, axis=0)
-        row = int(self._index[i, suffix])
-        if row < 0:
-            row = self._rows
-            if row == len(self._values):  # no spare row left: double the capacity
-                spare = ((0, max(row, 16)), (0, 0))
-                self._values = np.pad(self._values, spare)
-                self._flags = np.pad(self._flags, spare)
-            self._index[i, suffix] = row
-            self._rows += 1
-        return row
-
     def update(self, state: int, action: int, reward: float,
                next_state: int, hp: HyperParams) -> float:
         """One temporal-difference backup; marks the entry trained.
@@ -314,7 +296,18 @@ class QTable:
             stored = np.float32(new)
         if not np.isfinite(stored):
             raise ValueError(f"state {state} action {action}: {new} not finite in float32")
-        row = self._write_row(state)
+        goal_bin, suffix = divmod(state, N_TIP_STATES)
+        i = int(self.bins.searchsorted(goal_bin))
+        if i == len(self.bins) or self.bins[i] != goal_bin:
+            self.bins = np.insert(self.bins, i, goal_bin)
+            self._index = np.insert(self._index, i, -1, axis=0)
+        row = int(self._index[i, suffix])
+        if row < 0:  # a zeroed row after the rows of the indexed cells before this one
+            row = int(np.count_nonzero(self._index.reshape(-1)[:i * N_TIP_STATES + suffix] >= 0))
+            self._index[self._index >= row] += 1
+            self._index[i, suffix] = row
+            self._values = np.insert(self._values, row, 0, axis=0)
+            self._flags = np.insert(self._flags, row, 0, axis=0)
         self._values[row, action] = stored
         self._flags[row, action] |= FLAG_TRAINED
         return float(stored)
@@ -336,15 +329,10 @@ class QTable:
     def _held_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(states, values, flags): each state holding a row, increasing, and its rows.
 
-        The rows are views of the storage when they already lie in state
-        order, as a bulk build leaves them, and gathered copies otherwise.
+        The rows are the storage itself, which holds them in state order.
         """
         i, suffix = np.nonzero(self._index >= 0)
-        states = self.bins[i] * N_TIP_STATES + suffix
-        rows = self._index[i, suffix]
-        if np.array_equal(rows, np.arange(len(rows))):
-            return states, self._values[:len(rows)], self._flags[:len(rows)]
-        return states, self._values[rows], self._flags[rows]
+        return self.bins[i] * N_TIP_STATES + suffix, self._values, self._flags
 
     def copy(self) -> "QTable":
         return QTable.concat([self])
@@ -401,13 +389,13 @@ class QTable:
         if len(repeated):
             raise ValueError(f"goal bin {repeated[0]} is held by more than one table")
         # Table k's rows follow those of the tables before it.
-        offsets = np.cumsum([0] + [t._rows for t in tables[:-1]])
+        offsets = np.cumsum([0] + [t.row_count() for t in tables[:-1]])
         index = np.concatenate([np.where(t._index >= 0, t._index + offset, -1)
                                 for t, offset in zip(tables, offsets)])[order]
         occupied = index >= 0
         rows = index[occupied]
-        values = np.concatenate([t._values[:t._rows] for t in tables])[rows]
-        flags = np.concatenate([t._flags[:t._rows] for t in tables])[rows]
+        values = np.concatenate([t._values for t in tables])[rows]
+        flags = np.concatenate([t._flags for t in tables])[rows]
         return _table(action_count, bins, _numbered(occupied), values, flags)
 
     @classmethod
@@ -445,10 +433,9 @@ class QTable:
 
 
 def _table(action_count: int, bins, index, values, flags) -> QTable:
-    """A table taking the four storage arrays as they are; every row in use."""
+    """A table taking the four storage arrays as they are, its rows in state order."""
     out = QTable(action_count)
     out.bins, out._index, out._values, out._flags = bins, index, values, flags
-    out._rows = len(values)
     return out
 
 

@@ -79,6 +79,20 @@ NON_INTEGER_VALUES = (
     ("eval", "seed", "0.5"),
 )
 
+# One YAML boolean per section in a field not declared bool, as (section, field, YAML
+# value); each once ran as 1 (or True). pretrain's fields are integers, refused above.
+BOOLEAN_VALUES = (
+    ("arm", "a_gain", "yes"),
+    ("binning", "d_max_mm", "yes"),
+    ("binning", "d_tip_edges_mm", "[true, 20.0, 50.0]"),
+    ("hyper", "alpha", "yes"),
+    ("action", "delta_p_kpa", "true"),
+    ("reward", "goal_bonus", "yes"),
+    ("perturbed", "droop_gain", "yes"),
+    ("eval", "goals", "[{position_mm: [0.0, 0.0, true], direction: [0.0, 0.0, 1.0]}]"),
+    ("output", "table_path", "yes"),
+)
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -134,6 +148,18 @@ class TestRunConfig:
         path = write_config(tmp_path / "c.yaml", f"{section}:\n  {name}: {value}\n")
         with pytest.raises(ConfigError, match=f"{section}: .*{name}.*finite"):
             load_config(path)
+
+    @pytest.mark.parametrize("section, name, value", BOOLEAN_VALUES,
+                             ids=[f"{s}.{n}" for s, n, _ in BOOLEAN_VALUES])
+    def test_boolean_outside_a_bool_field_rejected(self, tmp_path, section, name, value):
+        path = write_config(tmp_path / "c.yaml", f"{section}:\n  {name}: {value}\n")
+        where = "position_mm" if name == "goals" else name
+        with pytest.raises(ConfigError, match=f"{section}.*: {where} must not be a boolean"):
+            load_config(path)
+
+    def test_boolean_in_the_bool_field_accepted(self, tmp_path):
+        path = write_config(tmp_path / "c.yaml", "pretrain:\n  allow_large_run: yes\n")
+        assert load_config(path).pretrain.allow_large_run is True
 
     def test_cannot_read_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -255,7 +281,7 @@ class TestPretrainCommand:
         for field in ("turbo: 1", "workers: 2"):
             cfg2 = write_config(tmp_path / "c2.yaml", f"pretrain:\n  {field}\n")
             assert runner.invoke(main, ["pretrain", "--config", cfg2]).exit_code == 2
-        for section, name, value in NON_FINITE_VALUES:
+        for section, name, value in NON_FINITE_VALUES + BOOLEAN_VALUES:
             cfg3 = write_config(tmp_path / "c3.yaml", f"{section}:\n  {name}: {value}\n")
             assert runner.invoke(main, ["pretrain", "--config", cfg3]).exit_code == 2, name
         table, csv_dir = tmp_path / "t.qt", tmp_path / "ev"

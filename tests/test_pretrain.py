@@ -392,6 +392,12 @@ class TestGoalBankValidation:
         pytest.param([-1], [[_ROW]], 10, "out of range", id="bin-negative"),
         pytest.param([4, 3], [[_ROW], [_ROW]], 10, "strictly increasing", id="unsorted-bins"),
         pytest.param([3], [[_ROW]], -1, "samples_used", id="negative-samples"),
+        # A cast to int64 once truncated these to bin 3 and took 1.5 samples.
+        pytest.param([3.5], [[_ROW]], 10, "goal bins must be integers", id="float-bin"),
+        pytest.param([3.0], [[_ROW]], 10, "goal bins must be integers", id="integral-float-bin"),
+        pytest.param([True], [[_ROW]], 10, "goal bins must be integers", id="bool-bin"),
+        pytest.param([3], [[_ROW]], 1.5, "samples_used must be an integer", id="float-samples"),
+        pytest.param([3], [[_ROW]], True, "samples_used must be an integer", id="bool-samples"),
     ])
     def test_inconsistent_arrays_rejected(self, bins, goals, used, match):
         with pytest.raises(ValueError, match=match):
@@ -562,6 +568,15 @@ class TestPretrainShard:
             pretrain_shard((small_bank.reachable_bins()[0], missing), 5, small_bank,
                            specs["hp"], **shard_kwargs(specs))
 
+    @pytest.mark.parametrize("offset", [0.5, 0.0])
+    def test_bins_that_are_not_integers_are_refused(self, specs, small_bank, offset):
+        # pretrain_shard([561.5]) once trained bin 561.
+        b = small_bank.reachable_bins()[0]
+        with pytest.raises(ValueError, match="goal bins must be integers"):
+            pretrain_shard([b + offset], 5, small_bank, specs["hp"], **shard_kwargs(specs))
+        with pytest.raises(ValueError, match="goal bins must be integers"):
+            pretrain_shard([True], 5, small_bank, specs["hp"], **shard_kwargs(specs))
+
     def test_different_seeds_differ(self, specs, small_bank):
         bins = small_bank.reachable_bins()[:3]
         a = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
@@ -669,6 +684,21 @@ class TestLockstepMatchesSequentialEpisodes:
         with pytest.raises(ValueError, match=f"do not fit {n_bins} bins"):
             train_lockstep(small_bank.bins[:n_bins], small_bank.goals[:n_rows], 0,
                            specs["hp"], **shard_kwargs(specs))
+
+    @pytest.mark.parametrize("offset", [0.7, 0.0])
+    def test_bins_that_are_not_integers_are_refused(self, specs, small_bank, offset):
+        # train_lockstep([561.7], ...) once trained bin 561.
+        for bins in ([small_bank.bins[0] + offset], [True]):
+            with pytest.raises(ValueError, match="goal bins must be integers"):
+                train_lockstep(bins, small_bank.goals[:1], 0, specs["hp"],
+                               **shard_kwargs(specs))
+
+    def test_goals_given_as_nested_lists_train_as_arrays(self, specs, small_bank):
+        # Nested lists once passed the checks and then raised AttributeError.
+        bins, goals = small_bank.bins[:2], small_bank.goals[:2]
+        lists = train_lockstep(bins.tolist(), goals.tolist(), 0, specs["hp"],
+                               **shard_kwargs(specs))
+        assert lists == train_lockstep(bins, goals, 0, specs["hp"], **shard_kwargs(specs))
 
     def test_repeated_bins_are_rejected(self, specs, small_bank):
         bins = small_bank.bins[[0, 0]]

@@ -44,6 +44,14 @@ def table_of(entries, action_count=32):
                                action_count=action_count)
 
 
+def assert_rows_in_state_order(q):
+    """The row index numbers its cells 0, 1, 2, ... in C order: rows in state order, none spare."""
+    index = q._index.reshape(-1)
+    cells = index[index >= 0]
+    assert np.array_equal(cells, np.arange(len(cells)))
+    assert len(q._values) == len(q._flags) == len(cells) == q.row_count()
+
+
 def scratch_neighbors(state, radius=1):
     """All states one digit away by up to `radius` steps, via unpack/pack."""
     bins = list(unpack_index(state))
@@ -396,10 +404,10 @@ class TestRowStore:
         assert q.nbytes == 2 * 8 + 2 * N_TIP_STATES * 4 + 3 * 32 * (4 + 2)
         assert QTable(4).nbytes == 0
 
-    def test_updates_grow_past_the_first_capacity(self):
-        # States updated in falling order, across bins: rows are appended out
-        # of state order and the row arrays are regrown several times. Every
-        # backup bootstraps from a state never written, so its value is
+    def test_updates_in_falling_order_insert_rows_in_state_order(self):
+        # States updated in falling order, across bins: every new row goes in
+        # before all the rows held, and a new bin before all the bins held.
+        # Every backup bootstraps from a state never written, so its value is
         # alpha * reward.
         states = [b * N_TIP_STATES + t for b in (900, 40, 3) for t in (1000, 600, 17, 0)] * 9
         states = sorted({s - 3 * i for i, s in enumerate(states)}, reverse=True)
@@ -407,12 +415,25 @@ class TestRowStore:
         q = QTable()
         for i, s in enumerate(states):
             q.update(s, i % 32, i + 0.5, N_STATES - 1, HP)
+            assert_rows_in_state_order(q)
         assert q.row_count() == len(states) and q.nbytes > 0
         built = QTable.from_records(states, [i % 32 for i in range(len(states))],
                                     [FLAG_TRAINED] * len(states),
                                     [HP.alpha * (i + 0.5) for i in range(len(states))])
         assert q == built and q.bins.tolist() == built.bins.tolist()
         assert q.copy() == built and augment(q) == augment(built)
+
+    def test_every_builder_leaves_rows_in_state_order(self, tmp_path):
+        entries = clustered_entries(32, seed=6)
+        q = table_of(entries)
+        save(q, tmp_path / "t.hpnq")
+        other = QTable.from_records([5 * N_TIP_STATES + 3], [1], [FLAG_TRAINED], [2.0])
+        built = [q, load(tmp_path / "t.hpnq"), q.copy(), augment(q), augment(q, radius=3),
+                 QTable.concat([q, other]), QTable.concat([other, q]),
+                 QTable.from_checked_arrays(*stacked([2, 5, 1023])), QTable(), augment(QTable())]
+        for table in built:
+            assert_rows_in_state_order(table)
+        assert built[0].row_count() == len({s for s, _ in entries})
 
     def test_greedy_policy_reads_each_state_row(self):
         entries = clustered_entries(32, seed=4)
@@ -936,7 +957,7 @@ class TestPersistence:
 
 # States for the reference-model test: suffixes spread over goal bins,
 # including both ends of the codec, so operations collide and bootstrap, and
-# so updates add rows past the spare capacity a build or a regrowth leaves.
+# so updates insert rows before, between and after the rows a build leaves.
 MODEL_STATES = [b * N_TIP_STATES + t
                 for b in (0, 1, 3, 200, 511, 1022, 1023) for t in (0, 1, 5, 77, 500, 1022, 1023)]
 MODEL_ACTIONS = (0, 1, 31)
@@ -982,6 +1003,7 @@ class TestReferenceModel:
                 new = np.float32(float(old_value) + hp.alpha * (target - float(old_value)))
                 assert q.update(state, action, x, y, hp) == float(new)
                 model[(state, action)] = (new, old_flags | FLAG_TRAINED)
+            assert_rows_in_state_order(q)
 
         for state in MODEL_STATES:
             for action in range(32):

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hpnarm.config import RunConfig
 from hpnarm.pretrain import build_goal_bank
@@ -87,6 +88,18 @@ def test_step_cost(tmp_path):
         assert int(fields[0]) == lanes and len(fields) == 7, lines
         assert all(float(x) > 0.0 for x in fields[1:]), lines
     assert re.fullmatch(r" *5000  skipped: the bank holds \d+ bins", lines[4]), lines
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--max-steps"])
+def test_step_cost_refuses_a_zero_argument(tmp_path, flag):
+    # --budget 0 once ran at the default budget; --max-steps 0 died in train_lockstep.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "step_cost.py"), flag, "0", "--calls", "1"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=600,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "--max-steps and --budget must be >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_bulk_cost(tmp_path):
