@@ -40,6 +40,8 @@ def main() -> int:
     ap.add_argument("--plant", choices=["nominal", "perturbed", "both"], default="both")
     ap.add_argument("--threshold-mm", type=float, default=30.0)
     args = ap.parse_args()
+    if args.quota < 1 or args.goals < 1 or args.budget is not None and args.budget < 1:
+        ap.error("--quota, --goals and --budget must be >= 1")
 
     cfg = RunConfig()
     params = cfg.arm

@@ -75,12 +75,14 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("--a-gain", type=float, default=None)
     args = ap.parse_args()
+    quotas = [int(q) for q in args.quotas.split(",")]
+    if args.budget < 1 or args.seeds < 1 or min(quotas) < 1:
+        ap.error("--budget, --seeds and every quota must be >= 1")
 
     params = ArmParams()
     if args.a_gain is not None:
         params = dataclasses.replace(params, a_gain=args.a_gain)
     binning = BinningSpec()
-    quotas = [int(q) for q in args.quotas.split(",")]
 
     print(f"arm: a_gain={params.a_gain}, budget={args.budget}, seeds={args.seeds}")
     header = "seed  " + "".join(f"q>={q:<8}last@{q:<10}" for q in quotas) + "top-10 bin mass"

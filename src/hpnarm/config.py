@@ -61,22 +61,13 @@ class PretrainConfig:
     allow_large_run: bool = False
 
     def __post_init__(self):
-        check_integers(quota=self.quota, seed=self.seed, max_steps=self.max_steps,
+        check_integers(1, quota=self.quota, max_steps=self.max_steps,
                        augment_radius=self.augment_radius)
+        check_integers(0, seed=self.seed)
+        if self.budget is not None:
+            check_integers(1, budget=self.budget)
         if not isinstance(self.allow_large_run, bool):
             raise ValueError(f"allow_large_run must be a boolean, not {self.allow_large_run!r}")
-        if self.quota < 1:
-            raise ValueError("quota must be >= 1")
-        if self.budget is not None:
-            check_integers(budget=self.budget)
-            if self.budget < 1:
-                raise ValueError("budget must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.augment_radius < 1:
-            raise ValueError("augment_radius must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,13 +78,8 @@ class EvalConfig:
     goals: tuple[GoalSpec, ...] | None = None  # None selects the default suite
 
     def __post_init__(self):
-        check_integers(repetitions=self.repetitions, max_steps=self.max_steps, seed=self.seed)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_integers(1, repetitions=self.repetitions, max_steps=self.max_steps)
+        check_integers(0, seed=self.seed)
         if self.goals is not None and len(self.goals) == 0:
             raise ValueError("goal list, when given, must not be empty")
 

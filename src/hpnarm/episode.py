@@ -50,12 +50,11 @@ from .qtable import (
     ActionSpec,
     HyperParams,
     QTable,
-    _integers,
+    _goal_bin_ids,
     check_integers,
     select_action,
 )
 from .state import (
-    N_GOAL_BINS,
     N_TIP_STATES,
     BinningSpec,
     GoalPose,
@@ -292,8 +291,7 @@ def run_episode(
     after every action; otherwise actions are greedy and the table is left
     untouched.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    check_integers(1, max_steps=max_steps)
     plant.reset()
     pressures = np.full((4, 4), params.p_max_kpa / 2.0)
     pose = plant.apply(pressures)
@@ -599,16 +597,13 @@ def train_lockstep(
     step takes a lane's drawn action where there is one and its row's argmax
     elsewhere, the choice select_action makes. ``seed`` and ``max_steps``
     must be integers, ``max_steps`` >= 1, and ``bins`` integers (bool
-    refused), else ValueError before any step.
+    refused), strictly increasing and inside [0, N_GOAL_BINS), else
+    ValueError before any step.
     """
-    check_integers(seed=seed, max_steps=max_steps)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    bins = _integers("goal bins", bins).astype(np.int64).tolist()
+    check_integers(seed=seed)
+    check_integers(1, max_steps=max_steps)
+    bins = _goal_bin_ids(bins).tolist()
     goals = np.asarray(goals, dtype=float)
-    in_range = not bins or 0 <= bins[0] and bins[-1] < N_GOAL_BINS
-    if not in_range or any(a >= b for a, b in zip(bins, bins[1:])):
-        raise ValueError(f"goal bins must be strictly increasing in [0, {N_GOAL_BINS})")
     check_goal_bins(bins, goals, rest_tip_origin(params.l0_mm), binning)
     n_actions = action_spec.action_count
     values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
@@ -714,13 +709,9 @@ def greedy_lockstep(
     ``repetitions`` and ``max_steps`` must be integers >= 1, else ValueError
     before any step.
     """
-    check_integers(repetitions=repetitions, max_steps=max_steps)
+    check_integers(1, repetitions=repetitions, max_steps=max_steps)
     if not len(goals):
         raise ValueError("need at least one goal")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if table.action_count != action_spec.action_count:
         raise ValueError(f"table has {table.action_count} actions, "
                          f"the action spec {action_spec.action_count}")

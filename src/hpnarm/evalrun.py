@@ -36,9 +36,7 @@ def sample_goals(params: ArmParams, n: int, rng: np.random.Generator) -> list[Go
 
     ``n`` must be an integer >= 1 (int or numpy integer, not bool), else ValueError.
     """
-    check_integers(n=n)
-    if n < 1:
-        raise ValueError("need n >= 1 goals")
+    check_integers(1, n=n)
     pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
     positions, directions = tip_batch(pressures, params)
     return [
@@ -198,9 +196,7 @@ def evaluate(
     keyword stays only because the benchmark harness (perfbench/layers.py)
     still passes it.
     """
-    check_integers(seed=seed)
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    check_integers(0, seed=seed)
     if plant_kind not in ("nominal", "perturbed"):
         raise ValueError(f"unknown plant kind {plant_kind!r}")
     if table is None:

@@ -32,7 +32,8 @@ import numpy as np
 
 from .episode import RewardSpec, train_lockstep
 from .kinematics import ArmParams, tip_batch
-from .qtable import ActionSpec, HyperParams, QTable, _integers, augment, check_integers, save
+from .qtable import (ActionSpec, HyperParams, QTable, _goal_bin_ids, _integers, augment,
+                     check_integers, save)
 from .state import (
     N_GOAL_BINS,
     BinningSpec,
@@ -88,9 +89,10 @@ class MergeConflictError(ValueError):
 class GoalBank:
     """Per-bin training goals: `quota` goals in every reachable bin, none elsewhere.
 
-    ``bins`` (m,) holds the reachable goal bins, strictly increasing;
-    ``goals`` (m, quota, 6) holds each bin's goals in draw order, as float64
-    rows of position (mm) then unit direction. Both are read-only copies.
+    ``bins`` (m,) holds the reachable goal bins, strictly increasing in
+    [0, N_GOAL_BINS); ``goals`` (m, quota >= 1, 6) holds each bin's goals in
+    draw order, as float64 rows of position (mm) then unit direction. Both
+    are read-only copies; ``samples_used`` is an integer >= 0.
     """
 
     bins: np.ndarray
@@ -98,20 +100,12 @@ class GoalBank:
     samples_used: int
 
     def __post_init__(self):
-        bins = _integers("goal bins", self.bins).astype(np.int64).reshape(-1)
+        bins = _goal_bin_ids(self.bins)
         goals = np.array(self.goals, dtype=np.float64)
         if goals.ndim != 3 or goals.shape[0] != len(bins) or goals.shape[2] != _GOAL_ROW:
             raise ValueError(f"goals of shape {goals.shape} do not fit {len(bins)} bins")
-        if goals.shape[1] < 1:
-            raise ValueError("quota must be >= 1")
-        check_integers(samples_used=self.samples_used)
-        if self.samples_used < 0:
-            raise ValueError("samples_used must be >= 0")
-        outside = bins[(bins < 0) | (bins >= N_GOAL_BINS)]
-        if len(outside):
-            raise ValueError(f"goal bin {outside[0]} out of range")
-        if (np.diff(bins) <= 0).any():
-            raise ValueError("goal bins are not strictly increasing")
+        check_integers(1, quota=goals.shape[1])
+        check_integers(0, samples_used=self.samples_used)
         for name, a in (("bins", bins), ("goals", goals)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -211,10 +205,7 @@ def build_goal_bank(
     state `rng` is left in are therefore byte-identical to one thread doing
     it all.
     """
-    if quota < 1:
-        raise ValueError("quota must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    check_integers(1, quota=quota, budget=budget)
 
     needed = np.full(N_GOAL_BINS, quota, dtype=np.int64)
     stash = np.empty((N_GOAL_BINS, quota, _GOAL_ROW))
@@ -403,31 +394,24 @@ def pretrain(
     Runs in the calling process. `workers` only accepts 1: callers written
     for the removed process pool still pass it. Arguments are checked before
     any sampling starts: workers, quota, seed, budget, max_steps and
-    augment_radius must be integers (int or numpy integer, not bool). `budget` defaults to
+    augment_radius must be integers (int or numpy integer, not bool), workers
+    1, seed in [0, 2**64) and the others >= 1. `budget` defaults to
     default_sample_budget(quota). When `bank_path` is given, a matching
     cached goal bank is reused and a fresh one is written there after
     sampling. Saves the augmented table to `out_path` if set.
     """
-    check_integers(workers=workers, quota=quota, seed=seed, max_steps=max_steps,
-                   augment_radius=augment_radius)
+    check_integers(workers=workers, seed=seed)
     if workers != 1:
         raise ValueError(
             f"workers={workers}: the process pool is gone, pretraining runs in "
             "one process and workers must be 1"
         )
-    if quota < 1:
-        raise ValueError("quota must be >= 1")
+    check_integers(1, quota=quota, max_steps=max_steps, augment_radius=augment_radius)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be in [0, 2**64), the range of the goal bank header")
     if budget is None:
         budget = default_sample_budget(quota)
-    check_integers(budget=budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if augment_radius < 1:
-        raise ValueError("augment_radius must be >= 1")
+    check_integers(1, budget=budget)
     planned = quota * N_GOAL_BINS
     if planned > LARGE_RUN_GOAL_LIMIT and not allow_large_run:
         raise ValueError(

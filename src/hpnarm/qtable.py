@@ -59,11 +59,13 @@ class ChecksumError(QTableIOError):
     """Stored CRC32 does not match the file contents."""
 
 
-def check_integers(**values) -> None:
-    """ValueError unless each value is an int or a numpy integer; bool is refused."""
+def check_integers(low: int | None = None, /, **values) -> None:
+    """ValueError unless each value is an int or numpy integer (bool refused), >= low if given."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ class QTable:
     """
 
     def __init__(self, action_count: int = N_ACTIONS):
-        if action_count <= 0 or action_count > 0xFFFF:
+        check_integers(1, action_count=action_count)
+        if action_count > 0xFFFF:
             raise ValueError(f"action_count must be in [1, 65535], got {action_count}")
         self.action_count = int(action_count)
         self.bins = np.empty(0, dtype=np.int64)
@@ -405,8 +408,9 @@ class QTable:
 
         The four arrays must be 1-D and of one length, with integer states,
         actions and flag words, values float32 holds finitely and no (state,
-        action) pair twice, else ValueError.
+        action) pair twice, and an integer action_count >= 1, else ValueError.
         """
+        check_integers(1, action_count=action_count)
         states = _integers("states", states).astype(np.int64)
         actions = _integers("actions", actions).astype(np.int64)
         flags = _integers("flag words", flags)
@@ -501,6 +505,17 @@ def _integers(name: str, words) -> np.ndarray:
     return words
 
 
+def _goal_bin_ids(bins) -> np.ndarray:
+    """Goal bins as int64; ValueError unless integers, strictly increasing, in [0, N_GOAL_BINS)."""
+    bins = _integers("goal bins", bins).astype(np.int64).reshape(-1)
+    outside = bins[(bins < 0) | (bins >= N_GOAL_BINS)]
+    if len(outside):
+        raise ValueError(f"goal bin {outside[0]} out of range [0, {N_GOAL_BINS})")
+    if (np.diff(bins) <= 0).any():
+        raise ValueError("goal bins must be strictly increasing")
+    return bins
+
+
 def _undefined_flags(flags) -> bool:
     """Whether any flag word sets a bit other than FLAG_TRAINED and FLAG_AUGMENTED.
 
@@ -539,9 +554,7 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     reads only the input table, so filled values never feed each other.
     Returns a new table; ``radius`` must be an integer >= 1, else ValueError.
     """
-    check_integers(radius=radius)
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    check_integers(1, radius=radius)
     ac = q.action_count
     states, held_values, held_flags = q._held_rows()
     keys, means = _neighbor_means(ac, states, held_values, held_flags, radius)

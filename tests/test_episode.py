@@ -363,6 +363,7 @@ class TestLockstepInputs:
                      id="repetitions-bool"),
         pytest.param({"max_steps": 2.5}, "max_steps must be an integer", id="max-steps-2.5"),
         pytest.param({"max_steps": 0}, "max_steps must be >= 1", id="max-steps-0"),
+        pytest.param({"max_steps": True}, "max_steps must be an integer", id="max-steps-bool"),
     ])
     def test_greedy_refuses_bad_counts(self, specs, goal, counts, match):
         with pytest.raises(ValueError, match=match):
@@ -380,6 +381,8 @@ class TestLockstepInputs:
                      id="max-steps-float64"),
         pytest.param({"max_steps": True}, "max_steps must be an integer", id="max-steps-bool"),
         pytest.param({"seed": 1.5}, "seed must be an integer", id="seed-1.5"),
+        pytest.param({"seed": True}, "seed must be an integer", id="seed-bool"),
+        pytest.param({"max_steps": 0}, "max_steps must be >= 1", id="max-steps-0"),
     ])
     def test_train_refuses_bad_counts(self, setup, specs, goal, counts, match):
         goal_bin = StateEncoder(goal, rest_tip_origin(setup["params"].l0_mm),

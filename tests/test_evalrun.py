@@ -62,7 +62,7 @@ class TestSampleGoals:
             assert np.array_equal(ga.position, gb.position)
 
     def test_rejects_zero(self, specs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             sample_goals(specs["params"], 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [True, 2.0, 1.5])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hpnarm import ArmParams, BinningSpec, GoalPose, qtable, rest_tip_origin
-from hpnarm.config import RunConfig
+from hpnarm.config import EvalConfig, PretrainConfig, RunConfig
 from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
 from hpnarm.evalrun import evaluate, sample_goals
 from hpnarm.pretrain import (
@@ -200,14 +200,22 @@ class TestBuildGoalBank:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("kwargs", [{"quota": 0}, {"budget": 0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"quota": 0}, {"budget": 0},
+        # budget=True once drew one sample and then blamed samples_used; the
+        # floats raised numpy's TypeError.
+        {"quota": 1.5}, {"quota": True}, {"budget": True}, {"budget": 20_000.0},
+        {"budget": 1.5},
+    ])
     def test_bad_arguments_rejected(self, specs, kwargs):
         full = {"quota": 1, "budget": 100, **kwargs}
-        with pytest.raises(ValueError):
+        rng, untouched = bank_rng(0), bank_rng(0)
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be "):
             build_goal_bank(
-                specs["params"], full["quota"], full["budget"], bank_rng(0),
+                specs["params"], full["quota"], full["budget"], rng,
                 binning=specs["binning"],
             )
+        assert rng.bit_generator.state == untouched.bit_generator.state
 
     def test_reachable_bin_count_regression(self, specs):
         bank = build_goal_bank(
@@ -415,6 +423,48 @@ class TestGoalBankValidation:
 _UP = [0.0, 0.0, 700.0, 0.0, 0.0, 1.0]
 _BANK_SETUP = dict(seed=5, quota=2, budget=60_000)
 _DEFAULT_FINGERPRINT = config_fingerprint(ArmParams(), BinningSpec())
+
+
+def _episode(max_steps):
+    params, goal = ArmParams(), GoalPose(np.array([0.0, 0.0, 300.0]), np.array([0.0, 0.0, 1.0]))
+    return run_episode(NominalPlant(params), goal, QTable(), HyperParams(), params=params,
+                       action_spec=ActionSpec(), reward_spec=RewardSpec(),
+                       binning=BinningSpec(), max_steps=max_steps,
+                       rng=np.random.default_rng(0))
+
+
+# Count arguments that no parametrized test of their own entry point covers, as
+# (argument, its lower bound, a call passing the value). Each shares the count
+# rule of qtable.check_integers; pretrain, build_goal_bank, the lockstep engines,
+# evaluate, sample_goals, augment and GoalBank have their cases in their own tests.
+COUNT_ARGUMENTS = {
+    "PretrainConfig.quota": ("quota", 1, lambda v: PretrainConfig(quota=v)),
+    "PretrainConfig.budget": ("budget", 1, lambda v: PretrainConfig(budget=v)),
+    "PretrainConfig.seed": ("seed", 0, lambda v: PretrainConfig(seed=v)),
+    "PretrainConfig.max_steps": ("max_steps", 1, lambda v: PretrainConfig(max_steps=v)),
+    "PretrainConfig.augment_radius": ("augment_radius", 1,
+                                      lambda v: PretrainConfig(augment_radius=v)),
+    "EvalConfig.repetitions": ("repetitions", 1, lambda v: EvalConfig(repetitions=v)),
+    "EvalConfig.max_steps": ("max_steps", 1, lambda v: EvalConfig(max_steps=v)),
+    "EvalConfig.seed": ("seed", 0, lambda v: EvalConfig(seed=v)),
+    # max_steps=True once ran a one-step episode.
+    "run_episode.max_steps": ("max_steps", 1, _episode),
+    # QTable(True) and QTable(2.5) raised numpy's TypeError, and from_records
+    # with action_count=2.5 passed its checks and then raised UFuncTypeError.
+    "QTable.action_count": ("action_count", 1, QTable),
+    "QTable.from_records.action_count": (
+        "action_count", 1, lambda v: QTable.from_records([], [], [], [], action_count=v)),
+}
+
+
+@pytest.mark.parametrize("bad", ["float", "bool", "below"])
+@pytest.mark.parametrize("where", COUNT_ARGUMENTS)
+def test_count_arguments_refuse_floats_bools_and_values_below_their_bound(where, bad):
+    name, low, call = COUNT_ARGUMENTS[where]
+    value, words = {"float": (1.5, "an integer"), "bool": (True, "an integer"),
+                    "below": (low - 1, f">= {low}")}[bad]
+    with pytest.raises(ValueError, match=f"^{name} must be {words}"):
+        call(value)
 
 
 def write_bank(path, bins, rows):
@@ -733,9 +783,13 @@ class TestLockstepMatchesSequentialEpisodes:
         def refuse(*args, **kwargs):
             raise AssertionError("train_lockstep checked its table again")
 
+        def integers(name, words):  # the goal bins' own check, not a table check
+            return refuse() if name != "goal bins" else checked(name, words)
+
         # from_records and load run these checks, and from_checked_arrays none.
-        for name in ("_integers", "_undefined_flags"):
-            monkeypatch.setattr(qtable, name, refuse)
+        checked = qtable._integers
+        monkeypatch.setattr(qtable, "_integers", integers)
+        monkeypatch.setattr(qtable, "_undefined_flags", refuse)
         monkeypatch.setattr(QTable, "from_records", refuse)
         bins, goals = small_bank.bins[:3], small_bank.goals[:3]
         table = train_lockstep(bins, goals, 0, specs["hp"], **shard_kwargs(specs))
@@ -912,7 +966,8 @@ class TestPretrainPipeline:
          {"augment_radius": 0}, {"workers": 2}, {"budget": 0}, {"seed": 2**64},
          {"augment_radius": 1.5}, {"max_steps": 20.5}, {"quota": True}, {"seed": 0.5},
          {"budget": 20_000.5}, {"max_steps": np.float64(20)}, {"workers": True},
-         {"workers": 1.0}],
+         {"workers": 1.0}, {"quota": 1.5}, {"seed": True}, {"budget": True},
+         {"max_steps": True}, {"augment_radius": True}],
     )
     def test_invalid_arguments_rejected(self, specs, kwargs, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -921,7 +976,7 @@ class TestPretrainPipeline:
         monkeypatch.setattr(pretrain_module, "build_goal_bank", no_sampling)
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
         full = {"quota": 1, "seed": 0, **kwargs}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             pretrain(*args, **full)
 
     def test_numpy_integer_arguments_pass_the_checks(self, specs, monkeypatch):

@@ -572,7 +572,7 @@ class TestAugment:
         q = table_of({(src, 1): (8.0, FLAG_TRAINED)})
         assert augment(q, radius=1).get(two_away, 1) == 0.0
         assert augment(q, radius=2).get(two_away, 1) == 8.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
             augment(q, radius=0)
 
     @pytest.mark.parametrize("radius", [True, 2.0, 1.5])

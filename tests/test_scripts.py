@@ -102,6 +102,37 @@ def test_step_cost_refuses_a_zero_argument(tmp_path, flag):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+# Per script: small counts that keep a run which is not refused short, and the error.
+SMALL_COUNTS = {
+    "reachability_survey.py": (["--budget", "1000", "--seeds", "1"],
+                               "--budget, --seeds and every quota must be >= 1"),
+    "compare_pretraining.py": (["--quota", "1", "--goals", "1", "--budget", "20000",
+                                "--plant", "nominal"],
+                               "--quota, --goals and --budget must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    # --budget 0 printed nan% and exited 0; quotas 0 and -2 reported every bin
+    # full; --seeds 0 printed a header and nothing else.
+    ("reachability_survey.py", "--budget", "0"),
+    ("reachability_survey.py", "--seeds", "0"),
+    ("reachability_survey.py", "--quotas", "0"),
+    ("reachability_survey.py", "--quotas", "1,-2"),
+    # --goals 0 and --quota 0 each ran the pretrain and then died with a traceback.
+    ("compare_pretraining.py", "--goals", "0"),
+    ("compare_pretraining.py", "--quota", "0"),
+    ("compare_pretraining.py", "--budget", "0"),
+], ids=lambda v: v.removesuffix(".py"))
+def test_scripts_refuse_counts_below_one(tmp_path, name, flag, value):
+    small, message = SMALL_COUNTS[name]
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *small, flag, value],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=600)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_bulk_cost(tmp_path):
     lines = run_script("bulk_cost.py", "--seed", "1", "--calls", "1", cwd=tmp_path)
     assert re.fullmatch(r"seed 1: default table of [1-9]\d* rows in [1-9]\d* goal bins, "
