@@ -42,6 +42,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.quota < 1 or args.goals < 1 or args.budget is not None and args.budget < 1:
         ap.error("--quota, --goals and --budget must be >= 1")
+    if not 0 <= args.seed < 2**64:
+        ap.error("--seed must be in [0, 2**64)")
 
     cfg = RunConfig()
     params = cfg.arm

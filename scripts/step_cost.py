@@ -3,11 +3,15 @@
 Builds the goal bank pretrain() draws for --seed (its stream
 SeedSequence((seed, 1)), at quota --rounds), then times train_lockstep on the
 first L reachable bins (one lane per bin, --rounds goals each) and
-greedy_lockstep on the first goal of each of those bins (nominal plant, one
-repetition, one lane per goal, reading a table trained on the whole bank).
-Each timed call is divided by the number of lockstep steps it runs, counted
-once beforehand; a step advances every running lane by one action. Prints the
-quartiles over --calls calls for each lane count.
+greedy_lockstep on the first goal of each of those bins (one repetition, one
+lane per goal, reading a table trained on the whole bank), on the nominal plant
+and on the default perturbed plant (RunConfig's, keyed by --seed), which draws
+observation noise. Each timed call is divided by the number of lockstep steps
+it runs, counted once beforehand; a step advances every running lane by one
+action. Prints the quartiles over --calls calls for each lane count, and for
+greedy_lockstep the steps per call: a nominal lane stops at its first return
+to an arm configuration, so its calls run fewer steps than --max-steps, while
+a lane on the noisy plant runs until success or the step limit.
 
 Example:
     python3 scripts/step_cost.py --seed 1 --calls 15
@@ -47,15 +51,16 @@ def count_steps(run) -> int:
     return steps
 
 
-def step_quartiles(run, calls: int) -> list[float]:
-    """Quartiles of µs per step over ``calls`` timed calls of ``run``."""
+def step_quartiles(run, calls: int) -> tuple[list[float], int]:
+    """Quartiles of µs per step over ``calls`` timed calls of ``run``, and its steps per call."""
     steps = count_steps(run)
     costs = []
     for _ in range(calls):
         t0 = time.perf_counter()
         run()
         costs.append((time.perf_counter() - t0) / steps * 1e6)
-    return statistics.quantiles(costs, n=4, method="inclusive") if calls > 1 else costs * 3
+    quartiles = statistics.quantiles(costs, n=4, method="inclusive") if calls > 1 else costs * 3
+    return quartiles, steps
 
 
 def main() -> int:
@@ -73,6 +78,8 @@ def main() -> int:
         ap.error("--calls, --rounds and every lane count must be >= 1")
     if args.max_steps < 1 or args.budget is not None and args.budget < 1:
         ap.error("--max-steps and --budget must be >= 1")
+    if not 0 <= args.seed < 2**64:
+        ap.error("--seed must be in [0, 2**64)")
 
     cfg = RunConfig()
     specs = dict(params=cfg.arm, action_spec=cfg.action, reward_spec=cfg.reward,
@@ -83,20 +90,26 @@ def main() -> int:
     table = episode.train_lockstep(bank.bins, bank.goals, args.seed, cfg.hyper, **specs)
     print(f"seed {args.seed}: {len(bank.bins)} reachable bins, {args.rounds} goals per bin, "
           f"{args.calls} calls per cell")
-    print("lanes  train_lockstep us/step (q1 median q3)  greedy_lockstep us/step (q1 median q3)")
+    plant = episode.PerturbedPlant(cfg.arm, cfg.perturbed, seed=args.seed)
+    print("lanes  train_lockstep us/step (q1 median q3)  "
+          "greedy_lockstep nominal us/step (q1 median q3) steps  "
+          "greedy_lockstep perturbed us/step (q1 median q3) steps")
     for n in lane_counts:
         if n > len(bank.bins):
             print(f"{n:>5}  skipped: the bank holds {len(bank.bins)} bins")
             continue
         bins, goals = bank.bins[:n], bank.goals[:n, :args.rounds]
         poses = [GoalPose(position=g[:3], direction=g[3:]) for g in bank.goals[:n, 0]]
-        train = step_quartiles(
+        train, _ = step_quartiles(
             lambda: episode.train_lockstep(bins, goals, args.seed, cfg.hyper, **specs),
             args.calls)
-        greedy = step_quartiles(
-            lambda: episode.greedy_lockstep(table, poses, repetitions=1, **specs), args.calls)
-        print(f"{n:>5}  " + " ".join(f"{x:7.1f}" for x in train)
-              + "                  " + " ".join(f"{x:7.1f}" for x in greedy))
+        greedy = [
+            step_quartiles(lambda: episode.greedy_lockstep(table, poses, repetitions=1,
+                                                           plant=p, **specs), args.calls)
+            for p in (None, plant)
+        ]
+        print(f"{n:>5}  " + " ".join(f"{x:7.1f}" for x in train) + "".join(
+            "       " + " ".join(f"{x:7.1f}" for x in q) + f" {steps:5d}" for q, steps in greedy))
     return 0
 
 

@@ -667,16 +667,34 @@ def train_lockstep(
 class GreedyRuns:
     """Outcome of greedy_lockstep, indexed [goal, repetition] and, for series, step.
 
-    Series are padded to max_steps + 1 by holding an episode's last value.
-    ``selections[goal]`` counts the goal's action selections, over all its
-    repetitions, made on rows holding a trained entry, rows holding only
-    augmented entries, and empty rows (no flag set), in that order.
+    Series are padded to max_steps + 1 by holding an episode's last value,
+    or, past a lock, by repeating its cycle. ``selections[goal]`` counts the
+    goal's action selections, over all its repetitions, made on rows holding
+    a trained entry, rows holding only augmented entries, and empty rows (no
+    flag set), in that order. ``lock_step[goal]`` is the step at which the
+    goal's episode first returned to an arm configuration it held before,
+    and ``lock_period[goal]`` the steps since it held that configuration;
+    both are -1 where the episode never returned, or the plant draws noise.
     """
 
     pos: np.ndarray          # (goals, repetitions, max_steps + 1)
     rot: np.ndarray
     success: np.ndarray      # (goals, repetitions)
     selections: np.ndarray   # (goals, 3)
+    lock_step: np.ndarray    # (goals,)
+    lock_period: np.ndarray
+
+
+def _arm_configuration(lanes: _Lanes) -> np.ndarray:
+    """(lanes, k) array that is equal for two lanes exactly when their arm configurations are.
+
+    On the lattice it is the four segment codes (at most
+    LATTICE_MAX_PRESSURES**4 = 65,536 states, so uint16 holds them); past it,
+    the bits of the 16 chamber pressures.
+    """
+    if lanes.lattice is None:
+        return lanes.pressures.reshape(len(lanes), -1).view(np.int64)
+    return lanes.codes.astype(np.uint16)
 
 
 def greedy_lockstep(
@@ -695,10 +713,22 @@ def greedy_lockstep(
 
     Repetition rep of goal_i is the episode run_episode(train=False) would
     run on NominalPlant(params) (plant None) or on PerturbedPlant(params,
-    plant.cfg, plant.seed, (goal_i, rep)), bit for bit. On a perturbed plant
-    each repetition is a lane of its own. The nominal plant is deterministic
-    and greedy selection draws nothing, so there all repetitions of a goal
-    are the same episode: it runs once, as one lane, and is copied.
+    plant.cfg, plant.seed, (goal_i, rep)), bit for bit. On a plant that
+    draws observation noise each repetition is a lane of its own. The
+    nominal plant, and a perturbed plant with tip_noise_sigma_mm 0, are
+    deterministic and greedy selection draws nothing, so there all
+    repetitions of a goal are the same episode: it runs once, as one lane,
+    and is copied.
+
+    Such a noise-free lane's next arm configuration is a function of its
+    current one, so once it returns at step t to a configuration it first
+    held at step t0, it repeats steps t0 .. t - 1 with period p = t - t0 to
+    the step limit, without reaching success (those poses were scored
+    already). It stops stepping there: its series and its selection counts
+    are filled in by continuing that cycle, and the goal's lock_step and
+    lock_period record t and p. The configuration is the lane's four
+    segment codes on the lattice and its 16 pressures past it.
+
     Greedy selection takes the argmax of the lane's row, ties to the lowest
     action id. Each distinct goal bin's actions and row kinds are read once
     (QTable.greedy_policy); a state without a row reads zero and counts as
@@ -723,11 +753,7 @@ def greedy_lockstep(
     # ones, 2 is empty.
     used, goal_slot = np.unique(goal_bins, return_inverse=True)
     policy, kind = table.greedy_policy(used)
-    copies = repetitions if plant is None else 1
-    lane_reps = repetitions // copies  # lanes per goal
-    lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id
 
-    n = len(goals) * lane_reps
     length = max_steps + 1
     fk_params, droop_gain, noise = params, None, None
     if plant is not None:
@@ -738,6 +764,10 @@ def greedy_lockstep(
                 noise_generator(plant.seed, (g, rep)).normal(0.0, sigma, (length, 3))
                 for g in range(len(goals)) for rep in range(repetitions)
             ])
+    copies = repetitions if noise is None else 1
+    lane_reps = repetitions // copies  # lanes per goal
+    lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id
+    n = len(goals) * lane_reps
     lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
                    repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
 
@@ -745,8 +775,16 @@ def greedy_lockstep(
     rot = np.empty((n, length))
     success = np.zeros(n, dtype=bool)
     selections = np.zeros((n, 3), dtype=np.int64)
+    lock_step = np.full(n, -1)
+    lock_period = np.full(n, -1)
     pos[:, 0], rot[:, 0] = lanes.pos, lanes.rot
-    done = reward_spec.is_success(lanes.pos, lanes.rot)
+    done = stop = reward_spec.is_success(lanes.pos, lanes.rot)
+    if noise is None:
+        # Each lane's configuration and selected row kind at every step so far.
+        config = _arm_configuration(lanes)
+        held = np.empty((n, length, config.shape[1]), dtype=config.dtype)
+        held[:, 0] = config
+        kinds = np.empty((n, max_steps), dtype=np.int8)
     for step in range(1, length):
         if done.any():
             finished = lanes.ids[done]
@@ -754,14 +792,39 @@ def greedy_lockstep(
             # A finished episode holds its last value to the end of the series.
             pos[finished, step:] = pos[finished, step - 1, None]
             rot[finished, step:] = rot[finished, step - 1, None]
-            lanes.keep(~done)
+        if stop.any():
+            lanes.keep(~stop)
         if len(lanes) == 0:
             break
-        at = lane_slot[lanes.ids], lanes.state
-        selections[lanes.ids, kind[at]] += 1
+        ids = lanes.ids
+        at = lane_slot[ids], lanes.state
+        row_kind = kind[at]
+        selections[ids, row_kind] += 1
         lanes.step(policy[at])
-        pos[lanes.ids, step], rot[lanes.ids, step] = lanes.pos, lanes.rot
-        done = reward_spec.is_success(lanes.pos, lanes.rot)
+        pos[ids, step], rot[ids, step] = lanes.pos, lanes.rot
+        done = stop = reward_spec.is_success(lanes.pos, lanes.rot)
+        if noise is None:
+            kinds[ids, step - 1] = row_kind
+            config = _arm_configuration(lanes)
+            seen = (held[ids, :step] == config[:, None]).all(axis=2)
+            held[ids, step] = config
+            locked = seen.any(axis=1)
+            if locked.any():
+                # Continue each locked lane's cycle: step s repeats step
+                # t0 + (s - t0) % p, for its series from the next step on and
+                # for its selections from this step's state on.
+                lane, t0 = ids[locked], seen[locked].argmax(axis=1)
+                period = step - t0
+                lock_step[lane], lock_period[lane] = step, period
+                t0, period = t0[:, None], period[:, None]
+                later = np.arange(step + 1, length)
+                src = t0 + (later - t0) % period
+                pos[lane[:, None], later] = pos[lane[:, None], src]
+                rot[lane[:, None], later] = rot[lane[:, None], src]
+                src = t0 + (np.arange(step, max_steps) - t0) % period
+                repeated = kinds[lane[:, None], src]
+                selections[lane] += (repeated[:, :, None] == np.arange(3)).sum(axis=1)
+                stop = done | locked
     else:  # the lanes still running ended at the step limit
         success[lanes.ids[done]] = True
 
@@ -771,4 +834,6 @@ def greedy_lockstep(
         rot=np.repeat(rot.reshape(shape + (length,)), copies, axis=1),
         success=np.repeat(success.reshape(shape), copies, axis=1),
         selections=selections.reshape(shape + (3,)).sum(axis=1) * copies,
+        lock_step=lock_step.reshape(shape)[:, 0],
+        lock_period=lock_period.reshape(shape)[:, 0],
     )

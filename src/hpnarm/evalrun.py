@@ -2,11 +2,14 @@
 
 Each goal is attempted `repetitions` times with exploration off and the table
 frozen, as lanes of one episode.greedy_lockstep call: one lane per (goal,
-repetition) on the perturbed plant, one per goal on the deterministic nominal
-plant, whose repetitions are identical.
+repetition) on a perturbed plant that draws observation noise, one per goal on
+the deterministic nominal plant (or a noise-free perturbed one), whose
+repetitions are identical and which stops at its first return to an arm
+configuration.
 Error curves are padded to a common length by holding the final value so
-early successes still average cleanly, then written as per-goal CSVs plus one
-aggregate CSV (mean curve over all goals).
+early successes still average cleanly (a locked episode's curve continues its
+cycle), then written as per-goal CSVs plus one aggregate CSV (mean curve over
+all goals).
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ class GoalResult:
     chose its actions, summed over the repetitions: a row holding a trained
     entry, a row holding only augmented entries, or an empty row, where the
     all-zero tie-break always picks action 0.
+
+    ``lock_step`` is the step at which the goal's episode first returned to
+    an arm configuration it held ``lock_period`` steps before; from there it
+    repeats that cycle to the step limit. A period of 1 is an action that
+    pushes a chamber against its bound and so changes nothing; a period of 2
+    moves one chamber up and back down. Both are None where the episode
+    never returned, or the plant draws noise, so that no such lock is known.
     """
 
     goal: GoalPose
@@ -64,6 +74,8 @@ class GoalResult:
     trained_selections: int = 0
     augmented_selections: int = 0
     empty_selections: int = 0
+    lock_step: int | None = None
+    lock_period: int | None = None
 
     def start_pos_mm(self) -> float:
         """Positional error at step 0, averaged over repetitions: the hold-still baseline."""
@@ -151,6 +163,12 @@ class EvalReport:
             trained, augmented, empty = (100.0 * c / total for c in counts)
             lines.append(f"rows selected on: {trained:.1f}% trained, {augmented:.1f}% "
                          f"augmented only, {empty:.1f}% empty (of {total} selections)")
+        locks = [(r.lock_step, r.lock_period) for r in self.results if r.lock_step is not None]
+        if locks:
+            periods = [p for _, p in locks]
+            lines.append(f"{len(locks)} of {len(self.results)} goals lock by step "
+                         f"{max(t for t, _ in locks)}: {periods.count(1)} on a saturated "
+                         f"action (period 1), {periods.count(2)} oscillating (period 2)")
         steps = self.mean_steps_to(threshold_mm)
         if steps is not None:
             lines.append(
@@ -181,7 +199,10 @@ def evaluate(
     Episodes run greedily with learning off, as lanes of one
     episode.greedy_lockstep call; the table is never written, and it must
     have the action spec's action count (ValueError before any step
-    otherwise). On the perturbed plant the gain scales come from one seed,
+    otherwise). Where the plant draws no noise, an episode stops at its
+    first return to an arm configuration and its curve continues that
+    cycle, as run_episode's would; each GoalResult records the lock. On
+    the perturbed plant the gain scales come from one seed,
     derived from ``seed``, for the whole run, and each (goal, repetition)
     episode draws observation noise from its own stream, keyed by that seed,
     the goal index and the repetition: repetitions differ, and a goal's
@@ -224,6 +245,8 @@ def evaluate(
             trained_selections=int(runs.selections[i, 0]),
             augmented_selections=int(runs.selections[i, 1]),
             empty_selections=int(runs.selections[i, 2]),
+            lock_step=None if runs.lock_step[i] < 0 else int(runs.lock_step[i]),
+            lock_period=None if runs.lock_period[i] < 0 else int(runs.lock_period[i]),
         )
         for i, goal in enumerate(goals)
     )
@@ -233,28 +256,28 @@ def evaluate(
     )
 
 
-def _write_series_csv(path: Path, pos: np.ndarray, rot: np.ndarray) -> None:
-    # One %-template over Python floats renders the whole file at once.
-    n = len(pos)
-    cells = [0] * (4 * n)
-    cells[0::4] = range(n)
-    cells[1::4] = [step * SECONDS_PER_STEP for step in range(n)]
-    cells[2::4] = pos.tolist()
-    cells[3::4] = rot.tolist()
-    body = ("%d,%.1f,%.6f,%.6f\n" * n) % tuple(cells)
-    path.write_text(",".join(EVAL_CSV_COLUMNS) + "\n" + body, encoding="utf-8")
-
-
 def write_report_csvs(report: EvalReport, out_dir) -> list[Path]:
-    """One CSV per goal plus aggregate.csv; returns the paths written."""
+    """One CSV per goal plus aggregate.csv; returns the paths written.
+
+    Each goal's mean series is computed once, and the aggregate is the mean
+    of those same arrays, as EvalReport.aggregate_pos_series computes it.
+    The header, step and time cells are rendered once, into one %-template
+    per call, so a file formats only its two error columns.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    pos_means = [r.mean_pos_series() for r in report.results]
+    rot_means = [r.mean_rot_series() for r in report.results]
+    names = [f"goal_{i:02d}.csv" for i in range(len(pos_means))] + ["aggregate.csv"]
+    pos_means.append(np.mean(pos_means, axis=0))
+    rot_means.append(np.mean(rot_means, axis=0))
+    template = ",".join(EVAL_CSV_COLUMNS) + "\n" + "".join(
+        f"{step},{step * SECONDS_PER_STEP:.1f},%.6f,%.6f\n" for step in range(len(pos_means[0]))
+    )
     paths = []
-    for i, result in enumerate(report.results):
-        path = out / f"goal_{i:02d}.csv"
-        _write_series_csv(path, result.mean_pos_series(), result.mean_rot_series())
+    for name, pos, rot in zip(names, pos_means, rot_means):
+        path = out / name
+        path.write_text(template % tuple(np.column_stack((pos, rot)).ravel().tolist()),
+                        encoding="utf-8")
         paths.append(path)
-    agg = out / "aggregate.csv"
-    _write_series_csv(agg, report.aggregate_pos_series(), report.aggregate_rot_series())
-    paths.append(agg)
     return paths

@@ -407,6 +407,20 @@ def write_goal_bank(path, bins, rows, *, seed, quota, budget, fingerprint, sampl
 # Episode-by-episode evaluation
 # ---------------------------------------------------------------------------
 
+def oracle_lock(log):
+    """(step, period) of an episode log's first return to an earlier record's pressures.
+
+    (None, None) when no record's pressures repeat an earlier one's.
+    """
+    first = {}
+    for record in log.records:
+        key = record.pressures.tobytes()
+        if key in first:
+            return record.step, record.step - first[key]
+        first[key] = record.step
+    return None, None
+
+
 def oracle_evaluate(table, goals, *, params, action_spec, reward_spec, binning,
                     plant_kind="nominal", perturbed_cfg=None, repetitions=3,
                     max_steps=200, seed=0):
@@ -416,6 +430,8 @@ def oracle_evaluate(table, goals, *, params, action_spec, reward_spec, binning,
     the run's plant seed whose noise stream is keyed by (goal index,
     repetition). Returns the GoalResults, selection counts included, read from
     the episode logs: an action is selected on the state of the record before it.
+    On a plant without noise, a goal's lock is the first record whose 16
+    pressures, bit for bit, repeat an earlier record's (oracle_lock).
     """
     from hpnarm.episode import NominalPlant, PerturbedPlant, PerturbedPlantConfig, run_episode
     from hpnarm.evalrun import GoalResult
@@ -426,6 +442,7 @@ def oracle_evaluate(table, goals, *, params, action_spec, reward_spec, binning,
     cfg = perturbed_cfg if perturbed_cfg is not None else PerturbedPlantConfig()
     plant_seed = int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
     length = max_steps + 1
+    noise_free = plant_kind == "nominal" or cfg.tip_noise_sigma_mm == 0.0
     results = []
     for goal_i, goal in enumerate(goals):
         pos = np.empty((repetitions, length))
@@ -449,10 +466,13 @@ def oracle_evaluate(table, goals, *, params, action_spec, reward_spec, binning,
             for record in log.records[:-1]:
                 flags = table.flags(record.state_index)
                 counts[0 if (flags & FLAG_TRAINED).any() else 1 if flags.any() else 2] += 1
+        # Without noise every repetition is the same episode: read the last one's log.
+        lock = oracle_lock(log) if noise_free else (None, None)
         results.append(GoalResult(
             goal=goal, pos_series=pos, rot_series=rot,
             final_pos_mm=pos[:, -1].copy(), final_rot_deg=rot[:, -1].copy(), success=success,
             trained_selections=counts[0], augmented_selections=counts[1],
             empty_selections=counts[2],
+            lock_step=lock[0], lock_period=lock[1],
         ))
     return results

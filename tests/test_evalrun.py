@@ -415,6 +415,138 @@ class TestLockstepMatchesEpisodeOracle:
             assert np.array_equal(getattr(alone, name), getattr(together, name))
 
 
+@pytest.fixture(scope="module")
+def random_table(specs):
+    """12 goals and a table of random values over every entry of their goal bins.
+
+    On either plant its greedy lanes lock with periods 1, 2 and 4 or 6 (checked
+    where used).
+    """
+    origin = rest_tip_origin(specs["params"].l0_mm)
+    goals = sample_goals(specs["params"], 12, np.random.default_rng(34))
+    bins = sorted({StateEncoder(g, origin, specs["binning"]).goal_bin for g in goals})
+    cells = np.arange(1024 * 32)
+    states = np.concatenate([b * 1024 + cells // 32 for b in bins])
+    table = QTable.from_records(states, np.tile(cells % 32, len(bins)),
+                                np.ones(len(states), dtype=np.uint16),
+                                np.random.default_rng(35).normal(size=len(states)))
+    return table, goals
+
+
+def assert_locks_match_oracle(report, oracle_results, tmp_path):
+    assert_matches_oracle(report, oracle_results, tmp_path)
+    got = [(r.lock_step, r.lock_period) for r in report.results]
+    assert got == [(r.lock_step, r.lock_period) for r in oracle_results]
+
+
+NOISE_FREE = PerturbedPlantConfig(tip_noise_sigma_mm=0.0)
+
+
+class TestEarlyStop:
+    """A noise-free lane stops at its first revisit; evaluate still equals run_episode."""
+
+    @pytest.mark.parametrize("plant_kind, cfg", [("nominal", None), ("perturbed", NOISE_FREE)],
+                             ids=["nominal", "noise-free-perturbed"])
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    def test_locks_of_every_period(self, specs, random_table, tmp_path, plant_kind, cfg,
+                                   repetitions):
+        table, goals = random_table
+        report, oracle = run_both(specs, table, goals, plant_kind=plant_kind,
+                                  perturbed_cfg=cfg, repetitions=repetitions, max_steps=200)
+        assert_locks_match_oracle(report, oracle, tmp_path)
+        periods = {r.lock_period for r in report.results}
+        assert None not in periods and {1, 2} <= periods and max(periods) >= 3
+        for r in report.results:
+            assert not r.success.any()
+            assert r.trained_selections == 200 * repetitions
+
+    def test_steps_stop_at_the_last_lock(self, specs, random_table, monkeypatch):
+        steps = []
+        step = episode._Lanes.step
+
+        def counted(lanes, action):
+            steps.append(len(lanes))
+            step(lanes, action)
+
+        monkeypatch.setattr(episode._Lanes, "step", counted)
+        table, goals = random_table
+        report = evaluate(table, goals, max_steps=200, repetitions=3,
+                          **{k: v for k, v in specs.items() if k != "hp"})
+        locks = sorted(r.lock_step for r in report.results)
+        assert len(steps) == locks[-1] < 200
+        # A lane steps up to and including its lock step; one lane per goal.
+        assert steps == [sum(t >= s for t in locks) for s in range(1, locks[-1] + 1)]
+
+    @pytest.mark.parametrize("plant_kind, cfg", [("nominal", None), ("perturbed", NOISE_FREE)],
+                             ids=["nominal", "noise-free-perturbed"])
+    def test_success_and_locks_in_one_call(self, specs, trained, tmp_path, plant_kind, cfg):
+        table, goals = trained
+        report, oracle = run_both(specs, table, goals, plant_kind=plant_kind,
+                                  perturbed_cfg=cfg, reward_spec=LOOSE_REWARD,
+                                  repetitions=2, max_steps=200)
+        assert_locks_match_oracle(report, oracle, tmp_path)
+        succeeded = [r.success.all() for r in report.results]
+        locked = [r.lock_step is not None for r in report.results]
+        assert any(succeeded) and any(locked)
+        assert not any(s and k for s, k in zip(succeeded, locked))
+
+    def test_revisit_on_the_last_step(self, specs, random_table, tmp_path):
+        table, goals = random_table
+        full, _ = run_both(specs, table, goals, repetitions=2, max_steps=200)
+        last = max(r.lock_step for r in full.results)
+        report, oracle = run_both(specs, table, goals, repetitions=2, max_steps=last)
+        assert_locks_match_oracle(report, oracle, tmp_path)
+        assert [r.lock_step for r in report.results] == [r.lock_step for r in full.results]
+        for short, long in zip(report.results, full.results):
+            assert short.pos_series.tobytes() == long.pos_series[:, :last + 1].tobytes()
+
+    @pytest.mark.parametrize("plant_kind, cfg", [("nominal", None), ("perturbed", NOISE_FREE)],
+                             ids=["nominal", "noise-free-perturbed"])
+    def test_one_step(self, specs, random_table, tmp_path, plant_kind, cfg):
+        # No action at the start pressures saturates, so no lane can lock at step 1.
+        table, goals = random_table
+        report, oracle = run_both(specs, table, goals, plant_kind=plant_kind,
+                                  perturbed_cfg=cfg, repetitions=3, max_steps=1)
+        assert_locks_match_oracle(report, oracle, tmp_path)
+        assert all(r.lock_step is None for r in report.results)
+
+    @pytest.mark.parametrize("plant_kind, cfg", [("nominal", None), ("perturbed", NOISE_FREE)],
+                             ids=["nominal", "noise-free-perturbed"])
+    @pytest.mark.parametrize("use_table", [True, False], ids=["random", "zero-init"])
+    def test_pressure_path_past_the_lattice_bound(self, specs, random_table, tmp_path,
+                                                  plant_kind, cfg, use_table):
+        table, goals = random_table
+        actions = ActionSpec(delta_p_kpa=0.3)
+        assert episode._segment_lattice(specs["params"], actions) is None
+        report, oracle = run_both(specs, table if use_table else None, goals[:6],
+                                  plant_kind=plant_kind, perturbed_cfg=cfg,
+                                  action_spec=actions, repetitions=2, max_steps=200)
+        assert_locks_match_oracle(report, oracle, tmp_path)
+        if not use_table:
+            # Action 0 raises chamber 0 from 30 kPa by 0.3 until it holds at 60.
+            # The 100th addition falls just short of 60, the 101st clips to it
+            # and the 102nd repeats it.
+            assert {(r.lock_step, r.lock_period) for r in report.results} == {(102, 1)}
+        else:
+            assert any(r.lock_step is not None for r in report.results)
+
+    def test_noisy_plant_records_no_lock(self, specs, random_table, tmp_path):
+        table, goals = random_table
+        report, oracle = run_both(specs, table, goals[:4], plant_kind="perturbed",
+                                  repetitions=2, max_steps=60)
+        assert_locks_match_oracle(report, oracle, tmp_path)
+        assert all(r.lock_step is None and r.lock_period is None for r in report.results)
+        assert "lock by step" not in report.summary()
+
+    def test_summary_counts_the_locks(self):
+        results = tuple(replace(synthetic_result([[50.0, 10.0]]), lock_step=t, lock_period=p)
+                        for t, p in ((12, 1), (40, 2), (7, 4), (None, None)))
+        report = EvalReport(label="x", plant_kind="nominal", results=results,
+                            repetitions=1, max_steps=1)
+        assert ("3 of 4 goals lock by step 40: 1 on a saturated action (period 1), "
+                "1 oscillating (period 2)") in report.summary().splitlines()
+
+
 class TestActionCount:
     @pytest.mark.parametrize("action_count", [16, 40])
     def test_mismatched_table_rejected_before_any_step(self, specs, monkeypatch, action_count):

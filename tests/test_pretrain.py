@@ -10,7 +10,7 @@ from contextlib import closing
 import numpy as np
 import pytest
 
-from hpnarm import ArmParams, BinningSpec, GoalPose, qtable, rest_tip_origin
+from hpnarm import ArmParams, BinningSpec, GoalPose, episode, qtable, rest_tip_origin
 from hpnarm.config import EvalConfig, PretrainConfig, RunConfig
 from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
 from hpnarm.evalrun import evaluate, sample_goals
@@ -910,6 +910,26 @@ class TestPretrainPipeline:
     def test_default_table_evaluation_matches_frozen_digest(self, default_table_file):
         table = load(default_table_file(0))
         assert eval_digest(table, RunConfig()) == DEFAULT_EVAL_SHA256
+
+    def test_default_suite_stops_stepping_before_the_step_limit(self, default_table_file,
+                                                                monkeypatch):
+        # Every nominal lane of the default suite returns to an arm
+        # configuration before the step limit, and stops there.
+        steps = []
+        step = episode._Lanes.step
+
+        def counted(lanes, action):
+            steps.append(len(lanes))
+            step(lanes, action)
+
+        monkeypatch.setattr(episode._Lanes, "step", counted)
+        cfg = RunConfig()
+        report = evaluate(load(default_table_file(0)), cfg.eval_goals(), params=cfg.arm,
+                          action_spec=cfg.action, reward_spec=cfg.reward, binning=cfg.binning,
+                          repetitions=cfg.eval.repetitions, max_steps=cfg.eval.max_steps)
+        locks = [r.lock_step for r in report.results]
+        assert None not in locks
+        assert len(steps) == max(locks) < cfg.eval.max_steps
 
     def test_rerun_same_seed_byte_identical(self, specs, tmp_path):
         outs = []

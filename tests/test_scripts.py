@@ -84,9 +84,12 @@ def test_step_cost(tmp_path):
     assert int(header.group(1)) == len(bank.bins) > 0, lines
     assert lines[1].startswith("lanes  train_lockstep"), lines
     for lanes, line in zip((1, 2), lines[2:4]):
+        # Lanes, training quartiles, then per greedy plant (nominal, then
+        # perturbed) its quartiles and its steps per call.
         fields = line.split()
-        assert int(fields[0]) == lanes and len(fields) == 7, lines
+        assert int(fields[0]) == lanes and len(fields) == 12, lines
         assert all(float(x) > 0.0 for x in fields[1:]), lines
+        assert all(1 <= int(fields[i]) <= 5 for i in (7, 11)), lines
     assert re.fullmatch(r" *5000  skipped: the bank holds \d+ bins", lines[4]), lines
 
 
@@ -130,6 +133,22 @@ def test_scripts_refuse_counts_below_one(tmp_path, name, flag, value):
                           capture_output=True, text=True, cwd=tmp_path, timeout=600)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("name, small", [
+    ("compare_pretraining.py", SMALL_COUNTS["compare_pretraining.py"][0]),
+    ("bulk_cost.py", ["--calls", "1"]),
+    ("step_cost.py", ["--calls", "1", "--budget", "1000"]),
+], ids=["compare_pretraining", "bulk_cost", "step_cost"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_scripts_refuse_a_seed_out_of_range(tmp_path, name, small, seed):
+    # --seed -1 died with a traceback: pretrain's ValueError in compare_pretraining
+    # and bulk_cost, numpy's "expected non-negative integer" in step_cost.
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *small, "--seed", seed],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=600)
+    assert proc.returncode == 2, proc.stderr
+    assert "--seed must be in [0, 2**64)" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
