@@ -686,15 +686,15 @@ class GreedyRuns:
 
 
 def _arm_configuration(lanes: _Lanes) -> np.ndarray:
-    """(lanes, k) array that is equal for two lanes exactly when their arm configurations are.
+    """(lanes, k) array whose rows are equal exactly where the lanes' arm configurations are.
 
-    On the lattice it is the four segment codes (at most
-    LATTICE_MAX_PRESSURES**4 = 65,536 states, so uint16 holds them); past it,
-    the bits of the 16 chamber pressures.
+    On the lattice it is the four segment codes, each below
+    LATTICE_MAX_PRESSURES**4 = 65,536, as uint16s packed into one uint64 word;
+    past it, the bits of the 16 chamber pressures.
     """
     if lanes.lattice is None:
         return lanes.pressures.reshape(len(lanes), -1).view(np.int64)
-    return lanes.codes.astype(np.uint16)
+    return lanes.codes.astype(np.uint16).view(np.uint64)
 
 
 def greedy_lockstep(
