@@ -163,11 +163,11 @@ class EvalReport:
             trained, augmented, empty = (100.0 * c / total for c in counts)
             lines.append(f"rows selected on: {trained:.1f}% trained, {augmented:.1f}% "
                          f"augmented only, {empty:.1f}% empty (of {total} selections)")
-        locks = [(r.lock_step, r.lock_period) for r in self.results if r.lock_step is not None]
-        if locks:
-            periods = [p for _, p in locks]
-            lines.append(f"{len(locks)} of {len(self.results)} goals lock by step "
-                         f"{max(t for t, _ in locks)}: {periods.count(1)} on a saturated "
+        locked = [r for r in self.results if r.lock_step is not None]
+        if locked:
+            periods = [r.lock_period for r in locked]
+            lines.append(f"{len(locked)} of {len(self.results)} goals lock by step "
+                         f"{max(r.lock_step for r in locked)}: {periods.count(1)} on a saturated "
                          f"action (period 1), {periods.count(2)} oscillating (period 2)")
         steps = self.mean_steps_to(threshold_mm)
         if steps is not None:
