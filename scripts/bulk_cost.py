@@ -2,10 +2,12 @@
 
 Builds the default table for --seed (pretrain at RunConfig defaults, written
 to a temporary .hpnq file), then times load of that file, augment of the
-loaded table at radius 1, 2 and 3, and save of the loaded table. Each
-operation runs --calls times untimed by tracemalloc, for the median, and once
-more under tracemalloc, for the peak of memory it allocated during the call.
-The bulk-path counterpart of step_cost.py.
+loaded table at radius 1, 2 and 3, and record_arrays and save of the loaded
+table. Each operation runs --calls times untimed by tracemalloc, for the
+median, and once more under tracemalloc, for the peak of memory it allocated
+during the call. The peak is also given per stored entry of the table the
+operation writes or reads: augment's output, the loaded table otherwise. The
+bulk-path counterpart of step_cost.py.
 
 Example:
     python3 scripts/bulk_cost.py --seed 1 --calls 15
@@ -63,13 +65,16 @@ def main() -> int:
         print(f"seed {args.seed}: default table of {table.row_count()} rows in "
               f"{len(table.bins)} goal bins, {path.stat().st_size} bytes on disk, "
               f"{args.calls} calls per operation")
-        operations = [("load", lambda: qtable.load(path))]
-        operations += [(f"augment r{r}", lambda r=r: qtable.augment(table, r)) for r in (1, 2, 3)]
-        operations.append(("save", lambda: qtable.save(table, Path(tmp) / "saved.hpnq")))
-        print("operation     median ms  traced peak MiB")
-        for name, run in operations:
+        entries = table.entry_count()
+        operations = [("load", entries, lambda: qtable.load(path))]
+        operations += [(f"augment r{r}", qtable.augment(table, r).entry_count(),
+                        lambda r=r: qtable.augment(table, r)) for r in (1, 2, 3)]
+        operations.append(("record_arrays", entries, table.record_arrays))
+        operations.append(("save", entries, lambda: qtable.save(table, Path(tmp) / "saved.hpnq")))
+        print("operation      median ms  traced peak MiB  B/entry")
+        for name, n, run in operations:
             ms, peak = cost(run, args.calls)
-            print(f"{name:<12} {ms:10.1f} {peak:16.1f}")
+            print(f"{name:<13} {ms:10.1f} {peak:16.1f} {peak * 2**20 / n:8.1f}")
     return 0
 
 

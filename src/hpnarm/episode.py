@@ -164,7 +164,8 @@ class NominalPlant:
 
 def noise_generator(seed: int, episode: tuple[int, ...] = ()) -> np.random.Generator:
     """The perturbed plant's observation-noise stream, keyed (seed, 1, *episode)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, 1, *episode)))
+    # default_rng(SeedSequence(key)) without the wrapper calls: PCG64 seeds from SeedSequence(key).
+    return np.random.Generator(np.random.PCG64((seed, 1, *episode)))
 
 
 class PerturbedPlant:

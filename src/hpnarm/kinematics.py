@@ -241,7 +241,7 @@ def _segment_stack(p: np.ndarray, params: ArmParams) -> np.ndarray:
 
 def tip_of(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray) -> np.ndarray:
     """Rows 0-2 of columns 2-3 (direction, position) of ((t0 @ t1) @ t2) @ t3: (n, 3, 2)."""
-    return ((t0 @ t1) @ t2)[:, :3] @ t3[:, :, 2:]
+    return (((t0 @ t1) @ t2) @ t3)[:, :3, 2:]
 
 
 def tip_batch(pressures, params: ArmParams) -> tuple[np.ndarray, np.ndarray]:

@@ -438,6 +438,7 @@ def pretrain(
     )
     t_train = time.perf_counter()
     table = augment(trained, radius=augment_radius)
+    del trained  # save's working memory should not come on top of the trained table
     t_augment = time.perf_counter()
     if out_path is not None:
         save(table, out_path)

@@ -37,6 +37,8 @@ _CRC = struct.Struct("<I")
 _RECORD_DTYPE = np.dtype(
     [("state", "<u4"), ("action", "<u2"), ("flags", "<u2"), ("value", "<f4")]
 )
+# Entries that save and record_arrays gather into each field at a time.
+_GATHER_CHUNK = 1 << 16
 
 
 class QTableIOError(Exception):
@@ -321,21 +323,47 @@ class QTable:
         """All stored entries as (states, actions, flags, values), sorted.
 
         An entry is stored when its flags or value are nonzero. Sorting is
-        by (state, action), the canonical on-disk order.
+        by (state, action), the canonical on-disk order. The arrays are
+        uint32, uint16, uint16 and float32.
         """
-        states, values, flags = self._held_rows()
-        idx = np.flatnonzero(_stored(values, flags))
-        row, action = np.divmod(idx, self.action_count)
-        return (states[row].astype(np.uint32), action.astype(np.uint16),
-                flags.reshape(-1)[idx], values.reshape(-1)[idx])
+        idx, states = self._stored_entries()
+        out = tuple(np.empty(len(idx), t) for t in (np.uint32, np.uint16, np.uint16, np.float32))
+        self._write_entries(idx, states, out)
+        return out
 
-    def _held_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(states, values, flags): each state holding a row, increasing, and its rows.
+    def _stored_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(idx, states): each stored entry's flat index into the rows, and each row's state.
 
-        The rows are the storage itself, which holds them in state order.
+        ``idx`` is int64 and increasing, ``states`` uint32. Besides the two,
+        it holds one bool per held cell while it runs.
         """
+        states = self._held_states().astype(np.uint32)
+        return np.flatnonzero(_stored(self._values, self._flags)), states
+
+    def _write_entries(self, idx: np.ndarray, states: np.ndarray, out) -> None:
+        """Write the entries at ``idx`` into the (states, actions, flags, values) arrays ``out``.
+
+        Takes _stored_entries()'s pair and overwrites ``idx`` with each
+        entry's row. The outputs may be strided, as a record array's fields
+        are: each field is gathered a chunk of entries at a time, so no
+        temporary grows with the entry count.
+        """
+        ac = self.action_count
+        flat_values, flat_flags = self._values.reshape(-1), self._flags.reshape(-1)
+        out_states, out_actions, out_flags, out_values = out
+        for a in range(0, len(idx), _GATHER_CHUNK):
+            i = idx[a:a + _GATHER_CHUNK]
+            b = a + len(i)
+            out_flags[a:b] = flat_flags[i]
+            out_values[a:b] = flat_values[i]
+            np.remainder(i, ac, out=out_actions[a:b], casting="unsafe")
+            i //= ac
+            out_states[a:b] = states[i]
+
+    def _held_states(self) -> np.ndarray:
+        """Each state holding a row, increasing, as int64: the state of every row in turn."""
         i, suffix = np.nonzero(self._index >= 0)
-        return self.bins[i] * N_TIP_STATES + suffix, self._values, self._flags
+        return self.bins[i] * N_TIP_STATES + suffix
 
     def copy(self) -> "QTable":
         return QTable.concat([self])
@@ -477,8 +505,8 @@ def _from_entries(states, actions, flags, values, action_count: int) -> QTable:
     from_records and load each check their input once, then build here.
     """
     bins, index, row_of = _layout([states])
-    flat = row_of[states].astype(np.int64)
-    flat *= action_count
+    flat = np.multiply(row_of[states], action_count, dtype=np.int64)
+    del row_of  # the whole codec's row map: gone before the rows are allocated
     flat += actions
     shape = (int(index.max(initial=-1)) + 1, action_count)
     out_values = np.zeros(shape, dtype=np.float32)
@@ -489,8 +517,9 @@ def _from_entries(states, actions, flags, values, action_count: int) -> QTable:
 
 
 def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Mask of entries that count as stored: nonzero flags or value."""
-    return (flags != 0) | (values != 0)
+    """Mask of entries that count as stored: nonzero flags or value. Allocates only the mask."""
+    stored = values != 0
+    return np.logical_or(stored, flags, out=stored)
 
 
 def _integers(name: str, words) -> np.ndarray:
@@ -556,7 +585,7 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     """
     check_integers(1, radius=radius)
     ac = q.action_count
-    states, held_values, held_flags = q._held_rows()
+    states, held_values, held_flags = q._held_states(), q._values, q._flags
     keys, means = _neighbor_means(ac, states, held_values, held_flags, radius)
     actions = np.remainder(keys, ac, out=np.empty(len(keys), np.uint16), casting="unsafe")
     keys //= ac  # now each mean's state
@@ -584,15 +613,18 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     return _table(ac, bins, index, values, flags)
 
 
-# Bits in one of _neighbor_means' sort words, and the words it decodes at a time.
+# Bits in one of _neighbor_means' sort words, the words it decodes at a time,
+# and the contributions it aims to sort at a time.
 _WORD_BITS = 64
 _DECODE_CHUNK = 1 << 16
+_WINDOW = 1 << 17
 
 
 def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Entries with a trained neighbor (augment's), and their neighbors' mean values.
 
-    Takes a table's held rows (QTable._held_rows). Returns sorted int64 keys
+    Takes a table's held states (QTable._held_states) and their value and
+    flag rows, in that order. Returns sorted int64 keys
     state * ac + action and float32 means. A trained entry adds its value
     to each neighbor's key, part by part: a part is one (digit, step, up or
     down), numbered in that loop order. Each contribution is one uint64
@@ -601,9 +633,13 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
     key and a part name one trained entry, so the words are distinct and a
     plain in-place sort orders them by key, then by part. np.add.reduceat
     sums each key's float64 values in that order, which fixes every mean's
-    bits. The field widths follow the table. When the keys do not fit the
-    bits the other fields leave, they are taken in ranges that do, one
-    range at a time; up to 256 actions, one range holds them all.
+    bits. The field widths follow the table. The keys are taken in windows,
+    one at a time: runs of whole goal bins whose contributions number at
+    most _WINDOW, or one bin that holds more. A window spans no more keys
+    than the bits the other fields leave, which splits a goal bin only past
+    2**32 trained entries. A key's contributions all fall in one window, so
+    the windows do not change the means' bits; they bound the sort words and
+    values held at once.
     """
     idx = np.flatnonzero((flags & FLAG_TRAINED) != 0)  # a bool mask: 3x faster than uint16
     src_k = states[idx // ac] * ac + idx % ac
@@ -625,37 +661,49 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
         orders.append(np.concatenate(buckets))
         edges.append(np.cumsum([0] + [len(b) for b in buckets]))
     del src_s, digit, buckets
+    # Blocks (order, a, add, at): the entries from a on in a dim's order that move by
+    # one part, in increasing source key. Their words are (source key - lo + offset)
+    # << low | part << src_bits | source, and at[i] of them have a neighbor key below
+    # grid[i], the start of grid cell i.
+    cell = min(N_TIP_STATES * ac, span)  # a goal bin's keys, or the widest window
+    grid = np.append(np.arange(0, N_STATES * ac, cell), N_STATES * ac)
+    blocks = []
+    for dim, (order, edge) in enumerate(zip(orders, edges)):
+        keys_in_order = src_k[order]
+        for j, move in enumerate(moves):
+            offset = move * 4 ** (9 - dim) * ac
+            add = ((offset << low) + ((dim * len(moves) + j) << src_bits)) % 2**64
+            for g in range(max(0, -move), min(4, 4 - move)):
+                a, b = edge[g], edge[g + 1]
+                blocks.append((order, a, add, keys_in_order[a:b].searchsorted(grid - offset)))
+    del keys_in_order
+    counts = sum(np.diff(at) for *_, at in blocks).tolist()
+    cuts, filled = [0], 0  # the grid cells where windows start; contributions in this one
+    for i, c in enumerate(counts):
+        if grid[i + 1] - grid[cuts[-1]] > span or (filled and filled + c > _WINDOW):
+            cuts.append(i)
+            filled = 0
+        filled += c
+    cuts.append(len(counts))
     src_i = np.arange(len(src_k), dtype=np.uint64)
     base = np.empty(len(src_k), dtype=np.uint64)
     key_out, mean_out = [], []
-    for lo in range(0, N_STATES * ac, span):
-        # Per dim, blocks (a, b, add): entries a:b in the dim's order move by one part,
-        # whose words are (source key - lo + offset) << low | part << src_bits | source.
-        blocks = [[] for _ in range(10)]
-        for dim, (order, edge) in enumerate(zip(orders, edges)):
-            for j, move in enumerate(moves):
-                offset = move * 4 ** (9 - dim) * ac
-                add = ((offset << low) + ((dim * len(moves) + j) << src_bits)) % 2**64
-                for g in range(max(0, -move), min(4, 4 - move)):
-                    a, b = edge[g], edge[g + 1]
-                    if span < N_STATES * ac:  # keep the entries whose neighbor is in range
-                        a, b = a + src_k[order[a:b]].searchsorted((lo - offset,
-                                                                   lo + span - offset))
-                    blocks[dim].append((a, b, add))
-        n = sum(b - a for dim_blocks in blocks for a, b, _ in dim_blocks)
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        moved = [(order[a + at[start]:a + at[stop]], add)
+                 for order, a, add, at in blocks if at[stop] > at[start]]
+        n = sum(len(rows) for rows, _ in moved)
         if not n:
             continue
+        lo = int(grid[start])
         np.subtract(src_k, lo, out=base, casting="unsafe")  # modulo 2**64, as is all below
         base <<= low
         base |= src_i
         words, vals = np.empty(n, dtype=np.uint64), np.empty(n)
         n = 0
-        for order, dim_blocks in zip(orders, blocks):
-            dim_base = base[order]
-            for a, b, add in dim_blocks:
-                np.add(dim_base[a:b], add, out=words[n:n + b - a])
-                n += b - a
-        del dim_base
+        for rows, add in moved:
+            np.add(base[rows], add, out=words[n:n + len(rows)])
+            n += len(rows)
+        del moved
         words.sort()
         index = np.empty(min(n, _DECODE_CHUNK), dtype=np.intp)
         for i in range(0, n, _DECODE_CHUNK):
@@ -683,13 +731,10 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
 
 def save(q: QTable, path) -> None:
     """Write a table; the format round-trips bit-exactly through load()."""
-    states, actions, flags, values = q.record_arrays()
-    records = np.empty(states.size, dtype=_RECORD_DTYPE)
-    records["state"] = states
-    records["action"] = actions
-    records["flags"] = flags
-    records["value"] = values
-    header = MAGIC + _HEADER.pack(FORMAT_VERSION, q.action_count, states.size)
+    idx, states = q._stored_entries()
+    records = np.empty(len(idx), dtype=_RECORD_DTYPE)
+    q._write_entries(idx, states, [records[name] for name in _RECORD_DTYPE.names])
+    header = MAGIC + _HEADER.pack(FORMAT_VERSION, q.action_count, len(records))
     crc = zlib.crc32(records, zlib.crc32(header)) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(header)
@@ -727,21 +772,19 @@ def load(path) -> QTable:
     if stored_crc != actual_crc:
         raise ChecksumError(f"{path}: CRC {actual_crc:#010x} != stored {stored_crc:#010x}")
     records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=n_entries, offset=_HEADER_SIZE)
-    key = records["state"].astype(np.int64)
-    key *= action_count
-    key += records["action"]
+    states, actions = records["state"], records["action"]
     if n_entries:
-        if int(records["action"].max()) >= action_count:
+        if int(actions.max()) >= action_count:
             raise QTableIOError(f"{path}: action id beyond action count {action_count}")
-        if not (key[1:] > key[:-1]).all():
+        # Strictly sorted by (state, action): states never fall, and actions rise where they tie.
+        tie = states[1:] == states[:-1]
+        if (states[1:] < states[:-1]).any() or (tie & (actions[1:] <= actions[:-1])).any():
             raise QTableIOError(f"{path}: records not strictly sorted by (state, action)")
-        if int(records["state"][-1]) >= N_STATES:
-            raise QTableIOError(
-                f"{path}: state {int(records['state'][-1])} outside [0, {N_STATES})")
+        del tie
+        if int(states[-1]) >= N_STATES:
+            raise QTableIOError(f"{path}: state {int(states[-1])} outside [0, {N_STATES})")
         if not np.isfinite(records["value"]).all():
             raise QTableIOError(f"{path}: non-finite value")
         if _undefined_flags(records["flags"]):
             raise QTableIOError(f"{path}: flag bits outside the defined {_FLAGS_DEFINED:#x}")
-    del key
-    return _from_entries(records["state"], records["action"], records["flags"],
-                         records["value"], action_count)
+    return _from_entries(states, actions, records["flags"], records["value"], action_count)

@@ -135,6 +135,10 @@ def rest_tip_origin(l0_mm: float) -> np.ndarray:
     return np.array([0.0, 0.0, 4.0 * l0_mm])
 
 
+_WORLD_X = np.array([1.0, 0.0, 0.0])
+_WORLD_Y = np.array([0.0, 1.0, 0.0])
+
+
 def goal_frame(direction) -> np.ndarray:
     """Right-handed orthonormal frame with z along ``direction``.
 
@@ -143,14 +147,19 @@ def goal_frame(direction) -> np.ndarray:
     projection degenerates, so world-y seeds the projection instead.
     """
     z = np.asarray(direction, dtype=float).reshape(3)
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(z[0]) > 0.999:
-        ref = np.array([0.0, 1.0, 0.0])
-    x = ref - np.dot(ref, z) * z
-    x /= np.linalg.norm(x)
-    # np.cross(z, x) term for term, without its per-call set-up.
-    y = z[[1, 2, 0]] * x[[2, 0, 1]] - z[[2, 0, 1]] * x[[1, 2, 0]]
-    return np.array([x, y, z]).T
+    z0, z1, z2 = z.tolist()
+    # The dot with world-x (or world-y) is z0 (or z1). Keep the form ref - d * z:
+    # -d * z would flip the sign of some zeros.
+    if abs(z0) > 0.999:
+        x = _WORLD_Y - z1 * z
+    else:
+        x = _WORLD_X - z0 * z
+    x /= math.sqrt(x.dot(x))  # np.linalg.norm of a 1-D vector, on the same BLAS dot
+    x0, x1, x2 = x.tolist()
+    # np.cross(z, x) term for term, in scalars.
+    return np.array([[x0, x1, x2],
+                     [z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0],
+                     [z0, z1, z2]]).T
 
 
 def bin_and_pack(values, edges, index: int = 0) -> int:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -779,8 +780,8 @@ class TestAugmentOracle:
 
     @pytest.mark.parametrize("action_count", [3, 32])
     def test_key_ranges_match_the_oracle(self, action_count, monkeypatch):
-        # Words of low + 18 bits leave 2**18 keys per range: 12 ranges at 3
-        # actions, 128 at 32. Decoding 1000 words at a time crosses chunks.
+        # Words of low + 18 bits leave at most 2**18 keys per window: 13 windows
+        # at 3 actions, 128 at 32. Decoding 1000 words at a time crosses chunks.
         records = order_sensitive_records(action_count, seed=7)
         q = QTable.from_records(*records, action_count=action_count)
         trained = int(np.count_nonzero(records[2] & FLAG_TRAINED))
@@ -788,6 +789,18 @@ class TestAugmentOracle:
         for radius in (1, 3):
             low = (20 * radius - 1).bit_length() + (trained - 1).bit_length()
             monkeypatch.setattr(qtable, "_WORD_BITS", low + 18)
+            got = augment(q, radius).record_arrays()
+            want = oracle_augment(*records, radius)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("action_count", [3, 32])
+    def test_contribution_windows_match_the_oracle(self, action_count, monkeypatch):
+        # Windows of 50 contributions hold one or a few of the 58 goal bins each.
+        records = order_sensitive_records(action_count, seed=7)
+        q = QTable.from_records(*records, action_count=action_count)
+        monkeypatch.setattr(qtable, "_WINDOW", 50)
+        for radius in (1, 3):
             got = augment(q, radius).record_arrays()
             want = oracle_augment(*records, radius)
             for g, w in zip(got, want):
@@ -919,6 +932,22 @@ class TestPersistence:
         with pytest.raises(QTableIOError):
             load(path)
 
+    @pytest.mark.parametrize("states, actions", [
+        ((5, 4), (1, 2)),          # states fall
+        ((5, 5), (3, 2)),          # actions fall within a state
+        ((4, 5, 5), (9, 2, 2)),    # one (state, action) twice
+    ], ids=["state-falls", "action-falls-in-a-state", "repeated-entry"])
+    def test_records_out_of_order_rejected(self, tmp_path, states, actions):
+        path = tmp_path / "t.qt"
+        _write_records(path, states, actions, [1] * len(states), [1.0] * len(states))
+        with pytest.raises(QTableIOError, match=r"not strictly sorted by \(state, action\)"):
+            load(path)
+
+    def test_action_may_fall_where_the_state_rises(self, tmp_path):
+        path = tmp_path / "t.qt"
+        _write_records(path, [4, 4, 5, 9], [7, 9, 1, 0], [1, 2, 3, 1], [1.0, 2.0, 3.0, 4.0])
+        assert load(path) == QTable.from_records([4, 4, 5, 9], [7, 9, 1, 0], [1, 2, 3, 1],
+                                                 [1.0, 2.0, 3.0, 4.0])
 
     def test_state_beyond_codec_rejected(self, tmp_path):
         path = tmp_path / "t.qt"
@@ -953,6 +982,78 @@ class TestPersistence:
         q = QTable.from_records([0, N_STATES - 1], [0, 31], [1, 2], [-1.0, 2.0])
         save(q, path)
         assert load(path) == q
+
+
+def bulk_table():
+    """A table of known size: 64 goal bins, 512 tip states each, 7 entries per state.
+
+    Every entry's value is nonzero, so all 229,376 are stored: 22% of its
+    1,048,576 held cells, near the seed-1 default table's 16%.
+    """
+    bins = np.arange(0, 1024, 16)
+    states = (bins[:, None] * N_TIP_STATES + np.arange(0, N_TIP_STATES, 2)).reshape(-1)
+    actions = np.arange(0, 32, 5)
+    n = len(states) * len(actions)
+    return QTable.from_records(
+        np.repeat(states, len(actions)), np.tile(actions, len(states)),
+        np.resize(np.array([FLAG_TRAINED, FLAG_AUGMENTED, 3], dtype=np.uint16), n),
+        np.linspace(-2.0, 3.0, n, dtype=np.float32) + np.float32(0.25))
+
+
+def traced_peak(run):
+    """Bytes ``run()`` allocated at its peak, as tracemalloc sees them, and its result."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestBulkMemory:
+    """save, record_arrays and load hold at most their output plus one int64 per entry.
+
+    Each bound is the output, one int64 per stored entry (the one flat index
+    a bulk path keeps), one byte per held cell (the stored-entry mask, or the
+    held-state list beside it) and SLACK for fixed-size parts: per-chunk
+    gather temporaries and the (bins, N_TIP_STATES) held-row mask. load also
+    holds the file's bytes while it builds the rows, so its bound adds them.
+    Its codec-wide row map (5 MiB with the occupancy mask) is freed before
+    the rows are made: this table's rows outweigh it, so it sets no peak.
+    """
+
+    SLACK = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        q = bulk_table()
+        assert (q.entry_count(), q.row_count(), len(q.bins)) == (229_376, 32_768, 64)
+        return q
+
+    def bound(self, q, output):
+        return output + 8 * q.entry_count() + q.row_count() * q.action_count + self.SLACK
+
+    def test_record_arrays(self, table):
+        peak, arrays = traced_peak(table.record_arrays)
+        assert [a.dtype for a in arrays] == [np.uint32, np.uint16, np.uint16, np.float32]
+        output = sum(a.nbytes for a in arrays)
+        assert output == 12 * table.entry_count()
+        assert peak <= self.bound(table, output), (peak, self.bound(table, output))
+
+    def test_save(self, table, tmp_path):
+        path = tmp_path / "t.hpnq"
+        peak, _ = traced_peak(lambda: save(table, path))
+        records = 12 * table.entry_count()  # the record array the file body is written from
+        assert path.stat().st_size == _record_offset() + records + 4
+        assert peak <= self.bound(table, records), (peak, self.bound(table, records))
+
+    def test_load(self, table, tmp_path):
+        path = tmp_path / "t.hpnq"
+        save(table, path)
+        peak, back = traced_peak(lambda: load(path))
+        assert back == table
+        output = back.nbytes + path.stat().st_size
+        assert peak <= self.bound(table, output), (peak, self.bound(table, output))
 
 
 # States for the reference-model test: suffixes spread over goal bins,

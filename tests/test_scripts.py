@@ -156,9 +156,11 @@ def test_bulk_cost(tmp_path):
     lines = run_script("bulk_cost.py", "--seed", "1", "--calls", "1", cwd=tmp_path)
     assert re.fullmatch(r"seed 1: default table of [1-9]\d* rows in [1-9]\d* goal bins, "
                         r"[1-9]\d* bytes on disk, 1 calls per operation", lines[0]), lines
-    assert lines[1].split() == ["operation", "median", "ms", "traced", "peak", "MiB"], lines
-    names = ["load", "augment r1", "augment r2", "augment r3", "save"]
-    assert [line[:12].strip() for line in lines[2:]] == names, lines
+    assert lines[1].split() == ["operation", "median", "ms", "traced", "peak", "MiB",
+                                "B/entry"], lines
+    names = ["load", "augment r1", "augment r2", "augment r3", "record_arrays", "save"]
+    assert [line[:13].strip() for line in lines[2:]] == names, lines
     for line in lines[2:]:
-        assert all(float(x) > 0.0 for x in line[12:].split()), lines
+        values = line[13:].split()
+        assert len(values) == 3 and all(float(x) > 0.0 for x in values), lines
     assert list(tmp_path.iterdir()) == []
