@@ -1,7 +1,8 @@
 """Milliseconds and traced memory per call of the Q-table's bulk paths.
 
 Builds the default table for --seed (pretrain at RunConfig defaults, written
-to a temporary .hpnq file), then times load of that file, augment of the
+to a temporary .hpnq file) and prints the loaded table's rows, goal bins and
+bytes in memory and on disk. It then times load of that file, augment of the
 loaded table at radius 1, 2 and 3, and record_arrays and save of the loaded
 table. Each operation runs --calls times untimed by tracemalloc, for the
 median, and once more under tracemalloc, for the peak of memory it allocated
@@ -63,7 +64,8 @@ def main() -> int:
                  augment_radius=p.augment_radius, out_path=path)
         table = qtable.load(path)
         print(f"seed {args.seed}: default table of {table.row_count()} rows in "
-              f"{len(table.bins)} goal bins, {path.stat().st_size} bytes on disk, "
+              f"{len(table.bins)} goal bins, {table.nbytes} bytes in memory, "
+              f"{path.stat().st_size} bytes on disk, "
               f"{args.calls} calls per operation")
         entries = table.entry_count()
         operations = [("load", entries, lambda: qtable.load(path))]

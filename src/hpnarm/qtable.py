@@ -4,8 +4,8 @@ The table maps (state index, action id) to a float32 value plus a flag
 word recording how the entry came to be: bit 0 set by a learning update,
 bit 1 set by neighbor-mean augmentation. Entries never touched read as
 value 0 with flags 0. Storage is one layout from training to disk: the
-goal bins held, a row index over each held bin's tip states, and one row
-of values and one of flags per indexed state (see QTable). The on-disk
+states holding a row, increasing, and one row of values and one of flags
+per such state, in the same order (see QTable). The on-disk
 format is a flat record list: little-endian, magic "HPNQ", version, action
 count, entry count, records sorted by (state, action), CRC32 over
 everything before the checksum itself.
@@ -143,26 +143,23 @@ class ActionSpec:
 class QTable:
     """Value table over (state index, action id), stored as rows for the states it holds.
 
-    A state index divides by N_TIP_STATES into its goal bin and the tip-error
-    suffix within it. The table holds four arrays: ``bins`` (m,), the goal
-    bins it holds as strictly increasing int64; a (m, N_TIP_STATES) int32
-    row index, -1 where a tip state has no row; and one float32 value row
-    and one uint16 flag row of action_count words per indexed state. A state
-    without a row, in a held bin or not, reads as zeros. Training episodes
-    only ever touch their own goal's bin, so a bin is also the unit the
-    lockstep engine trains in, and tables trained on disjoint bins join by
-    taking their rows in bin order (concat, pretrain.merge).
+    The table holds three arrays: the states holding a row, strictly
+    increasing int64 (m,), and one float32 value row and one uint16 flag
+    row of action_count words per such state, (m, action_count) each, in
+    the same order. A state without a row reads as zeros. A state index
+    divides by N_TIP_STATES into its goal bin and the tip-error suffix
+    within it, so each goal bin's rows are one contiguous run. Training
+    episodes only ever touch their own goal's bin, so a bin is also the unit
+    the lockstep engine trains in, and tables trained on disjoint bins join
+    by taking their rows in state order (concat, pretrain.merge). ``bins``
+    is the goal bins holding a row.
 
     A table is built in bulk, by load, from_records, augment, concat or
     copy, or handed over by train_lockstep (from_checked_arrays), and only
-    update, the TD backup, writes an entry after that. Every table holds one
-    row per indexed state, in state order: the row index numbers its cells
-    0, 1, 2, ... in C order. An update to a state without a row inserts a
-    zeroed row at the state's place, renumbering the rows after it, and an
-    update to a bin the table does not hold first inserts the bin at its
-    sorted place; each insert replaces the arrays it grows. Read ``bins``,
-    but read the rows only through the methods here: no code outside this
-    module indexes the storage.
+    update, the TD backup, writes an entry after that. An update to a state
+    without a row inserts the state and a zeroed row at its sorted place,
+    replacing the three arrays. Read the rows only through the methods
+    here: no code outside this module indexes the storage.
 
     Flag words hold only the defined bits, FLAG_TRAINED and FLAG_AUGMENTED:
     from_records and load reject any other bit, and the other builders and
@@ -174,8 +171,7 @@ class QTable:
         if action_count > 0xFFFF:
             raise ValueError(f"action_count must be in [1, 65535], got {action_count}")
         self.action_count = int(action_count)
-        self.bins = np.empty(0, dtype=np.int64)
-        self._index = np.empty((0, N_TIP_STATES), dtype=np.int32)
+        self._states = np.empty(0, dtype=np.int64)
         self._values = np.zeros((0, self.action_count), dtype=np.float32)
         self._flags = np.zeros((0, self.action_count), dtype=np.uint16)
         zero_v = np.zeros(action_count, dtype=np.float32)
@@ -193,9 +189,14 @@ class QTable:
         return False
 
     @property
+    def bins(self) -> np.ndarray:
+        """The goal bins holding a row, strictly increasing int64."""
+        return np.unique(self._states // N_TIP_STATES)
+
+    @property
     def nbytes(self) -> int:
-        """Bytes the table's four arrays take in memory."""
-        return self.bins.nbytes + self._index.nbytes + self._values.nbytes + self._flags.nbytes
+        """Bytes the table's three arrays take in memory."""
+        return self._states.nbytes + self._values.nbytes + self._flags.nbytes
 
     def _check_action(self, action: int) -> None:
         check_integers(action=action)
@@ -205,11 +206,8 @@ class QTable:
     def _row(self, state: int) -> int:
         """The state's row, or -1 when it has none; ValueError unless the state is in the codec."""
         _check_state(state)
-        goal_bin, suffix = divmod(state, N_TIP_STATES)
-        i = int(self.bins.searchsorted(goal_bin))
-        if i < len(self.bins) and self.bins[i] == goal_bin:
-            return int(self._index[i, suffix])
-        return -1
+        i = int(self._states.searchsorted(state))
+        return i if i < len(self._states) and self._states[i] == state else -1
 
     def values(self, state: int) -> np.ndarray:
         """Row of action values; a shared zero row for untouched states. Do not mutate."""
@@ -262,23 +260,21 @@ class QTable:
         Returns two (len(goal_bins), N_TIP_STATES) int64 arrays: the argmax of
         the state's value row, ties to the lowest action id, and the row's
         kind: 0 if it holds a trained entry, 1 if only augmented ones, 2 if
-        it is empty. A state without a row, in a held bin or not, reads
-        action 0 and kind 2.
+        it is empty. A state without a row reads action 0 and kind 2.
         """
         goal_bins = np.asarray(goal_bins, dtype=np.int64)
-        at = self.bins.searchsorted(goal_bins)
-        held = at < len(self.bins)
-        held[held] = self.bins[at[held]] == goal_bins[held]
-        index = np.full((len(goal_bins), N_TIP_STATES), -1, dtype=np.int32)
-        index[held] = self._index[at[held]]
-        has = index >= 0
-        rows = index[has]
+        # Goal bin i's rows are the run lo[i]:lo[i] + count[i]; gather them all, run by run.
+        lo = self._states.searchsorted(goal_bins * N_TIP_STATES)
+        count = self._states.searchsorted((goal_bins + 1) * N_TIP_STATES) - lo
+        which = np.repeat(np.arange(len(goal_bins)), count)
+        rows = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        at = (which, self._states[rows] % N_TIP_STATES)
         flags = self._flags[rows]
-        policy = np.zeros(index.shape, dtype=np.int64)
-        kind = np.full(index.shape, 2, dtype=np.int64)
-        policy[has] = self._values[rows].argmax(axis=1)
-        kind[has] = np.where((flags & FLAG_TRAINED).any(axis=1), 0,
-                             np.where(flags.any(axis=1), 1, 2))
+        policy = np.zeros((len(goal_bins), N_TIP_STATES), dtype=np.int64)
+        kind = np.full(policy.shape, 2, dtype=np.int64)
+        policy[at] = self._values[rows].argmax(axis=1)
+        kind[at] = np.where((flags & FLAG_TRAINED).any(axis=1), 0,
+                            np.where(flags.any(axis=1), 1, 2))
         return policy, kind
 
     # -- write paths --------------------------------------------------------
@@ -301,16 +297,9 @@ class QTable:
             stored = np.float32(new)
         if not np.isfinite(stored):
             raise ValueError(f"state {state} action {action}: {new} not finite in float32")
-        goal_bin, suffix = divmod(state, N_TIP_STATES)
-        i = int(self.bins.searchsorted(goal_bin))
-        if i == len(self.bins) or self.bins[i] != goal_bin:
-            self.bins = np.insert(self.bins, i, goal_bin)
-            self._index = np.insert(self._index, i, -1, axis=0)
-        row = int(self._index[i, suffix])
-        if row < 0:  # a zeroed row after the rows of the indexed cells before this one
-            row = int(np.count_nonzero(self._index.reshape(-1)[:i * N_TIP_STATES + suffix] >= 0))
-            self._index[self._index >= row] += 1
-            self._index[i, suffix] = row
+        row = int(self._states.searchsorted(state))
+        if row == len(self._states) or self._states[row] != state:
+            self._states = np.insert(self._states, row, state)
             self._values = np.insert(self._values, row, 0, axis=0)
             self._flags = np.insert(self._flags, row, 0, axis=0)
         self._values[row, action] = stored
@@ -326,27 +315,19 @@ class QTable:
         by (state, action), the canonical on-disk order. The arrays are
         uint32, uint16, uint16 and float32.
         """
-        idx, states = self._stored_entries()
+        idx = np.flatnonzero(self._stored_rows())
         out = tuple(np.empty(len(idx), t) for t in (np.uint32, np.uint16, np.uint16, np.float32))
-        self._write_entries(idx, states, out)
+        self._write_entries(idx, out)
         return out
 
-    def _stored_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(idx, states): each stored entry's flat index into the rows, and each row's state.
-
-        ``idx`` is int64 and increasing, ``states`` uint32. Besides the two,
-        it holds one bool per held cell while it runs.
-        """
-        states = self._held_states().astype(np.uint32)
-        return np.flatnonzero(_stored(self._values, self._flags)), states
-
-    def _write_entries(self, idx: np.ndarray, states: np.ndarray, out) -> None:
+    def _write_entries(self, idx: np.ndarray, out) -> None:
         """Write the entries at ``idx`` into the (states, actions, flags, values) arrays ``out``.
 
-        Takes _stored_entries()'s pair and overwrites ``idx`` with each
-        entry's row. The outputs may be strided, as a record array's fields
-        are: each field is gathered a chunk of entries at a time, so no
-        temporary grows with the entry count.
+        Takes the increasing int64 flat indices of the stored entries into
+        the rows and overwrites them with each entry's row. The outputs may
+        be strided, as a record array's fields are: each field is gathered a
+        chunk of entries at a time, so no temporary grows with the entry
+        count.
         """
         ac = self.action_count
         flat_values, flat_flags = self._values.reshape(-1), self._flags.reshape(-1)
@@ -358,12 +339,7 @@ class QTable:
             out_values[a:b] = flat_values[i]
             np.remainder(i, ac, out=out_actions[a:b], casting="unsafe")
             i //= ac
-            out_states[a:b] = states[i]
-
-    def _held_states(self) -> np.ndarray:
-        """Each state holding a row, increasing, as int64: the state of every row in turn."""
-        i, suffix = np.nonzero(self._index >= 0)
-        return self.bins[i] * N_TIP_STATES + suffix
+            out_states[a:b] = self._states[i]
 
     def copy(self) -> "QTable":
         return QTable.concat([self])
@@ -391,15 +367,17 @@ class QTable:
         int64 strictly increasing in [0, N_GOAL_BINS), ``values`` float32
         and finite, ``flags`` uint16 of defined bits, both (m, N_TIP_STATES,
         action_count), row i belonging to bins[i]. Nothing is checked again.
-        The table keeps copies of ``bins`` and of the rows of the tip states
-        holding a stored entry, in state order, so later writes to the arrays
-        do not reach it.
+        The table keeps copies of the rows of the tip states holding a stored
+        entry, in state order, so later writes to the arrays do not reach it.
+        A bin without a stored entry holds no row.
         """
         occupied = np.empty(values.shape[:2], dtype=bool)
         for v, f, o in zip(values, flags, occupied):  # one bin at a time: no whole-table temporary
             _stored(v, f).any(axis=1, out=o)
-        return _table(values.shape[2], np.array(bins, dtype=np.int64), _numbered(occupied),
-                      values[occupied], flags[occupied])
+        cells = np.flatnonzero(occupied)
+        states = np.asarray(bins, dtype=np.int64)[cells // N_TIP_STATES] * N_TIP_STATES
+        states += cells % N_TIP_STATES
+        return _table(values.shape[2], states, values[occupied], flags[occupied])
 
     @classmethod
     def concat(cls, tables: Sequence["QTable"]) -> "QTable":
@@ -413,21 +391,15 @@ class QTable:
         action_count = tables[0].action_count
         if any(t.action_count != action_count for t in tables):
             raise ValueError("tables disagree on action count")
-        bins = np.concatenate([t.bins for t in tables])
-        order = np.argsort(bins, kind="stable")
-        bins = bins[order]
+        bins = np.sort(np.concatenate([t.bins for t in tables]))
         repeated = bins[1:][bins[1:] == bins[:-1]]
         if len(repeated):
             raise ValueError(f"goal bin {repeated[0]} is held by more than one table")
-        # Table k's rows follow those of the tables before it.
-        offsets = np.cumsum([0] + [t.row_count() for t in tables[:-1]])
-        index = np.concatenate([np.where(t._index >= 0, t._index + offset, -1)
-                                for t, offset in zip(tables, offsets)])[order]
-        occupied = index >= 0
-        rows = index[occupied]
-        values = np.concatenate([t._values for t in tables])[rows]
-        flags = np.concatenate([t._flags for t in tables])[rows]
-        return _table(action_count, bins, _numbered(occupied), values, flags)
+        states = np.concatenate([t._states for t in tables])
+        order = np.argsort(states)
+        return _table(action_count, states[order],
+                      np.concatenate([t._values for t in tables])[order],
+                      np.concatenate([t._flags for t in tables])[order])
 
     @classmethod
     def from_records(cls, states, actions, flags, values,
@@ -458,62 +430,43 @@ class QTable:
             raise ValueError("value not finite in float32")
         keys = states * action_count
         keys += actions
-        sorted_keys = np.sort(keys)
-        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        order = np.argsort(keys)
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("repeated (state, action) entry")
-        return _from_entries(states, actions, flags_arr, values_arr, action_count)
+        del keys
+        return _from_entries(states[order], actions[order], flags_arr[order], values_arr[order],
+                             action_count)
 
 
-def _table(action_count: int, bins, index, values, flags) -> QTable:
-    """A table taking the four storage arrays as they are, its rows in state order."""
+def _table(action_count: int, states, values, flags) -> QTable:
+    """A table taking the three storage arrays as they are: states increasing, rows in their order."""
     out = QTable(action_count)
-    out.bins, out._index, out._values, out._flags = bins, index, values, flags
+    out._states, out._values, out._flags = states, values, flags
     return out
 
 
-def _numbered(occupied: np.ndarray) -> np.ndarray:
-    """Row index of a 2-D occupancy mask: its true cells numbered 0.. in C order, -1 elsewhere."""
-    # A scattered range: about 4x faster than np.cumsum over a 4**10 mask.
-    cells = np.flatnonzero(occupied)
-    index = np.full(occupied.shape, -1, dtype=np.int32)
-    index.reshape(-1)[cells] = np.arange(len(cells), dtype=np.int32)
-    return index
-
-
-def _layout(state_sets, held_bins=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row layout for the states in ``state_sets``, one row per distinct state, in state order.
-
-    Returns (bins, index, row_of): the goal bins holding any of the states
-    or listed in ``held_bins``, increasing; their (bins, N_TIP_STATES) row
-    index; and (N_STATES,) int32, every state's row, -1 for a state not
-    given. No sort: the states are numbered in the order of an occupancy
-    mask.
-    """
-    occupied = np.zeros((N_GOAL_BINS, N_TIP_STATES), dtype=bool)
-    for states in state_sets:
-        occupied.reshape(-1)[states] = True
-    present = occupied.any(axis=1)
-    present[np.asarray(held_bins, dtype=np.int64)] = True
-    bins = np.flatnonzero(present)
-    row_of = _numbered(occupied)
-    return bins, row_of[bins], row_of.reshape(-1)
-
-
 def _from_entries(states, actions, flags, values, action_count: int) -> QTable:
-    """A table of already checked entries: parallel arrays, no (state, action) twice.
+    """A table of already checked entries: parallel arrays sorted by (state, action), none twice.
 
     from_records and load each check their input once, then build here.
+    An entry's row counts the state changes up to it.
     """
-    bins, index, row_of = _layout([states])
-    flat = np.multiply(row_of[states], action_count, dtype=np.int64)
-    del row_of  # the whole codec's row map: gone before the rows are allocated
+    new = np.empty(len(states), dtype=bool)
+    new[:1] = True
+    np.not_equal(states[1:], states[:-1], out=new[1:])
+    row_states = states[new].astype(np.int64, copy=False)
+    flat = np.cumsum(new, dtype=np.int64)
+    del new
+    flat -= 1
+    flat *= action_count
     flat += actions
-    shape = (int(index.max(initial=-1)) + 1, action_count)
+    shape = (len(row_states), action_count)
     out_values = np.zeros(shape, dtype=np.float32)
     out_flags = np.zeros(shape, dtype=np.uint16)
     out_values.reshape(-1)[flat] = values
     out_flags.reshape(-1)[flat] = flags
-    return _table(action_count, bins, index, out_values, out_flags)
+    return _table(action_count, row_states, out_values, out_flags)
 
 
 def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -585,18 +538,26 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     """
     check_integers(1, radius=radius)
     ac = q.action_count
-    states, held_values, held_flags = q._held_states(), q._values, q._flags
+    states, held_values, held_flags = q._states, q._values, q._flags
     keys, means = _neighbor_means(ac, states, held_values, held_flags, radius)
     actions = np.remainder(keys, ac, out=np.empty(len(keys), np.uint16), casting="unsafe")
     keys //= ac  # now each mean's state
-    bins, index, row_of = _layout([states, keys], q.bins)
+    occupied = np.zeros(N_STATES, dtype=bool)
+    occupied[states] = True
+    occupied[keys] = True
+    out_states = np.flatnonzero(occupied)
+    del occupied
+    # Each output state's row. Written and read only at those states, so of its
+    # 4 MiB it touches about one page per goal bin.
+    row_of = np.empty(N_STATES, dtype=np.int32)
+    row_of[out_states] = np.arange(len(out_states), dtype=np.int32)
     held = row_of[states]
     # From here on keys holds each mean's flat index into the output rows.
     np.multiply(row_of[keys], ac, out=keys, dtype=np.int64)
     del row_of
     keys += actions
     del actions
-    shape = (int(index.max(initial=-1)) + 1, ac)
+    shape = (len(out_states), ac)
     values = np.zeros(shape, dtype=np.float32)
     flags = np.zeros(shape, dtype=np.uint16)
     values[held] = held_values
@@ -610,7 +571,7 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     # An untrained entry's flags are 0 or FLAG_AUGMENTED, so OR-ing it in is setting it.
     flat_flags[flat] = FLAG_AUGMENTED
     # Means of finite float32 values, flags input | FLAG_AUGMENTED: nothing to rescan.
-    return _table(ac, bins, index, values, flags)
+    return _table(ac, out_states, values, flags)
 
 
 # Bits in one of _neighbor_means' sort words, the words it decodes at a time,
@@ -623,7 +584,7 @@ _WINDOW = 1 << 17
 def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Entries with a trained neighbor (augment's), and their neighbors' mean values.
 
-    Takes a table's held states (QTable._held_states) and their value and
+    Takes a table's row states (QTable._states) and their value and
     flag rows, in that order. Returns sorted int64 keys
     state * ac + action and float32 means. A trained entry adds its value
     to each neighbor's key, part by part: a part is one (digit, step, up or
@@ -731,12 +692,12 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
 
 def save(q: QTable, path) -> None:
     """Write a table; the format round-trips bit-exactly through load()."""
-    idx, states = q._stored_entries()
+    idx = np.flatnonzero(q._stored_rows())
     records = np.empty(len(idx), dtype=_RECORD_DTYPE)
-    q._write_entries(idx, states, [records[name] for name in _RECORD_DTYPE.names])
+    q._write_entries(idx, [records[name] for name in _RECORD_DTYPE.names])
     header = MAGIC + _HEADER.pack(FORMAT_VERSION, q.action_count, len(records))
     crc = zlib.crc32(records, zlib.crc32(header)) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
+    with open(Path(path), "wb") as fh:
         fh.write(header)
         fh.write(records)
         fh.write(_CRC.pack(crc))

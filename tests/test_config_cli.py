@@ -293,6 +293,17 @@ class TestPretrainCommand:
                 assert result.exit_code == 2, (command, name, value, result.output)
                 assert f"{section}: {name} must be an integer" in result.output
             assert not table.exists() and not csv_dir.exists()
+        # An integer path reached open() as a file descriptor (table_path) or a TypeError
+        # traceback (goal_bank_path, eval_dir).
+        paths = {"table_path": table, "eval_dir": csv_dir, "goal_bank_path": tmp_path / "b.hpnb"}
+        for name in paths:
+            fields = "".join(f"  {n}: {7 if n == name else p}\n" for n, p in paths.items())
+            cfg6 = write_config(tmp_path / "c6.yaml", f"output:\n{fields}")
+            for command in (["pretrain"], ["eval", "--zero-init"]):
+                result = runner.invoke(main, command + ["--config", cfg6])
+                assert result.exit_code == 2, (command, name, result.output)
+                assert f"output: {name} must be a string, not 7" in result.output
+            assert not any(p.exists() for p in paths.values())
         # "no" quoted is a string, and truthy: it must not lift the large-run guard.
         # (The one-sample budget fails fast, with exit 1, if the guard is lifted.)
         cfg5 = write_config(tmp_path / "c5.yaml", 'pretrain:\n  allow_large_run: "no"\n'
@@ -500,9 +511,8 @@ class TestInspectCommand:
         save(q, path)
         result = runner.invoke(main, ["inspect", str(path)])
         assert result.exit_code == 0
-        # Two goal bins of 1024 int32 index words and 8 bin bytes each, two
-        # rows of 32 float32 values and 32 uint16 flag words.
-        assert f"rows held: 2 ({2 * (8 + 4096) + 2 * 32 * 6} bytes in memory)" in result.output
+        # Two rows, each an int64 state, 32 float32 values and 32 uint16 flag words.
+        assert f"rows held: 2 ({2 * (8 + 32 * 6)} bytes in memory)" in result.output
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1

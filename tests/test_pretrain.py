@@ -903,8 +903,7 @@ class TestPretrainPipeline:
         table = load(default_table_file(0))
         assert table.row_count() == table.state_count()
         dense = len(table.bins) * N_TIP_STATES * table.action_count * (4 + 2)
-        assert table.nbytes == (len(table.bins) * (8 + 4 * N_TIP_STATES)
-                                + table.row_count() * table.action_count * (4 + 2))
+        assert table.nbytes == table.row_count() * (8 + table.action_count * (4 + 2))
         assert table.nbytes < dense / 2
 
     def test_default_table_evaluation_matches_frozen_digest(self, default_table_file):

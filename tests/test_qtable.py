@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 import zlib
@@ -46,11 +47,9 @@ def table_of(entries, action_count=32):
 
 
 def assert_rows_in_state_order(q):
-    """The row index numbers its cells 0, 1, 2, ... in C order: rows in state order, none spare."""
-    index = q._index.reshape(-1)
-    cells = index[index >= 0]
-    assert np.array_equal(cells, np.arange(len(cells)))
-    assert len(q._values) == len(q._flags) == len(cells) == q.row_count()
+    """The row states increase strictly, one per value row and flag row, none spare."""
+    assert q._states.dtype == np.int64 and (np.diff(q._states) > 0).all()
+    assert len(q._values) == len(q._flags) == len(q._states) == q.row_count()
 
 
 def scratch_neighbors(state, radius=1):
@@ -358,6 +357,12 @@ class TestStackedLayout:
         assert q.trained_count() == 3
         assert q.row_count() == 3
 
+    def test_a_lane_without_a_stored_entry_holds_no_bin(self):
+        bins, values, flags = stacked([2, 5, 1023])
+        values[1], flags[1] = 0.0, 0
+        q = QTable.from_checked_arrays(np.array(bins), values, flags)
+        assert q.bins.tolist() == [2, 1023] and q.row_count() == 2
+
     def test_bulk_builds_hold_only_the_bins_they_write(self, tmp_path):
         q = QTable.from_records([3 * N_TIP_STATES + 1, 700 * N_TIP_STATES], [0, 5], [1, 2],
                                 [1.0, 2.0])
@@ -386,7 +391,7 @@ class TestStackedLayout:
 
 
 class TestRowStore:
-    """Rows only for the tip states written, reached through the row index."""
+    """Rows only for the tip states written, found by a search of the row states."""
 
     def test_one_entry_holds_one_row(self, tmp_path):
         q = QTable.from_records([700 * N_TIP_STATES + 9], [3], [FLAG_TRAINED], [1.5])
@@ -398,11 +403,11 @@ class TestRowStore:
             assert built.row_count() == 1
         assert QTable().row_count() == augment(QTable()).row_count() == 0
 
-    def test_bytes_are_the_index_and_the_rows(self):
+    def test_bytes_are_the_states_and_the_rows(self):
         q = QTable.from_records([3 * N_TIP_STATES + 1, 3 * N_TIP_STATES + 2, 700 * N_TIP_STATES],
                                 [0, 5, 1], [1, 2, 1], [1.0, 2.0, 3.0])
         assert q.row_count() == 3
-        assert q.nbytes == 2 * 8 + 2 * N_TIP_STATES * 4 + 3 * 32 * (4 + 2)
+        assert q.nbytes == 3 * (8 + 32 * (4 + 2))
         assert QTable(4).nbytes == 0
 
     def test_updates_in_falling_order_insert_rows_in_state_order(self):
@@ -432,9 +437,14 @@ class TestRowStore:
         built = [q, load(tmp_path / "t.hpnq"), q.copy(), augment(q), augment(q, radius=3),
                  QTable.concat([q, other]), QTable.concat([other, q]),
                  QTable.from_checked_arrays(*stacked([2, 5, 1023])), QTable(), augment(QTable())]
-        for table in built:
+        updated = q.copy()
+        new_bin = next(b for b in range(1024) if b not in set(q.bins.tolist()))
+        updated.update(new_bin * N_TIP_STATES + 9, 4, 1.0, 0, HP)
+        for table in built + [updated]:
             assert_rows_in_state_order(table)
+            assert table.bins.tolist() == sorted({int(s) // N_TIP_STATES for s in table._states})
         assert built[0].row_count() == len({s for s, _ in entries})
+        assert updated.bins.tolist() == sorted(q.bins.tolist() + [new_bin])
 
     def test_greedy_policy_reads_each_state_row(self):
         entries = clustered_entries(32, seed=4)
@@ -830,6 +840,17 @@ class TestPersistence:
         save(q, path)
         assert load(path) == q
 
+    def test_save_refuses_a_file_descriptor(self, tmp_path):
+        # open() takes an int as a descriptor: save would write into whatever it names.
+        path = tmp_path / "fd.qt"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        try:
+            with pytest.raises(TypeError):
+                save(QTable.from_records([5], [1], [FLAG_TRAINED], [1.0]), fd)
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == b""
+
     def test_small_table_round_trip_bit_exact(self, tmp_path, rng):
         entries = {}
         for _ in range(300):
@@ -1014,12 +1035,11 @@ class TestBulkMemory:
     """save, record_arrays and load hold at most their output plus one int64 per entry.
 
     Each bound is the output, one int64 per stored entry (the one flat index
-    a bulk path keeps), one byte per held cell (the stored-entry mask, or the
-    held-state list beside it) and SLACK for fixed-size parts: per-chunk
-    gather temporaries and the (bins, N_TIP_STATES) held-row mask. load also
-    holds the file's bytes while it builds the rows, so its bound adds them.
-    Its codec-wide row map (5 MiB with the occupancy mask) is freed before
-    the rows are made: this table's rows outweigh it, so it sets no peak.
+    a bulk path keeps), one byte per held cell (the stored-entry mask) and
+    SLACK for fixed-size parts such as per-chunk gather temporaries. load
+    also holds the file's bytes while it builds the rows, so its bound adds
+    them. load and from_records allocate nothing over the whole state space:
+    a one-entry table builds in a few KiB.
     """
 
     SLACK = 1 << 20
@@ -1054,6 +1074,15 @@ class TestBulkMemory:
         assert back == table
         output = back.nbytes + path.stat().st_size
         assert peak <= self.bound(table, output), (peak, self.bound(table, output))
+
+    def test_one_entry_builds_in_a_few_kib(self, tmp_path):
+        entry = ([700 * N_TIP_STATES + 9], [3], [FLAG_TRAINED], [1.5])
+        path = tmp_path / "t.hpnq"
+        save(QTable.from_records(*entry), path)
+        for build in (lambda: load(path), lambda: QTable.from_records(*entry)):
+            peak, q = traced_peak(build)
+            assert q.row_count() == 1
+            assert peak < 64 << 10, peak
 
 
 # States for the reference-model test: suffixes spread over goal bins,
