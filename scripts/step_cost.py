@@ -11,7 +11,10 @@ it runs, counted once beforehand; a step advances every running lane by one
 action. Prints the quartiles over --calls calls for each lane count, and for
 greedy_lockstep the steps per call: a nominal lane stops at its first return
 to an arm configuration, so its calls run fewer steps than --max-steps, while
-a lane on the noisy plant runs until success or the step limit.
+a lane on the noisy plant runs until success or the step limit. Each greedy
+cell ends with the median µs of a max_steps=1 call on the same lanes: the
+per-call set-up (policy read, lane and noise set-up, padding) that its
+per-step figures spread over its steps.
 
 Example:
     python3 scripts/step_cost.py --seed 1 --calls 15
@@ -21,6 +24,7 @@ import argparse
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -51,14 +55,20 @@ def count_steps(run) -> int:
     return steps
 
 
-def step_quartiles(run, calls: int) -> tuple[list[float], int]:
-    """Quartiles of µs per step over ``calls`` timed calls of ``run``, and its steps per call."""
-    steps = count_steps(run)
+def call_times(run, calls: int) -> list[float]:
+    """Microseconds of each of ``calls`` timed calls of ``run``."""
     costs = []
     for _ in range(calls):
         t0 = time.perf_counter()
         run()
-        costs.append((time.perf_counter() - t0) / steps * 1e6)
+        costs.append((time.perf_counter() - t0) * 1e6)
+    return costs
+
+
+def step_quartiles(run, calls: int) -> tuple[list[float], int]:
+    """Quartiles of µs per step over ``calls`` timed calls of ``run``, and its steps per call."""
+    steps = count_steps(run)
+    costs = [c / steps for c in call_times(run, calls)]
     quartiles = statistics.quantiles(costs, n=4, method="inclusive") if calls > 1 else costs * 3
     return quartiles, steps
 
@@ -92,8 +102,8 @@ def main() -> int:
           f"{args.calls} calls per cell")
     plant = episode.PerturbedPlant(cfg.arm, cfg.perturbed, seed=args.seed)
     print("lanes  train_lockstep us/step (q1 median q3)  "
-          "greedy_lockstep nominal us/step (q1 median q3) steps  "
-          "greedy_lockstep perturbed us/step (q1 median q3) steps")
+          "greedy_lockstep nominal us/step (q1 median q3) steps 1-step-call-us  "
+          "greedy_lockstep perturbed us/step (q1 median q3) steps 1-step-call-us")
     for n in lane_counts:
         if n > len(bank.bins):
             print(f"{n:>5}  skipped: the bank holds {len(bank.bins)} bins")
@@ -103,13 +113,15 @@ def main() -> int:
         train, _ = step_quartiles(
             lambda: episode.train_lockstep(bins, goals, args.seed, cfg.hyper, **specs),
             args.calls)
-        greedy = [
-            step_quartiles(lambda: episode.greedy_lockstep(table, poses, repetitions=1,
-                                                           plant=p, **specs), args.calls)
-            for p in (None, plant)
-        ]
-        print(f"{n:>5}  " + " ".join(f"{x:7.1f}" for x in train) + "".join(
-            "       " + " ".join(f"{x:7.1f}" for x in q) + f" {steps:5d}" for q, steps in greedy))
+        cells = []
+        for p in (None, plant):
+            greedy = partial(episode.greedy_lockstep, table, poses, repetitions=1, plant=p,
+                             **specs)
+            quartiles, steps = step_quartiles(greedy, args.calls)
+            setup = statistics.median(call_times(partial(greedy, max_steps=1), args.calls))
+            cells.append(" ".join(f"{x:7.1f}" for x in quartiles) + f" {steps:5d} {setup:7.1f}")
+        print(f"{n:>5}  " + " ".join(f"{x:7.1f}" for x in train)
+              + "".join("       " + cell for cell in cells))
     return 0
 
 

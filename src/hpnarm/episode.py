@@ -613,52 +613,54 @@ def train_lockstep(
     rows, flag_rows = values.reshape(-1, n_actions), flags.reshape(-1, n_actions)
     rs = reward_spec
 
-    for k in range(goals.shape[1] if bins else 0):
-        raw = np.array([
-            np.random.PCG64(np.random.SeedSequence((seed, 0, b, k))).random_raw(2 * max_steps)
-            for b in bins
-        ])
-        draws = exploration_draws(raw, hp.epsilon, max_steps)
-        lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
-        done = rs.is_success(lanes.pos, lanes.rot)
-
-        for t in range(max_steps):
-            if done.any():
-                lanes.keep(~done)
-            if len(lanes) == 0:
-                break
-            base = lanes.ids * N_TIP_STATES
-            row = base + lanes.state
-            drawn = draws[:, t][lanes.ids]
-            action = np.where(drawn < 0, rows.take(row, axis=0).argmax(axis=1), drawn)
-
-            pos, rot = lanes.pos, lanes.rot
-            lanes.step(action)
+    # The reward and TD checks below decide on overflow, not numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(goals.shape[1] if bins else 0):
+            raw = np.array([
+                np.random.PCG64(np.random.SeedSequence((seed, 0, b, k))).random_raw(2 * max_steps)
+                for b in bins
+            ])
+            draws = exploration_draws(raw, hp.epsilon, max_steps)
+            lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
             done = rs.is_success(lanes.pos, lanes.rot)
-            reward = (rs.w_p_per_mm * (pos - lanes.pos) + rs.w_r_per_deg * (rot - lanes.rot)
-                      - rs.step_penalty)
-            reward = np.where(done, reward + rs.goal_bonus, reward)
-            if not np.isfinite(reward).all():
-                raise ValueError("reward must be finite")
 
-            # QTable.update, lane by lane: float64 arithmetic, float32 storage.
-            next_row = base + lanes.state
-            # The row's max, read at its argmax: the same value, and the same
-            # bits, since a table trained from zero never holds -0.0.
-            best = rows[next_row, rows.take(next_row, axis=0).argmax(axis=1)].astype(np.float64)
-            target = reward + hp.gamma * best
-            old = rows[row, action].astype(np.float64)
-            new = old + hp.alpha * (target - old)
-            # QTable.update's check without a cast: float32 rounds a magnitude
-            # from _FLOAT32_OVERFLOW up, and NaN, to non-finite.
-            fit = np.abs(new) < _FLOAT32_OVERFLOW
-            if not fit.all():
-                i = int(fit.argmin())
-                state = bins[lanes.ids[i]] * N_TIP_STATES + int(row[i] - base[i])
-                raise ValueError(f"state {state} action {action[i]}: {float(new[i])} "
-                                 "not finite in float32")
-            rows[row, action] = new
-            flag_rows[row, action] = FLAG_TRAINED  # the only flag training sets
+            for t in range(max_steps):
+                if done.any():
+                    lanes.keep(~done)
+                if len(lanes) == 0:
+                    break
+                base = lanes.ids * N_TIP_STATES
+                row = base + lanes.state
+                drawn = draws[:, t][lanes.ids]
+                action = np.where(drawn < 0, rows.take(row, axis=0).argmax(axis=1), drawn)
+
+                pos, rot = lanes.pos, lanes.rot
+                lanes.step(action)
+                done = rs.is_success(lanes.pos, lanes.rot)
+                reward = (rs.w_p_per_mm * (pos - lanes.pos) + rs.w_r_per_deg * (rot - lanes.rot)
+                          - rs.step_penalty)
+                reward = np.where(done, reward + rs.goal_bonus, reward)
+                if not np.isfinite(reward).all():
+                    raise ValueError("reward must be finite")
+
+                # QTable.update, lane by lane: float64 arithmetic, float32 storage.
+                next_row = base + lanes.state
+                # The row's max, read at its argmax: the same value, and the same
+                # bits, since a table trained from zero never holds -0.0.
+                best = rows[next_row, rows.take(next_row, axis=0).argmax(axis=1)].astype(np.float64)
+                target = reward + hp.gamma * best
+                old = rows[row, action].astype(np.float64)
+                new = old + hp.alpha * (target - old)
+                # QTable.update's check without a cast: float32 rounds a magnitude
+                # from _FLOAT32_OVERFLOW up, and NaN, to non-finite.
+                fit = np.abs(new) < _FLOAT32_OVERFLOW
+                if not fit.all():
+                    i = int(fit.argmin())
+                    state = bins[lanes.ids[i]] * N_TIP_STATES + int(row[i] - base[i])
+                    raise ValueError(f"state {state} action {action[i]}: {float(new[i])} "
+                                     "not finite in float32")
+                rows[row, action] = new
+                flag_rows[row, action] = FLAG_TRAINED  # the only flag training sets
 
     # Values finite in float32, flags FLAG_TRAINED or 0: nothing to rescan.
     return QTable.from_checked_arrays(np.array(bins, dtype=np.int64), values, flags)
@@ -668,14 +670,14 @@ def train_lockstep(
 class GreedyRuns:
     """Outcome of greedy_lockstep, indexed [goal, repetition] and, for series, step.
 
-    Series are padded to max_steps + 1 by holding an episode's last value,
-    or, past a lock, by repeating its cycle. ``selections[goal]`` counts the
-    goal's action selections, over all its repetitions, made on rows holding
-    a trained entry, rows holding only augmented entries, and empty rows (no
-    flag set), in that order. ``lock_step[goal]`` is the step at which the
-    goal's episode first returned to an arm configuration it held before,
-    and ``lock_period[goal]`` the steps since it held that configuration;
-    both are -1 where the episode never returned, or the plant draws noise.
+    Series are padded to max_steps + 1 by greedy_lockstep's rule.
+    ``selections[goal]`` counts the goal's action selections, over all its
+    repetitions, made on rows holding a trained entry, rows holding only
+    augmented entries, and empty rows (no flag set), in that order.
+    ``lock_step[goal]`` is the step at which the goal's episode first
+    returned to an arm configuration it held before, and
+    ``lock_period[goal]`` the steps since it held that configuration; both
+    are -1 where the episode never returned, or the plant draws noise.
     """
 
     pos: np.ndarray          # (goals, repetitions, max_steps + 1)
@@ -725,10 +727,16 @@ def greedy_lockstep(
     current one, so once it returns at step t to a configuration it first
     held at step t0, it repeats steps t0 .. t - 1 with period p = t - t0 to
     the step limit, without reaching success (those poses were scored
-    already). It stops stepping there: its series and its selection counts
-    are filled in by continuing that cycle, and the goal's lock_step and
+    already). It stops stepping there, and the goal's lock_step and
     lock_period record t and p. The configuration is the lane's four
     segment codes on the lattice and its 16 pressures past it.
+
+    An episode that ends at step t, by success or by such a lock, is padded
+    by one rule: its series at each step s > t, and its row kind at each
+    step s >= t, read step t0 + (s - t0) % p, where t0 = t and p = 1 unless
+    it locked. So a locked lane repeats its cycle in both, and one that
+    succeeded holds its last value and selects nothing more. Success is
+    read from each episode's final pose.
 
     Greedy selection takes the argmax of the lane's row, ties to the lowest
     action id. Each distinct goal bin's actions and row kinds are read once
@@ -772,69 +780,57 @@ def greedy_lockstep(
     lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
                    repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
 
-    pos = np.empty((n, length))
-    rot = np.empty((n, length))
-    success = np.zeros(n, dtype=bool)
-    selections = np.zeros((n, 3), dtype=np.int64)
-    lock_step = np.full(n, -1)
-    lock_period = np.full(n, -1)
+    # The loop only records: the series, each selection's row kind (-1 where
+    # none), the step each episode ended at (``last``) and, for a lock, the
+    # step that began its cycle (``start``); max_steps where neither happened.
+    pos, rot = np.empty((2, n, length))
+    kinds = np.full((n, max_steps), -1, dtype=np.int8)
+    last, start = np.full((2, n), max_steps)
     pos[:, 0], rot[:, 0] = lanes.pos, lanes.rot
-    done = stop = reward_spec.is_success(lanes.pos, lanes.rot)
+    ended = reward_spec.is_success(lanes.pos, lanes.rot)
     if noise is None:
-        # Each lane's configuration and selected row kind at every step so far.
+        # Each lane's configuration at every step so far.
         config = _arm_configuration(lanes)
         held = np.empty((n, length, config.shape[1]), dtype=config.dtype)
         held[:, 0] = config
-        kinds = np.empty((n, max_steps), dtype=np.int8)
     for step in range(1, length):
-        if done.any():
-            finished = lanes.ids[done]
-            success[finished] = True
-            # A finished episode holds its last value to the end of the series.
-            pos[finished, step:] = pos[finished, step - 1, None]
-            rot[finished, step:] = rot[finished, step - 1, None]
-        if stop.any():
-            lanes.keep(~stop)
+        if ended.any():
+            last[lanes.ids[ended]] = step - 1
+            lanes.keep(~ended)
         if len(lanes) == 0:
             break
         ids = lanes.ids
         at = lane_slot[ids], lanes.state
-        row_kind = kind[at]
-        selections[ids, row_kind] += 1
+        kinds[ids, step - 1] = kind[at]
         lanes.step(policy[at])
         pos[ids, step], rot[ids, step] = lanes.pos, lanes.rot
-        done = stop = reward_spec.is_success(lanes.pos, lanes.rot)
+        ended = reward_spec.is_success(lanes.pos, lanes.rot)
         if noise is None:
-            kinds[ids, step - 1] = row_kind
             config = _arm_configuration(lanes)
             seen = (held[ids, :step] == config[:, None]).all(axis=2)
             held[ids, step] = config
             locked = seen.any(axis=1)
-            if locked.any():
-                # Continue each locked lane's cycle: step s repeats step
-                # t0 + (s - t0) % p, for its series from the next step on and
-                # for its selections from this step's state on.
-                lane, t0 = ids[locked], seen[locked].argmax(axis=1)
-                period = step - t0
-                lock_step[lane], lock_period[lane] = step, period
-                t0, period = t0[:, None], period[:, None]
-                later = np.arange(step + 1, length)
-                src = t0 + (later - t0) % period
-                pos[lane[:, None], later] = pos[lane[:, None], src]
-                rot[lane[:, None], later] = rot[lane[:, None], src]
-                src = t0 + (np.arange(step, max_steps) - t0) % period
-                repeated = kinds[lane[:, None], src]
-                selections[lane] += (repeated[:, :, None] == np.arange(3)).sum(axis=1)
-                stop = done | locked
-    else:  # the lanes still running ended at the step limit
-        success[lanes.ids[done]] = True
+            start[ids[locked]] = seen[locked].argmax(axis=1)
+            ended |= locked
+
+    # The padding rule of the docstring.
+    locked = start < last
+    period = np.where(locked, last - start, 1)
+    start = np.minimum(start, last)[:, None]
+    steps = np.arange(length)
+    cycle = start + (steps - start) % period[:, None]
+    after = steps > last[:, None]
+    pos, rot = (np.take_along_axis(x, np.where(after, cycle, steps), axis=1) for x in (pos, rot))
+    kinds = np.take_along_axis(kinds, np.where(after[:, 1:], cycle[:, :-1], steps[:-1]), axis=1)
+    # A noise-free configuration fixes the pose, so no cycle holds a success pose.
+    success = reward_spec.is_success(pos[:, -1], rot[:, -1])
 
     shape = (len(goals), lane_reps)
     return GreedyRuns(
         pos=np.repeat(pos.reshape(shape + (length,)), copies, axis=1),
         rot=np.repeat(rot.reshape(shape + (length,)), copies, axis=1),
         success=np.repeat(success.reshape(shape), copies, axis=1),
-        selections=selections.reshape(shape + (3,)).sum(axis=1) * copies,
-        lock_step=lock_step.reshape(shape)[:, 0],
-        lock_period=lock_period.reshape(shape)[:, 0],
+        selections=(kinds.reshape(len(goals), -1, 1) == np.arange(3)).sum(axis=1) * copies,
+        lock_step=np.where(locked, last, -1).reshape(shape)[:, 0],
+        lock_period=np.where(locked, period, -1).reshape(shape)[:, 0],
     )

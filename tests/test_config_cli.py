@@ -165,6 +165,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize("text, match", [
+        ("arm: [1, 2\n", "cannot parse config"),
+        ("- arm\n- hyper\n", "config root must be a mapping of sections"),
+    ], ids=["unparsable", "list-root"])
+    def test_yaml_that_is_not_a_mapping_of_sections_rejected(self, tmp_path, text, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path / "c.yaml", text))
+
 
 class TestGoalConfiguration:
     def test_goals_parse_and_normalize(self):
@@ -186,6 +194,11 @@ class TestGoalConfiguration:
             config_from_mapping({"eval": {"goals": []}})
         with pytest.raises(ConfigError):
             config_from_mapping({"eval": {"goals": {"position_mm": [0, 0, 1]}}})
+
+    def test_goal_with_a_non_finite_position_rejected(self):
+        goal = {"position_mm": [float("nan"), 0.0, 500.0], "direction": [0.0, 0.0, 1.0]}
+        with pytest.raises(ConfigError, match="eval.*goal position and direction must be finite"):
+            config_from_mapping({"eval": {"goals": [goal]}})
 
     def test_default_suite_has_two_straight_and_two_mirrored_goals(self):
         params = ArmParams()
@@ -232,6 +245,12 @@ class TestFkCommand:
 
     def test_non_numeric_exits_2(self, runner):
         assert runner.invoke(main, ["fk"] + ["x"] * 16).exit_code == 2
+
+    def test_unparsable_config_exits_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", "arm: [1, 2\n")
+        result = runner.invoke(main, ["fk", "--config", cfg] + ["0"] * 16)
+        assert result.exit_code == 2
+        assert "error: cannot parse config" in result.output
 
 
 class TestPretrainCommand:
@@ -311,6 +330,17 @@ class TestPretrainCommand:
         result = runner.invoke(main, ["pretrain", "--config", cfg5])
         assert result.exit_code == 2, result.output
         assert "pretrain: allow_large_run must be a boolean" in result.output
+        assert not table.exists()
+
+    def test_run_past_the_large_run_guard_exits_2(self, runner, tmp_path):
+        # A one-sample budget fails fast, with exit 1, should the guard let the run through.
+        table = tmp_path / "t.qt"
+        cfg = write_config(tmp_path / "c.yaml", "pretrain:\n  quota: 600\n  budget: 1\n"
+                           f"output:\n  table_path: {table}\n")
+        result = runner.invoke(main, ["pretrain", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert "quota 600 plans up to 614400 episodes" in result.output
+        assert "need allow_large_run=True" in result.output
         assert not table.exists()
 
     @pytest.mark.parametrize("bad", ["bin", "direction", "goal-outside-its-bin"])
@@ -439,6 +469,15 @@ class TestEvalCommand:
         assert "--seed" in result.output
         assert not out.exists()
 
+    def test_output_directory_that_is_a_file_exits_1(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", "eval:\n  repetitions: 1\n  max_steps: 5\n")
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        result = runner.invoke(main, ["eval", "--config", cfg, "--zero-init", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        assert out.read_text() == "not a directory"
+
     def test_unreadable_table_exits_1(self, runner, tmp_path):
         missing = runner.invoke(main, ["eval", "--table", str(tmp_path / "no.qt")])
         assert missing.exit_code == 1
@@ -476,6 +515,12 @@ class TestAugmentCommand:
         bad = tmp_path / "bad.qt"
         bad.write_bytes(b"HPNQ????")
         assert runner.invoke(main, ["augment", str(bad), str(tmp_path / "o.qt")]).exit_code == 1
+
+    def test_destination_in_a_missing_directory_exits_1(self, runner, tmp_path, table_file):
+        out = tmp_path / "missing" / "o.qt"
+        result = runner.invoke(main, ["augment", str(table_file), str(out)])
+        assert result.exit_code == 1
+        assert "error:" in result.output and not out.parent.exists()
 
     def test_bad_radius_exits_2(self, runner, tmp_path, table_file):
         result = runner.invoke(

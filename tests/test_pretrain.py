@@ -551,6 +551,11 @@ class TestBankCache:
         with pytest.raises(GoalBankError):
             load_bank(saved)
 
+    def test_file_shorter_than_its_header_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes()[:20])
+        with pytest.raises(GoalBankError, match="truncated goal bank file"):
+            load_bank(saved)
+
     def test_unsupported_version_rejected(self, saved):
         raw = bytearray(saved.read_bytes())
         raw[4] = 99
@@ -776,6 +781,31 @@ class TestLockstepMatchesSequentialEpisodes:
         with pytest.raises(ValueError) as scalar:
             sequential_table(bank.bins[i:i + 1], bank.goals[i:i + 1, :1], 0, specs, rewards, 20)
         assert str(lockstep.value) == str(scalar.value)
+
+    def test_an_infinite_reward_is_refused_with_no_numpy_warning(self, specs, small_bank):
+        """Both paths raise the scalar path's ValueError, before numpy could warn of overflow."""
+        rewards = RewardSpec(w_p_per_mm=1e308)
+        kwargs = {**shard_kwargs(specs, max_steps=20), "reward_spec": rewards}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="reward must be finite"):
+                train_lockstep(small_bank.bins[:2], small_bank.goals[:2], 0, specs["hp"],
+                               **kwargs)
+            with pytest.raises(ValueError, match="reward must be finite"):
+                sequential_table(small_bank.bins[:1], small_bank.goals[:1, :1], 0, specs,
+                                 rewards, 20)
+
+    def test_a_bin_whose_goals_all_start_at_success_trains_no_row(self, specs):
+        # Every lane succeeds before its first step, so each round ends at once.
+        params = specs["params"]
+        start = NominalPlant(params).apply(np.full((4, 4), params.p_max_kpa / 2.0))
+        at_start = np.concatenate([start[:3, 3], start[:3, 2]])
+        bin_ = encode_goal_prefix(at_start[:3], at_start[3:], rest_tip_origin(params.l0_mm),
+                                  specs["binning"])
+        assert bin_ == 392
+        table = train_lockstep([bin_], np.tile(at_start, (1, 3, 1)), 0, specs["hp"],
+                               **shard_kwargs(specs))
+        assert table.row_count() == 0 and table.entry_count() == 0
 
     def test_the_trained_table_is_handed_over_without_a_rescan(self, specs, small_bank,
                                                               monkeypatch):

@@ -239,6 +239,12 @@ class TestBadWrites:
                 QTable.from_records([5], [action], [FLAG_TRAINED], [1.0])
         assert q.entry_count() == 0
 
+    def test_action_count_past_a_record_action_id_rejected(self):
+        # A file record holds its action id in a u16.
+        with pytest.raises(ValueError, match=r"action_count must be in \[1, 65535\], got 65536"):
+            QTable(action_count=65536)
+        assert QTable(action_count=65535).action_count == 65535
+
     def test_state_outside_codec_rejected(self):
         q = QTable()
         for state in (-5, N_STATES, 2**22):
@@ -996,6 +1002,12 @@ class TestPersistence:
         _write_header_only(path, action_count)
         with pytest.raises(QTableIOError,
                            match=rf"action count {action_count} outside \[1, 65535\]"):
+            load(path)
+
+    def test_action_id_at_the_header_action_count_rejected(self, tmp_path):
+        path = tmp_path / "t.qt"
+        _write_records(path, [5, 6], [1, 32], [1, 1], [1.0, 2.0])
+        with pytest.raises(QTableIOError, match="action id beyond action count 32"):
             load(path)
 
     def test_last_codec_state_loads(self, tmp_path):

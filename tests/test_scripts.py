@@ -85,11 +85,12 @@ def test_step_cost(tmp_path):
     assert lines[1].startswith("lanes  train_lockstep"), lines
     for lanes, line in zip((1, 2), lines[2:4]):
         # Lanes, training quartiles, then per greedy plant (nominal, then
-        # perturbed) its quartiles and its steps per call.
+        # perturbed) its quartiles, its steps per call and the median µs of a
+        # one-step call.
         fields = line.split()
-        assert int(fields[0]) == lanes and len(fields) == 12, lines
+        assert int(fields[0]) == lanes and len(fields) == 14, lines
         assert all(float(x) > 0.0 for x in fields[1:]), lines
-        assert all(1 <= int(fields[i]) <= 5 for i in (7, 11)), lines
+        assert all(1 <= int(fields[i]) <= 5 for i in (7, 12)), lines
     assert re.fullmatch(r" *5000  skipped: the bank holds \d+ bins", lines[4]), lines
 
 

@@ -372,6 +372,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             BinningSpec(d_tip_edges_mm=(30.0, 5.0, 60.0))
 
+    def test_binning_needs_three_edges(self):
+        with pytest.raises(ValueError, match="d_tip_edges_mm needs three finite interior edges"):
+            BinningSpec(d_tip_edges_mm=(5.0, 30.0))
+
     def test_goal_elevation_edges_must_clear_their_guards(self):
         with pytest.raises(ValueError, match="2e-9 rad apart"):
             BinningSpec(phi_egoal_edges_rad=(0.1, 0.1 + 1e-9, 1.0))
