@@ -16,8 +16,17 @@ cell ends with the median µs of a max_steps=1 call on the same lanes: the
 per-call set-up (policy read, lane and noise set-up, padding) that its
 per-step figures spread over its steps.
 
+With --stages, a last block splits a train_lockstep step at the largest lane
+count that ran into stages, in µs per step (median over --calls calls): the
+exploration draws (exploration_draws, once per round), the lane step less
+what it observes (_Lanes.step), tip_of, observe_batch (encode_tip_stack
+included), and the rest of the call: stream reads, lane set-up, action
+selection and the TD update. Each stage is timed by wrapping its name, so
+every wrapped call adds its own timing overhead: the block prints the wrapped
+step's total next to the unwrapped one of the table above.
+
 Example:
-    python3 scripts/step_cost.py --seed 1 --calls 15
+    python3 scripts/step_cost.py --seed 1 --calls 15 --stages
 """
 
 import argparse
@@ -55,6 +64,51 @@ def count_steps(run) -> int:
     return steps
 
 
+# Wrapped stages of a train_lockstep call: (label, owner, attribute).
+STAGES = (
+    ("exploration draws", episode, "exploration_draws"),
+    ("lane step", episode._Lanes, "step"),
+    ("tip_of", episode, "tip_of"),
+    ("observe_batch", episode, "observe_batch"),
+)
+
+
+def stage_seconds(run) -> dict[str, float]:
+    """Seconds one call of ``run`` spends in each stage of STAGES and in the rest of it.
+
+    A stage's time leaves out the stages called inside it (tip_of and
+    observe_batch inside the lane step), so the stages add up to the call.
+    """
+    spent = {label: 0.0 for label, *_ in STAGES}
+    inner = []  # per open stage, the seconds of the stages inside it
+
+    def timed(label, fn):
+        def wrapper(*args, **kwargs):
+            inner.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - t0
+                spent[label] += elapsed - inner.pop()
+                if inner:
+                    inner[-1] += elapsed
+        return wrapper
+
+    originals = [(owner, name, getattr(owner, name)) for _, owner, name in STAGES]
+    for (label, *_), (owner, name, fn) in zip(STAGES, originals):
+        setattr(owner, name, timed(label, fn))
+    try:
+        t0 = time.perf_counter()
+        run()
+        total = time.perf_counter() - t0
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+    spent["rest of the call"] = total - sum(spent.values())
+    return spent
+
+
 def call_times(run, calls: int) -> list[float]:
     """Microseconds of each of ``calls`` timed calls of ``run``."""
     costs = []
@@ -82,6 +136,8 @@ def main() -> int:
     ap.add_argument("--max-steps", type=int, default=200)
     ap.add_argument("--budget", type=int, default=None,
                     help="goal-bank samples (default: the default for quota --rounds)")
+    ap.add_argument("--stages", action="store_true",
+                    help="split a train_lockstep step at the largest lane count into stages")
     args = ap.parse_args()
     lane_counts = [int(x) for x in args.lanes.split(",")]
     if args.calls < 1 or args.rounds < 1 or min(lane_counts) < 1:
@@ -104,15 +160,17 @@ def main() -> int:
     print("lanes  train_lockstep us/step (q1 median q3)  "
           "greedy_lockstep nominal us/step (q1 median q3) steps 1-step-call-us  "
           "greedy_lockstep perturbed us/step (q1 median q3) steps 1-step-call-us")
+    widest = None  # (lanes, its training call, its median µs per step)
     for n in lane_counts:
         if n > len(bank.bins):
             print(f"{n:>5}  skipped: the bank holds {len(bank.bins)} bins")
             continue
         bins, goals = bank.bins[:n], bank.goals[:n, :args.rounds]
         poses = [GoalPose(position=g[:3], direction=g[3:]) for g in bank.goals[:n, 0]]
-        train, _ = step_quartiles(
-            lambda: episode.train_lockstep(bins, goals, args.seed, cfg.hyper, **specs),
-            args.calls)
+        run_train = partial(episode.train_lockstep, bins, goals, args.seed, cfg.hyper, **specs)
+        train, _ = step_quartiles(run_train, args.calls)
+        if widest is None or n > widest[0]:
+            widest = n, run_train, train[1]
         cells = []
         for p in (None, plant):
             greedy = partial(episode.greedy_lockstep, table, poses, repetitions=1, plant=p,
@@ -122,6 +180,18 @@ def main() -> int:
             cells.append(" ".join(f"{x:7.1f}" for x in quartiles) + f" {steps:5d} {setup:7.1f}")
         print(f"{n:>5}  " + " ".join(f"{x:7.1f}" for x in train)
               + "".join("       " + cell for cell in cells))
+    if args.stages and widest is not None:
+        n, run_train, unwrapped = widest
+        steps = count_steps(run_train)
+        calls = [stage_seconds(run_train) for _ in range(args.calls)]
+        per_step = {label: statistics.median(c[label] for c in calls) * 1e6 / steps
+                    for label in calls[0]}
+        wrapped = statistics.median(sum(c.values()) for c in calls) * 1e6 / steps
+        print(f"train_lockstep stages at {n} lanes, us per step (median of {args.calls} calls); "
+              f"the timing wrappers add overhead: {wrapped:.1f} us per wrapped step "
+              f"against {unwrapped:.1f} unwrapped")
+        for label, us in per_step.items():
+            print(f"  {label:<18} {us:7.1f}")
     return 0
 
 

@@ -334,8 +334,9 @@ def observe_batch(tip: np.ndarray, goals: np.ndarray, frames: np.ndarray,
                   binning: BinningSpec):
     """pose_errors and the packed tip suffix of an (n, 3, 2) tip_of stack, in one pass.
 
-    ``goals`` (n, 6) holds each goal's position then direction, ``frames``
-    (n, 3, 3) the transpose of its goal_frame. Returns (pos, rot, state): row
+    ``goals`` holds each goal's position in its first three columns (a
+    (n, 6) goal row of position then direction will do), ``frames`` (n, 3, 3)
+    the transpose of its goal_frame. Returns (pos, rot, state): row
     i is pose_errors(pose_i, goal_i) and StateEncoder(goal_i, ...)
     .encode_tip_index modulo N_TIP_STATES, bit for bit, where tip[i] is
     pose_i[:3, 2:], the direction and position columns. The tip offset
@@ -346,14 +347,15 @@ def observe_batch(tip: np.ndarray, goals: np.ndarray, frames: np.ndarray,
     """
     n = len(tip)
     v = np.empty((2 * n, 3))
-    np.subtract(tip[:, :, 1], goals[:, :3], out=v[:n])
+    offset, direction = v[:n], v[n:]
+    np.subtract(tip[:, :, 1], goals[:, :3], out=offset)
     terms = frames * tip[:, None, :, 0]
-    np.add(terms[:, :, 0], terms[:, :, 1], out=v[n:])
-    v[n:] += terms[:, :, 2]
+    np.add(terms[:, :, 0], terms[:, :, 1], out=direction)
+    direction += terms[:, :, 2]
     pos, state = encode_tip_stack(v, binning)
     # math.acos, not np.arccos: the two differ in the last bit on some inputs.
     # minimum/maximum clip as np.clip does, without its per-call overhead.
-    cos = np.minimum(np.maximum(v[n:, 2], -1.0), 1.0)
+    cos = np.minimum(np.maximum(direction[:, 2], -1.0), 1.0)
     rot = np.degrees(np.fromiter(map(math.acos, cos.tolist()), float, n))
     return pos, rot, state
 
@@ -435,22 +437,26 @@ class _Lanes:
     goal g, row g of the (goals, 6) ``goals`` (position, then direction), from
     the fixed start pressurization, on the plant given by ``params`` (the
     nominal model, or a perturbed plant's true_params). A step applies each
-    lane's action, recomputes only the segment it moved, rebuilds the tip
-    with kinematics.tip_of and observes it: on a perturbed plant the
-    tip first droops by ``droop_gain`` times its horizontal reach, then gets
-    row ``t`` of the lane's (steps+1, 3) ``noise`` block added. The
-    observation, observe_batch, sets pos, rot (pose_errors) and state (the
-    packed tip suffix) in one pass. Per-lane arrays hold the lane on axis 0,
-    except ``segments`` (axis 1); ``ids`` holds each running lane's number.
+    lane's action, rebuilds the tip with kinematics.tip_of and observes
+    it: on a perturbed plant the tip first droops by ``droop_gain`` times
+    its horizontal reach, then gets row ``t`` of the lane's (steps+1, 3)
+    ``noise`` block added. The observation, observe_batch, sets pos, rot
+    (pose_errors) and state (the packed tip suffix) in one pass. Per-lane
+    arrays hold the lane on axis 0, except ``segments`` (axis 1): ``ids``
+    holds each running lane's number, ``targets`` its goal position and
+    ``frames`` its goal frame, transposed.
 
     A segment's transform is looked up, not computed, when the chamber
     pressures can take at most LATTICE_MAX_PRESSURES values (13 at the
-    default 60 kPa ceiling and 5 kPa step): the lanes then carry each
-    segment's lattice state in ``codes`` (lanes, 4) and a step is two
-    gathers from the cached _SegmentLattice. Past that bound they carry
-    ``pressures`` (lanes, 4, 4) and call segment_transform_batch on the
-    moved segments. Both give the same bits: a lattice row is the
-    segment_transform_batch row of its pressures. The tip state is binned
+    default 60 kPa ceiling and 5 kPa step): the lanes then carry only each
+    segment's lattice state in ``codes`` (lanes, 4), and no segment stack.
+    A step moves one code per lane through the cached _SegmentLattice, and
+    the observation gathers every lane's four transforms in one take. Past
+    that bound the lanes carry ``pressures`` (lanes, 4, 4) and the
+    ``segments`` stack (4, lanes, 4, 4), and a step recomputes only the
+    moved segments with segment_transform_batch. Both give the same bits: a
+    lattice row is the segment_transform_batch row of its pressures, and
+    tip_of multiplies the same 4x4 matrices either way. The tip state is binned
     from numpy's angles; state.encode_tip_stack recomputes with math only an
     angle within 1e-9 rad of a bin edge or of the azimuth fold at pi, where
     the two could bin apart.
@@ -463,7 +469,8 @@ class _Lanes:
         self.params, self.action_spec, self.binning = params, action_spec, binning
         self.droop_gain, self.noise = droop_gain, noise
         self.ids = np.arange(n)
-        self.goals = np.repeat(goals, repetitions, axis=0)
+        self._lane = np.arange(n)  # each running lane's position, for per-lane gathers
+        self.targets = np.repeat(goals[:, :3], repetitions, axis=0)  # contiguous positions
         frames = np.array([goal_frame(d).T for d in goals[:, 3:]]).reshape(-1, 3, 3)
         self.frames = np.repeat(frames, repetitions, axis=0)
         self.lattice = _segment_lattice(params, action_spec)
@@ -471,10 +478,9 @@ class _Lanes:
             start = np.full((N_SEGMENTS, N_CHAMBERS), params.p_max_kpa / 2.0)
             self.pressures = np.broadcast_to(start, (n, N_SEGMENTS, N_CHAMBERS)).copy()
             start_segment = segment_transform_batch(start[:1], params)[0]
+            self.segments = np.broadcast_to(start_segment, (N_SEGMENTS, n, 4, 4)).copy()
         else:
             self.codes = np.full((n, N_SEGMENTS), self.lattice.start)
-            start_segment = self.lattice.transforms[self.lattice.start]
-        self.segments = np.broadcast_to(start_segment, (N_SEGMENTS, n, 4, 4)).copy()
         self.t = 0
         self._observe()
 
@@ -482,37 +488,42 @@ class _Lanes:
         return len(self.ids)
 
     def _observe(self) -> None:
-        tip = tip_of(*self.segments)
+        if self.lattice is None:
+            tip = tip_of(*self.segments)
+        else:
+            t = self.lattice.transforms.take(self.codes, axis=0)
+            tip = tip_of(t[:, 0], t[:, 1], t[:, 2], t[:, 3])
         if self.droop_gain is not None:
             # math.hypot, not np.hypot: the two differ in the last bit on some inputs.
             reach = map(math.hypot, tip[:, 0, 1].tolist(), tip[:, 1, 1].tolist())
             tip[:, 2, 1] -= self.droop_gain * np.fromiter(reach, float, len(tip))
         if self.noise is not None:
             tip[:, :, 1] += self.noise[:, self.t]
-        self.pos, self.rot, self.state = observe_batch(tip, self.goals, self.frames,
+        self.pos, self.rot, self.state = observe_batch(tip, self.targets, self.frames,
                                                        self.binning)
 
     def step(self, action: np.ndarray) -> None:
         """Apply one action per lane and observe the new tip."""
-        lane = np.arange(len(self.ids))
+        lane = self._lane
         if self.lattice is None:
             seg = self.action_spec.apply_batch(self.pressures, action, self.params.p_max_kpa)
-            moved = segment_transform_batch(self.pressures[lane, seg], self.params)
+            self.segments[seg, lane] = segment_transform_batch(self.pressures[lane, seg],
+                                                               self.params)
         else:
             seg, move = np.divmod(action, 2 * N_CHAMBERS)
-            code = self.lattice.moves[self.codes[lane, seg], move]
-            self.codes[lane, seg] = code
-            moved = self.lattice.transforms.take(code, axis=0)
-        self.segments[seg, lane] = moved
+            self.codes[lane, seg] = self.lattice.moves[self.codes[lane, seg], move]
         self.t += 1
         self._observe()
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the lanes where ``mask`` is False."""
-        chambers = "pressures" if self.lattice is None else "codes"
-        for name in ("ids", "goals", "frames", chambers, "pos", "rot", "state"):
+        if self.lattice is None:
+            self.pressures, self.segments = self.pressures[mask], self.segments[:, mask]
+        else:
+            self.codes = self.codes[mask]
+        for name in ("ids", "targets", "frames", "pos", "rot", "state"):
             setattr(self, name, getattr(self, name)[mask])
-        self.segments = self.segments[:, mask]
+        self._lane = np.arange(len(self.ids))
         if self.noise is not None:
             self.noise = self.noise[mask]
 
@@ -609,8 +620,10 @@ def train_lockstep(
     n_actions = action_spec.action_count
     values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
     flags = np.zeros(values.shape, dtype=np.uint16)
-    # Lane i's row for a tip state is i * N_TIP_STATES + state of these views.
-    rows, flag_rows = values.reshape(-1, n_actions), flags.reshape(-1, n_actions)
+    # Lane i's row for a tip state is i * N_TIP_STATES + state of ``rows``, and
+    # its entry for an action row * n_actions + action of the flat views.
+    rows = values.reshape(-1, n_actions)
+    flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
     rs = reward_spec
 
     # The reward and TD checks below decide on overflow, not numpy's warnings.
@@ -620,47 +633,60 @@ def train_lockstep(
                 np.random.PCG64(np.random.SeedSequence((seed, 0, b, k))).random_raw(2 * max_steps)
                 for b in bins
             ])
-            draws = exploration_draws(raw, hp.epsilon, max_steps)
+            # Row t: each running lane's step-t draw, and where it explores.
+            draws = exploration_draws(raw, hp.epsilon, max_steps).T.copy()
+            explore = draws >= 0
             lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
+            base = lanes.ids * N_TIP_STATES
+            row = base + lanes.state
             done = rs.is_success(lanes.pos, lanes.rot)
+            succeeded = np.count_nonzero(done)
 
             for t in range(max_steps):
-                if done.any():
-                    lanes.keep(~done)
-                if len(lanes) == 0:
-                    break
-                base = lanes.ids * N_TIP_STATES
-                row = base + lanes.state
-                drawn = draws[:, t][lanes.ids]
-                action = np.where(drawn < 0, rows.take(row, axis=0).argmax(axis=1), drawn)
+                if succeeded:
+                    running = ~done
+                    lanes.keep(running)
+                    if len(lanes) == 0:
+                        break
+                    draws, explore = draws[:, running], explore[:, running]
+                    base, row = base[running], row[running]
+                action = rows.take(row, axis=0).argmax(axis=1)
+                np.copyto(action, draws[t], where=explore[t])
 
                 pos, rot = lanes.pos, lanes.rot
                 lanes.step(action)
                 done = rs.is_success(lanes.pos, lanes.rot)
+                succeeded = np.count_nonzero(done)
                 reward = (rs.w_p_per_mm * (pos - lanes.pos) + rs.w_r_per_deg * (rot - lanes.rot)
                           - rs.step_penalty)
-                reward = np.where(done, reward + rs.goal_bonus, reward)
-                if not np.isfinite(reward).all():
-                    raise ValueError("reward must be finite")
+                if succeeded:
+                    reward[done] += rs.goal_bonus
 
                 # QTable.update, lane by lane: float64 arithmetic, float32 storage.
                 next_row = base + lanes.state
                 # The row's max, read at its argmax: the same value, and the same
                 # bits, since a table trained from zero never holds -0.0.
-                best = rows[next_row, rows.take(next_row, axis=0).argmax(axis=1)].astype(np.float64)
-                target = reward + hp.gamma * best
-                old = rows[row, action].astype(np.float64)
+                best = rows[next_row, rows.take(next_row, axis=0).argmax(axis=1)]
+                target = reward + np.multiply(hp.gamma, best, dtype=np.float64)
+                entry = row * n_actions + action
+                # float32 to float64 is exact, so mixing them computes in float64.
+                old = flat_values.take(entry)
                 new = old + hp.alpha * (target - old)
                 # QTable.update's check without a cast: float32 rounds a magnitude
-                # from _FLOAT32_OVERFLOW up, and NaN, to non-finite.
+                # from _FLOAT32_OVERFLOW up, and NaN, to non-finite. A non-finite
+                # reward makes its lane's result non-finite, since alpha > 0, so
+                # the reward is checked only when some result is.
                 fit = np.abs(new) < _FLOAT32_OVERFLOW
-                if not fit.all():
+                if np.count_nonzero(fit) < len(fit):
+                    if np.count_nonzero(np.isfinite(reward)) < len(reward):
+                        raise ValueError("reward must be finite")
                     i = int(fit.argmin())
                     state = bins[lanes.ids[i]] * N_TIP_STATES + int(row[i] - base[i])
                     raise ValueError(f"state {state} action {action[i]}: {float(new[i])} "
                                      "not finite in float32")
-                rows[row, action] = new
-                flag_rows[row, action] = FLAG_TRAINED  # the only flag training sets
+                flat_values[entry] = new
+                flat_flags[entry] = FLAG_TRAINED  # the only flag training sets
+                row = next_row
 
     # Values finite in float32, flags FLAG_TRAINED or 0: nothing to rescan.
     return QTable.from_checked_arrays(np.array(bins, dtype=np.int64), values, flags)
@@ -793,14 +819,16 @@ def greedy_lockstep(
         config = _arm_configuration(lanes)
         held = np.empty((n, length, config.shape[1]), dtype=config.dtype)
         held[:, 0] = config
+    ids, slot = lanes.ids, lane_slot
     for step in range(1, length):
-        if ended.any():
-            last[lanes.ids[ended]] = step - 1
+        if np.count_nonzero(ended):
+            last[ids[ended]] = step - 1
             lanes.keep(~ended)
-        if len(lanes) == 0:
-            break
-        ids = lanes.ids
-        at = lane_slot[ids], lanes.state
+            if len(lanes) == 0:
+                break
+            ids = lanes.ids
+            slot = lane_slot[ids]
+        at = slot, lanes.state
         kinds[ids, step - 1] = kind[at]
         lanes.step(policy[at])
         pos[ids, step], rot[ids, step] = lanes.pos, lanes.rot
@@ -810,8 +838,9 @@ def greedy_lockstep(
             seen = (held[ids, :step] == config[:, None]).all(axis=2)
             held[ids, step] = config
             locked = seen.any(axis=1)
-            start[ids[locked]] = seen[locked].argmax(axis=1)
-            ended |= locked
+            if np.count_nonzero(locked):
+                start[ids[locked]] = seen[locked].argmax(axis=1)
+                ended |= locked
 
     # The padding rule of the docstring.
     locked = start < last

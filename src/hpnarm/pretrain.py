@@ -365,7 +365,7 @@ class PretrainSummary:
                 f"trained entries: {self.trained_entries}",
                 f"augmented entries: {self.augmented_entries}",
                 f"total entries: {self.total_entries}",
-                f"wall time: {self.wall_time_s:.1f} s",
+                f"wall time: {self.wall_time_s:.2f} s",
                 f"stage times: goal bank {self.bank_s:.2f} s, train {self.train_s:.2f} s, "
                 f"augment {self.augment_s:.2f} s, save {self.save_s:.2f} s",
             ]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hpnarm import ArmParams, BinningSpec, GoalPose, arm_forward_kinematics
+from hpnarm import ArmParams, BinningSpec, GoalPose, arm_forward_kinematics, episode
 from hpnarm.episode import (
     LATTICE_MAX_PRESSURES,
     NominalPlant,
@@ -321,6 +321,39 @@ class TestLockstepStep:
             lanes = _Lanes(goal, params=params, action_spec=actions, binning=setup["binning"])
             assert lanes.lattice is _segment_lattice(params, actions)
             assert (lanes.lattice is not None) == on_lattice
+
+    def test_codes_only_lanes_observe_as_the_pressure_path(self, setup, monkeypatch):
+        # Lattice lanes carry only their codes and gather the four transforms at
+        # each observation; the pressure path keeps a segment stack and recomputes
+        # the moved segment. The same random actions, with lanes dropped along the
+        # way, observe the same bits on both.
+        params, actions, binning = setup["params"], setup["actions"], setup["binning"]
+        rng = np.random.default_rng(12)
+        goals = [goal_from_pressures(params, rng.uniform(0.0, 60.0, 16)) for _ in range(64)]
+        rows = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+        plan = rng.integers(actions.action_count, size=(200, len(goals)))
+        drop_every = {50: 3, 100: 5, 150: 7}  # at step t, drop the lanes whose id it divides
+
+        def observed():
+            lanes = _Lanes(rows, params=params, action_spec=actions, binning=binning)
+            seen = []
+            for t in range(len(plan) + 1):
+                if t in drop_every:
+                    lanes.keep(lanes.ids % drop_every[t] != 0)
+                if t:
+                    lanes.step(plan[t - 1, lanes.ids])
+                seen.append([lanes.ids.tolist()]
+                            + [x.tobytes() for x in (lanes.pos, lanes.rot, lanes.state)])
+            return lanes, seen
+
+        lattice_lanes, on_lattice = observed()
+        assert lattice_lanes.lattice is not None and not hasattr(lattice_lanes, "segments")
+        assert 0 < len(lattice_lanes) < len(goals)
+        monkeypatch.setattr(episode, "_segment_lattice", lambda *_: None)
+        pressure_lanes, on_pressures = observed()
+        assert pressure_lanes.lattice is None
+        for t, (a, b) in enumerate(zip(on_lattice, on_pressures)):
+            assert a == b, f"step {t}"
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
     def test_draws_are_select_actions(self, epsilon):

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import itertools
 import os
+import re
 import sys
 import threading
 import warnings
@@ -876,7 +877,9 @@ class TestPretrainPipeline:
         assert summary.total_entries == table.entry_count()
         assert load(out) == table
         text = summary.format()
-        assert "goals run" in text and "wall time" in text
+        assert "goals run" in text
+        # Two decimals, like the stage times: one decimal hid a 10% change.
+        assert any(re.fullmatch(r"wall time: \d+\.\d{2} s", line) for line in text.splitlines())
         assert summary.samples_used == 40_000
         assert "goal bank samples: 40000" in text.splitlines()
         stages = (summary.bank_s, summary.train_s, summary.augment_s, summary.save_s)
