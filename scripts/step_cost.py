@@ -16,8 +16,8 @@ cell ends with the median µs of a max_steps=1 call on the same lanes: the
 per-call set-up (policy read, lane and noise set-up, padding) that its
 per-step figures spread over its steps.
 
-With --stages, a last block splits a train_lockstep step at the largest lane
-count that ran into stages, in µs per step (median over --calls calls): the
+A last block splits a train_lockstep step at the largest lane count that
+ran into stages, in µs per step (median over --calls calls): the
 exploration draws (exploration_draws, once per round), the lane step less
 what it observes (_Lanes.step), tip_of, observe_batch (encode_tip_stack
 included), and the rest of the call: stream reads, lane set-up, action
@@ -26,7 +26,7 @@ every wrapped call adds its own timing overhead: the block prints the wrapped
 step's total next to the unwrapped one of the table above.
 
 Example:
-    python3 scripts/step_cost.py --seed 1 --calls 15 --stages
+    python3 scripts/step_cost.py --seed 1 --calls 15
 """
 
 import argparse
@@ -136,8 +136,6 @@ def main() -> int:
     ap.add_argument("--max-steps", type=int, default=200)
     ap.add_argument("--budget", type=int, default=None,
                     help="goal-bank samples (default: the default for quota --rounds)")
-    ap.add_argument("--stages", action="store_true",
-                    help="split a train_lockstep step at the largest lane count into stages")
     args = ap.parse_args()
     lane_counts = [int(x) for x in args.lanes.split(",")]
     if args.calls < 1 or args.rounds < 1 or min(lane_counts) < 1:
@@ -180,18 +178,20 @@ def main() -> int:
             cells.append(" ".join(f"{x:7.1f}" for x in quartiles) + f" {steps:5d} {setup:7.1f}")
         print(f"{n:>5}  " + " ".join(f"{x:7.1f}" for x in train)
               + "".join("       " + cell for cell in cells))
-    if args.stages and widest is not None:
-        n, run_train, unwrapped = widest
-        steps = count_steps(run_train)
-        calls = [stage_seconds(run_train) for _ in range(args.calls)]
-        per_step = {label: statistics.median(c[label] for c in calls) * 1e6 / steps
-                    for label in calls[0]}
-        wrapped = statistics.median(sum(c.values()) for c in calls) * 1e6 / steps
-        print(f"train_lockstep stages at {n} lanes, us per step (median of {args.calls} calls); "
-              f"the timing wrappers add overhead: {wrapped:.1f} us per wrapped step "
-              f"against {unwrapped:.1f} unwrapped")
-        for label, us in per_step.items():
-            print(f"  {label:<18} {us:7.1f}")
+    if widest is None:
+        print("train_lockstep stages: skipped, no lane count ran")
+        return 0
+    n, run_train, unwrapped = widest
+    steps = count_steps(run_train)
+    calls = [stage_seconds(run_train) for _ in range(args.calls)]
+    per_step = {label: statistics.median(c[label] for c in calls) * 1e6 / steps
+                for label in calls[0]}
+    wrapped = statistics.median(sum(c.values()) for c in calls) * 1e6 / steps
+    print(f"train_lockstep stages at {n} lanes, us per step (median of {args.calls} calls); "
+          f"the timing wrappers add overhead: {wrapped:.1f} us per wrapped step "
+          f"against {unwrapped:.1f} unwrapped")
+    for label, us in per_step.items():
+        print(f"  {label:<18} {us:7.1f}")
     return 0
 
 

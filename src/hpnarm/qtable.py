@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .state import GOAL_DIMS, N_BINS_PER_DIM, N_GOAL_BINS, N_STATES, N_TIP_STATES
+from .state import N_BINS_PER_DIM, N_GOAL_BINS, N_STATES, N_TIP_STATES
 
 N_ACTIONS = 32
 FLAG_TRAINED = 1
@@ -596,11 +596,9 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
     sums each key's float64 values in that order, which fixes every mean's
     bits. The field widths follow the table. The keys are taken in windows,
     one at a time: runs of whole goal bins whose contributions number at
-    most _WINDOW, or one bin that holds more. Windows are placed over the
-    goal bins that contributions can reach alone: the trained entries' own,
-    and those one goal digit away by up to ``radius``. A window spans no
-    more keys than the bits the other fields leave, which splits a goal bin
-    only past 2**32 trained entries. A key's contributions all fall in one window, so
+    most _WINDOW, or one bin that holds more. A window spans no more keys
+    than the bits the other fields leave, which splits a goal bin only past
+    2**32 trained entries. A key's contributions all fall in one window, so
     the windows do not change the means' bits; they bound the sort words and
     values held at once.
     """
@@ -615,20 +613,8 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
     src_bits = (len(src_k) - 1).bit_length()
     low = (10 * len(moves) - 1).bit_length() + src_bits
     span = 1 << (_WORD_BITS - low)
-    bin_keys = N_TIP_STATES * ac
-    # The goal bins that contributions land in, ascending: the trained entries'
-    # own, and those one move of a goal digit reaches from them.
-    held = np.flatnonzero(np.diff(src_k.searchsorted(np.arange(N_GOAL_BINS + 1) * bin_keys)))
-    reach = [held]
-    for dim in range(GOAL_DIMS):
-        place = N_BINS_PER_DIM ** (GOAL_DIMS - 1 - dim)
-        digit = held // place % N_BINS_PER_DIM
-        reach += [held[(digit + move >= 0) & (digit + move < N_BINS_PER_DIM)] + move * place
-                  for move in moves]
-    bins = np.unique(np.concatenate(reach))
-    del held, reach
-    src_s = src_k // ac
     # Per dim, the trained entries ordered by their digit there, and where each digit starts.
+    src_s = src_k // ac
     orders, edges = [], []
     for dim in range(10):
         digit = (src_s >> 2 * (9 - dim)) & 3
@@ -639,27 +625,23 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
     # Blocks (order, a, add, at): the entries from a on in a dim's order that move by
     # one part, in increasing source key. Their words are (source key - lo + offset)
     # << low | part << src_bits | source, and at[i] of them have a neighbor key below
-    # grid[i], the start of grid cell i. The cells tile the reached goal bins, and
-    # a cell between two bins that are not adjacent holds no contribution.
-    cell = min(bin_keys, span)  # a goal bin's keys, or the widest window
-    grid = np.union1d((bins * bin_keys)[:, None] + np.arange(0, bin_keys, cell),
-                      (bins + 1) * bin_keys)
+    # grid[i], the start of grid cell i.
+    cell = min(N_TIP_STATES * ac, span)  # a goal bin's keys, or the widest window
+    grid = np.append(np.arange(0, N_STATES * ac, cell), N_STATES * ac)
     blocks = []
     for dim, (order, edge) in enumerate(zip(orders, edges)):
         keys_in_order = src_k[order]
         for j, move in enumerate(moves):
             offset = move * 4 ** (9 - dim) * ac
             add = ((offset << low) + ((dim * len(moves) + j) << src_bits)) % 2**64
-            sources = grid - offset  # a source key below sources[i] moves below grid[i]
             for g in range(max(0, -move), min(4, 4 - move)):
                 a, b = edge[g], edge[g + 1]
-                blocks.append((order, a, add, keys_in_order[a:b].searchsorted(sources)))
+                blocks.append((order, a, add, keys_in_order[a:b].searchsorted(grid - offset)))
     del keys_in_order
-    counts = np.diff(sum(at for *_, at in blocks)).tolist()
-    ends = grid.tolist()
+    counts = sum(np.diff(at) for *_, at in blocks).tolist()
     cuts, filled = [0], 0  # the grid cells where windows start; contributions in this one
     for i, c in enumerate(counts):
-        if ends[i + 1] - ends[cuts[-1]] > span or (filled and filled + c > _WINDOW):
+        if grid[i + 1] - grid[cuts[-1]] > span or (filled and filled + c > _WINDOW):
             cuts.append(i)
             filled = 0
         filled += c

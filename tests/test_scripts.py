@@ -72,7 +72,7 @@ def test_reachability_survey(tmp_path):
 def test_step_cost(tmp_path):
     lines = run_script(
         "step_cost.py", "--budget", "20000", "--rounds", "1", "--calls", "2",
-        "--max-steps", "5", "--lanes", "1,2,5000", "--stages", cwd=tmp_path,
+        "--max-steps", "5", "--lanes", "1,2,5000", cwd=tmp_path,
     )
     header = re.fullmatch(r"seed 1: (\d+) reachable bins, 1 goals per bin, 2 calls per cell",
                           lines[0])
@@ -92,7 +92,7 @@ def test_step_cost(tmp_path):
         assert all(float(x) > 0.0 for x in fields[1:]), lines
         assert all(1 <= int(fields[i]) <= 5 for i in (7, 12)), lines
     assert re.fullmatch(r" *5000  skipped: the bank holds \d+ bins", lines[4]), lines
-    # --stages: a train_lockstep step at the widest lane count that ran, by stage.
+    # Last, a train_lockstep step at the widest lane count that ran, by stage.
     stages = re.fullmatch(r"train_lockstep stages at 2 lanes, us per step \(median of 2 calls\); "
                           r"the timing wrappers add overhead: (\d+\.\d) us per wrapped step "
                           r"against (\d+\.\d) unwrapped", lines[5])
@@ -100,6 +100,15 @@ def test_step_cost(tmp_path):
     labels = ["exploration draws", "lane step", "tip_of", "observe_batch", "rest of the call"]
     assert [line[:20].strip() for line in lines[6:]] == labels, lines
     assert all(float(line[20:]) > 0.0 for line in lines[6:]), lines
+
+
+def test_step_cost_says_when_no_lane_count_ran(tmp_path):
+    lines = run_script(
+        "step_cost.py", "--budget", "1000", "--rounds", "1", "--calls", "1",
+        "--max-steps", "1", "--lanes", "5000", cwd=tmp_path,
+    )
+    assert re.fullmatch(r" *5000  skipped: the bank holds \d+ bins", lines[2]), lines
+    assert lines[3:] == ["train_lockstep stages: skipped, no lane count ran"], lines
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--max-steps"])
