@@ -16,7 +16,7 @@ from .evalrun import evaluate, write_report_csvs
 from .kinematics import PressureRangeError, arm_forward_kinematics
 from .pretrain import GoalBankError
 from .pretrain import pretrain as pretrain_pipeline
-from .qtable import FLAG_TRAINED, QTableIOError
+from .qtable import FLAG_TRAINED, N_ACTIONS, QTableIOError
 from .qtable import augment as augment_table
 from .qtable import load, save
 from .state import N_TIP_STATES
@@ -176,7 +176,7 @@ def inspect(table_path):
         _fail(exc, 1)
     states, _, flags, values = table.record_arrays()
     click.echo(f"file: {table_path}")
-    click.echo(f"action count: {table.action_count}")
+    click.echo(f"action count: {N_ACTIONS}")
     click.echo(f"entries: {table.entry_count()}")
     click.echo(f"trained entries: {table.trained_count()}")
     click.echo(f"augmented entries: {table.augmented_count()}")

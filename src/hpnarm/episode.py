@@ -617,12 +617,11 @@ def train_lockstep(
     bins = _goal_bin_ids(bins).tolist()
     goals = np.asarray(goals, dtype=float)
     check_goal_bins(bins, goals, rest_tip_origin(params.l0_mm), binning)
-    n_actions = action_spec.action_count
-    values = np.zeros((len(bins), N_TIP_STATES, n_actions), dtype=np.float32)
+    values = np.zeros((len(bins), N_TIP_STATES, N_ACTIONS), dtype=np.float32)
     flags = np.zeros(values.shape, dtype=np.uint16)
     # Lane i's row for a tip state is i * N_TIP_STATES + state of ``rows``, and
-    # its entry for an action row * n_actions + action of the flat views.
-    rows = values.reshape(-1, n_actions)
+    # its entry for an action row * N_ACTIONS + action of the flat views.
+    rows = values.reshape(-1, N_ACTIONS)
     flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
     rs = reward_spec
 
@@ -668,7 +667,7 @@ def train_lockstep(
                 # bits, since a table trained from zero never holds -0.0.
                 best = rows[next_row, rows.take(next_row, axis=0).argmax(axis=1)]
                 target = reward + np.multiply(hp.gamma, best, dtype=np.float64)
-                entry = row * n_actions + action
+                entry = row * N_ACTIONS + action
                 # float32 to float64 is exact, so mixing them computes in float64.
                 old = flat_values.take(entry)
                 new = old + hp.alpha * (target - old)
@@ -777,9 +776,6 @@ def greedy_lockstep(
     check_integers(1, repetitions=repetitions, max_steps=max_steps)
     if not len(goals):
         raise ValueError("need at least one goal")
-    if table.action_count != action_spec.action_count:
-        raise ValueError(f"table has {table.action_count} actions, "
-                         f"the action spec {action_spec.action_count}")
     goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
     goal_bins = encode_goal_prefix_batch(goal_poses[:, :3], goal_poses[:, 3:],
                                          rest_tip_origin(params.l0_mm), binning)

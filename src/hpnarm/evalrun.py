@@ -197,16 +197,15 @@ def evaluate(
     """Evaluate a table (or a zero-initialized one when None) on fixed goals.
 
     Episodes run greedily with learning off, as lanes of one
-    episode.greedy_lockstep call; the table is never written, and it must
-    have the action spec's action count (ValueError before any step
-    otherwise). Where the plant draws no noise, an episode stops at its
-    first return to an arm configuration and its curve continues that
-    cycle, as run_episode's would; each GoalResult records the lock. On
-    the perturbed plant the gain scales come from one seed,
-    derived from ``seed``, for the whole run, and each (goal, repetition)
-    episode draws observation noise from its own stream, keyed by that seed,
-    the goal index and the repetition: repetitions differ, and a goal's
-    result does not depend on the other goals evaluated with it.
+    episode.greedy_lockstep call; the table is never written. Where the
+    plant draws no noise, an episode stops at its first return to an arm
+    configuration and its curve continues that cycle, as run_episode's
+    would; each GoalResult records the lock. On the perturbed plant the
+    gain scales come from one seed, derived from ``seed``, for the whole
+    run, and each (goal, repetition) episode draws observation noise from
+    its own stream, keyed by that seed, the goal index and the repetition:
+    repetitions differ, and a goal's result does not depend on the other
+    goals evaluated with it.
 
     ``seed`` must be an integer (int or numpy integer, not bool) >= 0 and
     ``plant_kind`` "nominal" or "perturbed", else ValueError here;
@@ -221,7 +220,7 @@ def evaluate(
     if plant_kind not in ("nominal", "perturbed"):
         raise ValueError(f"unknown plant kind {plant_kind!r}")
     if table is None:
-        table = QTable(action_spec.action_count)
+        table = QTable()
         if label is None:
             label = "zero-init"
     elif label is None:

@@ -82,7 +82,7 @@ class GoalBankError(RuntimeError):
 
 
 class MergeConflictError(ValueError):
-    """Two partial tables hold the same goal bin, or disagree on action count."""
+    """Two partial tables hold the same goal bin."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +331,8 @@ def merge(partials: Sequence[QTable]) -> QTable:
     """Disjoint union of partial tables' goal bins (QTable.concat).
 
     Assembles tables trained on disjoint sets of bins into one, their rows in
-    bin order. Each goal bin must be held by at most one partial, and the
-    partials must agree on action count, else MergeConflictError.
+    bin order. Each goal bin must be held by at most one partial, else
+    MergeConflictError.
     """
     try:
         return QTable.concat(partials)

@@ -28,10 +28,15 @@ N_ACTIONS = 32
 FLAG_TRAINED = 1
 FLAG_AUGMENTED = 2
 _FLAGS_DEFINED = FLAG_TRAINED | FLAG_AUGMENTED
+# The value and flag row every table reads at a state without a row.
+_ZERO_VALUES = np.zeros(N_ACTIONS, dtype=np.float32)
+_ZERO_FLAGS = np.zeros(N_ACTIONS, dtype=np.uint16)
+_ZERO_VALUES.flags.writeable = False
+_ZERO_FLAGS.flags.writeable = False
 
 MAGIC = b"HPNQ"
 FORMAT_VERSION = 1
-_HEADER = struct.Struct("<IIQ")  # version, action_count, entry_count (after magic)
+_HEADER = struct.Struct("<IIQ")  # version, action count, entry count (after magic)
 _HEADER_SIZE = 4 + _HEADER.size
 _CRC = struct.Struct("<I")
 _RECORD_DTYPE = np.dtype(
@@ -102,10 +107,6 @@ class ActionSpec:
         if not (self.delta_p_kpa > 0.0 and math.isfinite(self.delta_p_kpa)):
             raise ValueError(f"delta_p_kpa must be positive and finite, got {self.delta_p_kpa}")
 
-    @property
-    def action_count(self) -> int:
-        return N_ACTIONS
-
     def decompose(self, action_id: int) -> tuple[int, int, int]:
         """(segment, chamber, direction) of an action id; direction is +1 or -1."""
         if not 0 <= action_id < N_ACTIONS:
@@ -117,10 +118,7 @@ class ActionSpec:
     def apply(self, pressures: np.ndarray, action_id: int, p_max_kpa: float) -> np.ndarray:
         """New (4, 4) pressure matrix after one action, clipped to [0, p_max]."""
         segment, chamber, direction = self.decompose(action_id)
-        if isinstance(pressures, np.ndarray) and pressures.shape == (4, 4):
-            out = pressures.copy()
-        else:
-            out = np.array(pressures, dtype=float).reshape(4, 4)
+        out = np.array(pressures, dtype=float).reshape(4, 4)
         p = out[segment, chamber] + direction * self.delta_p_kpa
         out[segment, chamber] = min(max(p, 0.0), p_max_kpa)
         return out
@@ -145,14 +143,15 @@ class QTable:
 
     The table holds three arrays: the states holding a row, strictly
     increasing int64 (m,), and one float32 value row and one uint16 flag
-    row of action_count words per such state, (m, action_count) each, in
-    the same order. A state without a row reads as zeros. A state index
-    divides by N_TIP_STATES into its goal bin and the tip-error suffix
-    within it, so each goal bin's rows are one contiguous run. Training
-    episodes only ever touch their own goal's bin, so a bin is also the unit
-    the lockstep engine trains in, and tables trained on disjoint bins join
-    by taking their rows in state order (concat, pretrain.merge). ``bins``
-    is the goal bins holding a row.
+    row of N_ACTIONS words per such state, (m, N_ACTIONS) each, in the
+    same order: every table is as wide as ActionSpec's action set. A state
+    without a row reads as zeros. A state index divides by N_TIP_STATES
+    into its goal bin and the tip-error suffix within it, so each goal
+    bin's rows are one contiguous run. Training episodes only ever touch
+    their own goal's bin, so a bin is also the unit the lockstep engine
+    trains in, and tables trained on disjoint bins join by taking their
+    rows in state order (concat, pretrain.merge). ``bins`` is the goal bins
+    holding a row.
 
     A table is built in bulk, by load, from_records, augment, concat or
     copy, or handed over by train_lockstep (from_checked_arrays), and only
@@ -166,20 +165,10 @@ class QTable:
     update set no other.
     """
 
-    def __init__(self, action_count: int = N_ACTIONS):
-        check_integers(1, action_count=action_count)
-        if action_count > 0xFFFF:
-            raise ValueError(f"action_count must be in [1, 65535], got {action_count}")
-        self.action_count = int(action_count)
+    def __init__(self):
         self._states = np.empty(0, dtype=np.int64)
-        self._values = np.zeros((0, self.action_count), dtype=np.float32)
-        self._flags = np.zeros((0, self.action_count), dtype=np.uint16)
-        zero_v = np.zeros(action_count, dtype=np.float32)
-        zero_f = np.zeros(action_count, dtype=np.uint16)
-        zero_v.flags.writeable = False
-        zero_f.flags.writeable = False
-        self._zero_values = zero_v
-        self._zero_flags = zero_f
+        self._values = np.zeros((0, N_ACTIONS), dtype=np.float32)
+        self._flags = np.zeros((0, N_ACTIONS), dtype=np.uint16)
 
     # -- read paths ---------------------------------------------------------
 
@@ -200,8 +189,8 @@ class QTable:
 
     def _check_action(self, action: int) -> None:
         check_integers(action=action)
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"action {action} outside [0, {self.action_count})")
+        if not 0 <= action < N_ACTIONS:
+            raise ValueError(f"action {action} outside [0, {N_ACTIONS})")
 
     def _row(self, state: int) -> int:
         """The state's row, or -1 when it has none; ValueError unless the state is in the codec."""
@@ -212,12 +201,12 @@ class QTable:
     def values(self, state: int) -> np.ndarray:
         """Row of action values; a shared zero row for untouched states. Do not mutate."""
         row = self._row(state)
-        return self._zero_values if row < 0 else self._values[row]
+        return _ZERO_VALUES if row < 0 else self._values[row]
 
     def flags(self, state: int) -> np.ndarray:
         """Row of flag words, analogous to values(). Do not mutate."""
         row = self._row(state)
-        return self._zero_flags if row < 0 else self._flags[row]
+        return _ZERO_FLAGS if row < 0 else self._flags[row]
 
     def get(self, state: int, action: int) -> float:
         self._check_action(action)
@@ -329,7 +318,6 @@ class QTable:
         chunk of entries at a time, so no temporary grows with the entry
         count.
         """
-        ac = self.action_count
         flat_values, flat_flags = self._values.reshape(-1), self._flags.reshape(-1)
         out_states, out_actions, out_flags, out_values = out
         for a in range(0, len(idx), _GATHER_CHUNK):
@@ -337,8 +325,8 @@ class QTable:
             b = a + len(i)
             out_flags[a:b] = flat_flags[i]
             out_values[a:b] = flat_values[i]
-            np.remainder(i, ac, out=out_actions[a:b], casting="unsafe")
-            i //= ac
+            np.remainder(i, N_ACTIONS, out=out_actions[a:b], casting="unsafe")
+            i //= N_ACTIONS
             out_states[a:b] = self._states[i]
 
     def copy(self) -> "QTable":
@@ -347,8 +335,6 @@ class QTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTable):
             return NotImplemented
-        if self.action_count != other.action_count:
-            return False
         a = self.record_arrays()
         b = other.record_arrays()
         return all(np.array_equal(x, y) for x, y in zip(a[:3], b[:3])) and np.array_equal(
@@ -366,7 +352,7 @@ class QTable:
         train_lockstep hands over its lane arrays this way: ``bins`` (m,)
         int64 strictly increasing in [0, N_GOAL_BINS), ``values`` float32
         and finite, ``flags`` uint16 of defined bits, both (m, N_TIP_STATES,
-        action_count), row i belonging to bins[i]. Nothing is checked again.
+        N_ACTIONS), row i belonging to bins[i]. Nothing is checked again.
         The table keeps copies of the rows of the tip states holding a stored
         entry, in state order, so later writes to the arrays do not reach it.
         A bin without a stored entry holds no row.
@@ -377,40 +363,35 @@ class QTable:
         cells = np.flatnonzero(occupied)
         states = np.asarray(bins, dtype=np.int64)[cells // N_TIP_STATES] * N_TIP_STATES
         states += cells % N_TIP_STATES
-        return _table(values.shape[2], states, values[occupied], flags[occupied])
+        return _table(states, values[occupied], flags[occupied])
 
     @classmethod
     def concat(cls, tables: Sequence["QTable"]) -> "QTable":
         """One table of the goal bins of tables that share none, their rows in state order.
 
-        ValueError if the tables disagree on action count or hold a goal bin
-        twice. No tables give an empty table of N_ACTIONS actions.
+        ValueError if two tables hold one goal bin. No tables give an empty
+        table.
         """
         if not tables:
             return cls()
-        action_count = tables[0].action_count
-        if any(t.action_count != action_count for t in tables):
-            raise ValueError("tables disagree on action count")
         bins = np.sort(np.concatenate([t.bins for t in tables]))
         repeated = bins[1:][bins[1:] == bins[:-1]]
         if len(repeated):
             raise ValueError(f"goal bin {repeated[0]} is held by more than one table")
         states = np.concatenate([t._states for t in tables])
         order = np.argsort(states)
-        return _table(action_count, states[order],
+        return _table(states[order],
                       np.concatenate([t._values for t in tables])[order],
                       np.concatenate([t._flags for t in tables])[order])
 
     @classmethod
-    def from_records(cls, states, actions, flags, values,
-                     action_count: int = N_ACTIONS) -> "QTable":
+    def from_records(cls, states, actions, flags, values) -> "QTable":
         """Bulk-build a table from parallel entry arrays in any order.
 
         The four arrays must be 1-D and of one length, with integer states,
-        actions and flag words, values float32 holds finitely and no (state,
-        action) pair twice, and an integer action_count >= 1, else ValueError.
+        actions in [0, N_ACTIONS) and flag words, values float32 holds
+        finitely and no (state, action) pair twice, else ValueError.
         """
-        check_integers(1, action_count=action_count)
         states = _integers("states", states).astype(np.int64)
         actions = _integers("actions", actions).astype(np.int64)
         flags = _integers("flag words", flags)
@@ -424,29 +405,28 @@ class QTable:
             raise ValueError(f"entry arrays must be 1-D and of one length, got shapes {shapes}")
         if states.size and (states.min() < 0 or states.max() >= N_STATES):
             raise ValueError(f"state index outside [0, {N_STATES})")
-        if actions.size and (actions.min() < 0 or actions.max() >= action_count):
-            raise ValueError("action id outside table's action range")
+        if actions.size and (actions.min() < 0 or actions.max() >= N_ACTIONS):
+            raise ValueError(f"action id outside [0, {N_ACTIONS})")
         if not np.isfinite(values_arr).all():
             raise ValueError("value not finite in float32")
-        keys = states * action_count
+        keys = states * N_ACTIONS
         keys += actions
         order = np.argsort(keys)
         keys = keys[order]
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("repeated (state, action) entry")
         del keys
-        return _from_entries(states[order], actions[order], flags_arr[order], values_arr[order],
-                             action_count)
+        return _from_entries(states[order], actions[order], flags_arr[order], values_arr[order])
 
 
-def _table(action_count: int, states, values, flags) -> QTable:
+def _table(states, values, flags) -> QTable:
     """A table taking the three storage arrays as they are: states increasing, rows in their order."""
-    out = QTable(action_count)
+    out = QTable()
     out._states, out._values, out._flags = states, values, flags
     return out
 
 
-def _from_entries(states, actions, flags, values, action_count: int) -> QTable:
+def _from_entries(states, actions, flags, values) -> QTable:
     """A table of already checked entries: parallel arrays sorted by (state, action), none twice.
 
     from_records and load each check their input once, then build here.
@@ -459,14 +439,14 @@ def _from_entries(states, actions, flags, values, action_count: int) -> QTable:
     flat = np.cumsum(new, dtype=np.int64)
     del new
     flat -= 1
-    flat *= action_count
+    flat *= N_ACTIONS
     flat += actions
-    shape = (len(row_states), action_count)
+    shape = (len(row_states), N_ACTIONS)
     out_values = np.zeros(shape, dtype=np.float32)
     out_flags = np.zeros(shape, dtype=np.uint16)
     out_values.reshape(-1)[flat] = values
     out_flags.reshape(-1)[flat] = flags
-    return _table(action_count, row_states, out_values, out_flags)
+    return _table(row_states, out_values, out_flags)
 
 
 def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
@@ -521,7 +501,7 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
     stream alignment independent of the exploration setting.
     """
     if rng.random() < epsilon:
-        return int(rng.integers(q.action_count))
+        return int(rng.integers(N_ACTIONS))
     return int(q.values(state).argmax())
 
 
@@ -537,11 +517,10 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     Returns a new table; ``radius`` must be an integer >= 1, else ValueError.
     """
     check_integers(1, radius=radius)
-    ac = q.action_count
     states, held_values, held_flags = q._states, q._values, q._flags
-    keys, means = _neighbor_means(ac, states, held_values, held_flags, radius)
-    actions = np.remainder(keys, ac, out=np.empty(len(keys), np.uint16), casting="unsafe")
-    keys //= ac  # now each mean's state
+    keys, means = _neighbor_means(states, held_values, held_flags, radius)
+    actions = np.remainder(keys, N_ACTIONS, out=np.empty(len(keys), np.uint16), casting="unsafe")
+    keys //= N_ACTIONS  # now each mean's state
     occupied = np.zeros(N_STATES, dtype=bool)
     occupied[states] = True
     occupied[keys] = True
@@ -553,11 +532,11 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     row_of[out_states] = np.arange(len(out_states), dtype=np.int32)
     held = row_of[states]
     # From here on keys holds each mean's flat index into the output rows.
-    np.multiply(row_of[keys], ac, out=keys, dtype=np.int64)
+    np.multiply(row_of[keys], N_ACTIONS, out=keys, dtype=np.int64)
     del row_of
     keys += actions
     del actions
-    shape = (len(out_states), ac)
+    shape = (len(out_states), N_ACTIONS)
     values = np.zeros(shape, dtype=np.float32)
     flags = np.zeros(shape, dtype=np.uint16)
     values[held] = held_values
@@ -571,37 +550,40 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     # An untrained entry's flags are 0 or FLAG_AUGMENTED, so OR-ing it in is setting it.
     flat_flags[flat] = FLAG_AUGMENTED
     # Means of finite float32 values, flags input | FLAG_AUGMENTED: nothing to rescan.
-    return _table(ac, out_states, values, flags)
+    return _table(out_states, values, flags)
 
 
-# Bits in one of _neighbor_means' sort words, the words it decodes at a time,
-# and the contributions it aims to sort at a time.
-_WORD_BITS = 64
+# The sort words _neighbor_means decodes at a time, and the contributions it
+# aims to sort at a time.
 _DECODE_CHUNK = 1 << 16
 _WINDOW = 1 << 17
+# A sort word's key field (a key less its window's start), part field (10 dims
+# by 6 moves at most) and source field (a trained entry's index) fit in 64 bits
+# for any window: 25 + 6 + 25 bits.
+assert (2 * (N_STATES * N_ACTIONS - 1).bit_length()
+        + (10 * 2 * (N_BINS_PER_DIM - 1) - 1).bit_length()) <= 64
 
 
-def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.ndarray, np.ndarray]:
+def _neighbor_means(states, values, flags, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Entries with a trained neighbor (augment's), and their neighbors' mean values.
 
     Takes a table's row states (QTable._states) and their value and
     flag rows, in that order. Returns sorted int64 keys
-    state * ac + action and float32 means. A trained entry adds its value
-    to each neighbor's key, part by part: a part is one (digit, step, up or
-    down), numbered in that loop order. Each contribution is one uint64
+    state * N_ACTIONS + action and float32 means. A trained entry adds its
+    value to each neighbor's key, part by part: a part is one (digit, step,
+    up or down), numbered in that loop order. Each contribution is one uint64
     word: the key, less the start of its key range, in the high bits, the
     part in the middle, and the trained entry's index in the low bits. A
     key and a part name one trained entry, so the words are distinct and a
     plain in-place sort orders them by key, then by part. np.add.reduceat
     sums each key's float64 values in that order, which fixes every mean's
-    bits. The field widths follow the table. The keys are taken in windows,
-    one at a time: runs of whole goal bins whose contributions number at
-    most _WINDOW, or one bin that holds more. A window spans no more keys
-    than the bits the other fields leave, which splits a goal bin only past
-    2**32 trained entries. A key's contributions all fall in one window, so
-    the windows do not change the means' bits; they bound the sort words and
-    values held at once.
+    bits. The part and source field widths follow the table. The keys are
+    taken in windows, one at a time: runs of whole goal bins whose
+    contributions number at most _WINDOW, or one bin that holds more. A
+    key's contributions all fall in one window, so the windows do not change
+    the means' bits; they bound the sort words and values held at once.
     """
+    ac = N_ACTIONS
     idx = np.flatnonzero((flags & FLAG_TRAINED) != 0)  # a bool mask: 3x faster than uint16
     src_k = states[idx // ac] * ac + idx % ac
     src_v = values.reshape(-1)[idx].astype(np.float64)
@@ -612,7 +594,6 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
     moves = [m for step in range(1, min(radius, N_BINS_PER_DIM - 1) + 1) for m in (step, -step)]
     src_bits = (len(src_k) - 1).bit_length()
     low = (10 * len(moves) - 1).bit_length() + src_bits
-    span = 1 << (_WORD_BITS - low)
     # Per dim, the trained entries ordered by their digit there, and where each digit starts.
     src_s = src_k // ac
     orders, edges = [], []
@@ -625,9 +606,8 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
     # Blocks (order, a, add, at): the entries from a on in a dim's order that move by
     # one part, in increasing source key. Their words are (source key - lo + offset)
     # << low | part << src_bits | source, and at[i] of them have a neighbor key below
-    # grid[i], the start of grid cell i.
-    cell = min(N_TIP_STATES * ac, span)  # a goal bin's keys, or the widest window
-    grid = np.append(np.arange(0, N_STATES * ac, cell), N_STATES * ac)
+    # grid[i], the first key of goal bin i.
+    grid = np.arange(N_GOAL_BINS + 1) * (N_TIP_STATES * ac)
     blocks = []
     for dim, (order, edge) in enumerate(zip(orders, edges)):
         keys_in_order = src_k[order]
@@ -639,9 +619,9 @@ def _neighbor_means(ac: int, states, values, flags, radius: int) -> tuple[np.nda
                 blocks.append((order, a, add, keys_in_order[a:b].searchsorted(grid - offset)))
     del keys_in_order
     counts = sum(np.diff(at) for *_, at in blocks).tolist()
-    cuts, filled = [0], 0  # the grid cells where windows start; contributions in this one
+    cuts, filled = [0], 0  # the goal bins where windows start; contributions in this one
     for i, c in enumerate(counts):
-        if grid[i + 1] - grid[cuts[-1]] > span or (filled and filled + c > _WINDOW):
+        if filled and filled + c > _WINDOW:
             cuts.append(i)
             filled = 0
         filled += c
@@ -695,7 +675,7 @@ def save(q: QTable, path) -> None:
     idx = np.flatnonzero(q._stored_rows())
     records = np.empty(len(idx), dtype=_RECORD_DTYPE)
     q._write_entries(idx, [records[name] for name in _RECORD_DTYPE.names])
-    header = MAGIC + _HEADER.pack(FORMAT_VERSION, q.action_count, len(records))
+    header = MAGIC + _HEADER.pack(FORMAT_VERSION, N_ACTIONS, len(records))
     crc = zlib.crc32(records, zlib.crc32(header)) & 0xFFFFFFFF
     with open(Path(path), "wb") as fh:
         fh.write(header)
@@ -720,8 +700,8 @@ def load(path) -> QTable:
     version, action_count, n_entries = _HEADER.unpack_from(data, 4)
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: version {version}, expected {FORMAT_VERSION}")
-    if not 1 <= action_count <= 0xFFFF:
-        raise QTableIOError(f"{path}: action count {action_count} outside [1, 65535]")
+    if action_count != N_ACTIONS:
+        raise QTableIOError(f"{path}: action count {action_count}, expected {N_ACTIONS}")
     expected = _HEADER_SIZE + n_entries * _RECORD_DTYPE.itemsize + _CRC.size
     if len(data) < expected:
         raise TruncatedTableError(
@@ -735,8 +715,8 @@ def load(path) -> QTable:
     records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=n_entries, offset=_HEADER_SIZE)
     states, actions = records["state"], records["action"]
     if n_entries:
-        if int(actions.max()) >= action_count:
-            raise QTableIOError(f"{path}: action id beyond action count {action_count}")
+        if int(actions.max()) >= N_ACTIONS:
+            raise QTableIOError(f"{path}: action id beyond action count {N_ACTIONS}")
         # Strictly sorted by (state, action): states never fall, and actions rise where they tie.
         tie = states[1:] == states[:-1]
         if (states[1:] < states[:-1]).any() or (tie & (actions[1:] <= actions[:-1])).any():
@@ -748,4 +728,4 @@ def load(path) -> QTable:
             raise QTableIOError(f"{path}: non-finite value")
         if _undefined_flags(records["flags"]):
             raise QTableIOError(f"{path}: flag bits outside the defined {_FLAGS_DEFINED:#x}")
-    return _from_entries(states, actions, records["flags"], records["value"], action_count)
+    return _from_entries(states, actions, records["flags"], records["value"])

@@ -438,7 +438,7 @@ def oracle_evaluate(table, goals, *, params, action_spec, reward_spec, binning,
     from hpnarm.qtable import FLAG_TRAINED, HyperParams, QTable
 
     if table is None:
-        table = QTable(action_spec.action_count)
+        table = QTable()
     cfg = perturbed_cfg if perturbed_cfg is not None else PerturbedPlantConfig()
     plant_seed = int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
     length = max_steps + 1

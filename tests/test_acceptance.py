@@ -28,6 +28,7 @@ from hpnarm.pretrain import (
 from hpnarm.qtable import (
     FLAG_AUGMENTED,
     FLAG_TRAINED,
+    N_ACTIONS,
     ActionSpec,
     ChecksumError,
     HyperParams,
@@ -152,15 +153,16 @@ def test_criterion_03_state_space_cardinality(capsys):
 
 def test_criterion_04_q_learning_oracle(capsys):
     hp = HyperParams(alpha=0.5, gamma=0.5, epsilon=0.0)
-    q = QTable(action_count=GRID_ACTIONS)
+    # Each of the table's actions is one of the four grid moves, eight times over.
+    q = QTable()
     t0 = time.perf_counter()
     updates = 0
     while updates < 100_000:
         for s in range(GRID_STATES):
             if s == GRID_GOAL:
                 continue
-            for a in range(GRID_ACTIONS):
-                ns, r = gridworld_step(s, a)
+            for a in range(N_ACTIONS):
+                ns, r = gridworld_step(s, a % GRID_ACTIONS)
                 q.update(s, a, r, ns, hp)
                 updates += 1
     v_ref = gridworld_value_iteration(hp.gamma).max(axis=1)

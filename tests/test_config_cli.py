@@ -448,18 +448,6 @@ class TestEvalCommand:
         assert both.exit_code == 2
         assert neither.exit_code == 2
 
-    @pytest.mark.parametrize("action_count", [16, 40])
-    def test_table_with_wrong_action_count_exits_1(self, runner, tmp_path, action_count):
-        q = QTable.from_records([5], [action_count - 1], [FLAG_TRAINED], [1.0],
-                               action_count=action_count)
-        path = tmp_path / "wrong.qt"
-        save(q, path)
-        out = tmp_path / "ev"
-        result = runner.invoke(main, ["eval", "--table", str(path), "--out", str(out)])
-        assert result.exit_code == 1
-        assert f"error: table has {action_count} actions" in result.output
-        assert not out.exists()
-
     @pytest.mark.parametrize("plant", ["nominal", "perturbed"])
     def test_negative_seed_flag_is_a_usage_error(self, runner, tmp_path, plant):
         out = tmp_path / "ev"
@@ -562,11 +550,21 @@ class TestInspectCommand:
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1
 
-    def test_header_action_count_beyond_the_table_range_exits_1(self, runner, tmp_path):
-        body = MAGIC + struct.pack("<IIQ", 1, 70_000, 0)  # valid CRC, no records
-        path = tmp_path / "t.qt"
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        result = runner.invoke(main, ["inspect", str(path)])
-        assert result.exit_code == 1
-        assert "error: " in result.output
-        assert "action count 70000 outside [1, 65535]" in result.output
+
+
+@pytest.mark.parametrize("width", [16, 40])
+@pytest.mark.parametrize("command", ["eval", "inspect", "augment"])
+def test_table_of_another_width_exits_1_before_any_work(runner, tmp_path, command, width):
+    # One trained record at the declared width's last action, valid CRC.
+    body = (MAGIC + struct.pack("<IIQ", 1, width, 1)
+            + struct.pack("<IHHf", 5, width - 1, FLAG_TRAINED, 1.0))
+    path = tmp_path / "wide.hpnq"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    out = tmp_path / "out"
+    args = {"eval": ["eval", "--table", str(path), "--out", str(out)],
+            "inspect": ["inspect", str(path)],
+            "augment": ["augment", str(path), str(out)]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert f"error: {path}: action count {width}, expected 32" in result.output
+    assert "file:" not in result.output and not out.exists()

@@ -23,7 +23,7 @@ from hpnarm.episode import (
     train_lockstep,
 )
 from hpnarm.kinematics import actuation_to_config, segment_transform
-from hpnarm.qtable import ActionSpec, HyperParams, QTable, save
+from hpnarm.qtable import N_ACTIONS, ActionSpec, HyperParams, QTable, save
 from hpnarm.state import N_TIP_STATES, StateEncoder, goal_frame, rest_tip_origin
 
 NEUTRAL_CFG = PerturbedPlantConfig(
@@ -189,7 +189,7 @@ class TestObserveBatch:
         origin = rest_tip_origin(params.l0_mm)
         for t in range(steps + 1):
             if t:
-                action = rng.integers(actions.action_count, size=len(goals))
+                action = rng.integers(N_ACTIONS, size=len(goals))
                 lanes.step(action)
             for g, goal in enumerate(goals):
                 if t:
@@ -331,7 +331,7 @@ class TestLockstepStep:
         rng = np.random.default_rng(12)
         goals = [goal_from_pressures(params, rng.uniform(0.0, 60.0, 16)) for _ in range(64)]
         rows = np.array([np.concatenate([g.position, g.direction]) for g in goals])
-        plan = rng.integers(actions.action_count, size=(200, len(goals)))
+        plan = rng.integers(N_ACTIONS, size=(200, len(goals)))
         drop_every = {50: 3, 100: 5, 150: 7}  # at step t, drop the lanes whose id it divides
 
         def observed():

@@ -547,21 +547,6 @@ class TestEarlyStop:
                 "1 oscillating (period 2)") in report.summary().splitlines()
 
 
-class TestActionCount:
-    @pytest.mark.parametrize("action_count", [16, 40])
-    def test_mismatched_table_rejected_before_any_step(self, specs, monkeypatch, action_count):
-        table = QTable.from_records([5], [action_count - 1], [FLAG_TRAINED], [1.0],
-                                    action_count=action_count)
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("a step ran")
-
-        monkeypatch.setattr(episode, "segment_transform_batch", no_step)
-        goal = sample_goals(specs["params"], 1, np.random.default_rng(3))
-        with pytest.raises(ValueError, match=f"table has {action_count} actions"):
-            evaluate(table, goal, max_steps=5, repetitions=1, **specs)
-
-
 class TestRowCoverage:
     def test_counts_follow_the_row_kind_at_the_start_state(self, specs):
         params = specs["params"]

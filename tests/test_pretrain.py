@@ -28,7 +28,16 @@ from hpnarm.pretrain import (
     pretrain_shard,
     save_goal_bank,
 )
-from hpnarm.qtable import FLAG_TRAINED, ActionSpec, HyperParams, QTable, augment, load, save
+from hpnarm.qtable import (
+    FLAG_TRAINED,
+    N_ACTIONS,
+    ActionSpec,
+    HyperParams,
+    QTable,
+    augment,
+    load,
+    save,
+)
 from hpnarm.state import N_GOAL_BINS, N_TIP_STATES, encode_goal_prefix
 from oracles import oracle_goal_bank, write_goal_bank
 
@@ -450,11 +459,6 @@ COUNT_ARGUMENTS = {
     "EvalConfig.seed": ("seed", 0, lambda v: EvalConfig(seed=v)),
     # max_steps=True once ran a one-step episode.
     "run_episode.max_steps": ("max_steps", 1, _episode),
-    # QTable(True) and QTable(2.5) raised numpy's TypeError, and from_records
-    # with action_count=2.5 passed its checks and then raised UFuncTypeError.
-    "QTable.action_count": ("action_count", 1, QTable),
-    "QTable.from_records.action_count": (
-        "action_count", 1, lambda v: QTable.from_records([], [], [], [], action_count=v)),
 }
 
 
@@ -642,7 +646,7 @@ class TestPretrainShard:
 
 def sequential_table(bins, goals, seed, specs, reward_spec, max_steps):
     """The reference: run_episode(train=True) over sorted bins and goal indices."""
-    q = QTable(specs["actions"].action_count)
+    q = QTable()
     plant = NominalPlant(specs["params"])
     steps = []
     for b, rows in sorted(zip(bins, goals), key=lambda item: item[0]):
@@ -857,10 +861,6 @@ class TestMerge:
         with pytest.raises(MergeConflictError):
             merge([a, b])
 
-    def test_action_count_mismatch_raises(self):
-        with pytest.raises(MergeConflictError):
-            merge([QTable(32), QTable(4)])
-
 
 class TestPretrainPipeline:
     def test_smoke_run_writes_a_loadable_table(self, specs, tmp_path):
@@ -935,8 +935,8 @@ class TestPretrainPipeline:
     def test_loaded_default_table_holds_a_row_per_state(self, default_table_file):
         table = load(default_table_file(0))
         assert table.row_count() == table.state_count()
-        dense = len(table.bins) * N_TIP_STATES * table.action_count * (4 + 2)
-        assert table.nbytes == table.row_count() * (8 + table.action_count * (4 + 2))
+        dense = len(table.bins) * N_TIP_STATES * N_ACTIONS * (4 + 2)
+        assert table.nbytes == table.row_count() * (8 + N_ACTIONS * (4 + 2))
         assert table.nbytes < dense / 2
 
     def test_default_table_evaluation_matches_frozen_digest(self, default_table_file):

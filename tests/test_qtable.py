@@ -13,6 +13,7 @@ from hpnarm.qtable import (
     FLAG_AUGMENTED,
     FLAG_TRAINED,
     MAGIC,
+    N_ACTIONS,
     ActionSpec,
     BadMagicError,
     ChecksumError,
@@ -38,12 +39,11 @@ from oracles import (
 HP = HyperParams(alpha=0.1, gamma=0.9, epsilon=0.0)
 
 
-def table_of(entries, action_count=32):
+def table_of(entries):
     """The table from_records builds of {(state, action): (value, flags)}."""
     keys = list(entries)
     return QTable.from_records([s for s, _ in keys], [a for _, a in keys],
-                               [entries[k][1] for k in keys], [entries[k][0] for k in keys],
-                               action_count=action_count)
+                               [entries[k][1] for k in keys], [entries[k][0] for k in keys])
 
 
 def assert_rows_in_state_order(q):
@@ -121,6 +121,19 @@ class TestActionSpec:
         assert up[1, 3] == 60.0
         down = spec.apply(p, compose_action(0, 0, -1), p_max_kpa=60.0)
         assert down[0, 0] == 0.0
+
+    @pytest.mark.parametrize("pressures", [
+        np.full((4, 4), 30, dtype=np.int64),
+        np.full((4, 4), 30, dtype=np.float32),
+        [[30] * 4] * 4,
+    ], ids=["int64", "float32", "list"])
+    def test_apply_returns_float64_whatever_the_input(self, pressures):
+        # An int64 array once came back int64, its 32.5 kPa truncated to 32.
+        spec = ActionSpec(delta_p_kpa=2.5)
+        want = spec.apply(np.full((4, 4), 30.0), 0, p_max_kpa=60.0)
+        assert want[0, 0] == 32.5
+        out = spec.apply(pressures, 0, p_max_kpa=60.0)
+        assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -216,12 +229,6 @@ class TestBadReads:
         assert q.values(np.int32(5))[31] == 2.5 and q.flags(np.uint32(5))[31] == FLAG_TRAINED
         assert q.max_value(np.int64(N_STATES - 1)) == 2.5
 
-    def test_action_beyond_a_small_table_rejected(self):
-        q = QTable.from_records([0], [2], [FLAG_TRAINED], [1.0], action_count=3)
-        assert q.get(0, 2) == 1.0
-        with pytest.raises(ValueError, match=r"action 3 outside \[0, 3\)"):
-            q.get(0, 3)
-
     def test_edges_of_the_codec_read(self, q):
         assert q.get(N_STATES - 1, 31) == 2.5 and q.max_value(0) == 0.0
         assert q.values(N_STATES - 1)[31] == 2.5 and q.flags(0).tolist() == [0] * 32
@@ -232,18 +239,12 @@ class TestBadWrites:
 
     def test_action_outside_range_rejected(self):
         q = QTable()
-        for action in (-1, 32):
-            with pytest.raises(ValueError, match="action"):
+        for action in (-1, N_ACTIONS):
+            with pytest.raises(ValueError, match=r"action -?\d+ outside \[0, 32\)"):
                 q.update(5, action, 1.0, 6, HP)
-            with pytest.raises(ValueError, match="action"):
+            with pytest.raises(ValueError, match=r"action id outside \[0, 32\)"):
                 QTable.from_records([5], [action], [FLAG_TRAINED], [1.0])
         assert q.entry_count() == 0
-
-    def test_action_count_past_a_record_action_id_rejected(self):
-        # A file record holds its action id in a u16.
-        with pytest.raises(ValueError, match=r"action_count must be in \[1, 65535\], got 65536"):
-            QTable(action_count=65536)
-        assert QTable(action_count=65535).action_count == 65535
 
     def test_state_outside_codec_rejected(self):
         q = QTable()
@@ -414,7 +415,7 @@ class TestRowStore:
                                 [0, 5, 1], [1, 2, 1], [1.0, 2.0, 3.0])
         assert q.row_count() == 3
         assert q.nbytes == 3 * (8 + 32 * (4 + 2))
-        assert QTable(4).nbytes == 0
+        assert QTable().nbytes == 0
 
     def test_updates_in_falling_order_insert_rows_in_state_order(self):
         # States updated in falling order, across bins: every new row goes in
@@ -436,7 +437,7 @@ class TestRowStore:
         assert q.copy() == built and augment(q) == augment(built)
 
     def test_every_builder_leaves_rows_in_state_order(self, tmp_path):
-        entries = clustered_entries(32, seed=6)
+        entries = clustered_entries(seed=6)
         q = table_of(entries)
         save(q, tmp_path / "t.hpnq")
         other = QTable.from_records([5 * N_TIP_STATES + 3], [1], [FLAG_TRAINED], [2.0])
@@ -453,7 +454,7 @@ class TestRowStore:
         assert updated.bins.tolist() == sorted(q.bins.tolist() + [new_bin])
 
     def test_greedy_policy_reads_each_state_row(self):
-        entries = clustered_entries(32, seed=4)
+        entries = clustered_entries(seed=4)
         empty = min(entries)[0] // N_TIP_STATES * N_TIP_STATES + 5
         assert all(s != empty for s, _ in entries)
         entries[(empty, 2)] = (0.0, 0)  # a row with nothing stored
@@ -554,7 +555,7 @@ class TestAugment:
         # fully trained on a tiny sub-lattice: every state's every action trained
         lattice = [pack_bins((b,) + (0,) * 9) for b in range(4)]
         q = table_of({(s, a): (float(s % 7) + a, FLAG_TRAINED)
-                      for s in lattice for a in range(4)}, action_count=4)
+                      for s in lattice for a in range(4)})
         out = augment(q)
         for s in lattice:
             for a in range(4):
@@ -602,7 +603,7 @@ class TestAugment:
 
     def test_radius_past_three_reaches_no_further(self):
         # A digit spans 0..3, so radius 3 already reaches every neighbor.
-        q = table_of(clustered_entries(32, seed=3))
+        q = table_of(clustered_entries(seed=3))
         assert augment(q, 10**9) == augment(q, 3)
 
     @given(
@@ -621,7 +622,7 @@ class TestAugment:
     @settings(max_examples=50, deadline=None)
     def test_output_is_finite_with_defined_flags(self, entries, radius):
         # augment hands its arrays to the table unchecked; this is why it may.
-        q = QTable.from_records(*(zip(*entries) if entries else ([],) * 4), action_count=4)
+        q = QTable.from_records(*(zip(*entries) if entries else ([],) * 4))
         out = augment(q, radius)
         _, _, flags, values = out.record_arrays()
         assert np.isfinite(values).all()
@@ -671,7 +672,7 @@ class TestAugment:
         assert n_aug == len(expected)
 
 
-def clustered_entries(action_count, seed, n=80):
+def clustered_entries(seed, n=80):
     """{(state, action): (float32 value, flags)}: states one or two digits from one base.
 
     Actions are the first two and the last. Flags are drawn from 0..3, so
@@ -686,7 +687,7 @@ def clustered_entries(action_count, seed, n=80):
         digits = base.copy()
         moved = rng.choice(10, rng.integers(1, 3), replace=False)
         digits[moved] = rng.integers(0, 4, moved.size)
-        key = (pack_bins(digits), int(rng.choice([0, 1, action_count - 1])))
+        key = (pack_bins(digits), int(rng.choice([0, 1, N_ACTIONS - 1])))
         value = np.float32(rng.integers(1, 640) / 64 * rng.choice([-1, 1]))
         entries[key] = (value, int(rng.integers(0, 4)))
     return entries
@@ -721,10 +722,9 @@ def assert_records_equal(q, entries):
 class TestFlatIndexing:
     """record_arrays and augment against a per-entry reference, entry keys off the flat rows."""
 
-    @pytest.mark.parametrize("action_count", [4, 32])
-    def test_record_arrays_and_augment_match_the_reference(self, action_count):
-        entries = clustered_entries(action_count, seed=action_count)
-        q = table_of(entries, action_count)
+    def test_record_arrays_and_augment_match_the_reference(self):
+        entries = clustered_entries(seed=32)
+        q = table_of(entries)
         assert len(q.bins) > 1
         assert_records_equal(q, entries)
         for radius in (1, 2):
@@ -735,7 +735,7 @@ class TestFlatIndexing:
             assert_records_equal(augment(q, radius), want)
 
 
-def order_sensitive_records(action_count, seed):
+def order_sensitive_records(seed):
     """Record arrays of a table whose neighbour means depend on their summation order.
 
     Five centres, on digit edges 0 and 3 and in between. Around each, a
@@ -751,7 +751,7 @@ def order_sensitive_records(action_count, seed):
     rng = np.random.default_rng(seed)
     centres = [(0,) * 10, (3,) * 10, (0, 3) * 5, (1, 2, 0, 3, 1, 2, 3, 0, 2, 1),
                tuple(rng.integers(0, 4, 10))]
-    actions = sorted({0, action_count // 2, action_count - 1})
+    actions = [0, N_ACTIONS // 2, N_ACTIONS - 1]
     entries = {}
 
     def store(state, acts, trained):
@@ -784,37 +784,30 @@ def order_sensitive_records(action_count, seed):
 class TestAugmentOracle:
     """augment against oracle_augment, byte for byte."""
 
-    @pytest.mark.parametrize("action_count", [1, 3, 32, 65535])
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    def test_means_match_the_oracle_bit_for_bit(self, action_count, radius):
-        records = order_sensitive_records(action_count, seed=action_count + radius)
-        q = QTable.from_records(*records, action_count=action_count)
+    def test_means_match_the_oracle_bit_for_bit(self, radius):
+        records = order_sensitive_records(seed=32 + radius)
+        q = QTable.from_records(*records)
         got = augment(q, radius).record_arrays()
         want = oracle_augment(*records, radius)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("action_count", [3, 32])
-    def test_key_ranges_match_the_oracle(self, action_count, monkeypatch):
-        # Words of low + 18 bits leave at most 2**18 keys per window: 13 windows
-        # at 3 actions, 128 at 32. Decoding 1000 words at a time crosses chunks.
-        records = order_sensitive_records(action_count, seed=7)
-        q = QTable.from_records(*records, action_count=action_count)
-        trained = int(np.count_nonzero(records[2] & FLAG_TRAINED))
+    def test_decode_chunks_match_the_oracle(self, monkeypatch):
+        # Decoding 1000 words at a time crosses chunks within the one window.
+        records = order_sensitive_records(seed=7)
+        q = QTable.from_records(*records)
         monkeypatch.setattr(qtable, "_DECODE_CHUNK", 1000)
         for radius in (1, 3):
-            low = (20 * radius - 1).bit_length() + (trained - 1).bit_length()
-            monkeypatch.setattr(qtable, "_WORD_BITS", low + 18)
             got = augment(q, radius).record_arrays()
             want = oracle_augment(*records, radius)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("action_count", [3, 32])
-    def test_contribution_windows_match_the_oracle(self, action_count, monkeypatch):
+    def test_contribution_windows_match_the_oracle(self, monkeypatch):
         # Windows of 50 contributions hold one or a few of the 58 goal bins each.
-        records = order_sensitive_records(action_count, seed=7)
-        q = QTable.from_records(*records, action_count=action_count)
+        records = order_sensitive_records(seed=7)
+        q = QTable.from_records(*records)
         monkeypatch.setattr(qtable, "_WINDOW", 50)
         for radius in (1, 3):
             got = augment(q, radius).record_arrays()
@@ -825,7 +818,7 @@ class TestAugmentOracle:
     def test_the_cases_depend_on_the_summation_order(self):
         # Keys from 1 to past 20 contributions, reduceat's pairwise branch
         # (9 or more) included, and means whose bits a reversed order moves.
-        states, actions, flags, values = order_sensitive_records(32, seed=35)
+        states, actions, flags, values = order_sensitive_records(seed=35)
         trained = {(int(s), int(a)): float(v)
                    for s, a, f, v in zip(states, actions, flags, values) if f & FLAG_TRAINED}
         _, lists = oracle_neighbour_lists(trained, 3)
@@ -897,14 +890,6 @@ class TestPersistence:
 
         monkeypatch.setattr(QTable, "from_records", refuse)
         assert load(tmp_path / "t.hpnq") == q
-
-    def test_small_action_count_round_trip(self, tmp_path):
-        q = QTable.from_records([12], [3], [FLAG_TRAINED], [-1.5], action_count=4)
-        path = tmp_path / "grid.qt"
-        save(q, path)
-        back = load(path)
-        assert back.action_count == 4
-        assert back == q
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "t.qt"
@@ -996,12 +981,12 @@ class TestPersistence:
         with pytest.raises(QTableIOError, match="flag bits"):
             load(path)
 
-    @pytest.mark.parametrize("action_count", [0, 0x10000, 70_000])
-    def test_header_action_count_outside_the_table_range_rejected(self, tmp_path, action_count):
+    @pytest.mark.parametrize("action_count", [0, 4, 31, 33, 0xFFFF, 70_000])
+    def test_header_action_count_other_than_32_rejected(self, tmp_path, action_count):
         path = tmp_path / "t.qt"
         _write_header_only(path, action_count)
         with pytest.raises(QTableIOError,
-                           match=rf"action count {action_count} outside \[1, 65535\]"):
+                           match=rf"t.qt: action count {action_count}, expected 32$"):
             load(path)
 
     def test_action_id_at_the_header_action_count_rejected(self, tmp_path):
@@ -1063,7 +1048,7 @@ class TestBulkMemory:
         return q
 
     def bound(self, q, output):
-        return output + 8 * q.entry_count() + q.row_count() * q.action_count + self.SLACK
+        return output + 8 * q.entry_count() + q.row_count() * N_ACTIONS + self.SLACK
 
     def test_record_arrays(self, table):
         peak, arrays = traced_peak(table.record_arrays)
