@@ -551,7 +551,6 @@ class TestInspectCommand:
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1
 
 
-
 @pytest.mark.parametrize("width", [16, 40])
 @pytest.mark.parametrize("command", ["eval", "inspect", "augment"])
 def test_table_of_another_width_exits_1_before_any_work(runner, tmp_path, command, width):
