@@ -109,6 +109,7 @@ class ActionSpec:
 
     def decompose(self, action_id: int) -> tuple[int, int, int]:
         """(segment, chamber, direction) of an action id; direction is +1 or -1."""
+        check_integers(action_id=action_id)
         if not 0 <= action_id < N_ACTIONS:
             raise ValueError(f"action id {action_id} outside [0, {N_ACTIONS})")
         segment, rest = divmod(action_id, 8)

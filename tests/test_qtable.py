@@ -141,6 +141,23 @@ class TestActionSpec:
         with pytest.raises(ValueError):
             ActionSpec().decompose(32)
 
+    @pytest.mark.parametrize("method", ["decompose", "apply"])
+    @pytest.mark.parametrize("action_id", [True, False, 2.5, np.float64(1.0)],
+                             ids=["True", "False", "2.5", "float64"])
+    def test_non_integer_action_ids_rejected(self, method, action_id):
+        # True once decomposed as action 1 and moved chamber (0, 0) down;
+        # 2.5 decomposed to (0.0, 1.0, -1) and apply died in numpy indexing.
+        spec = ActionSpec()
+        call = (spec.decompose if method == "decompose"
+                else lambda a: spec.apply(np.full((4, 4), 30.0), a, p_max_kpa=60.0))
+        with pytest.raises(ValueError, match="action_id must be an integer"):
+            call(action_id)
+
+    @pytest.mark.parametrize("action_id", [np.int64(31), np.uint8(8)],
+                             ids=["int64", "uint8"])
+    def test_numpy_integer_action_ids_accepted(self, action_id):
+        assert ActionSpec().decompose(action_id) == ActionSpec().decompose(int(action_id))
+
 
 class TestQUpdate:
     def test_first_update_from_zero(self):
