@@ -46,12 +46,14 @@ def main() -> int:
         ap.error("--seed must be in [0, 2**64)")
 
     cfg = RunConfig()
-    params = cfg.arm
-    if args.a_gain is not None:
-        params = dataclasses.replace(params, a_gain=args.a_gain)
-    hp = cfg.hyper
-    if args.epsilon is not None:
-        hp = dataclasses.replace(hp, epsilon=args.epsilon)
+    params, hp = cfg.arm, cfg.hyper
+    try:
+        if args.a_gain is not None:
+            params = dataclasses.replace(params, a_gain=args.a_gain)
+        if args.epsilon is not None:
+            hp = dataclasses.replace(hp, epsilon=args.epsilon)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     t0 = time.perf_counter()
     table, summary = pretrain(

@@ -75,13 +75,19 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("--a-gain", type=float, default=None)
     args = ap.parse_args()
-    quotas = [int(q) for q in args.quotas.split(",")]
+    try:
+        quotas = [int(q) for q in args.quotas.split(",")]
+    except ValueError:
+        ap.error(f"--quotas must be comma-separated integers, got {args.quotas!r}")
     if args.budget < 1 or args.seeds < 1 or min(quotas) < 1:
         ap.error("--budget, --seeds and every quota must be >= 1")
 
     params = ArmParams()
     if args.a_gain is not None:
-        params = dataclasses.replace(params, a_gain=args.a_gain)
+        try:
+            params = dataclasses.replace(params, a_gain=args.a_gain)
+        except ValueError as exc:
+            ap.error(str(exc))
     binning = BinningSpec()
 
     print(f"arm: a_gain={params.a_gain}, budget={args.budget}, seeds={args.seeds}")

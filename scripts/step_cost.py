@@ -137,7 +137,10 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=None,
                     help="goal-bank samples (default: the default for quota --rounds)")
     args = ap.parse_args()
-    lane_counts = [int(x) for x in args.lanes.split(",")]
+    try:
+        lane_counts = [int(x) for x in args.lanes.split(",")]
+    except ValueError:
+        ap.error(f"--lanes must be comma-separated integers, got {args.lanes!r}")
     if args.calls < 1 or args.rounds < 1 or min(lane_counts) < 1:
         ap.error("--calls, --rounds and every lane count must be >= 1")
     if args.max_steps < 1 or args.budget is not None and args.budget < 1:

@@ -120,17 +120,7 @@ class RunConfig:
         return tuple(g.to_goal() for g in self.eval.goals)
 
 
-_SECTION_TYPES = {
-    "arm": ArmParams,
-    "binning": BinningSpec,
-    "hyper": HyperParams,
-    "action": ActionSpec,
-    "reward": RewardSpec,
-    "perturbed": PerturbedPlantConfig,
-    "pretrain": PretrainConfig,
-    "eval": EvalConfig,
-    "output": OutputConfig,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _convert_value(name: str, value: Any, where: str) -> Any:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +60,7 @@ from .state import (
     GoalPose,
     StateEncoder,
     check_goal_bins,
+    check_reals,
     encode_goal_prefix_batch,
     encode_tip_stack,
     goal_frame,
@@ -88,14 +89,10 @@ class RewardSpec:
     success_rot_deg: float = 5.0
 
     def __post_init__(self):
-        for name in ("w_p_per_mm", "w_r_per_deg", "goal_bonus", "step_penalty"):
-            v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be non-negative and finite, got {v}")
-        for name in ("success_pos_mm", "success_rot_deg"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"success threshold {name} must be positive and finite, got {v}")
+        check_reals(False, w_p_per_mm=self.w_p_per_mm, w_r_per_deg=self.w_r_per_deg,
+                    goal_bonus=self.goal_bonus, step_penalty=self.step_penalty)
+        check_reals(True, success_pos_mm=self.success_pos_mm,
+                    success_rot_deg=self.success_rot_deg)
 
     def is_success(self, pos_error_mm, rot_error_deg):
         """Both errors inside their thresholds; elementwise for arrays."""
@@ -120,16 +117,12 @@ class PerturbedPlantConfig:
     droop_gain: float = 0.02
 
     def __post_init__(self):
-        for name in ("a_scale", "b_scale"):
-            v = getattr(self, name)
-            if v is not None and not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        scales = {"a_scale": self.a_scale, "b_scale": self.b_scale}
+        check_reals(True, **{name: v for name, v in scales.items() if v is not None})
         if not 0.0 <= self.scale_spread < 1.0:
             raise ValueError(f"scale_spread must be finite and in [0, 1), got {self.scale_spread}")
-        for name in ("tip_noise_sigma_mm", "droop_gain"):
-            v = getattr(self, name)
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be non-negative and finite, got {v}")
+        check_reals(False, tip_noise_sigma_mm=self.tip_noise_sigma_mm,
+                    droop_gain=self.droop_gain)
 
 
 class NominalPlant:
@@ -190,13 +183,8 @@ class PerturbedPlant:
         self.cfg = cfg
         self.seed = seed
         self.nominal_params = params
-        self.true_params = ArmParams(
-            a_gain=params.a_gain * self.a_scale,
-            b_gain=params.b_gain * self.b_scale,
-            l0_mm=params.l0_mm,
-            p_max_kpa=params.p_max_kpa,
-            k_eps=params.k_eps,
-        )
+        self.true_params = replace(params, a_gain=params.a_gain * self.a_scale,
+                                   b_gain=params.b_gain * self.b_scale)
         self._true = NominalPlant(self.true_params)
         self._noise = noise_generator(seed, episode)
 

@@ -138,12 +138,6 @@ class EvalReport:
         steps = [s for r in self.results if (s := r.steps_to(threshold_mm)) is not None]
         return float(np.mean(steps)) if steps else None
 
-    def aggregate_pos_series(self) -> np.ndarray:
-        return np.mean([r.mean_pos_series() for r in self.results], axis=0)
-
-    def aggregate_rot_series(self) -> np.ndarray:
-        return np.mean([r.mean_rot_series() for r in self.results], axis=0)
-
     def summary(self, threshold_mm: float = 30.0) -> str:
         reached = self.goals_reaching(threshold_mm)
         lines = [
@@ -166,9 +160,11 @@ class EvalReport:
         locked = [r for r in self.results if r.lock_step is not None]
         if locked:
             periods = [r.lock_period for r in locked]
+            short = periods.count(1), periods.count(2)
             lines.append(f"{len(locked)} of {len(self.results)} goals lock by step "
-                         f"{max(r.lock_step for r in locked)}: {periods.count(1)} on a saturated "
-                         f"action (period 1), {periods.count(2)} oscillating (period 2)")
+                         f"{max(r.lock_step for r in locked)}: {short[0]} on a saturated "
+                         f"action (period 1), {short[1]} oscillating (period 2), "
+                         f"{len(locked) - sum(short)} on longer cycles (period 3 or more)")
         steps = self.mean_steps_to(threshold_mm)
         if steps is not None:
             lines.append(
@@ -259,7 +255,7 @@ def write_report_csvs(report: EvalReport, out_dir) -> list[Path]:
     """One CSV per goal plus aggregate.csv; returns the paths written.
 
     Each goal's mean series is computed once, and the aggregate is the mean
-    of those same arrays, as EvalReport.aggregate_pos_series computes it.
+    of those same arrays over the goals.
     The header, step and time cells are rendered once, into one %-template
     per call, so a file formats only its two error columns.
     """

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .state import check_reals
+
 N_SEGMENTS = 4
 N_CHAMBERS = 4
 
@@ -44,14 +46,9 @@ class ArmParams:
     k_eps: float = 1e-9      # below this curvature a segment is treated as straight, 1/mm
 
     def __post_init__(self):
-        if not (self.a_gain > 0.0 and math.isfinite(self.a_gain)):
-            raise ValueError(f"a_gain must be positive, got {self.a_gain}")
-        if not (self.b_gain >= 0.0 and math.isfinite(self.b_gain)):
-            raise ValueError(f"b_gain must be non-negative, got {self.b_gain}")
-        for name in ("l0_mm", "p_max_kpa", "k_eps"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        check_reals(True, a_gain=self.a_gain, l0_mm=self.l0_mm, p_max_kpa=self.p_max_kpa,
+                    k_eps=self.k_eps)
+        check_reals(False, b_gain=self.b_gain)
 
 
 @dataclass(frozen=True)

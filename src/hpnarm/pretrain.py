@@ -36,8 +36,10 @@ from .qtable import (ActionSpec, HyperParams, QTable, _goal_bin_ids, _integers, 
                      check_integers, save)
 from .state import (
     N_GOAL_BINS,
+    _GOAL_ROW,
     BinningSpec,
     check_goal_bins,
+    check_goal_rows,
     encode_goal_prefix_batch,
     rest_tip_origin,
 )
@@ -62,7 +64,6 @@ BANK_VERSION = 1
 # version, seed, quota, budget, samples_used, fingerprint, reachable bins
 _BANK_HEADER = Struct("<IQIQQII")
 _BANK_CRC = Struct("<I")
-_GOAL_ROW = 6  # position xyz + direction xyz, float64
 
 
 def default_sample_budget(quota: int) -> int:
@@ -102,8 +103,7 @@ class GoalBank:
     def __post_init__(self):
         bins = _goal_bin_ids(self.bins)
         goals = np.array(self.goals, dtype=np.float64)
-        if goals.ndim != 3 or goals.shape[0] != len(bins) or goals.shape[2] != _GOAL_ROW:
-            raise ValueError(f"goals of shape {goals.shape} do not fit {len(bins)} bins")
+        check_goal_rows(goals, len(bins))
         check_integers(1, quota=goals.shape[1])
         check_integers(0, samples_used=self.samples_used)
         for name, a in (("bins", bins), ("goals", goals)):
@@ -286,10 +286,6 @@ def load_goal_bank(path, *, seed: int, quota: int, budget: int, params: ArmParam
     goals = np.frombuffer(
         raw, dtype="<f8", count=n_bins * f_quota * _GOAL_ROW, offset=header_end + 2 * n_bins
     ).reshape(n_bins, f_quota, _GOAL_ROW)
-    if not np.isfinite(goals).all():
-        raise GoalBankError(f"{path}: goal rows hold non-finite values")
-    if (np.abs(np.linalg.norm(goals[..., 3:], axis=-1) - 1.0) > 1e-9).any():
-        raise GoalBankError(f"{path}: goal directions are not unit vectors")
     try:
         bank = GoalBank(bins=bins, goals=goals, samples_used=samples_used)
         check_goal_bins(bank.bins, bank.goals, rest_tip_origin(params.l0_mm), binning)

@@ -13,7 +13,6 @@ everything before the checksum itself.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .state import N_BINS_PER_DIM, N_GOAL_BINS, N_STATES, N_TIP_STATES
+from .state import N_BINS_PER_DIM, N_GOAL_BINS, N_STATES, N_TIP_STATES, check_reals
 
 N_ACTIONS = 32
 FLAG_TRAINED = 1
@@ -75,6 +74,13 @@ def check_integers(low: int | None = None, /, **values) -> None:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _check_action(action: int, name: str = "action") -> None:
+    """ValueError unless ``action`` is an integer action id in [0, N_ACTIONS)."""
+    check_integers(**{name: action})
+    if not 0 <= action < N_ACTIONS:
+        raise ValueError(f"{name} {action} outside [0, {N_ACTIONS})")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Constant learning rate, discount, and exploration probability."""
@@ -104,14 +110,11 @@ class ActionSpec:
     delta_p_kpa: float = 5.0
 
     def __post_init__(self):
-        if not (self.delta_p_kpa > 0.0 and math.isfinite(self.delta_p_kpa)):
-            raise ValueError(f"delta_p_kpa must be positive and finite, got {self.delta_p_kpa}")
+        check_reals(True, delta_p_kpa=self.delta_p_kpa)
 
     def decompose(self, action_id: int) -> tuple[int, int, int]:
         """(segment, chamber, direction) of an action id; direction is +1 or -1."""
-        check_integers(action_id=action_id)
-        if not 0 <= action_id < N_ACTIONS:
-            raise ValueError(f"action id {action_id} outside [0, {N_ACTIONS})")
+        _check_action(action_id, "action_id")
         segment, rest = divmod(action_id, 8)
         chamber, down = divmod(rest, 2)
         return segment, chamber, -1 if down else 1
@@ -188,11 +191,6 @@ class QTable:
         """Bytes the table's three arrays take in memory."""
         return self._states.nbytes + self._values.nbytes + self._flags.nbytes
 
-    def _check_action(self, action: int) -> None:
-        check_integers(action=action)
-        if not 0 <= action < N_ACTIONS:
-            raise ValueError(f"action {action} outside [0, {N_ACTIONS})")
-
     def _row(self, state: int) -> int:
         """The state's row, or -1 when it has none; ValueError unless the state is in the codec."""
         _check_state(state)
@@ -210,7 +208,7 @@ class QTable:
         return _ZERO_FLAGS if row < 0 else self._flags[row]
 
     def get(self, state: int, action: int) -> float:
-        self._check_action(action)
+        _check_action(action)
         return float(self.values(state)[action])
 
     def max_value(self, state: int) -> float:
@@ -554,9 +552,7 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     return _table(out_states, values, flags)
 
 
-# The sort words _neighbor_means decodes at a time, and the contributions it
-# aims to sort at a time.
-_DECODE_CHUNK = 1 << 16
+# The contributions _neighbor_means aims to sort at a time.
 _WINDOW = 1 << 17
 # A sort word's key field (a key less its window's start), part field (10 dims
 # by 6 moves at most) and source field (a trained entry's index) fit in 64 bits
@@ -640,19 +636,14 @@ def _neighbor_means(states, values, flags, radius: int) -> tuple[np.ndarray, np.
         np.subtract(src_k, lo, out=base, casting="unsafe")  # modulo 2**64, as is all below
         base <<= low
         base |= src_i
-        words, vals = np.empty(n, dtype=np.uint64), np.empty(n)
+        words = np.empty(n, dtype=np.uint64)
         n = 0
         for rows, add in moved:
             np.add(base[rows], add, out=words[n:n + len(rows)])
             n += len(rows)
         del moved
         words.sort()
-        index = np.empty(min(n, _DECODE_CHUNK), dtype=np.intp)
-        for i in range(0, n, _DECODE_CHUNK):
-            chunk = words[i:i + _DECODE_CHUNK]
-            np.bitwise_and(chunk, (1 << src_bits) - 1, out=index[:len(chunk)], casting="unsafe")
-            np.take(src_v, index[:len(chunk)], out=vals[i:i + len(chunk)])
-        del chunk, index
+        vals = src_v.take(words & ((1 << src_bits) - 1))
         words >>= low
         first = np.empty(n, dtype=bool)
         first[0] = True

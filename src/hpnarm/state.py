@@ -27,11 +27,20 @@ N_GOAL_BINS = N_BINS_PER_DIM**GOAL_DIMS    # 1024
 N_TIP_STATES = N_STATES // N_GOAL_BINS     # 1024 suffix combinations per goal bin
 
 _TINY_RADIUS = 1e-12
+_GOAL_ROW = 6  # position xyz + direction xyz
 
 # Interior edges shared by every azimuth dim ([-pi, pi) split in four) and
 # every plain elevation dim ([0, pi] split in four).
 _AZIMUTH_EDGES = (-math.pi / 2.0, 0.0, math.pi / 2.0)
 _ELEVATION_EDGES = (math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
+
+
+def check_reals(positive: bool, /, **values) -> None:
+    """ValueError unless each value is finite and > 0 (``positive``) or >= 0."""
+    for name, v in values.items():
+        if not ((v > 0.0 if positive else v >= 0.0) and math.isfinite(v)):
+            bound = "positive" if positive else "non-negative"
+            raise ValueError(f"{name} must be {bound} and finite, got {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +89,7 @@ class BinningSpec:
             object.__setattr__(self, name, edges)
         if min(np.diff(self.phi_egoal_edges_rad)) <= 2.0 * _ANGLE_GUARD_RAD:
             raise ValueError("phi_egoal_edges_rad must lie more than 2e-9 rad apart")
-        if not (np.isfinite(self.d_max_mm) and self.d_max_mm > 0.0):
-            raise ValueError(f"d_max_mm must be positive, got {self.d_max_mm}")
+        check_reals(True, d_max_mm=self.d_max_mm)
 
     def all_edges(self) -> tuple[tuple[float, float, float], ...]:
         d = self.d_max_mm
@@ -251,18 +259,31 @@ def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -
     return (d_goal * N_BINS_PER_DIM**2 + offset_angles) * N_BINS_PER_DIM**2 + direction_angles
 
 
+def check_goal_rows(goals: np.ndarray, n_bins: int) -> None:
+    """Raise ValueError unless float ``goals`` is (n_bins, quota, 6) goal rows.
+
+    A goal row is a position then a unit direction, all finite: what GoalPose
+    accepts, to the same 1e-9 on the direction's norm.
+    """
+    if goals.ndim != 3 or goals.shape[0] != n_bins or goals.shape[2] != _GOAL_ROW:
+        raise ValueError(f"goals of shape {goals.shape} do not fit {n_bins} bins")
+    if not np.isfinite(goals).all():
+        raise ValueError("goal rows hold non-finite values")
+    if (np.abs(np.linalg.norm(goals[..., 3:], axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("goal directions are not unit vectors")
+
+
 def check_goal_bins(bins, goals, origin, spec: BinningSpec) -> None:
     """Raise ValueError unless goal row ``goals[i, k]`` encodes to goal bin ``bins[i]``.
 
-    ``goals`` must be (len(bins), quota, 6), rows of position then direction.
-    Their bins are encode_goal_prefix's, which every episode's states carry.
-    The first mismatch in bin order, then goal order, is reported.
+    ``goals`` must pass check_goal_rows for len(bins) bins. Their bins are
+    encode_goal_prefix's, which every episode's states carry. The first
+    mismatch in bin order, then goal order, is reported.
     """
     bins = np.asarray(bins, dtype=np.int64)
     goals = np.asarray(goals, dtype=float)
-    if goals.ndim != 3 or goals.shape[0] != len(bins) or goals.shape[2] != 6:
-        raise ValueError(f"goals of shape {goals.shape} do not fit {len(bins)} bins")
-    rows = goals.reshape(-1, 6)
+    check_goal_rows(goals, len(bins))
+    rows = goals.reshape(-1, _GOAL_ROW)
     prefixes = encode_goal_prefix_batch(rows[:, :3], rows[:, 3:], origin, spec)
     wrong = np.flatnonzero(prefixes != np.repeat(bins, goals.shape[1]))
     if len(wrong):

@@ -55,9 +55,12 @@ NON_FINITE_VALUES = (
     ("reward", "step_penalty", ".nan"),
     ("reward", "success_pos_mm", ".nan"),
     ("reward", "success_rot_deg", ".inf"),
+    ("arm", "a_gain", ".nan"),
+    ("arm", "b_gain", ".inf"),
     ("arm", "l0_mm", ".inf"),
     ("arm", "p_max_kpa", ".inf"),
     ("arm", "k_eps", ".inf"),
+    ("binning", "d_max_mm", ".inf"),
     ("action", "delta_p_kpa", ".inf"),
     ("perturbed", "a_scale", ".inf"),
     ("perturbed", "b_scale", ".inf"),

@@ -473,6 +473,13 @@ class TestPerturbedPlant:
         assert nominal_pose[2, 3] - drooped[2, 3] == pytest.approx(0.02 * horizontal)
         assert np.allclose(drooped[:3, :2], nominal_pose[:3, :2])
 
+    def test_true_params_differ_from_nominal_only_in_the_gains(self):
+        params = ArmParams(l0_mm=120.0, p_max_kpa=50.0, k_eps=1e-6)
+        plant = PerturbedPlant(params, PerturbedPlantConfig(a_scale=1.5, b_scale=0.5), seed=3)
+        assert plant.true_params == ArmParams(a_gain=params.a_gain * 1.5,
+                                              b_gain=params.b_gain * 0.5,
+                                              l0_mm=120.0, p_max_kpa=50.0, k_eps=1e-6)
+
     def test_gain_scales_sampled_within_spread(self, setup):
         for seed in range(20):
             plant = PerturbedPlant(

@@ -416,6 +416,10 @@ class TestGoalBankValidation:
         pytest.param([True], [[_ROW]], 10, "goal bins must be integers", id="bool-bin"),
         pytest.param([3], [[_ROW]], 1.5, "samples_used must be an integer", id="float-samples"),
         pytest.param([3], [[_ROW]], True, "samples_used must be an integer", id="bool-samples"),
+        # Only a loaded bank's rows were checked for these; a built one was taken as given.
+        pytest.param([3], [[[np.nan, 0.0, 300.0, 0.0, 0.0, 1.0]]], 10, "non-finite",
+                     id="nan-position"),
+        pytest.param([3], [[[0.0, 0.0, 300.0, 0.0, 0.0, 2.0]]], 10, "unit", id="long-direction"),
     ])
     def test_inconsistent_arrays_rejected(self, bins, goals, used, match):
         with pytest.raises(ValueError, match=match):
@@ -744,6 +748,18 @@ class TestLockstepMatchesSequentialEpisodes:
         with pytest.raises(ValueError, match=f"do not fit {n_bins} bins"):
             train_lockstep(small_bank.bins[:n_bins], small_bank.goals[:n_rows], 0,
                            specs["hp"], **shard_kwargs(specs))
+
+    @pytest.mark.parametrize("factors, match", [
+        # A direction of norm 2 trained without complaint; a NaN position was
+        # refused only as a goal-bin mismatch.
+        pytest.param([1.0, 1.0, 1.0, 2.0, 2.0, 2.0], "unit", id="long-direction"),
+        pytest.param([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], "non-finite", id="nan-position"),
+    ])
+    def test_goal_rows_are_checked(self, specs, small_bank, factors, match):
+        goals = small_bank.goals[:2].copy()
+        goals[1, 0] *= factors
+        with pytest.raises(ValueError, match=match):
+            train_lockstep(small_bank.bins[:2], goals, 0, specs["hp"], **shard_kwargs(specs))
 
     @pytest.mark.parametrize("offset", [0.7, 0.0])
     def test_bins_that_are_not_integers_are_refused(self, specs, small_bank, offset):

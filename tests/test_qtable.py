@@ -810,17 +810,6 @@ class TestAugmentOracle:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
-    def test_decode_chunks_match_the_oracle(self, monkeypatch):
-        # Decoding 1000 words at a time crosses chunks within the one window.
-        records = order_sensitive_records(seed=7)
-        q = QTable.from_records(*records)
-        monkeypatch.setattr(qtable, "_DECODE_CHUNK", 1000)
-        for radius in (1, 3):
-            got = augment(q, radius).record_arrays()
-            want = oracle_augment(*records, radius)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-
     def test_contribution_windows_match_the_oracle(self, monkeypatch):
         # Windows of 50 contributions hold one or a few of the 58 goal bins each.
         records = order_sensitive_records(seed=7)

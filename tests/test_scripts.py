@@ -154,6 +154,23 @@ def test_scripts_refuse_counts_below_one(tmp_path, name, flag, value):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize("name, flag, value, message", [
+    # Each died with a ValueError traceback and exit 1.
+    ("compare_pretraining.py", "--a-gain", "-1", "a_gain must be positive and finite"),
+    ("compare_pretraining.py", "--epsilon", "2", "epsilon must be in [0, 1]"),
+    ("reachability_survey.py", "--a-gain", "-1", "a_gain must be positive and finite"),
+    ("reachability_survey.py", "--quotas", "1,,2", "--quotas must be comma-separated integers"),
+    ("step_cost.py", "--lanes", "1,x", "--lanes must be comma-separated integers"),
+], ids=["compare_pretraining-a-gain", "compare_pretraining-epsilon",
+        "reachability_survey-a-gain", "reachability_survey-quotas", "step_cost-lanes"])
+def test_scripts_refuse_bad_values(tmp_path, name, flag, value, message):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), flag, value],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=600)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("name, small", [
     ("compare_pretraining.py", SMALL_COUNTS["compare_pretraining.py"][0]),
     ("bulk_cost.py", ["--calls", "1"]),
