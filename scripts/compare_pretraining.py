@@ -44,6 +44,8 @@ def main() -> int:
         ap.error("--quota, --goals and --budget must be >= 1")
     if not 0 <= args.seed < 2**64:
         ap.error("--seed must be in [0, 2**64)")
+    if not 0 < args.threshold_mm < float("inf"):
+        ap.error("--threshold-mm must be positive and finite")
 
     cfg = RunConfig()
     params, hp = cfg.arm, cfg.hyper

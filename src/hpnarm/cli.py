@@ -1,19 +1,20 @@
 """Command-line driver: fk, pretrain, augment, eval, inspect.
 
-Exit codes: 0 success, 1 runtime failure (I/O, bad table files), 2 usage or
-config errors. Every command is deterministic for a fixed --seed.
+Exit codes: 0 success; 1 runtime failure, a QTableIOError (unreadable or
+corrupt table file), GoalBankError or OSError; 2 usage or config error, any
+other ValueError (ConfigError, PressureRangeError, a bad argument). The
+command group holds this rule, so it covers every subcommand. Every command is
+deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
 
-import sys
-
 import click
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .evalrun import evaluate, write_report_csvs
-from .kinematics import PressureRangeError, arm_forward_kinematics
+from .kinematics import arm_forward_kinematics
 from .pretrain import GoalBankError
 from .pretrain import pretrain as pretrain_pipeline
 from .qtable import FLAG_TRAINED, N_ACTIONS, QTableIOError
@@ -21,10 +22,20 @@ from .qtable import augment as augment_table
 from .qtable import load, save
 from .state import N_TIP_STATES
 
+_RUNTIME_ERRORS = (QTableIOError, GoalBankError, OSError)
 
-def _fail(exc, code: int) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+
+class _Group(click.Group):
+    """Maps a subcommand's failure to its exit code, printing ``error: <message>``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's main exits 1 quietly when stdout closes early
+        except (*_RUNTIME_ERRORS, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1 if isinstance(exc, _RUNTIME_ERRORS) else 2)
 
 
 def _load_cfg(path) -> RunConfig:
@@ -40,7 +51,7 @@ _SEED_OPT = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=No
                          help="Override the config seed.")
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Simulated pneumatic arm: kinematics, tabular control, evaluation."""
 
@@ -50,14 +61,8 @@ def main():
 @_CONFIG_OPT
 def fk(pressures, config_path):
     """Print the tip pose for 16 chamber pressures (kPa, 4 per segment)."""
-    try:
-        cfg = _load_cfg(config_path)
-    except ConfigError as exc:
-        _fail(exc, 2)
-    try:
-        pose = arm_forward_kinematics(np.asarray(pressures, dtype=float), cfg.arm)
-    except PressureRangeError as exc:
-        _fail(exc, 2)
+    cfg = _load_cfg(config_path)
+    pose = arm_forward_kinematics(np.asarray(pressures, dtype=float), cfg.arm)
     click.echo("position_mm: " + " ".join(f"{v:.6f}" for v in pose[:3, 3]))
     click.echo("direction: " + " ".join(f"{v:.6f}" for v in pose[:3, 2]))
 
@@ -71,27 +76,19 @@ def fk(pressures, config_path):
               help="Permit runs beyond the episode-count guard.")
 def pretrain(config_path, seed, out_path, allow_large_run):
     """Pretrain a Q-table in simulation and write it to disk."""
-    try:
-        cfg = _load_cfg(config_path)
-    except ConfigError as exc:
-        _fail(exc, 2)
+    cfg = _load_cfg(config_path)
     pc = cfg.pretrain
-    try:
-        _, summary = pretrain_pipeline(
-            cfg.arm, cfg.hyper, cfg.action, cfg.reward, cfg.binning,
-            quota=pc.quota,
-            seed=pc.seed if seed is None else seed,
-            budget=pc.budget,
-            max_steps=pc.max_steps,
-            augment_radius=pc.augment_radius,
-            out_path=out_path if out_path is not None else cfg.output.table_path,
-            bank_path=cfg.output.goal_bank_path,
-            allow_large_run=pc.allow_large_run or allow_large_run,
-        )
-    except ValueError as exc:
-        _fail(exc, 2)
-    except (GoalBankError, QTableIOError, OSError) as exc:
-        _fail(exc, 1)
+    _, summary = pretrain_pipeline(
+        cfg.arm, cfg.hyper, cfg.action, cfg.reward, cfg.binning,
+        quota=pc.quota,
+        seed=pc.seed if seed is None else seed,
+        budget=pc.budget,
+        max_steps=pc.max_steps,
+        augment_radius=pc.augment_radius,
+        out_path=out_path if out_path is not None else cfg.output.table_path,
+        bank_path=cfg.output.goal_bank_path,
+        allow_large_run=pc.allow_large_run or allow_large_run,
+    )
     click.echo(summary.format())
 
 
@@ -102,18 +99,9 @@ def pretrain(config_path, seed, out_path, allow_large_run):
               help="Neighborhood size, in per-dimension bin steps.")
 def augment(src, dst, radius):
     """Fill untrained entries of SRC with neighbor means, write to DST."""
-    try:
-        table = load(src)
-    except (QTableIOError, OSError) as exc:
-        _fail(exc, 1)
-    try:
-        out = augment_table(table, radius=radius)
-    except ValueError as exc:
-        _fail(exc, 2)
-    try:
-        save(out, dst)
-    except OSError as exc:
-        _fail(exc, 1)
+    table = load(src)
+    out = augment_table(table, radius=radius)
+    save(out, dst)
     click.echo(f"trained entries: {out.trained_count()}")
     click.echo(f"augmented entries: {out.augmented_count()}")
     click.echo(f"entries filled: {out.entry_count() - table.entry_count()}")
@@ -134,34 +122,21 @@ def eval_cmd(config_path, table_path, zero_init, plant, seed, out_dir):
     """Run the configured goals greedily and write error-curve CSVs."""
     if (table_path is None) == (not zero_init):
         raise click.UsageError("pass exactly one of --table or --zero-init")
-    try:
-        cfg = _load_cfg(config_path)
-    except ConfigError as exc:
-        _fail(exc, 2)
+    cfg = _load_cfg(config_path)
     if zero_init:
         table, label = None, "zero-init"
     else:
-        try:
-            table = load(table_path)
-        except (QTableIOError, OSError) as exc:
-            _fail(exc, 1)
-        label = str(table_path)
-    try:
-        report = evaluate(
-            table, cfg.eval_goals(),
-            params=cfg.arm, action_spec=cfg.action,
-            reward_spec=cfg.reward, binning=cfg.binning,
-            plant_kind=plant, perturbed_cfg=cfg.perturbed,
-            repetitions=cfg.eval.repetitions, max_steps=cfg.eval.max_steps,
-            seed=cfg.eval.seed if seed is None else seed, label=label,
-        )
-    except ValueError as exc:  # a table that does not fit the config
-        _fail(exc, 1)
+        table, label = load(table_path), str(table_path)
+    report = evaluate(
+        table, cfg.eval_goals(),
+        params=cfg.arm, action_spec=cfg.action,
+        reward_spec=cfg.reward, binning=cfg.binning,
+        plant_kind=plant, perturbed_cfg=cfg.perturbed,
+        repetitions=cfg.eval.repetitions, max_steps=cfg.eval.max_steps,
+        seed=cfg.eval.seed if seed is None else seed, label=label,
+    )
     target = out_dir if out_dir is not None else cfg.output.eval_dir
-    try:
-        paths = write_report_csvs(report, target)
-    except OSError as exc:
-        _fail(exc, 1)
+    paths = write_report_csvs(report, target)
     click.echo(report.summary())
     click.echo(f"wrote {len(paths)} csv files under {target}")
 
@@ -170,10 +145,7 @@ def eval_cmd(config_path, table_path, zero_init, plant, seed, out_dir):
 @click.argument("table_path", type=click.Path())
 def inspect(table_path):
     """Print size and content statistics for a Q-table file."""
-    try:
-        table = load(table_path)
-    except (QTableIOError, OSError) as exc:
-        _fail(exc, 1)
+    table = load(table_path)
     states, _, flags, values = table.record_arrays()
     click.echo(f"file: {table_path}")
     click.echo(f"action count: {N_ACTIONS}")

@@ -17,7 +17,7 @@ import yaml
 from .episode import PerturbedPlantConfig, RewardSpec
 from .kinematics import ArmParams, arm_forward_kinematics
 from .qtable import ActionSpec, HyperParams, check_integers
-from .state import BinningSpec, GoalPose
+from .state import BinningSpec, GoalPose, check_goal_rows
 
 
 class ConfigError(ValueError):
@@ -33,22 +33,18 @@ class GoalSpec:
 
     def __post_init__(self):
         pos = tuple(float(v) for v in self.position_mm)
-        dirn = tuple(float(v) for v in self.direction)
+        dirn = np.array([float(v) for v in self.direction])
         if len(pos) != 3 or len(dirn) != 3:
             raise ValueError("goal position and direction need 3 components each")
-        if not all(np.isfinite(pos)) or not all(np.isfinite(dirn)):
-            raise ValueError("goal position and direction must be finite")
-        if np.linalg.norm(dirn) < 1e-9:
-            raise ValueError("goal direction must be nonzero")
+        # A zero, non-finite or overflowing norm leaves a row check_goal_rows refuses.
+        with np.errstate(all="ignore"):
+            dirn = dirn / (np.linalg.norm(dirn) or 1.0)
+        check_goal_rows(np.concatenate([pos, dirn])[None, None], 1)
         object.__setattr__(self, "position_mm", pos)
-        object.__setattr__(self, "direction", dirn)
+        object.__setattr__(self, "direction", tuple(dirn.tolist()))
 
     def to_goal(self) -> GoalPose:
-        dirn = np.asarray(self.direction, dtype=float)
-        return GoalPose(
-            position=np.asarray(self.position_mm, dtype=float),
-            direction=dirn / np.linalg.norm(dirn),
-        )
+        return GoalPose(position=np.array(self.position_mm), direction=np.array(self.direction))
 
 
 @dataclass(frozen=True)

@@ -356,15 +356,12 @@ LATTICE_MAX_PRESSURES = 16
 def pressure_closure(action_spec: ActionSpec, p_max_kpa: float, limit: int):
     """Every pressure a chamber can hold, sorted, or None when there are more than ``limit``.
 
-    A chamber starts at p_max / 2 and each action moves it by +-delta_p,
-    clipped to [0, p_max], in exactly the float operations of
-    ActionSpec.apply_batch, so the closure is the set of values those
-    operations reach.
+    A chamber starts at p_max / 2 and each action moves it by ActionSpec.step,
+    so the closure is the set of values that step reaches.
     """
-    step = np.array([action_spec.delta_p_kpa, -action_spec.delta_p_kpa])
     values = frontier = np.array([p_max_kpa / 2.0])
     while frontier.size:
-        reached = np.minimum(np.maximum(frontier[:, None] + step, 0.0), p_max_kpa)
+        reached = action_spec.step(frontier[:, None], [False, True], p_max_kpa)
         frontier = np.setdiff1d(reached, values)
         values = np.union1d(values, frontier)
         if values.size > limit:
@@ -407,9 +404,8 @@ def _segment_lattice(params: ArmParams, action_spec: ActionSpec) -> _SegmentLatt
     for rows in np.split(np.arange(len(states)), v):  # v blocks bound the temporaries
         transforms[rows] = segment_transform_batch(values[digits[rows]], params)
     moves = np.empty((len(states), 2 * N_CHAMBERS), dtype=np.int32)
-    for down, delta in enumerate((action_spec.delta_p_kpa, -action_spec.delta_p_kpa)):
-        moved = np.minimum(np.maximum(values + delta, 0.0), params.p_max_kpa)
-        to = values.searchsorted(moved)
+    for down in (0, 1):
+        to = values.searchsorted(action_spec.step(values, down, params.p_max_kpa))
         for chamber in range(N_CHAMBERS):
             d = digits[:, chamber]
             moves[:, 2 * chamber + down] = states + (to[d] - d) * place[chamber]
@@ -493,12 +489,14 @@ class _Lanes:
     def step(self, action: np.ndarray) -> None:
         """Apply one action per lane and observe the new tip."""
         lane = self._lane
+        seg, move = np.divmod(action, 2 * N_CHAMBERS)
         if self.lattice is None:
-            seg = self.action_spec.apply_batch(self.pressures, action, self.params.p_max_kpa)
+            chamber, down = np.divmod(move, 2)
+            self.pressures[lane, seg, chamber] = self.action_spec.step(
+                self.pressures[lane, seg, chamber], down, self.params.p_max_kpa)
             self.segments[seg, lane] = segment_transform_batch(self.pressures[lane, seg],
                                                                self.params)
         else:
-            seg, move = np.divmod(action, 2 * N_CHAMBERS)
             self.codes[lane, seg] = self.lattice.moves[self.codes[lane, seg], move]
         self.t += 1
         self._observe()

@@ -119,27 +119,21 @@ class ActionSpec:
         chamber, down = divmod(rest, 2)
         return segment, chamber, -1 if down else 1
 
+    def step(self, pressures, down, p_max_kpa: float) -> np.ndarray:
+        """Chamber pressures moved by -delta_p where ``down``, else +delta_p, clipped to [0, p_max].
+
+        Elementwise, broadcasting ``pressures`` against ``down``; every pressure
+        an action sets is this value.
+        """
+        moved = pressures + np.where(down, -self.delta_p_kpa, self.delta_p_kpa)
+        return np.minimum(np.maximum(moved, 0.0), p_max_kpa)
+
     def apply(self, pressures: np.ndarray, action_id: int, p_max_kpa: float) -> np.ndarray:
-        """New (4, 4) pressure matrix after one action, clipped to [0, p_max]."""
+        """New (4, 4) pressure matrix after one action."""
         segment, chamber, direction = self.decompose(action_id)
         out = np.array(pressures, dtype=float).reshape(4, 4)
-        p = out[segment, chamber] + direction * self.delta_p_kpa
-        out[segment, chamber] = min(max(p, 0.0), p_max_kpa)
+        out[segment, chamber] = self.step(out[segment, chamber], direction < 0, p_max_kpa)
         return out
-
-    def apply_batch(self, pressures: np.ndarray, action_ids: np.ndarray,
-                    p_max_kpa: float) -> np.ndarray:
-        """apply() to an (n, 4, 4) pressure stack in place, one action per row.
-
-        Returns the segment each row's action moved.
-        """
-        segment, rest = np.divmod(action_ids, 8)
-        chamber, down = np.divmod(rest, 2)
-        row = np.arange(len(action_ids))
-        p = pressures[row, segment, chamber] + np.where(down == 1, -self.delta_p_kpa,
-                                                        self.delta_p_kpa)
-        pressures[row, segment, chamber] = np.minimum(np.maximum(p, 0.0), p_max_kpa)
-        return segment
 
 
 class QTable:

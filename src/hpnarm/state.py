@@ -53,10 +53,7 @@ class GoalPose:
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float).reshape(3)
         dirn = np.asarray(self.direction, dtype=float).reshape(3)
-        if not np.isfinite(pos).all() or not np.isfinite(dirn).all():
-            raise ValueError("goal pose must be finite")
-        if abs(float(np.linalg.norm(dirn)) - 1.0) > 1e-9:
-            raise ValueError(f"goal direction must be unit norm, got {dirn!r}")
+        check_goal_rows(np.concatenate([pos, dirn])[None, None], 1)
         pos.flags.writeable = False
         dirn.flags.writeable = False
         object.__setattr__(self, "position", pos)
@@ -262,14 +259,16 @@ def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -
 def check_goal_rows(goals: np.ndarray, n_bins: int) -> None:
     """Raise ValueError unless float ``goals`` is (n_bins, quota, 6) goal rows.
 
-    A goal row is a position then a unit direction, all finite: what GoalPose
-    accepts, to the same 1e-9 on the direction's norm.
+    A goal row is a position then a direction, all finite, whose norm is 1
+    within 1e-9. GoalPose and config goals run this check too.
     """
     if goals.ndim != 3 or goals.shape[0] != n_bins or goals.shape[2] != _GOAL_ROW:
         raise ValueError(f"goals of shape {goals.shape} do not fit {n_bins} bins")
     if not np.isfinite(goals).all():
-        raise ValueError("goal rows hold non-finite values")
-    if (np.abs(np.linalg.norm(goals[..., 3:], axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("goal position and direction must be finite, got non-finite values")
+    with np.errstate(over="ignore"):  # squares past float64 give an inf norm, not 1
+        norms = np.linalg.norm(goals[..., 3:], axis=-1)
+    if (np.abs(norms - 1.0) > 1e-9).any():
         raise ValueError("goal directions are not unit vectors")
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import struct
 import zlib
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -15,8 +16,8 @@ from hpnarm.config import (
     default_eval_goals,
     load_config,
 )
-from hpnarm.pretrain import config_fingerprint
-from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, MAGIC, QTable, load, save
+from hpnarm.pretrain import GoalBankError, config_fingerprint
+from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, MAGIC, QTable, QTableIOError, load, save
 from hpnarm.state import N_GOAL_BINS
 from oracles import write_goal_bank
 
@@ -193,6 +194,10 @@ class TestGoalConfiguration:
             config_from_mapping({"eval": {"goals": [{"position_mm": [0, 0], "direction": [0, 0, 1]}]}})
         with pytest.raises(ConfigError):
             config_from_mapping({"eval": {"goals": [{"position_mm": [0, 0, 1], "direction": [0, 0, 0]}]}})
+        # The squared norm overflows float64.
+        with pytest.raises(ConfigError, match=r"eval\.goals\[0\]: goal directions are not unit"):
+            config_from_mapping({"eval": {"goals": [{"position_mm": [0, 0, 1],
+                                                     "direction": [1e308, 1e308, 0]}]}})
         with pytest.raises(ConfigError):
             config_from_mapping({"eval": {"goals": []}})
         with pytest.raises(ConfigError):
@@ -202,6 +207,11 @@ class TestGoalConfiguration:
         goal = {"position_mm": [float("nan"), 0.0, 500.0], "direction": [0.0, 0.0, 1.0]}
         with pytest.raises(ConfigError, match="eval.*goal position and direction must be finite"):
             config_from_mapping({"eval": {"goals": [goal]}})
+
+    def test_short_direction_is_normalized(self):
+        goal = {"position_mm": [0.0, 0.0, 500.0], "direction": [0.0, 3e-12, 4e-12]}
+        (spec,) = config_from_mapping({"eval": {"goals": [goal]}}).eval.goals
+        assert np.allclose(spec.direction, (0.0, 0.6, 0.8), rtol=0.0, atol=1e-15)
 
     def test_default_suite_has_two_straight_and_two_mirrored_goals(self):
         params = ArmParams()
@@ -469,6 +479,18 @@ class TestEvalCommand:
         assert "error:" in result.output
         assert out.read_text() == "not a directory"
 
+    def test_goal_direction_whose_norm_overflows_exits_2(self, runner, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            "eval:\n  repetitions: 1\n  max_steps: 5\n  goals:\n"
+            "    - position_mm: [0.0, 0.0, 500.0]\n      direction: [1.0e+308, 1.0e+308, 0.0]\n",
+        )
+        out = tmp_path / "ev"
+        result = runner.invoke(main, ["eval", "--config", cfg, "--zero-init", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: eval.goals[0]: goal directions are not unit vectors" in result.output
+        assert not out.exists()
+
     def test_unreadable_table_exits_1(self, runner, tmp_path):
         missing = runner.invoke(main, ["eval", "--table", str(tmp_path / "no.qt")])
         assert missing.exit_code == 1
@@ -570,3 +592,35 @@ def test_table_of_another_width_exits_1_before_any_work(runner, tmp_path, comman
     assert result.exit_code == 1
     assert f"error: {path}: action count {width}, expected 32" in result.output
     assert "file:" not in result.output and not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ValueError("bad value"), 2),
+    (ConfigError("bad config"), 2),
+    (OSError("no such file"), 1),
+    (QTableIOError("corrupt table"), 1),
+    (GoalBankError("stale goal bank"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_the_group_gives_every_command_the_exit_code_rule(runner, monkeypatch, error, code):
+    @click.command()
+    def throwaway():
+        raise error
+
+    monkeypatch.setitem(main.commands, "throwaway", throwaway)
+    result = runner.invoke(main, ["throwaway"])
+    assert result.exit_code == code, result.output
+    assert result.output == f"error: {error}\n"
+
+
+def test_the_group_leaves_other_failures_and_broken_pipes_to_click(runner, monkeypatch):
+    failures = iter([TypeError("a bug"), BrokenPipeError(32, "Broken pipe")])
+
+    @click.command()
+    def throwaway():
+        raise next(failures)
+
+    monkeypatch.setitem(main.commands, "throwaway", throwaway)
+    bug = runner.invoke(main, ["throwaway"])
+    assert isinstance(bug.exception, TypeError) and "error:" not in bug.output
+    pipe = runner.invoke(main, ["throwaway"])
+    assert pipe.exit_code == 1 and pipe.output == ""

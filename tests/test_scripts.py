@@ -16,11 +16,13 @@ from hpnarm.config import RunConfig
 from hpnarm.pretrain import build_goal_bank
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# numpy's RuntimeWarnings are errors in each script's interpreter too, as in pyproject.toml.
+PYTHON = [sys.executable, "-W", "error::RuntimeWarning"]
 
 
 def run_script(name, *args, cwd):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
+        [*PYTHON, str(SCRIPTS / name), *args],
         capture_output=True, text=True, cwd=cwd, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
@@ -115,7 +117,7 @@ def test_step_cost_says_when_no_lane_count_ran(tmp_path):
 def test_step_cost_refuses_a_zero_argument(tmp_path, flag):
     # --budget 0 once ran at the default budget; --max-steps 0 died in train_lockstep.
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "step_cost.py"), flag, "0", "--calls", "1"],
+        [*PYTHON, str(SCRIPTS / "step_cost.py"), flag, "0", "--calls", "1"],
         capture_output=True, text=True, cwd=tmp_path, timeout=600,
     )
     assert proc.returncode == 2, proc.stderr
@@ -147,7 +149,7 @@ SMALL_COUNTS = {
 ], ids=lambda v: v.removesuffix(".py"))
 def test_scripts_refuse_counts_below_one(tmp_path, name, flag, value):
     small, message = SMALL_COUNTS[name]
-    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *small, flag, value],
+    proc = subprocess.run([*PYTHON, str(SCRIPTS / name), *small, flag, value],
                           capture_output=True, text=True, cwd=tmp_path, timeout=600)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
@@ -161,10 +163,14 @@ def test_scripts_refuse_counts_below_one(tmp_path, name, flag, value):
     ("reachability_survey.py", "--a-gain", "-1", "a_gain must be positive and finite"),
     ("reachability_survey.py", "--quotas", "1,,2", "--quotas must be comma-separated integers"),
     ("step_cost.py", "--lanes", "1,x", "--lanes must be comma-separated integers"),
+    # Each ran to the end and counted no goal, exit 0.
+    *[("compare_pretraining.py", "--threshold-mm", v, "--threshold-mm must be positive and finite")
+      for v in ("nan", "inf", "0", "-1")],
 ], ids=["compare_pretraining-a-gain", "compare_pretraining-epsilon",
-        "reachability_survey-a-gain", "reachability_survey-quotas", "step_cost-lanes"])
+        "reachability_survey-a-gain", "reachability_survey-quotas", "step_cost-lanes",
+        *[f"compare_pretraining-threshold-{v}" for v in ("nan", "inf", "0", "-1")]])
 def test_scripts_refuse_bad_values(tmp_path, name, flag, value, message):
-    proc = subprocess.run([sys.executable, str(SCRIPTS / name), flag, value],
+    proc = subprocess.run([*PYTHON, str(SCRIPTS / name), flag, value],
                           capture_output=True, text=True, cwd=tmp_path, timeout=600)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
@@ -180,7 +186,7 @@ def test_scripts_refuse_bad_values(tmp_path, name, flag, value, message):
 def test_scripts_refuse_a_seed_out_of_range(tmp_path, name, small, seed):
     # --seed -1 died with a traceback: pretrain's ValueError in compare_pretraining
     # and bulk_cost, numpy's "expected non-negative integer" in step_cost.
-    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *small, "--seed", seed],
+    proc = subprocess.run([*PYTHON, str(SCRIPTS / name), *small, "--seed", seed],
                           capture_output=True, text=True, cwd=tmp_path, timeout=600)
     assert proc.returncode == 2, proc.stderr
     assert "--seed must be in [0, 2**64)" in proc.stderr

@@ -368,6 +368,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             GoalPose(position=np.array([math.nan, 0.0, 0.0]), direction=np.array([0.0, 0.0, 1.0]))
 
+    def test_goal_direction_whose_norm_overflows_is_not_unit(self):
+        with pytest.raises(ValueError, match="not unit vectors"):
+            GoalPose(position=np.zeros(3), direction=np.array([1e308, 1e308, 0.0]))
+
     def test_binning_edges_must_increase(self):
         with pytest.raises(ValueError):
             BinningSpec(d_tip_edges_mm=(30.0, 5.0, 60.0))
