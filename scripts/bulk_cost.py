@@ -5,16 +5,20 @@ to a temporary .hpnq file) and prints the loaded table's rows, goal bins and
 bytes in memory and on disk. It then times load of that file, augment of the
 loaded table at radius 1, 2 and 3, and record_arrays and save of the loaded
 table. Each operation runs --calls times untimed by tracemalloc, for the
-median, and once more under tracemalloc, for the peak of memory it allocated
-during the call. The peak is also given per stored entry of the table the
-operation writes or reads: augment's output, the loaded table otherwise. The
-bulk-path counterpart of step_cost.py.
+median time and the median count of minor page faults per call (the
+process's getrusage ru_minflt across the call: pages mapped in on first
+touch, 0 where the allocator reuses pages an earlier call touched), and
+once more under tracemalloc, for the peak of memory it allocated during
+the call. The peak is also given per stored entry of the table the
+operation writes or reads: augment's output, the loaded table otherwise.
+The bulk-path counterpart of step_cost.py.
 
 Example:
     python3 scripts/bulk_cost.py --seed 1 --calls 15
 """
 
 import argparse
+import resource
 import statistics
 import sys
 import tempfile
@@ -29,20 +33,22 @@ from hpnarm.config import RunConfig
 from hpnarm.pretrain import pretrain
 
 
-def cost(run, calls: int) -> tuple[float, float]:
-    """Median ms over ``calls`` calls of ``run``, and one traced call's peak in MiB."""
-    times = []
+def cost(run, calls: int) -> tuple[float, float, float]:
+    """Median ms and minor page faults of ``calls`` calls of ``run``, and a traced call's peak in MiB."""
+    times, faults = [], []
     for _ in range(calls):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         run()
         times.append((time.perf_counter() - t0) * 1e3)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(times), peak / 2**20
+    return statistics.median(times), statistics.median(faults), peak / 2**20
 
 
 def main() -> int:
@@ -73,10 +79,10 @@ def main() -> int:
                         lambda r=r: qtable.augment(table, r)) for r in (1, 2, 3)]
         operations.append(("record_arrays", entries, table.record_arrays))
         operations.append(("save", entries, lambda: qtable.save(table, Path(tmp) / "saved.hpnq")))
-        print("operation      median ms  traced peak MiB  B/entry")
+        print("operation      median ms  minor faults  traced peak MiB  B/entry")
         for name, n, run in operations:
-            ms, peak = cost(run, args.calls)
-            print(f"{name:<13} {ms:10.1f} {peak:16.1f} {peak * 2**20 / n:8.1f}")
+            ms, faults, peak = cost(run, args.calls)
+            print(f"{name:<13} {ms:10.1f} {faults:13.0f} {peak:16.1f} {peak * 2**20 / n:8.1f}")
     return 0
 
 

@@ -515,8 +515,7 @@ class _Lanes:
 
 
 # integers(N_ACTIONS) keeps the top log2(N_ACTIONS) bits of a 32-bit draw: for a
-# power of two, Lemire's method never rejects.
-assert N_ACTIONS & (N_ACTIONS - 1) == 0
+# power of two, as qtable asserts N_ACTIONS is, Lemire's method never rejects.
 _ACTION_SHIFT = 33 - N_ACTIONS.bit_length()
 
 # The least float64 magnitude that float32 rounds to infinity: halfway from
@@ -584,9 +583,10 @@ def train_lockstep(
     own episodes have to run in sequence.
 
     The lanes are the bins: lane i trains row i of dense (bins, 1024,
-    actions) scratch value and flag arrays, whose occupied rows become the
-    returned table unscanned (QTable.from_checked_arrays): each step checks
-    its TD results before writing them, and the first that float32 cannot
+    actions) scratch arrays, float32 values and uint8 flags as a table
+    holds them in memory, whose occupied rows become the returned table
+    unscanned (QTable.from_checked_arrays): each step checks its TD
+    results before writing them, and the first that float32 cannot
     hold finitely, in lane order, raises QTable.update's ValueError. Round k
     runs goals[:, k], one numpy step across all lanes still running; a lane
     that reaches success idles until the round ends. No step log is kept. A
@@ -604,7 +604,7 @@ def train_lockstep(
     goals = np.asarray(goals, dtype=float)
     check_goal_bins(bins, goals, rest_tip_origin(params.l0_mm), binning)
     values = np.zeros((len(bins), N_TIP_STATES, N_ACTIONS), dtype=np.float32)
-    flags = np.zeros(values.shape, dtype=np.uint16)
+    flags = np.zeros(values.shape, dtype=np.uint8)
     # Lane i's row for a tip state is i * N_TIP_STATES + state of ``rows``, and
     # its entry for an action row * N_ACTIONS + action of the flat views.
     rows = values.reshape(-1, N_ACTIONS)

@@ -24,12 +24,17 @@ import numpy as np
 from .state import N_BINS_PER_DIM, N_GOAL_BINS, N_STATES, N_TIP_STATES, check_reals
 
 N_ACTIONS = 32
+# Both are powers of two, so an entry key state * N_ACTIONS + action and a state
+# goal bin * N_TIP_STATES + tip state split with shifts and masks.
+assert N_ACTIONS & (N_ACTIONS - 1) == 0 and N_TIP_STATES & (N_TIP_STATES - 1) == 0
+_ACTION_BITS = N_ACTIONS.bit_length() - 1
+_TIP_BITS = N_TIP_STATES.bit_length() - 1
 FLAG_TRAINED = 1
 FLAG_AUGMENTED = 2
 _FLAGS_DEFINED = FLAG_TRAINED | FLAG_AUGMENTED
 # The value and flag row every table reads at a state without a row.
 _ZERO_VALUES = np.zeros(N_ACTIONS, dtype=np.float32)
-_ZERO_FLAGS = np.zeros(N_ACTIONS, dtype=np.uint16)
+_ZERO_FLAGS = np.zeros(N_ACTIONS, dtype=np.uint8)
 _ZERO_VALUES.flags.writeable = False
 _ZERO_FLAGS.flags.writeable = False
 
@@ -140,10 +145,11 @@ class QTable:
     """Value table over (state index, action id), stored as rows for the states it holds.
 
     The table holds three arrays: the states holding a row, strictly
-    increasing int64 (m,), and one float32 value row and one uint16 flag
+    increasing int64 (m,), and one float32 value row and one uint8 flag
     row of N_ACTIONS words per such state, (m, N_ACTIONS) each, in the
-    same order: every table is as wide as ActionSpec's action set. A state
-    without a row reads as zeros. A state index divides by N_TIP_STATES
+    same order (the file keeps u16 flag words, widened by save and
+    narrowed by load): every table is as wide as ActionSpec's action set.
+    A state without a row reads as zeros. A state index divides by N_TIP_STATES
     into its goal bin and the tip-error suffix within it, so each goal
     bin's rows are one contiguous run. Training episodes only ever touch
     their own goal's bin, so a bin is also the unit the lockstep engine
@@ -166,7 +172,7 @@ class QTable:
     def __init__(self):
         self._states = np.empty(0, dtype=np.int64)
         self._values = np.zeros((0, N_ACTIONS), dtype=np.float32)
-        self._flags = np.zeros((0, N_ACTIONS), dtype=np.uint16)
+        self._flags = np.zeros((0, N_ACTIONS), dtype=np.uint8)
 
     # -- read paths ---------------------------------------------------------
 
@@ -178,7 +184,7 @@ class QTable:
     @property
     def bins(self) -> np.ndarray:
         """The goal bins holding a row, strictly increasing int64."""
-        return np.unique(self._states // N_TIP_STATES)
+        return np.unique(self._states >> _TIP_BITS)
 
     @property
     def nbytes(self) -> int:
@@ -250,7 +256,7 @@ class QTable:
         count = self._states.searchsorted((goal_bins + 1) * N_TIP_STATES) - lo
         which = np.repeat(np.arange(len(goal_bins)), count)
         rows = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-        at = (which, self._states[rows] % N_TIP_STATES)
+        at = (which, self._states[rows] & (N_TIP_STATES - 1))
         flags = self._flags[rows]
         policy = np.zeros((len(goal_bins), N_TIP_STATES), dtype=np.int64)
         kind = np.full(policy.shape, 2, dtype=np.int64)
@@ -318,8 +324,8 @@ class QTable:
             b = a + len(i)
             out_flags[a:b] = flat_flags[i]
             out_values[a:b] = flat_values[i]
-            np.remainder(i, N_ACTIONS, out=out_actions[a:b], casting="unsafe")
-            i //= N_ACTIONS
+            np.bitwise_and(i, N_ACTIONS - 1, out=out_actions[a:b], casting="unsafe")
+            i >>= _ACTION_BITS
             out_states[a:b] = self._states[i]
 
     def copy(self) -> "QTable":
@@ -344,7 +350,7 @@ class QTable:
 
         train_lockstep hands over its lane arrays this way: ``bins`` (m,)
         int64 strictly increasing in [0, N_GOAL_BINS), ``values`` float32
-        and finite, ``flags`` uint16 of defined bits, both (m, N_TIP_STATES,
+        and finite, ``flags`` uint8 of defined bits, both (m, N_TIP_STATES,
         N_ACTIONS), row i belonging to bins[i]. Nothing is checked again.
         The table keeps copies of the rows of the tip states holding a stored
         entry, in state order, so later writes to the arrays do not reach it.
@@ -354,8 +360,8 @@ class QTable:
         for v, f, o in zip(values, flags, occupied):  # one bin at a time: no whole-table temporary
             _stored(v, f).any(axis=1, out=o)
         cells = np.flatnonzero(occupied)
-        states = np.asarray(bins, dtype=np.int64)[cells // N_TIP_STATES] * N_TIP_STATES
-        states += cells % N_TIP_STATES
+        states = np.asarray(bins, dtype=np.int64)[cells >> _TIP_BITS] << _TIP_BITS
+        states |= cells & (N_TIP_STATES - 1)
         return _table(states, values[occupied], flags[occupied])
 
     @classmethod
@@ -390,7 +396,7 @@ class QTable:
         flags = _integers("flag words", flags)
         if _undefined_flags(flags):
             raise ValueError(f"flag bits outside the defined {_FLAGS_DEFINED:#x}")
-        flags_arr = flags.astype(np.uint16)
+        flags_arr = flags.astype(np.uint8)
         with np.errstate(over="ignore"):  # a value past float32's range is refused below
             values_arr = np.asarray(values, dtype=np.float32)
         shapes = [a.shape for a in (states, actions, flags_arr, values_arr)]
@@ -423,7 +429,8 @@ def _from_entries(states, actions, flags, values) -> QTable:
     """A table of already checked entries: parallel arrays sorted by (state, action), none twice.
 
     from_records and load each check their input once, then build here.
-    An entry's row counts the state changes up to it.
+    Flag words of any integer dtype narrow to the uint8 rows, which hold
+    every defined word. An entry's row counts the state changes up to it.
     """
     new = np.empty(len(states), dtype=bool)
     new[:1] = True
@@ -436,7 +443,7 @@ def _from_entries(states, actions, flags, values) -> QTable:
     flat += actions
     shape = (len(row_states), N_ACTIONS)
     out_values = np.zeros(shape, dtype=np.float32)
-    out_flags = np.zeros(shape, dtype=np.uint16)
+    out_flags = np.zeros(shape, dtype=np.uint8)
     out_values.reshape(-1)[flat] = values
     out_flags.reshape(-1)[flat] = flags
     return _table(row_states, out_values, out_flags)
@@ -474,7 +481,8 @@ def _goal_bin_ids(bins) -> np.ndarray:
 def _undefined_flags(flags) -> bool:
     """Whether any flag word sets a bit other than FLAG_TRAINED and FLAG_AUGMENTED.
 
-    Checked on the caller's values, before a uint16 cast could wrap them.
+    Checked on the caller's values (a file's u16 words, for load), before
+    the uint8 cast to the stored rows could wrap them.
     The defined bits are the two lowest, so a word is valid iff it is 0..3.
     """
     flags = np.asarray(flags)
@@ -512,8 +520,9 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     check_integers(1, radius=radius)
     states, held_values, held_flags = q._states, q._values, q._flags
     keys, means = _neighbor_means(states, held_values, held_flags, radius)
-    actions = np.remainder(keys, N_ACTIONS, out=np.empty(len(keys), np.uint16), casting="unsafe")
-    keys //= N_ACTIONS  # now each mean's state
+    actions = np.bitwise_and(keys, N_ACTIONS - 1, out=np.empty(len(keys), np.uint8),
+                             casting="unsafe")
+    keys >>= _ACTION_BITS  # now each mean's state
     occupied = np.zeros(N_STATES, dtype=bool)
     occupied[states] = True
     occupied[keys] = True
@@ -531,7 +540,7 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     del actions
     shape = (len(out_states), N_ACTIONS)
     values = np.zeros(shape, dtype=np.float32)
-    flags = np.zeros(shape, dtype=np.uint16)
+    flags = np.zeros(shape, dtype=np.uint8)
     values[held] = held_values
     flags[held] = held_flags
     del held, held_values, held_flags
@@ -575,8 +584,9 @@ def _neighbor_means(states, values, flags, radius: int) -> tuple[np.ndarray, np.
     the means' bits; they bound the sort words and values held at once.
     """
     ac = N_ACTIONS
-    idx = np.flatnonzero((flags & FLAG_TRAINED) != 0)  # a bool mask: 3x faster than uint16
-    src_k = states[idx // ac] * ac + idx % ac
+    idx = np.flatnonzero((flags & FLAG_TRAINED) != 0)  # a bool mask: 6x faster than the words
+    src_k = states[idx >> _ACTION_BITS] << _ACTION_BITS
+    src_k |= idx & (ac - 1)
     src_v = values.reshape(-1)[idx].astype(np.float64)
     del idx
     if not len(src_k):
@@ -586,7 +596,7 @@ def _neighbor_means(states, values, flags, radius: int) -> tuple[np.ndarray, np.
     src_bits = (len(src_k) - 1).bit_length()
     low = (10 * len(moves) - 1).bit_length() + src_bits
     # Per dim, the trained entries ordered by their digit there, and where each digit starts.
-    src_s = src_k // ac
+    src_s = src_k >> _ACTION_BITS
     orders, edges = [], []
     for dim in range(10):
         digit = (src_s >> 2 * (9 - dim)) & 3

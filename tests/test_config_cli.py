@@ -569,8 +569,8 @@ class TestInspectCommand:
         save(q, path)
         result = runner.invoke(main, ["inspect", str(path)])
         assert result.exit_code == 0
-        # Two rows, each an int64 state, 32 float32 values and 32 uint16 flag words.
-        assert f"rows held: 2 ({2 * (8 + 32 * 6)} bytes in memory)" in result.output
+        # Two rows, each an int64 state, 32 float32 values and 32 uint8 flag words.
+        assert f"rows held: 2 ({2 * (8 + 32 * 5)} bytes in memory)" in result.output
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1

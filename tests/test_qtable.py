@@ -47,8 +47,9 @@ def table_of(entries):
 
 
 def assert_rows_in_state_order(q):
-    """The row states increase strictly, one per value row and flag row, none spare."""
+    """The row states increase strictly, one per value row and uint8 flag row, none spare."""
     assert q._states.dtype == np.int64 and (np.diff(q._states) > 0).all()
+    assert q._flags.dtype == np.uint8
     assert len(q._values) == len(q._flags) == len(q._states) == q.row_count()
 
 
@@ -202,6 +203,13 @@ class TestQUpdate:
         assert not q.flags(42).any()
         assert q.entry_count() == 0
 
+    def test_a_state_without_a_row_reads_uint8_zero_flags(self):
+        q = table_of({(5, 3): (1.0, FLAG_TRAINED)})
+        for table in (QTable(), q):
+            flags = table.flags(6)
+            assert flags.dtype == np.uint8 and flags.tolist() == [0] * 32
+        assert q.flags(5).dtype == np.uint8
+
 
 LINE_UP = "1-D and of one length"
 
@@ -322,7 +330,8 @@ class TestBadWrites:
         assert len(q.bins) == 0 and q.entry_count() == 0
         assert q.update(np.int64(5), np.int32(1), 1.0, np.uint32(6), HP) == pytest.approx(0.1)
 
-    @pytest.mark.parametrize("bad", [4, FLAG_TRAINED | 4, 0x8000, 0x10001, -1])
+    # 256 and 257 would wrap to 0 and 1 in the uint8 rows: refused before the cast.
+    @pytest.mark.parametrize("bad", [4, FLAG_TRAINED | 4, 0x8000, 0x10001, -1, 256, 257])
     def test_undefined_flag_bits_rejected(self, bad):
         with pytest.raises(ValueError, match="flag bits"):
             QTable.from_records([5, 6], [1, 2], np.array([1, bad], dtype=np.int64), [1.0, 2.0])
@@ -359,7 +368,7 @@ class TestBadWrites:
 def stacked(bins, fill=1.0):
     """(bins, values, flags) holding one trained entry per bin, valued fill + bin."""
     values = np.zeros((len(bins), N_TIP_STATES, 32), dtype=np.float32)
-    flags = np.zeros(values.shape, dtype=np.uint16)
+    flags = np.zeros(values.shape, dtype=np.uint8)
     values[:, 7, 3] = fill + np.asarray(bins, dtype=np.float32)
     flags[:, 7, 3] = FLAG_TRAINED
     return bins, values, flags
@@ -431,7 +440,7 @@ class TestRowStore:
         q = QTable.from_records([3 * N_TIP_STATES + 1, 3 * N_TIP_STATES + 2, 700 * N_TIP_STATES],
                                 [0, 5, 1], [1, 2, 1], [1.0, 2.0, 3.0])
         assert q.row_count() == 3
-        assert q.nbytes == 3 * (8 + 32 * (4 + 2))
+        assert q.nbytes == 3 * (8 + 32 * (4 + 1))
         assert QTable().nbytes == 0
 
     def test_updates_in_falling_order_insert_rows_in_state_order(self):
@@ -980,7 +989,8 @@ class TestPersistence:
         with pytest.raises(QTableIOError, match="non-finite"):
             load(path)
 
-    @pytest.mark.parametrize("bad", [4, 0x8000])
+    # 256 and 257 would wrap to 0 and 1 in the uint8 rows: refused before the cast.
+    @pytest.mark.parametrize("bad", [4, 0x8000, 256, 257])
     def test_undefined_flag_bits_rejected(self, tmp_path, bad):
         path = tmp_path / "t.qt"
         _write_records(path, [5, 6], [1, 2], [1, bad], [1.0, 2.0])

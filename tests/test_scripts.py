@@ -200,12 +200,14 @@ def test_bulk_cost(tmp_path):
                           r"1 calls per operation", lines[0])
     assert header, lines
     rows, nbytes = map(int, header.groups())
-    assert nbytes == rows * (8 + 32 * (4 + 2)), lines  # a state, 32 values and 32 flag words
-    assert lines[1].split() == ["operation", "median", "ms", "traced", "peak", "MiB",
-                                "B/entry"], lines
+    assert nbytes == rows * (8 + 32 * (4 + 1)), lines  # a state, 32 values and 32 flag bytes
+    assert lines[1].split() == ["operation", "median", "ms", "minor", "faults", "traced",
+                                "peak", "MiB", "B/entry"], lines
     names = ["load", "augment r1", "augment r2", "augment r3", "record_arrays", "save"]
     assert [line[:13].strip() for line in lines[2:]] == names, lines
     for line in lines[2:]:
-        values = line[13:].split()
-        assert len(values) == 3 and all(float(x) > 0.0 for x in values), lines
+        ms, faults, peak, per_entry = line[13:].split()
+        # No fault count is promised: the allocator may reuse pages touched before.
+        assert int(faults) >= 0, lines
+        assert all(float(x) > 0.0 for x in (ms, peak, per_entry)), lines
     assert list(tmp_path.iterdir()) == []
