@@ -3,18 +3,18 @@
 Builds the goal bank pretrain() draws for --seed (its stream
 SeedSequence((seed, 1)), at quota --rounds), then times train_lockstep on the
 first L reachable bins (one lane per bin, --rounds goals each) and
-greedy_lockstep on the first goal of each of those bins (one repetition, one
+evalrun.evaluate on the first goal of each of those bins (one repetition, one
 lane per goal, reading a table trained on the whole bank), on the nominal plant
-and on the default perturbed plant (RunConfig's, keyed by --seed), which draws
-observation noise. Each timed call is divided by the number of lockstep steps
-it runs, counted once beforehand; a step advances every running lane by one
-action. Prints the quartiles over --calls calls for each lane count, and for
-greedy_lockstep the steps per call: a nominal lane stops at its first return
-to an arm configuration, so its calls run fewer steps than --max-steps, while
-a lane on the noisy plant runs until success or the step limit. Each greedy
-cell ends with the median µs of a max_steps=1 call on the same lanes: the
-per-call set-up (policy read, lane and noise set-up, padding) that its
-per-step figures spread over its steps.
+and on the perturbed plant evaluate builds for --seed from RunConfig's
+perturbed section, which draws observation noise. Each timed call is divided
+by the number of lockstep steps it runs, counted once beforehand; a step
+advances every running lane by one action. Prints the quartiles over --calls
+calls for each lane count, and for evaluate the steps per call: a nominal lane
+stops at its first return to an arm configuration, so its calls run fewer
+steps than --max-steps, while a lane on the noisy plant runs until success or
+the step limit. Each evaluate cell ends with the median µs of a max_steps=1
+call on the same lanes: the per-call set-up (policy read, plant, lane and noise
+set-up, padding, results) that its per-step figures spread over its steps.
 
 A last block splits a train_lockstep step at the largest lane count that
 ran into stages, in µs per step (median over --calls calls): the
@@ -40,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from hpnarm import episode
+from hpnarm import episode, evalrun
 from hpnarm.config import RunConfig
 from hpnarm.pretrain import build_goal_bank, default_sample_budget
 from hpnarm.state import GoalPose
@@ -157,10 +157,9 @@ def main() -> int:
     table = episode.train_lockstep(bank.bins, bank.goals, args.seed, cfg.hyper, **specs)
     print(f"seed {args.seed}: {len(bank.bins)} reachable bins, {args.rounds} goals per bin, "
           f"{args.calls} calls per cell")
-    plant = episode.PerturbedPlant(cfg.arm, cfg.perturbed, seed=args.seed)
     print("lanes  train_lockstep us/step (q1 median q3)  "
-          "greedy_lockstep nominal us/step (q1 median q3) steps 1-step-call-us  "
-          "greedy_lockstep perturbed us/step (q1 median q3) steps 1-step-call-us")
+          "evaluate nominal us/step (q1 median q3) steps 1-step-call-us  "
+          "evaluate perturbed us/step (q1 median q3) steps 1-step-call-us")
     widest = None  # (lanes, its training call, its median µs per step)
     for n in lane_counts:
         if n > len(bank.bins):
@@ -173,8 +172,9 @@ def main() -> int:
         if widest is None or n > widest[0]:
             widest = n, run_train, train[1]
         cells = []
-        for p in (None, plant):
-            greedy = partial(episode.greedy_lockstep, table, poses, repetitions=1, plant=p,
+        for plant_kind in ("nominal", "perturbed"):
+            greedy = partial(evalrun.evaluate, table, poses, repetitions=1,
+                             plant_kind=plant_kind, perturbed_cfg=cfg.perturbed, seed=args.seed,
                              **specs)
             quartiles, steps = step_quartiles(greedy, args.calls)
             setup = statistics.median(call_times(partial(greedy, max_steps=1), args.calls))

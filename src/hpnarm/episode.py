@@ -7,10 +7,10 @@ observation noise, standing in for an imperfectly modeled physical arm.
 One episode drives the tip from a fixed initial pressurization toward a
 goal pose, one quasi-static action per step, optionally applying learning
 updates along the way. Training and evaluation run many episodes at once,
-each as one lane of a shared numpy step: train_lockstep steps one episode per
-goal bin, greedy_lockstep one per (goal, repetition), or one per goal on the
-nominal plant, where repetitions are identical. Both are bit-identical to
-run_episode called on each episode in turn.
+each as one lane of a shared numpy step (_Lanes): train_lockstep steps one
+episode per goal bin, and evalrun.evaluate one per (goal, repetition), or one
+per goal on a noise-free plant, where repetitions are identical. Both are
+bit-identical to run_episode called on each episode in turn.
 
 The shared step keeps its fixed cost low in four ways, none of which changes
 a bit. Segment transforms come from a lattice built once per process: every
@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -60,8 +59,8 @@ from .state import (
     GoalPose,
     StateEncoder,
     check_goal_bins,
+    check_real_types,
     check_reals,
-    encode_goal_prefix_batch,
     encode_tip_stack,
     goal_frame,
     rest_tip_origin,
@@ -119,6 +118,7 @@ class PerturbedPlantConfig:
     def __post_init__(self):
         scales = {"a_scale": self.a_scale, "b_scale": self.b_scale}
         check_reals(True, **{name: v for name, v in scales.items() if v is not None})
+        check_real_types(scale_spread=self.scale_spread)
         if not 0.0 <= self.scale_spread < 1.0:
             raise ValueError(f"scale_spread must be finite and in [0, 1), got {self.scale_spread}")
         check_reals(False, tip_noise_sigma_mm=self.tip_noise_sigma_mm,
@@ -167,11 +167,11 @@ class PerturbedPlant:
     Gain scales depend on the seed alone and are fixed at construction
     (drawn from the config spread when not pinned). The observation noise
     comes from noise_generator(seed, episode) and advances with every
-    apply(). Evaluation builds one plant for the whole run, which fixes the
-    gain scales; greedy_lockstep then draws each (goal index, repetition)
-    episode's noise from noise_generator(seed, (goal index, repetition)),
-    the stream a plant keyed by that episode would use. So an episode's
-    noise is its own and does not depend on how long the other episodes ran.
+    apply(). evalrun.evaluate builds one plant for the whole run, which fixes
+    the gain scales, then draws each (goal index, repetition) episode's noise
+    from noise_generator(seed, (goal index, repetition)), the stream a plant
+    keyed by that episode would use. So an episode's noise is its own and
+    does not depend on how long the other episodes ran.
     """
 
     def __init__(self, params: ArmParams, cfg: PerturbedPlantConfig, seed: int,
@@ -223,14 +223,6 @@ class EpisodeLog:
     @property
     def success(self) -> bool:
         return self.outcome == "success"
-
-    @property
-    def final_pos_error_mm(self) -> float:
-        return self.records[-1].pos_error_mm
-
-    @property
-    def final_rot_error_deg(self) -> float:
-        return self.records[-1].rot_error_deg
 
 
 def pose_errors(pose: np.ndarray, goal: GoalPose) -> tuple[float, float]:
@@ -501,6 +493,17 @@ class _Lanes:
         self.t += 1
         self._observe()
 
+    def configuration(self) -> np.ndarray:
+        """(lanes, k) array whose rows are equal exactly where the lanes' arm configurations are.
+
+        On the lattice it is the four segment codes, each below
+        LATTICE_MAX_PRESSURES**4 = 65,536, as uint16s packed into one uint64 word;
+        past it, the bits of the 16 chamber pressures.
+        """
+        if self.lattice is None:
+            return self.pressures.reshape(len(self), -1).view(np.int64)
+        return self.codes.astype(np.uint16).view(np.uint64)
+
     def keep(self, mask: np.ndarray) -> None:
         """Drop the lanes where ``mask`` is False."""
         if self.lattice is None:
@@ -675,173 +678,3 @@ def train_lockstep(
 
     # Values finite in float32, flags FLAG_TRAINED or 0: nothing to rescan.
     return QTable.from_checked_arrays(np.array(bins, dtype=np.int64), values, flags)
-
-
-@dataclass(frozen=True)
-class GreedyRuns:
-    """Outcome of greedy_lockstep, indexed [goal, repetition] and, for series, step.
-
-    Series are padded to max_steps + 1 by greedy_lockstep's rule.
-    ``selections[goal]`` counts the goal's action selections, over all its
-    repetitions, made on rows holding a trained entry, rows holding only
-    augmented entries, and empty rows (no flag set), in that order.
-    ``lock_step[goal]`` is the step at which the goal's episode first
-    returned to an arm configuration it held before, and
-    ``lock_period[goal]`` the steps since it held that configuration; both
-    are -1 where the episode never returned, or the plant draws noise.
-    """
-
-    pos: np.ndarray          # (goals, repetitions, max_steps + 1)
-    rot: np.ndarray
-    success: np.ndarray      # (goals, repetitions)
-    selections: np.ndarray   # (goals, 3)
-    lock_step: np.ndarray    # (goals,)
-    lock_period: np.ndarray
-
-
-def _arm_configuration(lanes: _Lanes) -> np.ndarray:
-    """(lanes, k) array whose rows are equal exactly where the lanes' arm configurations are.
-
-    On the lattice it is the four segment codes, each below
-    LATTICE_MAX_PRESSURES**4 = 65,536, as uint16s packed into one uint64 word;
-    past it, the bits of the 16 chamber pressures.
-    """
-    if lanes.lattice is None:
-        return lanes.pressures.reshape(len(lanes), -1).view(np.int64)
-    return lanes.codes.astype(np.uint16).view(np.uint64)
-
-
-def greedy_lockstep(
-    table: QTable,
-    goals: Sequence[GoalPose],
-    *,
-    repetitions: int,
-    params: ArmParams,
-    action_spec: ActionSpec,
-    reward_spec: RewardSpec,
-    binning: BinningSpec,
-    max_steps: int = 200,
-    plant: PerturbedPlant | None = None,
-) -> GreedyRuns:
-    """Run every (goal, repetition) episode greedily, all in lockstep; the table is read only.
-
-    Repetition rep of goal_i is the episode run_episode(train=False) would
-    run on NominalPlant(params) (plant None) or on PerturbedPlant(params,
-    plant.cfg, plant.seed, (goal_i, rep)), bit for bit. On a plant that
-    draws observation noise each repetition is a lane of its own. The
-    nominal plant, and a perturbed plant with tip_noise_sigma_mm 0, are
-    deterministic and greedy selection draws nothing, so there all
-    repetitions of a goal are the same episode: it runs once, as one lane,
-    and is copied.
-
-    Such a noise-free lane's next arm configuration is a function of its
-    current one, so once it returns at step t to a configuration it first
-    held at step t0, it repeats steps t0 .. t - 1 with period p = t - t0 to
-    the step limit, without reaching success (those poses were scored
-    already). It stops stepping there, and the goal's lock_step and
-    lock_period record t and p. The configuration is the lane's four
-    segment codes on the lattice and its 16 pressures past it.
-
-    An episode that ends at step t, by success or by such a lock, is padded
-    by one rule: its series at each step s > t, and its row kind at each
-    step s >= t, read step t0 + (s - t0) % p, where t0 = t and p = 1 unless
-    it locked. So a locked lane repeats its cycle in both, and one that
-    succeeded holds its last value and selects nothing more. Success is
-    read from each episode's final pose.
-
-    Greedy selection takes the argmax of the lane's row, ties to the lowest
-    action id. Each distinct goal bin's actions and row kinds are read once
-    (QTable.greedy_policy); a state without a row reads zero and counts as
-    empty. A lane that reaches success drops out. The lanes step as
-    train_lockstep's do (see _Lanes): on the nominal plant's lattice and, for
-    a perturbed plant, on a second lattice of its true_params, both cached
-    for the next call. ``goals`` must hold at least one goal, and
-    ``repetitions`` and ``max_steps`` must be integers >= 1, else ValueError
-    before any step.
-    """
-    check_integers(1, repetitions=repetitions, max_steps=max_steps)
-    if not len(goals):
-        raise ValueError("need at least one goal")
-    goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
-    goal_bins = encode_goal_prefix_batch(goal_poses[:, :3], goal_poses[:, 3:],
-                                         rest_tip_origin(params.l0_mm), binning)
-    # The greedy action and row kind at every tip state of each distinct goal
-    # bin, read once. Row kind: 0 holds a trained entry, 1 only augmented
-    # ones, 2 is empty.
-    used, goal_slot = np.unique(goal_bins, return_inverse=True)
-    policy, kind = table.greedy_policy(used)
-
-    length = max_steps + 1
-    fk_params, droop_gain, noise = params, None, None
-    if plant is not None:
-        fk_params, droop_gain = plant.true_params, plant.cfg.droop_gain
-        sigma = plant.cfg.tip_noise_sigma_mm
-        if sigma > 0.0:  # as in PerturbedPlant.apply, which then draws nothing
-            noise = np.array([
-                noise_generator(plant.seed, (g, rep)).normal(0.0, sigma, (length, 3))
-                for g in range(len(goals)) for rep in range(repetitions)
-            ])
-    copies = repetitions if noise is None else 1
-    lane_reps = repetitions // copies  # lanes per goal
-    lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id
-    n = len(goals) * lane_reps
-    lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
-                   repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
-
-    # The loop only records: the series, each selection's row kind (-1 where
-    # none), the step each episode ended at (``last``) and, for a lock, the
-    # step that began its cycle (``start``); max_steps where neither happened.
-    pos, rot = np.empty((2, n, length))
-    kinds = np.full((n, max_steps), -1, dtype=np.int8)
-    last, start = np.full((2, n), max_steps)
-    pos[:, 0], rot[:, 0] = lanes.pos, lanes.rot
-    ended = reward_spec.is_success(lanes.pos, lanes.rot)
-    if noise is None:
-        # Each lane's configuration at every step so far.
-        config = _arm_configuration(lanes)
-        held = np.empty((n, length, config.shape[1]), dtype=config.dtype)
-        held[:, 0] = config
-    ids, slot = lanes.ids, lane_slot
-    for step in range(1, length):
-        if np.count_nonzero(ended):
-            last[ids[ended]] = step - 1
-            lanes.keep(~ended)
-            if len(lanes) == 0:
-                break
-            ids = lanes.ids
-            slot = lane_slot[ids]
-        at = slot, lanes.state
-        kinds[ids, step - 1] = kind[at]
-        lanes.step(policy[at])
-        pos[ids, step], rot[ids, step] = lanes.pos, lanes.rot
-        ended = reward_spec.is_success(lanes.pos, lanes.rot)
-        if noise is None:
-            config = _arm_configuration(lanes)
-            seen = (held[ids, :step] == config[:, None]).all(axis=2)
-            held[ids, step] = config
-            locked = seen.any(axis=1)
-            if np.count_nonzero(locked):
-                start[ids[locked]] = seen[locked].argmax(axis=1)
-                ended |= locked
-
-    # The padding rule of the docstring.
-    locked = start < last
-    period = np.where(locked, last - start, 1)
-    start = np.minimum(start, last)[:, None]
-    steps = np.arange(length)
-    cycle = start + (steps - start) % period[:, None]
-    after = steps > last[:, None]
-    pos, rot = (np.take_along_axis(x, np.where(after, cycle, steps), axis=1) for x in (pos, rot))
-    kinds = np.take_along_axis(kinds, np.where(after[:, 1:], cycle[:, :-1], steps[:-1]), axis=1)
-    # A noise-free configuration fixes the pose, so no cycle holds a success pose.
-    success = reward_spec.is_success(pos[:, -1], rot[:, -1])
-
-    shape = (len(goals), lane_reps)
-    return GreedyRuns(
-        pos=np.repeat(pos.reshape(shape + (length,)), copies, axis=1),
-        rot=np.repeat(rot.reshape(shape + (length,)), copies, axis=1),
-        success=np.repeat(success.reshape(shape), copies, axis=1),
-        selections=(kinds.reshape(len(goals), -1, 1) == np.arange(3)).sum(axis=1) * copies,
-        lock_step=np.where(locked, last, -1).reshape(shape)[:, 0],
-        lock_period=np.where(locked, period, -1).reshape(shape)[:, 0],
-    )

@@ -1,11 +1,11 @@
 """Point-to-point evaluation runs: fixed goals, greedy policy, CSV curves.
 
 Each goal is attempted `repetitions` times with exploration off and the table
-frozen, as lanes of one episode.greedy_lockstep call: one lane per (goal,
-repetition) on a perturbed plant that draws observation noise, one per goal on
-the deterministic nominal plant (or a noise-free perturbed one), whose
-repetitions are identical and which stops at its first return to an arm
-configuration.
+frozen, as lanes of one lockstep loop over episode._Lanes, which evaluate runs
+itself: one lane per (goal, repetition) on a perturbed plant that draws
+observation noise, one per goal on the deterministic nominal plant (or a
+noise-free perturbed one), whose repetitions are identical and which stops at
+its first return to an arm configuration.
 Error curves are padded to a common length by holding the final value so
 early successes still average cleanly (a locked episode's curve continues its
 cycle), then written as per-goal CSVs plus one aggregate CSV (mean curve over
@@ -25,11 +25,12 @@ from .episode import (
     PerturbedPlant,
     PerturbedPlantConfig,
     RewardSpec,
-    greedy_lockstep,
+    _Lanes,
+    noise_generator,
 )
 from .kinematics import ArmParams, tip_batch
 from .qtable import ActionSpec, HyperParams, QTable, check_integers
-from .state import BinningSpec, GoalPose
+from .state import BinningSpec, GoalPose, encode_goal_prefix_batch, rest_tip_origin
 
 EVAL_CSV_COLUMNS = ("step", "time_s", "pos_error_mm", "rot_error_deg")
 
@@ -68,14 +69,21 @@ class GoalResult:
     goal: GoalPose
     pos_series: np.ndarray  # (repetitions, max_steps+1)
     rot_series: np.ndarray
-    final_pos_mm: np.ndarray  # (repetitions,)
-    final_rot_deg: np.ndarray
-    success: np.ndarray
+    success: np.ndarray  # (repetitions,)
     trained_selections: int = 0
     augmented_selections: int = 0
     empty_selections: int = 0
     lock_step: int | None = None
     lock_period: int | None = None
+
+    @property
+    def final_pos_mm(self) -> np.ndarray:
+        """Each repetition's positional error at the last step: the series' last column."""
+        return self.pos_series[:, -1]
+
+    @property
+    def final_rot_deg(self) -> np.ndarray:
+        return self.rot_series[:, -1]
 
     def start_pos_mm(self) -> float:
         """Positional error at step 0, averaged over repetitions: the hold-still baseline."""
@@ -190,23 +198,47 @@ def evaluate(
     seed: int = 0,
     label: str | None = None,
 ) -> EvalReport:
-    """Evaluate a table (or a zero-initialized one when None) on fixed goals.
+    """Evaluate a table (or a zero-initialized one when None) greedily on fixed goals.
 
-    Episodes run greedily with learning off, as lanes of one
-    episode.greedy_lockstep call; the table is never written. Where the
-    plant draws no noise, an episode stops at its first return to an arm
-    configuration and its curve continues that cycle, as run_episode's
-    would; each GoalResult records the lock. On the perturbed plant the
-    gain scales come from one seed, derived from ``seed``, for the whole
-    run, and each (goal, repetition) episode draws observation noise from
-    its own stream, keyed by that seed, the goal index and the repetition:
-    repetitions differ, and a goal's result does not depend on the other
-    goals evaluated with it.
+    Every (goal, repetition) episode runs with learning off, all as lanes of
+    one lockstep loop (episode._Lanes); the table is only read. Repetition
+    rep of goal i is, bit for bit, the episode run_episode(train=False) would
+    run on NominalPlant(params), or for plant_kind "perturbed" on
+    PerturbedPlant(params, perturbed_cfg, plant_seed, (i, rep)): one plant
+    seed, derived from ``seed``, fixes the gain scales for the whole run, and
+    each episode draws observation noise from its own stream, keyed by that
+    seed, the goal index and the repetition. So repetitions differ, and a
+    goal's result does not depend on the other goals evaluated with it. On a
+    plant that draws no noise (the nominal one, or a perturbed one with
+    tip_noise_sigma_mm 0) greedy selection draws nothing either, so all
+    repetitions of a goal are the same episode: it runs once, as one lane,
+    and is copied.
 
-    ``seed`` must be an integer (int or numpy integer, not bool) >= 0 and
-    ``plant_kind`` "nominal" or "perturbed", else ValueError here;
-    greedy_lockstep refuses an empty goal list and ``repetitions`` or
-    ``max_steps`` that are not integers >= 1, before any step.
+    Greedy selection takes the argmax of the lane's row, ties to the lowest
+    action id. Each distinct goal bin's actions and row kinds are read once
+    (QTable.greedy_policy); a state without a row reads zero and counts as
+    empty. A lane that reaches success drops out. The lanes step on the
+    segment lattice of the nominal arm, or of the perturbed plant's
+    true_params, cached for the next call.
+
+    A noise-free lane's next arm configuration (_Lanes.configuration) is a
+    function of its current one, so once it returns at step t to a
+    configuration it first held at step t0, it repeats steps t0 .. t - 1
+    with period p = t - t0 to the step limit, without reaching success (those
+    poses were scored already). It stops stepping there, and the goal's
+    lock_step and lock_period record t and p.
+
+    An episode that ends at step t, by success or by such a lock, is padded
+    to max_steps + 1 steps by one rule: its series at each step s > t, and
+    its row kind at each step s >= t, read step t0 + (s - t0) % p, where
+    t0 = t and p = 1 unless it locked. So a locked curve continues its cycle,
+    and one that succeeded holds its last value and selects nothing more.
+    Success is read from each episode's final pose.
+
+    ``seed`` must be an integer (int or numpy integer, not bool) >= 0,
+    ``plant_kind`` "nominal" or "perturbed", ``repetitions`` and
+    ``max_steps`` integers >= 1, and ``goals`` not empty, checked in that
+    order, else ValueError before any lane is built.
 
     ``hp`` is ignored, since greedy evaluation reads no hyperparameter; the
     keyword stays only because the benchmark harness (perfbench/layers.py)
@@ -215,6 +247,9 @@ def evaluate(
     check_integers(0, seed=seed)
     if plant_kind not in ("nominal", "perturbed"):
         raise ValueError(f"unknown plant kind {plant_kind!r}")
+    check_integers(1, repetitions=repetitions, max_steps=max_steps)
+    if not len(goals):
+        raise ValueError("need at least one goal")
     if table is None:
         table = QTable()
         if label is None:
@@ -222,31 +257,102 @@ def evaluate(
     elif label is None:
         label = "table"
 
-    plant = None
+    goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+    goal_bins = encode_goal_prefix_batch(goal_poses[:, :3], goal_poses[:, 3:],
+                                         rest_tip_origin(params.l0_mm), binning)
+    # The greedy action and row kind at every tip state of each distinct goal
+    # bin, read once. Row kind: 0 holds a trained entry, 1 only augmented
+    # ones, 2 is empty.
+    used, goal_slot = np.unique(goal_bins, return_inverse=True)
+    policy, kind = table.greedy_policy(used)
+
+    length = max_steps + 1
+    fk_params, droop_gain, noise = params, None, None
     if plant_kind == "perturbed":
         cfg = perturbed_cfg if perturbed_cfg is not None else PerturbedPlantConfig()
         plant = PerturbedPlant(
             params, cfg, seed=int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
         )
-    runs = greedy_lockstep(
-        table, goals, repetitions=repetitions, params=params, action_spec=action_spec,
-        reward_spec=reward_spec, binning=binning, max_steps=max_steps, plant=plant,
-    )
-    results = tuple(
-        GoalResult(
-            goal=goal, pos_series=runs.pos[i], rot_series=runs.rot[i],
-            final_pos_mm=runs.pos[i, :, -1], final_rot_deg=runs.rot[i, :, -1],
-            success=runs.success[i],
-            trained_selections=int(runs.selections[i, 0]),
-            augmented_selections=int(runs.selections[i, 1]),
-            empty_selections=int(runs.selections[i, 2]),
-            lock_step=None if runs.lock_step[i] < 0 else int(runs.lock_step[i]),
-            lock_period=None if runs.lock_period[i] < 0 else int(runs.lock_period[i]),
-        )
-        for i, goal in enumerate(goals)
-    )
+        fk_params, droop_gain = plant.true_params, cfg.droop_gain
+        sigma = cfg.tip_noise_sigma_mm
+        if sigma > 0.0:  # as in PerturbedPlant.apply, which then draws nothing
+            noise = np.array([
+                noise_generator(plant.seed, (g, rep)).normal(0.0, sigma, (length, 3))
+                for g in range(len(goals)) for rep in range(repetitions)
+            ])
+    copies = repetitions if noise is None else 1
+    lane_reps = repetitions // copies  # lanes per goal
+    lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id
+    n = len(goals) * lane_reps
+    lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
+                   repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
+
+    # The loop only records: the series, each selection's row kind (-1 where
+    # none), the step each episode ended at (``last``) and, for a lock, the
+    # step that began its cycle (``start``); max_steps where neither happened.
+    pos, rot = np.empty((2, n, length))
+    kinds = np.full((n, max_steps), -1, dtype=np.int8)
+    last, start = np.full((2, n), max_steps)
+    pos[:, 0], rot[:, 0] = lanes.pos, lanes.rot
+    ended = reward_spec.is_success(lanes.pos, lanes.rot)
+    if noise is None:
+        # Each lane's configuration at every step so far.
+        config = lanes.configuration()
+        held = np.empty((n, length, config.shape[1]), dtype=config.dtype)
+        held[:, 0] = config
+    ids, slot = lanes.ids, lane_slot
+    for step in range(1, length):
+        if np.count_nonzero(ended):
+            last[ids[ended]] = step - 1
+            lanes.keep(~ended)
+            if len(lanes) == 0:
+                break
+            ids = lanes.ids
+            slot = lane_slot[ids]
+        at = slot, lanes.state
+        kinds[ids, step - 1] = kind[at]
+        lanes.step(policy[at])
+        pos[ids, step], rot[ids, step] = lanes.pos, lanes.rot
+        ended = reward_spec.is_success(lanes.pos, lanes.rot)
+        if noise is None:
+            config = lanes.configuration()
+            seen = (held[ids, :step] == config[:, None]).all(axis=2)
+            held[ids, step] = config
+            locked = seen.any(axis=1)
+            if np.count_nonzero(locked):
+                start[ids[locked]] = seen[locked].argmax(axis=1)
+                ended |= locked
+
+    # The padding rule of the docstring.
+    locked = start < last
+    period = np.where(locked, last - start, 1)
+    start = np.minimum(start, last)[:, None]
+    steps = np.arange(length)
+    cycle = start + (steps - start) % period[:, None]
+    after = steps > last[:, None]
+    pos, rot = (np.take_along_axis(x, np.where(after, cycle, steps), axis=1) for x in (pos, rot))
+    kinds = np.take_along_axis(kinds, np.where(after[:, 1:], cycle[:, :-1], steps[:-1]), axis=1)
+    # A noise-free configuration fixes the pose, so no cycle holds a success pose.
+    success = reward_spec.is_success(pos[:, -1], rot[:, -1])
+
+    # Goal i's lanes are rows i * lane_reps onward, each copied to ``copies`` repetitions.
+    shape = (len(goals), lane_reps)
+    pos, rot = (np.repeat(x.reshape(shape + (length,)), copies, axis=1) for x in (pos, rot))
+    success = np.repeat(success.reshape(shape), copies, axis=1)
+    selections = (kinds.reshape(len(goals), -1, 1) == np.arange(3)).sum(axis=1) * copies
+    results = []
+    for i, goal in enumerate(goals):
+        lane = i * lane_reps  # only a noise-free goal locks, and it has one lane
+        results.append(GoalResult(
+            goal=goal, pos_series=pos[i], rot_series=rot[i], success=success[i],
+            trained_selections=int(selections[i, 0]),
+            augmented_selections=int(selections[i, 1]),
+            empty_selections=int(selections[i, 2]),
+            lock_step=int(last[lane]) if locked[lane] else None,
+            lock_period=int(period[lane]) if locked[lane] else None,
+        ))
     return EvalReport(
-        label=label, plant_kind=plant_kind, results=results,
+        label=label, plant_kind=plant_kind, results=tuple(results),
         repetitions=repetitions, max_steps=max_steps,
     )
 

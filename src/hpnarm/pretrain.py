@@ -114,9 +114,6 @@ class GoalBank:
     def quota(self) -> int:
         return self.goals.shape[1]
 
-    def reachable_bins(self) -> list[int]:
-        return self.bins.tolist()
-
     def goal_count(self) -> int:
         return self.goals.shape[0] * self.goals.shape[1]
 

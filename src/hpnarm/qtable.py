@@ -21,7 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .state import N_BINS_PER_DIM, N_GOAL_BINS, N_STATES, N_TIP_STATES, check_reals
+from .state import (
+    N_BINS_PER_DIM,
+    N_GOAL_BINS,
+    N_STATES,
+    N_TIP_STATES,
+    check_real_types,
+    check_reals,
+)
 
 N_ACTIONS = 32
 # Both are powers of two, so an entry key state * N_ACTIONS + action and a state
@@ -95,6 +102,7 @@ class HyperParams:
     epsilon: float = 0.1
 
     def __post_init__(self):
+        check_real_types(alpha=self.alpha, gamma=self.gamma, epsilon=self.epsilon)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma < 1.0:

@@ -35,8 +35,18 @@ _AZIMUTH_EDGES = (-math.pi / 2.0, 0.0, math.pi / 2.0)
 _ELEVATION_EDGES = (math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
 
 
+def check_real_types(**values) -> None:
+    """ValueError unless each value is an int, a float or a numpy real (bool refused)."""
+    for name, v in values.items():
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{name} must not be a boolean, got {v!r}")
+        if not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number, not {v!r}")
+
+
 def check_reals(positive: bool, /, **values) -> None:
-    """ValueError unless each value is finite and > 0 (``positive``) or >= 0."""
+    """ValueError unless each value is a real number, finite and > 0 (``positive``) or >= 0."""
+    check_real_types(**values)
     for name, v in values.items():
         if not ((v > 0.0 if positive else v >= 0.0) and math.isfinite(v)):
             bound = "positive" if positive else "non-negative"
@@ -78,7 +88,10 @@ class BinningSpec:
 
     def __post_init__(self):
         for name in ("d_tip_edges_mm", "phi_egoal_edges_rad"):
-            edges = tuple(float(e) for e in getattr(self, name))
+            edges = tuple(getattr(self, name))
+            for edge in edges:
+                check_real_types(**{name: edge})
+            edges = tuple(map(float, edges))
             if len(edges) != 3 or not all(np.isfinite(edges)):
                 raise ValueError(f"{name} needs three finite interior edges")
             if not (0.0 < edges[0] < edges[1] < edges[2]):

@@ -469,8 +469,7 @@ def oracle_evaluate(table, goals, *, params, action_spec, reward_spec, binning,
         # Without noise every repetition is the same episode: read the last one's log.
         lock = oracle_lock(log) if noise_free else (None, None)
         results.append(GoalResult(
-            goal=goal, pos_series=pos, rot_series=rot,
-            final_pos_mm=pos[:, -1].copy(), final_rot_deg=rot[:, -1].copy(), success=success,
+            goal=goal, pos_series=pos, rot_series=rot, success=success,
             trained_selections=counts[0], augmented_selections=counts[1],
             empty_selections=counts[2],
             lock_step=lock[0], lock_period=lock[1],

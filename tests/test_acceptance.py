@@ -192,7 +192,7 @@ def test_criterion_05_parallel_determinism(capsys, tmp_path):
     partials = [
         pretrain_shard((b,), 2025, bank, hp, params=params, action_spec=actions,
                        reward_spec=rewards, binning=binning)
-        for b in bank.reachable_bins()
+        for b in bank.bins.tolist()
     ]
     save(augment(merge(partials), radius=1), per_bin)
     blobs = [whole.read_bytes(), per_bin.read_bytes()]

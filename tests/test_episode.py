@@ -14,7 +14,6 @@ from hpnarm.episode import (
     _segment_lattice,
     compute_reward,
     exploration_draws,
-    greedy_lockstep,
     noise_generator,
     observe_batch,
     pose_errors,
@@ -22,6 +21,7 @@ from hpnarm.episode import (
     run_episode,
     train_lockstep,
 )
+from hpnarm.evalrun import evaluate
 from hpnarm.kinematics import actuation_to_config, segment_transform
 from hpnarm.qtable import N_ACTIONS, ActionSpec, HyperParams, QTable, save
 from hpnarm.state import N_TIP_STATES, StateEncoder, goal_frame, rest_tip_origin
@@ -285,8 +285,8 @@ class TestRunEpisode:
         goal = goal_from_pressures(setup["params"], np.full(16, 20.0))
         log = run(setup, NominalPlant(setup["params"]), goal, QTable(), train=False, max_steps=25)
         assert log.steps_taken <= 25
-        rs = setup["rewards"]
-        assert log.success == rs.is_success(log.final_pos_error_mm, log.final_rot_error_deg)
+        final = log.records[-1]
+        assert log.success == setup["rewards"].is_success(final.pos_error_mm, final.rot_error_deg)
 
 
 class TestLockstepStep:
@@ -372,7 +372,7 @@ class TestLockstepStep:
 
 
 class TestLockstepInputs:
-    """Both lockstep engines refuse bad counts and goal lists before building a lane."""
+    """Training and evaluation refuse bad counts and goal lists before building a lane."""
 
     @pytest.fixture
     def goal(self, setup):
@@ -398,14 +398,17 @@ class TestLockstepInputs:
         pytest.param({"max_steps": 0}, "max_steps must be >= 1", id="max-steps-0"),
         pytest.param({"max_steps": True}, "max_steps must be an integer", id="max-steps-bool"),
     ])
-    def test_greedy_refuses_bad_counts(self, specs, goal, counts, match):
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    def test_greedy_refuses_bad_counts(self, specs, goal, plant_kind, counts, match):
         with pytest.raises(ValueError, match=match):
-            greedy_lockstep(QTable(), [goal], **{"repetitions": 1, **counts}, **specs)
+            evaluate(QTable(), [goal], plant_kind=plant_kind, **{"repetitions": 1, **counts},
+                     **specs)
 
-    def test_greedy_refuses_an_empty_goal_list(self, specs):
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    def test_greedy_refuses_an_empty_goal_list(self, specs, plant_kind):
         # It raised IndexError.
         with pytest.raises(ValueError, match="need at least one goal"):
-            greedy_lockstep(QTable(), [], repetitions=1, **specs)
+            evaluate(QTable(), [], plant_kind=plant_kind, repetitions=1, **specs)
 
     @pytest.mark.parametrize("counts, match", [
         # max_steps=2.5 raised TypeError inside numpy.

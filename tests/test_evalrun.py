@@ -36,15 +36,12 @@ def start_pose_goal(params):
     return GoalPose(position=pose[:3, 3].copy(), direction=pose[:3, 2].copy())
 
 
-def synthetic_result(pos_rows, final=None):
+def synthetic_result(pos_rows):
     pos = np.asarray(pos_rows, dtype=float)
-    reps, length = pos.shape
     goal = GoalPose(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-    final_pos = pos[:, -1] if final is None else np.asarray(final, dtype=float)
     return GoalResult(
         goal=goal, pos_series=pos, rot_series=np.zeros_like(pos),
-        final_pos_mm=final_pos, final_rot_deg=np.zeros(reps),
-        success=np.zeros(reps, dtype=bool),
+        success=np.zeros(len(pos), dtype=bool),
     )
 
 
@@ -277,7 +274,7 @@ def trained(specs):
     """A small augmented table, plus goals in its trained bins and elsewhere."""
     rng = np.random.default_rng(np.random.SeedSequence((31, 1)))
     bank = build_goal_bank(specs["params"], 2, 60_000, rng, binning=specs["binning"])
-    bins = bank.reachable_bins()
+    bins = bank.bins
     table = augment(pretrain_shard(
         bins, 31, bank, specs["hp"], params=specs["params"], action_spec=specs["action_spec"],
         reward_spec=specs["reward_spec"], binning=specs["binning"], max_steps=60,

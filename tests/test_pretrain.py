@@ -169,7 +169,7 @@ def trained_table(entries):
 class TestBuildGoalBank:
     def test_quota_one_fills_every_reachable_bin_exactly_once(self, specs):
         bank = build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
-        assert bank.reachable_bins()
+        assert bank.bins.size
         assert bank.goals.shape == (len(bank.bins), 1, 6)
 
     def test_exact_balance_at_quota(self, small_bank):
@@ -179,7 +179,7 @@ class TestBuildGoalBank:
 
     def test_stored_goals_reencode_to_their_bin(self, specs, small_bank):
         origin = rest_tip_origin(specs["params"].l0_mm)
-        for b, rows in zip(small_bank.reachable_bins(), small_bank.goals):
+        for b, rows in zip(small_bank.bins, small_bank.goals):
             for row in rows:
                 assert encode_goal_prefix(row[:3], row[3:], origin, specs["binning"]) == b
 
@@ -192,7 +192,7 @@ class TestBuildGoalBank:
     def test_partial_bins_are_dropped_when_budget_runs_out(self, specs):
         bank = build_goal_bank(specs["params"], 3, 2_000, bank_rng(1), binning=specs["binning"])
         assert bank.samples_used == 2_000
-        assert len(bank.reachable_bins()) < N_GOAL_BINS
+        assert len(bank.bins) < N_GOAL_BINS
         assert bank.goals.shape == (len(bank.bins), 3, 6)
 
     def test_raises_when_no_bin_reaches_quota(self, specs):
@@ -232,7 +232,7 @@ class TestBuildGoalBank:
         bank = build_goal_bank(
             specs["params"], 10, 1_000_000, bank_rng(2026), binning=specs["binning"]
         )
-        count = len(bank.reachable_bins())
+        count = len(bank.bins)
         assert abs(count - REACHABLE_BINS_AT_QUOTA_10) <= 0.05 * REACHABLE_BINS_AT_QUOTA_10
 
 
@@ -266,8 +266,8 @@ class CountingGenerator(np.random.Generator):
 def assert_bank_matches_oracle(bank, oracle):
     goals, reachable, used = oracle
     assert bank.samples_used == used
-    assert bank.reachable_bins() == np.flatnonzero(reachable).tolist() == sorted(goals)
-    for b, got in zip(bank.reachable_bins(), bank.goals):
+    assert bank.bins.tolist() == np.flatnonzero(reachable).tolist() == sorted(goals)
+    for b, got in zip(bank.bins, bank.goals):
         assert got.tobytes() == goals[b].tobytes(), b
 
 
@@ -499,7 +499,7 @@ class TestBankCache:
                                binning=specs["binning"])
 
     def test_default_bank_file_matches_frozen_digest(self, specs, default_bank, tmp_path):
-        assert len(default_bank.reachable_bins()) == REACHABLE_BINS_AT_QUOTA_10
+        assert len(default_bank.bins) == REACHABLE_BINS_AT_QUOTA_10
         path = tmp_path / "default.hpnb"
         save_goal_bank(default_bank, path, seed=0, budget=default_sample_budget(10),
                        fingerprint=config_fingerprint(specs["params"], specs["binning"]))
@@ -523,7 +523,7 @@ class TestBankCache:
 
     def test_round_trip_preserves_every_goal(self, small_bank, saved):
         loaded = load_bank(saved)
-        assert loaded.reachable_bins() == small_bank.reachable_bins()
+        assert loaded.bins.tolist() == small_bank.bins.tolist()
         assert loaded.samples_used == small_bank.samples_used
         assert loaded.goals.tobytes() == small_bank.goals.tobytes()
 
@@ -579,7 +579,7 @@ class TestBankCache:
         path = tmp_path / "bank.hpnb"
         write_bank(path, [up_bin], [_UP, _UP])
         bank = load_bank(path)
-        assert bank.reachable_bins() == [up_bin]
+        assert bank.bins.tolist() == [up_bin]
         assert bank.goals.tolist() == [[_UP, _UP]]
 
     @pytest.mark.parametrize("bins, bad_row, match", [
@@ -607,7 +607,7 @@ class TestPretrainShard:
         assert q.entry_count() == 0
 
     def test_trained_states_stay_inside_the_shard_bin(self, specs, small_bank):
-        b = small_bank.reachable_bins()[0]
+        b = int(small_bank.bins[0])
         q = pretrain_shard((b,), 5, small_bank, specs["hp"], **shard_kwargs(specs))
         states, _, flags, _ = q.record_arrays()
         assert q.trained_count() > 0
@@ -615,35 +615,35 @@ class TestPretrainShard:
         assert (states // N_TIP_STATES == b).all()
 
     def test_same_shard_same_seed_bit_identical(self, specs, small_bank):
-        bins = small_bank.reachable_bins()[:3]
+        bins = small_bank.bins[:3]
         a = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
         b = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
         assert a == b
 
     def test_bins_are_taken_in_order_once(self, specs, small_bank):
-        bins = small_bank.reachable_bins()[:3]
+        bins = small_bank.bins.tolist()[:3]
         a = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
         b = pretrain_shard(bins[::-1] + bins[:1], 17, small_bank, specs["hp"],
                            **shard_kwargs(specs))
         assert a == b
 
     def test_unknown_bin_raises(self, specs, small_bank):
-        missing = sorted(set(range(N_GOAL_BINS)) - set(small_bank.reachable_bins()))[0]
+        missing = sorted(set(range(N_GOAL_BINS)) - set(small_bank.bins.tolist()))[0]
         with pytest.raises(KeyError, match=f"goal bin {missing} "):
-            pretrain_shard((small_bank.reachable_bins()[0], missing), 5, small_bank,
+            pretrain_shard((int(small_bank.bins[0]), missing), 5, small_bank,
                            specs["hp"], **shard_kwargs(specs))
 
     @pytest.mark.parametrize("offset", [0.5, 0.0])
     def test_bins_that_are_not_integers_are_refused(self, specs, small_bank, offset):
         # pretrain_shard([561.5]) once trained bin 561.
-        b = small_bank.reachable_bins()[0]
+        b = int(small_bank.bins[0])
         with pytest.raises(ValueError, match="goal bins must be integers"):
             pretrain_shard([b + offset], 5, small_bank, specs["hp"], **shard_kwargs(specs))
         with pytest.raises(ValueError, match="goal bins must be integers"):
             pretrain_shard([True], 5, small_bank, specs["hp"], **shard_kwargs(specs))
 
     def test_different_seeds_differ(self, specs, small_bank):
-        bins = small_bank.reachable_bins()[:3]
+        bins = small_bank.bins[:3]
         a = pretrain_shard(bins, 17, small_bank, specs["hp"], **shard_kwargs(specs))
         b = pretrain_shard(bins, 18, small_bank, specs["hp"], **shard_kwargs(specs))
         assert a != b
@@ -690,7 +690,7 @@ class TestLockstepMatchesSequentialEpisodes:
     def test_shard_table_equals_sequential_episodes(self, specs, bank, loose):
         rewards = self.LOOSE if loose else specs["rewards"]
         kwargs = {**shard_kwargs(specs), "reward_spec": rewards}
-        bins = bank.reachable_bins()
+        bins = bank.bins.tolist()
         lockstep = pretrain_shard(bins, 23, bank, specs["hp"], **kwargs)
         reference, steps = sequential_table(bank.bins, bank.goals, 23, specs, rewards,
                                             kwargs["max_steps"])
@@ -917,7 +917,7 @@ class TestPretrainPipeline:
             bank_path, seed=13, quota=1, budget=30_000,
             params=specs["params"], binning=specs["binning"],
         )
-        bins = bank.reachable_bins()
+        bins = bank.bins.tolist()
         for size in (1, 3):
             partials = [
                 pretrain_shard(bins[i:i + size], 13, bank, specs["hp"],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hpnarm import (
+    ActionSpec,
+    ArmParams,
     BinningSpec,
     GoalPose,
+    HyperParams,
+    PerturbedPlantConfig,
+    RewardSpec,
     StateEncoder,
     arm_forward_kinematics,
     rest_tip_origin,
@@ -387,3 +393,39 @@ class TestValidation:
     def test_binning_ceiling_must_be_positive(self):
         with pytest.raises(ValueError):
             BinningSpec(d_max_mm=0.0)
+
+    # Each spec accepted the first seven (a bool ran as 1 or 0, a numeric string
+    # edge as its float); a string delta_p_kpa raised TypeError.
+    @pytest.mark.parametrize("spec, kwargs, message", [
+        pytest.param(ArmParams, {"p_max_kpa": True}, "p_max_kpa must not be a boolean, got True",
+                     id="arm-bool"),
+        pytest.param(ActionSpec, {"delta_p_kpa": True},
+                     "delta_p_kpa must not be a boolean, got True", id="action-bool"),
+        pytest.param(RewardSpec, {"goal_bonus": True}, "goal_bonus must not be a boolean, got True",
+                     id="reward-bool"),
+        pytest.param(PerturbedPlantConfig, {"tip_noise_sigma_mm": True},
+                     "tip_noise_sigma_mm must not be a boolean, got True", id="noise-bool"),
+        pytest.param(HyperParams, {"epsilon": True}, "epsilon must not be a boolean, got True",
+                     id="hyper-bool"),
+        pytest.param(PerturbedPlantConfig, {"scale_spread": False},
+                     "scale_spread must not be a boolean, got False", id="spread-bool"),
+        pytest.param(BinningSpec, {"d_tip_edges_mm": ("5", "30", "60")},
+                     "d_tip_edges_mm must be a real number, not '5'", id="edges-str"),
+        pytest.param(ActionSpec, {"delta_p_kpa": "5"},
+                     "delta_p_kpa must be a real number, not '5'", id="action-str"),
+        pytest.param(HyperParams, {"alpha": "0.2"}, "alpha must be a real number, not '0.2'",
+                     id="hyper-str"),
+        pytest.param(BinningSpec, {"phi_egoal_edges_rad": (0.1, np.True_, 1.0)},
+                     "phi_egoal_edges_rad must not be a boolean", id="edges-numpy-bool"),
+        pytest.param(ArmParams, {"a_gain": None}, "a_gain must be a real number, not None",
+                     id="arm-none"),
+    ])
+    def test_real_fields_refuse_booleans_and_non_numbers(self, spec, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec(**kwargs)
+
+    def test_real_fields_take_ints_and_numpy_reals(self):
+        assert ArmParams(p_max_kpa=np.float32(60.0), l0_mm=150).p_max_kpa == 60.0
+        assert HyperParams(epsilon=np.float64(0.5), alpha=1).epsilon == 0.5
+        spec = BinningSpec(d_tip_edges_mm=np.array([5, 30, 60], dtype=np.int16))
+        assert spec.d_tip_edges_mm == (5.0, 30.0, 60.0)

@@ -1,8 +1,11 @@
-"""Every module-level function, class and constant of the package is read somewhere.
+"""Every module-level name and class member of the package is read somewhere.
 
-A name counts as read where a name or attribute of its spelling is loaded in
-any module under src, scripts, tests or perfbench, its own module included.
-Left out: ``__all__``, and the click commands their decorator registers.
+The names are the module-level functions, classes and constants; the members
+are the methods, properties and annotated fields of the module-level classes.
+A name or member counts as read where a name or attribute of its spelling is
+loaded in any module under src, scripts, tests or perfbench, its own module
+included. Left out: ``__all__``, the click commands their decorator registers,
+and dunder members, which Python itself calls.
 """
 
 import ast
@@ -38,6 +41,27 @@ def defined_names(source: str) -> dict[str, int]:
     return names
 
 
+def class_members(source: str) -> dict[str, int]:
+    """The methods, properties and annotated fields of the module's classes, each with its line.
+
+    Keyed ``Class.member``; dunders are left out.
+    """
+    members = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                members[f"{node.name}.{name}"] = item.lineno
+    return members
+
+
 def read_names(source: str) -> set[str]:
     """Every name loaded and every attribute spelled in a module."""
     read = set()
@@ -50,10 +74,11 @@ def read_names(source: str) -> set[str]:
 
 
 def unread_names(source: str, readers: list[str]) -> list[str]:
-    """The module-level names of ``source`` that no reader loads."""
+    """The module-level names and class members of ``source`` that no reader loads."""
     read = set().union(*map(read_names, readers))
-    return [f"line {line}: {name}" for name, line in defined_names(source).items()
-            if name not in read]
+    defined = {**defined_names(source), **class_members(source)}
+    return [f"line {line}: {name}" for name, line in sorted(defined.items(), key=lambda d: d[1])
+            if name.rpartition(".")[2] not in read]
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +98,13 @@ def test_unread_name_is_reported():
               "@main.command()\ndef cmd():\n    pass\n"
               "__all__ = ['used', 'Spare']\n")
     assert unread_names(source, [source, "used()\n"]) == ["line 1: _WORD_BITS", "line 6: Spare"]
+
+
+def test_unread_member_is_reported():
+    source = ("class Result:\n    kept: int\n    spare: int = 0\n    label = 'x'\n"
+              "    def __post_init__(self):\n        pass\n"
+              "    @property\n    def total(self):\n        return self.kept\n"
+              "    def unused(self):\n        pass\n")
+    reader = "r = Result(1)\nr.total\n"
+    assert unread_names(source, [source, reader]) == ["line 3: Result.spare",
+                                                      "line 10: Result.unused"]
