@@ -1,17 +1,17 @@
 """Milliseconds and traced memory per call of the Q-table's bulk paths.
 
 Builds the default table for --seed (pretrain at RunConfig defaults, written
-to a temporary .hpnq file) and prints the loaded table's rows, goal bins and
-bytes in memory and on disk. It then times load of that file, augment of the
-loaded table at radius 1, 2 and 3, and record_arrays and save of the loaded
-table. Each operation runs --calls times untimed by tracemalloc, for the
-median time and the median count of minor page faults per call (the
-process's getrusage ru_minflt across the call: pages mapped in on first
-touch, 0 where the allocator reuses pages an earlier call touched), and
-once more under tracemalloc, for the peak of memory it allocated during
-the call. The peak is also given per stored entry of the table the
-operation writes or reads: augment's output, the loaded table otherwise.
-The bulk-path counterpart of step_cost.py.
+to a temporary .hpnq file) and prints the loaded table's stored entries, goal
+bins and bytes in memory and on disk. It then times load of that file, augment
+of the loaded table at radius 1, 2 and 3, and record_arrays and save of the
+loaded table. Each operation runs --calls times untimed by tracemalloc, for
+the median time and the median count of minor page faults per call (the
+process's getrusage ru_minflt across the call: pages mapped in on first touch,
+0 where the allocator reuses pages an earlier call touched), and once more
+under tracemalloc, for the peak of memory it allocated during the call. The
+peak is also given per stored entry of the table the operation writes or
+reads: augment's output, the loaded table otherwise. The bulk-path counterpart
+of step_cost.py.
 
 Example:
     python3 scripts/bulk_cost.py --seed 1 --calls 15
@@ -69,7 +69,7 @@ def main() -> int:
                  seed=args.seed, budget=p.budget, max_steps=p.max_steps,
                  augment_radius=p.augment_radius, out_path=path)
         table = qtable.load(path)
-        print(f"seed {args.seed}: default table of {table.row_count()} rows in "
+        print(f"seed {args.seed}: default table of {table.entry_count()} entries in "
               f"{len(table.bins)} goal bins, {table.nbytes} bytes in memory, "
               f"{path.stat().st_size} bytes on disk, "
               f"{args.calls} calls per operation")

@@ -153,7 +153,7 @@ def inspect(table_path):
     click.echo(f"trained entries: {table.trained_count()}")
     click.echo(f"augmented entries: {table.augmented_count()}")
     click.echo(f"states touched: {table.state_count()}")
-    click.echo(f"rows held: {table.row_count()} ({table.nbytes} bytes in memory)")
+    click.echo(f"entries held: {table.entry_count()} ({table.nbytes} bytes in memory)")
     if states.size:
         bins = states // N_TIP_STATES
         trained_bins = np.unique(bins[(flags & FLAG_TRAINED) != 0]).size

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
-import yaml
 
 from .episode import PerturbedPlantConfig, RewardSpec
 from .kinematics import ArmParams, arm_forward_kinematics
@@ -175,6 +174,8 @@ def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse a YAML run config; missing sections keep their defaults."""
+    import yaml  # only here: a cold import of the package need not load it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

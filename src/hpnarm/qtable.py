@@ -4,10 +4,10 @@ The table maps (state index, action id) to a float32 value plus a flag
 word recording how the entry came to be: bit 0 set by a learning update,
 bit 1 set by neighbor-mean augmentation. Entries never touched read as
 value 0 with flags 0. Storage is one layout from training to disk: the
-states holding a row, increasing, and one row of values and one of flags
-per such state, in the same order (see QTable). The on-disk
-format is a flat record list: little-endian, magic "HPNQ", version, action
-count, entry count, records sorted by (state, action), CRC32 over
+stored entries in (state, action) order, a uint32 key, a float32 value
+and a uint8 flag word each (see QTable). The on-disk format is the same
+entries as a flat record list: little-endian, magic "HPNQ", version,
+action count, entry count, records sorted by (state, action), CRC32 over
 everything before the checksum itself.
 """
 
@@ -39,11 +39,6 @@ _TIP_BITS = N_TIP_STATES.bit_length() - 1
 FLAG_TRAINED = 1
 FLAG_AUGMENTED = 2
 _FLAGS_DEFINED = FLAG_TRAINED | FLAG_AUGMENTED
-# The value and flag row every table reads at a state without a row.
-_ZERO_VALUES = np.zeros(N_ACTIONS, dtype=np.float32)
-_ZERO_FLAGS = np.zeros(N_ACTIONS, dtype=np.uint8)
-_ZERO_VALUES.flags.writeable = False
-_ZERO_FLAGS.flags.writeable = False
 
 MAGIC = b"HPNQ"
 FORMAT_VERSION = 1
@@ -53,8 +48,6 @@ _CRC = struct.Struct("<I")
 _RECORD_DTYPE = np.dtype(
     [("state", "<u4"), ("action", "<u2"), ("flags", "<u2"), ("value", "<f4")]
 )
-# Entries that save and record_arrays gather into each field at a time.
-_GATHER_CHUNK = 1 << 16
 
 
 class QTableIOError(Exception):
@@ -150,27 +143,28 @@ class ActionSpec:
 
 
 class QTable:
-    """Value table over (state index, action id), stored as rows for the states it holds.
+    """Value table over (state index, action id), stored as its entries in key order.
 
-    The table holds three arrays: the states holding a row, strictly
-    increasing int64 (m,), and one float32 value row and one uint8 flag
-    row of N_ACTIONS words per such state, (m, N_ACTIONS) each, in the
-    same order (the file keeps u16 flag words, widened by save and
-    narrowed by load): every table is as wide as ActionSpec's action set.
-    A state without a row reads as zeros. A state index divides by N_TIP_STATES
-    into its goal bin and the tip-error suffix within it, so each goal
-    bin's rows are one contiguous run. Training episodes only ever touch
-    their own goal's bin, so a bin is also the unit the lockstep engine
-    trains in, and tables trained on disjoint bins join by taking their
-    rows in state order (concat, pretrain.merge). ``bins`` is the goal bins
-    holding a row.
+    The table holds three arrays, one word each per stored entry: the key
+    state * N_ACTIONS + action, uint32 and strictly increasing, the float32
+    value and the uint8 flag word (the file keeps u16 flag words, widened
+    by save and narrowed by load). That is the record order of the file,
+    9 bytes an entry. An entry is stored when its value or flags are
+    nonzero; every other entry reads as value 0 with flags 0, and none is
+    held. Every table is as wide as ActionSpec's action set. A state index
+    divides by N_TIP_STATES into its goal bin and the tip-error suffix within
+    it, so each goal bin's entries are one contiguous run of keys. Training
+    episodes only ever touch their own goal's bin, so a bin is also the unit
+    the lockstep engine trains in, and tables trained on disjoint bins join
+    by taking their entries in key order (concat, pretrain.merge). ``bins``
+    is the goal bins holding an entry.
 
     A table is built in bulk, by load, from_records, augment, concat or
     copy, or handed over by train_lockstep (from_checked_arrays), and only
-    update, the TD backup, writes an entry after that. An update to a state
-    without a row inserts the state and a zeroed row at its sorted place,
-    replacing the three arrays. Read the rows only through the methods
-    here: no code outside this module indexes the storage.
+    update, the TD backup, writes an entry after that. An update of an
+    entry not stored inserts it at its sorted place, replacing the three
+    arrays. Read the entries only through the methods here: no code
+    outside this module indexes the storage.
 
     Flag words hold only the defined bits, FLAG_TRAINED and FLAG_AUGMENTED:
     from_records and load reject any other bit, and the other builders and
@@ -178,9 +172,9 @@ class QTable:
     """
 
     def __init__(self):
-        self._states = np.empty(0, dtype=np.int64)
-        self._values = np.zeros((0, N_ACTIONS), dtype=np.float32)
-        self._flags = np.zeros((0, N_ACTIONS), dtype=np.uint8)
+        self._keys = np.empty(0, dtype=np.uint32)
+        self._values = np.empty(0, dtype=np.float32)
+        self._flags = np.empty(0, dtype=np.uint8)
 
     # -- read paths ---------------------------------------------------------
 
@@ -191,29 +185,33 @@ class QTable:
 
     @property
     def bins(self) -> np.ndarray:
-        """The goal bins holding a row, strictly increasing int64."""
-        return np.unique(self._states >> _TIP_BITS)
+        """The goal bins holding an entry, strictly increasing int64."""
+        return np.unique(self._keys >> (_ACTION_BITS + _TIP_BITS)).astype(np.int64)
 
     @property
     def nbytes(self) -> int:
-        """Bytes the table's three arrays take in memory."""
-        return self._states.nbytes + self._values.nbytes + self._flags.nbytes
+        """Bytes the table's three arrays take in memory: 9 a stored entry."""
+        return self._keys.nbytes + self._values.nbytes + self._flags.nbytes
 
-    def _row(self, state: int) -> int:
-        """The state's row, or -1 when it has none; ValueError unless the state is in the codec."""
+    def _row(self, state: int, stored: np.ndarray) -> np.ndarray:
+        """The state's N_ACTIONS words of ``stored`` (values or flags), 0 where no entry is.
+
+        ValueError unless the state is in the codec.
+        """
         _check_state(state)
-        i = int(self._states.searchsorted(state))
-        return i if i < len(self._states) and self._states[i] == state else -1
+        lo, hi = self._keys.searchsorted(
+            np.array([state, state + 1], np.uint32) << _ACTION_BITS).tolist()
+        row = np.zeros(N_ACTIONS, dtype=stored.dtype)
+        row[self._keys[lo:hi] & (N_ACTIONS - 1)] = stored[lo:hi]
+        return row
 
     def values(self, state: int) -> np.ndarray:
-        """Row of action values; a shared zero row for untouched states. Do not mutate."""
-        row = self._row(state)
-        return _ZERO_VALUES if row < 0 else self._values[row]
+        """Row of action values, a new array: 0 for an action without an entry."""
+        return self._row(state, self._values)
 
     def flags(self, state: int) -> np.ndarray:
-        """Row of flag words, analogous to values(). Do not mutate."""
-        row = self._row(state)
-        return _ZERO_FLAGS if row < 0 else self._flags[row]
+        """Row of flag words, analogous to values()."""
+        return self._row(state, self._flags)
 
     def get(self, state: int, action: int) -> float:
         _check_action(action)
@@ -221,15 +219,6 @@ class QTable:
 
     def max_value(self, state: int) -> float:
         return float(self.values(state).max())
-
-    def row_count(self) -> int:
-        """Number of tip states holding a row.
-
-        A row may hold no stored entry: from_records given an entry of value
-        0.0 and flags 0 at state s gives s a row of zeros, which save() leaves
-        out of the file.
-        """
-        return len(self._values)
 
     def trained_count(self) -> int:
         return self._count_flag(FLAG_TRAINED)
@@ -241,36 +230,57 @@ class QTable:
         return int(np.count_nonzero(self._flags & bit))
 
     def entry_count(self) -> int:
-        return int(np.count_nonzero(self._stored_rows()))
+        return len(self._keys)
 
     def state_count(self) -> int:
         """Number of states holding at least one stored entry."""
-        return int(np.count_nonzero(self._stored_rows().any(axis=1)))
-
-    def _stored_rows(self) -> np.ndarray:
-        return _stored(self._values, self._flags)
+        return len(np.unique(self._keys >> _ACTION_BITS))
 
     def greedy_policy(self, goal_bins) -> tuple[np.ndarray, np.ndarray]:
         """Greedy action and row kind at every tip state of each goal bin given.
 
         Returns two (len(goal_bins), N_TIP_STATES) int64 arrays: the argmax of
-        the state's value row, ties to the lowest action id, and the row's
-        kind: 0 if it holds a trained entry, 1 if only augmented ones, 2 if
-        it is empty. A state without a row reads action 0 and kind 2.
+        the state's value row, an action without an entry reading 0, ties to
+        the lowest action id, and the row's kind: 0 if it holds a trained
+        entry, 1 if only augmented ones, 2 if it is empty. A state without an
+        entry reads action 0 and kind 2.
         """
         goal_bins = np.asarray(goal_bins, dtype=np.int64)
-        # Goal bin i's rows are the run lo[i]:lo[i] + count[i]; gather them all, run by run.
-        lo = self._states.searchsorted(goal_bins * N_TIP_STATES)
-        count = self._states.searchsorted((goal_bins + 1) * N_TIP_STATES) - lo
-        which = np.repeat(np.arange(len(goal_bins)), count)
-        rows = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-        at = (which, self._states[rows] & (N_TIP_STATES - 1))
-        flags = self._flags[rows]
+        edges = np.clip(np.append(goal_bins, goal_bins + 1), 0, N_GOAL_BINS).astype(np.uint32)
+        edges = self._keys.searchsorted(edges * np.uint32(N_TIP_STATES * N_ACTIONS))
+        lo, hi = edges[:len(goal_bins)], edges[len(goal_bins):]
+        # Goal bin i's entries are the run lo[i]:hi[i]; take them all, run by run.
+        runs = [slice(0, 0)] + [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        keys = np.concatenate([self._keys[r] for r in runs])
+        action = keys & (N_ACTIONS - 1)
+        # Each entry's cell of the (goal bins, tip states) outputs, and where each state starts.
+        cell = np.repeat(np.arange(len(goal_bins)) << _TIP_BITS, hi - lo)
+        cell |= (keys >> _ACTION_BITS) & (N_TIP_STATES - 1)
+        new = np.empty(len(cell), dtype=bool)
+        new[:1] = True
+        np.not_equal(cell[1:], cell[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        # A row's argmax is its greatest word value << 5 | 31 - action, the value's
+        # float32 bits ordered as signed ints, -0.0 read as 0.0 as argmax reads it.
+        bits = np.concatenate([self._values[r] for r in runs]).view(np.int32)
+        bits[bits == np.iinfo(np.int32).min] = 0
+        bits ^= (bits >> 31) & 0x7FFFFFFF
+        best = bits.astype(np.int64) << _ACTION_BITS
+        best |= N_ACTIONS - 1 - action
+        best = np.maximum.reduceat(best, starts)
+        # Per state: its flag words OR-ed, above bit 32, and a bit for each action held.
+        held = np.concatenate([self._flags[r] for r in runs]).astype(np.int64) << 32
+        held |= np.left_shift(1, action, dtype=np.int64)
+        held = np.bitwise_or.reduceat(held, starts)
+        # The lowest action without an entry reads 0: value bits 0, word 31 - action.
+        free = ~held & (held + 1) & 0xFFFFFFFF
+        zero = N_ACTIONS - np.frexp(free)[1]
+        best = np.where((free != 0) & (zero > best), zero, best)
+        held >>= 32
         policy = np.zeros((len(goal_bins), N_TIP_STATES), dtype=np.int64)
         kind = np.full(policy.shape, 2, dtype=np.int64)
-        policy[at] = self._values[rows].argmax(axis=1)
-        kind[at] = np.where((flags & FLAG_TRAINED).any(axis=1), 0,
-                            np.where(flags.any(axis=1), 1, 2))
+        policy.reshape(-1)[cell[starts]] = N_ACTIONS - 1 - (best & (N_ACTIONS - 1))
+        kind.reshape(-1)[cell[starts]] = np.where(held & FLAG_TRAINED, 0, np.where(held, 1, 2))
         return policy, kind
 
     # -- write paths --------------------------------------------------------
@@ -286,20 +296,26 @@ class QTable:
         """
         if not np.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        old = self.get(state, action)
+        _check_action(action)
+        _check_state(state)
+        # A uint32 needle: searchsorted would cast every key to int64 to meet a Python int.
+        key = np.uint32(int(state) * N_ACTIONS + int(action))
+        i = int(self._keys.searchsorted(key))
+        held = i < len(self._keys) and self._keys[i] == key
+        old = float(self._values[i]) if held else 0.0
         target = reward + hp.gamma * self.max_value(next_state)
         new = old + hp.alpha * (target - old)
         with np.errstate(over="ignore"):
             stored = np.float32(new)
         if not np.isfinite(stored):
             raise ValueError(f"state {state} action {action}: {new} not finite in float32")
-        row = int(self._states.searchsorted(state))
-        if row == len(self._states) or self._states[row] != state:
-            self._states = np.insert(self._states, row, state)
-            self._values = np.insert(self._values, row, 0, axis=0)
-            self._flags = np.insert(self._flags, row, 0, axis=0)
-        self._values[row, action] = stored
-        self._flags[row, action] |= FLAG_TRAINED
+        if held:
+            self._values[i] = stored
+            self._flags[i] |= FLAG_TRAINED
+        else:
+            self._keys = np.insert(self._keys, i, key)
+            self._values = np.insert(self._values, i, stored)
+            self._flags = np.insert(self._flags, i, FLAG_TRAINED)
         return float(stored)
 
     # -- bulk views ---------------------------------------------------------
@@ -311,42 +327,32 @@ class QTable:
         by (state, action), the canonical on-disk order. The arrays are
         uint32, uint16, uint16 and float32.
         """
-        idx = np.flatnonzero(self._stored_rows())
-        out = tuple(np.empty(len(idx), t) for t in (np.uint32, np.uint16, np.uint16, np.float32))
-        self._write_entries(idx, out)
+        out = tuple(np.empty(len(self._keys), t)
+                    for t in (np.uint32, np.uint16, np.uint16, np.float32))
+        self._split(out)
         return out
 
-    def _write_entries(self, idx: np.ndarray, out) -> None:
-        """Write the entries at ``idx`` into the (states, actions, flags, values) arrays ``out``.
+    def _split(self, out) -> None:
+        """Write the entries into the (states, actions, flags, values) arrays ``out``.
 
-        Takes the increasing int64 flat indices of the stored entries into
-        the rows and overwrites them with each entry's row. The outputs may
-        be strided, as a record array's fields are: each field is gathered a
-        chunk of entries at a time, so no temporary grows with the entry
-        count.
+        The outputs may be strided, as a record array's fields are; nothing
+        else is allocated.
         """
-        flat_values, flat_flags = self._values.reshape(-1), self._flags.reshape(-1)
-        out_states, out_actions, out_flags, out_values = out
-        for a in range(0, len(idx), _GATHER_CHUNK):
-            i = idx[a:a + _GATHER_CHUNK]
-            b = a + len(i)
-            out_flags[a:b] = flat_flags[i]
-            out_values[a:b] = flat_values[i]
-            np.bitwise_and(i, N_ACTIONS - 1, out=out_actions[a:b], casting="unsafe")
-            i >>= _ACTION_BITS
-            out_states[a:b] = self._states[i]
+        states, actions, flags, values = out
+        np.right_shift(self._keys, _ACTION_BITS, out=states, casting="unsafe")
+        np.bitwise_and(self._keys, N_ACTIONS - 1, out=actions, casting="unsafe")
+        flags[...] = self._flags
+        values[...] = self._values
 
     def copy(self) -> "QTable":
-        return QTable.concat([self])
+        return _table(self._keys.copy(), self._values.copy(), self._flags.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QTable):
             return NotImplemented
-        a = self.record_arrays()
-        b = other.record_arrays()
-        return all(np.array_equal(x, y) for x, y in zip(a[:3], b[:3])) and np.array_equal(
-            a[3].view(np.uint32), b[3].view(np.uint32)
-        )
+        return (np.array_equal(self._keys, other._keys)
+                and np.array_equal(self._flags, other._flags)
+                and np.array_equal(self._values.view(np.uint32), other._values.view(np.uint32)))
 
     __hash__ = None
 
@@ -360,21 +366,21 @@ class QTable:
         int64 strictly increasing in [0, N_GOAL_BINS), ``values`` float32
         and finite, ``flags`` uint8 of defined bits, both (m, N_TIP_STATES,
         N_ACTIONS), row i belonging to bins[i]. Nothing is checked again.
-        The table keeps copies of the rows of the tip states holding a stored
-        entry, in state order, so later writes to the arrays do not reach it.
-        A bin without a stored entry holds no row.
+        The table keeps copies of the stored entries, in key order, so later
+        writes to the arrays do not reach it. A bin without a stored entry
+        holds none.
         """
-        occupied = np.empty(values.shape[:2], dtype=bool)
-        for v, f, o in zip(values, flags, occupied):  # one bin at a time: no whole-table temporary
-            _stored(v, f).any(axis=1, out=o)
-        cells = np.flatnonzero(occupied)
-        states = np.asarray(bins, dtype=np.int64)[cells >> _TIP_BITS] << _TIP_BITS
-        states |= cells & (N_TIP_STATES - 1)
-        return _table(states, values[occupied], flags[occupied])
+        stored = values != 0
+        idx = np.flatnonzero(np.logical_or(stored, flags, out=stored))
+        del stored
+        cell_bits = _TIP_BITS + _ACTION_BITS
+        keys = np.asarray(bins, dtype=np.int64)[idx >> cell_bits] << cell_bits
+        keys |= idx & ((1 << cell_bits) - 1)
+        return _table(keys.astype(np.uint32), values.reshape(-1)[idx], flags.reshape(-1)[idx])
 
     @classmethod
     def concat(cls, tables: Sequence["QTable"]) -> "QTable":
-        """One table of the goal bins of tables that share none, their rows in state order.
+        """One table of the goal bins of tables that share none, their entries in key order.
 
         ValueError if two tables hold one goal bin. No tables give an empty
         table.
@@ -385,9 +391,9 @@ class QTable:
         repeated = bins[1:][bins[1:] == bins[:-1]]
         if len(repeated):
             raise ValueError(f"goal bin {repeated[0]} is held by more than one table")
-        states = np.concatenate([t._states for t in tables])
-        order = np.argsort(states)
-        return _table(states[order],
+        keys = np.concatenate([t._keys for t in tables])
+        order = np.argsort(keys, kind="stable")
+        return _table(keys[order],
                       np.concatenate([t._values for t in tables])[order],
                       np.concatenate([t._flags for t in tables])[order])
 
@@ -397,7 +403,8 @@ class QTable:
 
         The four arrays must be 1-D and of one length, with integer states,
         actions in [0, N_ACTIONS) and flag words, values float32 holds
-        finitely and no (state, action) pair twice, else ValueError.
+        finitely and no (state, action) pair twice, else ValueError. An
+        entry of value 0 and flags 0 is left out, as every table leaves it.
         """
         states = _integers("states", states).astype(np.int64)
         actions = _integers("actions", actions).astype(np.int64)
@@ -422,45 +429,25 @@ class QTable:
         keys = keys[order]
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("repeated (state, action) entry")
-        del keys
-        return _from_entries(states[order], actions[order], flags_arr[order], values_arr[order])
+        return _stored_entries(keys.astype(np.uint32), values_arr[order], flags_arr[order])
 
 
-def _table(states, values, flags) -> QTable:
-    """A table taking the three storage arrays as they are: states increasing, rows in their order."""
+def _table(keys, values, flags) -> QTable:
+    """A table taking the three storage arrays as they are: keys increasing, all entries stored."""
     out = QTable()
-    out._states, out._values, out._flags = states, values, flags
+    out._keys, out._values, out._flags = keys, values, flags
     return out
 
 
-def _from_entries(states, actions, flags, values) -> QTable:
-    """A table of already checked entries: parallel arrays sorted by (state, action), none twice.
+def _stored_entries(keys, values, flags) -> QTable:
+    """The table of checked entries in key order, none twice, less those of value 0 and flags 0.
 
     from_records and load each check their input once, then build here.
-    Flag words of any integer dtype narrow to the uint8 rows, which hold
-    every defined word. An entry's row counts the state changes up to it.
     """
-    new = np.empty(len(states), dtype=bool)
-    new[:1] = True
-    np.not_equal(states[1:], states[:-1], out=new[1:])
-    row_states = states[new].astype(np.int64, copy=False)
-    flat = np.cumsum(new, dtype=np.int64)
-    del new
-    flat -= 1
-    flat *= N_ACTIONS
-    flat += actions
-    shape = (len(row_states), N_ACTIONS)
-    out_values = np.zeros(shape, dtype=np.float32)
-    out_flags = np.zeros(shape, dtype=np.uint8)
-    out_values.reshape(-1)[flat] = values
-    out_flags.reshape(-1)[flat] = flags
-    return _table(row_states, out_values, out_flags)
-
-
-def _stored(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Mask of entries that count as stored: nonzero flags or value. Allocates only the mask."""
     stored = values != 0
-    return np.logical_or(stored, flags, out=stored)
+    if not np.logical_or(stored, flags, out=stored).all():
+        keys, values, flags = keys[stored], values[stored], flags[stored]
+    return _table(keys, values, flags)
 
 
 def _integers(name: str, words) -> np.ndarray:
@@ -490,7 +477,7 @@ def _undefined_flags(flags) -> bool:
     """Whether any flag word sets a bit other than FLAG_TRAINED and FLAG_AUGMENTED.
 
     Checked on the caller's values (a file's u16 words, for load), before
-    the uint8 cast to the stored rows could wrap them.
+    the uint8 cast to the stored flag words could wrap them.
     The defined bits are the two lowest, so a word is valid iff it is 0..3.
     """
     flags = np.asarray(flags)
@@ -526,41 +513,46 @@ def augment(q: QTable, radius: int = 1) -> QTable:
     Returns a new table; ``radius`` must be an integer >= 1, else ValueError.
     """
     check_integers(1, radius=radius)
-    states, held_values, held_flags = q._states, q._values, q._flags
-    keys, means = _neighbor_means(states, held_values, held_flags, radius)
-    actions = np.bitwise_and(keys, N_ACTIONS - 1, out=np.empty(len(keys), np.uint8),
-                             casting="unsafe")
-    keys >>= _ACTION_BITS  # now each mean's state
-    occupied = np.zeros(N_STATES, dtype=bool)
-    occupied[states] = True
-    occupied[keys] = True
-    out_states = np.flatnonzero(occupied)
-    del occupied
-    # Each output state's row. Written and read only at those states, so of its
-    # 4 MiB it touches about one page per goal bin.
-    row_of = np.empty(N_STATES, dtype=np.int32)
-    row_of[out_states] = np.arange(len(out_states), dtype=np.int32)
-    held = row_of[states]
-    # From here on keys holds each mean's flat index into the output rows.
-    np.multiply(row_of[keys], N_ACTIONS, out=keys, dtype=np.int64)
-    del row_of
-    keys += actions
-    del actions
-    shape = (len(out_states), N_ACTIONS)
-    values = np.zeros(shape, dtype=np.float32)
-    flags = np.zeros(shape, dtype=np.uint8)
-    values[held] = held_values
-    flags[held] = held_flags
-    del held, held_values, held_flags
-    flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
-    eligible = (flat_flags[keys] & FLAG_TRAINED) == 0
-    flat = keys[eligible]
-    del keys
-    flat_values[flat] = means[eligible]
-    # An untrained entry's flags are 0 or FLAG_AUGMENTED, so OR-ing it in is setting it.
-    flat_flags[flat] = FLAG_AUGMENTED
+    trained = (q._flags & FLAG_TRAINED) != 0
+    pieces = []  # (keys, values, flags) of the output, in key order
+    done = 0  # input entries placed so far
+    for lo, hi, mean_keys, means in _neighbor_means(q._keys[trained].astype(np.int64),
+                                                    q._values[trained], radius):
+        a, b = q._keys.searchsorted(np.array([lo, hi], np.uint32)).tolist()
+        # Input entries between windows have no trained neighbor: they stay as they are.
+        pieces.append((q._keys[done:a], q._values[done:a], q._flags[done:a]))
+        pieces.append(_merge(q._keys[a:b], q._values[a:b], q._flags[a:b], trained[a:b],
+                             mean_keys, means))
+        done = b
+    pieces.append((q._keys[done:], q._values[done:], q._flags[done:]))
     # Means of finite float32 values, flags input | FLAG_AUGMENTED: nothing to rescan.
-    return _table(out_states, values, flags)
+    return _table(*(np.concatenate(column) for column in zip(*pieces)))
+
+
+def _merge(keys, values, flags, trained, mean_keys, means) -> tuple:
+    """Input entries, trained where ``trained``, merged with one window's means, in key order.
+
+    Sort words key << 1 | trained (keys take 25 bits): a stable sort of the
+    two sorted runs merges them, and a key's last word wins, a trained input
+    entry over the mean of its key and the mean over an untrained one.
+    Returns the merged keys, values and flags.
+    """
+    held = len(keys)
+    keys = np.concatenate([keys, mean_keys])
+    keys <<= 1
+    keys[:held] |= trained
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    keys >>= 1
+    last = np.empty(len(keys), dtype=bool)
+    last[-1:] = True
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    # compress, not a boolean index: 3-4x faster on this mask's alternating runs.
+    keys = keys.compress(last)
+    order = order.compress(last)
+    # An untrained entry's flags are 0 or FLAG_AUGMENTED, so OR-ing it in is setting it.
+    flags = np.concatenate([flags, np.full(len(means), FLAG_AUGMENTED, np.uint8)])[order]
+    return keys, np.concatenate([values, means])[order], flags
 
 
 # The contributions _neighbor_means aims to sort at a time.
@@ -572,33 +564,30 @@ assert (2 * (N_STATES * N_ACTIONS - 1).bit_length()
         + (10 * 2 * (N_BINS_PER_DIM - 1) - 1).bit_length()) <= 64
 
 
-def _neighbor_means(states, values, flags, radius: int) -> tuple[np.ndarray, np.ndarray]:
+def _neighbor_means(src_k, values, radius: int):
     """Entries with a trained neighbor (augment's), and their neighbors' mean values.
 
-    Takes a table's row states (QTable._states) and their value and
-    flag rows, in that order. Returns sorted int64 keys
-    state * N_ACTIONS + action and float32 means. A trained entry adds its
-    value to each neighbor's key, part by part: a part is one (digit, step,
-    up or down), numbered in that loop order. Each contribution is one uint64
-    word: the key, less the start of its key range, in the high bits, the
-    part in the middle, and the trained entry's index in the low bits. A
-    key and a part name one trained entry, so the words are distinct and a
-    plain in-place sort orders them by key, then by part. np.add.reduceat
-    sums each key's float64 values in that order, which fixes every mean's
-    bits. The part and source field widths follow the table. The keys are
-    taken in windows, one at a time: runs of whole goal bins whose
-    contributions number at most _WINDOW, or one bin that holds more. A
-    key's contributions all fall in one window, so the windows do not change
-    the means' bits; they bound the sort words and values held at once.
+    Takes a table's trained entries: their keys state * N_ACTIONS + action,
+    int64 increasing, and their float32 values. Yields, window by window in
+    key order, (lo, hi, keys, means): the window's key range [lo, hi), and
+    the sorted uint32 keys in it and their float32 means. A trained entry adds its value to each neighbor's
+    key, part by part: a part is one (digit, step, up or down), numbered in
+    that loop order. Each contribution is one uint64 word: the key, less the
+    start of its key range, in the high bits, the part in the middle, and
+    the trained entry's index in the low bits. A key and a part name one
+    trained entry, so the words are distinct and a plain in-place sort
+    orders them by key, then by part. np.add.reduceat sums each key's
+    float64 values in that order, which fixes every mean's bits. The part
+    and source field widths follow the table. The keys are taken in windows,
+    one at a time: runs of whole goal bins whose contributions number at
+    most _WINDOW, or one bin that holds more. A key's contributions all fall
+    in one window, so the windows do not change the means' bits; they bound
+    the sort words and values held at once.
     """
     ac = N_ACTIONS
-    idx = np.flatnonzero((flags & FLAG_TRAINED) != 0)  # a bool mask: 6x faster than the words
-    src_k = states[idx >> _ACTION_BITS] << _ACTION_BITS
-    src_k |= idx & (ac - 1)
-    src_v = values.reshape(-1)[idx].astype(np.float64)
-    del idx
     if not len(src_k):
-        return np.empty(0, np.int64), np.empty(0, np.float32)
+        return
+    src_v = values.astype(np.float64)
     # A move takes a digit up or down by a step; parts are (dim, move) in sum order.
     moves = [m for step in range(1, min(radius, N_BINS_PER_DIM - 1) + 1) for m in (step, -step)]
     src_bits = (len(src_k) - 1).bit_length()
@@ -637,7 +626,6 @@ def _neighbor_means(states, values, flags, radius: int) -> tuple[np.ndarray, np.
     cuts.append(len(counts))
     src_i = np.arange(len(src_k), dtype=np.uint64)
     base = np.empty(len(src_k), dtype=np.uint64)
-    key_out, mean_out = [], []
     for start, stop in zip(cuts[:-1], cuts[1:]):
         moved = [(order[a + at[start]:a + at[stop]], add)
                  for order, a, add, at in blocks if at[stop] > at[start]]
@@ -662,23 +650,20 @@ def _neighbor_means(states, values, flags, radius: int) -> tuple[np.ndarray, np.
         np.not_equal(words[1:], words[:-1], out=first[1:])
         starts = np.flatnonzero(first)
         del first
-        keys = words[starts].astype(np.int64)
+        keys = words[starts].astype(np.uint32)
         del words
         keys += lo
-        key_out.append(keys)
         sums = np.add.reduceat(vals, starts)
         del vals
         sums /= np.diff(starts, append=n)
         del starts
-        mean_out.append(sums.astype(np.float32))
-    return np.concatenate(key_out), np.concatenate(mean_out)
+        yield lo, int(grid[stop]), keys, sums.astype(np.float32)
 
 
 def save(q: QTable, path) -> None:
     """Write a table; the format round-trips bit-exactly through load()."""
-    idx = np.flatnonzero(q._stored_rows())
-    records = np.empty(len(idx), dtype=_RECORD_DTYPE)
-    q._write_entries(idx, [records[name] for name in _RECORD_DTYPE.names])
+    records = np.empty(q.entry_count(), dtype=_RECORD_DTYPE)
+    q._split([records[name] for name in _RECORD_DTYPE.names])
     header = MAGIC + _HEADER.pack(FORMAT_VERSION, N_ACTIONS, len(records))
     crc = zlib.crc32(records, zlib.crc32(header)) & 0xFFFFFFFF
     with open(Path(path), "wb") as fh:
@@ -721,15 +706,16 @@ def load(path) -> QTable:
     if n_entries:
         if int(actions.max()) >= N_ACTIONS:
             raise QTableIOError(f"{path}: action id beyond action count {N_ACTIONS}")
-        # Strictly sorted by (state, action): states never fall, and actions rise where they tie.
-        tie = states[1:] == states[:-1]
-        if (states[1:] < states[:-1]).any() or (tie & (actions[1:] <= actions[:-1])).any():
-            raise QTableIOError(f"{path}: records not strictly sorted by (state, action)")
-        del tie
-        if int(states[-1]) >= N_STATES:
-            raise QTableIOError(f"{path}: state {int(states[-1])} outside [0, {N_STATES})")
-        if not np.isfinite(records["value"]).all():
-            raise QTableIOError(f"{path}: non-finite value")
-        if _undefined_flags(records["flags"]):
-            raise QTableIOError(f"{path}: flag bits outside the defined {_FLAGS_DEFINED:#x}")
-    return _from_entries(states, actions, records["flags"], records["value"])
+        if int(states.max()) >= N_STATES:
+            raise QTableIOError(f"{path}: state {int(states.max())} outside [0, {N_STATES})")
+    # With states in the codec and actions below N_ACTIONS, the keys fit uint32.
+    keys = np.left_shift(states, _ACTION_BITS, dtype=np.uint32)
+    keys |= actions
+    if (keys[1:] <= keys[:-1]).any():
+        raise QTableIOError(f"{path}: records not strictly sorted by (state, action)")
+    if not np.isfinite(records["value"]).all():
+        raise QTableIOError(f"{path}: non-finite value")
+    if _undefined_flags(records["flags"]):
+        raise QTableIOError(f"{path}: flag bits outside the defined {_FLAGS_DEFINED:#x}")
+    return _stored_entries(keys, records["value"].astype(np.float32),
+                           records["flags"].astype(np.uint8))

@@ -88,7 +88,8 @@ class BinningSpec:
 
     def __post_init__(self):
         for name in ("d_tip_edges_mm", "phi_egoal_edges_rad"):
-            edges = tuple(getattr(self, name))
+            edges = getattr(self, name)
+            edges = tuple(edges) if np.iterable(edges) else ()  # a scalar is no edge triple
             for edge in edges:
                 check_real_types(**{name: edge})
             edges = tuple(map(float, edges))

@@ -1,6 +1,9 @@
 import dataclasses
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import click
 import numpy as np
@@ -176,6 +179,27 @@ class TestRunConfig:
     def test_yaml_that_is_not_a_mapping_of_sections_rejected(self, tmp_path, text, match):
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path / "c.yaml", text))
+
+    def test_importing_the_config_module_leaves_yaml_unloaded(self, tmp_path):
+        # yaml was imported with the module, on every cold start of the package.
+        good = write_config(tmp_path / "good.yaml", "hyper:\n  epsilon: 0.25\n")
+        bad = write_config(tmp_path / "bad.yaml", "arm: [1, 2\n")
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from hpnarm.config import ConfigError, load_config\n"
+            "print('yaml' in sys.modules)\n"
+            "print(load_config(sys.argv[2]).hyper.epsilon)\n"
+            "try:\n"
+            "    load_config(sys.argv[3])\n"
+            "except ConfigError as exc:\n"
+            "    print(str(exc).split(':')[0])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", script, src, good, bad],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:3] == ["False", "0.25", f"cannot parse config {bad}"]
 
 
 class TestGoalConfiguration:
@@ -569,8 +593,8 @@ class TestInspectCommand:
         save(q, path)
         result = runner.invoke(main, ["inspect", str(path)])
         assert result.exit_code == 0
-        # Two rows, each an int64 state, 32 float32 values and 32 uint8 flag words.
-        assert f"rows held: 2 ({2 * (8 + 32 * 5)} bytes in memory)" in result.output
+        # Three entries, each a uint32 key, a float32 value and a uint8 flag word.
+        assert f"entries held: 3 ({3 * (4 + 4 + 1)} bytes in memory)" in result.output
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1

@@ -40,7 +40,7 @@ from hpnarm.qtable import (
 )
 from hpnarm.state import N_GOAL_BINS, N_TIP_STATES, encode_goal_prefix
 from oracles import oracle_goal_bank, write_goal_bank
-from test_qtable import assert_rows_in_state_order
+from test_qtable import assert_entries_in_key_order
 
 # Frozen reachable-bin count for default arm/binning at quota=10, budget=1e6
 # (an explicit budget, not the default). Measured identically (64) over six
@@ -827,7 +827,7 @@ class TestLockstepMatchesSequentialEpisodes:
         assert bin_ == 392
         table = train_lockstep([bin_], np.tile(at_start, (1, 3, 1)), 0, specs["hp"],
                                **shard_kwargs(specs))
-        assert table.row_count() == 0 and table.entry_count() == 0
+        assert table.state_count() == 0 and table.entry_count() == 0
 
     def test_the_trained_table_is_handed_over_without_a_rescan(self, specs, small_bank,
                                                               monkeypatch):
@@ -847,7 +847,7 @@ class TestLockstepMatchesSequentialEpisodes:
         table = train_lockstep(bins, goals, 0, specs["hp"], **shard_kwargs(specs))
         reference, _ = sequential_table(bins, goals, 0, specs, specs["rewards"], 60)
         assert table == reference and table.trained_count() > 0
-        assert_rows_in_state_order(table)
+        assert_entries_in_key_order(table)
 
 
 class TestMerge:
@@ -952,9 +952,9 @@ class TestPretrainPipeline:
 
     def test_loaded_default_table_holds_a_row_per_state(self, default_table_file):
         table = load(default_table_file(0))
-        assert table.row_count() == table.state_count()
+        assert table.state_count() < table.entry_count()
         dense = len(table.bins) * N_TIP_STATES * N_ACTIONS * (4 + 1)
-        assert table.nbytes == table.row_count() * (8 + N_ACTIONS * (4 + 1))
+        assert table.nbytes == table.entry_count() * (4 + 4 + 1)
         assert table.nbytes < dense / 2
 
     def test_default_table_evaluation_matches_frozen_digest(self, default_table_file):

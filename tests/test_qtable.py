@@ -46,11 +46,18 @@ def table_of(entries):
                                [entries[k][1] for k in keys], [entries[k][0] for k in keys])
 
 
-def assert_rows_in_state_order(q):
-    """The row states increase strictly, one per value row and uint8 flag row, none spare."""
-    assert q._states.dtype == np.int64 and (np.diff(q._states) > 0).all()
-    assert q._flags.dtype == np.uint8
-    assert len(q._values) == len(q._flags) == len(q._states) == q.row_count()
+def assert_entries_in_key_order(q):
+    """uint32 keys increase strictly, one per float32 value and uint8 flag word, none spare.
+
+    Flag words hold only defined bits, and no entry holds both value 0 and flags 0.
+    """
+    keys, values, flags = q._keys, q._values, q._flags
+    assert keys.dtype == np.uint32 and (keys[1:] > keys[:-1]).all()
+    assert values.dtype == np.float32 and flags.dtype == np.uint8
+    assert keys.shape == values.shape == flags.shape == (q.entry_count(),)
+    assert not (flags & ~np.uint8(FLAG_TRAINED | FLAG_AUGMENTED)).any()
+    assert ((values != 0) | (flags != 0)).all()
+    assert q.nbytes == 9 * q.entry_count()
 
 
 def scratch_neighbors(state, radius=1):
@@ -387,14 +394,13 @@ class TestStackedLayout:
         assert q.bins.tolist() == [2, 5, 1023]
         assert q.get(5 * N_TIP_STATES + 7, 3) == 6.0
         assert q.get(4 * N_TIP_STATES + 7, 3) == 0.0
-        assert q.trained_count() == 3
-        assert q.row_count() == 3
+        assert q.trained_count() == q.entry_count() == q.state_count() == 3
 
     def test_a_lane_without_a_stored_entry_holds_no_bin(self):
         bins, values, flags = stacked([2, 5, 1023])
         values[1], flags[1] = 0.0, 0
         q = QTable.from_checked_arrays(np.array(bins), values, flags)
-        assert q.bins.tolist() == [2, 1023] and q.row_count() == 2
+        assert q.bins.tolist() == [2, 1023] and q.entry_count() == 2
 
     def test_bulk_builds_hold_only_the_bins_they_write(self, tmp_path):
         q = QTable.from_records([3 * N_TIP_STATES + 1, 700 * N_TIP_STATES], [0, 5], [1, 2],
@@ -424,23 +430,23 @@ class TestStackedLayout:
 
 
 class TestRowStore:
-    """Rows only for the tip states written, found by a search of the row states."""
+    """Only the stored entries are held, found by a search of their keys."""
 
     def test_one_entry_holds_one_row(self, tmp_path):
         q = QTable.from_records([700 * N_TIP_STATES + 9], [3], [FLAG_TRAINED], [1.5])
-        assert q.row_count() == 1
+        assert q.entry_count() == q.state_count() == 1
         save(q, tmp_path / "t.hpnq")
         updated = QTable()
         updated.update(5, 1, 2.0, 6, HP)
         for built in (q.copy(), load(tmp_path / "t.hpnq"), updated):
-            assert built.row_count() == 1
-        assert QTable().row_count() == augment(QTable()).row_count() == 0
+            assert built.entry_count() == built.state_count() == 1 and built.nbytes == 9
+        assert QTable().entry_count() == augment(QTable()).entry_count() == 0
 
     def test_bytes_are_the_states_and_the_rows(self):
-        q = QTable.from_records([3 * N_TIP_STATES + 1, 3 * N_TIP_STATES + 2, 700 * N_TIP_STATES],
+        q = QTable.from_records([3 * N_TIP_STATES + 1, 3 * N_TIP_STATES + 1, 700 * N_TIP_STATES],
                                 [0, 5, 1], [1, 2, 1], [1.0, 2.0, 3.0])
-        assert q.row_count() == 3
-        assert q.nbytes == 3 * (8 + 32 * (4 + 1))
+        assert q.entry_count() == 3 and q.state_count() == 2
+        assert q.nbytes == 3 * (4 + 4 + 1)  # a uint32 key, a float32 value, a uint8 flag word
         assert QTable().nbytes == 0
 
     def test_updates_in_falling_order_insert_rows_in_state_order(self):
@@ -454,8 +460,8 @@ class TestRowStore:
         q = QTable()
         for i, s in enumerate(states):
             q.update(s, i % 32, i + 0.5, N_STATES - 1, HP)
-            assert_rows_in_state_order(q)
-        assert q.row_count() == len(states) and q.nbytes > 0
+            assert_entries_in_key_order(q)
+        assert q.entry_count() == q.state_count() == len(states)
         built = QTable.from_records(states, [i % 32 for i in range(len(states))],
                                     [FLAG_TRAINED] * len(states),
                                     [HP.alpha * (i + 0.5) for i in range(len(states))])
@@ -474,18 +480,21 @@ class TestRowStore:
         new_bin = next(b for b in range(1024) if b not in set(q.bins.tolist()))
         updated.update(new_bin * N_TIP_STATES + 9, 4, 1.0, 0, HP)
         for table in built + [updated]:
-            assert_rows_in_state_order(table)
-            assert table.bins.tolist() == sorted({int(s) // N_TIP_STATES for s in table._states})
-        assert built[0].row_count() == len({s for s, _ in entries})
+            assert_entries_in_key_order(table)
+            held = table.record_arrays()[0]
+            assert table.bins.tolist() == sorted({int(s) // N_TIP_STATES for s in held})
+        assert built[0].entry_count() == len(entries)
+        assert built[0].state_count() == len({s for s, _ in entries})
         assert updated.bins.tolist() == sorted(q.bins.tolist() + [new_bin])
 
     def test_greedy_policy_reads_each_state_row(self):
         entries = clustered_entries(seed=4)
         empty = min(entries)[0] // N_TIP_STATES * N_TIP_STATES + 5
         assert all(s != empty for s, _ in entries)
-        entries[(empty, 2)] = (0.0, 0)  # a row with nothing stored
+        entries[(empty, 2)] = (0.0, 0)  # an entry that is not stored
         q = table_of(entries)
-        assert q.row_count() == q.state_count() + 1
+        assert q.entry_count() == len(entries) - 1 and not q.flags(empty).any()
+        assert q.state_count() == len({s for s, _ in entries}) - 1
         missing = next(b for b in range(1024) if b not in set(q.bins.tolist()))
         goal_bins = q.bins.tolist() + [missing]
         policy, kind = q.greedy_policy(goal_bins)
@@ -498,6 +507,48 @@ class TestRowStore:
                 assert policy[i, suffix] == q.values(state).argmax()
                 assert kind[i, suffix] == want
         assert set(np.unique(kind).tolist()) == {0, 1, 2}
+
+    def test_greedy_policy_takes_an_unstored_action_over_negative_values(self):
+        # The state's stored values are all below the 0 every other action reads.
+        state = 7 * N_TIP_STATES + 300
+        q = table_of({(state, 0): (-1.0, FLAG_TRAINED), (state, 1): (-0.5, FLAG_AUGMENTED),
+                      (state, 2): (-2.0, FLAG_TRAINED), (state, 4): (-0.25, 0)})
+        policy, kind = q.greedy_policy([7])
+        assert policy[0, 300] == q.values(state).argmax() == 3
+        assert kind[0, 300] == 0
+        assert (np.delete(policy[0], 300) == 0).all() and (np.delete(kind[0], 300) == 2).all()
+        # A stored -0.0 equals the 0 an unstored action reads, and comes first.
+        q = table_of({(state, 0): (np.float32(-0.0), FLAG_TRAINED), (state, 1): (-1.0, 1)})
+        assert q.greedy_policy([7])[0][0, 300] == q.values(state).argmax() == 0
+
+    def test_greedy_policy_reads_a_state_holding_all_its_entries(self):
+        state = 1023 * N_TIP_STATES + 1023
+        values = np.linspace(-3.0, 2.0, N_ACTIONS, dtype=np.float32)
+        values[[9, 20]] = 5.0  # a tie: the lower id wins
+        q = table_of({(state, a): (values[a], FLAG_AUGMENTED) for a in range(N_ACTIONS)})
+        assert q.entry_count() == N_ACTIONS and q.state_count() == 1
+        policy, kind = q.greedy_policy([1023])
+        assert policy[0, 1023] == 9 and kind[0, 1023] == 1
+        assert (policy[0, :1023] == 0).all() and (kind[0, :1023] == 2).all()
+
+    @given(entries=st.dictionaries(
+        st.tuples(st.sampled_from([5, 6, N_TIP_STATES - 1, 3 * N_TIP_STATES]),
+                  st.integers(0, N_ACTIONS - 1)),
+        st.tuples(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.5]), st.integers(0, 3)),
+        max_size=70))
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_policy_is_the_argmax_of_each_row(self, entries):
+        # Ties, zeros of either sign, all-negative rows and full rows: the
+        # policy reads as the argmax of the row values() gives, unstored actions 0.
+        q = table_of({k: (np.float32(v), f) for k, (v, f) in entries.items()})
+        policy, kind = q.greedy_policy([0, 3])
+        for i, goal_bin in enumerate([0, 3]):
+            for suffix in (5, 6, N_TIP_STATES - 1, 0):
+                state = goal_bin * N_TIP_STATES + suffix
+                flags = q.flags(state)
+                assert policy[i, suffix] == q.values(state).argmax()
+                assert kind[i, suffix] == (0 if (flags & FLAG_TRAINED).any() else
+                                           1 if flags.any() else 2)
 
 
 class TestSelectAction:
@@ -1047,12 +1098,13 @@ def traced_peak(run):
 class TestBulkMemory:
     """save, record_arrays and load hold at most their output plus one int64 per entry.
 
-    Each bound is the output, one int64 per stored entry (the one flat index
-    a bulk path keeps), one byte per held cell (the stored-entry mask) and
-    SLACK for fixed-size parts such as per-chunk gather temporaries. load
-    also holds the file's bytes while it builds the rows, so its bound adds
-    them. load and from_records allocate nothing over the whole state space:
-    a one-entry table builds in a few KiB.
+    Each bound is the output, one int64 per stored entry, one byte per cell
+    of the states holding an entry and SLACK for fixed-size parts: the
+    bounds a row store of those states met, which the entry store keeps
+    well inside. load also holds the file's bytes while it builds the
+    entries, so its bound adds them. load and from_records allocate
+    nothing over the whole state space: a one-entry table builds in a few
+    KiB.
     """
 
     SLACK = 1 << 20
@@ -1060,11 +1112,11 @@ class TestBulkMemory:
     @pytest.fixture(scope="class")
     def table(self):
         q = bulk_table()
-        assert (q.entry_count(), q.row_count(), len(q.bins)) == (229_376, 32_768, 64)
+        assert (q.entry_count(), q.state_count(), len(q.bins)) == (229_376, 32_768, 64)
         return q
 
     def bound(self, q, output):
-        return output + 8 * q.entry_count() + q.row_count() * N_ACTIONS + self.SLACK
+        return output + 8 * q.entry_count() + q.state_count() * N_ACTIONS + self.SLACK
 
     def test_record_arrays(self, table):
         peak, arrays = traced_peak(table.record_arrays)
@@ -1094,7 +1146,7 @@ class TestBulkMemory:
         save(QTable.from_records(*entry), path)
         for build in (lambda: load(path), lambda: QTable.from_records(*entry)):
             peak, q = traced_peak(build)
-            assert q.row_count() == 1
+            assert q.entry_count() == 1
             assert peak < 64 << 10, peak
 
 
@@ -1146,7 +1198,7 @@ class TestReferenceModel:
                 new = np.float32(float(old_value) + hp.alpha * (target - float(old_value)))
                 assert q.update(state, action, x, y, hp) == float(new)
                 model[(state, action)] = (new, old_flags | FLAG_TRAINED)
-            assert_rows_in_state_order(q)
+            assert_entries_in_key_order(q)
 
         for state in MODEL_STATES:
             for action in range(32):

@@ -195,12 +195,12 @@ def test_scripts_refuse_a_seed_out_of_range(tmp_path, name, small, seed):
 
 def test_bulk_cost(tmp_path):
     lines = run_script("bulk_cost.py", "--seed", "1", "--calls", "1", cwd=tmp_path)
-    header = re.fullmatch(r"seed 1: default table of ([1-9]\d*) rows in [1-9]\d* goal bins, "
+    header = re.fullmatch(r"seed 1: default table of ([1-9]\d*) entries in [1-9]\d* goal bins, "
                           r"([1-9]\d*) bytes in memory, [1-9]\d* bytes on disk, "
                           r"1 calls per operation", lines[0])
     assert header, lines
-    rows, nbytes = map(int, header.groups())
-    assert nbytes == rows * (8 + 32 * (4 + 1)), lines  # a state, 32 values and 32 flag bytes
+    entries, nbytes = map(int, header.groups())
+    assert nbytes == entries * (4 + 4 + 1), lines  # a uint32 key, a float32 value, a flag byte
     assert lines[1].split() == ["operation", "median", "ms", "minor", "faults", "traced",
                                 "peak", "MiB", "B/entry"], lines
     names = ["load", "augment r1", "augment r2", "augment r3", "record_arrays", "save"]

@@ -386,6 +386,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="d_tip_edges_mm needs three finite interior edges"):
             BinningSpec(d_tip_edges_mm=(5.0, 30.0))
 
+    # Each raised TypeError: 'float' object is not iterable (or 'NoneType').
+    @pytest.mark.parametrize("name", ["d_tip_edges_mm", "phi_egoal_edges_rad"])
+    @pytest.mark.parametrize("edges", [5.0, 1, np.float64(0.5), np.array(0.5), None],
+                             ids=["float", "int", "float64", "0-d-array", "None"])
+    def test_binning_edges_that_are_not_a_sequence_rejected(self, name, edges):
+        with pytest.raises(ValueError, match=f"{name} needs three finite interior edges"):
+            BinningSpec(**{name: edges})
+
     def test_goal_elevation_edges_must_clear_their_guards(self):
         with pytest.raises(ValueError, match="2e-9 rad apart"):
             BinningSpec(phi_egoal_edges_rad=(0.1, 0.1 + 1e-9, 1.0))
