@@ -1,4 +1,4 @@
-"""Milliseconds and traced memory per call of the Q-table's bulk paths.
+"""Milliseconds and traced memory per call of the Q-table's bulk paths and the goal bank.
 
 Builds the default table for --seed (pretrain at RunConfig defaults, written
 to a temporary .hpnq file) and prints the loaded table's stored entries, goal
@@ -10,14 +10,17 @@ process's getrusage ru_minflt across the call: pages mapped in on first touch,
 0 where the allocator reuses pages an earlier call touched), and once more
 under tracemalloc, for the peak of memory it allocated during the call. The
 peak is also given per stored entry of the table the operation writes or
-reads: augment's output, the loaded table otherwise. The bulk-path counterpart
-of step_cost.py.
+reads: augment's output, the loaded table otherwise. Last, it measures
+build_goal_bank the same way, on pretrain's stream for --seed at the default
+quota and budget, with the count of drawn rows the bank sent through exact
+FK (tip_batch) in one call. The bulk-path counterpart of step_cost.py.
 
 Example:
     python3 scripts/bulk_cost.py --seed 1 --calls 15
 """
 
 import argparse
+import importlib
 import resource
 import statistics
 import sys
@@ -26,11 +29,16 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hpnarm import qtable
 from hpnarm.config import RunConfig
-from hpnarm.pretrain import pretrain
+from hpnarm.pretrain import build_goal_bank, default_sample_budget, pretrain
+
+# hpnarm.pretrain as a package attribute is the function, not the module.
+pretrain_module = importlib.import_module("hpnarm.pretrain")
 
 
 def cost(run, calls: int) -> tuple[float, float, float]:
@@ -49,6 +57,23 @@ def cost(run, calls: int) -> tuple[float, float, float]:
     finally:
         tracemalloc.stop()
     return statistics.median(times), statistics.median(faults), peak / 2**20
+
+
+def exact_rows(run) -> int:
+    """Rows that one call of ``run`` sends through the goal bank's exact FK (its tip_batch)."""
+    tip_batch = pretrain_module.tip_batch
+    rows = []
+
+    def counted(pressures, params):
+        rows.append(len(pressures))
+        return tip_batch(pressures, params)
+
+    pretrain_module.tip_batch = counted
+    try:
+        run()
+    finally:
+        pretrain_module.tip_batch = tip_batch
+    return sum(rows)
 
 
 def main() -> int:
@@ -83,6 +108,19 @@ def main() -> int:
         for name, n, run in operations:
             ms, faults, peak = cost(run, args.calls)
             print(f"{name:<13} {ms:10.1f} {faults:13.0f} {peak:16.1f} {peak * 2**20 / n:8.1f}")
+
+    quota = p.quota
+    budget = p.budget or default_sample_budget(quota)
+
+    def bank():
+        rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))  # pretrain's stream
+        return build_goal_bank(cfg.arm, quota, budget, rng, binning=cfg.binning)
+
+    print(f"goal bank of quota {quota} and budget {budget} samples: "
+          f"{len(bank().bins)} reachable bins")
+    print("operation        median ms  minor faults  traced peak MiB  exact FK rows")
+    ms, faults, peak = cost(bank, args.calls)
+    print(f"{'build_goal_bank':<15} {ms:10.1f} {faults:13.0f} {peak:16.1f} {exact_rows(bank):14d}")
     return 0
 
 

@@ -38,24 +38,29 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hpnarm.kinematics import ArmParams
-from hpnarm.pretrain import _binned_batches
-from hpnarm.state import N_GOAL_BINS, BinningSpec
+from hpnarm.kinematics import ArmParams, tip_batch
+from hpnarm.pretrain import GOAL_SAMPLE_BATCH
+from hpnarm.state import N_GOAL_BINS, BinningSpec, encode_goal_prefix_batch, rest_tip_origin
 
 
-def survey(params, binning, budget, seed, quotas, batch=65536):
+def survey(params, binning, budget, seed, quotas, batch=GOAL_SAMPLE_BATCH):
     """Hits per goal bin over `budget` samples, drawn as pretrain draws its goal bank,
     and for each quota the sample index of the last bin's quota-th hit.
 
-    A bin's q-th hit at index i means a budget of i + 1 samples fills it to q,
-    so the largest such index over the bins that reach q is where the count of
-    bins at quota q stops growing within this budget (None if no bin reaches q).
+    Every sample is binned exactly (tip_batch, then encode_goal_prefix_batch),
+    as the bank bins the samples it files. A bin's q-th hit at index i means a
+    budget of i + 1 samples fills it to q, so the largest such index over the
+    bins that reach q is where the count of bins at quota q stops growing
+    within this budget (None if no bin reaches q).
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    origin = rest_tip_origin(params.l0_mm)
     hist = np.zeros(N_GOAL_BINS, dtype=np.int64)
     last_fill = dict.fromkeys(quotas)
     offset = 0
-    for _, bins in _binned_batches(params, binning, budget, rng, batch):
+    while offset < budget:
+        pressures = rng.uniform(0.0, params.p_max_kpa, size=(min(batch, budget - offset), 16))
+        bins = encode_goal_prefix_batch(*tip_batch(pressures, params), origin, binning)
         counts = np.bincount(bins, minlength=N_GOAL_BINS)
         for q in quotas:
             crossing = np.flatnonzero((hist < q) & (hist + counts >= q))

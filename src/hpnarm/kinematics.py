@@ -225,10 +225,10 @@ def _segment_stack(p: np.ndarray, params: ArmParams) -> np.ndarray:
     """Segment transforms of (n, 4, 4) pressures as one (n, 4, 4, 4) stack, segment on axis 1.
 
     The terms' temporaries end with _segment_terms and with this call, before
-    tip_batch multiplies, which keeps a goal-bank task's peak heap small: with
-    every temporary alive at once, glibc handed each 2048-row task's pages
-    back and faulted them in again, about 100k page faults per default bank
-    against about 800.
+    tip_batch multiplies, which keeps the peak heap of a call small: with
+    every temporary alive at once, glibc handed each call's pages back and
+    faulted them in again on the next, about 100k page faults per goal bank
+    of 2048-row calls against about 800.
     """
     c, s, cp, sp, k, l, straight = _segment_terms(p, params)
     t = _arc_transforms(c, s, cp, sp, k)
@@ -255,3 +255,123 @@ def tip_batch(pressures, params: ArmParams) -> tuple[np.ndarray, np.ndarray]:
     t = _segment_stack(p, params)
     tip = tip_of(t[:, 0], t[:, 1], t[:, 2], t[:, 3])
     return tip[:, :, 1], tip[:, :, 0]
+
+
+# float32's unit roundoff: one rounded operation errs by at most this share of its result.
+_U32 = 2.0**-24
+
+
+def tip_screen(pressures: np.ndarray, params: ArmParams):
+    """Approximate tips of (n, 16) in-range pressures in float32, with their error bounds.
+
+    Returns (positions (n, 3), directions (n, 3), sure (n,), (position
+    guard in mm, direction guard)). The arcs are tip_batch's, with the
+    half-angle forms (1 - cos th) / k = 2 sin^2(th/2) / k and sin th / k =
+    2 sin(th/2) cos(th/2) / k, which keep their relative accuracy as k
+    shrinks, and each rotation is applied to the vectors below it element by
+    element: no matrix product. The caller checks the pressure range.
+
+    Guard rule: where ``sure`` is set, tip_batch's position and direction
+    of the row lie within the position and direction guard, in Euclidean
+    norm, of the ones returned here. ``sure`` is unset for a row with a
+    segment whose float32 curvature is at most k_eps + 32 u a P, which
+    tip_batch may take as straight, and for every row when P, l0, L or a P
+    lies outside [2^-30, 2^30], where a float32 value may lose its normal
+    precision. With u = 2^-24, P = p_max_kpa, a = a_gain, L = l0 + 4 b P
+    the longest arc and Theta = sqrt(2) a P L the largest bend angle (the
+    bending vector v is no longer than sqrt(2) P), the guards are
+
+        position guard = u L (1024 + 256 Theta),  direction guard = u (512 + 128 Theta).
+
+    Derivation, to first order in u, with float32 arithmetic and sqrt
+    correctly rounded and numpy's float32 sin and cos within 4 ulp (8 u of
+    the result):
+    - Rounding the pressures and forming v and l leaves |dv| <= 12 u P and
+      |dl| <= 8 u L. The curvature k = a |v| then errs by at most 18 u a P,
+      inside the band around k_eps.
+    - A bent segment is the rotation R by the vector w = a l (-v_y, v_x, 0)
+      and the arc t = l * integral over s in [0, 1] of R(s w) e_z. Two
+      rotations differ by at most the distance of their vectors. The input
+      errors move w by a (|dl| |v| + l |dv|) <= 17 u Theta and rounding
+      th = k l moves it by 5 u Theta more, so R errs by at most 22 u Theta
+      and t by at most 13 u L + 11 u L Theta.
+    - The other roundings scale with the vectors, not with Theta: cos th - 1,
+      sin th and the bending direction come within 36 u, 17 u and 3 u, so
+      applying a rotation to a vector of length W errs by at most 101 u W,
+      and each arc by at most 24 u L.
+    - The code rotates t4 by R3, adds t3, and so on up to R1 and t1, and
+      rotates R4 e_z likewise: the positions rotated are no longer than L,
+      2 L and 3 L, the directions 1. The position errs by at most
+      4 (13 + 24) u L + 101 u (1 + 2 + 3) L + 21 u L from the arcs, the
+      rotations and the additions, and 4 * 11 u L Theta + 22 u (1 + 2 + 3)
+      L Theta from the bend: under u L (775 + 176 Theta). The direction errs
+      by at most 43 u + 3 * 101 u + 4 * 22 u Theta, under u (346 + 88 Theta).
+    The guards round these up. Binning the screened tips in float64 adds
+    rounding far below the slack that leaves.
+    """
+    a, b, l0, p_max = params.a_gain, params.b_gain, params.l0_mm, params.p_max_kpa
+    longest = l0 + 4.0 * b * p_max
+    bend = math.sqrt(2.0) * a * p_max * longest
+    guards = (_U32 * longest * (1024.0 + 256.0 * bend), _U32 * (512.0 + 128.0 * bend))
+    n = len(pressures)
+    if not all(2.0**-30 <= x <= 2.0**30 for x in (p_max, l0, longest, a * p_max)):
+        return (np.zeros((n, 3), np.float32), np.zeros((n, 3), np.float32),
+                np.zeros(n, dtype=bool), guards)
+    f32 = np.float32
+    # Chamber c of segment j at row 4 * j + c, samples along the rows.
+    p = np.empty((N_SEGMENTS * N_CHAMBERS, n), dtype=f32)
+    np.copyto(p, pressures.T, casting="same_kind")
+    p = p.reshape(N_SEGMENTS, N_CHAMBERS, n)
+    d13 = p[:, 0] - p[:, 2]
+    d24 = p[:, 1] - p[:, 3]
+    l = p[:, 0] + p[:, 1]
+    l += p[:, 2]
+    l += p[:, 3]
+    l *= f32(b)
+    l += f32(l0)
+    half = f32(_HALF_SQRT2)
+    vx = d13 + d24
+    vx *= half
+    vy = d24
+    vy -= d13
+    vy *= half
+    norm = vx * vx
+    norm += vy * vy
+    np.sqrt(norm, out=norm)
+    k = norm * f32(a)
+    sure = (k > np.float64(params.k_eps + 32.0 * _U32 * a * p_max)).all(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of k = 0 are unsure
+        cp = np.divide(vx, norm, out=vx)
+        sp = np.divide(vy, norm, out=vy)
+        th2 = k * l
+        th2 *= f32(0.5)
+        sh = np.sin(th2)
+        ch = np.cos(th2, out=th2)
+        sh2 = sh + sh            # 2 sin(th/2)
+        q = sh2 / k              # 2 sin(th/2) / k
+    m = np.negative(sh * sh2)  # cos th - 1
+    c = m + f32(1.0)           # cos th
+    s = np.multiply(sh2, ch, out=sh2)   # sin th
+    tr = np.multiply(sh, q, out=sh)     # (1 - cos th) / k, in the bending plane
+    tx, ty = cp * tr, sp * tr
+    tz = np.multiply(ch, q, out=q)      # sin th / k, along the segment's base axis
+    # tip[i, 0] and tip[i, 1]: coordinate i of the position and of the direction
+    # below segment j, from segment 3's own arc and axis up to the base.
+    tip = np.stack([tx[3], cp[3] * s[3], ty[3], sp[3] * s[3], tz[3], c[3]]).reshape(3, 2, n)
+    x, y, z = tip
+    for j in (2, 1, 0):
+        # R_j (x, y, z) = (x + cp turn, y + sp turn, c z - s along), where
+        # along = cp x + sp y lies in the bending plane and turn = m along + s z.
+        cj, sj, c_j, s_j = cp[j], sp[j], c[j], s[j]
+        along = cj * x
+        along += sj * y
+        turn = m[j] * along
+        turn += s_j * z
+        x += cj * turn
+        y += sj * turn
+        z *= c_j
+        z -= s_j * along
+        x[0] += tx[j]
+        y[0] += ty[j]
+        z[0] += tz[j]
+    return tip[:, 0].T, tip[:, 1].T, sure, guards

@@ -1,8 +1,10 @@
 """Bin-balanced goal generation and lockstep Q-table pretraining.
 
-Training goals are drawn by rejection sampling: the whole sampling budget of
-random pressure vectors is pushed through the forward kinematics, and each
-goal bin keeps the first `quota` tip poses that land in it. Bins that never
+Training goals are drawn by rejection sampling: each goal bin keeps the
+first `quota` tip poses, among the whole sampling budget of random pressure
+vectors, that land in it. A float32 screen bins every sample, and exact
+forward kinematics runs only on the samples that can still be banked, so
+the bank is the one exact kinematics of every sample gives. Bins that never
 fill are unreachable and left out, so every goal the controller trains on is
 known to be attainable. The bank is two arrays, the layout of its .hpnb cache
 file: the reachable bins, and per bin `quota` goal rows of position then
@@ -18,20 +20,17 @@ tables merge concatenates in bin order, give the one call's table bit for bit.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
-from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from struct import Struct
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .episode import RewardSpec, train_lockstep
-from .kinematics import ArmParams, tip_batch
+from .kinematics import ArmParams, _check_range, tip_batch, tip_screen
 from .qtable import (ActionSpec, HyperParams, QTable, _goal_bin_ids, _integers, augment,
                      check_integers, save)
 from .state import (
@@ -42,16 +41,10 @@ from .state import (
     check_goal_rows,
     encode_goal_prefix_batch,
     rest_tip_origin,
+    screen_goal_prefix_batch,
 )
 
 GOAL_SAMPLE_BATCH = 8192
-
-# The goal bank runs FK on at most this many threads, in tasks of at most
-# _ROWS_PER_TASK rows. Small tasks keep each thread's working set small: glibc
-# gives every thread its own malloc arena and keeps what a thread freed there,
-# so 8192-row tasks left about 10 MB more resident after a default pretrain.
-_MAX_BANK_WORKERS = 4
-_ROWS_PER_TASK = 2048
 
 # A guard against a mistyped quota, not a measured cost: it counts quota x
 # N_GOAL_BINS planned episodes, while about 64 bins are reachable at the
@@ -118,68 +111,6 @@ class GoalBank:
         return self.goals.shape[0] * self.goals.shape[1]
 
 
-def _bank_workers() -> int:
-    """FK threads for the goal bank: the cores this process may run on, capped."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, _MAX_BANK_WORKERS))
-
-
-def _fk_and_bin(pressures, params: ArmParams, origin, binning: BinningSpec, out) -> None:
-    """FK and goal-bin encoding of a block of pressure rows, written into `out`."""
-    positions, directions = tip_batch(pressures, params)
-    out_rows, out_bins = out
-    out_rows[:, :3] = positions
-    out_rows[:, 3:] = directions
-    out_bins[:] = encode_goal_prefix_batch(positions, directions, origin, binning)
-
-
-def _binned_batches(
-    params: ArmParams,
-    binning: BinningSpec,
-    budget: int,
-    rng: np.random.Generator,
-    batch_size: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (goal rows, goal bins) for each batch of random pressures.
-
-    A goal row is the tip position then its direction, six float64 values.
-
-    The calling thread draws `budget` uniform pressure vectors from `rng` in
-    batches of `batch_size` (the last one shorter), in stream order, at most
-    one batch per pool thread ahead of the batch it yields. The pool runs FK
-    and goal-bin encoding on row blocks of each batch, and batches are
-    yielded in draw order, so what is yielded, and the state `rng` is left in
-    once every batch is yielded, do not depend on the thread count.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = _bank_workers()
-    origin = rest_tip_origin(params.l0_mm)
-    pending: deque = deque()  # (outputs, their futures)
-    drawn = 0
-    with ThreadPoolExecutor(workers, thread_name_prefix="goal-bank") as pool:
-        while drawn < budget or pending:
-            while drawn < budget and len(pending) < workers:
-                n = min(batch_size, budget - drawn)
-                pressures = rng.uniform(0.0, params.p_max_kpa, size=(n, 16))
-                drawn += n
-                # From this thread's malloc arena, not the pool threads' (see above).
-                out = (np.empty((n, _GOAL_ROW)), np.empty(n, dtype=np.int64))
-                futures = [
-                    pool.submit(_fk_and_bin, pressures[r:r + _ROWS_PER_TASK], params,
-                                origin, binning, tuple(a[r:r + _ROWS_PER_TASK] for a in out))
-                    for r in range(0, n, _ROWS_PER_TASK)
-                ]
-                pending.append((out, futures))
-            out, futures = pending.popleft()
-            for future in futures:
-                future.result()
-            yield out
-
-
 def build_goal_bank(
     params: ArmParams,
     quota: int,
@@ -195,26 +126,38 @@ def build_goal_bank(
     short of `quota` when the budget runs out are dropped as unreachable;
     their partial goal lists are discarded rather than padded.
 
-    FK and goal-bin encoding run on a pool of threads, one per core this
-    process may use (at most _MAX_BANK_WORKERS), while this thread draws
-    pressure batches of GOAL_SAMPLE_BATCH rows from `rng` in stream order and
-    files the results into bins strictly in draw order. The bank and the
-    state `rng` is left in are therefore byte-identical to one thread doing
-    it all.
+    Pressures are drawn from `rng` in batches of GOAL_SAMPLE_BATCH rows, in
+    stream order, and each batch is screened before any exact FK: a float32
+    tip (kinematics.tip_screen) binned by comparison with the edges
+    (state.screen_goal_prefix_batch). Only the rows whose screened bin is
+    sure to be the exact one and is already full are left out; every other
+    row goes through tip_batch and encode_goal_prefix_batch, the only source
+    of banked goals and their bins, and is filed in draw order. A row left
+    out could not have been filed, so the bank and the state `rng` is left
+    in equal those of running every row exactly.
     """
     check_integers(1, quota=quota, budget=budget)
 
+    origin = rest_tip_origin(params.l0_mm)
     needed = np.full(N_GOAL_BINS, quota, dtype=np.int64)
     stash = np.empty((N_GOAL_BINS, quota, _GOAL_ROW))
-    # Closed on the way out: a raise in the filing loop ends the pool's threads
-    # at once, also where the suspended generator outlives the exception.
-    with closing(_binned_batches(params, binning, budget, rng, GOAL_SAMPLE_BATCH)) as batches:
-        for rows, bins in batches:
-            for i in np.nonzero(needed[bins] > 0)[0]:
-                b = bins[i]
-                if needed[b] > 0:  # the bin may have filled earlier in this batch
-                    stash[b, quota - needed[b]] = rows[i]
-                    needed[b] -= 1
+    for drawn in range(0, budget, GOAL_SAMPLE_BATCH):
+        # rng.uniform(0, p_max)'s values and stream, drawn faster.
+        pressures = rng.random((min(GOAL_SAMPLE_BATCH, budget - drawn), 16))
+        pressures *= params.p_max_kpa
+        _check_range(pressures.reshape(-1, 4, 4), params)
+        *tips, sure, guards = tip_screen(pressures, params)
+        screened, sure = screen_goal_prefix_batch(*tips, sure, guards, origin, binning)
+        exact = np.flatnonzero(~sure | (needed[screened] > 0))
+        positions, directions = tip_batch(pressures[exact], params)
+        bins = encode_goal_prefix_batch(positions, directions, origin, binning)
+        for i in np.flatnonzero(needed[bins] > 0).tolist():
+            b = bins[i]
+            if needed[b] > 0:  # the bin may have filled earlier in this batch
+                goal = stash[b, quota - needed[b]]
+                goal[:3] = positions[i]
+                goal[3:] = directions[i]
+                needed[b] -= 1
 
     reachable = np.flatnonzero(needed == 0)
     if not len(reachable):

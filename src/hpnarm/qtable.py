@@ -193,14 +193,19 @@ class QTable:
         """Bytes the table's three arrays take in memory: 9 a stored entry."""
         return self._keys.nbytes + self._values.nbytes + self._flags.nbytes
 
+    def _span(self, state: int) -> tuple[int, int]:
+        """The run lo:hi of the state's stored entries. ValueError unless the state is in the codec."""
+        _check_state(state)
+        lo, hi = self._keys.searchsorted(
+            np.array([state, state + 1], np.uint32) << _ACTION_BITS).tolist()
+        return lo, hi
+
     def _row(self, state: int, stored: np.ndarray) -> np.ndarray:
         """The state's N_ACTIONS words of ``stored`` (values or flags), 0 where no entry is.
 
         ValueError unless the state is in the codec.
         """
-        _check_state(state)
-        lo, hi = self._keys.searchsorted(
-            np.array([state, state + 1], np.uint32) << _ACTION_BITS).tolist()
+        lo, hi = self._span(state)
         row = np.zeros(N_ACTIONS, dtype=stored.dtype)
         row[self._keys[lo:hi] & (N_ACTIONS - 1)] = stored[lo:hi]
         return row
@@ -214,10 +219,28 @@ class QTable:
         return self._row(state, self._flags)
 
     def get(self, state: int, action: int) -> float:
+        """values(state)[action], read from the state's stored entries."""
         _check_action(action)
-        return float(self.values(state)[action])
+        lo, hi = self._span(state)
+        key = np.uint32(int(state) * N_ACTIONS + int(action))
+        i = lo + int(self._keys[lo:hi].searchsorted(key))
+        return float(self._values[i]) if i < hi and self._keys[i] == key else 0.0
 
     def max_value(self, state: int) -> float:
+        """values(state).max(), read from the state's stored entries.
+
+        An action without an entry reads 0. Where the maximum is a zero, the
+        row decides, as numpy's sign of a maximum of +0 and -0 depends on
+        their order.
+        """
+        lo, hi = self._span(state)
+        if lo == hi:
+            return 0.0
+        best = float(self._values[lo:hi].max())
+        if best > 0.0 or (best < 0.0 and hi - lo == N_ACTIONS):
+            return best
+        if best < 0.0:  # every word of the row is a negative entry or an unheld +0
+            return 0.0
         return float(self.values(state).max())
 
     def trained_count(self) -> int:

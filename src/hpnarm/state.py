@@ -270,6 +270,58 @@ def encode_goal_prefix_batch(positions, directions, origin, spec: BinningSpec) -
     return (d_goal * N_BINS_PER_DIM**2 + offset_angles) * N_BINS_PER_DIM**2 + direction_angles
 
 
+def _screen_bins(x, y, z, elevation_edges, guard: float):
+    """Radius, packed angle digit (as _direction_bins) and sure mask of vectors (x, y, z).
+
+    Each vector lies within ``guard`` of an exact one. The digit comes from
+    the signs of x and y, which set the azimuth quadrant (y = 0 with x < 0
+    is the fold at pi, folded to bin 0), and from z <= cos(e) r, which
+    holds when the elevation is e or more. A vector is sure where every
+    tested value lies further than its own error plus one guard from where
+    its test flips: x, y and r more than 2 guards from 0 and from the
+    zero-radius cutoff, z - cos(e) r more than 3 guards from 0. A sure
+    vector's exact one then stands at least a guard off every edge, far
+    beyond the rounding of an angle, and bins the same. NaN is never sure.
+    """
+    r = np.sqrt(x * x + y * y + z * z)
+    digit = (y > 0.0) * (2 * N_BINS_PER_DIM) + ((x < 0.0) != (y < 0.0)) * N_BINS_PER_DIM
+    sure = (np.abs(x) > 2.0 * guard) & (np.abs(y) > 2.0 * guard)
+    sure &= r > _TINY_RADIUS + 2.0 * guard
+    # cos is decreasing on [0, pi], and no elevation exceeds pi.
+    for c in np.cos(np.minimum(elevation_edges, math.pi)).tolist():
+        off = z - c * r
+        digit += off <= 0.0
+        sure &= np.abs(off) > 3.0 * guard
+    return r, digit, sure
+
+
+def screen_goal_prefix_batch(positions, directions, sure, guards, origin,
+                             spec: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Goal bins of approximate tips, and where they are encode_goal_prefix_batch's.
+
+    ``positions``, ``directions`` and ``sure`` are what
+    kinematics.tip_screen returns: (n, 3) tips within ``guards`` (position
+    guard in mm, direction guard) of exact ones where ``sure`` is set.
+    Returns the (n,) goal bins, found by comparison with the edges in
+    float64, and ``sure`` narrowed to the rows whose exact tip encodes to
+    the same bin: the rows no dimension finds near an edge (_screen_bins;
+    d_goal is sure more than 2 position guards from every edge).
+    """
+    position_guard, direction_guard = guards
+    rel = np.array(positions.T, dtype=float)
+    rel -= np.asarray(origin, dtype=float).reshape(3, 1)
+    r, offset_angles, sure_offset = _screen_bins(*rel, _ELEVATION_EDGES, position_guard)
+    _, direction_angles, sure_direction = _screen_bins(
+        *np.array(directions.T, dtype=float), spec.phi_egoal_edges_rad, direction_guard)
+    sure = sure & sure_offset & sure_direction
+    d_goal = np.zeros(len(r), dtype=np.int64)
+    for edge in spec.edge_arrays[0].tolist():
+        d_goal += r >= edge
+        sure &= np.abs(r - edge) > 2.0 * position_guard
+    bins = (d_goal * N_BINS_PER_DIM**2 + offset_angles) * N_BINS_PER_DIM**2 + direction_angles
+    return bins, sure
+
+
 def check_goal_rows(goals: np.ndarray, n_bins: int) -> None:
     """Raise ValueError unless float ``goals`` is (n_bins, quota, 6) goal rows.
 

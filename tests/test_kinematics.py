@@ -15,9 +15,9 @@ from hpnarm import (
     tip_batch,
     validate_pressures,
 )
-from hpnarm import config
+from hpnarm import config, kinematics
 from hpnarm.config import default_eval_goals
-from hpnarm.kinematics import segment_transform_batch
+from hpnarm.kinematics import segment_transform_batch, tip_screen
 from oracles import oracle_arm_pose, oracle_tip_batch
 
 configs = st.builds(
@@ -307,6 +307,62 @@ class TestTipBatchMatchesFirstFormula:
         ps[3, 9] = bad
         with pytest.raises(PressureRangeError):
             tip_batch(ps, params)
+
+
+def screen_errors(pressures, params):
+    """Euclidean distance of each tip_screen position and direction from tip_batch's."""
+    positions, directions, sure, guards = tip_screen(pressures, params)
+    exact = tip_batch(pressures, params)
+    return (np.linalg.norm(exact[0] - positions, axis=1),
+            np.linalg.norm(exact[1] - directions, axis=1), sure, guards)
+
+
+class TestTipScreen:
+    def test_a_million_default_rows_err_by_under_a_tenth_of_the_guards(self, params):
+        rng = np.random.default_rng(2718)
+        worst = np.zeros(2)
+        for _ in range(100):
+            pos_err, dir_err, sure, guards = screen_errors(
+                rng.random((10_000, 16)) * params.p_max_kpa, params)
+            assert sure.all()
+            worst = np.maximum(worst, (pos_err.max(), dir_err.max()))
+        assert (worst < np.array(guards) / 10.0).all(), (worst, guards)
+
+    @given(
+        a_gain=st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+        b_gain=st.floats(0.0, 1.0),
+        l0_mm=st.floats(1.0, 3.5).map(lambda e: 10.0**e),
+        p_max_kpa=st.floats(1.0, 300.0),
+        k_eps=st.floats(-9.0, -1.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sure_rows_lie_within_the_guards_on_any_arm(self, a_gain, b_gain, l0_mm,
+                                                        p_max_kpa, k_eps, seed):
+        params = ArmParams(a_gain=a_gain, b_gain=b_gain, l0_mm=l0_mm, p_max_kpa=p_max_kpa,
+                           k_eps=k_eps)
+        ps = _pressure_rows("mixed", np.random.default_rng(seed), p_max_kpa, n=4096)
+        pos_err, dir_err, sure, (pos_guard, dir_guard) = screen_errors(ps, params)
+        assert (pos_err[sure] < pos_guard).all() and (dir_err[sure] < dir_guard).all()
+
+    def test_segments_near_or_below_k_eps_are_unsure(self, params):
+        ps = np.random.default_rng(4).uniform(0.0, params.p_max_kpa, (3, 16))
+        ps[1, 4:8] = 30.0  # segment 1 straight: k = 0
+        ps[2, 8:12] = (30.0, 20.0, 29.99, 20.0)  # segment 2 bent at exactly k_eps below
+        vx, vy, _ = kinematics._bending_terms(ps[2].reshape(4, 4), params)
+        k = params.a_gain * np.hypot(vx, vy)[2]
+        assert k > 0.0
+        for arm in (params, ArmParams(k_eps=k)):
+            sure = tip_screen(ps, arm)[2]
+            assert sure.tolist() == [True, False, arm is params]
+
+    @pytest.mark.parametrize("field, value", [
+        ("l0_mm", 1e-12), ("p_max_kpa", 1e12), ("a_gain", 1e-13), ("b_gain", 1e30)])
+    def test_arms_beyond_float32_scales_screen_nothing(self, field, value):
+        params = ArmParams(**{field: value})
+        ps = np.random.default_rng(0).uniform(0.0, params.p_max_kpa, (64, 16))
+        positions, directions, sure, _ = tip_screen(ps, params)
+        assert positions.shape == directions.shape == (64, 3) and not sure.any()
 
 
 class TestValidation:

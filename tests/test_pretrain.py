@@ -1,17 +1,14 @@
 import hashlib
 import importlib
 import itertools
-import os
 import re
-import sys
-import threading
 import warnings
-from contextlib import closing
 
 import numpy as np
 import pytest
 
-from hpnarm import ArmParams, BinningSpec, GoalPose, episode, qtable, rest_tip_origin
+from hpnarm import (ArmParams, BinningSpec, GoalPose, PressureRangeError, episode, qtable,
+                    rest_tip_origin)
 from hpnarm.config import EvalConfig, PretrainConfig, RunConfig
 from hpnarm.episode import NominalPlant, RewardSpec, _segment_lattice, run_episode, train_lockstep
 from hpnarm.evalrun import evaluate, sample_goals
@@ -240,17 +237,6 @@ class TestBuildGoalBank:
 pretrain_module = importlib.import_module("hpnarm.pretrain")
 
 
-@pytest.fixture
-def bank_threads(monkeypatch):
-    """Set the goal bank's thread count exactly, whatever the host's core count."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-
-    def set_threads(count):
-        monkeypatch.setattr(pretrain_module, "_MAX_BANK_WORKERS", count)
-
-    return set_threads
-
-
 class CountingGenerator(np.random.Generator):
     """The goal-bank stream of `seed`, recording the row count of each draw."""
 
@@ -258,9 +244,10 @@ class CountingGenerator(np.random.Generator):
         super().__init__(np.random.PCG64(np.random.SeedSequence((seed, 1))))
         self.rows_drawn = []
 
-    def uniform(self, low, high, size):
-        self.rows_drawn.append(size[0])
-        return super().uniform(low, high, size)
+    def random(self, size=None, *args, **kwargs):
+        if size is not None:
+            self.rows_drawn.append(size[0])
+        return super().random(size, *args, **kwargs)
 
 
 def assert_bank_matches_oracle(bank, oracle):
@@ -271,20 +258,22 @@ def assert_bank_matches_oracle(bank, oracle):
         assert got.tobytes() == goals[b].tobytes(), b
 
 
-class TestGoalBankThreads:
-    """The threaded goal bank equals the one-thread loop bit for bit."""
+def every_row_exact(positions, directions, sure, guards, origin, binning):
+    """A bin screen that is sure of no row, so every row goes through exact FK."""
+    return np.zeros(len(sure), dtype=np.int64), np.zeros_like(sure)
 
-    @pytest.mark.parametrize("seed, batch_size, threads, budget", [
-        *(pytest.param(seed, batch_size, threads, 25_000, id=f"{seed}-{batch_size}-{threads}")
-          for seed in (0, 7, 401) for batch_size in (1000, 3000, 8192) for threads in (1, 2, 3)),
+
+class TestGoalBankMatchesOracle:
+    """The screened goal bank equals running every row through exact FK, bit for bit."""
+
+    @pytest.mark.parametrize("seed, batch_size, budget", [
+        *(pytest.param(seed, batch_size, 25_000, id=f"{seed}-{batch_size}")
+          for seed in (0, 7, 401) for batch_size in (1000, 3000, 8192)),
         # The first and last batch: one short batch, and one row past a whole batch.
-        *(pytest.param(0, 8192, threads, budget, id=f"budget-{budget}-{threads}")
-          for budget in (5_000, 8_193) for threads in (1, 3)),
+        *(pytest.param(0, 8192, budget, id=f"budget-{budget}") for budget in (5_000, 8_193)),
     ])
-    def test_bank_and_rng_state_match_the_sequential_loop(self, specs, bank_threads,
-                                                          monkeypatch, seed, batch_size,
-                                                          threads, budget):
-        bank_threads(threads)
+    def test_bank_and_rng_state_match_the_sequential_loop(self, specs, monkeypatch, seed,
+                                                          batch_size, budget):
         monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", batch_size)
         rng, oracle_rng = bank_rng(seed), bank_rng(seed)
         bank = build_goal_bank(specs["params"], 2, budget, rng, binning=specs["binning"])
@@ -293,10 +282,26 @@ class TestGoalBankThreads:
         assert_bank_matches_oracle(bank, oracle)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
-    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("params, binning", [
+        # Straight segments and the band around k_eps on most rows.
+        pytest.param(ArmParams(k_eps=0.02), BinningSpec(), id="large-k_eps"),
+        # A bend angle near 1 rad, where the guards are thinnest.
+        pytest.param(ArmParams(a_gain=5e-5), BinningSpec(d_max_mm=30.0), id="stiff"),
+        pytest.param(ArmParams(a_gain=0.01, l0_mm=900.0, p_max_kpa=20.0),
+                     BinningSpec(phi_egoal_edges_rad=(0.5, 0.5001, 0.5002), d_max_mm=5.0),
+                     id="long-narrow-edges"),
+    ])
+    def test_other_arms_and_binnings_match_the_sequential_loop(self, params, binning):
+        rng, oracle_rng = bank_rng(3), bank_rng(3)
+        bank = build_goal_bank(params, 2, 20_000, rng, binning=binning)
+        oracle = oracle_goal_bank(params, binning, 2, 20_000, oracle_rng,
+                                  pretrain_module.GOAL_SAMPLE_BATCH)
+        assert_bank_matches_oracle(bank, oracle)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     @pytest.mark.parametrize("batch_size", [1000, 3000])
-    def test_the_whole_budget_is_drawn_after_every_bin_fills(
-            self, specs, bank_threads, monkeypatch, batch_size, threads):
+    def test_the_whole_budget_is_drawn_after_every_bin_fills(self, specs, monkeypatch,
+                                                             batch_size):
         # Bins spread by the tip position's low digits, so all 1024 fill long
         # before the budget ends; the bank still draws every row of it.
         def scattered_bins(positions, directions, origin, binning):
@@ -305,7 +310,7 @@ class TestGoalBankThreads:
         monkeypatch.setattr(pretrain_module, "encode_goal_prefix_batch", scattered_bins)
         monkeypatch.setattr(importlib.import_module("hpnarm.state"),
                             "encode_goal_prefix_batch", scattered_bins)
-        bank_threads(threads)
+        monkeypatch.setattr(pretrain_module, "screen_goal_prefix_batch", every_row_exact)
         monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", batch_size)
         rng, oracle_rng = CountingGenerator(3), bank_rng(3)
         budget = 20_000  # the last bin fills at sample 6,522
@@ -318,84 +323,73 @@ class TestGoalBankThreads:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert rng.random() == oracle_rng.random()
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_one_batch_per_thread_is_drawn_ahead(self, specs, bank_threads, threads):
-        bank_threads(threads)
+    def test_batches_are_drawn_in_stream_order(self, specs, monkeypatch):
+        monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", 1000)
         rng = CountingGenerator(0)
-        with closing(pretrain_module._binned_batches(specs["params"], specs["binning"],
-                                                     9_500, rng, 1000)) as batches:
-            for k, _ in enumerate(batches):
-                assert len(rng.rows_drawn) == min(k + threads, 10)
+        build_goal_bank(specs["params"], 1, 9_500, rng, binning=specs["binning"])
         assert rng.rows_drawn == [1000] * 9 + [500]
 
-    def test_many_small_tasks_on_more_threads_than_cores(self, specs, bank_threads,
-                                                         monkeypatch):
-        # Tasks of 97 rows, so a batch spans several threads and they finish out
-        # of order; a short switch interval interleaves them as much as it can.
-        monkeypatch.setattr(pretrain_module, "_ROWS_PER_TASK", 97)
-        monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", 1500)
-        bank_threads((os.cpu_count() or 1) + 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            rng, oracle_rng = bank_rng(11), bank_rng(11)
-            bank = build_goal_bank(specs["params"], 2, 12_000, rng, binning=specs["binning"])
-        finally:
-            sys.setswitchinterval(interval)
-        oracle = oracle_goal_bank(specs["params"], specs["binning"], 2, 12_000, oracle_rng, 1500)
-        assert_bank_matches_oracle(bank, oracle)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    def test_only_rows_that_can_be_filed_go_exact(self, specs, monkeypatch):
+        # Every bin needs a goal while the first batch is drawn, so all of it
+        # goes exact. Later batches leave out the rows sure to bin to a full bin.
+        exact_rows = []
+        tip_batch = pretrain_module.tip_batch
 
-    def test_a_failing_task_raises_and_leaves_no_thread(self, specs, bank_threads,
-                                                        monkeypatch):
-        calls = itertools.count()  # numbers each call once, whichever thread makes it
-        fk_and_bin = pretrain_module._fk_and_bin
+        def counted(pressures, params):
+            exact_rows.append(len(pressures))
+            return tip_batch(pressures, params)
 
-        def failing(pressures, *args):
+        monkeypatch.setattr(pretrain_module, "tip_batch", counted)
+        bank = build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
+        assert len(exact_rows) == 8  # one call per batch of GOAL_SAMPLE_BATCH rows
+        assert exact_rows[0] == pretrain_module.GOAL_SAMPLE_BATCH
+        assert 0 < max(exact_rows[1:]) < pretrain_module.GOAL_SAMPLE_BATCH // 10
+        assert len(bank.bins) > 0
+
+    def test_a_failing_exact_fk_call_raises(self, specs, monkeypatch):
+        calls = itertools.count()
+        tip_batch = pretrain_module.tip_batch
+
+        def failing(pressures, params):
             if next(calls) == 2:
-                raise FloatingPointError("task failed")
-            return fk_and_bin(pressures, *args)
+                raise FloatingPointError("exact FK failed")
+            return tip_batch(pressures, params)
 
-        monkeypatch.setattr(pretrain_module, "_fk_and_bin", failing)
+        monkeypatch.setattr(pretrain_module, "tip_batch", failing)
         monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", 1000)
-        bank_threads(2)
-        with pytest.raises(FloatingPointError, match="task failed"):
+        with pytest.raises(FloatingPointError, match="exact FK failed"):
             build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
-        assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
 
-    def test_a_failing_filing_loop_leaves_no_thread(self, specs, bank_threads, monkeypatch):
-        # The third task files its goals past the last goal bin, so the filing
+    def test_a_failing_filing_loop_raises(self, specs, monkeypatch):
+        # The third batch files its goals past the last goal bin, so the filing
         # loop raises a few batches into the budget.
-        calls = itertools.count()  # numbers each call once, whichever thread makes it
+        calls = itertools.count()
         encode = pretrain_module.encode_goal_prefix_batch
 
         def out_of_range(*args):
             bins = encode(*args)
             return bins + N_GOAL_BINS if next(calls) == 2 else bins
 
-        # CPython frees the suspended generator as the exception unwinds; a
-        # runtime without reference counting keeps it until a collection,
-        # which this reference stands in for.
-        kept = []
-        binned_batches = pretrain_module._binned_batches
-
-        def kept_batches(*args):
-            kept.append(binned_batches(*args))
-            return kept[-1]
-
         monkeypatch.setattr(pretrain_module, "encode_goal_prefix_batch", out_of_range)
-        monkeypatch.setattr(pretrain_module, "_binned_batches", kept_batches)
+        monkeypatch.setattr(pretrain_module, "screen_goal_prefix_batch", every_row_exact)
         monkeypatch.setattr(pretrain_module, "GOAL_SAMPLE_BATCH", 1000)
-        bank_threads(2)
-        with pytest.raises(IndexError) as raised:
+        with pytest.raises(IndexError):
             build_goal_bank(specs["params"], 1, 60_000, bank_rng(0), binning=specs["binning"])
-        assert raised.tb is not None and len(kept) == 1
-        assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
 
-    def test_threads_end_with_the_call(self, specs, bank_threads):
-        bank_threads(3)
-        build_goal_bank(specs["params"], 1, 20_000, bank_rng(0), binning=specs["binning"])
-        assert not [t for t in threading.enumerate() if t.name.startswith("goal-bank")]
+    def test_pressures_out_of_range_are_refused_before_any_fk(self, specs, monkeypatch):
+        # Every drawn row is range-checked, also the rows the screen leaves out.
+        class Overdrawn(np.random.Generator):
+            def random(self, size=None, *args, **kwargs):
+                return super().random(size, *args, **kwargs) + 1.0
+
+        def refuse(*args):
+            raise AssertionError("FK ran on an out-of-range batch")
+
+        monkeypatch.setattr(pretrain_module, "tip_screen", refuse)
+        monkeypatch.setattr(pretrain_module, "tip_batch", refuse)
+        with pytest.raises(PressureRangeError, match="row 0 segment 0 chamber 0"):
+            build_goal_bank(specs["params"], 1, 100, Overdrawn(np.random.PCG64(0)),
+                            binning=specs["binning"])
 
 
 _ROW = [0.0, 0.0, 300.0, 0.0, 0.0, 1.0]

@@ -442,6 +442,26 @@ class TestRowStore:
             assert built.entry_count() == built.state_count() == 1 and built.nbytes == 9
         assert QTable().entry_count() == augment(QTable()).entry_count() == 0
 
+    @pytest.mark.parametrize("held", range(N_ACTIONS + 1))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_scalar_reads_equal_the_row_bit_for_bit(self, held, data):
+        # Signed zeros among the entries: numpy's sign of a zero maximum depends
+        # on where the +0 and -0 words sit in the row, and the reads must agree.
+        values = data.draw(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 1.5]),
+                                    min_size=held, max_size=held))
+        actions = data.draw(st.permutations(range(N_ACTIONS)))[:held]
+        state = 5 * N_TIP_STATES + 77
+        # Neighbouring states hold entries too, so each read must keep to its state's run.
+        states = [state - 1] * 2 + [state] * held + [state + 1] * 2
+        q = QTable.from_records(states, [0, 31, *actions, 0, 31], [FLAG_TRAINED] * len(states),
+                                [9.0, -9.0, *values, 9.0, -9.0])
+        bits = struct.Struct("<d").pack
+        row = q.values(state)
+        assert bits(q.max_value(state)) == bits(float(row.max()))
+        for a in range(N_ACTIONS):
+            assert bits(q.get(state, a)) == bits(float(row[a]))
+
     def test_bytes_are_the_states_and_the_rows(self):
         q = QTable.from_records([3 * N_TIP_STATES + 1, 3 * N_TIP_STATES + 1, 700 * N_TIP_STATES],
                                 [0, 5, 1], [1, 2, 1], [1.0, 2.0, 3.0])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hpnarm.config import RunConfig
-from hpnarm.pretrain import build_goal_bank
+from hpnarm.pretrain import build_goal_bank, default_sample_budget
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # numpy's RuntimeWarnings are errors in each script's interpreter too, as in pyproject.toml.
@@ -204,10 +204,25 @@ def test_bulk_cost(tmp_path):
     assert lines[1].split() == ["operation", "median", "ms", "minor", "faults", "traced",
                                 "peak", "MiB", "B/entry"], lines
     names = ["load", "augment r1", "augment r2", "augment r3", "record_arrays", "save"]
-    assert [line[:13].strip() for line in lines[2:]] == names, lines
-    for line in lines[2:]:
+    assert [line[:13].strip() for line in lines[2:8]] == names, lines
+    for line in lines[2:8]:
         ms, faults, peak, per_entry = line[13:].split()
         # No fault count is promised: the allocator may reuse pages touched before.
         assert int(faults) >= 0, lines
         assert all(float(x) > 0.0 for x in (ms, peak, per_entry)), lines
-    assert list(tmp_path.iterdir()) == []
+    # The goal bank pretrain(seed=1) builds: its stream, at the default quota and budget.
+    cfg = RunConfig()
+    budget = default_sample_budget(cfg.pretrain.quota)
+    bank = build_goal_bank(cfg.arm, cfg.pretrain.quota, budget,
+                           np.random.default_rng(np.random.SeedSequence((1, 1))),
+                           binning=cfg.binning)
+    assert lines[8] == (f"goal bank of quota {cfg.pretrain.quota} and budget {budget} samples: "
+                        f"{len(bank.bins)} reachable bins"), lines
+    assert lines[9].split() == ["operation", "median", "ms", "minor", "faults", "traced",
+                                "peak", "MiB", "exact", "FK", "rows"], lines
+    name, ms, faults, peak, exact = lines[10].split()
+    assert name == "build_goal_bank" and int(faults) >= 0, lines
+    assert float(ms) > 0.0 and float(peak) > 0.0, lines
+    # Every bank goal went through exact FK, and far fewer rows than were drawn.
+    assert bank.goal_count() <= int(exact) < budget // 10, lines
+    assert len(lines) == 11 and list(tmp_path.iterdir()) == []

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpnarm import (
@@ -17,9 +17,12 @@ from hpnarm import (
     StateEncoder,
     arm_forward_kinematics,
     rest_tip_origin,
+    tip_batch,
 )
+from hpnarm.kinematics import tip_screen
 from hpnarm.state import (
     GOAL_DIMS,
+    N_BINS_PER_DIM,
     N_GOAL_BINS,
     N_STATES,
     N_TIP_STATES,
@@ -30,6 +33,7 @@ from hpnarm.state import (
     encode_goal_prefix_batch,
     encode_tip_stack,
     goal_frame,
+    screen_goal_prefix_batch,
     spherical_of,
 )
 from oracles import (
@@ -437,3 +441,65 @@ class TestValidation:
         assert HyperParams(epsilon=np.float64(0.5), alpha=1).epsilon == 0.5
         spec = BinningSpec(d_tip_edges_mm=np.array([5, 30, 60], dtype=np.int16))
         assert spec.d_tip_edges_mm == (5.0, 30.0, 60.0)
+
+
+def screened_and_exact_bins(pressures, params, binning):
+    """screen_goal_prefix_batch's bins and sure rows over tip_screen, and the exact bins."""
+    origin = rest_tip_origin(params.l0_mm)
+    positions, directions, sure, guards = tip_screen(pressures, params)
+    bins, sure = screen_goal_prefix_batch(positions, directions, sure, guards, origin, binning)
+    exact = encode_goal_prefix_batch(*tip_batch(pressures, params), origin, binning)
+    return bins, sure, exact
+
+
+class TestGoalPrefixScreen:
+    @given(
+        a_gain=st.floats(-5.0, -1.3).map(lambda e: 10.0**e),
+        l0_mm=st.floats(1.0, 3.3).map(lambda e: 10.0**e),
+        k_eps=st.floats(-9.0, -1.5).map(lambda e: 10.0**e),
+        d_max_mm=st.floats(0.0, 3.0).map(lambda e: 10.0**e),
+        phi_first=st.floats(1e-3, 3.0),
+        phi_gap=st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_a_sure_row_has_the_exact_bin(self, a_gain, l0_mm, k_eps, d_max_mm, phi_first,
+                                          phi_gap, seed):
+        params = ArmParams(a_gain=a_gain, l0_mm=l0_mm, k_eps=k_eps)
+        binning = BinningSpec(d_max_mm=d_max_mm, phi_egoal_edges_rad=(
+            phi_first, phi_first + phi_gap, phi_first + 2.0 * phi_gap))
+        rng = np.random.default_rng(seed)
+        for _ in range(13):  # 106,496 rows, in batches the size of the goal bank's
+            pressures = rng.random((8192, 16)) * params.p_max_kpa
+            bins, sure, exact = screened_and_exact_bins(pressures, params, binning)
+            assert (bins[sure] == exact[sure]).all()
+
+    def test_nearly_every_default_row_is_sure(self, params, binning):
+        pressures = np.random.default_rng(8).random((8192, 16)) * params.p_max_kpa
+        bins, sure, exact = screened_and_exact_bins(pressures, params, binning)
+        assert sure.mean() > 0.95 and (bins[sure] == exact[sure]).all()
+
+    def test_a_straight_arm_on_the_axis_goes_exact(self, params, binning):
+        # At rest the tip sits on the goal origin (zero radius); pressurized
+        # evenly it rises along the axis, on the azimuth edges and the fold,
+        # and so does its direction.
+        pressures = np.array([np.zeros(16), np.full(16, 30.0)])
+        assert not screened_and_exact_bins(pressures, params, binning)[1].any()
+        # The bin screen alone finds them in the exact tips, as sure as the FK screen may be.
+        positions, directions = tip_batch(pressures, params)
+        assert (positions[:, :2] == 0.0).all() and (directions == (0.0, 0.0, 1.0)).all()
+        guards = tip_screen(pressures, params)[3]
+        _, sure = screen_goal_prefix_batch(positions, directions, np.ones(2, dtype=bool), guards,
+                                           rest_tip_origin(params.l0_mm), binning)
+        assert not sure.any()
+
+    def test_a_tip_on_a_d_goal_edge_goes_exact(self, params):
+        pressures = np.random.default_rng(6).random((2, 16)) * params.p_max_kpa
+        positions, _ = tip_batch(pressures, params)
+        rel = positions[0] - rest_tip_origin(params.l0_mm)
+        radius = math.sqrt(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2])
+        binning = BinningSpec(d_max_mm=4.0 * radius)  # the first edge is the radius itself
+        assert binning.edge_arrays[0][0] == radius
+        bins, sure, exact = screened_and_exact_bins(pressures, params, binning)
+        assert exact[0] // N_BINS_PER_DIM**4 == 1
+        assert sure.tolist() == [False, True] and bins[1] == exact[1]
