@@ -4,16 +4,20 @@ Builds the default table for --seed (pretrain at RunConfig defaults, written
 to a temporary .hpnq file) and prints the loaded table's stored entries, goal
 bins and bytes in memory and on disk. It then times load of that file, augment
 of the loaded table at radius 1, 2 and 3, and record_arrays and save of the
-loaded table. Each operation runs --calls times untimed by tracemalloc, for
-the median time and the median count of minor page faults per call (the
-process's getrusage ru_minflt across the call: pages mapped in on first touch,
-0 where the allocator reuses pages an earlier call touched), and once more
-under tracemalloc, for the peak of memory it allocated during the call. The
-peak is also given per stored entry of the table the operation writes or
-reads: augment's output, the loaded table otherwise. Last, it measures
-build_goal_bank the same way, on pretrain's stream for --seed at the default
-quota and budget, with the count of drawn rows the bank sent through exact
-FK (tip_batch) in one call. The bulk-path counterpart of step_cost.py.
+loaded table, and bin_rows of the loaded table over the goal bins of the
+eval_sweep goal set for --seed (the default suite plus 60 sample_goals drawn
+from SeedSequence((seed, 4))), the dense rows evaluate reads. Each operation
+runs --calls times untimed by tracemalloc, for the median time and the
+median count of minor page faults per call (the process's getrusage
+ru_minflt across the call: pages mapped in on first touch, 0 where the
+allocator reuses pages an earlier call touched), and once more under
+tracemalloc, for the peak of memory it allocated during the call. The peak
+is also given per stored entry of the table the operation writes or reads:
+augment's output, the loaded table otherwise (not for bin_rows, which reads
+only its goal bins' entries). Last, it measures build_goal_bank the same
+way, on pretrain's stream for --seed at the default quota and budget, with
+the count of drawn rows the bank sent through exact FK (tip_batch) in one
+call. The bulk-path counterpart of step_cost.py.
 
 Example:
     python3 scripts/bulk_cost.py --seed 1 --calls 15
@@ -35,7 +39,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hpnarm import qtable
 from hpnarm.config import RunConfig
+from hpnarm.evalrun import sample_goals
 from hpnarm.pretrain import build_goal_bank, default_sample_budget, pretrain
+from hpnarm.state import encode_goal_prefix_batch, rest_tip_origin
 
 # hpnarm.pretrain as a package attribute is the function, not the module.
 pretrain_module = importlib.import_module("hpnarm.pretrain")
@@ -108,6 +114,17 @@ def main() -> int:
         for name, n, run in operations:
             ms, faults, peak = cost(run, args.calls)
             print(f"{name:<13} {ms:10.1f} {faults:13.0f} {peak:16.1f} {peak * 2**20 / n:8.1f}")
+
+    goals = list(cfg.eval_goals())
+    goals += sample_goals(cfg.arm, 60, np.random.default_rng(np.random.SeedSequence((args.seed, 4))))
+    poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+    bins = np.unique(encode_goal_prefix_batch(poses[:, :3], poses[:, 3:],
+                                              rest_tip_origin(cfg.arm.l0_mm), cfg.binning))
+    print(f"eval_sweep goal set of {len(goals)} goals in {len(bins)} goal bins, "
+          f"{table.bin_rows(bins)[0].nbytes} bytes of dense rows")
+    print("operation      median ms  minor faults  traced peak MiB")
+    ms, faults, peak = cost(lambda: table.bin_rows(bins), args.calls)
+    print(f"{'bin_rows':<13} {ms:10.1f} {faults:13.0f} {peak:16.1f}")
 
     quota = p.quota
     budget = p.budget or default_sample_budget(quota)

@@ -13,8 +13,9 @@ calls for each lane count, and for evaluate the steps per call: a nominal lane
 stops at its first return to an arm configuration, so its calls run fewer
 steps than --max-steps, while a lane on the noisy plant runs until success or
 the step limit. Each evaluate cell ends with the median µs of a max_steps=1
-call on the same lanes: the per-call set-up (policy read, plant, lane and noise
-set-up, padding, results) that its per-step figures spread over its steps.
+call on the same lanes: the per-call set-up (the dense rows of the lanes' goal
+bins, QTable.bin_rows; plant, lane and noise set-up, padding, results) that
+its per-step figures spread over its steps.
 
 A last block splits a train_lockstep step at the largest lane count that
 ran into stages, in µs per step (median over --calls calls): the

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .episode import PerturbedPlantConfig, RewardSpec
 from .kinematics import ArmParams, arm_forward_kinematics
 from .qtable import ActionSpec, HyperParams, check_integers
-from .state import BinningSpec, GoalPose, check_goal_rows
+from .state import BinningSpec, GoalPose, check_goal_rows, check_real_types
 
 
 class ConfigError(ValueError):
@@ -25,22 +25,40 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GoalSpec:
-    """A goal pose as written in a config file; direction is normalized."""
+    """A goal pose as written in a config file; direction is normalized.
+
+    position_mm and direction must each be a sequence of three real numbers
+    (bools and strings refused), the direction nonzero and finite, else ValueError.
+    """
 
     position_mm: tuple[float, float, float]
     direction: tuple[float, float, float]
 
     def __post_init__(self):
-        pos = tuple(float(v) for v in self.position_mm)
-        dirn = np.array([float(v) for v in self.direction])
-        if len(pos) != 3 or len(dirn) != 3:
-            raise ValueError("goal position and direction need 3 components each")
-        # A zero, non-finite or overflowing norm leaves a row check_goal_rows refuses.
+        parts = {}
+        for name in ("position_mm", "direction"):
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)) or not np.iterable(value):
+                raise ValueError(f"{name} must be a sequence of 3 numbers, not {value!r}")
+            value = tuple(value)
+            for v in value:
+                check_real_types(**{name: v})
+            if len(value) != 3:
+                raise ValueError("goal position and direction need 3 components each")
+            parts[name] = np.array(value, dtype=float)
+        pos, dirn = parts["position_mm"], parts["direction"]
+        # Only a direction the plain division leaves off unit length, its squares
+        # having under- or overflowed float64, is scaled first, so every other
+        # keeps its bits. A zero or non-finite one stays a row check_goal_rows refuses.
         with np.errstate(all="ignore"):
-            dirn = dirn / (np.linalg.norm(dirn) or 1.0)
-        check_goal_rows(np.concatenate([pos, dirn])[None, None], 1)
-        object.__setattr__(self, "position_mm", pos)
-        object.__setattr__(self, "direction", tuple(dirn.tolist()))
+            unit = dirn / (np.linalg.norm(dirn) or 1.0)
+            big = np.abs(dirn).max()
+            if abs(np.linalg.norm(unit) - 1.0) > 1e-9 and 0.0 < big < np.inf:
+                dirn = dirn / big
+                unit = dirn / np.linalg.norm(dirn)
+        check_goal_rows(np.concatenate([pos, unit])[None, None], 1)
+        object.__setattr__(self, "position_mm", tuple(pos.tolist()))
+        object.__setattr__(self, "direction", tuple(unit.tolist()))
 
     def to_goal(self) -> GoalPose:
         return GoalPose(position=np.array(self.position_mm), direction=np.array(self.direction))
@@ -75,8 +93,12 @@ class EvalConfig:
     def __post_init__(self):
         check_integers(1, repetitions=self.repetitions, max_steps=self.max_steps)
         check_integers(0, seed=self.seed)
-        if self.goals is not None and len(self.goals) == 0:
-            raise ValueError("goal list, when given, must not be empty")
+        if self.goals is not None:
+            if not (isinstance(self.goals, Sequence)
+                    and all(isinstance(g, GoalSpec) for g in self.goals)):
+                raise ValueError(f"goals must be a sequence of GoalSpec, not {self.goals!r}")
+            if len(self.goals) == 0:
+                raise ValueError("goal list, when given, must not be empty")
 
 
 @dataclass(frozen=True)
@@ -144,18 +166,11 @@ def _build_section(cls, raw: Any, where: str):
         raise ConfigError(f"{where}: unknown field(s) {unknown}")
     kwargs = {k: _convert_value(k, v, where) for k, v in raw.items()}
     try:
-        section = cls(**kwargs)
+        return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{where}: {exc}") from exc
-    # YAML reads yes/true as a bool, which passes for 1 wherever a number is checked.
-    flags = {f.name for f in dataclasses.fields(cls) if f.type in (bool, "bool")}
-    for name, value in raw.items():
-        items = value if isinstance(value, list) else [value]
-        if name not in flags and any(isinstance(v, bool) for v in items):
-            raise ConfigError(f"{where}: {name} must not be a boolean, got {value!r}")
-    return section
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:

@@ -29,8 +29,9 @@ from .episode import (
     noise_generator,
 )
 from .kinematics import ArmParams, tip_batch
-from .qtable import ActionSpec, HyperParams, QTable, check_integers
-from .state import BinningSpec, GoalPose, encode_goal_prefix_batch, rest_tip_origin
+from .qtable import N_ACTIONS, ActionSpec, HyperParams, QTable, check_integers
+from .state import (N_TIP_STATES, BinningSpec, GoalPose, encode_goal_prefix_batch,
+                    rest_tip_origin)
 
 EVAL_CSV_COLUMNS = ("step", "time_s", "pos_error_mm", "rot_error_deg")
 
@@ -214,12 +215,13 @@ def evaluate(
     repetitions of a goal are the same episode: it runs once, as one lane,
     and is copied.
 
-    Greedy selection takes the argmax of the lane's row, ties to the lowest
-    action id. Each distinct goal bin's actions and row kinds are read once
-    (QTable.greedy_policy); a state without a row reads zero and counts as
-    empty. A lane that reaches success drops out. The lanes step on the
-    segment lattice of the nominal arm, or of the perturbed plant's
-    true_params, cached for the next call.
+    Each distinct goal bin's dense value rows and row kinds are read once
+    (QTable.bin_rows, 128 KiB of values a bin); an action without an entry
+    reads 0, and a state without one counts as empty. Each step takes the
+    argmax of every lane's row, ties to the lowest action id, as
+    train_lockstep does. A lane that reaches success drops out. The lanes
+    step on the segment lattice of the nominal arm, or of the perturbed
+    plant's true_params, cached for the next call.
 
     A noise-free lane's next arm configuration (_Lanes.configuration) is a
     function of its current one, so once it returns at step t to a
@@ -260,11 +262,11 @@ def evaluate(
     goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
     goal_bins = encode_goal_prefix_batch(goal_poses[:, :3], goal_poses[:, 3:],
                                          rest_tip_origin(params.l0_mm), binning)
-    # The greedy action and row kind at every tip state of each distinct goal
-    # bin, read once. Row kind: 0 holds a trained entry, 1 only augmented
-    # ones, 2 is empty.
+    # The value rows and row kinds of each distinct goal bin, read once. Lane
+    # i's row for a tip state is its goal's slot * N_TIP_STATES + state.
     used, goal_slot = np.unique(goal_bins, return_inverse=True)
-    policy, kind = table.greedy_policy(used)
+    rows, kind = table.bin_rows(used)
+    rows, kind = rows.reshape(-1, N_ACTIONS), kind.reshape(-1)
 
     length = max_steps + 1
     fk_params, droop_gain, noise = params, None, None
@@ -282,7 +284,7 @@ def evaluate(
             ])
     copies = repetitions if noise is None else 1
     lane_reps = repetitions // copies  # lanes per goal
-    lane_slot = np.repeat(goal_slot, lane_reps)  # by lane id
+    lane_base = np.repeat(goal_slot, lane_reps) * N_TIP_STATES  # by lane id
     n = len(goals) * lane_reps
     lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
                    repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
@@ -300,7 +302,7 @@ def evaluate(
         config = lanes.configuration()
         held = np.empty((n, length, config.shape[1]), dtype=config.dtype)
         held[:, 0] = config
-    ids, slot = lanes.ids, lane_slot
+    ids, base = lanes.ids, lane_base
     for step in range(1, length):
         if np.count_nonzero(ended):
             last[ids[ended]] = step - 1
@@ -308,10 +310,10 @@ def evaluate(
             if len(lanes) == 0:
                 break
             ids = lanes.ids
-            slot = lane_slot[ids]
-        at = slot, lanes.state
-        kinds[ids, step - 1] = kind[at]
-        lanes.step(policy[at])
+            base = lane_base[ids]
+        row = base + lanes.state
+        kinds[ids, step - 1] = kind.take(row)
+        lanes.step(rows.take(row, axis=0).argmax(axis=1))
         pos[ids, step], rot[ids, step] = lanes.pos, lanes.rot
         ended = reward_spec.is_success(lanes.pos, lanes.rot)
         if noise is None:

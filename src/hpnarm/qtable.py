@@ -5,7 +5,10 @@ word recording how the entry came to be: bit 0 set by a learning update,
 bit 1 set by neighbor-mean augmentation. Entries never touched read as
 value 0 with flags 0. Storage is one layout from training to disk: the
 stored entries in (state, action) order, a uint32 key, a float32 value
-and a uint8 flag word each (see QTable). The on-disk format is the same
+and a uint8 flag word each (see QTable). Both lockstep loops select on
+dense (goal bins, tip states, actions) float32 rows, 0 where no entry is
+stored: training writes them and hands them over (from_checked_arrays),
+evaluation reads them (QTable.bin_rows). The on-disk format is the same
 entries as a flat record list: little-endian, magic "HPNQ", version,
 action count, entry count, records sorted by (state, action), CRC32 over
 everything before the checksum itself.
@@ -164,7 +167,8 @@ class QTable:
     update, the TD backup, writes an entry after that. An update of an
     entry not stored inserts it at its sorted place, replacing the three
     arrays. Read the entries only through the methods here: no code
-    outside this module indexes the storage.
+    outside this module indexes the storage. Greedy evaluation reads whole
+    goal bins at once, as dense value rows and row kinds (bin_rows).
 
     Flag words hold only the defined bits, FLAG_TRAINED and FLAG_AUGMENTED:
     from_records and load reject any other bit, and the other builders and
@@ -259,52 +263,28 @@ class QTable:
         """Number of states holding at least one stored entry."""
         return len(np.unique(self._keys >> _ACTION_BITS))
 
-    def greedy_policy(self, goal_bins) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy action and row kind at every tip state of each goal bin given.
+    def bin_rows(self, goal_bins) -> tuple[np.ndarray, np.ndarray]:
+        """Dense value rows and row kinds of every tip state of each goal bin given.
 
-        Returns two (len(goal_bins), N_TIP_STATES) int64 arrays: the argmax of
-        the state's value row, an action without an entry reading 0, ties to
-        the lowest action id, and the row's kind: 0 if it holds a trained
-        entry, 1 if only augmented ones, 2 if it is empty. A state without an
-        entry reads action 0 and kind 2.
+        Returns (m, N_TIP_STATES, N_ACTIONS) float32 values, row [i, t] being
+        values(goal_bins[i] * N_TIP_STATES + t), 0 where no entry is stored
+        (the layout train_lockstep writes), and (m, N_TIP_STATES) int8 kinds
+        from the stored flag words: 0 if the row holds a trained entry, 1 if
+        only augmented ones, 2 if neither. ``goal_bins`` must be integers,
+        strictly increasing and inside [0, N_GOAL_BINS), else ValueError.
         """
-        goal_bins = np.asarray(goal_bins, dtype=np.int64)
-        edges = np.clip(np.append(goal_bins, goal_bins + 1), 0, N_GOAL_BINS).astype(np.uint32)
-        edges = self._keys.searchsorted(edges * np.uint32(N_TIP_STATES * N_ACTIONS))
-        lo, hi = edges[:len(goal_bins)], edges[len(goal_bins):]
-        # Goal bin i's entries are the run lo[i]:hi[i]; take them all, run by run.
-        runs = [slice(0, 0)] + [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-        keys = np.concatenate([self._keys[r] for r in runs])
-        action = keys & (N_ACTIONS - 1)
-        # Each entry's cell of the (goal bins, tip states) outputs, and where each state starts.
-        cell = np.repeat(np.arange(len(goal_bins)) << _TIP_BITS, hi - lo)
-        cell |= (keys >> _ACTION_BITS) & (N_TIP_STATES - 1)
-        new = np.empty(len(cell), dtype=bool)
-        new[:1] = True
-        np.not_equal(cell[1:], cell[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        # A row's argmax is its greatest word value << 5 | 31 - action, the value's
-        # float32 bits ordered as signed ints, -0.0 read as 0.0 as argmax reads it.
-        bits = np.concatenate([self._values[r] for r in runs]).view(np.int32)
-        bits[bits == np.iinfo(np.int32).min] = 0
-        bits ^= (bits >> 31) & 0x7FFFFFFF
-        best = bits.astype(np.int64) << _ACTION_BITS
-        best |= N_ACTIONS - 1 - action
-        best = np.maximum.reduceat(best, starts)
-        # Per state: its flag words OR-ed, above bit 32, and a bit for each action held.
-        held = np.concatenate([self._flags[r] for r in runs]).astype(np.int64) << 32
-        held |= np.left_shift(1, action, dtype=np.int64)
-        held = np.bitwise_or.reduceat(held, starts)
-        # The lowest action without an entry reads 0: value bits 0, word 31 - action.
-        free = ~held & (held + 1) & 0xFFFFFFFF
-        zero = N_ACTIONS - np.frexp(free)[1]
-        best = np.where((free != 0) & (zero > best), zero, best)
-        held >>= 32
-        policy = np.zeros((len(goal_bins), N_TIP_STATES), dtype=np.int64)
-        kind = np.full(policy.shape, 2, dtype=np.int64)
-        policy.reshape(-1)[cell[starts]] = N_ACTIONS - 1 - (best & (N_ACTIONS - 1))
-        kind.reshape(-1)[cell[starts]] = np.where(held & FLAG_TRAINED, 0, np.where(held, 1, 2))
-        return policy, kind
+        goal_bins = _goal_bin_ids(goal_bins)
+        span = N_TIP_STATES * N_ACTIONS
+        values = np.zeros((len(goal_bins), span), dtype=np.float32)
+        kind = np.full((len(goal_bins), N_TIP_STATES), 2, dtype=np.int8)
+        for i, b in enumerate(goal_bins.tolist()):
+            lo, hi = self._keys.searchsorted(np.array([b, b + 1], np.uint32) * span).tolist()
+            cell = self._keys[lo:hi] & np.uint32(span - 1)  # tip state * N_ACTIONS + action
+            values[i, cell] = self._values[lo:hi]
+            flags, state = self._flags[lo:hi], cell >> _ACTION_BITS
+            kind[i, state[flags != 0]] = 1
+            kind[i, state[(flags & FLAG_TRAINED) != 0]] = 0
+        return values.reshape(-1, N_TIP_STATES, N_ACTIONS), kind
 
     # -- write paths --------------------------------------------------------
 

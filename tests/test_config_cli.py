@@ -9,11 +9,15 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpnarm import ArmParams, BinningSpec, arm_forward_kinematics
 from hpnarm.cli import main
 from hpnarm.config import (
     ConfigError,
+    EvalConfig,
+    GoalSpec,
     RunConfig,
     config_from_mapping,
     default_eval_goals,
@@ -21,10 +25,11 @@ from hpnarm.config import (
 )
 from hpnarm.pretrain import GoalBankError, config_fingerprint
 from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, MAGIC, QTable, QTableIOError, load, save
-from hpnarm.state import N_GOAL_BINS
+from hpnarm.state import N_GOAL_BINS, check_goal_rows
 from oracles import write_goal_bank
 
 MID = 30.0  # p_max/2, the pressure every episode starts from
+GOAL_SPEC = GoalSpec(position_mm=(0.0, 0.0, 500.0), direction=(0.0, 0.0, 1.0))
 
 
 @pytest.fixture()
@@ -216,12 +221,8 @@ class TestGoalConfiguration:
     def test_goal_validation(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"eval": {"goals": [{"position_mm": [0, 0], "direction": [0, 0, 1]}]}})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"eval": {"goals": [{"position_mm": [0, 0, 1], "direction": [0, 0, 0]}]}})
-        # The squared norm overflows float64.
         with pytest.raises(ConfigError, match=r"eval\.goals\[0\]: goal directions are not unit"):
-            config_from_mapping({"eval": {"goals": [{"position_mm": [0, 0, 1],
-                                                     "direction": [1e308, 1e308, 0]}]}})
+            config_from_mapping({"eval": {"goals": [{"position_mm": [0, 0, 1], "direction": [0, 0, 0]}]}})
         with pytest.raises(ConfigError):
             config_from_mapping({"eval": {"goals": []}})
         with pytest.raises(ConfigError):
@@ -236,6 +237,74 @@ class TestGoalConfiguration:
         goal = {"position_mm": [0.0, 0.0, 500.0], "direction": [0.0, 3e-12, 4e-12]}
         (spec,) = config_from_mapping({"eval": {"goals": [goal]}}).eval.goals
         assert np.allclose(spec.direction, (0.0, 0.6, 0.8), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("direction, unit", [
+        ([1e-300, 0.0, 0.0], (1.0, 0.0, 0.0)),  # the squares underflow to 0
+        ([0.0, 3e-170, -4e-170], (0.0, 0.6, -0.8)),  # to subnormals
+        ([5e-324, 5e-324, 0.0], (0.5**0.5, 0.5**0.5, 0.0)),
+        ([1e308, 1e308, 0.0], (0.5**0.5, 0.5**0.5, 0.0)),  # overflow, norm 1.41e308
+        ([-1.7e308, 0.0, 0.0], (-1.0, 0.0, 0.0)),
+    ])
+    def test_direction_whose_squares_leave_float64_is_normalized(self, direction, unit):
+        # Each was refused as "goal directions are not unit vectors".
+        goal = {"position_mm": [0.0, 0.0, 500.0], "direction": direction}
+        (spec,) = config_from_mapping({"eval": {"goals": [goal]}}).eval.goals
+        assert np.allclose(spec.direction, unit, rtol=0.0, atol=1e-15)
+        assert abs(np.linalg.norm(spec.direction) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("direction, match", [
+        ([0.0, 0.0, 0.0], "not unit vectors"),
+        ([float("inf"), 0.0, 0.0], "must be finite"),
+        ([float("nan"), 0.0, 1.0], "must be finite"),
+        ([1e308, float("-inf"), 0.0], "must be finite"),
+    ])
+    def test_zero_and_non_finite_directions_refused(self, direction, match):
+        with pytest.raises(ValueError, match=match):
+            GoalSpec(position_mm=(0.0, 0.0, 500.0), direction=direction)
+
+    @given(direction=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                              min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_directions_normalized_before_keep_their_bits(self, direction):
+        # The plain division: every direction it brings to unit length keeps its bits.
+        dirn = np.array(direction)
+        with np.errstate(all="ignore"):
+            plain = dirn / (np.linalg.norm(dirn) or 1.0)
+        try:
+            check_goal_rows(np.concatenate([[0.0, 0.0, 500.0], plain])[None, None], 1)
+        except ValueError:
+            return
+        spec = GoalSpec(position_mm=(0.0, 0.0, 500.0), direction=direction)
+        assert np.array(spec.direction).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"position_mm": ("1", 0, 300)}, "position_mm must be a real number, not '1'"),
+        ({"direction": (0, "0", 1)}, "direction must be a real number"),
+        ({"position_mm": (0, 0, True)}, "position_mm must not be a boolean"),
+        ({"direction": (0, 0, np.True_)}, "direction must not be a boolean"),
+        ({"position_mm": 5.0}, "position_mm must be a sequence of 3 numbers"),
+        ({"direction": "001"}, "direction must be a sequence of 3 numbers"),
+        ({"position_mm": b"\x00\x00\x01"}, "position_mm must be a sequence of 3 numbers"),
+        ({"direction": None}, "direction must be a sequence of 3 numbers"),
+        ({"position_mm": (0, 0)}, "need 3 components each"),
+    ])
+    def test_goal_spec_refuses_what_is_not_three_reals(self, kwargs, match):
+        # "1" was read as 1.0; 5.0 and None raised TypeError.
+        fields = {"position_mm": (0.0, 0.0, 500.0), "direction": (0.0, 0.0, 1.0), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            GoalSpec(**fields)
+
+    def test_goal_spec_takes_numpy_components(self):
+        spec = GoalSpec(position_mm=np.array([1.0, 2.0, 3.0]),
+                        direction=(np.float32(0.0), np.int64(0), 2))
+        assert spec.position_mm == (1.0, 2.0, 3.0) and spec.direction == (0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("goals", [5, "goals", [{"position_mm": [0, 0, 1]}], {GOAL_SPEC}],
+                             ids=["int", "str", "mapping", "set"])
+    def test_eval_config_refuses_goals_that_are_not_a_sequence_of_goal_specs(self, goals):
+        # EvalConfig(goals=5) raised TypeError.
+        with pytest.raises(ValueError, match="goals must be a sequence of GoalSpec"):
+            EvalConfig(goals=goals)
 
     def test_default_suite_has_two_straight_and_two_mirrored_goals(self):
         params = ArmParams()
@@ -503,17 +572,23 @@ class TestEvalCommand:
         assert "error:" in result.output
         assert out.read_text() == "not a directory"
 
-    def test_goal_direction_whose_norm_overflows_exits_2(self, runner, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.yaml",
-            "eval:\n  repetitions: 1\n  max_steps: 5\n  goals:\n"
-            "    - position_mm: [0.0, 0.0, 500.0]\n      direction: [1.0e+308, 1.0e+308, 0.0]\n",
-        )
-        out = tmp_path / "ev"
-        result = runner.invoke(main, ["eval", "--config", cfg, "--zero-init", "--out", str(out)])
-        assert result.exit_code == 2, result.output
-        assert "error: eval.goals[0]: goal directions are not unit vectors" in result.output
-        assert not out.exists()
+    def test_goal_direction_whose_norm_overflows_runs_and_a_zero_one_exits_2(self, runner,
+                                                                             tmp_path):
+        # The overflowing direction was refused as not a unit vector.
+        for direction, code in (("[1.0e+308, 1.0e+308, 0.0]", 0), ("[0.0, 0.0, 0.0]", 2)):
+            cfg = write_config(
+                tmp_path / "c.yaml",
+                "eval:\n  repetitions: 1\n  max_steps: 5\n  goals:\n"
+                f"    - position_mm: [0.0, 0.0, 500.0]\n      direction: {direction}\n",
+            )
+            out = tmp_path / f"ev{code}"
+            result = runner.invoke(main, ["eval", "--config", cfg, "--zero-init",
+                                          "--out", str(out)])
+            assert result.exit_code == code, result.output
+            if code:
+                assert "error: eval.goals[0]: goal directions are not unit vectors" in (
+                    result.output)
+            assert out.exists() == (code == 0)
 
     def test_unreadable_table_exits_1(self, runner, tmp_path):
         missing = runner.invoke(main, ["eval", "--table", str(tmp_path / "no.qt")])

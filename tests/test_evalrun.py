@@ -402,6 +402,35 @@ class TestLockstepMatchesEpisodeOracle:
         assert report.results[i].success[0]
         assert_matches_oracle(report, oracle, tmp_path)
 
+    @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
+    def test_rows_of_ties_signed_zeros_and_unstored_actions(self, specs, tmp_path, monkeypatch,
+                                                            plant_kind):
+        # Every state of the goals' bins holds three entries valued from a set
+        # with ties, -0.0 and all-negative rows, so the greedy pick is often an
+        # unstored action reading 0, or a stored -0.0 tying those zeros.
+        origin = rest_tip_origin(specs["params"].l0_mm)
+        goals = sample_goals(specs["params"], 6, np.random.default_rng(41))
+        bins = sorted({StateEncoder(g, origin, specs["binning"]).goal_bin for g in goals})
+        rng = np.random.default_rng(42)
+        states = np.repeat(np.concatenate([b * 1024 + np.arange(1024) for b in bins]), 3)
+        actions = rng.integers(0, 4, len(states)) * 8 + np.tile([0, 2, 5], len(states) // 3)
+        values = rng.choice(np.float32([-2.0, -0.5, -0.0, 0.0, 0.25, 1.5]), len(states))
+        table = QTable.from_records(states, actions, rng.integers(0, 4, len(states)), values)
+        picks = []
+        step = episode._Lanes.step
+
+        def recorded(lanes, action):
+            picks.extend(action.tolist())
+            step(lanes, action)
+
+        monkeypatch.setattr(episode._Lanes, "step", recorded)
+        report, oracle = run_both(specs, table, goals, plant_kind=plant_kind,
+                                  repetitions=2, max_steps=120)
+        assert_matches_oracle(report, oracle, tmp_path)
+        trained, augmented, _ = report.selection_counts()
+        assert trained > 0 and augmented > 0
+        assert {a % 8 for a in picks} - {0, 2, 5}  # some picks are unstored actions
+
     def test_goal_result_does_not_depend_on_the_other_goals(self, specs, trained):
         table, goals = trained
         kwargs = dict(plant_kind="perturbed", reward_spec=LOOSE_REWARD, repetitions=3,

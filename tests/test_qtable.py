@@ -507,7 +507,7 @@ class TestRowStore:
         assert built[0].state_count() == len({s for s, _ in entries})
         assert updated.bins.tolist() == sorted(q.bins.tolist() + [new_bin])
 
-    def test_greedy_policy_reads_each_state_row(self):
+    def test_bin_rows_read_each_state_row(self):
         entries = clustered_entries(seed=4)
         empty = min(entries)[0] // N_TIP_STATES * N_TIP_STATES + 5
         assert all(s != empty for s, _ in entries)
@@ -515,41 +515,63 @@ class TestRowStore:
         q = table_of(entries)
         assert q.entry_count() == len(entries) - 1 and not q.flags(empty).any()
         assert q.state_count() == len({s for s, _ in entries}) - 1
-        missing = next(b for b in range(1024) if b not in set(q.bins.tolist()))
-        goal_bins = q.bins.tolist() + [missing]
-        policy, kind = q.greedy_policy(goal_bins)
-        assert policy.shape == kind.shape == (len(goal_bins), N_TIP_STATES)
+        held = q.bins.tolist()
+        missing = [b for b in range(1024) if b not in set(held)]
+        goal_bins = sorted(held + [missing[0], missing[-1]])
+        rows, kind = q.bin_rows(goal_bins)
+        assert rows.shape == (len(goal_bins), N_TIP_STATES, N_ACTIONS)
+        assert rows.dtype == np.float32
+        assert kind.shape == (len(goal_bins), N_TIP_STATES)
         for i, goal_bin in enumerate(goal_bins):
             for suffix in range(N_TIP_STATES):
                 state = goal_bin * N_TIP_STATES + suffix
                 flags = q.flags(state)
                 want = 0 if (flags & FLAG_TRAINED).any() else 1 if flags.any() else 2
-                assert policy[i, suffix] == q.values(state).argmax()
+                assert rows[i, suffix].tobytes() == q.values(state).tobytes()
                 assert kind[i, suffix] == want
         assert set(np.unique(kind).tolist()) == {0, 1, 2}
+        # A bin the table does not hold reads all zeros, every row empty.
+        for goal_bin in (missing[0], missing[-1]):
+            i = goal_bins.index(goal_bin)
+            assert not rows[i].view(np.uint32).any() and (kind[i] == 2).all()
+        rows, kind = QTable().bin_rows([0, 1023])
+        assert not rows.view(np.uint32).any() and (kind == 2).all()
 
-    def test_greedy_policy_takes_an_unstored_action_over_negative_values(self):
+    @pytest.mark.parametrize("goal_bins", [[3, 2], [4, 4], [-1], [1024], [2.0], [True]])
+    def test_bin_rows_refuse_bins_out_of_order_or_range(self, goal_bins):
+        with pytest.raises(ValueError, match="goal bin"):
+            table_of({(5, 1): (1.0, FLAG_TRAINED)}).bin_rows(goal_bins)
+
+    def test_bin_rows_argmax_takes_an_unstored_action_over_negative_values(self):
         # The state's stored values are all below the 0 every other action reads.
         state = 7 * N_TIP_STATES + 300
         q = table_of({(state, 0): (-1.0, FLAG_TRAINED), (state, 1): (-0.5, FLAG_AUGMENTED),
                       (state, 2): (-2.0, FLAG_TRAINED), (state, 4): (-0.25, 0)})
-        policy, kind = q.greedy_policy([7])
-        assert policy[0, 300] == q.values(state).argmax() == 3
+        rows, kind = q.bin_rows([7])
+        assert rows[0].argmax(axis=1)[300] == q.values(state).argmax() == 3
         assert kind[0, 300] == 0
-        assert (np.delete(policy[0], 300) == 0).all() and (np.delete(kind[0], 300) == 2).all()
-        # A stored -0.0 equals the 0 an unstored action reads, and comes first.
+        assert (np.delete(rows[0].argmax(axis=1), 300) == 0).all()
+        assert (np.delete(kind[0], 300) == 2).all()
+        # A stored -0.0 ties the 0 an unstored action reads, and comes first.
         q = table_of({(state, 0): (np.float32(-0.0), FLAG_TRAINED), (state, 1): (-1.0, 1)})
-        assert q.greedy_policy([7])[0][0, 300] == q.values(state).argmax() == 0
+        rows, _ = q.bin_rows([7])
+        assert rows[0, 300, :1].view(np.uint32).tolist() == [0x80000000]
+        assert rows[0, 300].argmax() == q.values(state).argmax() == 0
 
-    def test_greedy_policy_reads_a_state_holding_all_its_entries(self):
+    def test_bin_rows_read_a_state_holding_all_its_entries(self):
         state = 1023 * N_TIP_STATES + 1023
         values = np.linspace(-3.0, 2.0, N_ACTIONS, dtype=np.float32)
         values[[9, 20]] = 5.0  # a tie: the lower id wins
         q = table_of({(state, a): (values[a], FLAG_AUGMENTED) for a in range(N_ACTIONS)})
         assert q.entry_count() == N_ACTIONS and q.state_count() == 1
-        policy, kind = q.greedy_policy([1023])
-        assert policy[0, 1023] == 9 and kind[0, 1023] == 1
-        assert (policy[0, :1023] == 0).all() and (kind[0, :1023] == 2).all()
+        rows, kind = q.bin_rows([1023])
+        assert rows[0, 1023].tobytes() == values.tobytes()
+        assert rows[0, 1023].argmax() == 9 and kind[0, 1023] == 1
+        assert (rows[0, :1023].argmax(axis=1) == 0).all() and (kind[0, :1023] == 2).all()
+        # A tie over all 32 stored entries, no unstored zero among them: the lowest id.
+        q = table_of({(state, a): (-1.0, FLAG_TRAINED) for a in range(N_ACTIONS)})
+        rows, kind = q.bin_rows([1023])
+        assert rows[0, 1023].argmax() == 0 and kind[0, 1023] == 0
 
     @given(entries=st.dictionaries(
         st.tuples(st.sampled_from([5, 6, N_TIP_STATES - 1, 3 * N_TIP_STATES]),
@@ -557,18 +579,23 @@ class TestRowStore:
         st.tuples(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.5]), st.integers(0, 3)),
         max_size=70))
     @settings(max_examples=60, deadline=None)
-    def test_greedy_policy_is_the_argmax_of_each_row(self, entries):
-        # Ties, zeros of either sign, all-negative rows and full rows: the
-        # policy reads as the argmax of the row values() gives, unstored actions 0.
+    def test_bin_rows_are_the_values_of_each_row_bit_for_bit(self, entries):
+        # Ties, zeros of either sign, all-negative rows and full rows, every flag word.
         q = table_of({k: (np.float32(v), f) for k, (v, f) in entries.items()})
-        policy, kind = q.greedy_policy([0, 3])
-        for i, goal_bin in enumerate([0, 3]):
-            for suffix in (5, 6, N_TIP_STATES - 1, 0):
+        bins = [0, 3]
+        rows, kind = q.bin_rows(bins)
+        read = [5, 6, N_TIP_STATES - 1, 0]  # every state an entry can be at, and one empty
+        for i, goal_bin in enumerate(bins):
+            for suffix in read:
                 state = goal_bin * N_TIP_STATES + suffix
                 flags = q.flags(state)
-                assert policy[i, suffix] == q.values(state).argmax()
+                assert (rows[i, suffix].view(np.uint32).tobytes()
+                        == q.values(state).view(np.uint32).tobytes())
                 assert kind[i, suffix] == (0 if (flags & FLAG_TRAINED).any() else
                                            1 if flags.any() else 2)
+                assert rows[i, suffix].argmax() == q.values(state).argmax()
+        rest = np.delete(np.arange(N_TIP_STATES), read)
+        assert not rows[:, rest].view(np.uint32).any() and (kind[:, rest] == 2).all()
 
 
 class TestSelectAction:

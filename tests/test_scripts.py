@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from hpnarm.config import RunConfig
+from hpnarm.evalrun import sample_goals
 from hpnarm.pretrain import build_goal_bank, default_sample_budget
+from hpnarm.state import StateEncoder, rest_tip_origin
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # numpy's RuntimeWarnings are errors in each script's interpreter too, as in pyproject.toml.
@@ -210,19 +212,33 @@ def test_bulk_cost(tmp_path):
         # No fault count is promised: the allocator may reuse pages touched before.
         assert int(faults) >= 0, lines
         assert all(float(x) > 0.0 for x in (ms, peak, per_entry)), lines
-    # The goal bank pretrain(seed=1) builds: its stream, at the default quota and budget.
+    # bin_rows over the goal bins of the eval_sweep goal set for seed 1: the
+    # default suite and 60 goals sampled from SeedSequence((1, 4)).
     cfg = RunConfig()
+    goals = list(cfg.eval_goals())
+    goals += sample_goals(cfg.arm, 60, np.random.default_rng(np.random.SeedSequence((1, 4))))
+    bins = {StateEncoder(g, rest_tip_origin(cfg.arm.l0_mm), cfg.binning).goal_bin
+            for g in goals}
+    assert lines[8] == (f"eval_sweep goal set of 64 goals in {len(bins)} goal bins, "
+                        f"{len(bins) * 1024 * 32 * 4} bytes of dense rows"), lines
+    assert lines[9].split() == ["operation", "median", "ms", "minor", "faults", "traced",
+                                "peak", "MiB"], lines
+    name, ms, faults, peak = lines[10].split()
+    assert name == "bin_rows" and int(faults) >= 0, lines
+    # The dense rows are most of what a call allocates.
+    assert float(ms) > 0.0 and float(peak) >= len(bins) * 0.125, lines
+    # The goal bank pretrain(seed=1) builds: its stream, at the default quota and budget.
     budget = default_sample_budget(cfg.pretrain.quota)
     bank = build_goal_bank(cfg.arm, cfg.pretrain.quota, budget,
                            np.random.default_rng(np.random.SeedSequence((1, 1))),
                            binning=cfg.binning)
-    assert lines[8] == (f"goal bank of quota {cfg.pretrain.quota} and budget {budget} samples: "
-                        f"{len(bank.bins)} reachable bins"), lines
-    assert lines[9].split() == ["operation", "median", "ms", "minor", "faults", "traced",
-                                "peak", "MiB", "exact", "FK", "rows"], lines
-    name, ms, faults, peak, exact = lines[10].split()
+    assert lines[11] == (f"goal bank of quota {cfg.pretrain.quota} and budget {budget} samples: "
+                         f"{len(bank.bins)} reachable bins"), lines
+    assert lines[12].split() == ["operation", "median", "ms", "minor", "faults", "traced",
+                                 "peak", "MiB", "exact", "FK", "rows"], lines
+    name, ms, faults, peak, exact = lines[13].split()
     assert name == "build_goal_bank" and int(faults) >= 0, lines
     assert float(ms) > 0.0 and float(peak) > 0.0, lines
     # Every bank goal went through exact FK, and far fewer rows than were drawn.
     assert bank.goal_count() <= int(exact) < budget // 10, lines
-    assert len(lines) == 11 and list(tmp_path.iterdir()) == []
+    assert len(lines) == 14 and list(tmp_path.iterdir()) == []
