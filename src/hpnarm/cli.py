@@ -46,7 +46,7 @@ _CONFIG_OPT = click.option(
     "--config", "config_path", type=click.Path(), default=None,
     help="YAML run config; defaults apply when omitted.",
 )
-# The .hpnb goal bank header stores the seed as a u64.
+# A seed is a u64: pretrain() and the scripts' --seed take the same range.
 _SEED_OPT = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
                          help="Override the config seed.")
 
@@ -86,7 +86,6 @@ def pretrain(config_path, seed, out_path, allow_large_run):
         max_steps=pc.max_steps,
         augment_radius=pc.augment_radius,
         out_path=out_path if out_path is not None else cfg.output.table_path,
-        bank_path=cfg.output.goal_bank_path,
         allow_large_run=pc.allow_large_run or allow_large_run,
     )
     click.echo(summary.format())

@@ -105,14 +105,10 @@ class EvalConfig:
 class OutputConfig:
     table_path: str = "qtable.hpnq"
     eval_dir: str = "eval"
-    goal_bank_path: str | None = None
 
     def __post_init__(self):
         # open() takes an int as a file descriptor, so a path must be a string.
-        paths = {"table_path": self.table_path, "eval_dir": self.eval_dir}
-        if self.goal_bank_path is not None:
-            paths["goal_bank_path"] = self.goal_bank_path
-        for name, value in paths.items():
+        for name, value in (("table_path", self.table_path), ("eval_dir", self.eval_dir)):
             if isinstance(value, bool):
                 raise ValueError(f"{name} must not be a boolean, got {value!r}")
             if not isinstance(value, str):

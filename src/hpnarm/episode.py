@@ -178,8 +178,10 @@ class PerturbedPlant:
                  episode: tuple[int, ...] = ()):
         scale_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         lo, hi = 1.0 - cfg.scale_spread, 1.0 + cfg.scale_spread
-        self.a_scale = cfg.a_scale if cfg.a_scale is not None else float(scale_rng.uniform(lo, hi))
-        self.b_scale = cfg.b_scale if cfg.b_scale is not None else float(scale_rng.uniform(lo, hi))
+        # Both scales are drawn, pinned or not, so pinning one leaves the other's draw.
+        a_draw, b_draw = scale_rng.uniform(lo, hi, 2).tolist()
+        self.a_scale = a_draw if cfg.a_scale is None else cfg.a_scale
+        self.b_scale = b_draw if cfg.b_scale is None else cfg.b_scale
         self.cfg = cfg
         self.seed = seed
         self.nominal_params = params

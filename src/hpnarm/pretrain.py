@@ -6,9 +6,9 @@ vectors, that land in it. A float32 screen bins every sample, and exact
 forward kinematics runs only on the samples that can still be banked, so
 the bank is the one exact kinematics of every sample gives. Bins that never
 fill are unreachable and left out, so every goal the controller trains on is
-known to be attainable. The bank is two arrays, the layout of its .hpnb cache
-file: the reachable bins, and per bin `quota` goal rows of position then
-direction. Round k of training runs goal k of every bin.
+known to be attainable. The bank is two arrays: the reachable bins, and per
+bin `quota` goal rows of position then direction. pretrain samples it anew on
+every run. Round k of training runs goal k of every bin.
 
 Training runs every reachable bin's k-th episode in lockstep with the others,
 in one call (episode.train_lockstep). Episode randomness is keyed to (master
@@ -21,10 +21,7 @@ tables merge concatenates in bin order, give the one call's table bit for bit.
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
-from struct import Struct
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +34,6 @@ from .state import (
     N_GOAL_BINS,
     _GOAL_ROW,
     BinningSpec,
-    check_goal_bins,
     check_goal_rows,
     encode_goal_prefix_batch,
     rest_tip_origin,
@@ -51,12 +47,6 @@ GOAL_SAMPLE_BATCH = 8192
 # defaults (quota 489, the first refused, runs about 31k). Training runs about
 # 1,200 episodes a second, so even 500k real episodes would take about 7 min.
 LARGE_RUN_GOAL_LIMIT = 500_000
-
-BANK_MAGIC = b"HPNB"
-BANK_VERSION = 1
-# version, seed, quota, budget, samples_used, fingerprint, reachable bins
-_BANK_HEADER = Struct("<IQIQQII")
-_BANK_CRC = Struct("<I")
 
 
 def default_sample_budget(quota: int) -> int:
@@ -72,7 +62,7 @@ def default_sample_budget(quota: int) -> int:
 
 
 class GoalBankError(RuntimeError):
-    """Goal sampling failed or a cached goal-bank file is unusable."""
+    """Goal sampling filled no goal bin to the quota within the budget."""
 
 
 class MergeConflictError(ValueError):
@@ -168,72 +158,6 @@ def build_goal_bank(
     return GoalBank(bins=reachable, goals=stash[reachable], samples_used=budget)
 
 
-def config_fingerprint(params: ArmParams, binning: BinningSpec) -> int:
-    """Checksum of the arm/binning settings a goal bank was sampled under."""
-    return zlib.crc32(repr((params, binning)).encode("utf-8"))
-
-
-def save_goal_bank(bank: GoalBank, path, *, seed: int, budget: int, fingerprint: int) -> None:
-    """Write a goal bank cache: magic, header, bin ids, per-bin goal rows, CRC32."""
-    payload = (
-        BANK_MAGIC
-        + _BANK_HEADER.pack(
-            BANK_VERSION, seed, bank.quota, budget, bank.samples_used,
-            fingerprint, len(bank.bins),
-        )
-        + bank.bins.astype("<u2").tobytes()
-        + bank.goals.astype("<f8").tobytes()
-    )
-    Path(path).write_bytes(payload + _BANK_CRC.pack(zlib.crc32(payload)))
-
-
-def load_goal_bank(path, *, seed: int, quota: int, budget: int, params: ArmParams,
-                   binning: BinningSpec) -> GoalBank:
-    """Read a goal bank cache, rejecting files from a different sampling setup.
-
-    The file must carry the seed, quota, budget and config fingerprint asked
-    for, and every goal must encode to the bin it is filed under; anything
-    else raises GoalBankError.
-    """
-    fingerprint = config_fingerprint(params, binning)
-    raw = Path(path).read_bytes()
-    if len(raw) < len(BANK_MAGIC) or raw[: len(BANK_MAGIC)] != BANK_MAGIC:
-        raise GoalBankError(f"{path}: not a goal bank file")
-    header_end = len(BANK_MAGIC) + _BANK_HEADER.size
-    if len(raw) < header_end + _BANK_CRC.size:
-        raise GoalBankError(f"{path}: truncated goal bank file")
-    version, f_seed, f_quota, f_budget, samples_used, f_print, n_bins = _BANK_HEADER.unpack(
-        raw[len(BANK_MAGIC):header_end]
-    )
-    if version != BANK_VERSION:
-        raise GoalBankError(f"{path}: unsupported goal bank version {version}")
-    body_end = header_end + 2 * n_bins + 8 * _GOAL_ROW * n_bins * f_quota
-    if len(raw) != body_end + _BANK_CRC.size:
-        raise GoalBankError(f"{path}: goal bank size does not match its header")
-    (crc,) = _BANK_CRC.unpack(raw[body_end:])
-    if crc != zlib.crc32(raw[:body_end]):
-        raise GoalBankError(f"{path}: goal bank checksum mismatch")
-    for name, got, want in (
-        ("seed", f_seed, seed), ("quota", f_quota, quota),
-        ("budget", f_budget, budget), ("config fingerprint", f_print, fingerprint),
-    ):
-        if got != want:
-            raise GoalBankError(
-                f"{path}: cached goal bank was sampled with {name}={got}, "
-                f"this run wants {want}"
-            )
-    bins = np.frombuffer(raw, dtype="<u2", count=n_bins, offset=header_end)
-    goals = np.frombuffer(
-        raw, dtype="<f8", count=n_bins * f_quota * _GOAL_ROW, offset=header_end + 2 * n_bins
-    ).reshape(n_bins, f_quota, _GOAL_ROW)
-    try:
-        bank = GoalBank(bins=bins, goals=goals, samples_used=samples_used)
-        check_goal_bins(bank.bins, bank.goals, rest_tip_origin(params.l0_mm), binning)
-    except ValueError as exc:
-        raise GoalBankError(f"{path}: {exc}") from exc
-    return bank
-
-
 def pretrain_shard(
     bin_ids: Sequence[int],
     seed: int,
@@ -279,14 +203,14 @@ def merge(partials: Sequence[QTable]) -> QTable:
 @dataclass(frozen=True)
 class PretrainSummary:
     goals_run: int
-    samples_used: int    # FK samples the goal bank drew, built or loaded from cache
+    samples_used: int    # FK samples the goal bank drew
     reachable_bins: int
     unreachable_bins: int
     trained_entries: int
     augmented_entries: int
     total_entries: int
     wall_time_s: float
-    bank_s: float        # goal bank: cache load or sampling (and cache write)
+    bank_s: float        # goal bank sampling
     train_s: float       # lockstep training of every reachable bin
     augment_s: float
     save_s: float
@@ -322,7 +246,6 @@ def pretrain(
     max_steps: int = 200,
     augment_radius: int = 1,
     out_path=None,
-    bank_path=None,
     allow_large_run: bool = False,
 ) -> tuple[QTable, PretrainSummary]:
     """Full pipeline: goal bank, lockstep training of every reachable bin, augment.
@@ -331,10 +254,10 @@ def pretrain(
     for the removed process pool still pass it. Arguments are checked before
     any sampling starts: workers, quota, seed, budget, max_steps and
     augment_radius must be integers (int or numpy integer, not bool), workers
-    1, seed in [0, 2**64) and the others >= 1. `budget` defaults to
-    default_sample_budget(quota). When `bank_path` is given, a matching
-    cached goal bank is reused and a fresh one is written there after
-    sampling. Saves the augmented table to `out_path` if set.
+    1, seed in [0, 2**64) (a u64, the range of the CLI's and the scripts'
+    --seed) and the others >= 1. `budget` defaults to
+    default_sample_budget(quota). The goal bank is sampled from the stream
+    SeedSequence((seed, 1)). Saves the augmented table to `out_path` if set.
     """
     check_integers(workers=workers, seed=seed)
     if workers != 1:
@@ -344,7 +267,7 @@ def pretrain(
         )
     check_integers(1, quota=quota, max_steps=max_steps, augment_radius=augment_radius)
     if not 0 <= seed < 2**64:
-        raise ValueError("seed must be in [0, 2**64), the range of the goal bank header")
+        raise ValueError("seed must be in [0, 2**64)")
     if budget is None:
         budget = default_sample_budget(quota)
     check_integers(1, budget=budget)
@@ -355,17 +278,8 @@ def pretrain(
             f"{LARGE_RUN_GOAL_LIMIT} need allow_large_run=True"
         )
     t0 = time.perf_counter()
-    bank = None
-    if bank_path is not None and Path(bank_path).exists():
-        bank = load_goal_bank(
-            bank_path, seed=seed, quota=quota, budget=budget, params=params, binning=binning
-        )
-    if bank is None:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-        bank = build_goal_bank(params, quota, budget, rng, binning=binning)
-        if bank_path is not None:
-            save_goal_bank(bank, bank_path, seed=seed, budget=budget,
-                           fingerprint=config_fingerprint(params, binning))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    bank = build_goal_bank(params, quota, budget, rng, binning=binning)
     t_bank = time.perf_counter()
 
     trained = pretrain_shard(

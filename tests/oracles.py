@@ -5,8 +5,9 @@ route than the library code: the arm pose comes from numerical arc
 integration instead of the closed-form transform, the gridworld solution
 from value iteration instead of temporal-difference learning, and the
 state construction from a second spherical-coordinate derivation. None
-of these import from hpnarm. The goal-bank writer spells out the .hpnb
-layout field by field, so tests can write files the library never would.
+of these import from hpnarm. The goal-bank writer spells out the layout of
+the retired .hpnb cache file field by field; the frozen bank digests are
+taken over its bytes.
 The state-index digit packers and the action-triple composer name states and
 actions by their parts, which only tests need.
 
@@ -388,7 +389,7 @@ def oracle_bin_index(values, d_tip_edges, phi_egoal_edges, d_max):
 # Goal bank file writer
 # ---------------------------------------------------------------------------
 
-def write_goal_bank(path, bins, rows, *, seed, quota, budget, fingerprint, samples_used=1000):
+def write_goal_bank(path, bins, rows, *, seed, quota, budget, fingerprint, samples_used):
     """A version-1 .hpnb file holding exactly these bin ids and goal rows, with a valid CRC.
 
     Each row is (x, y, z, dx, dy, dz); the file carries ``quota`` rows per bin.

@@ -19,8 +19,8 @@ from hpnarm import (
 from hpnarm.episode import NominalPlant, RewardSpec, run_episode
 from hpnarm.evalrun import evaluate, sample_goals
 from hpnarm.pretrain import (
+    build_goal_bank,
     default_sample_budget,
-    load_goal_bank,
     merge,
     pretrain,
     pretrain_shard,
@@ -180,14 +180,12 @@ def test_criterion_05_parallel_determinism(capsys, tmp_path):
     params, binning = ArmParams(), BinningSpec()
     hp, actions, rewards = HyperParams(), ActionSpec(), RewardSpec()
     t0 = time.perf_counter()
-    whole, per_bin, bank_path = tmp_path / "all.qt", tmp_path / "per_bin.qt", tmp_path / "bank"
-    pretrain(
-        params, hp, actions, rewards, binning,
-        quota=5, seed=2025, out_path=whole, bank_path=bank_path,
-    )
-    bank = load_goal_bank(
-        bank_path, seed=2025, quota=5, budget=default_sample_budget(5),
-        params=params, binning=binning,
+    whole, per_bin = tmp_path / "all.qt", tmp_path / "per_bin.qt"
+    pretrain(params, hp, actions, rewards, binning, quota=5, seed=2025, out_path=whole)
+    # The bank pretrain(seed=2025) draws: its stream, at the same quota and budget.
+    bank = build_goal_bank(
+        params, 5, default_sample_budget(5),
+        np.random.default_rng(np.random.SeedSequence((2025, 1))), binning=binning,
     )
     partials = [
         pretrain_shard((b,), 2025, bank, hp, params=params, action_spec=actions,

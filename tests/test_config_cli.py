@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpnarm import ArmParams, BinningSpec, arm_forward_kinematics
+from hpnarm import ArmParams, arm_forward_kinematics
 from hpnarm.cli import main
 from hpnarm.config import (
     ConfigError,
@@ -23,10 +23,9 @@ from hpnarm.config import (
     default_eval_goals,
     load_config,
 )
-from hpnarm.pretrain import GoalBankError, config_fingerprint
+from hpnarm.pretrain import GoalBankError
 from hpnarm.qtable import FLAG_AUGMENTED, FLAG_TRAINED, MAGIC, QTable, QTableIOError, load, save
-from hpnarm.state import N_GOAL_BINS, check_goal_rows
-from oracles import write_goal_bank
+from hpnarm.state import check_goal_rows
 
 MID = 30.0  # p_max/2, the pressure every episode starts from
 GOAL_SPEC = GoalSpec(position_mm=(0.0, 0.0, 500.0), direction=(0.0, 0.0, 1.0))
@@ -390,15 +389,26 @@ class TestPretrainCommand:
         assert other.exists()
 
     def test_negative_seed_flag_is_a_usage_error(self, runner, tmp_path):
-        table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
-        text = SMALL_PRETRAIN.format(table=f"{table}\n  goal_bank_path: {bank}")
-        cfg = write_config(tmp_path / "c.yaml", text)
-        # The .hpnb header holds the seed as a u64, so 2**64 is refused up front too.
+        table = tmp_path / "t.qt"
+        cfg = write_config(tmp_path / "c.yaml", SMALL_PRETRAIN.format(table=table))
+        # A seed is a u64, as pretrain() takes it, so 2**64 is refused up front too.
         for seed in ("-1", str(2**64)):
             result = runner.invoke(main, ["pretrain", "--config", cfg, "--seed", seed])
             assert result.exit_code == 2
             assert "--seed" in result.output
-            assert not table.exists() and not bank.exists()
+            assert not table.exists()
+
+    def test_goal_bank_path_is_an_unknown_field(self, runner, tmp_path):
+        # The goal bank is sampled on every run; the field that named its cache is gone.
+        with pytest.raises(ConfigError, match=r"^output: unknown field\(s\) \['goal_bank_path'\]"):
+            config_from_mapping({"output": {"goal_bank_path": "bank.hpnb"}})
+        table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
+        text = SMALL_PRETRAIN.format(table=f"{table}\n  goal_bank_path: {bank}")
+        result = runner.invoke(main, ["pretrain", "--config", write_config(tmp_path / "c.yaml",
+                                                                           text)])
+        assert result.exit_code == 2, result.output
+        assert "unknown field(s) ['goal_bank_path']" in result.output
+        assert not table.exists() and not bank.exists()
 
     def test_invalid_config_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", "pretrain:\n  quota: 0\n")
@@ -419,8 +429,8 @@ class TestPretrainCommand:
                 assert f"{section}: {name} must be an integer" in result.output
             assert not table.exists() and not csv_dir.exists()
         # An integer path reached open() as a file descriptor (table_path) or a TypeError
-        # traceback (goal_bank_path, eval_dir).
-        paths = {"table_path": table, "eval_dir": csv_dir, "goal_bank_path": tmp_path / "b.hpnb"}
+        # traceback (eval_dir).
+        paths = {"table_path": table, "eval_dir": csv_dir}
         for name in paths:
             fields = "".join(f"  {n}: {7 if n == name else p}\n" for n, p in paths.items())
             cfg6 = write_config(tmp_path / "c6.yaml", f"output:\n{fields}")
@@ -447,42 +457,6 @@ class TestPretrainCommand:
         assert result.exit_code == 2, result.output
         assert "quota 600 plans up to 614400 episodes" in result.output
         assert "need allow_large_run=True" in result.output
-        assert not table.exists()
-
-    @pytest.mark.parametrize("bad", ["bin", "direction", "goal-outside-its-bin"])
-    def test_malformed_cached_goal_bank_exits_1(self, runner, tmp_path, bad):
-        table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
-        text = SMALL_PRETRAIN.format(table=f"{table}\n  goal_bank_path: {bank}")
-        cfg = write_config(tmp_path / "c.yaml", text)
-        fp = config_fingerprint(ArmParams(), BinningSpec())
-        row = [0.0, 0.0, 700.0, 0.0, 0.0, 1.0]
-        if bad == "bin":
-            bins, rows = [N_GOAL_BINS], [row]
-        elif bad == "direction":
-            bins, rows = [5], [row[:3] + [0.0, 0.0, 2.0]]
-        else:  # a valid goal filed under bin 5, which it does not encode to
-            bins, rows = [5], [row]
-        write_goal_bank(bank, bins, rows, seed=3, quota=1, budget=20000, fingerprint=fp)
-        result = runner.invoke(main, ["pretrain", "--config", cfg])
-        assert result.exit_code == 1, result.output
-        assert "error:" in result.output and not table.exists()
-        if bad == "goal-outside-its-bin":
-            assert "goal 0 of bin 5 encodes to goal bin" in result.output
-
-    def test_cached_bank_from_another_budget_exits_1(self, runner, tmp_path):
-        # A bank cached under the old 1e6 default is refused, never silently reused.
-        table, bank = tmp_path / "t.qt", tmp_path / "bank.hpnb"
-        cfg = write_config(
-            tmp_path / "c.yaml",
-            f"pretrain:\n  quota: 1\n  seed: 3\noutput:\n  table_path: {table}\n"
-            f"  goal_bank_path: {bank}\n",
-        )
-        fp = config_fingerprint(ArmParams(), BinningSpec())
-        write_goal_bank(bank, [5], [[0.0, 0.0, 700.0, 0.0, 0.0, 1.0]], seed=3, quota=1,
-                        budget=1_000_000, fingerprint=fp)
-        result = runner.invoke(main, ["pretrain", "--config", cfg])
-        assert result.exit_code == 1, result.output
-        assert "sampled with budget=1000000, this run wants 400000" in result.output
         assert not table.exists()
 
 
@@ -698,7 +672,7 @@ def test_table_of_another_width_exits_1_before_any_work(runner, tmp_path, comman
     (ConfigError("bad config"), 2),
     (OSError("no such file"), 1),
     (QTableIOError("corrupt table"), 1),
-    (GoalBankError("stale goal bank"), 1),
+    (GoalBankError("no goal bin reached quota 1"), 1),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_the_group_gives_every_command_the_exit_code_rule(runner, monkeypatch, error, code):
     @click.command()

@@ -491,6 +491,17 @@ class TestPerturbedPlant:
             assert 0.8 <= plant.a_scale <= 1.2
             assert 0.8 <= plant.b_scale <= 1.2
 
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_pinning_one_scale_leaves_the_other_draw(self, setup, seed):
+        # At seed 7 pinning a_scale once handed a's draw (1.0500) to b, not b's (1.1589).
+        free = PerturbedPlant(setup["params"], PerturbedPlantConfig(), seed=seed)
+        a_pinned = PerturbedPlant(setup["params"], PerturbedPlantConfig(a_scale=1.0), seed=seed)
+        b_pinned = PerturbedPlant(setup["params"], PerturbedPlantConfig(b_scale=1.0), seed=seed)
+        assert free.a_scale != free.b_scale
+        assert (a_pinned.a_scale, b_pinned.b_scale) == (1.0, 1.0)
+        assert np.float64(a_pinned.b_scale).tobytes() == np.float64(free.b_scale).tobytes()
+        assert np.float64(b_pinned.a_scale).tobytes() == np.float64(free.a_scale).tobytes()
+
     def test_same_seed_same_behavior(self, setup):
         cfg = PerturbedPlantConfig()
         p = np.full((4, 4), 22.0)

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import re
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -17,13 +18,10 @@ from hpnarm.pretrain import (
     GoalBankError,
     MergeConflictError,
     build_goal_bank,
-    config_fingerprint,
     default_sample_budget,
-    load_goal_bank,
     merge,
     pretrain,
     pretrain_shard,
-    save_goal_bank,
 )
 from hpnarm.qtable import (
     FLAG_TRAINED,
@@ -69,7 +67,8 @@ AUGMENTED_DEFAULT_TABLE_SHA256 = {
     3: "1400e7c6728e94a0ede67a6266ba2ada6edf0b474fec482070ecbacf683f0eb1",
 }
 
-# sha256 of the .hpnb files save_goal_bank writes, with the default config's
+# sha256 of the bank as oracles.write_goal_bank lays it out (the layout of the
+# retired .hpnb cache file; bank_file_digest), with the default config's
 # fingerprint, for the small_bank setup (seed 5, quota 2, budget 60,000) and for
 # seed 0 at the default quota 10 and the default budget. SMALL_BANK_SHA256 was
 # frozen while the bank was still held as GoalPose tuples; the file bytes must
@@ -106,6 +105,14 @@ def eval_digest(table, cfg):
 
 def bank_rng(seed):
     return np.random.default_rng(np.random.SeedSequence((seed, 1)))
+
+
+def bank_file_digest(bank, path, *, seed, budget, params, binning):
+    """sha256 of `bank` written to `path` in the layout the bank digests were frozen in."""
+    fingerprint = zlib.crc32(repr((params, binning)).encode("utf-8"))
+    write_goal_bank(path, bank.bins, bank.goals, seed=seed, quota=bank.quota, budget=budget,
+                    fingerprint=fingerprint, samples_used=bank.samples_used)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -197,16 +204,16 @@ class TestBuildGoalBank:
             build_goal_bank(specs["params"], 2, 1, bank_rng(2), binning=specs["binning"])
 
     def test_same_rng_stream_same_bank(self, specs, tmp_path):
-        fp = config_fingerprint(specs["params"], specs["binning"])
-        paths = []
+        digests = []
         for run in range(2):
             bank = build_goal_bank(
                 specs["params"], 1, 30_000, bank_rng(9), binning=specs["binning"]
             )
-            path = tmp_path / f"bank{run}.hpnb"
-            save_goal_bank(bank, path, seed=9, budget=30_000, fingerprint=fp)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+            digests.append(bank_file_digest(
+                bank, tmp_path / f"bank{run}.hpnb", seed=9, budget=30_000,
+                params=specs["params"], binning=specs["binning"],
+            ))
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("kwargs", [
         {"quota": 0}, {"budget": 0},
@@ -428,12 +435,6 @@ class TestGoalBankValidation:
         assert bank.quota == 1 and bank.goal_count() == 1
 
 
-# A goal straight above the base pointing up, and the sampling setup of hand-written banks.
-_UP = [0.0, 0.0, 700.0, 0.0, 0.0, 1.0]
-_BANK_SETUP = dict(seed=5, quota=2, budget=60_000)
-_DEFAULT_FINGERPRINT = config_fingerprint(ArmParams(), BinningSpec())
-
-
 def _episode(max_steps):
     params, goal = ArmParams(), GoalPose(np.array([0.0, 0.0, 300.0]), np.array([0.0, 0.0, 1.0]))
     return run_episode(NominalPlant(params), goal, QTable(), HyperParams(), params=params,
@@ -471,21 +472,11 @@ def test_count_arguments_refuse_floats_bools_and_values_below_their_bound(where,
         call(value)
 
 
-def write_bank(path, bins, rows):
-    write_goal_bank(path, bins, rows, fingerprint=_DEFAULT_FINGERPRINT, **_BANK_SETUP)
-
-
-def load_bank(path, **overrides):
-    return load_goal_bank(path, **{**_BANK_SETUP, "params": ArmParams(),
-                                   "binning": BinningSpec(), **overrides})
-
-
-class TestBankCache:
+class TestBankDigest:
     def test_small_bank_file_matches_frozen_digest(self, specs, small_bank, tmp_path):
-        path = tmp_path / "small.hpnb"
-        save_goal_bank(small_bank, path, seed=5, budget=60_000,
-                       fingerprint=config_fingerprint(specs["params"], specs["binning"]))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_BANK_SHA256
+        digest = bank_file_digest(small_bank, tmp_path / "small.hpnb", seed=5, budget=60_000,
+                                  params=specs["params"], binning=specs["binning"])
+        assert digest == SMALL_BANK_SHA256
 
     @pytest.fixture(scope="class")
     def default_bank(self, specs):
@@ -494,10 +485,10 @@ class TestBankCache:
 
     def test_default_bank_file_matches_frozen_digest(self, specs, default_bank, tmp_path):
         assert len(default_bank.bins) == REACHABLE_BINS_AT_QUOTA_10
-        path = tmp_path / "default.hpnb"
-        save_goal_bank(default_bank, path, seed=0, budget=default_sample_budget(10),
-                       fingerprint=config_fingerprint(specs["params"], specs["binning"]))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_BANK_SHA256
+        digest = bank_file_digest(default_bank, tmp_path / "default.hpnb", seed=0,
+                                  budget=default_sample_budget(10), params=specs["params"],
+                                  binning=specs["binning"])
+        assert digest == DEFAULT_BANK_SHA256
 
     def test_default_bank_holds_the_goals_of_a_1e6_bank(self, specs, default_bank):
         # The default budget sits past the plateau: every draw after it files
@@ -508,91 +499,6 @@ class TestBankCache:
         assert bank_1e6.samples_used == 1_000_000
         assert default_bank.bins.tobytes() == bank_1e6.bins.tobytes()
         assert default_bank.goals.tobytes() == bank_1e6.goals.tobytes()
-
-    @pytest.fixture()
-    def saved(self, small_bank, tmp_path):
-        path = tmp_path / "bank.hpnb"
-        save_goal_bank(small_bank, path, seed=5, budget=60_000, fingerprint=_DEFAULT_FINGERPRINT)
-        return path
-
-    def test_round_trip_preserves_every_goal(self, small_bank, saved):
-        loaded = load_bank(saved)
-        assert loaded.bins.tolist() == small_bank.bins.tolist()
-        assert loaded.samples_used == small_bank.samples_used
-        assert loaded.goals.tobytes() == small_bank.goals.tobytes()
-
-    def test_resave_is_byte_identical(self, saved, tmp_path):
-        again = tmp_path / "again.hpnb"
-        save_goal_bank(load_bank(saved), again, seed=5, budget=60_000,
-                       fingerprint=_DEFAULT_FINGERPRINT)
-        assert again.read_bytes() == saved.read_bytes()
-
-    @pytest.mark.parametrize(
-        "override",
-        [{"seed": 6}, {"quota": 3}, {"budget": 1}, {"params": ArmParams(a_gain=0.003)},
-         {"binning": BinningSpec(d_max_mm=300.0)}],
-    )
-    def test_mismatched_sampling_setup_rejected(self, saved, override):
-        with pytest.raises(GoalBankError):
-            load_bank(saved, **override)
-
-    def test_corrupted_byte_rejected(self, saved):
-        raw = bytearray(saved.read_bytes())
-        raw[60] ^= 0xFF
-        saved.write_bytes(bytes(raw))
-        with pytest.raises(GoalBankError):
-            load_bank(saved)
-
-    def test_truncated_file_rejected(self, saved):
-        saved.write_bytes(saved.read_bytes()[:-9])
-        with pytest.raises(GoalBankError):
-            load_bank(saved)
-
-    def test_wrong_magic_rejected(self, saved):
-        raw = bytearray(saved.read_bytes())
-        raw[:4] = b"NOPE"
-        saved.write_bytes(bytes(raw))
-        with pytest.raises(GoalBankError):
-            load_bank(saved)
-
-    def test_file_shorter_than_its_header_rejected(self, saved):
-        saved.write_bytes(saved.read_bytes()[:20])
-        with pytest.raises(GoalBankError, match="truncated goal bank file"):
-            load_bank(saved)
-
-    def test_unsupported_version_rejected(self, saved):
-        raw = bytearray(saved.read_bytes())
-        raw[4] = 99
-        saved.write_bytes(bytes(raw))
-        with pytest.raises(GoalBankError):
-            load_bank(saved)
-
-    def test_hand_written_bank_loads(self, tmp_path):
-        up_bin = encode_goal_prefix(_UP[:3], _UP[3:], rest_tip_origin(ArmParams().l0_mm),
-                                    BinningSpec())
-        path = tmp_path / "bank.hpnb"
-        write_bank(path, [up_bin], [_UP, _UP])
-        bank = load_bank(path)
-        assert bank.bins.tolist() == [up_bin]
-        assert bank.goals.tolist() == [[_UP, _UP]]
-
-    @pytest.mark.parametrize("bins, bad_row, match", [
-        pytest.param([N_GOAL_BINS], _UP, "out of range", id="bin-1024"),
-        pytest.param([5, 65535], _UP, "out of range", id="bin-65535"),
-        pytest.param([5, 5], _UP, "strictly increasing", id="duplicate-bins"),
-        pytest.param([7, 5], _UP, "strictly increasing", id="unsorted-bins"),
-        pytest.param([5], [np.nan, 0.0, 700.0, 0.0, 0.0, 1.0], "non-finite", id="nan-position"),
-        pytest.param([5], [0.0, 0.0, 700.0, np.inf, 0.0, 0.0], "non-finite", id="inf-direction"),
-        pytest.param([5], [0.0, 0.0, 700.0, 0.0, 0.0, 2.0], "unit", id="long-direction"),
-        pytest.param([5], [0.0, 0.0, 700.0, 0.0, 0.0, 0.0], "unit", id="zero-direction"),
-        pytest.param([5], _UP, "goal 0 of bin 5 encodes to goal bin", id="goal-outside-its-bin"),
-    ])
-    def test_malformed_contents_rejected(self, tmp_path, bins, bad_row, match):
-        path = tmp_path / "bank.hpnb"
-        rows = [_UP] * (2 * len(bins) - 1) + [bad_row]
-        write_bank(path, bins, rows)
-        with pytest.raises(GoalBankError, match=match):
-            load_bank(path)
 
 
 class TestPretrainShard:
@@ -901,16 +807,15 @@ class TestPretrainPipeline:
 
     def test_chunk_size_does_not_change_the_file(self, specs, tmp_path):
         """Bins trained in chunks of 1 and 3, then merged, give pretrain()'s bytes."""
-        out, bank_path = tmp_path / "all.qt", tmp_path / "bank.hpnb"
+        out = tmp_path / "all.qt"
         pretrain(
             specs["params"], specs["hp"], specs["actions"], specs["rewards"],
             specs["binning"], quota=1, seed=13, budget=30_000, max_steps=50,
-            out_path=out, bank_path=bank_path,
+            out_path=out,
         )
-        bank = load_goal_bank(
-            bank_path, seed=13, quota=1, budget=30_000,
-            params=specs["params"], binning=specs["binning"],
-        )
+        # The bank pretrain(seed=13) draws: its stream, at the same quota and budget.
+        bank = build_goal_bank(specs["params"], 1, 30_000, bank_rng(13),
+                               binning=specs["binning"])
         bins = bank.bins.tolist()
         for size in (1, 3):
             partials = [
@@ -987,34 +892,20 @@ class TestPretrainPipeline:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bank_cache_reused_and_guarded(self, specs, tmp_path):
-        bank_path = tmp_path / "bank.hpnb"
-        kwargs = dict(quota=1, seed=31, budget=30_000, max_steps=40, bank_path=bank_path)
-        args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
-        table1, built = pretrain(*args, **kwargs)
-        cached = bank_path.read_bytes()
-        table2, loaded = pretrain(*args, **kwargs)
-        assert bank_path.read_bytes() == cached
-        assert table1 == table2
-        # samples_used comes from the bank, whether sampled or read from the cache
-        bank = load_goal_bank(bank_path, seed=31, quota=1, budget=30_000,
-                              params=specs["params"], binning=specs["binning"])
-        assert built.samples_used == loaded.samples_used == bank.samples_used
-        with pytest.raises(GoalBankError):
-            pretrain(*args, **{**kwargs, "quota": 2})
-
-    def test_no_goal_pose_is_built(self, specs, tmp_path, monkeypatch):
-        """Sampling, saving, loading and training all work on goal rows."""
+    def test_no_goal_pose_is_built(self, specs, monkeypatch):
+        """Sampling, training and the shard path all work on goal rows."""
         def refuse(self):
             raise AssertionError("GoalPose built on the pretrain path")
 
         monkeypatch.setattr(GoalPose, "__post_init__", refuse)
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
-        kwargs = dict(quota=1, seed=31, budget=30_000, max_steps=20,
-                      bank_path=tmp_path / "bank.hpnb")
-        built, _ = pretrain(*args, **kwargs)
-        loaded, _ = pretrain(*args, **kwargs)
-        assert built == loaded and built.trained_count() > 0
+        built, _ = pretrain(*args, quota=1, seed=31, budget=30_000, max_steps=20)
+        # The same bank rebuilt from pretrain(seed=31)'s stream, trained shard by shard.
+        bank = build_goal_bank(specs["params"], 1, 30_000, bank_rng(31),
+                               binning=specs["binning"])
+        rebuilt = augment(pretrain_shard(bank.bins, 31, bank, specs["hp"],
+                                         **shard_kwargs(specs, max_steps=20)), radius=1)
+        assert built == rebuilt and built.trained_count() > 0
 
     def test_large_runs_need_explicit_opt_in(self, specs):
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
