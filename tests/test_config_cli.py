@@ -410,6 +410,23 @@ class TestPretrainCommand:
         assert "unknown field(s) ['goal_bank_path']" in result.output
         assert not table.exists() and not bank.exists()
 
+    def test_top_seed_is_accepted(self, runner, tmp_path):
+        table = tmp_path / "t.qt"
+        cfg = write_config(tmp_path / "c.yaml", SMALL_PRETRAIN.format(table=table))
+        result = runner.invoke(main, ["pretrain", "--config", cfg, "--seed", str(2**64 - 1)])
+        assert result.exit_code == 0, result.output
+        assert load(table).trained_count() > 0
+
+    def test_goal_bank_that_reaches_no_quota_exits_1(self, runner, tmp_path):
+        # The bank is sampled on every run, so GoalBankError still reaches the CLI.
+        table = tmp_path / "t.qt"
+        cfg = write_config(tmp_path / "c.yaml",
+                           f"pretrain:\n  quota: 2\n  budget: 1\noutput:\n  table_path: {table}\n")
+        result = runner.invoke(main, ["pretrain", "--config", cfg])
+        assert result.exit_code == 1, result.output
+        assert "error: no goal bin reached quota 2 within 1 samples" in result.output
+        assert not table.exists()
+
     def test_invalid_config_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", "pretrain:\n  quota: 0\n")
         assert runner.invoke(main, ["pretrain", "--config", cfg]).exit_code == 2
@@ -537,6 +554,16 @@ class TestEvalCommand:
         assert "--seed" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("plant", ["nominal", "perturbed"])
+    def test_top_seed_is_accepted(self, runner, tmp_path, plant):
+        # --seed takes the u64 range on every command, eval's included.
+        cfg = write_config(tmp_path / "c.yaml", "eval:\n  repetitions: 1\n  max_steps: 5\n")
+        out = tmp_path / "ev"
+        result = runner.invoke(main, ["eval", "--config", cfg, "--zero-init", "--plant", plant,
+                                      "--seed", str(2**64 - 1), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "goal_00.csv").exists()
+
     def test_output_directory_that_is_a_file_exits_1(self, runner, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", "eval:\n  repetitions: 1\n  max_steps: 5\n")
         out = tmp_path / "taken"
@@ -647,6 +674,19 @@ class TestInspectCommand:
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         assert runner.invoke(main, ["inspect", str(tmp_path / "no.qt")]).exit_code == 1
+
+
+@pytest.mark.parametrize("command", [["fk", *["0"] * 16], ["eval", "--zero-init"]],
+                         ids=["fk", "eval"])
+def test_goal_bank_path_is_refused_by_every_config_reader(runner, tmp_path, command):
+    # pretrain's own case is in TestPretrainCommand; fk and eval read the same config.
+    out = tmp_path / "ev"
+    cfg = write_config(tmp_path / "c.yaml",
+                       f"output:\n  eval_dir: {out}\n  goal_bank_path: {tmp_path / 'b.hpnb'}\n")
+    result = runner.invoke(main, [*command, "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert "unknown field(s) ['goal_bank_path']" in result.output
+    assert "position_mm" not in result.output and not out.exists()
 
 
 @pytest.mark.parametrize("width", [16, 40])

@@ -502,6 +502,26 @@ class TestPerturbedPlant:
         assert np.float64(a_pinned.b_scale).tobytes() == np.float64(free.b_scale).tobytes()
         assert np.float64(b_pinned.a_scale).tobytes() == np.float64(free.a_scale).tobytes()
 
+    @pytest.mark.parametrize("spread", [0.0, 0.05, 0.2, 0.5, 0.99])
+    def test_free_scales_are_the_two_scalar_draws_of_the_seed(self, setup, spread):
+        # The scales were drawn one at a time, a then b; drawing both in one call
+        # must give the same bits, or every perturbed evaluation would move.
+        for seed in (0, 7, 123, 2**64 - 1):
+            plant = PerturbedPlant(setup["params"], PerturbedPlantConfig(scale_spread=spread),
+                                   seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+            a = rng.uniform(1.0 - spread, 1.0 + spread)
+            b = rng.uniform(1.0 - spread, 1.0 + spread)
+            assert np.float64(plant.a_scale).tobytes() == np.float64(a).tobytes()
+            assert np.float64(plant.b_scale).tobytes() == np.float64(b).tobytes()
+
+    def test_pinning_both_scales_uses_both_pins(self, setup):
+        plant = PerturbedPlant(setup["params"], PerturbedPlantConfig(a_scale=1.25, b_scale=0.75),
+                               seed=7)
+        assert (plant.a_scale, plant.b_scale) == (1.25, 0.75)
+        assert plant.true_params.a_gain == setup["params"].a_gain * 1.25
+        assert plant.true_params.b_gain == setup["params"].b_gain * 0.75
+
     def test_same_seed_same_behavior(self, setup):
         cfg = PerturbedPlantConfig()
         p = np.full((4, 4), 22.0)

@@ -422,6 +422,17 @@ class TestGoalBankValidation:
         pytest.param([3], [[[np.nan, 0.0, 300.0, 0.0, 0.0, 1.0]]], 10, "non-finite",
                      id="nan-position"),
         pytest.param([3], [[[0.0, 0.0, 300.0, 0.0, 0.0, 2.0]]], 10, "unit", id="long-direction"),
+        # The rest were checked only when the retired .hpnb loader read a bank;
+        # the constructor is now the one gate every bank passes.
+        pytest.param([3, 65535], [[_ROW], [_ROW]], 10, "out of range", id="bin-65535"),
+        pytest.param([3, 3], [[_ROW], [_ROW]], 10, "strictly increasing", id="duplicate-bins"),
+        pytest.param([3], [_ROW], 10, "do not fit", id="rows-without-a-quota-axis"),
+        pytest.param([3], [[[0.0, 0.0, 300.0, np.inf, 0.0, 0.0]]], 10, "non-finite",
+                     id="inf-direction"),
+        pytest.param([3], [[[0.0, 0.0, 300.0, 0.0, 0.0, 0.0]]], 10, "unit", id="zero-direction"),
+        # Its squared norm overflows to inf; the check must still call it not unit.
+        pytest.param([3], [[[0.0, 0.0, 300.0, 1e200, 0.0, 0.0]]], 10, "unit",
+                     id="overflowing-direction"),
     ])
     def test_inconsistent_arrays_rejected(self, bins, goals, used, match):
         with pytest.raises(ValueError, match=match):
@@ -906,6 +917,49 @@ class TestPretrainPipeline:
         rebuilt = augment(pretrain_shard(bank.bins, 31, bank, specs["hp"],
                                          **shard_kwargs(specs, max_steps=20)), radius=1)
         assert built == rebuilt and built.trained_count() > 0
+
+    @pytest.mark.parametrize("override", [
+        {"seed": 32}, {"quota": 2}, {"budget": 20_000}, {"params": ArmParams(a_gain=0.003)},
+        {"binning": BinningSpec(d_max_mm=300.0)},
+    ], ids=["seed", "quota", "budget", "params", "binning"])
+    def test_each_run_samples_the_bank_of_its_own_setup(self, specs, monkeypatch, override):
+        # A cached bank once had to be refused when any of these moved; now each
+        # run draws its bank afresh, so no bank outlives the setup it came from.
+        banks = []
+
+        def record_bank(bins, seed, bank, hp, **kwargs):
+            banks.append(bank)
+            raise GoalBankError("stop before training")
+
+        monkeypatch.setattr(pretrain_module, "pretrain_shard", record_bank)
+        setups = [{"params": specs["params"], "binning": specs["binning"], "seed": 31,
+                   "quota": 1, "budget": 30_000}]
+        setups.append({**setups[0], **override})
+        for setup in setups:
+            with pytest.raises(GoalBankError, match="stop before training"):
+                pretrain(setup["params"], specs["hp"], specs["actions"], specs["rewards"],
+                         setup["binning"], quota=setup["quota"], seed=setup["seed"],
+                         budget=setup["budget"])
+        for setup, bank in zip(setups, banks, strict=True):
+            expected = build_goal_bank(setup["params"], setup["quota"], setup["budget"],
+                                       bank_rng(setup["seed"]), binning=setup["binning"])
+            assert bank.samples_used == expected.samples_used == setup["budget"]
+            assert bank.bins.tobytes() == expected.bins.tobytes()
+            assert bank.goals.tobytes() == expected.goals.tobytes()
+        first, second = banks
+        assert (first.samples_used, first.bins.tobytes(), first.goals.tobytes()) != (
+            second.samples_used, second.bins.tobytes(), second.goals.tobytes())
+
+    def test_bank_path_keyword_is_refused_before_sampling(self, specs, monkeypatch, tmp_path):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("an unknown keyword must fail before sampling starts")
+
+        monkeypatch.setattr(pretrain_module, "build_goal_bank", no_sampling)
+        args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])
+        bank = tmp_path / "bank.hpnb"
+        with pytest.raises(TypeError, match="bank_path"):
+            pretrain(*args, quota=1, seed=0, bank_path=bank)
+        assert not bank.exists()
 
     def test_large_runs_need_explicit_opt_in(self, specs):
         args = (specs["params"], specs["hp"], specs["actions"], specs["rewards"], specs["binning"])

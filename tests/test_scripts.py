@@ -195,6 +195,14 @@ def test_scripts_refuse_a_seed_out_of_range(tmp_path, name, small, seed):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_compare_pretraining_accepts_the_top_seed(tmp_path):
+    # The range is pretrain()'s: the last u64 seeds the bank and the goals alike.
+    lines = run_script("compare_pretraining.py", *SMALL_COUNTS["compare_pretraining.py"][0],
+                       "--seed", str(2**64 - 1), cwd=tmp_path)
+    assert "goal bank samples: 20000" in lines, lines
+    assert any(line.startswith("[nominal] median final error ratio: ") for line in lines), lines
+
+
 def test_bulk_cost(tmp_path):
     lines = run_script("bulk_cost.py", "--seed", "1", "--calls", "1", cwd=tmp_path)
     header = re.fullmatch(r"seed 1: default table of ([1-9]\d*) entries in [1-9]\d* goal bins, "
