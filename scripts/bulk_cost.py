@@ -89,7 +89,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.calls < 1:
         ap.error("--calls must be >= 1")
-    if not 0 <= args.seed < 2**64:
+    if not 0 <= args.seed < qtable.SEED_LIMIT:
         ap.error("--seed must be in [0, 2**64)")
 
     cfg = RunConfig()

@@ -24,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hpnarm.config import RunConfig
 from hpnarm.evalrun import evaluate, sample_goals
 from hpnarm.pretrain import pretrain
+from hpnarm.qtable import SEED_LIMIT
 
 
 def main() -> int:
@@ -42,7 +43,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.quota < 1 or args.goals < 1 or args.budget is not None and args.budget < 1:
         ap.error("--quota, --goals and --budget must be >= 1")
-    if not 0 <= args.seed < 2**64:
+    if not 0 <= args.seed < SEED_LIMIT:
         ap.error("--seed must be in [0, 2**64)")
     if not 0 < args.threshold_mm < float("inf"):
         ap.error("--threshold-mm must be positive and finite")

@@ -44,6 +44,7 @@ import numpy as np
 from hpnarm import episode, evalrun
 from hpnarm.config import RunConfig
 from hpnarm.pretrain import build_goal_bank, default_sample_budget
+from hpnarm.qtable import SEED_LIMIT
 from hpnarm.state import GoalPose
 
 
@@ -146,7 +147,7 @@ def main() -> int:
         ap.error("--calls, --rounds and every lane count must be >= 1")
     if args.max_steps < 1 or args.budget is not None and args.budget < 1:
         ap.error("--max-steps and --budget must be >= 1")
-    if not 0 <= args.seed < 2**64:
+    if not 0 <= args.seed < SEED_LIMIT:
         ap.error("--seed must be in [0, 2**64)")
 
     cfg = RunConfig()

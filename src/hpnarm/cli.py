@@ -17,7 +17,7 @@ from .evalrun import evaluate, write_report_csvs
 from .kinematics import arm_forward_kinematics
 from .pretrain import GoalBankError
 from .pretrain import pretrain as pretrain_pipeline
-from .qtable import FLAG_TRAINED, N_ACTIONS, QTableIOError
+from .qtable import FLAG_TRAINED, N_ACTIONS, SEED_LIMIT, QTableIOError
 from .qtable import augment as augment_table
 from .qtable import load, save
 from .state import N_TIP_STATES
@@ -46,8 +46,7 @@ _CONFIG_OPT = click.option(
     "--config", "config_path", type=click.Path(), default=None,
     help="YAML run config; defaults apply when omitted.",
 )
-# A seed is a u64: pretrain() and the scripts' --seed take the same range.
-_SEED_OPT = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
+_SEED_OPT = click.option("--seed", type=click.IntRange(0, SEED_LIMIT - 1), default=None,
                          help="Override the config seed.")
 
 

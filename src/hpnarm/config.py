@@ -15,7 +15,7 @@ import numpy as np
 
 from .episode import PerturbedPlantConfig, RewardSpec
 from .kinematics import ArmParams, arm_forward_kinematics
-from .qtable import ActionSpec, HyperParams, check_integers
+from .qtable import ActionSpec, HyperParams, check_integers, check_seed
 from .state import BinningSpec, GoalPose, check_goal_rows, check_real_types
 
 
@@ -76,7 +76,7 @@ class PretrainConfig:
     def __post_init__(self):
         check_integers(1, quota=self.quota, max_steps=self.max_steps,
                        augment_radius=self.augment_radius)
-        check_integers(0, seed=self.seed)
+        check_seed(self.seed)
         if self.budget is not None:
             check_integers(1, budget=self.budget)
         if not isinstance(self.allow_large_run, bool):
@@ -92,7 +92,7 @@ class EvalConfig:
 
     def __post_init__(self):
         check_integers(1, repetitions=self.repetitions, max_steps=self.max_steps)
-        check_integers(0, seed=self.seed)
+        check_seed(self.seed)
         if self.goals is not None:
             if not (isinstance(self.goals, Sequence)
                     and all(isinstance(g, GoalSpec) for g in self.goals)):

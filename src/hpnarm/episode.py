@@ -7,10 +7,11 @@ observation noise, standing in for an imperfectly modeled physical arm.
 One episode drives the tip from a fixed initial pressurization toward a
 goal pose, one quasi-static action per step, optionally applying learning
 updates along the way. Training and evaluation run many episodes at once,
-each as one lane of a shared numpy step (_Lanes): train_lockstep steps one
-episode per goal bin, and evalrun.evaluate one per (goal, repetition), or one
-per goal on a noise-free plant, where repetitions are identical. Both are
-bit-identical to run_episode called on each episode in turn.
+each a lane of a shared numpy step (_Lanes) that gives each lane's table row
+and success: train_lockstep steps one episode per goal bin, evalrun.evaluate
+one per (goal, repetition), or one per goal on a noise-free plant, where
+repetitions are identical. Both are bit-identical to run_episode called on
+each episode in turn.
 
 The shared step keeps its fixed cost low in four ways, none of which changes
 a bit. Segment transforms come from a lattice built once per process: every
@@ -51,9 +52,11 @@ from .qtable import (
     QTable,
     _goal_bin_ids,
     check_integers,
+    check_seed,
     select_action,
 )
 from .state import (
+    N_GOAL_BINS,
     N_TIP_STATES,
     BinningSpec,
     GoalPose,
@@ -419,10 +422,11 @@ class _Lanes:
     it: on a perturbed plant the tip first droops by ``droop_gain`` times
     its horizontal reach, then gets row ``t`` of the lane's (steps+1, 3)
     ``noise`` block added. The observation, observe_batch, sets pos, rot
-    (pose_errors) and state (the packed tip suffix) in one pass. Per-lane
-    arrays hold the lane on axis 0, except ``segments`` (axis 1): ``ids``
-    holds each running lane's number, ``targets`` its goal position and
-    ``frames`` its goal frame, transposed.
+    (pose_errors) and state (the packed tip suffix) in one pass, then row,
+    slots[g] * N_TIP_STATES + state (the lane's dense table row), and done
+    (success by ``reward_spec``). Per-lane arrays hold the lane on axis 0,
+    except ``segments`` (axis 1): ``ids`` holds each running lane's number,
+    ``targets`` its goal position and ``frames`` its goal frame, transposed.
 
     A segment's transform is looked up, not computed, when the chamber
     pressures can take at most LATTICE_MAX_PRESSURES values (13 at the
@@ -440,13 +444,15 @@ class _Lanes:
     the two could bin apart.
     """
 
-    def __init__(self, goals: np.ndarray, *, params: ArmParams,
-                 action_spec: ActionSpec, binning: BinningSpec, repetitions: int = 1,
-                 droop_gain: float | None = None, noise: np.ndarray | None = None):
+    def __init__(self, goals: np.ndarray, slots: np.ndarray, *, params: ArmParams,
+                 action_spec: ActionSpec, reward_spec: RewardSpec, binning: BinningSpec,
+                 repetitions: int = 1, droop_gain: float | None = None,
+                 noise: np.ndarray | None = None):
         n = len(goals) * repetitions
         self.params, self.action_spec, self.binning = params, action_spec, binning
-        self.droop_gain, self.noise = droop_gain, noise
+        self.reward_spec, self.droop_gain, self.noise = reward_spec, droop_gain, noise
         self.ids = np.arange(n)
+        self._base = np.repeat(np.asarray(slots) * N_TIP_STATES, repetitions)
         self._lane = np.arange(n)  # each running lane's position, for per-lane gathers
         self.targets = np.repeat(goals[:, :3], repetitions, axis=0)  # contiguous positions
         frames = np.array([goal_frame(d).T for d in goals[:, 3:]]).reshape(-1, 3, 3)
@@ -479,6 +485,8 @@ class _Lanes:
             tip[:, :, 1] += self.noise[:, self.t]
         self.pos, self.rot, self.state = observe_batch(tip, self.targets, self.frames,
                                                        self.binning)
+        self.row = self._base + self.state
+        self.done = self.reward_spec.is_success(self.pos, self.rot)
 
     def step(self, action: np.ndarray) -> None:
         """Apply one action per lane and observe the new tip."""
@@ -512,7 +520,7 @@ class _Lanes:
             self.pressures, self.segments = self.pressures[mask], self.segments[:, mask]
         else:
             self.codes = self.codes[mask]
-        for name in ("ids", "targets", "frames", "pos", "rot", "state"):
+        for name in ("ids", "_base", "targets", "frames", "pos", "rot", "state", "row", "done"):
             setattr(self, name, getattr(self, name)[mask])
         self._lane = np.arange(len(self.ids))
         if self.noise is not None:
@@ -522,10 +530,6 @@ class _Lanes:
 # integers(N_ACTIONS) keeps the top log2(N_ACTIONS) bits of a 32-bit draw: for a
 # power of two, as qtable asserts N_ACTIONS is, Lemire's method never rejects.
 _ACTION_SHIFT = 33 - N_ACTIONS.bit_length()
-
-# The least float64 magnitude that float32 rounds to infinity: halfway from
-# float32's largest finite value, 2**128 - 2**104, to 2**128.
-_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 def exploration_draws(raw: np.ndarray, epsilon: float, steps: int) -> np.ndarray:
@@ -587,31 +591,29 @@ def train_lockstep(
     episodes in different bins read and write disjoint rows, so only a bin's
     own episodes have to run in sequence.
 
-    The lanes are the bins: lane i trains row i of dense (bins, 1024,
-    actions) scratch arrays, float32 values and uint8 flags as a table
-    holds them in memory, whose occupied rows become the returned table
-    unscanned (QTable.from_checked_arrays): each step checks its TD
-    results before writing them, and the first that float32 cannot
-    hold finitely, in lane order, raises QTable.update's ValueError. Round k
-    runs goals[:, k], one numpy step across all lanes still running; a lane
-    that reaches success idles until the round ends. No step log is kept. A
-    round starts by reading 2 * max_steps raw words of each lane's stream and
-    turning them into the lane's exploring actions (exploration_draws); a
+    The lanes are the bins: lane i is slot i of dense (bins, 1024, actions)
+    scratch arrays, float32 values and uint8 flags as a table holds them, whose
+    occupied rows become the returned table unscanned
+    (QTable.from_checked_arrays). _Lanes gives each lane's row and success. Each
+    step casts its TD results to float32 before writing them; the first that
+    float32 cannot hold finitely, in lane order, raises QTable.update's
+    ValueError. Round k runs goals[:, k], one numpy step across all lanes still
+    running; a lane that reaches success idles until the round ends. No step log
+    is kept. A round starts by reading 2 * max_steps raw words of each lane's
+    stream and turning them into its exploring actions (exploration_draws); a
     step takes a lane's drawn action where there is one and its row's argmax
-    elsewhere, the choice select_action makes. ``seed`` and ``max_steps``
-    must be integers, ``max_steps`` >= 1, and ``bins`` integers (bool
-    refused), strictly increasing and inside [0, N_GOAL_BINS), else
-    ValueError before any step.
+    elsewhere, as select_action does. ``seed`` must pass qtable.check_seed,
+    ``max_steps`` be an integer >= 1, and ``bins`` integers (bool refused),
+    strictly increasing and inside [0, N_GOAL_BINS), else ValueError before any
+    step.
     """
-    check_integers(seed=seed)
+    check_seed(seed)
     check_integers(1, max_steps=max_steps)
     bins = _goal_bin_ids(bins).tolist()
     goals = np.asarray(goals, dtype=float)
     check_goal_bins(bins, goals, rest_tip_origin(params.l0_mm), binning)
     values = np.zeros((len(bins), N_TIP_STATES, N_ACTIONS), dtype=np.float32)
     flags = np.zeros(values.shape, dtype=np.uint8)
-    # Lane i's row for a tip state is i * N_TIP_STATES + state of ``rows``, and
-    # its entry for an action row * N_ACTIONS + action of the flat views.
     rows = values.reshape(-1, N_ACTIONS)
     flat_values, flat_flags = values.reshape(-1), flags.reshape(-1)
     rs = reward_spec
@@ -626,57 +628,52 @@ def train_lockstep(
             # Row t: each running lane's step-t draw, and where it explores.
             draws = exploration_draws(raw, hp.epsilon, max_steps).T.copy()
             explore = draws >= 0
-            lanes = _Lanes(goals[:, k], params=params, action_spec=action_spec, binning=binning)
-            base = lanes.ids * N_TIP_STATES
-            row = base + lanes.state
-            done = rs.is_success(lanes.pos, lanes.rot)
-            succeeded = np.count_nonzero(done)
+            lanes = _Lanes(goals[:, k], np.arange(len(bins)), params=params,
+                           action_spec=action_spec, reward_spec=rs, binning=binning)
+            succeeded = np.count_nonzero(lanes.done)
 
             for t in range(max_steps):
                 if succeeded:
-                    running = ~done
+                    running = ~lanes.done
                     lanes.keep(running)
                     if len(lanes) == 0:
                         break
                     draws, explore = draws[:, running], explore[:, running]
-                    base, row = base[running], row[running]
+                row = lanes.row
                 action = rows.take(row, axis=0).argmax(axis=1)
                 np.copyto(action, draws[t], where=explore[t])
 
                 pos, rot = lanes.pos, lanes.rot
                 lanes.step(action)
-                done = rs.is_success(lanes.pos, lanes.rot)
-                succeeded = np.count_nonzero(done)
+                succeeded = np.count_nonzero(lanes.done)
                 reward = (rs.w_p_per_mm * (pos - lanes.pos) + rs.w_r_per_deg * (rot - lanes.rot)
                           - rs.step_penalty)
                 if succeeded:
-                    reward[done] += rs.goal_bonus
+                    reward[lanes.done] += rs.goal_bonus
 
                 # QTable.update, lane by lane: float64 arithmetic, float32 storage.
-                next_row = base + lanes.state
                 # The row's max, read at its argmax: the same value, and the same
                 # bits, since a table trained from zero never holds -0.0.
-                best = rows[next_row, rows.take(next_row, axis=0).argmax(axis=1)]
+                best = rows[lanes.row, rows.take(lanes.row, axis=0).argmax(axis=1)]
                 target = reward + np.multiply(hp.gamma, best, dtype=np.float64)
                 entry = row * N_ACTIONS + action
                 # float32 to float64 is exact, so mixing them computes in float64.
                 old = flat_values.take(entry)
                 new = old + hp.alpha * (target - old)
-                # QTable.update's check without a cast: float32 rounds a magnitude
-                # from _FLOAT32_OVERFLOW up, and NaN, to non-finite. A non-finite
-                # reward makes its lane's result non-finite, since alpha > 0, so
-                # the reward is checked only when some result is.
-                fit = np.abs(new) < _FLOAT32_OVERFLOW
+                stored = new.astype(np.float32)  # QTable.update's rule
+                fit = np.isfinite(stored)
+                # A non-finite reward makes its lane's result non-finite, since
+                # alpha > 0, so the reward is checked only when some result is.
                 if np.count_nonzero(fit) < len(fit):
                     if np.count_nonzero(np.isfinite(reward)) < len(reward):
                         raise ValueError("reward must be finite")
                     i = int(fit.argmin())
-                    state = bins[lanes.ids[i]] * N_TIP_STATES + int(row[i] - base[i])
+                    slot, tip = np.unravel_index(row[i], values.shape[:2])
+                    state = np.ravel_multi_index((bins[slot], tip), (N_GOAL_BINS, N_TIP_STATES))
                     raise ValueError(f"state {state} action {action[i]}: {float(new[i])} "
                                      "not finite in float32")
-                flat_values[entry] = new
+                flat_values[entry] = stored
                 flat_flags[entry] = FLAG_TRAINED  # the only flag training sets
-                row = next_row
 
     # Values finite in float32, flags FLAG_TRAINED or 0: nothing to rescan.
     return QTable.from_checked_arrays(np.array(bins, dtype=np.int64), values, flags)

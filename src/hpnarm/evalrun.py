@@ -29,9 +29,8 @@ from .episode import (
     noise_generator,
 )
 from .kinematics import ArmParams, tip_batch
-from .qtable import N_ACTIONS, ActionSpec, HyperParams, QTable, check_integers
-from .state import (N_TIP_STATES, BinningSpec, GoalPose, encode_goal_prefix_batch,
-                    rest_tip_origin)
+from .qtable import N_ACTIONS, ActionSpec, HyperParams, QTable, check_integers, check_seed
+from .state import BinningSpec, GoalPose, encode_goal_prefix_batch, rest_tip_origin
 
 EVAL_CSV_COLUMNS = ("step", "time_s", "pos_error_mm", "rot_error_deg")
 
@@ -218,10 +217,9 @@ def evaluate(
     Each distinct goal bin's dense value rows and row kinds are read once
     (QTable.bin_rows, 128 KiB of values a bin); an action without an entry
     reads 0, and a state without one counts as empty. Each step takes the
-    argmax of every lane's row, ties to the lowest action id, as
-    train_lockstep does. A lane that reaches success drops out. The lanes
-    step on the segment lattice of the nominal arm, or of the perturbed
-    plant's true_params, cached for the next call.
+    argmax of every lane's row (_Lanes.row, by its goal's bin slot), ties to
+    the lowest action id, as train_lockstep does. A lane that reaches
+    success (_Lanes.done) drops out.
 
     A noise-free lane's next arm configuration (_Lanes.configuration) is a
     function of its current one, so once it returns at step t to a
@@ -235,18 +233,17 @@ def evaluate(
     its row kind at each step s >= t, read step t0 + (s - t0) % p, where
     t0 = t and p = 1 unless it locked. So a locked curve continues its cycle,
     and one that succeeded holds its last value and selects nothing more.
-    Success is read from each episode's final pose.
+    An episode succeeded where its lane was done when it ended.
 
-    ``seed`` must be an integer (int or numpy integer, not bool) >= 0,
-    ``plant_kind`` "nominal" or "perturbed", ``repetitions`` and
-    ``max_steps`` integers >= 1, and ``goals`` not empty, checked in that
-    order, else ValueError before any lane is built.
+    ``seed`` must pass qtable.check_seed, ``plant_kind`` be "nominal" or
+    "perturbed", ``repetitions`` and ``max_steps`` integers >= 1, and ``goals``
+    not empty, checked in that order, else ValueError before any lane is built.
 
     ``hp`` is ignored, since greedy evaluation reads no hyperparameter; the
     keyword stays only because the benchmark harness (perfbench/layers.py)
     still passes it.
     """
-    check_integers(0, seed=seed)
+    check_seed(seed)
     if plant_kind not in ("nominal", "perturbed"):
         raise ValueError(f"unknown plant kind {plant_kind!r}")
     check_integers(1, repetitions=repetitions, max_steps=max_steps)
@@ -262,8 +259,8 @@ def evaluate(
     goal_poses = np.array([np.concatenate([g.position, g.direction]) for g in goals])
     goal_bins = encode_goal_prefix_batch(goal_poses[:, :3], goal_poses[:, 3:],
                                          rest_tip_origin(params.l0_mm), binning)
-    # The value rows and row kinds of each distinct goal bin, read once. Lane
-    # i's row for a tip state is its goal's slot * N_TIP_STATES + state.
+    # The value rows and row kinds of each distinct goal bin, read once; a
+    # goal's slot is its bin's place among them.
     used, goal_slot = np.unique(goal_bins, return_inverse=True)
     rows, kind = table.bin_rows(used)
     rows, kind = rows.reshape(-1, N_ACTIONS), kind.reshape(-1)
@@ -284,10 +281,10 @@ def evaluate(
             ])
     copies = repetitions if noise is None else 1
     lane_reps = repetitions // copies  # lanes per goal
-    lane_base = np.repeat(goal_slot, lane_reps) * N_TIP_STATES  # by lane id
     n = len(goals) * lane_reps
-    lanes = _Lanes(goal_poses, params=fk_params, action_spec=action_spec, binning=binning,
-                   repetitions=lane_reps, droop_gain=droop_gain, noise=noise)
+    lanes = _Lanes(goal_poses, goal_slot, params=fk_params, action_spec=action_spec,
+                   reward_spec=reward_spec, binning=binning, repetitions=lane_reps,
+                   droop_gain=droop_gain, noise=noise)
 
     # The loop only records: the series, each selection's row kind (-1 where
     # none), the step each episode ended at (``last``) and, for a lock, the
@@ -296,26 +293,23 @@ def evaluate(
     kinds = np.full((n, max_steps), -1, dtype=np.int8)
     last, start = np.full((2, n), max_steps)
     pos[:, 0], rot[:, 0] = lanes.pos, lanes.rot
-    ended = reward_spec.is_success(lanes.pos, lanes.rot)
+    ended = lanes.done
     if noise is None:
         # Each lane's configuration at every step so far.
         config = lanes.configuration()
         held = np.empty((n, length, config.shape[1]), dtype=config.dtype)
         held[:, 0] = config
-    ids, base = lanes.ids, lane_base
     for step in range(1, length):
         if np.count_nonzero(ended):
-            last[ids[ended]] = step - 1
+            last[lanes.ids[ended]] = step - 1
             lanes.keep(~ended)
             if len(lanes) == 0:
                 break
-            ids = lanes.ids
-            base = lane_base[ids]
-        row = base + lanes.state
+        ids, row = lanes.ids, lanes.row
         kinds[ids, step - 1] = kind.take(row)
         lanes.step(rows.take(row, axis=0).argmax(axis=1))
         pos[ids, step], rot[ids, step] = lanes.pos, lanes.rot
-        ended = reward_spec.is_success(lanes.pos, lanes.rot)
+        ended = lanes.done
         if noise is None:
             config = lanes.configuration()
             seen = (held[ids, :step] == config[:, None]).all(axis=2)
@@ -323,7 +317,7 @@ def evaluate(
             locked = seen.any(axis=1)
             if np.count_nonzero(locked):
                 start[ids[locked]] = seen[locked].argmax(axis=1)
-                ended |= locked
+                ended = ended | locked  # a new array: lanes.done must stay success only
 
     # The padding rule of the docstring.
     locked = start < last
@@ -334,8 +328,8 @@ def evaluate(
     after = steps > last[:, None]
     pos, rot = (np.take_along_axis(x, np.where(after, cycle, steps), axis=1) for x in (pos, rot))
     kinds = np.take_along_axis(kinds, np.where(after[:, 1:], cycle[:, :-1], steps[:-1]), axis=1)
-    # A noise-free configuration fixes the pose, so no cycle holds a success pose.
-    success = reward_spec.is_success(pos[:, -1], rot[:, -1])
+    success = (last < max_steps) & ~locked  # ended early, and not by a lock
+    success[lanes.ids] = lanes.done  # the lanes still running at the step limit
 
     # Goal i's lanes are rows i * lane_reps onward, each copied to ``copies`` repetitions.
     shape = (len(goals), lane_reps)

@@ -29,7 +29,7 @@ import numpy as np
 from .episode import RewardSpec, train_lockstep
 from .kinematics import ArmParams, _check_range, tip_batch, tip_screen
 from .qtable import (ActionSpec, HyperParams, QTable, _goal_bin_ids, _integers, augment,
-                     check_integers, save)
+                     check_integers, check_seed, save)
 from .state import (
     N_GOAL_BINS,
     _GOAL_ROW,
@@ -254,20 +254,21 @@ def pretrain(
     for the removed process pool still pass it. Arguments are checked before
     any sampling starts: workers, quota, seed, budget, max_steps and
     augment_radius must be integers (int or numpy integer, not bool), workers
-    1, seed in [0, 2**64) (a u64, the range of the CLI's and the scripts'
-    --seed) and the others >= 1. `budget` defaults to
-    default_sample_budget(quota). The goal bank is sampled from the stream
-    SeedSequence((seed, 1)). Saves the augmented table to `out_path` if set.
+    1, seed in [0, 2**64) (qtable.check_seed) and the others >= 1, and
+    allow_large_run a bool. `budget` defaults to default_sample_budget(quota).
+    The goal bank is sampled from the stream SeedSequence((seed, 1)). Saves
+    the augmented table to `out_path` if set.
     """
-    check_integers(workers=workers, seed=seed)
+    check_integers(workers=workers)
+    check_seed(seed)
     if workers != 1:
         raise ValueError(
             f"workers={workers}: the process pool is gone, pretraining runs in "
             "one process and workers must be 1"
         )
     check_integers(1, quota=quota, max_steps=max_steps, augment_radius=augment_radius)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be in [0, 2**64)")
+    if not isinstance(allow_large_run, bool):
+        raise ValueError(f"allow_large_run must be a boolean, not {allow_large_run!r}")
     if budget is None:
         budget = default_sample_budget(quota)
     check_integers(1, budget=budget)

@@ -42,6 +42,7 @@ _TIP_BITS = N_TIP_STATES.bit_length() - 1
 FLAG_TRAINED = 1
 FLAG_AUGMENTED = 2
 _FLAGS_DEFINED = FLAG_TRAINED | FLAG_AUGMENTED
+SEED_LIMIT = 2**64  # a seed is a u64 (check_seed)
 
 MAGIC = b"HPNQ"
 FORMAT_VERSION = 1
@@ -80,6 +81,13 @@ def check_integers(low: int | None = None, /, **values) -> None:
             raise ValueError(f"{name} must be an integer, not {value!r}")
         if low is not None and value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_seed(seed: int) -> None:
+    """ValueError unless ``seed`` is an integer (bool refused) in [0, SEED_LIMIT): a u64."""
+    check_integers(0, seed=seed)
+    if seed >= SEED_LIMIT:
+        raise ValueError(f"seed must be < 2**64, got {seed}")
 
 
 def _check_action(action: int, name: str = "action") -> None:

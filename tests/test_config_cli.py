@@ -398,6 +398,20 @@ class TestPretrainCommand:
             assert "--seed" in result.output
             assert not table.exists()
 
+    @pytest.mark.parametrize("section", ["pretrain", "eval"])
+    def test_a_config_seed_past_a_u64_is_refused(self, runner, tmp_path, section):
+        # The config took 2**64, which the --seed flag refuses.
+        with pytest.raises(ConfigError, match=rf"^{section}: seed must be < 2\*\*64"):
+            config_from_mapping({section: {"seed": 2**64}})
+        table, csv_dir = tmp_path / "t.qt", tmp_path / "ev"
+        cfg = write_config(tmp_path / "c.yaml", f"{section}:\n  seed: {2**64}\n"
+                           f"output:\n  table_path: {table}\n  eval_dir: {csv_dir}\n")
+        for command in (["pretrain"], ["eval", "--zero-init"]):
+            result = runner.invoke(main, command + ["--config", cfg])
+            assert result.exit_code == 2, (command, result.output)
+            assert f"{section}: seed must be < 2**64" in result.output
+        assert not table.exists() and not csv_dir.exists()
+
     def test_goal_bank_path_is_an_unknown_field(self, runner, tmp_path):
         # The goal bank is sampled on every run; the field that named its cache is gone.
         with pytest.raises(ConfigError, match=r"^output: unknown field\(s\) \['goal_bank_path'\]"):

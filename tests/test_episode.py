@@ -181,7 +181,8 @@ class TestObserveBatch:
                           for g in range(len(goals))])
         plant = PerturbedPlant(params, cfg, seed)
         lanes = _Lanes(np.array([np.concatenate([g.position, g.direction]) for g in goals]),
-                       params=plant.true_params, action_spec=actions, binning=binning,
+                       np.arange(len(goals)), params=plant.true_params, action_spec=actions,
+                       reward_spec=setup["rewards"], binning=binning,
                        droop_gain=cfg.droop_gain, noise=noise)
         plants = [PerturbedPlant(params, cfg, seed, (g,)) for g in range(len(goals))]
         pressures = [np.full((4, 4), params.p_max_kpa / 2.0) for _ in goals]
@@ -318,7 +319,8 @@ class TestLockstepStep:
         params, goal = setup["params"], np.array([[0.0, 0.0, 500.0, 0.0, 0.0, 1.0]])
         for delta_p, on_lattice in [(5.0, True), (0.3, False)]:
             actions = ActionSpec(delta_p_kpa=delta_p)
-            lanes = _Lanes(goal, params=params, action_spec=actions, binning=setup["binning"])
+            lanes = _Lanes(goal, [0], params=params, action_spec=actions,
+                           reward_spec=setup["rewards"], binning=setup["binning"])
             assert lanes.lattice is _segment_lattice(params, actions)
             assert (lanes.lattice is not None) == on_lattice
 
@@ -326,24 +328,28 @@ class TestLockstepStep:
         # Lattice lanes carry only their codes and gather the four transforms at
         # each observation; the pressure path keeps a segment stack and recomputes
         # the moved segment. The same random actions, with lanes dropped along the
-        # way, observe the same bits on both.
+        # way, observe the same bits on both, and the same rows and successes.
         params, actions, binning = setup["params"], setup["actions"], setup["binning"]
         rng = np.random.default_rng(12)
         goals = [goal_from_pressures(params, rng.uniform(0.0, 60.0, 16)) for _ in range(64)]
         rows = np.array([np.concatenate([g.position, g.direction]) for g in goals])
+        slots = np.arange(len(goals)) % 5  # goals sharing a slot, as goals sharing a bin do
         plan = rng.integers(N_ACTIONS, size=(200, len(goals)))
         drop_every = {50: 3, 100: 5, 150: 7}  # at step t, drop the lanes whose id it divides
 
         def observed():
-            lanes = _Lanes(rows, params=params, action_spec=actions, binning=binning)
+            lanes = _Lanes(rows, slots, params=params, action_spec=actions,
+                           reward_spec=setup["rewards"], binning=binning)
             seen = []
             for t in range(len(plan) + 1):
                 if t in drop_every:
                     lanes.keep(lanes.ids % drop_every[t] != 0)
+                    assert (lanes.row == slots[lanes.ids] * N_TIP_STATES + lanes.state).all()
                 if t:
                     lanes.step(plan[t - 1, lanes.ids])
                 seen.append([lanes.ids.tolist()]
-                            + [x.tobytes() for x in (lanes.pos, lanes.rot, lanes.state)])
+                            + [x.tobytes() for x in (lanes.pos, lanes.rot, lanes.state,
+                                                     lanes.row, lanes.done)])
             return lanes, seen
 
         lattice_lanes, on_lattice = observed()
@@ -397,6 +403,8 @@ class TestLockstepInputs:
         pytest.param({"max_steps": 2.5}, "max_steps must be an integer", id="max-steps-2.5"),
         pytest.param({"max_steps": 0}, "max_steps must be >= 1", id="max-steps-0"),
         pytest.param({"max_steps": True}, "max_steps must be an integer", id="max-steps-bool"),
+        # A seed past a u64 was taken, while the CLI's --seed refused it.
+        pytest.param({"seed": 2**64}, r"seed must be < 2\*\*64", id="seed-2**64"),
     ])
     @pytest.mark.parametrize("plant_kind", ["nominal", "perturbed"])
     def test_greedy_refuses_bad_counts(self, specs, goal, plant_kind, counts, match):
@@ -418,6 +426,9 @@ class TestLockstepInputs:
         pytest.param({"max_steps": True}, "max_steps must be an integer", id="max-steps-bool"),
         pytest.param({"seed": 1.5}, "seed must be an integer", id="seed-1.5"),
         pytest.param({"seed": True}, "seed must be an integer", id="seed-bool"),
+        # seed=-1 failed inside numpy, and 2**64 was taken.
+        pytest.param({"seed": -1}, "seed must be >= 0", id="seed-negative"),
+        pytest.param({"seed": 2**64}, r"seed must be < 2\*\*64", id="seed-2**64"),
         pytest.param({"max_steps": 0}, "max_steps must be >= 1", id="max-steps-0"),
     ])
     def test_train_refuses_bad_counts(self, setup, specs, goal, counts, match):

@@ -740,6 +740,26 @@ class TestLockstepMatchesSequentialEpisodes:
                                **shard_kwargs(specs))
         assert table.state_count() == 0 and table.entry_count() == 0
 
+    def test_an_unfit_value_names_its_state_after_an_earlier_lane_retired(self, specs):
+        # Bin 392's goal is the start pose, so lane 0 retires before its first step
+        # and the other bin's lane runs first among the lanes left.
+        params = specs["params"]
+        start = NominalPlant(params).apply(np.full((4, 4), params.p_max_kpa / 2.0))
+        at_start = np.concatenate([start[:3, 3], start[:3, 2]])
+        bank = build_goal_bank(params, 1, 20_000, np.random.default_rng(3),
+                               binning=specs["binning"])
+        i = int(bank.bins.searchsorted(393))
+        bins, goals = [392, int(bank.bins[i])], np.stack([[at_start], bank.goals[i]])
+        rewards = RewardSpec(w_p_per_mm=1e300)
+        kwargs = {**shard_kwargs(specs, max_steps=20), "reward_spec": rewards}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite in float32") as lockstep:
+                train_lockstep(bins, goals, 0, specs["hp"], **kwargs)
+        with pytest.raises(ValueError) as scalar:
+            sequential_table(bins[1:], goals[1:], 0, specs, rewards, 20)
+        assert str(lockstep.value) == str(scalar.value)
+
     def test_the_trained_table_is_handed_over_without_a_rescan(self, specs, small_bank,
                                                               monkeypatch):
         """train_lockstep refuses unfit values at the write, so no builder checks them again."""
@@ -976,7 +996,9 @@ class TestPretrainPipeline:
          {"augment_radius": 1.5}, {"max_steps": 20.5}, {"quota": True}, {"seed": 0.5},
          {"budget": 20_000.5}, {"max_steps": np.float64(20)}, {"workers": True},
          {"workers": 1.0}, {"quota": 1.5}, {"seed": True}, {"budget": True},
-         {"max_steps": True}, {"augment_radius": True}],
+         {"max_steps": True}, {"augment_radius": True},
+         # A truthy non-bool lifted the large-run guard.
+         {"allow_large_run": 1}, {"allow_large_run": "no"}, {"allow_large_run": np.True_}],
     )
     def test_invalid_arguments_rejected(self, specs, kwargs, monkeypatch):
         def no_sampling(*args, **kwargs):
