@@ -26,6 +26,11 @@ selection and the TD update. Each stage is timed by wrapping its name, so
 every wrapped call adds its own timing overhead: the block prints the wrapped
 step's total next to the unwrapped one of the table above.
 
+Then one line per plant's segment lattice (episode._segment_lattice), the
+nominal plant's and then the perturbed plant's: its segment states, its
+distinct transforms, the bytes its arrays hold, and the median ms of --calls
+fresh builds, each after clearing the lattice cache.
+
 Example:
     python3 scripts/step_cost.py --seed 1 --calls 15
 """
@@ -129,6 +134,20 @@ def step_quartiles(run, calls: int) -> tuple[list[float], int]:
     return quartiles, steps
 
 
+def lattice_cost(params, action_spec, calls: int) -> str:
+    """A plant's segment lattice: states, transforms, bytes, and median ms of ``calls`` builds."""
+    costs = []
+    for _ in range(calls):
+        episode._segment_lattice.cache_clear()
+        t0 = time.perf_counter()
+        lattice = episode._segment_lattice(params, action_spec)
+        costs.append((time.perf_counter() - t0) * 1e3)
+    held = lattice.transforms.nbytes + lattice.transform_index.nbytes + lattice.moves.nbytes
+    return (f"{len(lattice.transform_index)} states, {len(lattice.transforms)} transforms, "
+            f"{held} bytes, build {statistics.median(costs):.1f} ms "
+            f"(median of {calls} builds)")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -197,6 +216,10 @@ def main() -> int:
           f"against {unwrapped:.1f} unwrapped")
     for label, us in per_step.items():
         print(f"  {label:<18} {us:7.1f}")
+    perturbed = evalrun.perturbed_plant(cfg.arm, cfg.perturbed, args.seed)
+    for plant_kind, params in (("nominal", cfg.arm), ("perturbed", perturbed.true_params)):
+        cost = lattice_cost(params, cfg.action, args.calls)
+        print(f"segment lattice, {plant_kind} plant: {cost}")
     return 0
 
 

@@ -16,8 +16,9 @@ each episode in turn.
 The shared step keeps its fixed cost low in four ways, none of which changes
 a bit. Segment transforms come from a lattice built once per process: every
 segment state the chamber-pressure closure allows (13 pressures, so 13**4
-states, at the default 60 kPa ceiling and 5 kPa step), up to
-LATTICE_MAX_PRESSURES pressures, beyond which the step computes them.
+states, at the default 60 kPa ceiling and 5 kPa step), with each distinct
+transform stored once, up to LATTICE_MAX_PRESSURES pressures, beyond which
+the step computes them.
 Training's exploration draws come from each episode's raw PCG64 words, read
 once per round as select_action would (exploration_draws). The tip state is
 binned from numpy's angles, recomputed with math only near a bin edge
@@ -38,6 +39,7 @@ from .kinematics import (
     ArmParams,
     N_CHAMBERS,
     N_SEGMENTS,
+    _bending_terms,
     actuation_to_config,
     segment_transform,
     segment_transform_batch,
@@ -159,7 +161,11 @@ class NominalPlant:
 
 
 def noise_generator(seed: int, episode: tuple[int, ...] = ()) -> np.random.Generator:
-    """The perturbed plant's observation-noise stream, keyed (seed, 1, *episode)."""
+    """The perturbed plant's observation-noise stream, keyed (seed, 1, *episode).
+
+    ``seed`` must pass qtable.check_seed, else ValueError.
+    """
+    check_seed(seed)
     # default_rng(SeedSequence(key)) without the wrapper calls: PCG64 seeds from SeedSequence(key).
     return np.random.Generator(np.random.PCG64((seed, 1, *episode)))
 
@@ -174,11 +180,13 @@ class PerturbedPlant:
     the gain scales, then draws each (goal index, repetition) episode's noise
     from noise_generator(seed, (goal index, repetition)), the stream a plant
     keyed by that episode would use. So an episode's noise is its own and
-    does not depend on how long the other episodes ran.
+    does not depend on how long the other episodes ran. ``seed`` must pass
+    qtable.check_seed, else ValueError before anything is drawn.
     """
 
     def __init__(self, params: ArmParams, cfg: PerturbedPlantConfig, seed: int,
                  episode: tuple[int, ...] = ()):
+        check_seed(seed)
         scale_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         lo, hi = 1.0 - cfg.scale_spread, 1.0 + cfg.scale_spread
         # Both scales are drawn, pinned or not, so pinning one leaves the other's draw.
@@ -346,7 +354,8 @@ def observe_batch(tip: np.ndarray, goals: np.ndarray, frames: np.ndarray,
 
 
 # Largest chamber-pressure closure _Lanes precomputes segment transforms for:
-# 16 pressures give 16**4 = 65,536 segment states, an 8 MB transform table.
+# 16 pressures give 16**4 = 65,536 segment states, which uint16 state and
+# transform indices hold.
 LATTICE_MAX_PRESSURES = 16
 
 
@@ -371,13 +380,17 @@ class _SegmentLattice:
     """Every segment state one chamber-pressure closure allows, with its transform.
 
     A segment state packs its four chamber pressures' closure indices in base
-    len(closure), chamber 0 first. ``transforms`` (states, 4, 4) holds each
-    state's segment_transform_batch row; ``moves`` (states, 8) the state an
-    action leaves it in, by chamber * 2 + down (the action id modulo 8);
-    ``start`` is the state with every chamber at p_max / 2.
+    len(closure), chamber 0 first. A segment transform depends only on the
+    state's bending terms (vx, vy, l), which many states share, so
+    ``transforms`` (groups, 4, 4) holds one segment_transform_batch row per
+    distinct bit pattern of the three, and ``transform_index`` (states,) the
+    row of each state's. ``moves`` (states, 8) holds the state an action
+    leaves it in, by chamber * 2 + down (the action id modulo 8); ``start`` is
+    the state with every chamber at p_max / 2. The index arrays are uint16.
     """
 
     transforms: np.ndarray
+    transform_index: np.ndarray
     moves: np.ndarray
     start: int
 
@@ -387,8 +400,12 @@ class _SegmentLattice:
 def _segment_lattice(params: ArmParams, action_spec: ActionSpec) -> _SegmentLattice | None:
     """The segment lattice of an arm and action step, or None past LATTICE_MAX_PRESSURES.
 
-    Cached: the first call for a (params, action_spec) pair runs
-    segment_transform_batch over every state, about 30-40 ms at the default.
+    Cached: the first call for a (params, action_spec) pair groups every
+    state by the bits of its bending terms and runs segment_transform_batch
+    on one state per group, 7,825 of the 28,561 states at the default, in
+    about 10 ms. A segment_transform_batch row is computed from (vx, vy, l)
+    alone, so each state's row is, bit for bit, the one its own pressures
+    give. Grouping by bits keeps -0.0 and 0.0 apart.
     """
     values = pressure_closure(action_spec, params.p_max_kpa, LATTICE_MAX_PRESSURES)
     if values is None:
@@ -397,18 +414,26 @@ def _segment_lattice(params: ArmParams, action_spec: ActionSpec) -> _SegmentLatt
     digits = np.indices((v,) * N_CHAMBERS).reshape(N_CHAMBERS, -1).T
     place = v ** np.arange(N_CHAMBERS - 1, -1, -1)
     states = digits @ place
-    transforms = np.empty((len(states), 4, 4))
-    for rows in np.split(np.arange(len(states)), v):  # v blocks bound the temporaries
-        transforms[rows] = segment_transform_batch(values[digits[rows]], params)
-    moves = np.empty((len(states), 2 * N_CHAMBERS), dtype=np.int32)
+    # One int64 per state naming its (vx, vy, l) bits: each term's rank among
+    # its distinct bit patterns, in mixed radix, below states**3 <= 2**48.
+    group = np.zeros(len(states), dtype=np.int64)
+    for term in _bending_terms(values[digits], params):
+        distinct, rank = np.unique(term.view(np.uint64), return_inverse=True)
+        group *= len(distinct)
+        group += rank
+    _, first, transform_index = np.unique(group, return_index=True, return_inverse=True)
+    transforms = segment_transform_batch(values[digits[first]], params)
+    transform_index = transform_index.astype(np.uint16)
+    moves = np.empty((len(states), 2 * N_CHAMBERS), dtype=np.uint16)
     for down in (0, 1):
         to = values.searchsorted(action_spec.step(values, down, params.p_max_kpa))
         for chamber in range(N_CHAMBERS):
             d = digits[:, chamber]
             moves[:, 2 * chamber + down] = states + (to[d] - d) * place[chamber]
-    transforms.flags.writeable = moves.flags.writeable = False
+    for a in (transforms, transform_index, moves):
+        a.flags.writeable = False
     start = int(values.searchsorted(params.p_max_kpa / 2.0) * place.sum())
-    return _SegmentLattice(transforms, moves, start)
+    return _SegmentLattice(transforms, transform_index, moves, start)
 
 
 class _Lanes:
@@ -433,11 +458,12 @@ class _Lanes:
     default 60 kPa ceiling and 5 kPa step): the lanes then carry only each
     segment's lattice state in ``codes`` (lanes, 4), and no segment stack.
     A step moves one code per lane through the cached _SegmentLattice, and
-    the observation gathers every lane's four transforms in one take. Past
+    the observation gathers every lane's four transforms in two takes: the
+    codes' transform indices, then their rows. Past
     that bound the lanes carry ``pressures`` (lanes, 4, 4) and the
     ``segments`` stack (4, lanes, 4, 4), and a step recomputes only the
     moved segments with segment_transform_batch. Both give the same bits: a
-    lattice row is the segment_transform_batch row of its pressures, and
+    state's lattice row is the segment_transform_batch row of its pressures, and
     tip_of multiplies the same 4x4 matrices either way. The tip state is binned
     from numpy's angles; state.encode_tip_stack recomputes with math only an
     angle within 1e-9 rad of a bin edge or of the azimuth fold at pi, where
@@ -475,7 +501,8 @@ class _Lanes:
         if self.lattice is None:
             tip = tip_of(*self.segments)
         else:
-            t = self.lattice.transforms.take(self.codes, axis=0)
+            lattice = self.lattice
+            t = lattice.transforms.take(lattice.transform_index.take(self.codes), axis=0)
             tip = tip_of(t[:, 0], t[:, 1], t[:, 2], t[:, 3])
         if self.droop_gain is not None:
             # math.hypot, not np.hypot: the two differ in the last bit on some inputs.

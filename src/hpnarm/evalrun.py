@@ -182,6 +182,13 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def perturbed_plant(params: ArmParams, cfg: PerturbedPlantConfig, seed: int) -> PerturbedPlant:
+    """The perturbed plant evaluate(seed=seed) runs on: its plant seed is derived from ``seed``."""
+    return PerturbedPlant(
+        params, cfg, seed=int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
+    )
+
+
 def evaluate(
     table: QTable | None,
     goals: Sequence[GoalPose],
@@ -269,9 +276,7 @@ def evaluate(
     fk_params, droop_gain, noise = params, None, None
     if plant_kind == "perturbed":
         cfg = perturbed_cfg if perturbed_cfg is not None else PerturbedPlantConfig()
-        plant = PerturbedPlant(
-            params, cfg, seed=int(np.random.SeedSequence((seed, 3)).generate_state(1)[0])
-        )
+        plant = perturbed_plant(params, cfg, seed)
         fk_params, droop_gain = plant.true_params, cfg.droop_gain
         sigma = cfg.tip_noise_sigma_mm
         if sigma > 0.0:  # as in PerturbedPlant.apply, which then draws nothing

@@ -569,10 +569,10 @@ def _merge(keys, values, flags, trained, mean_keys, means) -> tuple:
 # The contributions _neighbor_means aims to sort at a time.
 _WINDOW = 1 << 17
 # A sort word's key field (a key less its window's start), part field (10 dims
-# by 6 moves at most) and source field (a trained entry's index) fit in 64 bits
-# for any window: 25 + 6 + 25 bits.
-assert (2 * (N_STATES * N_ACTIONS - 1).bit_length()
-        + (10 * 2 * (N_BINS_PER_DIM - 1) - 1).bit_length()) <= 64
+# by 6 moves at most) and value field (a trained value's float32 bits) fit in
+# 64 bits for any window: 25 + 6 + 32 bits.
+assert ((N_STATES * N_ACTIONS - 1).bit_length()
+        + (10 * 2 * (N_BINS_PER_DIM - 1) - 1).bit_length() + 32) <= 64
 
 
 def _neighbor_means(src_k, values, radius: int):
@@ -581,28 +581,28 @@ def _neighbor_means(src_k, values, radius: int):
     Takes a table's trained entries: their keys state * N_ACTIONS + action,
     int64 increasing, and their float32 values. Yields, window by window in
     key order, (lo, hi, keys, means): the window's key range [lo, hi), and
-    the sorted uint32 keys in it and their float32 means. A trained entry adds its value to each neighbor's
-    key, part by part: a part is one (digit, step, up or down), numbered in
-    that loop order. Each contribution is one uint64 word: the key, less the
-    start of its key range, in the high bits, the part in the middle, and
-    the trained entry's index in the low bits. A key and a part name one
-    trained entry, so the words are distinct and a plain in-place sort
-    orders them by key, then by part. np.add.reduceat sums each key's
-    float64 values in that order, which fixes every mean's bits. The part
-    and source field widths follow the table. The keys are taken in windows,
-    one at a time: runs of whole goal bins whose contributions number at
-    most _WINDOW, or one bin that holds more. A key's contributions all fall
-    in one window, so the windows do not change the means' bits; they bound
-    the sort words and values held at once.
+    the sorted uint32 keys in it and their float32 means. A trained entry
+    adds its value to each neighbor's key, part by part: a part is one
+    (digit, step, up or down), numbered in that loop order. Each
+    contribution is one uint64 word: the key, less the start of its key
+    range, in the high bits, the part in the middle, and the trained value's
+    float32 bits in the low 32 bits, so the sorted words carry their values
+    and nothing is gathered. A key and a part name one trained entry, so the
+    words are distinct and a plain in-place sort orders them by key, then by
+    part. np.add.reduceat sums each key's values, as float64, in that order,
+    which fixes every mean's bits. The part field's width follows the
+    radius. The keys are taken in windows, one at a time: runs of whole goal
+    bins whose contributions number at most _WINDOW, or one bin that holds
+    more. A key's contributions all fall in one window, so the windows do
+    not change the means' bits; they bound the sort words and values held at
+    once.
     """
     ac = N_ACTIONS
     if not len(src_k):
         return
-    src_v = values.astype(np.float64)
     # A move takes a digit up or down by a step; parts are (dim, move) in sum order.
     moves = [m for step in range(1, min(radius, N_BINS_PER_DIM - 1) + 1) for m in (step, -step)]
-    src_bits = (len(src_k) - 1).bit_length()
-    low = (10 * len(moves) - 1).bit_length() + src_bits
+    low = (10 * len(moves) - 1).bit_length() + 32
     # Per dim, the trained entries ordered by their digit there, and where each digit starts.
     src_s = src_k >> _ACTION_BITS
     orders, edges = [], []
@@ -614,7 +614,7 @@ def _neighbor_means(src_k, values, radius: int):
     del src_s, digit, buckets
     # Blocks (order, a, add, at): the entries from a on in a dim's order that move by
     # one part, in increasing source key. Their words are (source key - lo + offset)
-    # << low | part << src_bits | source, and at[i] of them have a neighbor key below
+    # << low | part << 32 | value bits, and at[i] of them have a neighbor key below
     # grid[i], the first key of goal bin i.
     grid = np.arange(N_GOAL_BINS + 1) * (N_TIP_STATES * ac)
     blocks = []
@@ -622,7 +622,7 @@ def _neighbor_means(src_k, values, radius: int):
         keys_in_order = src_k[order]
         for j, move in enumerate(moves):
             offset = move * 4 ** (9 - dim) * ac
-            add = ((offset << low) + ((dim * len(moves) + j) << src_bits)) % 2**64
+            add = ((offset << low) + ((dim * len(moves) + j) << 32)) % 2**64
             for g in range(max(0, -move), min(4, 4 - move)):
                 a, b = edge[g], edge[g + 1]
                 blocks.append((order, a, add, keys_in_order[a:b].searchsorted(grid - offset)))
@@ -635,7 +635,7 @@ def _neighbor_means(src_k, values, radius: int):
             filled = 0
         filled += c
     cuts.append(len(counts))
-    src_i = np.arange(len(src_k), dtype=np.uint64)
+    value_bits = values.view(np.uint32)
     base = np.empty(len(src_k), dtype=np.uint64)
     for start, stop in zip(cuts[:-1], cuts[1:]):
         moved = [(order[a + at[start]:a + at[stop]], add)
@@ -646,7 +646,7 @@ def _neighbor_means(src_k, values, radius: int):
         lo = int(grid[start])
         np.subtract(src_k, lo, out=base, casting="unsafe")  # modulo 2**64, as is all below
         base <<= low
-        base |= src_i
+        base |= value_bits
         words = np.empty(n, dtype=np.uint64)
         n = 0
         for rows, add in moved:
@@ -654,7 +654,7 @@ def _neighbor_means(src_k, values, radius: int):
             n += len(rows)
         del moved
         words.sort()
-        vals = src_v.take(words & ((1 << src_bits) - 1))
+        vals = words.astype(np.uint32).view(np.float32).astype(np.float64)
         words >>= low
         first = np.empty(n, dtype=bool)
         first[0] = True

@@ -22,7 +22,12 @@ from hpnarm.episode import (
     train_lockstep,
 )
 from hpnarm.evalrun import evaluate
-from hpnarm.kinematics import actuation_to_config, segment_transform
+from hpnarm.kinematics import (
+    _bending_terms,
+    actuation_to_config,
+    segment_transform,
+    segment_transform_batch,
+)
 from hpnarm.qtable import N_ACTIONS, ActionSpec, HyperParams, QTable, save
 from hpnarm.state import N_TIP_STATES, StateEncoder, goal_frame, rest_tip_origin
 
@@ -313,7 +318,34 @@ class TestLockstepStep:
             seg, move = divmod(action, 8)
             codes[seg] = int(lattice.moves[codes[seg], move])
             want = segment_transform(actuation_to_config(pressures[seg], params), params.k_eps)
-            assert lattice.transforms[codes[seg]].tobytes() == want.tobytes()
+            row = lattice.transforms[lattice.transform_index[codes[seg]]]
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("delta_p", [5.0, 10.0])
+    @pytest.mark.parametrize("plant", ["nominal", "perturbed"])
+    def test_lattice_stores_each_distinct_transform_once(self, setup, delta_p, plant):
+        # Each state's row, through transform_index, is the segment_transform_batch
+        # row of its own four closure pressures: the table of one row per state.
+        params, actions = setup["params"], ActionSpec(delta_p_kpa=delta_p)
+        if plant == "perturbed":
+            params = PerturbedPlant(params, PerturbedPlantConfig(), seed=3).true_params
+        lattice = _segment_lattice(params, actions)
+        closure = pressure_closure(actions, params.p_max_kpa, LATTICE_MAX_PRESSURES)
+        v = len(closure)
+        digits = np.array(np.unravel_index(np.arange(v**4), (v,) * 4)).T
+        pressures = closure[digits]
+        want = segment_transform_batch(pressures, params)
+        assert lattice.transforms[lattice.transform_index].tobytes() == want.tobytes()
+        # One row per distinct (vx, vy, l) bit triple.
+        terms = np.stack(_bending_terms(pressures, params), axis=1).view(np.uint64)
+        distinct = len(np.unique(terms, axis=0))
+        assert len(lattice.transforms) == distinct < v**4
+        if delta_p == 5.0 and plant == "nominal":
+            assert (distinct, v**4) == (7825, 28561)
+        assert lattice.transform_index.dtype == lattice.moves.dtype == np.uint16
+        assert lattice.transform_index.shape == (v**4,) and lattice.moves.shape == (v**4, 8)
+        for a in (lattice.transforms, lattice.transform_index, lattice.moves):
+            assert not a.flags.writeable
 
     def test_lanes_step_on_the_cached_lattice_up_to_the_bound(self, setup):
         params, goal = setup["params"], np.array([[0.0, 0.0, 500.0, 0.0, 0.0, 1.0]])
@@ -525,6 +557,32 @@ class TestPerturbedPlant:
             b = rng.uniform(1.0 - spread, 1.0 + spread)
             assert np.float64(plant.a_scale).tobytes() == np.float64(a).tobytes()
             assert np.float64(plant.b_scale).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.parametrize("seed, match", [
+        # True ran as seed 1, 2**64 was taken, and -1 failed inside numpy.
+        (True, "seed must be an integer"),
+        (1.5, "seed must be an integer"),
+        (-1, "seed must be >= 0"),
+        (2**64, r"seed must be < 2\*\*64"),
+    ], ids=["bool", "float", "negative", "2**64"])
+    def test_seed_outside_a_u64_is_refused_before_any_draw(self, setup, monkeypatch, seed,
+                                                           match):
+        def no_draw(*_):
+            raise AssertionError("a stream was seeded")
+
+        for name in ("SeedSequence", "PCG64", "default_rng"):
+            monkeypatch.setattr(np.random, name, no_draw)
+        with pytest.raises(ValueError, match=match):
+            PerturbedPlant(setup["params"], PerturbedPlantConfig(), seed=seed)
+        with pytest.raises(ValueError, match=match):
+            noise_generator(seed, (0, 0))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_bounds_of_a_u64_are_taken(self, setup, seed):
+        plant = PerturbedPlant(setup["params"], PerturbedPlantConfig(), seed=seed)
+        assert np.isfinite(plant.apply(np.full((4, 4), 30.0))).all()
+        want = np.random.Generator(np.random.PCG64((seed, 1, 2, 1))).random(4)
+        assert noise_generator(seed, (2, 1)).random(4).tobytes() == want.tobytes()
 
     def test_pinning_both_scales_uses_both_pins(self, setup):
         plant = PerturbedPlant(setup["params"], PerturbedPlantConfig(a_scale=1.25, b_scale=0.75),

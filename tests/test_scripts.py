@@ -102,8 +102,20 @@ def test_step_cost(tmp_path):
                           r"against (\d+\.\d) unwrapped", lines[5])
     assert stages and all(float(x) > 0.0 for x in stages.groups()), lines
     labels = ["exploration draws", "lane step", "tip_of", "observe_batch", "rest of the call"]
-    assert [line[:20].strip() for line in lines[6:]] == labels, lines
-    assert all(float(line[20:]) > 0.0 for line in lines[6:]), lines
+    assert [line[:20].strip() for line in lines[6:11]] == labels, lines
+    assert all(float(line[20:]) > 0.0 for line in lines[6:11]), lines
+    # Then each plant's segment lattice: one transform per distinct bending-term
+    # triple, 7,825 of 28,561 states on the nominal plant at the defaults.
+    assert len(lines) == 13, lines
+    for plant_kind, line in zip(("nominal", "perturbed"), lines[11:]):
+        lattice = re.fullmatch(rf"segment lattice, {plant_kind} plant: 28561 states, "
+                               r"(\d+) transforms, (\d+) bytes, build (\d+\.\d) ms "
+                               r"\(median of 2 builds\)", line)
+        assert lattice, lines
+        transforms, held = int(lattice.group(1)), int(lattice.group(2))
+        assert held == transforms * 16 * 8 + 28561 * (1 + 8) * 2, lines
+        if plant_kind == "nominal":
+            assert transforms == 7825, lines
 
 
 def test_step_cost_says_when_no_lane_count_ran(tmp_path):
