@@ -577,7 +577,7 @@ class TestPerturbedPlant:
         with pytest.raises(ValueError, match=match):
             noise_generator(seed, (0, 0))
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2**64-1"])
     def test_seed_bounds_of_a_u64_are_taken(self, setup, seed):
         plant = PerturbedPlant(setup["params"], PerturbedPlantConfig(), seed=seed)
         assert np.isfinite(plant.apply(np.full((4, 4), 30.0))).all()
